@@ -2,27 +2,16 @@
 
 Exit codes: 0 success, 1 usage or input-parse failure, 2 domain failure
 (inadmissible kernel, unrealizable minors, generation failure, ...).
-Output files are written atomically.  SIGNED_DPP_THREADS bounds worker
-threads for batch sampling (default: available parallelism).
+Output files are written atomically.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import kernel, moments, pma, sampler
 from .errors import FormatError, SignedDppError
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("SIGNED_DPP_THREADS", "")
-    try:
-        workers = int(raw) if raw else (os.cpu_count() or 1)
-    except ValueError:
-        raise FormatError(f"SIGNED_DPP_THREADS must be an integer, got {raw!r}")
-    return max(1, workers)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,8 +99,7 @@ def cmd_sample(args) -> int:
     if args.method == "exact":
         batch = sampler.sample_enumerate(k, args.count, args.seed)
     else:
-        batch = sampler.sample_sequential_batch(k, args.count, args.seed,
-                                                workers=_thread_count())
+        batch = sampler.sample_sequential_batch(k, args.count, args.seed)
     sampler.write_samples(args.out, batch)
     return 0
 

@@ -9,9 +9,15 @@ as arbitrary-width Python ints, bit i = variable i.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DimensionError
+
+# Rows of index arrays are eliminated in chunks of this many at a time,
+# each chunk first filtered against the span of the basis so far.
+SPAN_CHUNK = 4096
 
 
 def sign_to_bit(s: int) -> int:
@@ -98,43 +104,124 @@ class GF2Solution:
 def gf2_solve(system: GF2System) -> GF2Solution | None:
     """Reduced row echelon solve; None when the system is inconsistent.
 
-    Pivots take the lowest available column, so the particular solution
-    (free variables zero) and the basis are canonical for a given row
-    order.  Basis vectors are emitted in free-column order, each with a
-    single 1 among the free columns.
+    Each row is reduced against the rows kept so far, which are keyed by
+    their lowest set bit; a row that reduces to zero is redundant and
+    only its right-hand side is checked.  Back-substitution from the
+    highest pivot down then gives the reduced row echelon form, which is
+    unique for the row space: the particular solution (free variables
+    zero) and the basis are canonical.  Basis vectors are emitted in
+    free-column order, each with a single 1 among the free columns.
     """
     m = system.n_vars
-    work = [(mask, rhs) for mask, rhs in system.rows]
-    pivot_of_col: dict[int, int] = {}
-    r = 0
-    for col in range(m):
-        pivot = next((i for i in range(r, len(work)) if (work[i][0] >> col) & 1), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        for i in range(len(work)):
-            if i != r and (work[i][0] >> col) & 1:
-                work[i] = (work[i][0] ^ work[r][0], work[i][1] ^ work[r][1])
-        pivot_of_col[col] = r
-        r += 1
-        if r == len(work):
-            break
-    if any(mask == 0 and rhs == 1 for mask, rhs in work):
-        return None
+    pivots: dict[int, tuple[int, int]] = {}
+    for mask, rhs in system.rows:
+        mask &= (1 << m) - 1
+        while mask:
+            col = (mask & -mask).bit_length() - 1
+            if col not in pivots:
+                pivots[col] = (mask, rhs)
+                break
+            pivot_mask, pivot_rhs = pivots[col]
+            mask ^= pivot_mask
+            rhs ^= pivot_rhs
+        else:
+            if rhs:
+                return None
+    pivot_bits = sum(1 << col for col in pivots)
+    for col in sorted(pivots, reverse=True):
+        mask, rhs = pivots[col]
+        above = mask & pivot_bits & ~(1 << col)
+        while above:
+            low = above & -above
+            other_mask, other_rhs = pivots[low.bit_length() - 1]
+            mask ^= other_mask
+            rhs ^= other_rhs
+            above ^= low
+        pivots[col] = (mask, rhs)
 
     particular = 0
-    for col, row in pivot_of_col.items():
-        if work[row][1]:
-            particular ^= 1 << col
+    for col, (_, rhs) in pivots.items():
+        if rhs:
+            particular |= 1 << col
 
-    free_cols = [c for c in range(m) if c not in pivot_of_col]
+    free_cols = [c for c in range(m) if c not in pivots]
     basis = []
     for f in free_cols:
         vec = 1 << f
-        for col, row in pivot_of_col.items():
-            if (work[row][0] >> f) & 1:
+        for col, (mask, _) in pivots.items():
+            if (mask >> f) & 1:
                 vec ^= 1 << col
         basis.append(vec)
     return GF2Solution(n_vars=m, particular=particular,
                        null_basis=tuple(basis), free_cols=tuple(free_cols),
-                       rank=len(pivot_of_col))
+                       rank=len(pivots))
+
+
+# ---------------------------------------------------------------------------
+# rows as index arrays: span filtering and parity checks
+
+def parities(supports: np.ndarray, assignment: np.ndarray) -> np.ndarray:
+    """XOR of ``assignment`` over each row of an (m, w) array of distinct
+    variable indices.  A 0/1 vector gives (m,) parities; an (n_vars, d)
+    matrix gives the (m, d) parities against each of its d columns."""
+    out = np.zeros((len(supports),) + assignment.shape[1:], dtype=bool)
+    for col in np.asarray(supports).T:
+        out ^= assignment[col]
+    return out
+
+
+def _eliminate(rows: np.ndarray):
+    """Column-by-column reduction of (m, n_vars) bool rows, bit-packed.
+
+    Returns the indices of the rows chosen as pivots (a basis of the row
+    space), their pivot columns, and the reduced pivot rows (the RREF).
+    """
+    n_vars = rows.shape[1]
+    work = np.packbits(rows, axis=1, bitorder="little")
+    unused = np.ones(len(work), dtype=bool)
+    chosen, cols = [], []
+    for col in range(n_vars):
+        hit = (work[:, col >> 3] >> (col & 7)) & 1 == 1
+        candidates = np.flatnonzero(hit & unused)
+        if candidates.size == 0:
+            continue
+        p = candidates[0]
+        unused[p] = hit[p] = False
+        work[hit] ^= work[p]
+        chosen.append(p)
+        cols.append(col)
+    reduced = np.unpackbits(work[chosen], axis=1, count=n_vars, bitorder="little")
+    return np.array(chosen, dtype=np.intp), np.array(cols, dtype=np.intp), reduced.astype(bool)
+
+
+def spanning_rows(groups: Sequence[np.ndarray], n_vars: int) -> list[np.ndarray]:
+    """Indices, per group, of rows that together form a basis of the row
+    space of all groups.
+
+    Each group is an (m, w) array of distinct variable indices, one XOR
+    row per line.  Rows are taken in order, in chunks: a row whose parity
+    against every vector of the current null space is 0 already lies in
+    the span and is dropped without elimination; the rest are eliminated
+    together with the basis so far.
+    """
+    basis = np.zeros((0, n_vars), dtype=bool)
+    owner = np.zeros((0, 2), dtype=np.intp)  # (group, row) of each basis row
+    null = np.eye(n_vars, dtype=bool)        # column s is null vector s
+    for g, supports in enumerate(groups):
+        for lo in range(0, len(supports), SPAN_CHUNK):
+            chunk = np.asarray(supports[lo:lo + SPAN_CHUNK], dtype=np.intp)
+            fresh = np.flatnonzero(parities(chunk, null).any(axis=1))
+            if fresh.size == 0:
+                continue
+            new = np.zeros((fresh.size, n_vars), dtype=bool)
+            for col in chunk[fresh].T:
+                new[np.arange(fresh.size), col] = True
+            rows = np.concatenate([basis, new])
+            owner = np.concatenate([owner, np.stack([np.full(fresh.size, g), lo + fresh], axis=1)])
+            chosen, cols, reduced = _eliminate(rows)
+            basis, owner = rows[chosen], owner[chosen]
+            free = np.setdiff1d(np.arange(n_vars), cols)
+            null = np.zeros((n_vars, free.size), dtype=bool)
+            null[free, np.arange(free.size)] = True
+            null[cols] = reduced[:, free]
+    return [np.sort(owner[owner[:, 0] == g, 1]) for g in range(len(groups))]

@@ -15,9 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import numerics
 from .errors import CapabilityError, DimensionError, NotDenseError
-from .kernel import SignedKernel, normalize_subset
+from .kernel import SignedKernel, normalize_subset, principal_minors
 
 Edge = tuple[int, int]
 Cycle = tuple[Edge, ...]
@@ -280,16 +279,8 @@ def _minor_close(a: float, b: float, tol: float = MINOR_MATCH_TOL) -> bool:
 def all_principal_minors(mat: np.ndarray) -> dict[tuple[int, ...], float]:
     """det of every nonempty principal submatrix, batched by order."""
     n = mat.shape[0]
-    out: dict[tuple[int, ...], float] = {}
-    for m in range(1, n + 1):
-        combos = list(itertools.combinations(range(n), m))
-        stack = np.empty((len(combos), m, m))
-        for t, idx in enumerate(combos):
-            stack[t] = mat[np.ix_(idx, idx)]
-        dets = numerics.batched_det(stack)
-        for idx, d in zip(combos, dets):
-            out[tuple(i + 1 for i in idx)] = float(d)
-    return out
+    keys = [j for m in range(1, n + 1) for j in itertools.combinations(range(1, n + 1), m)]
+    return dict(zip(keys, principal_minors(mat, keys).tolist()))
 
 
 def pma_equivalent(h: SignedKernel, k: SignedKernel) -> bool:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -81,12 +82,25 @@ def mask_to_subset(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def colex_key(j: tuple[int, ...]) -> tuple[int, ...]:
+    """Sort key of a sorted subset that orders like its bitmask: the
+    largest elements are compared first."""
+    return j[::-1]
+
+
 def subsets_colex(n: int, orders: Iterable[int]) -> list[tuple[int, ...]]:
     """All subsets of {1..n} with size in ``orders``, in colexicographic order."""
-    wanted = set(orders)
-    out = [mask_to_subset(m) for m in range(1 << n)
-           if bin(m).count("1") in wanted]
+    wanted = sorted(t for t in set(orders) if 0 <= t <= n)
+    out = [s for t in wanted for s in itertools.combinations(range(1, n + 1), t)]
+    out.sort(key=colex_key)
     return out
+
+
+def index_combinations(n: int, t: int) -> np.ndarray:
+    """(C(n, t), t) array of the t-subsets of {0..n-1}, in lexicographic order."""
+    count = math.comb(n, t)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), t))
+    return np.fromiter(flat, dtype=np.intp, count=count * t).reshape(count, t)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +217,24 @@ def atomic_write(path: str, text: str) -> None:
 def principal_minor(k: SignedKernel, j: Iterable[int]) -> float:
     """det(K_J); the empty subset yields 1 (the empty-product convention)."""
     return numerics.det(k.submatrix(normalize_subset(j, k.n)))
+
+
+def principal_minors(mat: np.ndarray, subsets: Sequence[Sequence[int]]) -> np.ndarray:
+    """det(mat_J) for every sorted 1-based subset J, in the given order.
+
+    Subsets of one order are gathered into a single fancy-indexed stack
+    and handed to ``numerics.batched_det``; the empty subset yields 1.
+    """
+    out = np.empty(len(subsets))
+    sizes = np.fromiter(map(len, subsets), dtype=np.intp, count=len(subsets))
+    for m in np.unique(sizes).tolist():
+        positions = np.flatnonzero(sizes == m)
+        flat = itertools.chain.from_iterable(subsets[p] for p in positions)
+        idx = np.fromiter(flat, dtype=np.intp, count=positions.size * m).reshape(positions.size, m) - 1
+        if idx.size and (idx.min() < 0 or idx.max() >= mat.shape[0]):
+            raise DimensionError(f"subset index out of range 1..{mat.shape[0]}")
+        out[positions] = numerics.batched_det(mat[idx[:, :, None], idx[:, None, :]])
+    return out
 
 
 def _shifted_stack(mat: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -381,19 +413,19 @@ def check_magnitude_genericity(magnitudes: np.ndarray, rtol: float = GENERICITY_
     ``magnitudes`` is a symmetric nonnegative matrix of off-diagonal entry
     magnitudes.  For every 4-subset {i,j,k,l} the three Hamiltonian-cycle
     products must admit no vanishing signed combination; this is what makes
-    the 4-cycle sign patterns distinguishable.
+    the 4-cycle sign patterns distinguishable.  A combination counts as
+    vanishing when its absolute value is at most rtol times the largest
+    of the three products.  All 4-subsets are tested at once.
     """
     m = numerics.as_matrix(magnitudes, square=True)
-    n = m.shape[0]
-    combos = [c for c in itertools.product((-1, 0, 1), repeat=3) if any(c)]
-    for i, j, k, l in itertools.combinations(range(n), 4):
-        p1 = m[i, j] * m[j, k] * m[k, l] * m[l, i]
-        p2 = m[i, j] * m[j, l] * m[l, k] * m[k, i]
-        p3 = m[i, k] * m[k, j] * m[j, l] * m[l, i]
-        tol = rtol * max(p1, p2, p3)
-        for e1, e2, e3 in combos:
-            if abs(e1 * p1 + e2 * p2 + e3 * p3) <= tol:
-                return False
+    i, j, k, l = index_combinations(m.shape[0], 4).T
+    p1 = m[i, j] * m[j, k] * m[k, l] * m[l, i]
+    p2 = m[i, j] * m[j, l] * m[l, k] * m[k, i]
+    p3 = m[i, k] * m[k, j] * m[j, l] * m[l, i]
+    tol = rtol * np.maximum(np.maximum(p1, p2), p3)
+    for e1, e2, e3 in itertools.product((-1, 0, 1), repeat=3):
+        if (e1, e2, e3) != (0, 0, 0) and np.any(np.abs(e1 * p1 + e2 * p2 + e3 * p3) <= tol):
+            return False
     return True
 
 

@@ -17,12 +17,13 @@ from typing import Iterable
 
 import numpy as np
 
-from . import numerics
 from .errors import CapabilityError, DimensionError, FormatError, MissingMinorError
 from .kernel import (
     ENUMERATION_LIMIT,
     SignedKernel,
+    colex_key,
     normalize_subset,
+    principal_minors,
     subset_to_mask,
     subsets_colex,
 )
@@ -64,6 +65,30 @@ class MinorList:
         self.queried.add(key)
         return self._entries[key]
 
+    def get_many(self, subsets) -> np.ndarray:
+        """Bulk ``get``: the minors of an (m, t) array of 1-based subsets.
+
+        Every row is normalized like a key of ``get``.  Reads are recorded
+        in ``queried`` in row order; the first missing subset raises
+        MissingMinorError after the rows before it have been recorded.
+        """
+        idx = np.asarray(subsets, dtype=np.int64)
+        if idx.ndim != 2 or idx.shape[1] == 0:
+            raise DimensionError(f"expected an (m, t) array of subsets, t >= 1, got shape {idx.shape}")
+        idx = np.sort(idx, axis=1)
+        if idx.size and (idx.min() < 1 or idx.max() > self.n or np.any(np.diff(idx) == 0)):
+            raise DimensionError(f"subsets must hold distinct indices in 1..{self.n}")
+        keys = list(map(tuple, idx.tolist()))
+        entries = self._entries
+        try:
+            values = [entries[key] for key in keys]
+        except KeyError:
+            first = next(t for t, key in enumerate(keys) if key not in entries)
+            self.queried.update(keys[:first])
+            raise MissingMinorError(f"minor for subset {keys[first]} not in the list") from None
+        self.queried.update(keys)
+        return np.array(values)
+
     def reset_queries(self) -> None:
         self.queried = set()
 
@@ -75,7 +100,7 @@ class MinorList:
 
     def subsets(self) -> list[tuple[int, ...]]:
         """Keys in colexicographic order."""
-        return sorted(self._entries, key=subset_to_mask)
+        return sorted(self._entries, key=colex_key)
 
     def items(self):
         for j in self.subsets():
@@ -129,15 +154,13 @@ def exact_minors(k: SignedKernel, max_order: int | str = "all") -> MinorList:
         top = int(max_order)
         if not 1 <= top <= n:
             raise DimensionError(f"max_order must be in 1..{n}, got {max_order}")
+    keys = [j for m in range(1, top + 1)
+            for j in itertools.combinations(range(1, n + 1), m)]
+    values = principal_minors(k.mat, keys)
+    if not np.all(np.isfinite(values)):
+        raise DimensionError("principal minors must be finite")
     out = MinorList(n)
-    for m in range(1, top + 1):
-        combos = list(itertools.combinations(range(n), m))
-        stack = np.empty((len(combos), m, m))
-        for t, idx in enumerate(combos):
-            stack[t] = k.mat[np.ix_(idx, idx)]
-        dets = numerics.batched_det(stack)
-        for idx, d in zip(combos, dets):
-            out.put(tuple(i + 1 for i in idx), float(d))
+    out._entries = dict(zip(keys, values.tolist()))
     return out
 
 

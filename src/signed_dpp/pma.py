@@ -1,21 +1,31 @@
 """Dense principal minor assignment: rebuild a signed kernel from its
 principal minors of orders 1..4 and describe every solution.
 
-The reconstruction runs in four stages:
+The reconstruction runs as whole-array stages over every pair, triangle
+and 4-set at once; the public stage functions are one-item calls into
+the same batched code.
 
-1. Orders 1 and 2 give the diagonal, the off-diagonal magnitudes, and
-   the relating signs, via det(K_ij) = K_ii K_jj - eps_ij K_ij^2.
-2. Orders 3 and 4 give the traveling sums pi(S) by subtracting, from the
-   prescribed minor, every permutation class that does not involve a
-   full-length cycle (those classes only need quantities already known).
-3. Each positive triangle fixes the sign of one oriented entry product;
-   each 4-subset's traveling sum is matched against the +-1 patterns of
-   its positive 4-cycles, which is unambiguous under the magnitude
-   genericity condition.
-4. The oriented-product sign constraints form a linear system over
-   GF(2) in the upper-triangle entry signs; Gaussian elimination yields
-   one solution (free signs set to +1) and the null-space basis that
-   generates all of them.
+1. Skeleton.  Orders 1 and 2, read in bulk, give the diagonal, the
+   off-diagonal magnitudes and the relating signs, via
+   det(K_ij) = K_ii K_jj - eps_ij K_ij^2.
+2. Traveling sums.  Orders 3 and 4 give pi(S) for every triangle and
+   every 4-set as arrays, by subtracting from the prescribed minor every
+   permutation class that does not involve a full-length cycle (those
+   classes only need quantities already known).
+3. Sign decisions.  Each positive triangle fixes the sign of one
+   oriented entry product.  Each 4-set's traveling sum is matched
+   against the at most 8 +-1 patterns of its positive 4-cycles, all
+   4-sets at once, which is unambiguous under the magnitude genericity
+   condition.
+4. The GF(2) system.  Each decision is one XOR row over the
+   upper-triangle entry signs, held as an index array of its 3 or 4
+   variables.  Rows already in the span of earlier rows (zero parity
+   against the current null space) are filtered out, so ``gf2_solve``
+   only sees rows that raise the rank.  Its particular solution is then
+   checked against every row in one vectorised parity test; a violated
+   row means the minors are inconsistent.  The reduced row echelon form
+   of a row space is unique, so the particular solution and the
+   null-space basis are those of the full system.
 """
 
 from __future__ import annotations
@@ -36,7 +46,13 @@ from .errors import (
     InconsistentMinorsError,
     NotDenseError,
 )
-from .kernel import SignedKernel, check_magnitude_genericity, normalize_subset
+from .kernel import (
+    SignedKernel,
+    check_magnitude_genericity,
+    index_combinations,
+    normalize_subset,
+    principal_minors,
+)
 from .moments import MinorList
 
 DENSITY_TOL = 1e-8
@@ -45,6 +61,20 @@ SIGN_TOL = 1e-12
 # matched: effective tol = max(sign_tol, SIGN_RTOL * scale).
 SIGN_RTOL = 1e-6
 SOLUTION_SET_CAP = 12
+
+# Positions (into a sorted 4-set) of the four triangles of a 4-set, and
+# of the vertex each one leaves out.
+_FACES = np.array(list(itertools.combinations(range(4), 3)))
+_FACE_REST = (3, 2, 1, 0)
+# The three Hamiltonian cycles of a sorted 4-set (i, j, k, l), in the
+# order of their sorted edge tuples: i-j-l-k, i-j-k-l, i-k-j-l.  Each is
+# walked from i toward its smaller neighbor (the row orientation).
+_CYCLE_ORDERS = ((0, 1, 3, 2), (0, 1, 2, 3), (0, 2, 1, 3))
+_CYCLE_ARCS = tuple(tuple((o[t], o[(t + 1) % 4]) for t in range(4)) for o in _CYCLE_ORDERS)
+_CYCLE_EDGES = tuple(tuple(sorted(tuple(sorted(arc)) for arc in arcs)) for arcs in _CYCLE_ARCS)
+# Arcs that run against the upper triangle (w > u) read sign(K_wu) as
+# eps_uw sign(K_uw), so their relating signs enter the right-hand side.
+_CYCLE_LOWER = tuple(tuple((b, a) for a, b in arcs if a > b) for arcs in _CYCLE_ARCS)
 
 
 @dataclass(frozen=True)
@@ -97,23 +127,38 @@ def _pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(itertools.combinations(range(1, n + 1), 2))
 
 
+def _subset(row: np.ndarray) -> tuple[int, ...]:
+    """1-based index tuple of a 0-based index row."""
+    return tuple(int(x) + 1 for x in row)
+
+
+def _pair_index(n: int) -> np.ndarray:
+    """(n, n) variable index of each unordered pair, in ``_pairs`` order."""
+    index = np.full((n, n), -1, dtype=np.intp)
+    iu, ju = np.triu_indices(n, 1)
+    index[iu, ju] = index[ju, iu] = np.arange(len(iu))
+    return index
+
+
 # ---------------------------------------------------------------------------
 # stage 1: skeleton
 
 def recover_skeleton(minors: MinorList, density_tol: float = DENSITY_TOL) -> Skeleton:
     """Diagonal, magnitudes and relating signs from orders 1 and 2."""
     n = minors.n
-    diagonal = np.array([minors.get((i,)) for i in range(1, n + 1)])
+    diagonal = minors.get_many(np.arange(1, n + 1)[:, None])
+    iu, ju = np.triu_indices(n, 1)
+    gap = diagonal[iu] * diagonal[ju] - minors.get_many(np.stack([iu, ju], axis=1) + 1)
+    flat = np.flatnonzero(np.abs(gap) <= density_tol)
+    if flat.size:
+        t = flat[0]
+        raise NotDenseError(
+            f"pair ({iu[t] + 1},{ju[t] + 1}): a_i a_j - a_ij = {gap[t]:.3e} is below the "
+            f"density tolerance {density_tol:.0e}; entry is numerically zero")
     magnitude = np.zeros((n, n))
     epsilon = np.zeros((n, n), dtype=int)
-    for i, j in _pairs(n):
-        gap = diagonal[i - 1] * diagonal[j - 1] - minors.get((i, j))
-        if abs(gap) <= density_tol:
-            raise NotDenseError(
-                f"pair ({i},{j}): a_i a_j - a_ij = {gap:.3e} is below the "
-                f"density tolerance {density_tol:.0e}; entry is numerically zero")
-        epsilon[i - 1, j - 1] = epsilon[j - 1, i - 1] = 1 if gap > 0 else -1
-        magnitude[i - 1, j - 1] = magnitude[j - 1, i - 1] = float(np.sqrt(abs(gap)))
+    epsilon[iu, ju] = epsilon[ju, iu] = np.where(gap > 0, 1, -1)
+    magnitude[iu, ju] = magnitude[ju, iu] = np.sqrt(np.abs(gap))
     return Skeleton(n, diagonal, magnitude, epsilon)
 
 
@@ -125,6 +170,46 @@ def check_genericity(skel: Skeleton, rtol: float = 1e-9) -> bool:
 # ---------------------------------------------------------------------------
 # stage 2: traveling sums from minors
 
+def _pair_terms(skel: Skeleton) -> np.ndarray:
+    """(n, n) matrix of eps_ab |K_ab|^2, the 2-cycle factors.
+
+    The squares use Python's float power (the C library's pow) rather
+    than numpy's x*x: the two differ in the last bit for some inputs,
+    and reconstructions are kept bit-identical across releases.
+    """
+    iu, ju = np.triu_indices(skel.n, 1)
+    squares = np.array([m ** 2 for m in skel.magnitude[iu, ju].tolist()])
+    out = np.zeros((skel.n, skel.n))
+    out[iu, ju] = out[ju, iu] = skel.epsilon[iu, ju] * squares
+    return out
+
+
+def _pi3(minors: MinorList, skel: Skeleton, pt: np.ndarray, tri: np.ndarray) -> np.ndarray:
+    """pi of each row of an (m, 3) array of sorted 0-based triangles."""
+    d = skel.diagonal
+    i, j, k = tri.T
+    fixed = d[i] * d[j] * d[k] - d[i] * pt[j, k] - d[j] * pt[i, k] - d[k] * pt[i, j]
+    return minors.get_many(tri + 1) - fixed
+
+
+def _pi4(minors: MinorList, skel: Skeleton, pt: np.ndarray, quad: np.ndarray,
+         face_pi3: np.ndarray) -> np.ndarray:
+    """pi of each row of an (m, 4) array of sorted 0-based 4-sets, given
+    the (m, 4) traveling sums of their ``_FACES`` triangles."""
+    d = skel.diagonal
+    v = quad.T
+    fixed = d[v[0]] * d[v[1]] * d[v[2]] * d[v[3]]
+    for a, b in itertools.combinations(range(4), 2):
+        c, e = (x for x in range(4) if x not in (a, b))
+        fixed = fixed - pt[v[a], v[b]] * d[v[c]] * d[v[e]]
+    fixed = fixed + (pt[v[0], v[1]] * pt[v[2], v[3]]
+                     + pt[v[0], v[2]] * pt[v[1], v[3]]
+                     + pt[v[0], v[3]] * pt[v[1], v[2]])
+    for t, rest in enumerate(_FACE_REST):
+        fixed = fixed + face_pi3[:, t] * d[v[rest]]
+    return fixed - minors.get_many(quad + 1)
+
+
 def extract_pi(minors: MinorList, skel: Skeleton, s: Iterable[int]) -> float:
     """Traveling sum pi(S) for |S| in {3, 4}, extracted from minors.
 
@@ -134,78 +219,82 @@ def extract_pi(minors: MinorList, skel: Skeleton, s: Iterable[int]) -> float:
     sums); full-length cycles enter with permutation sign (-1)^{|S|-1}.
     """
     ss = normalize_subset(s, skel.n, allow_empty=False)
+    if len(ss) not in (3, 4):
+        raise DimensionError(f"traveling-sum extraction needs |S| in {{3,4}}, got {ss}")
+    idx = np.array([ss], dtype=np.intp) - 1
+    pt = _pair_terms(skel)
     if len(ss) == 3:
-        return _pi3(minors, skel, ss)
-    if len(ss) == 4:
-        return _pi4(minors, skel, ss)
-    raise DimensionError(f"traveling-sum extraction needs |S| in {{3,4}}, got {ss}")
-
-
-def _pi3(minors: MinorList, skel: Skeleton, s: tuple[int, int, int]) -> float:
-    i, j, k = s
-    fixed = (skel.diag(i) * skel.diag(j) * skel.diag(k)
-             - skel.diag(i) * skel.eps(j, k) * skel.mag(j, k) ** 2
-             - skel.diag(j) * skel.eps(i, k) * skel.mag(i, k) ** 2
-             - skel.diag(k) * skel.eps(i, j) * skel.mag(i, j) ** 2)
-    return minors.get(s) - fixed
-
-
-def _pi4(minors: MinorList, skel: Skeleton, s: tuple[int, int, int, int]) -> float:
-    def pair_term(a, b):
-        return skel.eps(a, b) * skel.mag(a, b) ** 2
-
-    fixed = float(np.prod([skel.diag(v) for v in s]))
-    for a, b in itertools.combinations(s, 2):
-        c, d = (v for v in s if v not in (a, b))
-        fixed -= pair_term(a, b) * skel.diag(c) * skel.diag(d)
-    i, j, k, l = s
-    fixed += (pair_term(i, j) * pair_term(k, l)
-              + pair_term(i, k) * pair_term(j, l)
-              + pair_term(i, l) * pair_term(j, k))
-    for triple in itertools.combinations(s, 3):
-        (rest,) = (v for v in s if v not in triple)
-        fixed += _pi3(minors, skel, triple) * skel.diag(rest)
-    return fixed - minors.get(s)
+        return float(_pi3(minors, skel, pt, idx)[0])
+    face_pi3 = _pi3(minors, skel, pt, idx[0, _FACES]).reshape(1, 4)
+    return float(_pi4(minors, skel, pt, idx, face_pi3)[0])
 
 
 # ---------------------------------------------------------------------------
 # stage 3: cycle sign decisions
 
-def _four_cycles(s: tuple[int, int, int, int]) -> list[graph.Cycle]:
-    """The three Hamiltonian cycles on a sorted 4-set, canonical order."""
-    i, j, k, l = s
-    cycles = [((i, j), (j, k), (k, l), (i, l)),
-              ((i, j), (j, l), (k, l), (i, k)),
-              ((i, k), (j, k), (j, l), (i, l))]
-    return sorted(graph.as_cycle(c) for c in cycles)
+def _four_set_error(ss: tuple[int, ...], best: float, second: float,
+                    tol: float) -> Exception | None:
+    """Why a 4-set's best pattern cannot be used, if it cannot."""
+    if best > tol:
+        return InconsistentMinorsError(
+            f"4-set {ss}: no sign pattern matches the traveling sum "
+            f"(best residual {best:.3e} > tol {tol:.1e})")
+    if second - best <= tol:
+        return GenericityError(
+            f"4-set {ss}: sign patterns are separated by {second - best:.1e} "
+            f"< tol {tol:.1e}; magnitude products are too close to decide")
+    return None
 
 
-def _cycle_eps(skel: Skeleton, c: graph.Cycle) -> int:
-    out = 1
-    for a, b in c:
-        out *= skel.eps(a, b)
-    return out
+def _four_cycle_signs(skel: Skeleton, quad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m, 3) edge-sign products and magnitude products of each 4-set's cycles."""
+    v, m = quad.T, skel.magnitude
+    eps = np.ones((len(quad), 3), dtype=int)
+    mags = np.empty((len(quad), 3))
+    for c, edges in enumerate(_CYCLE_EDGES):
+        ends = [(v[a], v[b]) for a, b in edges]
+        for a, b in ends:
+            eps[:, c] *= skel.epsilon[a, b]
+        (a0, b0), (a1, b1), (a2, b2), (a3, b3) = ends
+        mags[:, c] = m[a0, b0] * m[a1, b1] * m[a2, b2] * m[a3, b3]
+    return eps, mags
 
 
-def _cycle_magnitude(skel: Skeleton, c: graph.Cycle) -> float:
-    out = 1.0
-    for a, b in c:
-        out *= skel.mag(a, b)
-    return out
+def _match_four_cycles(skel: Skeleton, quad: np.ndarray, pi4: np.ndarray, tol: float):
+    """Score every candidate pattern of every 4-set against its pi4.
+
+    Each positive cycle contributes twice its oriented product, whose
+    magnitude is the product of its four edge magnitudes.  A 4-set has 1
+    or 3 positive cycles (each edge lies on two of the three cycles), so
+    at most 8 candidates.  The first minimal residual wins.  Returns the
+    (m, 3) positive cycles (columns follow ``_CYCLE_ORDERS``), the (m, 3)
+    positive cycles the best pattern makes negative, and per 4-set the
+    best and second-smallest residuals and the effective tolerance.
+    """
+    eps, mags = _four_cycle_signs(skel, quad)
+    positive = eps == 1
+    count = positive.sum(axis=1)
+    # positive-cycle magnitudes packed to the left, in cycle order
+    packed = np.where(count[:, None] == 3, mags, 0.0)
+    single = count == 1
+    packed[single, 0] = mags[single, positive[single].argmax(axis=1)]
+    bits = np.arange(8)
+    flips = np.where((bits[:, None] >> np.arange(3)) & 1 == 1, -1.0, 1.0)  # (8, 3)
+    totals = 2.0 * (flips[:, 0] * packed[:, :1] + flips[:, 1] * packed[:, 1:2]
+                    + flips[:, 2] * packed[:, 2:])
+    residual = np.abs(totals - pi4[:, None])
+    residual[bits[None, :] >= (1 << count)[:, None]] = np.inf
+    pattern = residual.argmin(axis=1)
+    rows = np.arange(len(quad))
+    rank = np.maximum(np.cumsum(positive, axis=1) - 1, 0)
+    negative = positive & ((pattern[:, None] >> rank) & 1 == 1)
+    return (positive, negative, residual[rows, pattern],
+            np.partition(residual, 1, axis=1)[:, 1],
+            np.maximum(tol, SIGN_RTOL * 2.0 * mags.max(axis=1)))
 
 
-def _canonical_orientation(c: graph.Cycle) -> graph.OrientedCycle:
-    """Walk the cycle from its smallest vertex toward its smaller neighbor."""
-    adj: dict[int, list[int]] = {}
-    for a, b in c:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    start = min(adj)
-    order = [start, min(adj[start])]
-    while len(order) < len(adj):
-        nxt = [v for v in adj[order[-1]] if v != order[-2]][0]
-        order.append(nxt)
-    return graph.oriented_from_order(order)
+def _cycle_key(ss: tuple[int, ...], c: int) -> graph.Cycle:
+    return tuple((ss[a], ss[b]) for a, b in _CYCLE_EDGES[c])
 
 
 def disambiguate_four_cycles(skel: Skeleton, s: Iterable[int], pi4: float,
@@ -220,39 +309,51 @@ def disambiguate_four_cycles(skel: Skeleton, s: Iterable[int], pi4: float,
     ss = normalize_subset(s, skel.n, allow_empty=False)
     if len(ss) != 4:
         raise DimensionError(f"expected a 4-subset, got {ss}")
-    positive = [c for c in _four_cycles(ss) if _cycle_eps(skel, c) == 1]
-    all_mags = [_cycle_magnitude(skel, c) for c in _four_cycles(ss)]
-    eff_tol = max(tol, SIGN_RTOL * 2.0 * max(all_mags))
-    if not positive:
-        if abs(pi4) > eff_tol:
-            raise InconsistentMinorsError(
-                f"4-set {ss}: traveling sum {pi4:.3e} nonzero but every "
-                "4-cycle is negative")
-        return {}
-    mags = [_cycle_magnitude(skel, c) for c in positive]
-    best_pattern, best, second = None, np.inf, np.inf
-    for bits in range(1 << len(positive)):
-        total = 2.0 * sum((-1.0 if (bits >> t) & 1 else 1.0) * m
-                          for t, m in enumerate(mags))
-        residual = abs(total - pi4)
-        if residual < best:
-            best_pattern, best, second = bits, residual, best
-        elif residual < second:
-            second = residual
-    if best > eff_tol:
-        raise InconsistentMinorsError(
-            f"4-set {ss}: no sign pattern matches the traveling sum "
-            f"(best residual {best:.3e} > tol {eff_tol:.1e})")
-    if second - best <= eff_tol:
-        raise GenericityError(
-            f"4-set {ss}: sign patterns are separated by {second - best:.1e} "
-            f"< tol {eff_tol:.1e}; magnitude products are too close to decide")
-    return {c: (-1 if (best_pattern >> t) & 1 else 1)
-            for t, c in enumerate(positive)}
+    positive, negative, best, second, eff_tol = _match_four_cycles(
+        skel, np.array([ss], dtype=np.intp) - 1, np.array([pi4], dtype=float), tol)
+    exc = _four_set_error(ss, best[0], second[0], eff_tol[0])
+    if exc is not None:
+        raise exc
+    return {_cycle_key(ss, c): (-1 if negative[0, c] else 1) for c in range(3) if positive[0, c]}
 
 
 # ---------------------------------------------------------------------------
 # stage 4: the GF(2) sign system
+
+def _triangle_rows(skel: Skeleton, tri: np.ndarray, negative: np.ndarray):
+    """XOR rows (supports, rhs) of known triangle product signs."""
+    index = _pair_index(skel.n)
+    i, j, k = tri.T
+    support = np.stack([index[i, j], index[j, k], index[i, k]], axis=1)
+    return support, negative ^ (skel.epsilon[i, k] == -1)
+
+
+def _four_cycle_rows(skel: Skeleton, quad: np.ndarray, cycle: np.ndarray,
+                     negative: np.ndarray):
+    """XOR rows (supports, rhs) of known 4-cycle product signs.
+
+    Row t is cycle ``cycle[t]`` (a column of ``_CYCLE_ORDERS``) of 4-set
+    ``quad[t]``, walked in its row orientation.
+    """
+    index = _pair_index(skel.n)
+    support = np.empty((len(quad), 4), dtype=np.intp)
+    rhs = negative.copy()
+    for c in range(3):
+        sel = cycle == c
+        v = quad[sel].T
+        support[sel] = np.stack([index[v[a], v[b]] for a, b in _CYCLE_EDGES[c]], axis=1)
+        for a, b in _CYCLE_LOWER[c]:
+            rhs[sel] ^= skel.epsilon[v[a], v[b]] == -1
+    return support, rhs
+
+
+def _system(n_vars: int, groups) -> gf2.GF2System:
+    system = gf2.GF2System(n_vars)
+    for support, rhs in groups:
+        for row, bit in zip(support.tolist(), rhs.tolist()):
+            system.add_row(row, int(bit))
+    return system
+
 
 def build_sign_system(skel: Skeleton,
                       triangle_signs: dict[tuple[int, int, int], int],
@@ -264,23 +365,20 @@ def build_sign_system(skel: Skeleton,
     relating sign to the right-hand side, since sign(K_wu) for w > u is
     eps_uw * sign(K_uw).
     """
-    n = skel.n
-    pairs = _pairs(n)
-    index = {p: t for t, p in enumerate(pairs)}
-    system = gf2.GF2System(len(pairs))
-    for (i, j, k), s3 in sorted(triangle_signs.items()):
-        rhs = gf2.sign_to_bit(s3) ^ gf2.sign_to_bit(skel.eps(i, k))
-        system.add_row([index[(i, j)], index[(j, k)], index[(i, k)]], rhs)
-    for c in sorted(four_cycle_signs):
-        sigma = four_cycle_signs[c]
-        rhs = gf2.sign_to_bit(sigma)
-        support = []
-        for a, b in _canonical_orientation(c):
-            if a > b:
-                rhs ^= gf2.sign_to_bit(skel.eps(b, a))
-            support.append(index[graph.edge(a, b)])
-        system.add_row(support, rhs)
-    return system
+    triangles = sorted(triangle_signs)
+    tri = np.array(triangles, dtype=np.intp).reshape(-1, 3) - 1
+    tri_negative = np.array([gf2.sign_to_bit(triangle_signs[t]) for t in triangles], dtype=bool)
+    cycles = sorted(four_cycle_signs)
+    quads = [graph.cycle_vertices(c) for c in cycles]
+    kinds = [next((k for k in range(3) if len(ss) == 4 and _cycle_key(ss, k) == c), -1)
+             for ss, c in zip(quads, cycles)]
+    if -1 in kinds:
+        raise DimensionError(f"expected Hamiltonian cycles on 4-sets, got {cycles[kinds.index(-1)]}")
+    quad = np.array(quads, dtype=np.intp).reshape(-1, 4) - 1
+    quad_negative = np.array([gf2.sign_to_bit(four_cycle_signs[c]) for c in cycles], dtype=bool)
+    return _system(len(_pairs(skel.n)), [
+        _triangle_rows(skel, tri, tri_negative),
+        _four_cycle_rows(skel, quad, np.array(kinds, dtype=np.intp), quad_negative)])
 
 
 # ---------------------------------------------------------------------------
@@ -301,52 +399,79 @@ def solve_pma(minors: MinorList, sign_tol: float = SIGN_TOL,
             "magnitude structure violates the genericity condition; "
             "4-cycle signs are not identifiable")
 
-    triangle_signs: dict[tuple[int, int, int], int] = {}
-    for t in itertools.combinations(range(1, n + 1), 3):
-        pi3 = extract_pi(minors, skel, t)
-        i, j, k = t
-        scale = 2.0 * skel.mag(i, j) * skel.mag(j, k) * skel.mag(i, k)
-        eff_tol = max(sign_tol, SIGN_RTOL * scale)
-        positive = skel.eps(i, j) * skel.eps(j, k) * skel.eps(i, k) == 1
-        if positive:
-            if abs(pi3) <= eff_tol:
-                warnings.warn(
-                    f"triangle {t}: traveling sum {pi3:.3e} below tol "
-                    f"{eff_tol:.1e}; skipping its sign constraint",
-                    AmbiguousSignWarning, stacklevel=2)
-                continue
-            triangle_signs[t] = 1 if pi3 > 0 else -1
-        elif abs(pi3) > eff_tol:
-            raise InconsistentMinorsError(
-                f"triangle {t} is negative but its traveling sum is "
-                f"{pi3:.3e}; the minor list is not realizable at tol {eff_tol:.1e}")
+    # triangles: a positive triangle's pi3 carries its product sign
+    pt = _pair_terms(skel)
+    tri = index_combinations(n, 3)
+    pi3 = _pi3(minors, skel, pt, tri)
+    i, j, k = tri.T
+    mag, eps = skel.magnitude, skel.epsilon
+    tri_tol = np.maximum(sign_tol, SIGN_RTOL * (2.0 * mag[i, j] * mag[j, k] * mag[i, k]))
+    positive = eps[i, j] * eps[j, k] * eps[i, k] == 1
+    small = np.abs(pi3) <= tri_tol
+    bad = np.flatnonzero(~positive & ~small)
+    skipped = np.flatnonzero(positive & small)
+    for t in skipped[skipped < (bad[0] if bad.size else len(tri))]:
+        warnings.warn(
+            f"triangle {_subset(tri[t])}: traveling sum {pi3[t]:.3e} below tol "
+            f"{tri_tol[t]:.1e}; skipping its sign constraint",
+            AmbiguousSignWarning, stacklevel=2)
+    if bad.size:
+        t = bad[0]
+        raise InconsistentMinorsError(
+            f"triangle {_subset(tri[t])} is negative but its traveling sum is "
+            f"{pi3[t]:.3e}; the minor list is not realizable at tol {tri_tol[t]:.1e}")
+    used = positive & ~small
 
-    four_cycle_signs: dict[graph.Cycle, int] = {}
-    for s in itertools.combinations(range(1, n + 1), 4):
-        pi4 = extract_pi(minors, skel, s)
-        try:
-            four_cycle_signs.update(disambiguate_four_cycles(skel, s, pi4, sign_tol))
-        except GenericityError as exc:
-            warnings.warn(
-                f"{exc}; skipping the 4-set's sign constraints",
-                AmbiguousSignWarning, stacklevel=2)
+    # 4-sets: one sign per positive cycle, unless the patterns are too close
+    quad = index_combinations(n, 4)
+    tri_index = np.zeros((n, n, n), dtype=np.intp)
+    tri_index[i, j, k] = np.arange(len(tri))
+    faces = quad[:, _FACES]
+    pi4 = _pi4(minors, skel, pt, quad,
+               pi3[tri_index[faces[..., 0], faces[..., 1], faces[..., 2]]])
+    cycles, negative, best, second, quad_tol = _match_four_cycles(skel, quad, pi4, sign_tol)
+    bad = np.flatnonzero(best > quad_tol)
+    ambiguous = np.flatnonzero(second - best <= quad_tol)
+    for t in ambiguous[ambiguous < (bad[0] if bad.size else len(quad))]:
+        exc = _four_set_error(_subset(quad[t]), best[t], second[t], quad_tol[t])
+        warnings.warn(f"{exc}; skipping the 4-set's sign constraints",
+                      AmbiguousSignWarning, stacklevel=2)
+    if bad.size:
+        t = bad[0]
+        raise _four_set_error(_subset(quad[t]), best[t], second[t], quad_tol[t])
+    cycles[ambiguous] = False
+    rows, cycle = np.nonzero(cycles)
 
-    system = build_sign_system(skel, triangle_signs, four_cycle_signs)
-    solution = gf2.gf2_solve(system)
-    if solution is None:
+    # GF(2): solve on a basis of the rows, then check every row
+    groups = [_triangle_rows(skel, tri[used], ~(pi3[used] > 0)),
+              _four_cycle_rows(skel, quad[rows], cycle, negative[rows, cycle])]
+    n_vars = n * (n - 1) // 2
+    keep = gf2.spanning_rows([support for support, _ in groups], n_vars)
+    # independent rows are always consistent; a dropped row that
+    # contradicts them shows up as a parity violation
+    solution = gf2.gf2_solve(_system(n_vars, [
+        (support[idx], rhs[idx]) for (support, rhs), idx in zip(groups, keep)]))
+    x = np.array(gf2.bits_of(solution.particular, n_vars), dtype=bool)
+    if any(np.any(gf2.parities(support, x) != rhs) for support, rhs in groups):
         raise InconsistentMinorsError(
             "cycle sign constraints are mutually inconsistent; "
             "the minor list is not realizable in the signed class")
 
-    pairs = _pairs(n)
-    mat = np.diag(skel.diagonal.copy())
-    for t, (i, j) in enumerate(pairs):
-        sign = gf2.bit_to_sign((solution.particular >> t) & 1)
-        mat[i - 1, j - 1] = sign * skel.mag(i, j)
-        mat[j - 1, i - 1] = skel.eps(i, j) * mat[i - 1, j - 1]
-    return PMASolution(kernel=SignedKernel(mat),
+    return PMASolution(kernel=_assemble(skel.diagonal, mag, eps, x),
                        free_switches=solution.null_basis,
-                       pairs=pairs)
+                       pairs=_pairs(n))
+
+
+def _assemble(diagonal: np.ndarray, magnitude: np.ndarray, epsilon: np.ndarray,
+              negative: np.ndarray) -> SignedKernel:
+    """The kernel with this diagonal and these magnitudes whose upper
+    entries are negative where ``negative`` (in ``_pairs`` order) is set,
+    and whose lower entries are K_ji = eps_ij K_ij."""
+    iu, ju = np.triu_indices(len(diagonal), 1)
+    mat = np.diag(diagonal)
+    mat[iu, ju] = np.where(negative, -1, 1) * magnitude[iu, ju]
+    mat[ju, iu] = epsilon[iu, ju] * mat[iu, ju]
+    return SignedKernel(mat)
 
 
 def describe_solution_set(sol: PMASolution) -> list[SignedKernel]:
@@ -356,23 +481,18 @@ def describe_solution_set(sol: PMASolution) -> list[SignedKernel]:
         raise CapabilityError(
             f"solution set has 2^{d} members, above the 2^{SOLUTION_SET_CAP} "
             "enumeration cap; use the free_switches generators instead")
+    k = sol.kernel
+    k.require_signed()
+    eps = np.where(k.mat * k.mat.T > 0, 1, -1)
     base_bits = sol.sign_pattern()
-    mags = np.abs(sol.kernel.mat)
-    eps = {}
-    for i, j in sol.pairs:
-        eps[(i, j)] = sol.kernel.epsilon(i, j)
     out = []
     for combo in range(1 << d):
         bits = base_bits
         for t in range(d):
             if (combo >> t) & 1:
                 bits ^= sol.free_switches[t]
-        mat = np.diag(np.diag(sol.kernel.mat)).copy()
-        for t, (i, j) in enumerate(sol.pairs):
-            sign = gf2.bit_to_sign((bits >> t) & 1)
-            mat[i - 1, j - 1] = sign * mags[i - 1, j - 1]
-            mat[j - 1, i - 1] = eps[(i, j)] * mat[i - 1, j - 1]
-        out.append(SignedKernel(mat))
+        negative = np.array(gf2.bits_of(bits, len(sol.pairs)), dtype=bool)
+        out.append(_assemble(np.diag(k.mat), np.abs(k.mat), eps, negative))
     return out
 
 
@@ -404,25 +524,21 @@ def verify(h: SignedKernel, minors: MinorList, tol: float = 1e-9) -> VerifyRepor
     A subset passes on relative error when |a_J| > tol and on absolute
     error otherwise.  An empty list passes vacuously, with a warning.
     """
-    from .kernel import principal_minor
-
     if len(minors) == 0:
         return VerifyReport(passed=True, checked=0, max_abs_error=0.0,
                             worst_subset=None, failures=(),
                             warning="empty minor list: vacuous pass")
-    failures = []
-    max_abs, worst = 0.0, None
-    for j, want in minors.items():
-        got = principal_minor(h, j)
-        err = abs(got - want)
-        if err > max_abs:
-            max_abs, worst = err, j
-        ok = err <= tol * abs(want) if abs(want) > tol else err <= tol
-        if not ok:
-            failures.append((j, got, want))
+    subsets, want = zip(*minors.items())
+    want = np.array(want)
+    got = principal_minors(h.mat, subsets)
+    err = np.abs(got - want)
+    worst = int(np.argmax(err))
+    ok = np.where(np.abs(want) > tol, err <= tol * np.abs(want), err <= tol)
+    failures = tuple((subsets[t], float(got[t]), float(want[t])) for t in np.flatnonzero(~ok))
     return VerifyReport(passed=not failures, checked=len(minors),
-                        max_abs_error=max_abs, worst_subset=worst,
-                        failures=tuple(failures))
+                        max_abs_error=float(err[worst]),
+                        worst_subset=subsets[worst] if err[worst] > 0 else None,
+                        failures=failures)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ reproducible and order-independent.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -128,22 +127,16 @@ def sample_sequential(k: SignedKernel, seed: int, index: int = 0) -> tuple[int, 
     return subset
 
 
-def sample_sequential_batch(k: SignedKernel, count: int, seed: int,
-                            workers: int = 1) -> SampleBatch:
+def sample_sequential_batch(k: SignedKernel, count: int, seed: int) -> SampleBatch:
     """i.i.d. draws from the sequential scheme, one substream per index."""
     if count < 0:
         raise SamplingError(f"sample count must be nonnegative, got {count}")
-    if workers > 1 and count > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            samples = list(pool.map(lambda i: sample_sequential(k, seed, i),
-                                    range(count)))
-    else:
-        streams = rng.Substreams(seed)
-        samples = []
-        for i in range(count):
-            gen = streams.generator(i)
-            subset, _ = _sequential_walk(k, lambda item, p: gen.random() < p)
-            samples.append(subset)
+    streams = rng.Substreams(seed)
+    samples = []
+    for i in range(count):
+        gen = streams.generator(i)
+        subset, _ = _sequential_walk(k, lambda item, p: gen.random() < p)
+        samples.append(subset)
     return SampleBatch(k.n, tuple(samples))
 
 

@@ -31,6 +31,37 @@ def random_signed(n, seed, diag=(0.3, 0.7), mags=(0.05, 0.1)):
     return kernel.SignedKernel(mat)
 
 
+def law_kernel(n, lam, seed, rtol=kernel.GENERICITY_RTOL):
+    """Dense kernel from ``generate_admissible``'s documented law, redrawn
+    until generic at the solver's threshold ``rtol``.
+
+    Diagonal uniform in [lam, 1-lam]; pair magnitudes mu * Uniform[0.2, 1]
+    with mu = 0.9 lam / (n-1); uniform entry and relating signs.  The
+    generator itself insists on a wider margin and fails from N ~ 22 on,
+    so large round trips build their kernels here.
+    """
+    gen = rng.stream(seed)
+    mu = 0.9 * lam / (n - 1)
+    iu, ju = np.triu_indices(n, 1)
+    while True:
+        mat = np.diag(gen.uniform(lam, 1.0 - lam, n))
+        mat[iu, ju] = mu * gen.uniform(0.2, 1.0, len(iu)) * gen.choice([-1.0, 1.0], len(iu))
+        mat[ju, iu] = gen.choice([-1.0, 1.0], len(iu)) * mat[iu, ju]
+        if kernel.check_magnitude_genericity(np.abs(mat), rtol):
+            return kernel.SignedKernel(mat)
+
+
+def conjugation_distance(h, k):
+    """min over +-1 diagonals D of max |H - D K D| and max |H - D K^T D|,
+    with D fitted from the first row."""
+    out = np.inf
+    for mat in (k.mat, k.mat.T):
+        d = np.sign(h.mat[0] * mat[0])
+        d[0] = 1.0
+        out = min(out, float(np.max(np.abs(h.mat - d[:, None] * mat * d[None, :]))))
+    return out
+
+
 def strong_admissible(seed, n=6, mag_lo=0.14, mag_hi=0.18,
                       require_triangle_rank=True, max_attempts=400):
     """Dense admissible signed kernel with large off-diagonal entries.

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from signed_dpp import cli, kernel, moments, sampler
+from signed_dpp import kernel, moments, sampler
 from signed_dpp.cli import main
 
 
@@ -146,13 +146,6 @@ def test_pma_solution_set_flag(tmp_path):
     base = kernel.read_kernel(h_path)
     assert any(np.allclose(np.array(m["rows"]), base.mat, atol=0)
                for m in members)
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("SIGNED_DPP_THREADS", "3")
-    assert cli._thread_count() == 3
-    monkeypatch.setenv("SIGNED_DPP_THREADS", "")
-    assert cli._thread_count() >= 1
 
 
 def test_help_exits_zero():

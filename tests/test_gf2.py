@@ -159,3 +159,39 @@ def test_members_enumerates_coset():
         assert system.satisfied_by(vec)
         assert sol.contains(vec)
     assert not sol.contains(0b000)  # x0 = x1 = 0 violates x0 xor x1 = 1
+
+
+def test_spanning_rows_form_a_basis():
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        n_vars = int(rng.integers(1, 80))
+        groups = []
+        for width in (3, 4):
+            count = int(rng.integers(0, 3 * n_vars))
+            width = min(width, n_vars)
+            groups.append(np.array([rng.choice(n_vars, size=width, replace=False)
+                                    for _ in range(count)], dtype=int).reshape(count, width))
+
+        def system_of(rows):
+            system = gf2.GF2System(n_vars)
+            for g, idx in enumerate(rows):
+                for t in idx:
+                    system.add_row(groups[g][t], 0)
+            return system
+
+        keep = gf2.spanning_rows(groups, n_vars)
+        everything = gf2.gf2_solve(system_of([range(len(g)) for g in groups]))
+        kept = gf2.gf2_solve(system_of(keep))
+        assert sum(len(idx) for idx in keep) == kept.rank == everything.rank
+        assert kept.null_basis == everything.null_basis
+
+
+def test_parities_match_row_checks():
+    rng = np.random.default_rng(29)
+    supports = np.array([rng.choice(30, size=4, replace=False) for _ in range(50)])
+    x = rng.integers(0, 2, 30).astype(bool)
+    bits = sum(1 << t for t in range(30) if x[t])
+    for row, parity in zip(supports, gf2.parities(supports, x)):
+        system = gf2.GF2System(30)
+        system.add_row(row, int(parity))
+        assert system.satisfied_by(bits)

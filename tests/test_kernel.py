@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +24,43 @@ def masses_by_subset(k):
     """pmf over all subsets keyed by 1-based tuples (enumeration oracle)."""
     table = kernel.enumerate_pmf(k)
     return {kernel.mask_to_subset(m): table[m] for m in range(1 << k.n)}
+
+
+# ---------------------------------------------------------------------------
+# subsets
+
+def test_subsets_colex_matches_mask_walk():
+    for n in range(0, 11):
+        for orders in ((1,), (1, 2, 3, 4), (0, 2), (3, n), (0, n + 1, -1), range(n + 1)):
+            want = [kernel.mask_to_subset(m) for m in range(1 << n)
+                    if bin(m).count("1") in set(orders)]
+            assert kernel.subsets_colex(n, orders) == want
+
+
+def test_subsets_colex_large_ground_set():
+    start = time.perf_counter()
+    keys = kernel.subsets_colex(40, range(1, 5))
+    assert time.perf_counter() - start < 10.0
+    assert len(keys) == sum(math.comb(40, t) for t in range(1, 5))
+    masks = [kernel.subset_to_mask(j) for j in keys]
+    assert masks == sorted(masks) and len(set(masks)) == len(masks)
+
+
+def test_index_combinations_lexicographic():
+    for n, t in ((6, 3), (5, 0), (3, 4), (7, 4)):
+        got = kernel.index_combinations(n, t)
+        assert got.shape == (math.comb(n, t), t)
+        assert [tuple(r) for r in got.tolist()] == list(itertools.combinations(range(n), t))
+
+
+def test_principal_minors_batched_matches_scalar():
+    k = random_signed(7, 8)
+    subsets = [(), (3,), (1, 2), (2, 5, 7), (1, 2, 3, 4, 5, 6, 7), (4, 6), (1, 3, 5, 7)]
+    got = kernel.principal_minors(k.mat, subsets)
+    assert got.tolist() == [kernel.principal_minor(k, j) for j in subsets]
+    assert kernel.principal_minors(k.mat, []).shape == (0,)
+    with pytest.raises(DimensionError):
+        kernel.principal_minors(k.mat, [(1, 8)])
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,29 @@ def test_minor_list_query_tracking():
     assert ml.queried == set()
 
 
+def test_minor_list_bulk_read():
+    ml = moments.MinorList(4, {(1,): 0.5, (2,): 0.4, (1, 2): 0.18, (3, 4): 0.1})
+    got = ml.get_many([[2, 1], [1, 2], [4, 3]])
+    assert got.tolist() == [0.18, 0.18, 0.1]
+    assert ml.queried == {(1, 2), (3, 4)}
+    ml.reset_queries()
+    with pytest.raises(MissingMinorError, match=r"\(1, 3\)"):
+        ml.get_many([[1, 2], [1, 3], [3, 4], [1, 4]])
+    assert ml.queried == {(1, 2)}
+    assert ml.get_many(np.zeros((0, 3), dtype=int)).shape == (0,)
+    for bad in ([[0, 1]], [[1, 1]], [[5]], [1, 2]):
+        with pytest.raises(DimensionError):
+            ml.get_many(bad)
+
+
+def test_exact_minors_match_scalar_determinants():
+    k = kernel.generate_admissible(6, 0.3, 31)
+    minors = moments.exact_minors(k, "all")
+    assert len(minors) == 63
+    for j, v in minors.items():
+        assert v == kernel.principal_minor(k, j)
+
+
 def test_minor_list_colex_order():
     ml = moments.MinorList(3, {(1, 2, 3): 0.1, (1,): 0.4, (2, 3): 0.2, (3,): 0.6})
     assert ml.subsets() == [(1,), (3,), (2, 3), (1, 2, 3)]

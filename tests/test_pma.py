@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import signed_matrix, strong_admissible
+from helpers import conjugation_distance, law_kernel, signed_matrix, strong_admissible
 from signed_dpp import gf2, graph, kernel, moments, pma, sampler
 from signed_dpp.errors import (
     AmbiguousSignWarning,
@@ -111,8 +111,59 @@ def test_extract_pi_figure_four_set():
     assert pma.extract_pi(minors, skel, (1, 2, 3, 4)) == pytest.approx(want, rel=1e-10)
 
 
+def test_batched_traveling_sums_match_direct_sums():
+    for n, seed in ((6, 201), (7, 202), (8, 203)):
+        k = kernel.generate_admissible(n, 0.3, seed)
+        minors = moments.exact_minors(k, 4)
+        skel = pma.recover_skeleton(minors)
+        pt = pma._pair_terms(skel)
+        tri = kernel.index_combinations(n, 3)
+        quad = kernel.index_combinations(n, 4)
+        pi3 = pma._pi3(minors, skel, pt, tri)
+        faces = np.array([pma._pi3(minors, skel, pt, q[pma._FACES]) for q in quad])
+        pi4 = pma._pi4(minors, skel, pt, quad, faces)
+        for subsets, got in ((tri, pi3), (quad, pi4)):
+            want = [graph.pi_of_subset(k, s + 1) for s in subsets]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+            # the one-item public call runs the same code
+            assert [pma.extract_pi(minors, skel, s + 1) for s in subsets] == got.tolist()
+
+
 # ---------------------------------------------------------------------------
 # genericity
+
+def _genericity_loop(m, rtol):
+    """The per-4-set definition of magnitude genericity, one scalar at a time."""
+    combos = [c for c in itertools.product((-1, 0, 1), repeat=3) if any(c)]
+    for i, j, k, l in itertools.combinations(range(m.shape[0]), 4):
+        p1 = m[i, j] * m[j, k] * m[k, l] * m[l, i]
+        p2 = m[i, j] * m[j, l] * m[l, k] * m[k, i]
+        p3 = m[i, k] * m[k, j] * m[j, l] * m[l, i]
+        tol = rtol * max(p1, p2, p3)
+        if any(abs(e1 * p1 + e2 * p2 + e3 * p3) <= tol for e1, e2, e3 in combos):
+            return False
+    return True
+
+
+def test_vectorised_genericity_matches_loop():
+    gen = np.random.default_rng(17)
+    cases = []
+    for n in (4, 5, 6, 7):
+        mags = gen.uniform(0.1, 1.0, (n, n))
+        cases.append((mags + mags.T) / 2)                  # random
+        cases.append(np.full((n, n), 0.3))                  # all equal
+        cases.append(np.round((mags + mags.T) / 2, 1))      # many ties
+        for delta in (0.5e-4, 2e-4, 0.0):                   # p1 = p2 (1 + delta)
+            tied = (mags + mags.T) / 2
+            i, j, k, l = 0, 1, 2, 3
+            tied[j, k] = tied[k, j] = tied[j, l] * tied[k, i] / tied[l, i] * (1 + delta)
+            cases.append(tied)
+    for mags in cases:
+        np.fill_diagonal(mags, 0.0)
+        for rtol in (1e-9, 1e-4, 1e-2):
+            assert kernel.check_magnitude_genericity(mags, rtol) == _genericity_loop(mags, rtol)
+    assert not kernel.check_magnitude_genericity(cases[1])
+    assert any(kernel.check_magnitude_genericity(m, 1e-4) for m in cases)
 
 def test_genericity_equal_magnitudes_fails():
     mags = np.full((4, 4), 0.2)
@@ -159,9 +210,8 @@ def test_four_clique_positive_cycle_parity():
             mags[i - 1, j - 1] = mags[j - 1, i - 1] = 0.1
             em[i - 1, j - 1] = em[j - 1, i - 1] = e
         skel = pma.Skeleton(4, np.full(4, 0.5), mags, em)
-        positive = [c for c in pma._four_cycles((1, 2, 3, 4))
-                    if pma._cycle_eps(skel, c) == 1]
-        assert len(positive) in (1, 3)
+        eps, _ = pma._four_cycle_signs(skel, np.array([[0, 1, 2, 3]]))
+        assert np.count_nonzero(eps == 1) in (1, 3)
 
 
 def test_disambiguate_single_positive_cycle():
@@ -319,6 +369,40 @@ def test_solve_pma_inconsistent_minors():
     spoiled.put(victim, minors.get(victim) + 0.25)
     with pytest.raises(InconsistentMinorsError):
         pma.solve_pma(spoiled)
+
+
+def test_solve_pma_redundant_inconsistent_row():
+    # triangles pin the signs, so every 4-cycle row lies in their span and
+    # is dropped before elimination; only the final parity check sees it
+    k = strong_admissible(3)
+    minors = moments.exact_minors(k, 4)
+    skel = pma.recover_skeleton(minors)
+    quad = kernel.index_combinations(6, 4)
+    eps, _ = pma._four_cycle_signs(skel, quad)
+    t = int(np.flatnonzero((eps == 1).sum(axis=1) == 1)[0])
+    s = tuple(int(v) + 1 for v in quad[t])
+    pi4 = pma.extract_pi(minors, skel, s)
+    spoiled = moments.MinorList(6, dict(minors.items()))
+    # pi4 = fixed - a_S, so this flips the lone positive cycle's sign
+    spoiled.put(s, minors.get(s) + 2 * pi4)
+    assert pma.extract_pi(spoiled, skel, s) == pytest.approx(-pi4, rel=1e-9)
+    flipped = pma.disambiguate_four_cycles(skel, s, -pi4)
+    assert [-v for v in flipped.values()] == list(
+        pma.disambiguate_four_cycles(skel, s, pi4).values())
+    with pytest.raises(InconsistentMinorsError):
+        pma.solve_pma(spoiled)
+
+
+def test_solve_pma_round_trip_n24():
+    n = 24
+    k = law_kernel(n, 0.3, 2024)
+    minors = moments.exact_minors(k, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AmbiguousSignWarning)
+        sol = pma.solve_pma(minors)
+    assert conjugation_distance(sol.kernel, k) <= 1e-9
+    assert sol.null_dimension == n
+    assert pma.verify(sol.kernel, minors, 1e-9).passed
 
 
 def test_solve_pma_warns_on_subthreshold_signs():
