@@ -3,7 +3,8 @@
 Construct and validate signed kernels, sample the processes exactly,
 estimate principal minors from samples, and reconstruct a kernel from
 minors of orders 1..4 (with the full solution set) when the kernel is
-dense and its magnitude structure is generic.
+dense; 4-sets whose sign patterns the minors cannot tell apart are
+skipped, which enlarges the solution set.
 """
 
 from .errors import (
@@ -72,7 +73,6 @@ from .pma import (
     Skeleton,
     VerifyReport,
     build_sign_system,
-    check_genericity,
     describe_solution_set,
     disambiguate_four_cycles,
     extract_pi,

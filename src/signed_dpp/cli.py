@@ -1,7 +1,7 @@
 """Command-line pipeline: gen, sample, minors, estimate, pma, verify.
 
 Exit codes: 0 success, 1 usage or input-parse failure, 2 domain failure
-(inadmissible kernel, unrealizable minors, generation failure, ...).
+(inadmissible kernel, unrealizable minors, failed verification, ...).
 Output files are written atomically.
 """
 

@@ -41,6 +41,17 @@ def bits_of(mask: int, n_vars: int) -> tuple[int, ...]:
     return tuple((mask >> i) & 1 for i in range(n_vars))
 
 
+def coset(base: int, basis: Sequence[int]):
+    """Iterate base XOR every combination of basis vectors; member c
+    includes basis[t] exactly when bit t of c is set."""
+    for combo in range(1 << len(basis)):
+        vec = base
+        for t, v in enumerate(basis):
+            if (combo >> t) & 1:
+                vec ^= v
+        yield vec
+
+
 @dataclass
 class GF2System:
     """XOR-sum constraints: for each row, XOR of the support bits = rhs."""
@@ -85,12 +96,7 @@ class GF2Solution:
 
     def members(self):
         """Iterate the full solution coset (2^nullity assignments)."""
-        for combo in range(1 << self.nullity):
-            vec = self.particular
-            for t in range(self.nullity):
-                if (combo >> t) & 1:
-                    vec ^= self.null_basis[t]
-            yield vec
+        return coset(self.particular, self.null_basis)
 
     def contains(self, assignment: int) -> bool:
         """Coset membership by eliminating assignment - particular."""

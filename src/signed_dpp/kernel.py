@@ -39,11 +39,6 @@ ENUMERATION_LIMIT = 16     # hard cap for 2^N pmf tables
 ADMISSIBILITY_LIMIT = 20   # hard cap for the exhaustive admissibility test
 PMF_CLAMP = 1e-9           # round-off floor: masses in [-PMF_CLAMP, 0) -> 0
 ADMISSIBILITY_TOL = -1e-10
-GENERICITY_RTOL = 1e-9
-# The generator rejects draws whose 4-cycle products merely scrape past
-# the genericity test; a wide margin keeps downstream sign extraction
-# numerically unambiguous.
-GENERATOR_GENERICITY_RTOL = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -405,41 +400,16 @@ def pair_covariance(k: SignedKernel, i: int, j: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# genericity of the magnitude structure
-
-def check_magnitude_genericity(magnitudes: np.ndarray, rtol: float = GENERICITY_RTOL) -> bool:
-    """No {-1,0,1}-combination of the three 4-cycle products vanishes.
-
-    ``magnitudes`` is a symmetric nonnegative matrix of off-diagonal entry
-    magnitudes.  For every 4-subset {i,j,k,l} the three Hamiltonian-cycle
-    products must admit no vanishing signed combination; this is what makes
-    the 4-cycle sign patterns distinguishable.  A combination counts as
-    vanishing when its absolute value is at most rtol times the largest
-    of the three products.  All 4-subsets are tested at once.
-    """
-    m = numerics.as_matrix(magnitudes, square=True)
-    i, j, k, l = index_combinations(m.shape[0], 4).T
-    p1 = m[i, j] * m[j, k] * m[k, l] * m[l, i]
-    p2 = m[i, j] * m[j, l] * m[l, k] * m[k, i]
-    p3 = m[i, k] * m[k, j] * m[j, l] * m[l, i]
-    tol = rtol * np.maximum(np.maximum(p1, p2), p3)
-    for e1, e2, e3 in itertools.product((-1, 0, 1), repeat=3):
-        if (e1, e2, e3) != (0, 0, 0) and np.any(np.abs(e1 * p1 + e2 * p2 + e3 * p3) <= tol):
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # random admissible kernels
 
-def generate_admissible(n: int, lam: float, seed: int,
-                        max_retries: int = 100) -> SignedKernel:
+def generate_admissible(n: int, lam: float, seed: int) -> SignedKernel:
     """Random dense admissible signed kernel.
 
     Diagonal uniform in [lam, 1-lam]; off-diagonal pair {i,j} gets magnitude
     mu * Uniform[0.2, 1], a uniform sign, and a uniform relating sign, with
     mu = 0.9 * lam / (n-1).  The Gershgorin argument makes every draw
-    admissible; draws are rejected until the magnitude structure is generic.
+    admissible, so the first draw is returned; whether its 4-cycle signs
+    are identifiable is decided per 4-set by ``solve_pma``.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DimensionError(f"ground-set size must be a positive integer, got {n}")
@@ -448,19 +418,15 @@ def generate_admissible(n: int, lam: float, seed: int,
     gen = rng.stream(seed)
     n_pairs = n * (n - 1) // 2
     mu = 0.9 * lam / (n - 1) if n > 1 else 0.0
-    for _ in range(max_retries):
-        diag = gen.uniform(lam, 1.0 - lam, size=n)
-        mags = gen.uniform(0.2, 1.0, size=n_pairs)
-        signs = 2 * gen.integers(0, 2, size=n_pairs) - 1
-        eps = 2 * gen.integers(0, 2, size=n_pairs) - 1
-        mat = np.diag(diag)
-        idx = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                mat[i, j] = signs[idx] * mags[idx] * mu
-                mat[j, i] = eps[idx] * mat[i, j]
-                idx += 1
-        if check_magnitude_genericity(np.abs(mat), GENERATOR_GENERICITY_RTOL):
-            return SignedKernel(mat)
-    raise GenerationError(
-        f"no generic magnitude structure after {max_retries} draws (n={n}, seed={seed})")
+    diag = gen.uniform(lam, 1.0 - lam, size=n)
+    mags = gen.uniform(0.2, 1.0, size=n_pairs)
+    signs = 2 * gen.integers(0, 2, size=n_pairs) - 1
+    eps = 2 * gen.integers(0, 2, size=n_pairs) - 1
+    mat = np.diag(diag)
+    idx = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            mat[i, j] = signs[idx] * mags[idx] * mu
+            mat[j, i] = eps[idx] * mat[i, j]
+            idx += 1
+    return SignedKernel(mat)

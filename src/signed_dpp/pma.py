@@ -15,8 +15,10 @@ the same batched code.
 3. Sign decisions.  Each positive triangle fixes the sign of one
    oriented entry product.  Each 4-set's traveling sum is matched
    against the at most 8 +-1 patterns of its positive 4-cycles, all
-   4-sets at once, which is unambiguous under the magnitude genericity
-   condition.
+   4-sets at once.  This per-4-set separation test is the only
+   genericity rule: a 4-set whose best two patterns lie within the
+   tolerance is skipped with a warning, which enlarges the solution
+   set instead of guessing.
 4. The GF(2) system.  Each decision is one XOR row over the
    upper-triangle entry signs, held as an index array of its 3 or 4
    variables.  Rows already in the span of earlier rows (zero parity
@@ -48,7 +50,6 @@ from .errors import (
 )
 from .kernel import (
     SignedKernel,
-    check_magnitude_genericity,
     index_combinations,
     normalize_subset,
     principal_minors,
@@ -160,11 +161,6 @@ def recover_skeleton(minors: MinorList, density_tol: float = DENSITY_TOL) -> Ske
     epsilon[iu, ju] = epsilon[ju, iu] = np.where(gap > 0, 1, -1)
     magnitude[iu, ju] = magnitude[ju, iu] = np.sqrt(np.abs(gap))
     return Skeleton(n, diagonal, magnitude, epsilon)
-
-
-def check_genericity(skel: Skeleton, rtol: float = 1e-9) -> bool:
-    """Magnitude genericity over every 4-subset (unique 4-cycle patterns)."""
-    return check_magnitude_genericity(skel.magnitude, rtol)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +299,9 @@ def disambiguate_four_cycles(skel: Skeleton, s: Iterable[int], pi4: float,
 
     Each positive cycle contributes twice its oriented product, whose
     magnitude is the product of the four edge magnitudes; the pattern is
-    found by checking all 2^t candidates.  Genericity makes the match
-    unique when tol is below the smallest candidate gap.
+    found by checking all 2^t candidates.  Raises GenericityError when
+    the best two candidates lie within the tolerance (the 4-set's signs
+    are not identifiable) and InconsistentMinorsError when none matches.
     """
     ss = normalize_subset(s, skel.n, allow_empty=False)
     if len(ss) != 4:
@@ -394,10 +391,6 @@ def solve_pma(minors: MinorList, sign_tol: float = SIGN_TOL,
     """
     n = minors.n
     skel = recover_skeleton(minors, density_tol)
-    if not check_genericity(skel):
-        raise GenericityError(
-            "magnitude structure violates the genericity condition; "
-            "4-cycle signs are not identifiable")
 
     # triangles: a positive triangle's pi3 carries its product sign
     pt = _pair_terms(skel)
@@ -484,16 +477,9 @@ def describe_solution_set(sol: PMASolution) -> list[SignedKernel]:
     k = sol.kernel
     k.require_signed()
     eps = np.where(k.mat * k.mat.T > 0, 1, -1)
-    base_bits = sol.sign_pattern()
-    out = []
-    for combo in range(1 << d):
-        bits = base_bits
-        for t in range(d):
-            if (combo >> t) & 1:
-                bits ^= sol.free_switches[t]
-        negative = np.array(gf2.bits_of(bits, len(sol.pairs)), dtype=bool)
-        out.append(_assemble(np.diag(k.mat), np.abs(k.mat), eps, negative))
-    return out
+    return [_assemble(np.diag(k.mat), np.abs(k.mat), eps,
+                      np.array(gf2.bits_of(bits, len(sol.pairs)), dtype=bool))
+            for bits in gf2.coset(sol.sign_pattern(), sol.free_switches)]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,12 @@ def test_gen_is_byte_identical(tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
+def test_gen_large_n(tmp_path):
+    out = str(tmp_path / "k.json")
+    assert main(["gen", "--n", "24", "--lambda", "0.3", "--seed", "1", "--out", out]) == 0
+    assert kernel.read_kernel(out).n == 24
+
+
 def test_gen_rejects_bad_lambda(tmp_path, capsys):
     out = str(tmp_path / "k.json")
     assert main(["gen", "--n", "6", "--lambda", "0.6", "--seed", "1", "--out", out]) == 1

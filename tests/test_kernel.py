@@ -146,11 +146,6 @@ def test_generate_magnitude_symmetry_exact():
     assert np.array_equal(np.abs(k.mat), np.abs(k.mat.T))
 
 
-def test_generate_is_generic():
-    k = kernel.generate_admissible(6, 0.3, 77)
-    assert kernel.check_magnitude_genericity(np.abs(k.mat))
-
-
 def test_generate_deterministic():
     a = kernel.generate_admissible(5, 0.4, 3)
     b = kernel.generate_admissible(5, 0.4, 3)

@@ -5,12 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import conjugation_distance, law_kernel, signed_matrix, strong_admissible
+from helpers import conjugation_distance, in_coset, signed_matrix, strong_admissible
 from signed_dpp import gf2, graph, kernel, moments, pma, sampler
 from signed_dpp.errors import (
     AmbiguousSignWarning,
     CapabilityError,
-    GenericityError,
     InconsistentMinorsError,
     MissingMinorError,
     NotDenseError,
@@ -127,71 +126,6 @@ def test_batched_traveling_sums_match_direct_sums():
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
             # the one-item public call runs the same code
             assert [pma.extract_pi(minors, skel, s + 1) for s in subsets] == got.tolist()
-
-
-# ---------------------------------------------------------------------------
-# genericity
-
-def _genericity_loop(m, rtol):
-    """The per-4-set definition of magnitude genericity, one scalar at a time."""
-    combos = [c for c in itertools.product((-1, 0, 1), repeat=3) if any(c)]
-    for i, j, k, l in itertools.combinations(range(m.shape[0]), 4):
-        p1 = m[i, j] * m[j, k] * m[k, l] * m[l, i]
-        p2 = m[i, j] * m[j, l] * m[l, k] * m[k, i]
-        p3 = m[i, k] * m[k, j] * m[j, l] * m[l, i]
-        tol = rtol * max(p1, p2, p3)
-        if any(abs(e1 * p1 + e2 * p2 + e3 * p3) <= tol for e1, e2, e3 in combos):
-            return False
-    return True
-
-
-def test_vectorised_genericity_matches_loop():
-    gen = np.random.default_rng(17)
-    cases = []
-    for n in (4, 5, 6, 7):
-        mags = gen.uniform(0.1, 1.0, (n, n))
-        cases.append((mags + mags.T) / 2)                  # random
-        cases.append(np.full((n, n), 0.3))                  # all equal
-        cases.append(np.round((mags + mags.T) / 2, 1))      # many ties
-        for delta in (0.5e-4, 2e-4, 0.0):                   # p1 = p2 (1 + delta)
-            tied = (mags + mags.T) / 2
-            i, j, k, l = 0, 1, 2, 3
-            tied[j, k] = tied[k, j] = tied[j, l] * tied[k, i] / tied[l, i] * (1 + delta)
-            cases.append(tied)
-    for mags in cases:
-        np.fill_diagonal(mags, 0.0)
-        for rtol in (1e-9, 1e-4, 1e-2):
-            assert kernel.check_magnitude_genericity(mags, rtol) == _genericity_loop(mags, rtol)
-    assert not kernel.check_magnitude_genericity(cases[1])
-    assert any(kernel.check_magnitude_genericity(m, 1e-4) for m in cases)
-
-def test_genericity_equal_magnitudes_fails():
-    mags = np.full((4, 4), 0.2)
-    np.fill_diagonal(mags, 0.0)
-    assert not kernel.check_magnitude_genericity(mags)
-
-
-def test_genericity_generated_kernels_pass():
-    for seed in range(3):
-        k = kernel.generate_admissible(6, 0.3, seed)
-        skel = pma.recover_skeleton(moments.exact_minors(k, 2))
-        assert pma.check_genericity(skel)
-
-
-def test_genericity_explicit_magnitudes():
-    vals = {(1, 2): 0.3, (1, 3): 0.5, (1, 4): 0.7,
-            (2, 3): 0.11, (2, 4): 0.13, (3, 4): 0.17}
-    mags = np.zeros((4, 4))
-    for (i, j), v in vals.items():
-        mags[i - 1, j - 1] = mags[j - 1, i - 1] = v
-    p1 = vals[(1, 2)] * vals[(2, 3)] * vals[(3, 4)] * vals[(1, 4)]
-    p2 = vals[(1, 2)] * vals[(2, 4)] * vals[(3, 4)] * vals[(1, 3)]
-    p3 = vals[(1, 3)] * vals[(2, 3)] * vals[(2, 4)] * vals[(1, 4)]
-    combos = [e for e in itertools.product((-1, 0, 1), repeat=3) if any(e)]
-    assert len(combos) == 26
-    assert all(abs(e1 * p1 + e2 * p2 + e3 * p3) > 1e-9 * max(p1, p2, p3)
-               for e1, e2, e3 in combos)
-    assert kernel.check_magnitude_genericity(mags)
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +287,50 @@ def test_solve_pma_not_dense():
             kernel.SignedKernel(np.diag([0.3, 0.6, 0.4, 0.5])), "all"))
 
 
-def test_solve_pma_degenerate_magnitudes():
+def _equal_magnitudes(k12):
     upper = {p: 0.1 for p in itertools.combinations(range(1, 5), 2)}
-    eps = {p: 1 for p in upper}
-    k = signed_matrix([0.5, 0.5, 0.5, 0.5], upper, eps)
-    with pytest.raises(GenericityError):
-        pma.solve_pma(moments.exact_minors(k, "all"))
+    upper[(1, 2)] = k12
+    return signed_matrix([0.5, 0.5, 0.5, 0.5], upper, {p: 1 for p in upper})
+
+
+def test_solve_pma_degenerate_magnitudes():
+    # the three 4-cycles have equal magnitudes, but the all-positive
+    # pattern is the only one summing to 6 m: the 4-set decides
+    k = _equal_magnitudes(0.1)
+    minors = moments.exact_minors(k, "all")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AmbiguousSignWarning)
+        sol = pma.solve_pma(minors)
+    assert pma.verify(sol.kernel, minors, 1e-9).passed
+    assert conjugation_distance(sol.kernel, k) <= 1e-9
+    assert sol.null_dimension == 3
+
+
+def test_solve_pma_ambiguous_four_set_enlarges_solution_set():
+    # with K_12 < 0 the pattern (-, -, +) ties with the other two of sum -2 m
+    k = _equal_magnitudes(-0.1)
+    minors = moments.exact_minors(k, "all")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = pma.solve_pma(minors)
+    assert [w.category for w in caught] == [AmbiguousSignWarning]
+    assert "(1, 2, 3, 4)" in str(caught[0].message)
+    members = pma.describe_solution_set(sol)
+    assert len(members) == 1 << sol.null_dimension
+    for m in members:
+        assert pma.verify(m, minors, 1e-9).passed
+
+
+def test_solve_pma_noisy_minors_never_raise_on_close_magnitudes():
+    # noisy estimated minors: every 4-set whose sign patterns the noise
+    # leaves within the tolerance is skipped, and none raises
+    k = kernel.generate_admissible(16, 0.3, 1679072675)
+    batch = sampler.sample_sequential_batch(k, 10_000, 1260265874)
+    est = moments.estimate_required_minors(batch, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AmbiguousSignWarning)
+        sol = pma.solve_pma(est, sign_tol=0.01)
+    assert in_coset(sol, k.mat)
 
 
 def test_solve_pma_inconsistent_minors():
@@ -393,9 +365,8 @@ def test_solve_pma_redundant_inconsistent_row():
         pma.solve_pma(spoiled)
 
 
-def test_solve_pma_round_trip_n24():
-    n = 24
-    k = law_kernel(n, 0.3, 2024)
+def _generated_round_trip(n):
+    k = kernel.generate_admissible(n, 0.3, 2024)
     minors = moments.exact_minors(k, 4)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AmbiguousSignWarning)
@@ -403,6 +374,14 @@ def test_solve_pma_round_trip_n24():
     assert conjugation_distance(sol.kernel, k) <= 1e-9
     assert sol.null_dimension == n
     assert pma.verify(sol.kernel, minors, 1e-9).passed
+
+
+def test_solve_pma_round_trip_n24():
+    _generated_round_trip(24)
+
+
+def test_solve_pma_round_trip_n32():
+    _generated_round_trip(32)
 
 
 def test_solve_pma_warns_on_subthreshold_signs():
