@@ -5,6 +5,13 @@ estimate principal minors from samples, and reconstruct a kernel from
 minors of orders 1..4 (with the full solution set) when the kernel is
 dense; 4-sets whose sign patterns the minors cannot tell apart are
 skipped, which enlarges the solution set.
+
+The PMA stages are public only as the batched array functions that
+``solve_pma`` composes: ``recover_skeleton``, ``traveling_sums`` and
+``match_four_cycles``.  The one-item entry points ``extract_pi``,
+``disambiguate_four_cycles`` and ``build_sign_system``, the
+``Skeleton.mag``/``eps``/``diag`` accessors and ``GenericityError``
+were removed on purpose.
 """
 
 from .errors import (
@@ -14,7 +21,6 @@ from .errors import (
     DimensionError,
     FormatError,
     GenerationError,
-    GenericityError,
     InadmissibleKernelError,
     InconsistentMinorsError,
     MissingMinorError,
@@ -72,12 +78,11 @@ from .pma import (
     PMASolution,
     Skeleton,
     VerifyReport,
-    build_sign_system,
     describe_solution_set,
-    disambiguate_four_cycles,
-    extract_pi,
+    match_four_cycles,
     recover_skeleton,
     solve_pma,
+    traveling_sums,
     verify,
 )
 from .sampler import (

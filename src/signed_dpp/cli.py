@@ -8,6 +8,7 @@ Output files are written atomically.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from . import kernel, moments, pma, sampler
@@ -132,12 +133,8 @@ def cmd_pma(args) -> int:
     kernel.atomic_write(args.out + ".solutions.json",
                          pma.solution_set_json(sol) + "\n")
     if args.solution_set:
-        members = pma.describe_solution_set(sol)
-        import json
-        payload = json.dumps(
-            {"kernels": [{"n": m.n, "rows": [[float(v) for v in row]
-                                             for row in m.mat]}
-                         for m in members]})
+        payload = json.dumps({"kernels": [kernel.kernel_to_dict(m)
+                                          for m in pma.describe_solution_set(sol)]})
         kernel.atomic_write(args.out + ".set.json", payload + "\n")
     return 0
 

@@ -45,10 +45,6 @@ class NotDenseError(SignedDppError):
     """Minor list implies a zero off-diagonal entry; dense solver refuses."""
 
 
-class GenericityError(SignedDppError):
-    """Magnitude structure is degenerate; sign extraction is not unique."""
-
-
 class InconsistentMinorsError(SignedDppError):
     """The minor list is not realizable by any matrix in the signed class."""
 

@@ -13,10 +13,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import CapabilityError, DimensionError, NotDenseError
-from .kernel import SignedKernel, normalize_subset, principal_minors
+from .kernel import SignedKernel, normalize_subset
+from .moments import exact_minors
 
 Edge = tuple[int, int]
 Cycle = tuple[Edge, ...]
@@ -276,13 +275,6 @@ def _minor_close(a: float, b: float, tol: float = MINOR_MATCH_TOL) -> bool:
     return abs(a - b) <= tol
 
 
-def all_principal_minors(mat: np.ndarray) -> dict[tuple[int, ...], float]:
-    """det of every nonempty principal submatrix, batched by order."""
-    n = mat.shape[0]
-    keys = [j for m in range(1, n + 1) for j in itertools.combinations(range(1, n + 1), m)]
-    return dict(zip(keys, principal_minors(mat, keys).tolist()))
-
-
 def pma_equivalent(h: SignedKernel, k: SignedKernel) -> bool:
     """Same list of principal minors, checked exhaustively."""
     if h.n != k.n:
@@ -290,9 +282,8 @@ def pma_equivalent(h: SignedKernel, k: SignedKernel) -> bool:
     if h.n > MINOR_MATCH_LIMIT:
         raise CapabilityError(
             f"exhaustive minor comparison capped at N={MINOR_MATCH_LIMIT}, got {h.n}")
-    mh = all_principal_minors(h.mat)
-    mk = all_principal_minors(k.mat)
-    return all(_minor_close(mh[j], mk[j]) for j in mk)
+    mh = dict(exact_minors(h, "all").items())
+    return all(_minor_close(mh[j], v) for j, v in exact_minors(k, "all").items())
 
 
 def pma_equivalent_structural(h: SignedKernel, k: SignedKernel) -> bool:

@@ -160,9 +160,13 @@ class SignedKernel:
 # ---------------------------------------------------------------------------
 # JSON round trip ({"n": N, "rows": [[...], ...]})
 
+def kernel_to_dict(k: SignedKernel) -> dict:
+    """The kernel JSON object: ``{"n": N, "rows": [[...], ...]}``."""
+    return {"n": k.n, "rows": [[float(v) for v in row] for row in k.mat]}
+
+
 def kernel_to_json(k: SignedKernel) -> str:
-    rows = [[float(v) for v in row] for row in k.mat]
-    return json.dumps({"n": k.n, "rows": rows})
+    return json.dumps(kernel_to_dict(k))
 
 
 def kernel_from_json(text: str) -> SignedKernel:

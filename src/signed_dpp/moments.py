@@ -103,8 +103,9 @@ class MinorList:
         return sorted(self._entries, key=colex_key)
 
     def items(self):
-        for j in self.subsets():
-            yield j, self._entries[j]
+        """(subset, minor) pairs in insertion order; ``subsets()`` gives
+        colexicographic order."""
+        return self._entries.items()
 
     def has_all_orders(self, max_order: int) -> bool:
         return all(s in self._entries
@@ -168,7 +169,7 @@ def exact_minors(k: SignedKernel, max_order: int | str = "all") -> MinorList:
 # JSON round trip ({"n": N, "minors": {"1,2": value, ...}})
 
 def minors_to_json(minors: MinorList) -> str:
-    payload = {",".join(str(i) for i in j): v for j, v in minors.items()}
+    payload = {",".join(str(i) for i in j): minors._entries[j] for j in minors.subsets()}
     return json.dumps({"n": minors.n, "minors": payload})
 
 

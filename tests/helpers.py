@@ -108,21 +108,19 @@ def in_coset(sol, mat):
 
 
 def _triangles_pin_signs(k):
+    """The positive triangles' rows span every decided 4-cycle row."""
     minors = moments.exact_minors(k, 4)
     skel = pma.recover_skeleton(minors)
-    triangles = {}
-    for t in itertools.combinations(range(1, k.n + 1), 3):
-        i, j, kk = t
-        if skel.eps(i, j) * skel.eps(j, kk) * skel.eps(i, kk) == 1:
-            triangles[t] = 1
-    cycles = {}
-    for s in itertools.combinations(range(1, k.n + 1), 4):
-        pi4 = pma.extract_pi(minors, skel, s)
-        cycles.update(pma.disambiguate_four_cycles(skel, s, pi4))
+    tri, pi3, quad, pi4 = pma.traveling_sums(minors, skel)
+    eps = skel.epsilon
+    positive = eps[tri[:, 0], tri[:, 1]] * eps[tri[:, 1], tri[:, 2]] * eps[tri[:, 0], tri[:, 2]] == 1
+    cycles, negative, _, _, _ = pma.match_four_cycles(skel, quad, pi4, pma.SIGN_TOL)
+    rows, cycle = np.nonzero(cycles)
+    tri_rows, _ = pma._triangle_rows(skel, tri[positive], pi3[positive] < 0)
+    quad_rows, _ = pma._four_cycle_rows(skel, quad[rows], cycle, negative[rows, cycle])
+    n_vars = k.n * (k.n - 1) // 2
 
-    def rank_of(triangle_signs, cycle_signs):
-        system = pma.build_sign_system(skel, triangle_signs, cycle_signs)
-        system.rows = [(mask, 0) for mask, _ in system.rows]
-        return gf2.gf2_solve(system).rank
+    def rank_of(*groups):
+        return sum(map(len, gf2.spanning_rows(groups, n_vars)))
 
-    return rank_of(triangles, {}) == rank_of(triangles, cycles)
+    return rank_of(tri_rows) == rank_of(tri_rows, quad_rows)

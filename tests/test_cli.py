@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from signed_dpp import kernel, moments, sampler
+from signed_dpp import kernel, moments, pma, sampler
 from signed_dpp.cli import main
 
 
@@ -152,6 +152,18 @@ def test_pma_solution_set_flag(tmp_path):
     base = kernel.read_kernel(h_path)
     assert any(np.allclose(np.array(m["rows"]), base.mat, atol=0)
                for m in members)
+
+
+def test_pma_solution_set_lists_kernel_json(tmp_path):
+    k_path, m_path, h_path = (str(tmp_path / name) for name in ("k.json", "m.json", "h.json"))
+    main(["gen", "--n", "5", "--lambda", "0.3", "--seed", "8", "--out", k_path])
+    main(["minors", "--kernel", k_path, "--max-order", "4", "--out", m_path])
+    assert main(["pma", "--minors", m_path, "--out", h_path, "--solution-set"]) == 0
+    listed = json.load(open(h_path + ".set.json"))["kernels"]
+    sol = pma.solve_pma(moments.read_minors(m_path))
+    members = pma.describe_solution_set(sol)
+    assert len(listed) == len(members) == 1 << sol.null_dimension
+    assert listed == [json.loads(kernel.kernel_to_json(m)) for m in members]
 
 
 def test_help_exits_zero():

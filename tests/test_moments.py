@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -166,6 +167,9 @@ def test_exact_minors_match_scalar_determinants():
 def test_minor_list_colex_order():
     ml = moments.MinorList(3, {(1, 2, 3): 0.1, (1,): 0.4, (2, 3): 0.2, (3,): 0.6})
     assert ml.subsets() == [(1,), (3,), (2, 3), (1, 2, 3)]
+    # items() keeps insertion order; the JSON form is colex
+    assert [j for j, _ in ml.items()] == [(1, 2, 3), (1,), (2, 3), (3,)]
+    assert list(json.loads(moments.minors_to_json(ml))["minors"]) == ["1", "3", "2,3", "1,2,3"]
 
 
 def test_minors_json_round_trip():

@@ -39,8 +39,8 @@ def test_recover_skeleton_pair_example():
     # a_i = a_j = 0.5, a_ij = 0.29 inverts to eps = -1, |H_ij| = 0.2
     ml = moments.MinorList(2, {(1,): 0.5, (2,): 0.5, (1, 2): 0.29})
     skel = pma.recover_skeleton(ml)
-    assert skel.eps(1, 2) == -1
-    assert skel.mag(1, 2) == pytest.approx(0.2, abs=1e-12)
+    assert skel.epsilon[0, 1] == -1
+    assert skel.magnitude[0, 1] == pytest.approx(0.2, abs=1e-12)
 
 
 def test_recover_skeleton_density_error():
@@ -52,11 +52,13 @@ def test_recover_skeleton_density_error():
 def test_recover_skeleton_round_trip():
     k = kernel.generate_admissible(6, 0.3, 17)
     skel = pma.recover_skeleton(moments.exact_minors(k, 2))
+    np.testing.assert_allclose(skel.diagonal, np.diag(k.mat), rtol=0, atol=1e-10)
+    off = ~np.eye(6, dtype=bool)
+    np.testing.assert_allclose(skel.magnitude[off], np.abs(k.mat)[off], rtol=0, atol=1e-10)
+    assert np.all(np.diag(skel.magnitude) == 0) and np.all(np.diag(skel.epsilon) == 0)
     for i in range(1, 7):
-        assert skel.diag(i) == pytest.approx(k.entry(i, i), abs=1e-10)
         for j in range(i + 1, 7):
-            assert skel.mag(i, j) == pytest.approx(abs(k.entry(i, j)), abs=1e-10)
-            assert skel.eps(i, j) == k.epsilon(i, j)
+            assert skel.epsilon[i - 1, j - 1] == skel.epsilon[j - 1, i - 1] == k.epsilon(i, j)
 
 
 def test_recover_skeleton_requires_pairs():
@@ -68,64 +70,54 @@ def test_recover_skeleton_requires_pairs():
 # ---------------------------------------------------------------------------
 # traveling-sum extraction
 
-def test_extract_pi_matches_direct_sums():
-    k = kernel.generate_admissible(6, 0.3, 23)
-    minors = moments.exact_minors(k, 4)
-    skel = pma.recover_skeleton(minors)
-    for m in (3, 4):
-        for s in itertools.combinations(range(1, 7), m):
-            want = graph.pi_of_subset(k, s)
-            assert pma.extract_pi(minors, skel, s) == pytest.approx(
-                want, abs=1e-12)
-
-
-def test_extract_pi_negative_triangle_vanishes():
+def test_traveling_sums_negative_triangle_vanishes():
     upper = {(1, 2): 0.2, (1, 3): 0.25, (2, 3): 0.3}
     eps = {(1, 2): -1, (1, 3): 1, (2, 3): 1}
     k = signed_matrix([0.5, 0.4, 0.6], upper, eps)
     minors = moments.exact_minors(k, 3)
-    skel = pma.recover_skeleton(minors)
-    assert pma.extract_pi(minors, skel, (1, 2, 3)) == pytest.approx(0.0, abs=1e-12)
+    tri, pi3, quad, pi4 = pma.traveling_sums(minors, pma.recover_skeleton(minors))
+    assert tri.tolist() == [[0, 1, 2]] and quad.shape == (0, 4) and pi4.shape == (0,)
+    assert pi3[0] == pytest.approx(0.0, abs=1e-12)
     assert graph.pi_of_subset(k, (1, 2, 3)) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_extract_pi_positive_triangle_product():
+def test_traveling_sums_positive_triangle_product():
     upper = {(1, 2): 0.2, (1, 3): 0.25, (2, 3): 0.3}
     eps = {(1, 2): 1, (1, 3): 1, (2, 3): 1}
     k = signed_matrix([0.5, 0.4, 0.6], upper, eps)
     minors = moments.exact_minors(k, 3)
-    skel = pma.recover_skeleton(minors)
+    _, pi3, _, _ = pma.traveling_sums(minors, pma.recover_skeleton(minors))
     want = 2 * k.entry(1, 2) * k.entry(2, 3) * k.entry(3, 1)
-    assert pma.extract_pi(minors, skel, (1, 2, 3)) == pytest.approx(want, rel=1e-12)
+    assert pi3[0] == pytest.approx(want, rel=1e-12)
 
 
-def test_extract_pi_figure_four_set():
+def test_traveling_sums_figure_four_set():
     gen = np.random.default_rng(2)
     eps = {(1, 2): -1, (1, 3): 1, (1, 4): 1, (2, 3): 1, (2, 4): 1, (3, 4): 1}
     upper = {p: gen.uniform(0.1, 0.3) * gen.choice([-1.0, 1.0]) for p in eps}
     k = signed_matrix([0.5, 0.45, 0.55, 0.6], upper, eps)
     minors = moments.exact_minors(k, 4)
-    skel = pma.recover_skeleton(minors)
+    _, _, quad, pi4 = pma.traveling_sums(minors, pma.recover_skeleton(minors))
+    assert quad.tolist() == [[0, 1, 2, 3]]
     want = 2 * k.entry(1, 3) * k.entry(3, 2) * k.entry(2, 4) * k.entry(4, 1)
-    assert pma.extract_pi(minors, skel, (1, 2, 3, 4)) == pytest.approx(want, rel=1e-10)
+    assert pi4[0] == pytest.approx(want, rel=1e-10)
 
 
 def test_batched_traveling_sums_match_direct_sums():
-    for n, seed in ((6, 201), (7, 202), (8, 203)):
+    for n, seed in ((6, 23), (6, 201), (7, 202), (8, 203)):
         k = kernel.generate_admissible(n, 0.3, seed)
         minors = moments.exact_minors(k, 4)
         skel = pma.recover_skeleton(minors)
-        pt = pma._pair_terms(skel)
-        tri = kernel.index_combinations(n, 3)
-        quad = kernel.index_combinations(n, 4)
-        pi3 = pma._pi3(minors, skel, pt, tri)
-        faces = np.array([pma._pi3(minors, skel, pt, q[pma._FACES]) for q in quad])
-        pi4 = pma._pi4(minors, skel, pt, quad, faces)
+        tri, pi3, quad, pi4 = pma.traveling_sums(minors, skel)
+        assert tri.tolist() == kernel.index_combinations(n, 3).tolist()
+        assert quad.tolist() == kernel.index_combinations(n, 4).tolist()
         for subsets, got in ((tri, pi3), (quad, pi4)):
             want = [graph.pi_of_subset(k, s + 1) for s in subsets]
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
-            # the one-item public call runs the same code
-            assert [pma.extract_pi(minors, skel, s + 1) for s in subsets] == got.tolist()
+        # the face lookup equals computing each face's pi3 again
+        pt = pma._pair_terms(skel)
+        faces = np.array([pma._pi3(minors, skel, pt, q[pma._FACES]) for q in quad])
+        assert pma._pi4(minors, skel, pt, quad, faces).tolist() == pi4.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -148,40 +140,54 @@ def test_four_clique_positive_cycle_parity():
         assert np.count_nonzero(eps == 1) in (1, 3)
 
 
+def cycle_edges(quad_row, c):
+    """1-based sorted edges of cycle column ``c`` of a 0-based 4-set."""
+    return [(int(quad_row[a]) + 1, int(quad_row[b]) + 1) for a, b in pma._CYCLE_EDGES[c]]
+
+
+def four_cycle_decisions(k, minors=None):
+    minors = moments.exact_minors(k, 4) if minors is None else minors
+    skel = pma.recover_skeleton(minors)
+    tri, pi3, quad, pi4 = pma.traveling_sums(minors, skel)
+    return skel, tri, pi3, quad, pi4, pma.match_four_cycles(skel, quad, pi4, pma.SIGN_TOL)
+
+
 def test_disambiguate_single_positive_cycle():
     gen = np.random.default_rng(5)
     # eps_12 = -1 leaves exactly one positive pairing (through 1-3, 2-4)
     eps = {(1, 2): -1, (1, 3): 1, (1, 4): 1, (2, 3): 1, (2, 4): 1, (3, 4): 1}
     upper = {p: gen.uniform(0.1, 0.3) * gen.choice([-1.0, 1.0]) for p in eps}
     k = signed_matrix([0.5, 0.45, 0.55, 0.6], upper, eps)
-    minors = moments.exact_minors(k, 4)
-    skel = pma.recover_skeleton(minors)
-    pi4 = pma.extract_pi(minors, skel, (1, 2, 3, 4))
-    signs = pma.disambiguate_four_cycles(skel, (1, 2, 3, 4), pi4)
-    assert len(signs) == 1
-    (cycle, sigma), = signs.items()
-    assert cycle == graph.as_cycle([(1, 3), (2, 3), (2, 4), (1, 4)])
-    assert sigma == (1 if pi4 > 0 else -1)
-    assert sigma == oriented_sign(k, cycle)
+    *_, quad, pi4, (positive, negative, best, second, tol) = four_cycle_decisions(k)
+    assert positive.tolist() == [[False, False, True]]
+    assert cycle_edges(quad[0], 2) == sorted(graph.as_cycle([(1, 3), (2, 3), (2, 4), (1, 4)]))
+    assert best[0] <= tol[0] < second[0] - best[0]
+    sigma = -1 if negative[0, 2] else 1
+    assert sigma == (1 if pi4[0] > 0 else -1)
+    assert sigma == oriented_sign(k, cycle_edges(quad[0], 2))
 
 
 def test_disambiguate_recovers_ground_truth_signs():
     for seed in range(4):
         k = kernel.generate_admissible(5, 0.3, 40 + seed)
-        minors = moments.exact_minors(k, 4)
-        skel = pma.recover_skeleton(minors)
-        for s in itertools.combinations(range(1, 6), 4):
-            pi4 = pma.extract_pi(minors, skel, s)
-            for cycle, sigma in pma.disambiguate_four_cycles(skel, s, pi4).items():
-                assert sigma == oriented_sign(k, cycle)
+        *_, quad, _, (positive, negative, best, second, tol) = four_cycle_decisions(k)
+        assert np.all(best <= tol) and np.all(second - best > tol)
+        for t, c in zip(*np.nonzero(positive)):
+            assert (-1 if negative[t, c] else 1) == oriented_sign(k, cycle_edges(quad[t], c))
 
 
 def test_disambiguate_rejects_unmatchable_sum():
     k = kernel.generate_admissible(4, 0.3, 3)
     minors = moments.exact_minors(k, 4)
-    skel = pma.recover_skeleton(minors)
-    with pytest.raises(InconsistentMinorsError):
-        pma.disambiguate_four_cycles(skel, (1, 2, 3, 4), 0.5)
+    skel, *_, quad, pi4, _ = four_cycle_decisions(k, minors)
+    _, _, best, _, tol = pma.match_four_cycles(skel, quad, np.array([0.5]), pma.SIGN_TOL)
+    assert best[0] > tol[0]
+    # pi4 = fixed - a_S, so this moves the 4-set's traveling sum to 0.5
+    spoiled = moments.MinorList(4, dict(minors.items()))
+    spoiled.put((1, 2, 3, 4), minors.get((1, 2, 3, 4)) + pi4[0] - 0.5)
+    with pytest.raises(InconsistentMinorsError,
+                       match=r"^4-set \(1, 2, 3, 4\): no sign pattern matches the traveling sum"):
+        pma.solve_pma(spoiled)
 
 
 # ---------------------------------------------------------------------------
@@ -195,42 +201,29 @@ def test_sign_system_single_triangle_row():
     for (i, j), e in {(0, 1): -1, (0, 2): -1, (1, 2): 1}.items():
         em[i, j] = em[j, i] = e
     skel = pma.Skeleton(3, np.full(3, 0.5), mags, em)
-    system = pma.build_sign_system(skel, {(1, 2, 3): -1}, {})
-    assert system.n_vars == 3
-    (mask, rhs), = system.rows
-    assert mask == 0b111  # variables x_12, x_13, x_23
+    support, rhs = pma._triangle_rows(skel, np.array([[0, 1, 2]]), np.array([True]))
+    assert sorted(support[0].tolist()) == [0, 1, 2]  # variables x_12, x_13, x_23
     # rhs = bit(sign) xor bit(eps_13) = 1 xor 1 = 0
-    assert rhs == 0
+    assert rhs.tolist() == [False]
 
 
 def test_sign_system_satisfied_by_ground_truth():
     for seed in range(4):
         k = kernel.generate_admissible(6, 0.3, 60 + seed)
-        minors = moments.exact_minors(k, 4)
-        sol = pma.solve_pma(minors)
-        skel = pma.recover_skeleton(minors)
-        triangles, cycles = {}, {}
-        for t in itertools.combinations(range(1, 7), 3):
-            i, j, kk = t
-            if skel.eps(i, j) * skel.eps(j, kk) * skel.eps(i, kk) == 1:
-                pi3 = pma.extract_pi(minors, skel, t)
-                triangles[t] = 1 if pi3 > 0 else -1
-        for s in itertools.combinations(range(1, 7), 4):
-            pi4 = pma.extract_pi(minors, skel, s)
-            cycles.update(pma.disambiguate_four_cycles(skel, s, pi4))
-        system = pma.build_sign_system(skel, triangles, cycles)
-        truth_bits = 0
-        for t, (i, j) in enumerate(sol.pairs):
-            if k.entry(i, j) < 0:
-                truth_bits |= 1 << t
-        assert system.satisfied_by(truth_bits)
+        skel, tri, pi3, quad, _, (cycles, negative, *_) = four_cycle_decisions(k)
+        i, j, kk = tri.T
+        eps = skel.epsilon
+        positive = eps[i, j] * eps[j, kk] * eps[i, kk] == 1
+        rows, cycle = np.nonzero(cycles)
+        groups = [pma._triangle_rows(skel, tri[positive], ~(pi3[positive] > 0)),
+                  pma._four_cycle_rows(skel, quad[rows], cycle, negative[rows, cycle])]
+        pairs = pma._pairs(6)
+        truth = np.array([k.entry(a, b) < 0 for a, b in pairs])
         # vertex switches flip an even number of signs around any cycle
-        for v in range(1, 7):
-            switch = 0
-            for t, (i, j) in enumerate(sol.pairs):
-                if v in (i, j):
-                    switch |= 1 << t
-            assert system.satisfied_by(truth_bits ^ switch)
+        switches = [np.array([v in p for p in pairs]) for v in range(1, 7)]
+        for x in [truth] + [truth ^ switch for switch in switches]:
+            for support, rhs in groups:
+                assert np.array_equal(gf2.parities(support, x), rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -348,19 +341,16 @@ def test_solve_pma_redundant_inconsistent_row():
     # is dropped before elimination; only the final parity check sees it
     k = strong_admissible(3)
     minors = moments.exact_minors(k, 4)
-    skel = pma.recover_skeleton(minors)
-    quad = kernel.index_combinations(6, 4)
-    eps, _ = pma._four_cycle_signs(skel, quad)
-    t = int(np.flatnonzero((eps == 1).sum(axis=1) == 1)[0])
+    skel, *_, quad, pi4, (positive, before, *_) = four_cycle_decisions(k, minors)
+    t = int(np.flatnonzero(positive.sum(axis=1) == 1)[0])
     s = tuple(int(v) + 1 for v in quad[t])
-    pi4 = pma.extract_pi(minors, skel, s)
     spoiled = moments.MinorList(6, dict(minors.items()))
     # pi4 = fixed - a_S, so this flips the lone positive cycle's sign
-    spoiled.put(s, minors.get(s) + 2 * pi4)
-    assert pma.extract_pi(spoiled, skel, s) == pytest.approx(-pi4, rel=1e-9)
-    flipped = pma.disambiguate_four_cycles(skel, s, -pi4)
-    assert [-v for v in flipped.values()] == list(
-        pma.disambiguate_four_cycles(skel, s, pi4).values())
+    spoiled.put(s, minors.get(s) + 2 * pi4[t])
+    *_, flipped, (_, after, *_) = four_cycle_decisions(k, spoiled)
+    assert flipped[t] == pytest.approx(-pi4[t], rel=1e-9)
+    assert np.array_equal(after[t, positive[t]], ~before[t, positive[t]])
+    assert np.array_equal(np.delete(after, t, axis=0), np.delete(before, t, axis=0))
     with pytest.raises(InconsistentMinorsError):
         pma.solve_pma(spoiled)
 
@@ -479,6 +469,25 @@ def test_verify_flags_flipped_triangle():
     report = pma.verify(flipped, moments.exact_minors(k, "all"), 1e-9)
     assert not report.passed
     assert tri in [f[0] for f in report.failures]
+
+
+def test_verify_report_is_in_colex_order_whatever_the_insertion_order():
+    # every minor of the identity is exactly 1, so the two minors spoiled
+    # by 0.25 tie exactly for the largest error
+    k = kernel.SignedKernel(np.eye(5))
+    exact = moments.exact_minors(k, "all")
+    spoil = {(2, 4): 0.25, (1, 2, 3): 0.25, (5,): 0.125, (1, 3): 0.0625}
+    colex = moments.MinorList(5)
+    for j in exact.subsets():
+        colex.put(j, exact.get(j) + spoil.get(j, 0.0))
+    reverse = moments.MinorList(5)
+    for j in reversed(exact.subsets()):
+        reverse.put(j, exact.get(j) + spoil.get(j, 0.0))
+    report = pma.verify(k, reverse, 1e-9)
+    assert [f[0] for f in report.failures] == [(1, 3), (1, 2, 3), (2, 4), (5,)]
+    assert report.worst_subset == (1, 2, 3)
+    assert report.max_abs_error == 0.25
+    assert report == pma.verify(k, colex, 1e-9)
 
 
 def test_verify_empty_list_vacuous():
