@@ -129,12 +129,13 @@ def cmd_estimate(args) -> int:
 def cmd_pma(args) -> int:
     minors = moments.read_minors(args.minors)
     sol = pma.solve_pma(minors, sign_tol=args.tol)
+    # Above the enumeration cap this raises before any file is written.
+    members = pma.describe_solution_set(sol) if args.solution_set else None
     kernel.write_kernel(args.out, sol.kernel)
     kernel.atomic_write(args.out + ".solutions.json",
                          pma.solution_set_json(sol) + "\n")
-    if args.solution_set:
-        payload = json.dumps({"kernels": [kernel.kernel_to_dict(m)
-                                          for m in pma.describe_solution_set(sol)]})
+    if members is not None:
+        payload = json.dumps({"kernels": [kernel.kernel_to_dict(m) for m in members]})
         kernel.atomic_write(args.out + ".set.json", payload + "\n")
     return 0
 

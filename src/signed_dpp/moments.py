@@ -32,6 +32,7 @@ from .sampler import SampleBatch
 # Default threshold below which estimated quantities are considered
 # too noisy to carry a sign decision.
 DEFAULT_TOLERANCE = 0.01
+_COUNT_CELLS = 1 << 16   # subset-by-distinct-sample cells compared at once
 
 
 class MinorList:
@@ -115,28 +116,32 @@ class MinorList:
 # ---------------------------------------------------------------------------
 # estimators
 
-def estimate_minor(batch: SampleBatch, j: Iterable[int]) -> float:
-    """Fraction of samples containing j (the empirical inclusion frequency)."""
+def _containment_counts(batch: SampleBatch, subset_masks: np.ndarray) -> np.ndarray:
+    """Number of samples containing each subset mask, counted over the
+    distinct sample masks weighted by their multiplicities."""
     if len(batch) == 0:
         raise DimensionError("cannot estimate from an empty batch")
-    key = normalize_subset(j, batch.n_items, allow_empty=False)
-    jm = np.uint64(subset_to_mask(key))
-    masks = batch.masks()
-    return float(np.count_nonzero((masks & jm) == jm)) / len(batch)
+    distinct, counts = np.unique(batch.masks(), return_counts=True)
+    weight = counts.astype(float)   # exact sums below 2^53, and the product runs in BLAS
+    parts = -(-len(subset_masks) * len(distinct) // _COUNT_CELLS)
+    return np.concatenate([((distinct & jm) == jm) @ weight
+                           for jm in np.array_split(subset_masks[:, None], parts)])
+
+
+def estimate_minor(batch: SampleBatch, j: Iterable[int]) -> float:
+    """Fraction of samples containing j (the empirical inclusion frequency)."""
+    jm = subset_to_mask(normalize_subset(j, batch.n_items, allow_empty=False))
+    return float(_containment_counts(batch, np.array([jm], dtype=np.uint64))[0] / len(batch))
 
 
 def estimate_required_minors(batch: SampleBatch, max_order: int) -> MinorList:
     """Empirical minors for every subset of size 1..max_order."""
     if max_order not in (1, 2, 3, 4):
         raise DimensionError(f"max_order must be in 1..4, got {max_order}")
-    if len(batch) == 0:
-        raise DimensionError("cannot estimate from an empty batch")
-    n = batch.n_items
-    masks = batch.masks()
-    out = MinorList(n)
-    for key in subsets_colex(n, range(1, max_order + 1)):
-        jm = np.uint64(subset_to_mask(key))
-        out.put(key, float(np.count_nonzero((masks & jm) == jm)) / len(batch))
+    keys = subsets_colex(batch.n_items, range(1, max_order + 1))
+    jm = np.fromiter(map(subset_to_mask, keys), dtype=np.uint64, count=len(keys))
+    out = MinorList(batch.n_items)
+    out._entries = dict(zip(keys, (_containment_counts(batch, jm) / len(batch)).tolist()))
     return out
 
 

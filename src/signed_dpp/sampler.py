@@ -1,52 +1,80 @@
-"""Exact sampling at desk scale.
+"""Exact sampling, whole batches at a time.
 
 Two exact schemes: inverse-CDF over the fully enumerated point masses
-(N <= 16), and a sequential conditional walk that visits items 1..N and
-keeps a residual kernel updated after every include/exclude decision.
-Sample index i always draws from rng.stream(seed, i), so batches are
-reproducible and order-independent.
+(N <= 16), and a sequential conditional walk over items 1..N that
+updates a residual kernel after every decision, for a block of samples
+at once (the LU-style sampler of Poulson 2019).  Sample index i always
+draws from rng.stream(seed, i), so batches are reproducible and
+order-independent.  A batch holds one uint64 mask per sample: N <= 64.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from . import rng
-from .errors import FormatError, SamplingError
+from .errors import CapabilityError, DimensionError, FormatError, SamplingError
 from .kernel import (
     SignedKernel,
     enumerate_pmf,
     mask_to_subset,
     normalize_subset,
+    subset_to_mask,
 )
 
 PROB_CLAMP = 1e-9
+MASK_ITEMS = 64      # bits in a sample mask
+_WALK_ROWS = 256     # samples per block of the sequential walk
 
 
-@dataclass(frozen=True)
+def _require_mask_width(n_items: int) -> None:
+    if n_items > MASK_ITEMS:
+        raise CapabilityError(f"sample batches hold one {MASK_ITEMS}-bit mask per "
+                              f"draw, so N is capped at {MASK_ITEMS}, got {n_items}")
+
+
 class SampleBatch:
-    """Observed subsets of {1..n_items}, in draw order."""
+    """Observed subsets of {1..n_items}, in draw order, held as bitmasks.
 
-    n_items: int
-    samples: tuple[tuple[int, ...], ...]
+    ``SampleBatch(n, masks=...)`` takes the masks directly; ``samples``
+    views them as sorted index tuples.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "samples",
-            tuple(normalize_subset(s, self.n_items) for s in self.samples))
+    def __init__(self, n_items: int, samples: Iterable[Iterable[int]] = (), *, masks=None):
+        _require_mask_width(n_items)
+        if masks is None:
+            masks = [subset_to_mask(normalize_subset(s, n_items)) for s in samples]
+        self.n_items, self._samples = int(n_items), None
+        self._masks = np.array(masks, dtype=np.uint64).reshape(-1)
+        self._masks.flags.writeable = False
+        if n_items < MASK_ITEMS and np.any(self._masks >> np.uint64(n_items)):
+            raise DimensionError(f"sample masks name items above {n_items}")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self._masks)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, SampleBatch) and self.n_items == other.n_items
+                and np.array_equal(self._masks, other._masks))
 
     def masks(self) -> np.ndarray:
-        """Bitmask encoding of every sample (uint64; requires n_items <= 64)."""
-        out = np.zeros(len(self.samples), dtype=np.uint64)
-        for t, s in enumerate(self.samples):
-            out[t] = sum(1 << (i - 1) for i in s)
-        return out
+        """Read-only uint64 array; bit i-1 is set when item i is in the sample."""
+        return self._masks
+
+    @property
+    def samples(self) -> tuple[tuple[int, ...], ...]:
+        if self._samples is None:
+            self._samples = tuple(_per_distinct_mask(self._masks, mask_to_subset))
+        return self._samples
+
+
+def _per_distinct_mask(masks: np.ndarray, fn) -> list:
+    """[fn(m) for m in masks], calling fn once per distinct mask."""
+    distinct, inverse = np.unique(masks, return_inverse=True)
+    values = [fn(m) for m in distinct.tolist()]
+    return [values[t] for t in inverse.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -58,86 +86,74 @@ def sample_enumerate(k: SignedKernel, count: int, seed: int) -> SampleBatch:
         raise SamplingError(f"sample count must be nonnegative, got {count}")
     table = enumerate_pmf(k)
     cdf = np.cumsum(table)
-    top = 1 << k.n
-    streams = rng.Substreams(seed)
-    uniforms = np.empty(count)
-    for i in range(count):
-        uniforms[i] = streams.generator(i).random()
-    masks = np.minimum(np.searchsorted(cdf, uniforms, side="right"), top - 1)
-    return SampleBatch(k.n, tuple(mask_to_subset(int(m)) for m in masks))
+    uniforms = rng.uniforms(seed, np.arange(count), 1)[:, 0]
+    masks = np.minimum(np.searchsorted(cdf, uniforms, side="right"), len(table) - 1)
+    return SampleBatch(k.n, masks=masks)
 
 
 # ---------------------------------------------------------------------------
 # sequential conditional sampler
 
-def _clamp_probability(p: float) -> float:
-    if -PROB_CLAMP <= p < 0.0:
-        return 0.0
-    if 1.0 < p <= 1.0 + PROB_CLAMP:
-        return 1.0
-    if not 0.0 <= p <= 1.0:
-        raise SamplingError(
-            f"conditional inclusion probability {p!r} outside [0, 1]: "
-            "kernel is not admissible")
-    return p
+def _sequential_walk(k: SignedKernel, count: int, draws):
+    """Visit items 1..N in order for ``count`` samples, a block at a time.
 
-
-def _sequential_walk(k: SignedKernel, decide):
-    """Visit items 1..N in order; ``decide(item, p)`` picks include/exclude.
-
-    The residual kernel over the undecided items starts as K.  Including
-    the next item replaces it by the conditional kernel given inclusion;
-    excluding passes to the complement kernel, conditions on inclusion
-    there, and complements back.  For a single item both reduce to rank-1
-    updates of the trailing block.
-
-    Returns (chosen subset, per-step probability of the decision taken).
-    A zero-probability decision ends the walk early: the path has mass 0
-    and the residual kernel is no longer defined along it.
+    Sample r takes item i when draws(lo, hi)[r - lo, i-1] is below its
+    clamped probability: uniforms draw a sample, -1 (take) and 2 (leave)
+    fix a path.  The residual kernel over the undecided items starts as K;
+    including or excluding the next item is a rank-1 update of its
+    trailing block, made for a whole block of rows in the one-sample
+    operation order.  Returns (taken items as a (count, N) bool array,
+    per-step probability of the decision taken).  A zero-probability
+    decision ends that row's walk; its later steps report probability 1.
     """
     n = k.n
-    resid = np.array(k.mat)
-    included: list[int] = []
-    factors = np.ones(n)
-    for item in range(1, n + 1):
-        raw = float(resid[0, 0])
-        p = _clamp_probability(raw)
-        take = bool(decide(item, p))
-        factors[item - 1] = p if take else 1.0 - p
-        if factors[item - 1] == 0.0:
-            return tuple(included), factors
-        if take:
-            included.append(item)
-        if item == n:
-            break
-        denom = raw if take else 1.0 - raw
-        if abs(denom) <= 1e-12:
-            raise SamplingError(
-                f"degenerate conditioning at item {item}: "
-                f"decision probability {denom!r} is ~ 0 (round-off path)")
-        update = np.outer(resid[1:, 0], resid[0, 1:]) / denom
-        resid = resid[1:, 1:] - update if take else resid[1:, 1:] + update
-    return tuple(included), factors
+    taken = np.zeros((count, n), dtype=bool)
+    factors = np.ones((count, n))
+    for lo in range(0, count, _WALK_ROWS):
+        hi = min(count, lo + _WALK_ROWS)
+        u = draws(lo, hi)
+        resid = np.broadcast_to(k.mat, (hi - lo, n, n))
+        alive = np.ones(hi - lo, dtype=bool)
+        for t in range(n):
+            raw = resid[:, 0, 0]
+            bad = alive & ~((raw >= -PROB_CLAMP) & (raw <= 1.0 + PROB_CLAMP))
+            if bad.any():
+                raise SamplingError(f"conditional inclusion probability {float(raw[bad][0])!r} "
+                                    "outside [0, 1]: kernel is not admissible")
+            p = np.where(raw < 0.0, 0.0, np.minimum(raw, 1.0))
+            take = u[:, t] < p
+            factors[lo:hi, t] = np.where(alive, np.where(take, p, 1.0 - p), 1.0)
+            alive &= factors[lo:hi, t] != 0.0
+            taken[lo:hi, t] = take & alive
+            if t == n - 1 or not alive.any():
+                break
+            denom = np.where(alive, np.where(take, raw, 1.0 - raw), 1.0)
+            small = np.abs(denom) <= 1e-12
+            if small.any():
+                raise SamplingError(
+                    f"degenerate conditioning at item {t + 1}: decision probability "
+                    f"{float(denom[small][0])!r} is ~ 0 (round-off path)")
+            update = resid[:, 1:, :1] * resid[:, :1, 1:] / denom[:, None, None]
+            update *= np.where(take, -1.0, 1.0)[:, None, None]   # R - U is R + (-U)
+            resid = np.add(update, resid[:, 1:, 1:], out=update)
+    return taken, factors
 
 
 def sample_sequential(k: SignedKernel, seed: int, index: int = 0) -> tuple[int, ...]:
     """One draw from the sequential conditional scheme (substream ``index``)."""
-    gen = rng.stream(seed, index)
-    subset, _ = _sequential_walk(k, lambda item, p: gen.random() < p)
-    return subset
+    taken, _ = _sequential_walk(k, 1, lambda lo, hi: rng.stream(seed, index).random((1, k.n)))
+    return tuple(int(i) + 1 for i in np.flatnonzero(taken[0]))
 
 
 def sample_sequential_batch(k: SignedKernel, count: int, seed: int) -> SampleBatch:
     """i.i.d. draws from the sequential scheme, one substream per index."""
     if count < 0:
         raise SamplingError(f"sample count must be nonnegative, got {count}")
-    streams = rng.Substreams(seed)
-    samples = []
-    for i in range(count):
-        gen = streams.generator(i)
-        subset, _ = _sequential_walk(k, lambda item, p: gen.random() < p)
-        samples.append(subset)
-    return SampleBatch(k.n, tuple(samples))
+    _require_mask_width(k.n)
+    taken, _ = _sequential_walk(
+        k, count, lambda lo, hi: rng.uniforms(seed, np.arange(lo, hi), k.n))
+    masks = np.bitwise_or.reduce(taken << np.arange(k.n, dtype=np.uint64), axis=1)
+    return SampleBatch(k.n, masks=masks)
 
 
 def sequential_path_probabilities(k: SignedKernel, j: Iterable[int]) -> np.ndarray:
@@ -147,9 +163,9 @@ def sequential_path_probabilities(k: SignedKernel, j: Iterable[int]) -> np.ndarr
     is the point mass of j.  Steps after a zero-probability decision are
     reported as 1 so the product is unaffected.
     """
-    target = set(normalize_subset(j, k.n))
-    subset, factors = _sequential_walk(k, lambda item, p: item in target)
-    return factors
+    path = np.full((1, k.n), 2.0)
+    path[0, [i - 1 for i in normalize_subset(j, k.n)]] = -1.0
+    return _sequential_walk(k, 1, lambda lo, hi: path)[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -157,31 +173,29 @@ def sequential_path_probabilities(k: SignedKernel, j: Iterable[int]) -> np.ndarr
 # single spaces; the empty set is "-"
 
 def format_samples(batch: SampleBatch) -> str:
-    lines = ["-" if not s else " ".join(str(i) for i in s) for s in batch.samples]
-    return "".join(line + "\n" for line in lines)
+    lines = _per_distinct_mask(batch.masks(), lambda m: " ".join(map(str, mask_to_subset(m))))
+    return "".join((line or "-") + "\n" for line in lines)
 
 
 def parse_samples(text: str, n_items: int) -> SampleBatch:
-    samples = []
+    seen = {"-": 0}   # the mask of each distinct stripped line
+    masks = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if stripped == "-":
-            samples.append(())
-            continue
-        if not stripped:
-            raise FormatError(f"samples line {lineno}: empty line")
-        try:
-            items = tuple(int(tok) for tok in stripped.split(" "))
-        except ValueError as exc:
-            raise FormatError(f"samples line {lineno}: {exc}") from exc
-        if any(not 1 <= i <= n_items for i in items):
-            raise FormatError(
-                f"samples line {lineno}: index out of range 1..{n_items}")
-        if any(a >= b for a, b in zip(items, items[1:])):
-            raise FormatError(
-                f"samples line {lineno}: indices must be strictly increasing")
-        samples.append(items)
-    return SampleBatch(n_items, tuple(samples))
+        if stripped not in seen:
+            if not stripped:
+                raise FormatError(f"samples line {lineno}: empty line")
+            try:
+                items = tuple(int(tok) for tok in stripped.split(" "))
+            except ValueError as exc:
+                raise FormatError(f"samples line {lineno}: {exc}") from exc
+            if any(not 1 <= i <= n_items for i in items):
+                raise FormatError(f"samples line {lineno}: index out of range 1..{n_items}")
+            if any(a >= b for a, b in zip(items, items[1:])):
+                raise FormatError(f"samples line {lineno}: indices must be strictly increasing")
+            seen[stripped] = subset_to_mask(items)
+        masks.append(seen[stripped])
+    return SampleBatch(n_items, masks=masks)
 
 
 def write_samples(path: str, batch: SampleBatch) -> None:

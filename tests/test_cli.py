@@ -5,6 +5,7 @@ import pytest
 
 from signed_dpp import kernel, moments, pma, sampler
 from signed_dpp.cli import main
+from signed_dpp.errors import AmbiguousSignWarning
 
 
 def test_gen_is_byte_identical(tmp_path):
@@ -164,6 +165,30 @@ def test_pma_solution_set_lists_kernel_json(tmp_path):
     members = pma.describe_solution_set(sol)
     assert len(listed) == len(members) == 1 << sol.null_dimension
     assert listed == [json.loads(kernel.kernel_to_json(m)) for m in members]
+
+
+def test_pma_solution_set_above_cap_writes_nothing(tmp_path, capsys):
+    k_path, s_path, e_path, h_path = (str(tmp_path / name) for name in
+                                      ("k.json", "s.txt", "e.json", "h.json"))
+    assert main(["gen", "--n", "6", "--lambda", "0.3", "--seed", "5", "--out", k_path]) == 0
+    assert main(["sample", "--kernel", k_path, "--count", "20000", "--seed", "3",
+                 "--out", s_path]) == 0
+    assert main(["estimate", "--samples", s_path, "--n", "6", "--out", e_path]) == 0
+    with pytest.warns(AmbiguousSignWarning):
+        assert main(["pma", "--minors", e_path, "--out", h_path, "--tol", "0.01",
+                     "--solution-set"]) == 2
+    assert "enumeration cap" in capsys.readouterr().err
+    assert not any(p.name.startswith("h.json") for p in tmp_path.iterdir())
+
+
+def test_batches_above_64_items_exit_two(tmp_path, capsys):
+    k_path, s_path, e_path = (str(tmp_path / name) for name in ("k.json", "s.txt", "e.json"))
+    (tmp_path / "s.txt").write_text("1 65\n")
+    assert main(["estimate", "--samples", s_path, "--n", "65", "--out", e_path]) == 2
+    assert main(["gen", "--n", "65", "--lambda", "0.3", "--seed", "1", "--out", k_path]) == 0
+    assert main(["sample", "--kernel", k_path, "--count", "10", "--seed", "1",
+                 "--method", "sequential", "--out", s_path]) == 2
+    assert capsys.readouterr().err.count("capped at 64") == 2
 
 
 def test_help_exits_zero():

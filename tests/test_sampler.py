@@ -3,7 +3,12 @@ import pytest
 
 from helpers import signed_matrix
 from signed_dpp import kernel, rng, sampler
-from signed_dpp.errors import CapabilityError, FormatError, InadmissibleKernelError
+from signed_dpp.errors import (
+    CapabilityError,
+    FormatError,
+    InadmissibleKernelError,
+    SamplingError,
+)
 
 
 def empirical_distribution(batch):
@@ -63,11 +68,94 @@ def test_parallel_batch_matches_sequential():
 
 
 def test_substreams_match_fresh_streams():
-    streams = rng.Substreams(123)
-    for i in (0, 1, 7, 1000):
+    indices = (0, 1, 7, 1000)
+    rows = rng.uniforms(123, indices, 4)
+    for i, got in zip(indices, rows):
         want = rng.stream(123, i).random(4)
-        got = streams.generator(i).random(4)
         assert np.array_equal(want, got)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 63, 2 ** 64 - 1, -1])
+def test_uniforms_match_streams_bit_for_bit(seed):
+    indices = np.concatenate([np.arange(40), [255, 256, 4097, 65_535, 99_999, 100_000]])
+    for d in (1, 4, 7, 16, 17):
+        rows = rng.uniforms(seed, indices, d)
+        assert rows.shape == (len(indices), d)
+        for i, got in zip(indices.tolist(), rows):
+            assert np.array_equal(got, rng.stream(seed, i).random(d))
+    assert rng.uniforms(seed, np.arange(0), 3).shape == (0, 3)
+
+
+def one_sample_walk(k, seed, index):
+    """The sequential sampler one sample at a time: one uniform of
+    stream(seed, index) per item and np.outer rank-1 updates."""
+    gen = rng.stream(seed, index)
+    resid = np.array(k.mat)
+    included = []
+    for item in range(1, k.n + 1):
+        raw = float(resid[0, 0])
+        take = gen.random() < min(max(raw, 0.0), 1.0)
+        if take:
+            included.append(item)
+        update = np.outer(resid[1:, 0], resid[0, 1:]) / (raw if take else 1.0 - raw)
+        resid = resid[1:, 1:] - update if take else resid[1:, 1:] + update
+    return tuple(included)
+
+
+@pytest.mark.parametrize("n", [7, 16])
+def test_batch_samplers_equal_their_singles(n):
+    k = kernel.generate_admissible(n, 0.3, 40 + n)
+    count = 600
+    cdf = np.cumsum(kernel.enumerate_pmf(k))
+    singles = [kernel.mask_to_subset(min(int(np.searchsorted(
+        cdf, rng.stream(5, i).random(), side="right")), len(cdf) - 1)) for i in range(count)]
+    assert sampler.sample_enumerate(k, count, 5).samples == tuple(singles)
+    batch = sampler.sample_sequential_batch(k, count, 5)
+    assert batch.samples == tuple(one_sample_walk(k, 5, i) for i in range(count))
+    assert batch.samples[-5:] == tuple(sampler.sample_sequential(k, 5, i)
+                                       for i in range(count - 5, count))
+    assert batch.masks().dtype == np.uint64 and not batch.masks().flags.writeable
+    assert batch == sampler.SampleBatch(n, batch.samples)
+
+
+def test_sequential_batch_rejects_inadmissible_kernels():
+    with pytest.raises(SamplingError, match="outside"):
+        sampler.sample_sequential_batch(kernel.SignedKernel(np.diag([1.5, 0.5])), 600, 0)
+    # Item 2 is out of range only after item 1 is left out (0.8 + 0.2 / 0.5).
+    k = kernel.SignedKernel(np.array([[0.5, 0.4], [0.5, 0.8]]))
+    with pytest.raises(SamplingError, match="outside"):
+        sampler.sample_sequential_batch(k, 600, 0)
+    outcomes = []
+    for i in range(16):
+        try:
+            outcomes.append(sampler.sample_sequential(k, 0, i))
+        except SamplingError:
+            outcomes.append(None)
+    assert None in outcomes and any(outcomes)
+
+
+def test_sequential_walk_raises_on_degenerate_conditioning():
+    # Leaving item 1 out when P[1] = 1 - 1e-13 conditions on a ~0 event.
+    k = kernel.SignedKernel(np.diag([1.0 - 1e-13, 0.5]))
+    with pytest.raises(SamplingError, match="degenerate conditioning at item 1"):
+        sampler.sequential_path_probabilities(k, (2,))
+    # The same through uniforms: only the second row of the block draws
+    # the improbable exclusion, and the whole batch raises.
+    draws = np.array([[0.5, 0.5], [1.0 - 1e-14, 0.5]])
+    with pytest.raises(SamplingError, match="degenerate conditioning"):
+        sampler._sequential_walk(k, 2, lambda lo, hi: draws[lo:hi])
+
+
+def test_batches_are_capped_at_64_items():
+    k = kernel.SignedKernel(np.eye(65) * 0.5)
+    with pytest.raises(CapabilityError):
+        sampler.sample_sequential_batch(k, 1, 0)
+    with pytest.raises(CapabilityError):
+        sampler.SampleBatch(65, [(1, 65)])
+    with pytest.raises(CapabilityError):
+        sampler.parse_samples("1 65\n", 65)
+    assert sampler.SampleBatch(64, [(1, 64)]).masks()[0] == np.uint64(1 | 1 << 63)
+    assert len(sampler.sample_sequential(k, 0)) <= 65
 
 
 def test_chain_rule_path_products_equal_pmf():
