@@ -1,9 +1,12 @@
-"""Linear algebra over the two-element field, on int bitsets.
+"""Linear algebra over the two-element field.
 
 Sign systems (products of +-1 unknowns equal to prescribed +-1 values)
 become linear systems here through the sign/bit dictionary +1 <-> 0,
--1 <-> 1, under which sign products turn into XOR sums.  Rows are stored
-as arbitrary-width Python ints, bit i = variable i.
+-1 <-> 1, under which sign products turn into XOR sums.  There is one
+elimination, on bit-packed rows that carry the right-hand side as one
+more column; ``solve_groups`` (rows as index arrays, span-filtered) and
+``gf2_solve`` (rows as Python ints, bit i = variable i) read the
+solution off its reduced rows.  Solutions hold their vectors as ints.
 """
 
 from __future__ import annotations
@@ -108,59 +111,44 @@ class GF2Solution:
 
 
 def gf2_solve(system: GF2System) -> GF2Solution | None:
-    """Reduced row echelon solve; None when the system is inconsistent.
-
-    Each row is reduced against the rows kept so far, which are keyed by
-    their lowest set bit; a row that reduces to zero is redundant and
-    only its right-hand side is checked.  Back-substitution from the
-    highest pivot down then gives the reduced row echelon form, which is
-    unique for the row space: the particular solution (free variables
-    zero) and the basis are canonical.  Basis vectors are emitted in
-    free-column order, each with a single 1 among the free columns.
-    """
+    """Reduced row echelon solve; None when a row without a pivot keeps
+    a right-hand side (the system is inconsistent).  The form is unique
+    for the row space, so the particular solution (free variables zero)
+    and the basis are canonical."""
     m = system.n_vars
-    pivots: dict[int, tuple[int, int]] = {}
-    for mask, rhs in system.rows:
-        mask &= (1 << m) - 1
-        while mask:
-            col = (mask & -mask).bit_length() - 1
-            if col not in pivots:
-                pivots[col] = (mask, rhs)
-                break
-            pivot_mask, pivot_rhs = pivots[col]
-            mask ^= pivot_mask
-            rhs ^= pivot_rhs
-        else:
-            if rhs:
-                return None
-    pivot_bits = sum(1 << col for col in pivots)
-    for col in sorted(pivots, reverse=True):
-        mask, rhs = pivots[col]
-        above = mask & pivot_bits & ~(1 << col)
-        while above:
-            low = above & -above
-            other_mask, other_rhs = pivots[low.bit_length() - 1]
-            mask ^= other_mask
-            rhs ^= other_rhs
-            above ^= low
-        pivots[col] = (mask, rhs)
+    width = m // 8 + 1
+    data = b"".join(((mask & ((1 << m) - 1)) | (rhs & 1) << m).to_bytes(width, "little")
+                    for mask, rhs in system.rows)
+    work = np.frombuffer(data, dtype=np.uint8).reshape(len(system.rows), width).copy()
+    chosen, cols = _eliminate(work, m)
+    rest = np.delete(work[:, m >> 3], chosen)
+    if np.any((rest >> (m & 7)) & 1):
+        return None
+    return _solution(m, cols, work[chosen])
 
-    particular = 0
-    for col, (_, rhs) in pivots.items():
-        if rhs:
-            particular |= 1 << col
 
-    free_cols = [c for c in range(m) if c not in pivots]
-    basis = []
-    for f in free_cols:
-        vec = 1 << f
-        for col, (mask, _) in pivots.items():
-            if (mask >> f) & 1:
-                vec ^= 1 << col
-        basis.append(vec)
-    return GF2Solution(n_vars=m, particular=particular,
-                       null_basis=tuple(basis), free_cols=tuple(free_cols),
-                       rank=len(pivots))
+def _null_space(n_vars: int, cols: np.ndarray, reduced: np.ndarray):
+    """Free columns and (n_vars, nullity) null basis of packed reduced
+    rows: vector t is free column t plus every pivot whose row has it set."""
+    bits = np.unpackbits(reduced, axis=1, count=n_vars, bitorder="little").astype(bool)
+    free = np.setdiff1d(np.arange(n_vars), cols)
+    null = np.zeros((n_vars, free.size), dtype=bool)
+    null[free, np.arange(free.size)] = True
+    null[cols] = bits[:, free]
+    return free, null
+
+
+def _solution(n_vars: int, cols: np.ndarray, reduced: np.ndarray) -> GF2Solution:
+    """Solution of packed reduced pivot rows whose right-hand side is
+    column n_vars: each pivot variable takes its row's right-hand side."""
+    free, null = _null_space(n_vars, cols, reduced)
+    vectors = np.zeros((1 + free.size, n_vars), dtype=bool)   # particular, then the basis
+    vectors[0, cols] = (reduced[:, n_vars >> 3] >> (n_vars & 7)) & 1
+    vectors[1:] = null.T
+    ints = [int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(vectors, axis=1, bitorder="little")]
+    return GF2Solution(n_vars=n_vars, particular=ints[0], null_basis=tuple(ints[1:]),
+                       free_cols=tuple(free.tolist()), rank=len(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +164,11 @@ def parities(supports: np.ndarray, assignment: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eliminate(rows: np.ndarray):
-    """Column-by-column reduction of (m, n_vars) bool rows, bit-packed.
-
-    Returns the indices of the rows chosen as pivots (a basis of the row
-    space), their pivot columns, and the reduced pivot rows (the RREF).
-    """
-    n_vars = rows.shape[1]
-    work = np.packbits(rows, axis=1, bitorder="little")
+def _eliminate(work: np.ndarray, n_vars: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jordan on the first n_vars columns of (m, bytes) uint8 rows,
+    in place; column c is bit c & 7 of byte c >> 3, and later columns (a
+    right-hand side) ride along.  Returns the pivot rows and columns: the
+    pivot rows end in reduced row echelon form, the rest end zero."""
     unused = np.ones(len(work), dtype=bool)
     chosen, cols = [], []
     for col in range(n_vars):
@@ -196,38 +181,54 @@ def _eliminate(rows: np.ndarray):
         work[hit] ^= work[p]
         chosen.append(p)
         cols.append(col)
-    reduced = np.unpackbits(work[chosen], axis=1, count=n_vars, bitorder="little")
-    return np.array(chosen, dtype=np.intp), np.array(cols, dtype=np.intp), reduced.astype(bool)
+    return np.array(chosen, dtype=np.intp), np.array(cols, dtype=np.intp)
 
 
-def spanning_rows(groups: Sequence[np.ndarray], n_vars: int) -> list[np.ndarray]:
-    """Indices, per group, of rows that together form a basis of the row
-    space of all groups.
+def _span_basis(groups: Sequence[np.ndarray], rhs: Sequence[np.ndarray], n_vars: int):
+    """Basis of the row space of all groups, found in order, in chunks.
 
     Each group is an (m, w) array of distinct variable indices, one XOR
-    row per line.  Rows are taken in order, in chunks: a row whose parity
+    row per line, with right-hand sides ``rhs``.  A row whose parity
     against every vector of the current null space is 0 already lies in
     the span and is dropped without elimination; the rest are eliminated
-    together with the basis so far.
+    together with the basis so far.  Returns the (group, row) of each
+    basis row, the pivot columns and the packed reduced rows.
     """
-    basis = np.zeros((0, n_vars), dtype=bool)
-    owner = np.zeros((0, 2), dtype=np.intp)  # (group, row) of each basis row
-    null = np.eye(n_vars, dtype=bool)        # column s is null vector s
-    for g, supports in enumerate(groups):
+    basis = np.zeros((0, n_vars + 1), dtype=bool)   # original rows, rhs last
+    owner = np.zeros((0, 2), dtype=np.intp)          # (group, row) of each basis row
+    null = np.eye(n_vars, dtype=bool)                # column s is null vector s
+    cols = np.zeros(0, dtype=np.intp)
+    reduced = np.zeros((0, n_vars // 8 + 1), dtype=np.uint8)
+    for g, (supports, bits) in enumerate(zip(groups, rhs)):
         for lo in range(0, len(supports), SPAN_CHUNK):
             chunk = np.asarray(supports[lo:lo + SPAN_CHUNK], dtype=np.intp)
             fresh = np.flatnonzero(parities(chunk, null).any(axis=1))
             if fresh.size == 0:
                 continue
-            new = np.zeros((fresh.size, n_vars), dtype=bool)
+            new = np.zeros((fresh.size, n_vars + 1), dtype=bool)
             for col in chunk[fresh].T:
                 new[np.arange(fresh.size), col] = True
+            new[:, n_vars] = np.asarray(bits[lo:lo + SPAN_CHUNK], dtype=bool)[fresh]
             rows = np.concatenate([basis, new])
             owner = np.concatenate([owner, np.stack([np.full(fresh.size, g), lo + fresh], axis=1)])
-            chosen, cols, reduced = _eliminate(rows)
-            basis, owner = rows[chosen], owner[chosen]
-            free = np.setdiff1d(np.arange(n_vars), cols)
-            null = np.zeros((n_vars, free.size), dtype=bool)
-            null[free, np.arange(free.size)] = True
-            null[cols] = reduced[:, free]
+            work = np.packbits(rows, axis=1, bitorder="little")
+            chosen, cols = _eliminate(work, n_vars)
+            basis, owner, reduced = rows[chosen], owner[chosen], work[chosen]
+            _, null = _null_space(n_vars, cols, reduced)
+    return owner, cols, reduced
+
+
+def spanning_rows(groups: Sequence[np.ndarray], n_vars: int) -> list[np.ndarray]:
+    """Indices, per group, of rows that together form a basis of the row
+    space of all groups (see ``_span_basis``)."""
+    owner, _, _ = _span_basis(groups, [np.zeros(len(g), dtype=bool) for g in groups], n_vars)
     return [np.sort(owner[owner[:, 0] == g, 1]) for g in range(len(groups))]
+
+
+def solve_groups(groups: Sequence[np.ndarray], rhs: Sequence[np.ndarray],
+                 n_vars: int) -> GF2Solution:
+    """Solution of the rows ``spanning_rows`` keeps, with right-hand sides
+    ``rhs`` (a bool array per group) carried through the same elimination.
+    Dropped rows are not checked: check every row with ``parities``."""
+    _, cols, reduced = _span_basis(groups, rhs, n_vars)
+    return _solution(n_vars, cols, reduced)

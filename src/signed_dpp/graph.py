@@ -269,10 +269,11 @@ def det_from_cycle_data(k: SignedKernel, j: Iterable[int]) -> float:
 # ---------------------------------------------------------------------------
 # minor-list equivalence
 
-def _minor_close(a: float, b: float, tol: float = MINOR_MATCH_TOL) -> bool:
-    if abs(b) > tol:
-        return abs(a - b) <= tol * abs(b)
-    return abs(a - b) <= tol
+def _minor_close(a, b, tol: float = MINOR_MATCH_TOL):
+    """Relative closeness where |b| > tol, absolute elsewhere (where the
+    relative test is the stricter one); elementwise on arrays."""
+    err = abs(a - b)
+    return (err <= tol * abs(b)) | ((abs(b) <= tol) & (err <= tol))
 
 
 def pma_equivalent(h: SignedKernel, k: SignedKernel) -> bool:
@@ -282,8 +283,8 @@ def pma_equivalent(h: SignedKernel, k: SignedKernel) -> bool:
     if h.n > MINOR_MATCH_LIMIT:
         raise CapabilityError(
             f"exhaustive minor comparison capped at N={MINOR_MATCH_LIMIT}, got {h.n}")
-    mh = dict(exact_minors(h, "all").items())
-    return all(_minor_close(mh[j], v) for j, v in exact_minors(k, "all").items())
+    return all(_minor_close(a, b).all() for (_, a), (_, b)
+               in zip(exact_minors(h, "all").arrays(), exact_minors(k, "all").arrays()))
 
 
 def pma_equivalent_structural(h: SignedKernel, k: SignedKernel) -> bool:

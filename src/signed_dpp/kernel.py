@@ -14,6 +14,7 @@ subset {i : bit i-1 of m set}; mask order is colexicographic order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -92,10 +93,50 @@ def subsets_colex(n: int, orders: Iterable[int]) -> list[tuple[int, ...]]:
 
 
 def index_combinations(n: int, t: int) -> np.ndarray:
-    """(C(n, t), t) array of the t-subsets of {0..n-1}, in lexicographic order."""
-    count = math.comb(n, t)
-    flat = itertools.chain.from_iterable(itertools.combinations(range(n), t))
-    return np.fromiter(flat, dtype=np.intp, count=count * t).reshape(count, t)
+    """(C(n, t), t) array of the t-subsets of {0..n-1}, in lexicographic
+    order; column k extends each row by every larger item that leaves
+    room for the columns after it."""
+    if t > n:
+        return np.zeros((0, t), dtype=np.intp)
+    rows = np.arange(n - t + 1)[:, None] if t else np.zeros((1, 0), dtype=np.intp)
+    for k in range(1, t):
+        start = rows[:, -1] + 1
+        counts = n - t + k + 1 - start
+        ends = np.cumsum(counts)
+        items = np.arange(ends[-1]) - np.repeat(ends - counts - start, counts)
+        rows = np.concatenate([np.repeat(rows, counts, axis=0), items[:, None]], axis=1)
+    return rows
+
+
+@functools.lru_cache(maxsize=64)
+def _binomials(n: int, t: int) -> np.ndarray:
+    """Read-only (n, t) table of C(c, i + 1), capped at C(n, t); the cap
+    only touches terms that no t-subset of {0..n-1} reaches."""
+    cap = math.comb(n, t)
+    table = np.array([[min(math.comb(c, i), cap) for i in range(1, t + 1)] for c in range(n)],
+                     dtype=np.int64).reshape(n, t)
+    table.flags.writeable = False
+    return table
+
+
+def colex_rank(subsets: np.ndarray, n: int) -> np.ndarray:
+    """Rank sum_i C(c_i, i) of each row c_1 < ... < c_t of an (m, t) array
+    of sorted 0-based subsets of {0..n-1}: its position among the
+    t-subsets in colexicographic (bitmask) order.  Needs C(n, t) < 2^63."""
+    idx = np.asarray(subsets, dtype=np.intp)
+    return _binomials(n, idx.shape[1])[idx, np.arange(idx.shape[1])].sum(axis=1)
+
+
+def colex_unrank(ranks: np.ndarray, n: int, t: int) -> np.ndarray:
+    """The (m, t) sorted 0-based t-subsets of {0..n-1} with the given
+    ``colex_rank``s: greedily, c_i is the largest c with C(c, i) <= rank."""
+    table = _binomials(n, t)
+    rest = np.asarray(ranks, dtype=np.int64)
+    out = np.empty((len(rest), t), dtype=np.intp)
+    for i in range(t - 1, -1, -1):
+        out[:, i] = np.searchsorted(table[:, i], rest, side="right") - 1
+        rest = rest - table[out[:, i], i]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -218,22 +259,17 @@ def principal_minor(k: SignedKernel, j: Iterable[int]) -> float:
     return numerics.det(k.submatrix(normalize_subset(j, k.n)))
 
 
-def principal_minors(mat: np.ndarray, subsets: Sequence[Sequence[int]]) -> np.ndarray:
-    """det(mat_J) for every sorted 1-based subset J, in the given order.
-
-    Subsets of one order are gathered into a single fancy-indexed stack
-    and handed to ``numerics.batched_det``; the empty subset yields 1.
-    """
-    out = np.empty(len(subsets))
-    sizes = np.fromiter(map(len, subsets), dtype=np.intp, count=len(subsets))
-    for m in np.unique(sizes).tolist():
-        positions = np.flatnonzero(sizes == m)
-        flat = itertools.chain.from_iterable(subsets[p] for p in positions)
-        idx = np.fromiter(flat, dtype=np.intp, count=positions.size * m).reshape(positions.size, m) - 1
-        if idx.size and (idx.min() < 0 or idx.max() >= mat.shape[0]):
-            raise DimensionError(f"subset index out of range 1..{mat.shape[0]}")
-        out[positions] = numerics.batched_det(mat[idx[:, :, None], idx[:, None, :]])
-    return out
+def principal_minors(mat: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """det(mat_J) for each row J of an (m, t) array of sorted 1-based
+    subsets, in row order, as one ``numerics.batched_det`` call; t = 0
+    yields ones."""
+    idx = np.asarray(subsets, dtype=np.intp)
+    if idx.ndim != 2:
+        raise DimensionError(f"expected an (m, t) array of subsets, got shape {idx.shape}")
+    idx = idx - 1
+    if idx.size and (idx.min() < 0 or idx.max() >= mat.shape[0]):
+        raise DimensionError(f"subset index out of range 1..{mat.shape[0]}")
+    return numerics.batched_det(mat[idx[:, :, None], idx[:, None, :]])
 
 
 def _shifted_stack(mat: np.ndarray, masks: np.ndarray) -> np.ndarray:

@@ -4,15 +4,17 @@ The inclusion probability of a subset J equals the minor det(K_J), so
 its empirical counterpart is the fraction of observed samples containing
 J.  The dense reconstruction pipeline only ever needs orders 1..4.
 
-MinorList doubles as the query-instrumented interface handed to the
-solver: every lookup is recorded, so tests can assert how much of the
-list an algorithm actually reads.
+MinorList holds each order as arrays indexed by the colex rank of a
+subset, and the builders here fill whole orders at once.  It doubles as
+the query-instrumented interface handed to the solver: every read is
+recorded, so tests can assert how much of the list an algorithm reads.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
+from collections.abc import Set
 from typing import Iterable
 
 import numpy as np
@@ -21,96 +23,185 @@ from .errors import CapabilityError, DimensionError, FormatError, MissingMinorEr
 from .kernel import (
     ENUMERATION_LIMIT,
     SignedKernel,
-    colex_key,
+    colex_rank,
+    colex_unrank,
+    index_combinations,
     normalize_subset,
     principal_minors,
     subset_to_mask,
-    subsets_colex,
 )
 from .sampler import SampleBatch
 
 # Default threshold below which estimated quantities are considered
 # too noisy to carry a sign decision.
 DEFAULT_TOLERANCE = 0.01
+ORDER_LIMIT = 1 << 24    # subsets per order a MinorList holds; larger orders are refused
 _COUNT_CELLS = 1 << 16   # subset-by-distinct-sample cells compared at once
 
 
 class MinorList:
     """Map from nonempty subsets of {1..n} to principal-minor values.
 
-    Entries are keyed by sorted 1-based index tuples and serialized in
-    colexicographic order.  Reads through get() are recorded in
-    ``queried`` for query-complexity instrumentation.
+    Order t is three arrays indexed by ``kernel.colex_rank``: values, a
+    presence mask and a read mask (the reads of get() and get_many(), seen
+    through ``queried``).  An order is allocated on its first write, and
+    one of more than ORDER_LIMIT subsets raises CapabilityError.  Keys are
+    sorted 1-based tuples, listed in colex (bitmask) order.
     """
 
     def __init__(self, n: int, entries: dict | None = None):
         if n < 1:
             raise DimensionError(f"ground-set size must be positive, got {n}")
         self.n = int(n)
-        self._entries: dict[tuple[int, ...], float] = {}
-        self.queried: set[tuple[int, ...]] = set()
+        self._orders: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         for j, v in (entries or {}).items():
             self.put(j, v)
 
-    def put(self, j: Iterable[int], value: float) -> None:
+    def _order(self, t: int):
+        """(values, present, read) of order t, allocated on first use."""
+        if t not in self._orders:
+            size = math.comb(self.n, t)
+            if size > ORDER_LIMIT:
+                raise CapabilityError(
+                    f"order {t} of N={self.n} has {size} subsets, above the "
+                    f"{ORDER_LIMIT} a minor list holds per order")
+            self._orders[t] = (np.zeros(size), np.zeros(size, dtype=bool),
+                               np.zeros(size, dtype=bool))
+        return self._orders[t]
+
+    def _checked(self, subsets) -> np.ndarray:
+        """Sorted 0-based rows of an (m, t) array of 1-based subsets; the
+        first invalid row is rejected as ``normalize_subset`` rejects it."""
+        idx = np.asarray(subsets, dtype=np.int64)
+        if idx.ndim != 2 or idx.shape[1] == 0:
+            raise DimensionError(f"expected an (m, t) array of subsets, t >= 1, got shape {idx.shape}")
+        idx = np.sort(idx, axis=1) - 1
+        bad = (idx[:, 0] < 0) | (idx[:, -1] >= self.n) | np.any(np.diff(idx) == 0, axis=1)
+        if bad.any():
+            normalize_subset(np.asarray(subsets)[np.argmax(bad)].tolist(), self.n)
+        return idx
+
+    def _write(self, subsets, values) -> None:
+        """Bulk ``put``: store the values of an (m, t) array of 1-based subsets."""
+        idx = self._checked(subsets)
+        values = np.asarray(values, dtype=float).reshape(len(idx))
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise DimensionError(f"minor for {tuple((idx[bad[0]] + 1).tolist())} must be finite, "
+                                 f"got {values[bad[0]]}")
+        stored, present, _ = self._order(idx.shape[1])
+        ranks = colex_rank(idx, self.n)
+        stored[ranks] = values
+        present[ranks] = True
+
+    def _has(self, j, which: int) -> bool:
+        """Whether subset j is set in its order's mask ``which`` (1 present, 2 read)."""
         key = normalize_subset(j, self.n, allow_empty=False)
-        value = float(value)
-        if not np.isfinite(value):
-            raise DimensionError(f"minor for {key} must be finite, got {value}")
-        self._entries[key] = value
+        arrays = self._orders.get(len(key))
+        return arrays is not None and bool(arrays[which][colex_rank(np.array([key]) - 1, self.n)[0]])
+
+    def _count(self, which: int) -> int:
+        return sum(np.count_nonzero(arrays[which]) for arrays in self._orders.values())
+
+    def _rows(self, which: int):
+        """Per order, increasing: the (m, t) 1-based subsets set in mask
+        ``which``, in colex order, and their values."""
+        for t in sorted(self._orders):
+            ranks = np.flatnonzero(self._orders[t][which])
+            yield colex_unrank(ranks, self.n, t) + 1, self._orders[t][0][ranks]
+
+    def put(self, j: Iterable[int], value: float) -> None:
+        self._write([normalize_subset(j, self.n, allow_empty=False)], [float(value)])
 
     def get(self, j: Iterable[int]) -> float:
-        key = normalize_subset(j, self.n, allow_empty=False)
-        if key not in self._entries:
-            raise MissingMinorError(f"minor for subset {key} not in the list")
-        self.queried.add(key)
-        return self._entries[key]
+        return float(self.get_many([normalize_subset(j, self.n, allow_empty=False)])[0])
 
     def get_many(self, subsets) -> np.ndarray:
         """Bulk ``get``: the minors of an (m, t) array of 1-based subsets.
 
-        Every row is normalized like a key of ``get``.  Reads are recorded
-        in ``queried`` in row order; the first missing subset raises
-        MissingMinorError after the rows before it have been recorded.
+        Every row is normalized like a key of ``get``.  The first missing
+        subset raises MissingMinorError after the rows before it have been
+        recorded as read.
         """
-        idx = np.asarray(subsets, dtype=np.int64)
-        if idx.ndim != 2 or idx.shape[1] == 0:
-            raise DimensionError(f"expected an (m, t) array of subsets, t >= 1, got shape {idx.shape}")
-        idx = np.sort(idx, axis=1)
-        if idx.size and (idx.min() < 1 or idx.max() > self.n or np.any(np.diff(idx) == 0)):
-            raise DimensionError(f"subsets must hold distinct indices in 1..{self.n}")
-        keys = list(map(tuple, idx.tolist()))
-        entries = self._entries
-        try:
-            values = [entries[key] for key in keys]
-        except KeyError:
-            first = next(t for t, key in enumerate(keys) if key not in entries)
-            self.queried.update(keys[:first])
-            raise MissingMinorError(f"minor for subset {keys[first]} not in the list") from None
-        self.queried.update(keys)
-        return np.array(values)
+        idx = self._checked(subsets)
+        if len(idx) == 0:
+            return np.empty(0)
+        if idx.shape[1] not in self._orders:
+            raise MissingMinorError(f"minor for subset {tuple((idx[0] + 1).tolist())} not in the list")
+        values, present, read = self._orders[idx.shape[1]]
+        ranks = colex_rank(idx, self.n)
+        missing = np.flatnonzero(~present[ranks])
+        if missing.size:
+            read[ranks[:missing[0]]] = True
+            raise MissingMinorError(f"minor for subset {tuple((idx[missing[0]] + 1).tolist())} not in the list")
+        read[ranks] = True
+        return values[ranks]
+
+    @property
+    def queried(self) -> "QueriedSubsets":
+        """The subsets read so far, as a live set-like view."""
+        return QueriedSubsets(self)
 
     def reset_queries(self) -> None:
-        self.queried = set()
+        for _, _, read in self._orders.values():
+            read[:] = False
 
     def __contains__(self, j) -> bool:
-        return normalize_subset(j, self.n, allow_empty=False) in self._entries
+        return self._has(j, 1)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._count(1)
+
+    def arrays(self):
+        """Per order, increasing: the (m, t) array of present 1-based
+        subsets in colex order and their values.  Reads are not recorded."""
+        return self._rows(1)
+
+    def _colex(self) -> tuple[list[tuple[int, ...]], np.ndarray]:
+        """Every present subset and its value, in colexicographic order:
+        the orders merged by sorting their reversed, zero-padded rows."""
+        parts = list(self.arrays())
+        if not parts:
+            return [], np.empty(0)
+        width = max(idx.shape[1] for idx, _ in parts)
+        flipped = np.concatenate([np.pad(idx[:, ::-1], ((0, 0), (0, width - idx.shape[1])))
+                                  for idx, _ in parts])
+        order = np.lexsort(flipped.T[::-1]).tolist()
+        keys = [tuple(row) for idx, _ in parts for row in idx.tolist()]
+        return [keys[t] for t in order], np.concatenate([v for _, v in parts])[order]
 
     def subsets(self) -> list[tuple[int, ...]]:
-        """Keys in colexicographic order."""
-        return sorted(self._entries, key=colex_key)
+        """Present subsets in colexicographic order."""
+        return self._colex()[0]
 
-    def items(self):
-        """(subset, minor) pairs in insertion order; ``subsets()`` gives
-        colexicographic order."""
-        return self._entries.items()
+    def items(self) -> list[tuple[tuple[int, ...], float]]:
+        """(subset, minor) pairs in colexicographic order, as ``subsets()``."""
+        keys, values = self._colex()
+        return list(zip(keys, values.tolist()))
 
     def has_all_orders(self, max_order: int) -> bool:
-        return all(s in self._entries
-                   for s in subsets_colex(self.n, range(1, max_order + 1)))
+        return all(t in self._orders and self._orders[t][1].all()
+                   for t in range(1, min(max_order, self.n) + 1))
+
+
+class QueriedSubsets(Set):
+    """Live view of a MinorList's read masks as a set of subset tuples."""
+
+    def __init__(self, minors: MinorList):
+        self._minors = minors
+
+    def __len__(self) -> int:
+        return self._minors._count(2)
+
+    def __contains__(self, j) -> bool:
+        try:
+            return self._minors._has(j, 2)
+        except (DimensionError, TypeError):
+            return False
+
+    def __iter__(self):
+        for idx, _ in self._minors._rows(2):
+            yield from map(tuple, idx.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -135,13 +226,18 @@ def estimate_minor(batch: SampleBatch, j: Iterable[int]) -> float:
 
 
 def estimate_required_minors(batch: SampleBatch, max_order: int) -> MinorList:
-    """Empirical minors for every subset of size 1..max_order."""
+    """Empirical minors for every subset of size 1..max_order, counted in
+    one pass over the distinct sample masks."""
     if max_order not in (1, 2, 3, 4):
         raise DimensionError(f"max_order must be in 1..4, got {max_order}")
-    keys = subsets_colex(batch.n_items, range(1, max_order + 1))
-    jm = np.fromiter(map(subset_to_mask, keys), dtype=np.uint64, count=len(keys))
-    out = MinorList(batch.n_items)
-    out._entries = dict(zip(keys, (_containment_counts(batch, jm) / len(batch)).tolist()))
+    n = batch.n_items
+    orders = [index_combinations(n, t) for t in range(1, min(max_order, n) + 1)]
+    jm = np.concatenate([np.bitwise_or.reduce(np.uint64(1) << idx.astype(np.uint64), axis=1)
+                         for idx in orders])
+    freq = _containment_counts(batch, jm) / len(batch)
+    out = MinorList(n)
+    for idx, values in zip(orders, np.split(freq, np.cumsum([len(idx) for idx in orders])[:-1])):
+        out._write(idx + 1, values)
     return out
 
 
@@ -160,13 +256,10 @@ def exact_minors(k: SignedKernel, max_order: int | str = "all") -> MinorList:
         top = int(max_order)
         if not 1 <= top <= n:
             raise DimensionError(f"max_order must be in 1..{n}, got {max_order}")
-    keys = [j for m in range(1, top + 1)
-            for j in itertools.combinations(range(1, n + 1), m)]
-    values = principal_minors(k.mat, keys)
-    if not np.all(np.isfinite(values)):
-        raise DimensionError("principal minors must be finite")
     out = MinorList(n)
-    out._entries = dict(zip(keys, values.tolist()))
+    for t in range(1, top + 1):
+        idx = index_combinations(n, t) + 1
+        out._write(idx, principal_minors(k.mat, idx))
     return out
 
 
@@ -174,7 +267,8 @@ def exact_minors(k: SignedKernel, max_order: int | str = "all") -> MinorList:
 # JSON round trip ({"n": N, "minors": {"1,2": value, ...}})
 
 def minors_to_json(minors: MinorList) -> str:
-    payload = {",".join(str(i) for i in j): minors._entries[j] for j in minors.subsets()}
+    keys, values = minors._colex()
+    payload = {",".join(map(str, j)): v for j, v in zip(keys, values.tolist())}
     return json.dumps({"n": minors.n, "minors": payload})
 
 
@@ -190,18 +284,23 @@ def minors_from_json(text: str) -> MinorList:
         raise FormatError(f"minors JSON: n must be a positive integer, got {n!r}")
     if not isinstance(entries, dict):
         raise FormatError("minors JSON: minors must be an object")
-    out = MinorList(n)
+    by_order: dict[int, tuple[list, list]] = {}
     for key, value in entries.items():
         try:
-            subset = tuple(int(tok) for tok in key.split(","))
+            subset = [int(tok) for tok in key.split(",")]
         except ValueError as exc:
             raise FormatError(f"minors JSON: bad subset key {key!r}") from exc
         if not isinstance(value, (int, float)):
             raise FormatError(f"minors JSON: value for {key!r} is not a number")
-        try:
-            out.put(subset, float(value))
-        except DimensionError as exc:
-            raise FormatError(f"minors JSON: {exc}") from exc
+        rows, values = by_order.setdefault(len(subset), ([], []))
+        rows.append(subset)
+        values.append(float(value))
+    out = MinorList(n)
+    try:
+        for rows, values in by_order.values():
+            out._write(rows, values)
+    except DimensionError as exc:
+        raise FormatError(f"minors JSON: {exc}") from exc
     return out
 
 

@@ -23,12 +23,13 @@ the GF(2) solve; there is no one-item entry point.
 4. The GF(2) system.  Each decision is one XOR row over the
    upper-triangle entry signs, held as an index array of its 3 or 4
    variables.  Rows already in the span of earlier rows (zero parity
-   against the current null space) are filtered out, so ``gf2_solve``
-   only sees rows that raise the rank.  Its particular solution is then
-   checked against every row in one vectorised parity test; a violated
-   row means the minors are inconsistent.  The reduced row echelon form
-   of a row space is unique, so the particular solution and the
-   null-space basis are those of the full system.
+   against the current null space) are filtered out, so the one packed
+   elimination (``gf2.solve_groups``) only sees rows that raise the
+   rank.  Its particular solution is then checked against every row in
+   one vectorised parity test; a violated row means the minors are
+   inconsistent.  The reduced row echelon form of a row space is
+   unique, so the particular solution and the null-space basis are
+   those of the full system.
 """
 
 from __future__ import annotations
@@ -298,14 +299,6 @@ def _four_cycle_rows(skel: Skeleton, quad: np.ndarray, cycle: np.ndarray,
     return support, rhs
 
 
-def _system(n_vars: int, groups) -> gf2.GF2System:
-    system = gf2.GF2System(n_vars)
-    for support, rhs in groups:
-        for row, bit in zip(support.tolist(), rhs.tolist()):
-            system.add_row(row, int(bit))
-    return system
-
-
 # ---------------------------------------------------------------------------
 # end to end
 
@@ -363,11 +356,10 @@ def solve_pma(minors: MinorList, sign_tol: float = SIGN_TOL,
     groups = [_triangle_rows(skel, tri[used], ~(pi3[used] > 0)),
               _four_cycle_rows(skel, quad[rows], cycle, negative[rows, cycle])]
     n_vars = n * (n - 1) // 2
-    keep = gf2.spanning_rows([support for support, _ in groups], n_vars)
     # independent rows are always consistent; a dropped row that
     # contradicts them shows up as a parity violation
-    solution = gf2.gf2_solve(_system(n_vars, [
-        (support[idx], rhs[idx]) for (support, rhs), idx in zip(groups, keep)]))
+    solution = gf2.solve_groups([support for support, _ in groups],
+                                [rhs for _, rhs in groups], n_vars)
     x = np.array(gf2.bits_of(solution.particular, n_vars), dtype=bool)
     if any(np.any(gf2.parities(support, x) != rhs) for support, rhs in groups):
         raise InconsistentMinorsError(
@@ -440,18 +432,21 @@ def verify(h: SignedKernel, minors: MinorList, tol: float = 1e-9) -> VerifyRepor
         return VerifyReport(passed=True, checked=0, max_abs_error=0.0,
                             worst_subset=None, failures=(),
                             warning="empty minor list: vacuous pass")
-    subsets, want = zip(*minors.items())
-    want = np.array(want)
-    got = principal_minors(h.mat, subsets)
-    err = np.abs(got - want)
-    worst = err[np.argmax(err)]
-    ok = np.where(np.abs(want) > tol, err <= tol * np.abs(want), err <= tol)
-    failures = sorted(((subsets[t], float(got[t]), float(want[t])) for t in np.flatnonzero(~ok)),
-                      key=lambda f: colex_key(f[0]))
-    return VerifyReport(passed=not failures, checked=len(minors),
-                        max_abs_error=float(worst),
-                        worst_subset=min((subsets[t] for t in np.flatnonzero(err == worst)),
-                                         key=colex_key) if worst > 0 else None,
+    failures, worst, ties = [], 0.0, []
+    for subsets, want in minors.arrays():
+        got = principal_minors(h.mat, subsets)
+        err = np.abs(got - want)
+        ok = np.where(np.abs(want) > tol, err <= tol * np.abs(want), err <= tol)
+        failures += [(tuple(subsets[t].tolist()), float(got[t]), float(want[t]))
+                     for t in np.flatnonzero(~ok)]
+        top = float(err.max(initial=0.0))
+        if top > worst:
+            worst, ties = top, []
+        if top == worst > 0:
+            ties += [tuple(subsets[t].tolist()) for t in np.flatnonzero(err == worst)]
+    failures.sort(key=lambda f: colex_key(f[0]))
+    return VerifyReport(passed=not failures, checked=len(minors), max_abs_error=worst,
+                        worst_subset=min(ties, key=colex_key) if ties else None,
                         failures=tuple(failures))
 
 

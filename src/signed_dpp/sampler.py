@@ -173,8 +173,16 @@ def sequential_path_probabilities(k: SignedKernel, j: Iterable[int]) -> np.ndarr
 # single spaces; the empty set is "-"
 
 def format_samples(batch: SampleBatch) -> str:
-    lines = _per_distinct_mask(batch.masks(), lambda m: " ".join(map(str, mask_to_subset(m))))
-    return "".join((line or "-") + "\n" for line in lines)
+    """The samples text, built per distinct mask from a table of the
+    items (each followed by a space) of every value of each mask byte."""
+    distinct, inverse = np.unique(batch.masks(), return_inverse=True)
+    octets = distinct.astype("<u8").view(np.uint8).reshape(-1, 8)
+    lines = np.full(len(distinct), "", dtype=object)
+    for k in range(-(-batch.n_items // 8)):
+        table = ["".join(f"{8 * k + b + 1} " for b in range(8) if v >> b & 1) for v in range(256)]
+        lines = lines + np.array(table, dtype=object)[octets[:, k]]
+    text = np.array([line[:-1] + "\n" if line else "-\n" for line in lines.tolist()], dtype=object)
+    return "".join(text[inverse].tolist())
 
 
 def parse_samples(text: str, n_items: int) -> SampleBatch:

@@ -64,6 +64,16 @@ def test_verify_failure_exits_two(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_refuses_an_oversized_minor_order(tmp_path, capsys):
+    # C(200, 4) subsets exceed what a minor list holds per order
+    k_path, m_path = str(tmp_path / "k.json"), str(tmp_path / "m.json")
+    kernel.write_kernel(k_path, kernel.SignedKernel(np.eye(200) * 0.5))
+    with open(m_path, "w") as fh:
+        json.dump({"n": 200, "minors": {"1": 0.5, "1,2,3,4": 0.0625}}, fh)
+    assert main(["verify", "--kernel", k_path, "--minors", m_path]) == 2
+    assert "order 4 of N=200" in capsys.readouterr().err
+
+
 def test_sample_identity_kernel(tmp_path):
     k_path = str(tmp_path / "k.json")
     s_path = str(tmp_path / "s.txt")

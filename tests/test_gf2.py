@@ -195,3 +195,83 @@ def test_parities_match_row_checks():
         system = gf2.GF2System(30)
         system.add_row(row, int(parity))
         assert system.satisfied_by(bits)
+
+
+def _reference_solve(system):
+    """The former Python-int elimination: rows keyed by lowest set bit,
+    then back-substitution from the highest pivot down."""
+    m = system.n_vars
+    pivots = {}
+    for mask, rhs in system.rows:
+        mask &= (1 << m) - 1
+        while mask:
+            col = (mask & -mask).bit_length() - 1
+            if col not in pivots:
+                pivots[col] = (mask, rhs)
+                break
+            mask ^= pivots[col][0]
+            rhs ^= pivots[col][1]
+        else:
+            if rhs:
+                return None
+    pivot_bits = sum(1 << col for col in pivots)
+    for col in sorted(pivots, reverse=True):
+        mask, rhs = pivots[col]
+        above = mask & pivot_bits & ~(1 << col)
+        while above:
+            low = above & -above
+            mask ^= pivots[low.bit_length() - 1][0]
+            rhs ^= pivots[low.bit_length() - 1][1]
+            above ^= low
+        pivots[col] = (mask, rhs)
+    particular = sum(1 << col for col, (_, rhs) in pivots.items() if rhs)
+    free = [c for c in range(m) if c not in pivots]
+    basis = tuple((1 << f) ^ sum(1 << col for col, (mask, _) in pivots.items() if (mask >> f) & 1)
+                  for f in free)
+    return particular, basis, tuple(free), len(pivots)
+
+
+def test_packed_solve_matches_the_int_elimination():
+    rng = np.random.default_rng(31)
+    inconsistent = 0
+    for trial in range(300):
+        m = int(rng.integers(1, 140))
+        planted = int.from_bytes(rng.bytes(18), "little") & ((1 << m) - 1)
+        system = gf2.GF2System(m)
+        for _ in range(int(rng.integers(0, 2 * m + 2))):
+            mask = int.from_bytes(rng.bytes(18), "little") & ((1 << m) - 1)
+            if rng.random() < 0.5:   # sparse rows leave a null space
+                mask &= int.from_bytes(rng.bytes(18), "little")
+            rhs = bin(mask & planted).count("1") % 2
+            if trial % 4 == 0 and rng.random() < 0.2:
+                rhs ^= 1
+            system.rows.append((mask, rhs))
+        want, sol = _reference_solve(system), gf2.gf2_solve(system)
+        if want is None:
+            assert sol is None, trial
+            inconsistent += 1
+        else:
+            assert (sol.particular, sol.null_basis, sol.free_cols, sol.rank) == want, trial
+            assert sol.n_vars == m
+    assert inconsistent > 10
+
+
+def test_solve_groups_reads_the_solution_of_the_kept_rows():
+    rng = np.random.default_rng(37)
+    for _ in range(40):
+        n_vars = int(rng.integers(1, 80))
+        planted = rng.integers(0, 2, n_vars).astype(bool)
+        groups, rhs = [], []
+        for width in (3, 4):
+            count = int(rng.integers(0, 3 * n_vars))
+            width = min(width, n_vars)
+            groups.append(np.array([rng.choice(n_vars, size=width, replace=False)
+                                    for _ in range(count)], dtype=int).reshape(count, width))
+            rhs.append(gf2.parities(groups[-1], planted))
+        system = gf2.GF2System(n_vars)
+        for g, idx in enumerate(gf2.spanning_rows(groups, n_vars)):
+            for t in idx:
+                system.add_row(groups[g][t], int(rhs[g][t]))
+        assert gf2.solve_groups(groups, rhs, n_vars) == gf2.gf2_solve(system)
+        assert gf2.solve_groups(groups, rhs, n_vars).contains(
+            sum(1 << i for i in range(n_vars) if planted[i]))

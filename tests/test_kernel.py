@@ -56,11 +56,16 @@ def test_index_combinations_lexicographic():
 def test_principal_minors_batched_matches_scalar():
     k = random_signed(7, 8)
     subsets = [(), (3,), (1, 2), (2, 5, 7), (1, 2, 3, 4, 5, 6, 7), (4, 6), (1, 3, 5, 7)]
-    got = kernel.principal_minors(k.mat, subsets)
-    assert got.tolist() == [kernel.principal_minor(k, j) for j in subsets]
-    assert kernel.principal_minors(k.mat, []).shape == (0,)
+    got = {}
+    for t in {len(j) for j in subsets}:   # one (m, t) index array per order
+        rows = [j for j in subsets if len(j) == t]
+        got.update(zip(rows, kernel.principal_minors(k.mat, np.array(rows, dtype=int).reshape(len(rows), t))))
+    assert [got[j] for j in subsets] == [kernel.principal_minor(k, j) for j in subsets]
+    assert kernel.principal_minors(k.mat, np.zeros((0, 2), dtype=int)).shape == (0,)
     with pytest.raises(DimensionError):
         kernel.principal_minors(k.mat, [(1, 8)])
+    with pytest.raises(DimensionError):
+        kernel.principal_minors(k.mat, [1, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -435,3 +440,30 @@ def test_mat_is_read_only():
     k = random_signed(3, 1)
     with pytest.raises(ValueError):
         k.mat[0, 0] = 2.0
+
+
+def test_index_combinations_match_itertools():
+    for n in range(0, 13):
+        for t in range(0, n + 2):
+            got = kernel.index_combinations(n, t)
+            assert got.dtype == np.intp
+            assert got.tolist() == [list(c) for c in itertools.combinations(range(n), t)]
+    got = kernel.index_combinations(64, 4)
+    assert got.tolist() == [list(c) for c in itertools.combinations(range(64), 4)]
+
+
+def _masks(rows):
+    return (np.uint64(1) << rows.astype(np.uint64)).sum(axis=1, dtype=np.uint64)
+
+
+def test_colex_rank_is_bitmask_order():
+    # the rank is a bijection onto 0..C(n, t)-1 that orders like the mask
+    cases = [(n, t) for n in range(1, 11) for t in range(1, n + 1)] + [(64, t) for t in range(1, 5)]
+    for n, t in cases:
+        rows = kernel.index_combinations(n, t)
+        ranks = kernel.colex_rank(rows, n)
+        by_rank = np.empty_like(rows)
+        by_rank[ranks] = rows
+        assert np.array_equal(np.sort(ranks), np.arange(math.comb(n, t))), (n, t)
+        assert np.all(np.diff(_masks(by_rank)) > 0), (n, t)
+        assert np.array_equal(kernel.colex_unrank(np.arange(len(rows)), n, t), by_rank), (n, t)

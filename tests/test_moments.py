@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -167,8 +168,8 @@ def test_exact_minors_match_scalar_determinants():
 def test_minor_list_colex_order():
     ml = moments.MinorList(3, {(1, 2, 3): 0.1, (1,): 0.4, (2, 3): 0.2, (3,): 0.6})
     assert ml.subsets() == [(1,), (3,), (2, 3), (1, 2, 3)]
-    # items() keeps insertion order; the JSON form is colex
-    assert [j for j, _ in ml.items()] == [(1, 2, 3), (1,), (2, 3), (3,)]
+    # items(), like subsets() and the JSON form, is colex whatever the insertion order
+    assert [j for j, _ in ml.items()] == [(1,), (3,), (2, 3), (1, 2, 3)]
     assert list(json.loads(moments.minors_to_json(ml))["minors"]) == ["1", "3", "2,3", "1,2,3"]
 
 
@@ -198,6 +199,16 @@ def test_minors_json_rejects_malformed():
         moments.minors_from_json('{"n": 2, "minors": {"1": "high"}}')
 
 
+def test_minors_json_fills_orders_in_bulk():
+    with pytest.raises(FormatError, match=r"minor for \(2,\) must be finite"):
+        moments.minors_from_json('{"n": 2, "minors": {"1": 0.5, "2": NaN}}')
+    with pytest.raises(FormatError, match=r"index 3 out of range 1\.\.2"):
+        moments.minors_from_json('{"n": 2, "minors": {"1,2": 0.5, "2,3": 0.5}}')
+    # keys naming one subset: the later one wins, as with put()
+    ml = moments.minors_from_json('{"n": 3, "minors": {"1,2": 0.1, "3": 0.3, "2,1": 0.2}}')
+    assert ml.items() == [((1, 2), 0.2), ((3,), 0.3)]
+
+
 def test_minors_file_round_trip(tmp_path):
     k = kernel.generate_admissible(4, 0.3, 31)
     minors = moments.exact_minors(k, "all")
@@ -206,3 +217,60 @@ def test_minors_file_round_trip(tmp_path):
     again = moments.read_minors(path)
     for j, v in minors.items():
         assert again.get(j) == v
+
+
+def test_minor_list_matches_a_dict():
+    # oracle: a dict of tuple keys and a set of reads, under random
+    # insertion order with overwrites, for every order of n = 1..10
+    gen = np.random.default_rng(71)
+    for n in range(1, 11):
+        every = kernel.subsets_colex(n, range(1, n + 1))
+        ml, want, reads = moments.MinorList(n), {}, set()
+        for _ in range(3 * len(every) // 4 + 2):
+            j = every[gen.integers(len(every))]
+            value = float(gen.normal())
+            perm = tuple(int(i) for i in gen.permutation(j))
+            ml.put(perm, value)
+            want[j] = value
+        assert len(ml) == len(want)
+        assert ml.subsets() == sorted(want, key=kernel.colex_key)
+        assert ml.items() == [(j, want[j]) for j in ml.subsets()]
+        for j in every:
+            assert (j in ml) == (j in want)
+            if j in want and gen.random() < 0.3:
+                assert ml.get(j) == want[j]
+                reads.add(j)
+            elif j not in want:
+                with pytest.raises(MissingMinorError):
+                    ml.get(j)
+        assert ml.queried == reads and len(ml.queried) == len(reads)
+        for t in range(1, n + 1):
+            rows = [j for j in every if len(j) == t]
+            picked = [rows[r] for r in gen.integers(len(rows), size=6)]
+            missing = next((p for p, j in enumerate(picked) if j not in want), None)
+            if missing is None:
+                assert ml.get_many(picked).tolist() == [want[j] for j in picked]
+                reads.update(picked)
+            else:
+                with pytest.raises(MissingMinorError, match=re.escape(str(picked[missing]))):
+                    ml.get_many(picked)
+                reads.update(picked[:missing])   # the rows before the missing one count as read
+            assert ml.queried == reads
+            assert set(ml.queried) == reads and all(j in ml.queried for j in reads)
+        ml.reset_queries()
+        assert ml.queried == set() and len(ml.queried) == 0
+        assert ml.has_all_orders(n) == (len(want) == len(every))
+
+
+def test_minor_list_refuses_orders_above_the_limit():
+    with pytest.raises(CapabilityError):
+        moments.MinorList(200).put((1, 2, 3, 4), 0.1)   # C(200, 4) > 2^24
+    with pytest.raises(CapabilityError):
+        moments.MinorList(64).put(range(1, 33), 0.1)
+    ml = moments.MinorList(200)
+    ml.put((1, 2, 3), 0.1)                               # C(200, 3) fits
+    assert (1, 2, 3, 4) not in ml and ml.get((1, 2, 3)) == 0.1
+    with pytest.raises(MissingMinorError):
+        ml.get_many([(1, 2, 3, 4)])
+    with pytest.raises(CapabilityError):
+        moments.minors_from_json('{"n": 200, "minors": {"1,2,3,4": 0.1}}')

@@ -228,3 +228,20 @@ def test_samples_file_round_trip(tmp_path):
     assert sampler.read_samples(path, 4) == batch
     raw = open(path, encoding="utf-8").read()
     assert raw == sampler.format_samples(batch)
+
+
+def test_format_samples_matches_the_tuple_join():
+    gen = np.random.default_rng(97)
+    for n in (7, 16, 64):
+        masks = gen.integers(0, 1 << min(n, 62), 500, dtype=np.uint64, endpoint=True)
+        if n == 64:
+            masks[gen.random(500) < 0.5] |= np.uint64(1) << np.uint64(63)
+            masks[1] = np.uint64(1) << np.uint64(63)
+        masks[:1] = 0
+        masks &= np.uint64((1 << n) - 1)
+        batch = sampler.SampleBatch(n, masks=masks)
+        want = "".join((" ".join(map(str, kernel.mask_to_subset(int(m)))) or "-") + "\n"
+                       for m in masks)
+        assert sampler.format_samples(batch) == want
+        assert sampler.parse_samples(want, n) == batch
+    assert sampler.format_samples(sampler.SampleBatch(64, [(), (64,)])) == "-\n64\n"
