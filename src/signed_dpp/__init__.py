@@ -11,6 +11,9 @@ The PMA stages are public only as the batched array functions that
 ``match_four_cycles``.  The one-item entry points ``extract_pi``,
 ``disambiguate_four_cycles`` and ``build_sign_system``, the
 ``Skeleton.mag``/``eps``/``diag`` accessors and ``GenericityError``
+were removed on purpose.  GF(2) systems are solved by one function,
+``solve_groups``, on rows held as index arrays; the Python-int front
+end ``GF2System``/``gf2_solve`` and ``sign_to_bit``/``bit_to_sign``
 were removed on purpose.
 """
 
@@ -63,7 +66,7 @@ from .graph import (
     signed_adjacency,
     travelings,
 )
-from .gf2 import GF2Solution, GF2System, bit_to_sign, gf2_solve, sign_to_bit
+from .gf2 import GF2Solution, solve_groups
 from .moments import (
     MinorList,
     estimate_minor,

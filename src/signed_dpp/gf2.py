@@ -1,18 +1,18 @@
 """Linear algebra over the two-element field.
 
 Sign systems (products of +-1 unknowns equal to prescribed +-1 values)
-become linear systems here through the sign/bit dictionary +1 <-> 0,
--1 <-> 1, under which sign products turn into XOR sums.  There is one
-elimination, on bit-packed rows that carry the right-hand side as one
-more column; ``solve_groups`` (rows as index arrays, span-filtered) and
-``gf2_solve`` (rows as Python ints, bit i = variable i) read the
-solution off its reduced rows.  Solutions hold their vectors as ints.
+are solved here as XOR systems, with bit 1 for the sign -1.  There is
+one solver, ``solve_groups``: rows come in as index arrays, a span
+filter drops rows already implied by earlier ones, one elimination on
+bit-packed rows (the right-hand side carried as one more column) reads
+off the solution, and every row is checked against it.  Solutions hold
+their vectors as ints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -21,22 +21,6 @@ from .errors import DimensionError
 # Rows of index arrays are eliminated in chunks of this many at a time,
 # each chunk first filtered against the span of the basis so far.
 SPAN_CHUNK = 4096
-
-
-def sign_to_bit(s: int) -> int:
-    if s == 1:
-        return 0
-    if s == -1:
-        return 1
-    raise DimensionError(f"expected a sign in {{-1, +1}}, got {s}")
-
-
-def bit_to_sign(b: int) -> int:
-    if b == 0:
-        return 1
-    if b == 1:
-        return -1
-    raise DimensionError(f"expected a bit in {{0, 1}}, got {b}")
 
 
 def bits_of(mask: int, n_vars: int) -> tuple[int, ...]:
@@ -53,30 +37,6 @@ def coset(base: int, basis: Sequence[int]):
             if (combo >> t) & 1:
                 vec ^= v
         yield vec
-
-
-@dataclass
-class GF2System:
-    """XOR-sum constraints: for each row, XOR of the support bits = rhs."""
-
-    n_vars: int
-    rows: list[tuple[int, int]] = field(default_factory=list)
-
-    def add_row(self, support: Iterable[int], rhs: int) -> None:
-        """Add the constraint xor(x_i for i in support) = rhs (0-based vars)."""
-        if rhs not in (0, 1):
-            raise DimensionError(f"rhs must be 0 or 1, got {rhs}")
-        mask = 0
-        for i in support:
-            if not 0 <= int(i) < self.n_vars:
-                raise DimensionError(f"variable {i} out of range 0..{self.n_vars - 1}")
-            mask ^= 1 << int(i)
-        self.rows.append((mask, rhs))
-
-    def satisfied_by(self, assignment: int) -> bool:
-        """Check an assignment bitset against every row."""
-        return all(bin(mask & assignment).count("1") % 2 == rhs
-                   for mask, rhs in self.rows)
 
 
 @dataclass(frozen=True)
@@ -110,23 +70,6 @@ class GF2Solution:
         return diff == 0
 
 
-def gf2_solve(system: GF2System) -> GF2Solution | None:
-    """Reduced row echelon solve; None when a row without a pivot keeps
-    a right-hand side (the system is inconsistent).  The form is unique
-    for the row space, so the particular solution (free variables zero)
-    and the basis are canonical."""
-    m = system.n_vars
-    width = m // 8 + 1
-    data = b"".join(((mask & ((1 << m) - 1)) | (rhs & 1) << m).to_bytes(width, "little")
-                    for mask, rhs in system.rows)
-    work = np.frombuffer(data, dtype=np.uint8).reshape(len(system.rows), width).copy()
-    chosen, cols = _eliminate(work, m)
-    rest = np.delete(work[:, m >> 3], chosen)
-    if np.any((rest >> (m & 7)) & 1):
-        return None
-    return _solution(m, cols, work[chosen])
-
-
 def _null_space(n_vars: int, cols: np.ndarray, reduced: np.ndarray):
     """Free columns and (n_vars, nullity) null basis of packed reduced
     rows: vector t is free column t plus every pivot whose row has it set."""
@@ -137,22 +80,6 @@ def _null_space(n_vars: int, cols: np.ndarray, reduced: np.ndarray):
     null[cols] = bits[:, free]
     return free, null
 
-
-def _solution(n_vars: int, cols: np.ndarray, reduced: np.ndarray) -> GF2Solution:
-    """Solution of packed reduced pivot rows whose right-hand side is
-    column n_vars: each pivot variable takes its row's right-hand side."""
-    free, null = _null_space(n_vars, cols, reduced)
-    vectors = np.zeros((1 + free.size, n_vars), dtype=bool)   # particular, then the basis
-    vectors[0, cols] = (reduced[:, n_vars >> 3] >> (n_vars & 7)) & 1
-    vectors[1:] = null.T
-    ints = [int.from_bytes(row.tobytes(), "little")
-            for row in np.packbits(vectors, axis=1, bitorder="little")]
-    return GF2Solution(n_vars=n_vars, particular=ints[0], null_basis=tuple(ints[1:]),
-                       free_cols=tuple(free.tolist()), rank=len(cols))
-
-
-# ---------------------------------------------------------------------------
-# rows as index arrays: span filtering and parity checks
 
 def parities(supports: np.ndarray, assignment: np.ndarray) -> np.ndarray:
     """XOR of ``assignment`` over each row of an (m, w) array of distinct
@@ -184,51 +111,71 @@ def _eliminate(work: np.ndarray, n_vars: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(chosen, dtype=np.intp), np.array(cols, dtype=np.intp)
 
 
-def _span_basis(groups: Sequence[np.ndarray], rhs: Sequence[np.ndarray], n_vars: int):
-    """Basis of the row space of all groups, found in order, in chunks.
+def _span_basis(groups: list[tuple[np.ndarray, np.ndarray]], n_vars: int):
+    """Pivot columns, packed reduced rows (right-hand side at column
+    n_vars), free columns and null basis (see ``_null_space``) of a basis
+    of the row space of all (supports, rhs) groups, found in chunks.
 
-    Each group is an (m, w) array of distinct variable indices, one XOR
-    row per line, with right-hand sides ``rhs``.  A row whose parity
-    against every vector of the current null space is 0 already lies in
-    the span and is dropped without elimination; the rest are eliminated
-    together with the basis so far.  Returns the (group, row) of each
-    basis row, the pivot columns and the packed reduced rows.
+    A row whose parity against every vector of the current null space is
+    0 already lies in the span and is dropped without elimination; the
+    rest are eliminated together with the reduced rows so far.  A row
+    space has one reduced row echelon form, so the result does not
+    depend on the chunking.
     """
-    basis = np.zeros((0, n_vars + 1), dtype=bool)   # original rows, rhs last
-    owner = np.zeros((0, 2), dtype=np.intp)          # (group, row) of each basis row
-    null = np.eye(n_vars, dtype=bool)                # column s is null vector s
+    free, null = np.arange(n_vars), np.eye(n_vars, dtype=bool)
     cols = np.zeros(0, dtype=np.intp)
     reduced = np.zeros((0, n_vars // 8 + 1), dtype=np.uint8)
-    for g, (supports, bits) in enumerate(zip(groups, rhs)):
+    for supports, bits in groups:
         for lo in range(0, len(supports), SPAN_CHUNK):
-            chunk = np.asarray(supports[lo:lo + SPAN_CHUNK], dtype=np.intp)
+            chunk = supports[lo:lo + SPAN_CHUNK]
             fresh = np.flatnonzero(parities(chunk, null).any(axis=1))
             if fresh.size == 0:
                 continue
             new = np.zeros((fresh.size, n_vars + 1), dtype=bool)
-            for col in chunk[fresh].T:
-                new[np.arange(fresh.size), col] = True
-            new[:, n_vars] = np.asarray(bits[lo:lo + SPAN_CHUNK], dtype=bool)[fresh]
-            rows = np.concatenate([basis, new])
-            owner = np.concatenate([owner, np.stack([np.full(fresh.size, g), lo + fresh], axis=1)])
-            work = np.packbits(rows, axis=1, bitorder="little")
+            new[np.arange(fresh.size)[:, None], chunk[fresh]] = True
+            new[:, n_vars] = bits[lo:lo + SPAN_CHUNK][fresh]
+            work = np.concatenate([reduced, np.packbits(new, axis=1, bitorder="little")])
             chosen, cols = _eliminate(work, n_vars)
-            basis, owner, reduced = rows[chosen], owner[chosen], work[chosen]
-            _, null = _null_space(n_vars, cols, reduced)
-    return owner, cols, reduced
+            reduced = work[chosen]
+            free, null = _null_space(n_vars, cols, reduced)
+    return cols, reduced, free, null
 
 
-def spanning_rows(groups: Sequence[np.ndarray], n_vars: int) -> list[np.ndarray]:
-    """Indices, per group, of rows that together form a basis of the row
-    space of all groups (see ``_span_basis``)."""
-    owner, _, _ = _span_basis(groups, [np.zeros(len(g), dtype=bool) for g in groups], n_vars)
-    return [np.sort(owner[owner[:, 0] == g, 1]) for g in range(len(groups))]
+def _checked(supports, bits, n_vars: int) -> tuple[np.ndarray, np.ndarray]:
+    """One group as (m, w) indices and (m,) bools, or DimensionError."""
+    supports, bits = np.asarray(supports), np.asarray(bits)
+    if supports.ndim != 2 or bits.shape != (len(supports),):
+        raise DimensionError(f"expected (m, w) rows with m right-hand sides, got "
+                             f"shapes {supports.shape} and {bits.shape}")
+    if supports.size and (supports.dtype.kind not in "iu"
+                          or not 0 <= supports.min() <= supports.max() < n_vars):
+        raise DimensionError(f"variable indices must be integers in 0..{n_vars - 1}")
+    if np.any(np.diff(np.sort(supports, axis=1), axis=1) == 0):
+        raise DimensionError("a row repeats a variable index")
+    if not np.all((bits == 0) | (bits == 1)):
+        raise DimensionError("right-hand sides must be 0 or 1")
+    return supports.astype(np.intp, copy=False), bits.astype(bool, copy=False)
 
 
 def solve_groups(groups: Sequence[np.ndarray], rhs: Sequence[np.ndarray],
-                 n_vars: int) -> GF2Solution:
-    """Solution of the rows ``spanning_rows`` keeps, with right-hand sides
-    ``rhs`` (a bool array per group) carried through the same elimination.
-    Dropped rows are not checked: check every row with ``parities``."""
-    _, cols, reduced = _span_basis(groups, rhs, n_vars)
-    return _solution(n_vars, cols, reduced)
+                 n_vars: int) -> GF2Solution | None:
+    """Solve XOR rows given as groups of (m, w) arrays of distinct
+    variable indices in 0..n_vars-1, with 0/1 right-hand sides ``rhs``
+    (one (m,) array per group); None when some row contradicts the rest.
+
+    The particular solution has every free variable zero.  It and the
+    null-space basis are read off the reduced row echelon form, which is
+    unique for the row space, so they do not depend on row order.
+    """
+    if len(groups) != len(rhs):
+        raise DimensionError(f"{len(groups)} groups but {len(rhs)} right-hand sides")
+    checked = [_checked(s, b, n_vars) for s, b in zip(groups, rhs)]
+    cols, reduced, free, null = _span_basis(checked, n_vars)
+    x = np.zeros(n_vars, dtype=bool)
+    x[cols] = (reduced[:, n_vars >> 3] >> (n_vars & 7)) & 1
+    if any(np.any(parities(s, x) != b) for s, b in checked):
+        return None
+    ints = [int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(np.vstack([x, null.T]), axis=1, bitorder="little")]
+    return GF2Solution(n_vars=n_vars, particular=ints[0], null_basis=tuple(ints[1:]),
+                       free_cols=tuple(free.tolist()), rank=len(cols))

@@ -193,10 +193,6 @@ class SignedKernel:
         idx = [i - 1 for i in normalize_subset(j, self.n)]
         return self.mat[np.ix_(idx, idx)]
 
-    def is_dense(self) -> bool:
-        off = self.mat[~np.eye(self.n, dtype=bool)]
-        return bool(np.all(off != 0.0))
-
 
 # ---------------------------------------------------------------------------
 # JSON round trip ({"n": N, "rows": [[...], ...]})

@@ -77,26 +77,6 @@ def solve_linear(a, b) -> np.ndarray:
     return scipy.linalg.lu_solve((lu, piv), rhs)
 
 
-def inverse(a) -> np.ndarray:
-    """Matrix inverse through solve_linear (same pivot threshold)."""
-    m = as_matrix(a, square=True)
-    return solve_linear(m, np.eye(m.shape[0]))
-
-
-def polyval(coeffs: Sequence[float], x):
-    """Evaluate a coefficient array (index = degree) at scalar or array x."""
-    return np.polynomial.polynomial.polyval(x, np.asarray(coeffs, dtype=float))
-
-
-def poly_trim(coeffs: Sequence[float]) -> np.ndarray:
-    """Drop exactly-zero trailing coefficients; keep [0.0] for the zero poly."""
-    c = np.asarray(coeffs, dtype=float)
-    if c.ndim != 1 or c.size == 0:
-        raise DimensionError("coefficients must be a nonempty 1-d array")
-    nz = np.nonzero(c)[0]
-    return c[:nz[-1] + 1].copy() if nz.size else np.zeros(1)
-
-
 def interpolate(points: Sequence[tuple[float, float]]) -> np.ndarray:
     """Coefficients of the unique polynomial through the given points.
 

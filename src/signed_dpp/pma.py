@@ -22,14 +22,13 @@ the GF(2) solve; there is no one-item entry point.
    set instead of guessing.
 4. The GF(2) system.  Each decision is one XOR row over the
    upper-triangle entry signs, held as an index array of its 3 or 4
-   variables.  Rows already in the span of earlier rows (zero parity
-   against the current null space) are filtered out, so the one packed
-   elimination (``gf2.solve_groups``) only sees rows that raise the
-   rank.  Its particular solution is then checked against every row in
-   one vectorised parity test; a violated row means the minors are
-   inconsistent.  The reduced row echelon form of a row space is
-   unique, so the particular solution and the null-space basis are
-   those of the full system.
+   variables.  ``gf2.solve_groups`` filters out rows already in the
+   span of earlier rows (zero parity against the current null space),
+   so its one packed elimination only sees rows that raise the rank,
+   and then checks its particular solution against every row; a
+   violated row means the minors are inconsistent.  The reduced row
+   echelon form of a row space is unique, so the particular solution
+   and the null-space basis are those of the full system.
 """
 
 from __future__ import annotations
@@ -352,19 +351,18 @@ def solve_pma(minors: MinorList, sign_tol: float = SIGN_TOL,
     cycles[ambiguous] = False
     rows, cycle = np.nonzero(cycles)
 
-    # GF(2): solve on a basis of the rows, then check every row
+    # GF(2): one row per decision; a row that contradicts the rest
+    # leaves no solution
     groups = [_triangle_rows(skel, tri[used], ~(pi3[used] > 0)),
               _four_cycle_rows(skel, quad[rows], cycle, negative[rows, cycle])]
     n_vars = n * (n - 1) // 2
-    # independent rows are always consistent; a dropped row that
-    # contradicts them shows up as a parity violation
     solution = gf2.solve_groups([support for support, _ in groups],
                                 [rhs for _, rhs in groups], n_vars)
-    x = np.array(gf2.bits_of(solution.particular, n_vars), dtype=bool)
-    if any(np.any(gf2.parities(support, x) != rhs) for support, rhs in groups):
+    if solution is None:
         raise InconsistentMinorsError(
             "cycle sign constraints are mutually inconsistent; "
             "the minor list is not realizable in the signed class")
+    x = np.array(gf2.bits_of(solution.particular, n_vars), dtype=bool)
 
     return PMASolution(kernel=_assemble(skel.diagonal, mag, eps, x),
                        free_switches=solution.null_basis,

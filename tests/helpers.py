@@ -7,6 +7,24 @@ import numpy as np
 from signed_dpp import gf2, kernel, moments, pma, rng
 
 
+def mask_groups(rows, n_vars):
+    """XOR rows held as (mask, rhs) ints, as ``gf2.solve_groups``
+    arguments: one index-array group per row width, and their rhs."""
+    nbytes = n_vars // 8 + 1
+    data = b"".join((mask & ((1 << n_vars) - 1)).to_bytes(nbytes, "little") for mask, _ in rows)
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8).reshape(len(rows), nbytes),
+                         axis=1, count=n_vars, bitorder="little")
+    rhs, sizes = np.array([r for _, r in rows], dtype=bool), bits.sum(axis=1)
+    widths = [(w, sizes == w) for w in np.unique(sizes)]
+    return ([np.nonzero(bits[sel])[1].reshape(-1, w) if w else np.zeros((sel.sum(), 0), int)
+             for w, sel in widths], [rhs[sel] for _, sel in widths])
+
+
+def satisfies(rows, assignment):
+    """Whether an assignment bitset meets every (mask, rhs) row."""
+    return all(bin(mask & assignment).count("1") % 2 == rhs for mask, rhs in rows)
+
+
 def signed_matrix(diag, upper, eps):
     """Assemble a signed kernel from diagonal, upper entries and relating
     signs, both keyed by (i, j) pairs with i < j (1-based)."""
@@ -121,6 +139,7 @@ def _triangles_pin_signs(k):
     n_vars = k.n * (k.n - 1) // 2
 
     def rank_of(*groups):
-        return sum(map(len, gf2.spanning_rows(groups, n_vars)))
+        return gf2.solve_groups(groups, [np.zeros(len(g), dtype=bool) for g in groups],
+                                n_vars).rank
 
     return rank_of(tri_rows) == rank_of(tri_rows, quad_rows)

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import strong_admissible
+from helpers import mask_groups, satisfies, strong_admissible
 from signed_dpp import gf2, graph, kernel, moments, pma, sampler
 
 
@@ -246,11 +246,10 @@ def test_criterion_08_moments_pipeline():
            f"(worst observed {worst:.4f})")
 
 
-def _brute_force_consistent(system):
-    m = system.n_vars
+def _brute_force_consistent(rows, m):
     assignments = np.arange(1 << m, dtype=np.uint64)
     ok = np.ones(len(assignments), dtype=bool)
-    for mask, rhs in system.rows:
+    for mask, rhs in rows:
         parity = np.bitwise_count(assignments & np.uint64(mask)) % np.uint64(2)
         ok &= parity == np.uint64(rhs)
     return bool(ok.any())
@@ -262,21 +261,21 @@ def test_criterion_09_gf2_suite():
     for trial in range(1000):
         m = int(rng.integers(1, 65))
         planted = int.from_bytes(rng.bytes(8), "little") & ((1 << m) - 1)
-        system = gf2.GF2System(m)
+        rows = []
         for _ in range(int(rng.integers(1, 2 * m + 2))):
             mask = int.from_bytes(rng.bytes(8), "little") & ((1 << m) - 1)
             rhs = bin(mask & planted).count("1") % 2
             if trial % 3 == 0 and rng.random() < 0.3:
                 rhs ^= 1  # possibly break consistency
-            system.rows.append((mask, rhs))
-        sol = gf2.gf2_solve(system)
+            rows.append((mask, rhs))
+        sol = gf2.solve_groups(*mask_groups(rows, m), m)
         if sol is not None:
-            assert system.satisfied_by(sol.particular), trial
+            assert satisfies(rows, sol.particular), trial
             assert sol.rank + sol.nullity == m, trial
         if trial % 3 != 0:
             assert sol is not None and sol.contains(planted), trial
         if m <= 16:
-            assert (sol is not None) == _brute_force_consistent(system), trial
+            assert (sol is not None) == _brute_force_consistent(rows, m), trial
             brute_checked += 1
     report("criterion 9 (GF(2) suite)", brute_checked > 100,
            f"1000 fuzzed systems; {brute_checked} checked against "

@@ -385,6 +385,20 @@ def test_solve_pma_round_trip_n32():
     _generated_round_trip(32)
 
 
+def test_solve_pma_same_solution_in_small_span_chunks(monkeypatch):
+    # later chunks start from the reduced rows of the earlier ones
+    k = kernel.generate_admissible(12, 0.3, 2024)
+    minors = moments.exact_minors(k, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AmbiguousSignWarning)
+        whole = pma.solve_pma(minors)
+        monkeypatch.setattr(gf2, "SPAN_CHUNK", 16)
+        chunked = pma.solve_pma(minors)
+    assert conjugation_distance(whole.kernel, k) <= 1e-9
+    assert chunked.kernel.mat.tobytes() == whole.kernel.mat.tobytes()
+    assert chunked.free_switches == whole.free_switches
+
+
 def test_solve_pma_warns_on_subthreshold_signs():
     k = strong_admissible(0)
     batch = sampler.sample_enumerate(k, 20000, 0)
