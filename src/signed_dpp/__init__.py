@@ -6,15 +6,10 @@ minors of orders 1..4 (with the full solution set) when the kernel is
 dense; 4-sets whose sign patterns the minors cannot tell apart are
 skipped, which enlarges the solution set.
 
-The PMA stages are public only as the batched array functions that
+The PMA stages are public as the batched array functions that
 ``solve_pma`` composes: ``recover_skeleton``, ``traveling_sums`` and
-``match_four_cycles``.  The one-item entry points ``extract_pi``,
-``disambiguate_four_cycles`` and ``build_sign_system``, the
-``Skeleton.mag``/``eps``/``diag`` accessors and ``GenericityError``
-were removed on purpose.  GF(2) systems are solved by one function,
-``solve_groups``, on rows held as index arrays; the Python-int front
-end ``GF2System``/``gf2_solve`` and ``sign_to_bit``/``bit_to_sign``
-were removed on purpose.
+``match_four_cycles``.  GF(2) systems are solved by one function,
+``solve_groups``, on rows held as index arrays.
 """
 
 from .errors import (

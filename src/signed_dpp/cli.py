@@ -68,8 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--minors", required=True, help="minors JSON input path")
     p.add_argument("--out", required=True, help="kernel JSON output path")
     p.add_argument("--tol", type=float, default=pma.SIGN_TOL,
-                   help="sign-decision tolerance (use the estimator "
-                        "tolerance, e.g. 0.01, for noisy minors)")
+                   help="sign-decision tolerance; for estimated minors match "
+                        "their noise, e.g. 0.005 for 1e5 samples")
     p.add_argument("--solution-set", action="store_true",
                    help="also enumerate every solution into <out>.set.json")
     p.set_defaults(func=cmd_pma)
@@ -85,9 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_gen(args) -> int:
     if not 0.0 < args.lam < 0.5:
-        raise SystemExit(_usage(f"--lambda must lie in (0, 1/2), got {args.lam}"))
+        return _usage(f"--lambda must lie in (0, 1/2), got {args.lam}")
     if args.n < 1:
-        raise SystemExit(_usage(f"--n must be positive, got {args.n}"))
+        return _usage(f"--n must be positive, got {args.n}")
     k = kernel.generate_admissible(args.n, args.lam, args.seed)
     kernel.write_kernel(args.out, k)
     return 0
@@ -95,7 +95,7 @@ def cmd_gen(args) -> int:
 
 def cmd_sample(args) -> int:
     if args.count < 0:
-        raise SystemExit(_usage(f"--count must be nonnegative, got {args.count}"))
+        return _usage(f"--count must be nonnegative, got {args.count}")
     k = kernel.read_kernel(args.kernel)
     if args.method == "exact":
         batch = sampler.sample_enumerate(k, args.count, args.seed)
@@ -113,8 +113,8 @@ def cmd_minors(args) -> int:
         try:
             order = int(args.max_order)
         except ValueError:
-            raise SystemExit(_usage(
-                f'--max-order must be an integer or "all", got {args.max_order!r}'))
+            return _usage(
+                f'--max-order must be an integer or "all", got {args.max_order!r}')
     moments.write_minors(args.out, moments.exact_minors(k, order))
     return 0
 
@@ -154,21 +154,13 @@ def _usage(message: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return int(code) if isinstance(code, int) else 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
-        code = exc.code
-        return int(code) if isinstance(code, int) else 1
-    except FormatError as exc:
-        print(f"signed-dpp: error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+        # argparse's exits: --help (0) and usage errors (1)
+        return int(exc.code) if isinstance(exc.code, int) else 1
+    except (FormatError, FileNotFoundError) as exc:
         print(f"signed-dpp: error: {exc}", file=sys.stderr)
         return 1
     except SignedDppError as exc:

@@ -3,10 +3,10 @@
 Sign systems (products of +-1 unknowns equal to prescribed +-1 values)
 are solved here as XOR systems, with bit 1 for the sign -1.  There is
 one solver, ``solve_groups``: rows come in as index arrays, a span
-filter drops rows already implied by earlier ones, one elimination on
-bit-packed rows (the right-hand side carried as one more column) reads
-off the solution, and every row is checked against it.  Solutions hold
-their vectors as ints.
+filter drops rows already implied by earlier ones, Gauss-Jordan
+elimination of the rest on bit-packed rows (the right-hand side carried
+as one more column) reads off the solution, and every row is checked
+against it.  Solutions hold their vectors as ints.
 """
 
 from __future__ import annotations
@@ -18,25 +18,14 @@ import numpy as np
 
 from .errors import DimensionError
 
-# Rows of index arrays are eliminated in chunks of this many at a time,
-# each chunk first filtered against the span of the basis so far.
+# Rows of index arrays are filtered in chunks of this many at a time
+# against the span of the basis so far.
 SPAN_CHUNK = 4096
 
 
 def bits_of(mask: int, n_vars: int) -> tuple[int, ...]:
     """Expand a bitset into an explicit 0/1 tuple of length n_vars."""
     return tuple((mask >> i) & 1 for i in range(n_vars))
-
-
-def coset(base: int, basis: Sequence[int]):
-    """Iterate base XOR every combination of basis vectors; member c
-    includes basis[t] exactly when bit t of c is set."""
-    for combo in range(1 << len(basis)):
-        vec = base
-        for t, v in enumerate(basis):
-            if (combo >> t) & 1:
-                vec ^= v
-        yield vec
 
 
 @dataclass(frozen=True)
@@ -58,8 +47,15 @@ class GF2Solution:
         return len(self.null_basis)
 
     def members(self):
-        """Iterate the full solution coset (2^nullity assignments)."""
-        return coset(self.particular, self.null_basis)
+        """Iterate the full solution coset (2^nullity assignments): member
+        c is the particular solution XOR every null_basis[t] with bit t of
+        c set."""
+        for combo in range(1 << self.nullity):
+            vec = self.particular
+            for t, v in enumerate(self.null_basis):
+                if (combo >> t) & 1:
+                    vec ^= v
+            yield vec
 
     def contains(self, assignment: int) -> bool:
         """Coset membership by eliminating assignment - particular."""
@@ -117,26 +113,27 @@ def _span_basis(groups: list[tuple[np.ndarray, np.ndarray]], n_vars: int):
     of the row space of all (supports, rhs) groups, found in chunks.
 
     A row whose parity against every vector of the current null space is
-    0 already lies in the span and is dropped without elimination; the
-    rest are eliminated together with the reduced rows so far.  A row
-    space has one reduced row echelon form, so the result does not
-    depend on the chunking.
+    0 already lies in the span and is dropped without elimination.  The
+    rest wait until there are at least as many as the nullity, and are
+    then eliminated together with the reduced rows so far; whatever waits
+    at the end is eliminated last.  A row space has one reduced row
+    echelon form, so the result does not depend on the chunking.
     """
     free, null = np.arange(n_vars), np.eye(n_vars, dtype=bool)
     cols = np.zeros(0, dtype=np.intp)
-    reduced = np.zeros((0, n_vars // 8 + 1), dtype=np.uint8)
-    for supports, bits in groups:
-        for lo in range(0, len(supports), SPAN_CHUNK):
-            chunk = supports[lo:lo + SPAN_CHUNK]
-            fresh = np.flatnonzero(parities(chunk, null).any(axis=1))
-            if fresh.size == 0:
-                continue
-            new = np.zeros((fresh.size, n_vars + 1), dtype=bool)
-            new[np.arange(fresh.size)[:, None], chunk[fresh]] = True
-            new[:, n_vars] = bits[lo:lo + SPAN_CHUNK][fresh]
-            work = np.concatenate([reduced, np.packbits(new, axis=1, bitorder="little")])
+    reduced = pending = np.zeros((0, n_vars // 8 + 1), dtype=np.uint8)
+    chunks = [(supports[lo:lo + SPAN_CHUNK], bits[lo:lo + SPAN_CHUNK])
+              for supports, bits in groups for lo in range(0, len(supports), SPAN_CHUNK)]
+    for t, (chunk, bits) in enumerate(chunks):
+        fresh = np.flatnonzero(parities(chunk, null).any(axis=1))
+        new = np.zeros((fresh.size, n_vars + 1), dtype=bool)
+        new[np.arange(fresh.size)[:, None], chunk[fresh]] = True
+        new[:, n_vars] = bits[fresh]
+        pending = np.concatenate([pending, np.packbits(new, axis=1, bitorder="little")])
+        if len(pending) and (len(pending) >= null.shape[1] or t == len(chunks) - 1):
+            work = np.concatenate([reduced, pending])
             chosen, cols = _eliminate(work, n_vars)
-            reduced = work[chosen]
+            reduced, pending = work[chosen], pending[:0]
             free, null = _null_space(n_vars, cols, reduced)
     return cols, reduced, free, null
 

@@ -111,14 +111,6 @@ def cycle_vertices(c: Cycle) -> tuple[int, ...]:
     return tuple(sorted({v for e in c for v in e}))
 
 
-def oriented_from_order(order: Sequence[int]) -> OrientedCycle:
-    """Arc tuple of the closed walk visiting ``order``, starting at its min."""
-    k = order.index(min(order))
-    rotated = tuple(order[k:]) + tuple(order[:k])
-    return tuple((rotated[t], rotated[(t + 1) % len(rotated)])
-                 for t in range(len(rotated)))
-
-
 def travelings(g: SignedGraph, c: Cycle) -> list[OrientedCycle]:
     """All oriented cycles of g on the vertex set of c, each listed once."""
     c = as_cycle(c)
@@ -140,8 +132,9 @@ def _travelings_on(g: SignedGraph, vertices: Sequence[int]) -> list[OrientedCycl
     out = []
     for perm in itertools.permutations(rest):
         order = (head,) + perm
-        if all(g.has_edge(order[t], order[(t + 1) % m]) for t in range(m)):
-            out.append(oriented_from_order(order))
+        arcs = tuple((order[t], order[(t + 1) % m]) for t in range(m))
+        if all(g.has_edge(a, b) for a, b in arcs):
+            out.append(arcs)
     return out
 
 
@@ -173,10 +166,7 @@ def pi_of_subset(k: SignedKernel, s: Iterable[int]) -> float:
 def _pi_over(k: SignedKernel, g: SignedGraph, vs: Sequence[int]) -> float:
     total = 0.0
     for oc in _travelings_on(g, vs):
-        prod = 1.0
-        for a, b in oc:
-            prod *= k.entry(a, b)
-        total += prod
+        total += oriented_product(k, oc)
     return total
 
 

@@ -15,7 +15,6 @@ subset {i : bit i-1 of m set}; mask order is colexicographic order.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import os
@@ -39,7 +38,6 @@ from .errors import (
 ENUMERATION_LIMIT = 16     # hard cap for 2^N pmf tables
 ADMISSIBILITY_LIMIT = 20   # hard cap for the exhaustive admissibility test
 PMF_CLAMP = 1e-9           # round-off floor: masses in [-PMF_CLAMP, 0) -> 0
-ADMISSIBILITY_TOL = -1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -82,14 +80,6 @@ def colex_key(j: tuple[int, ...]) -> tuple[int, ...]:
     """Sort key of a sorted subset that orders like its bitmask: the
     largest elements are compared first."""
     return j[::-1]
-
-
-def subsets_colex(n: int, orders: Iterable[int]) -> list[tuple[int, ...]]:
-    """All subsets of {1..n} with size in ``orders``, in colexicographic order."""
-    wanted = sorted(t for t in set(orders) if 0 <= t <= n)
-    out = [s for t in wanted for s in itertools.combinations(range(1, n + 1), t)]
-    out.sort(key=colex_key)
-    return out
 
 
 def index_combinations(n: int, t: int) -> np.ndarray:
@@ -297,6 +287,16 @@ def _clamp_mass(value: float) -> float:
     return max(value, 0.0)
 
 
+def _signed_masses(k: SignedKernel):
+    """The unclamped masses (-1)^{|Jbar|} det(K - 1_Jbar) of every subset
+    J, by increasing bitmask, in chunks of 2^14 subsets."""
+    full = (1 << k.n) - 1
+    for lo in range(0, full + 1, 1 << 14):
+        comp = full - np.arange(lo, min(lo + (1 << 14), full + 1), dtype=np.int64)
+        dets = numerics.batched_det(_shifted_stack(k.mat, comp))
+        yield np.where(_popcount(comp) % 2 == 0, dets, -dets)
+
+
 def enumerate_pmf(k: SignedKernel) -> np.ndarray:
     """All 2^N point masses, indexed by subset bitmask.
 
@@ -305,11 +305,7 @@ def enumerate_pmf(k: SignedKernel) -> np.ndarray:
     n = k.n
     if n > ENUMERATION_LIMIT:
         raise CapabilityError(f"pmf enumeration capped at N={ENUMERATION_LIMIT}, got {n}")
-    masks = np.arange(1 << n, dtype=np.int64)
-    comp_sizes = n - _popcount(masks)
-    full = (1 << n) - 1
-    dets = numerics.batched_det(_shifted_stack(k.mat, full - masks))
-    values = np.where(comp_sizes % 2 == 0, dets, -dets)
+    values = np.concatenate(list(_signed_masses(k)))
     low = values.min()
     if low < -PMF_CLAMP:
         raise InadmissibleKernelError(
@@ -322,20 +318,14 @@ def _popcount(masks: np.ndarray) -> np.ndarray:
 
 
 def is_admissible(k: SignedKernel) -> bool:
-    """Exhaustive test: (-1)^{|J|} det(K - 1_J) >= 0 for every subset J."""
+    """Exhaustive test: every point mass (-1)^{|Jbar|} det(K - 1_Jbar) is
+    at least -PMF_CLAMP, the round-off floor ``pmf`` and ``enumerate_pmf``
+    clamp to 0, so a kernel passes exactly when those succeed."""
     n = k.n
     if n > ADMISSIBILITY_LIMIT:
         raise CapabilityError(
             f"exhaustive admissibility test capped at N={ADMISSIBILITY_LIMIT}, got {n}")
-    masks = np.arange(1 << n, dtype=np.int64)
-    chunk = 1 << 14
-    for lo in range(0, len(masks), chunk):
-        part = masks[lo:lo + chunk]
-        dets = numerics.batched_det(_shifted_stack(k.mat, part))
-        signed = np.where(_popcount(part) % 2 == 0, dets, -dets)
-        if signed.min() < ADMISSIBILITY_TOL:
-            return False
-    return True
+    return not any(part.min() < -PMF_CLAMP for part in _signed_masses(k))
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,6 @@ from .kernel import (
 )
 from .sampler import SampleBatch
 
-# Default threshold below which estimated quantities are considered
-# too noisy to carry a sign decision.
-DEFAULT_TOLERANCE = 0.01
 ORDER_LIMIT = 1 << 24    # subsets per order a MinorList holds; larger orders are refused
 _COUNT_CELLS = 1 << 16   # subset-by-distinct-sample cells compared at once
 
@@ -178,10 +175,6 @@ class MinorList:
         """(subset, minor) pairs in colexicographic order, as ``subsets()``."""
         keys, values = self._colex()
         return list(zip(keys, values.tolist()))
-
-    def has_all_orders(self, max_order: int) -> bool:
-        return all(t in self._orders and self._orders[t][1].all()
-                   for t in range(1, min(max_order, self.n) + 1))
 
 
 class QueriedSubsets(Set):

@@ -42,14 +42,14 @@ def det(a) -> float:
     return float(np.linalg.det(m))
 
 
-def batched_det(stack: np.ndarray, chunk: int = 1 << 14) -> np.ndarray:
-    """Determinants of a (k, n, n) stack, chunked to bound peak memory."""
+def batched_det(stack: np.ndarray) -> np.ndarray:
+    """Determinants of a (k, n, n) stack, in chunks of 2^14 to bound peak memory."""
     stack = np.asarray(stack, dtype=float)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise DimensionError(f"expected a (k, n, n) stack, got shape {stack.shape}")
     if stack.shape[1] == 0:
         return np.ones(stack.shape[0])
-    out = np.empty(stack.shape[0])
+    out, chunk = np.empty(stack.shape[0]), 1 << 14
     for lo in range(0, stack.shape[0], chunk):
         out[lo:lo + chunk] = np.linalg.det(stack[lo:lo + chunk])
     return out

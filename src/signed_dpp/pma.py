@@ -24,11 +24,11 @@ the GF(2) solve; there is no one-item entry point.
    upper-triangle entry signs, held as an index array of its 3 or 4
    variables.  ``gf2.solve_groups`` filters out rows already in the
    span of earlier rows (zero parity against the current null space),
-   so its one packed elimination only sees rows that raise the rank,
-   and then checks its particular solution against every row; a
-   violated row means the minors are inconsistent.  The reduced row
-   echelon form of a row space is unique, so the particular solution
-   and the null-space basis are those of the full system.
+   so its packed eliminations only see rows outside that span, and then
+   checks its particular solution against every row; a violated row
+   means the minors are inconsistent.  The reduced row echelon form of
+   a row space is unique, so the particular solution and the
+   null-space basis are those of the full system.
 """
 
 from __future__ import annotations
@@ -81,26 +81,28 @@ class Skeleton:
 class PMASolution:
     """One reconstructed kernel plus the generators of all sign choices.
 
-    ``free_switches`` are bitmasks over ``pairs``: XORing any subset of
-    them into the base sign pattern yields another matrix with the same
-    principal minors.
+    ``solution`` is the GF(2) solution over the upper-triangle entry
+    signs, as bitmasks over ``pairs`` (bit 1 = negative).  Its particular
+    solution is the kernel's sign pattern, and XORing any subset of its
+    null basis, the ``free_switches``, into that pattern yields another
+    matrix with the same principal minors.
     """
 
     kernel: SignedKernel
-    free_switches: tuple[int, ...]
+    solution: gf2.GF2Solution
     pairs: tuple[tuple[int, int], ...]
 
     @property
+    def free_switches(self) -> tuple[int, ...]:
+        return self.solution.null_basis
+
+    @property
     def null_dimension(self) -> int:
-        return len(self.free_switches)
+        return self.solution.nullity
 
     def sign_pattern(self) -> int:
         """Bitmask of the base kernel's upper-triangle signs (1 = negative)."""
-        bits = 0
-        for t, (i, j) in enumerate(self.pairs):
-            if self.kernel.entry(i, j) < 0:
-                bits |= 1 << t
-        return bits
+        return self.solution.particular
 
 
 def _pairs(n: int) -> tuple[tuple[int, int], ...]:
@@ -123,11 +125,12 @@ def _pair_index(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # stage 1: skeleton
 
-def recover_skeleton(minors: MinorList, density_tol: float = DENSITY_TOL) -> Skeleton:
+def recover_skeleton(minors: MinorList) -> Skeleton:
     """Diagonal, magnitudes and relating signs from orders 1 and 2.
 
     Each relating sign eps_ij is the sign of a_i a_j - a_ij, with no
-    noise margin and no warning; only the density tolerance is checked.
+    noise margin and no warning; only the density tolerance
+    ``DENSITY_TOL`` is checked.
     On estimated minors a pair whose K_ij^2 lies below the noise of its
     pair minor can get the wrong sign, and every later decision builds
     on it: at N = 16 from 1e4 sequential draws, 51 of 120 were wrong.
@@ -136,12 +139,12 @@ def recover_skeleton(minors: MinorList, density_tol: float = DENSITY_TOL) -> Ske
     diagonal = minors.get_many(np.arange(1, n + 1)[:, None])
     iu, ju = np.triu_indices(n, 1)
     gap = diagonal[iu] * diagonal[ju] - minors.get_many(np.stack([iu, ju], axis=1) + 1)
-    flat = np.flatnonzero(np.abs(gap) <= density_tol)
+    flat = np.flatnonzero(np.abs(gap) <= DENSITY_TOL)
     if flat.size:
         t = flat[0]
         raise NotDenseError(
             f"pair ({iu[t] + 1},{ju[t] + 1}): a_i a_j - a_ij = {gap[t]:.3e} is below the "
-            f"density tolerance {density_tol:.0e}; entry is numerically zero")
+            f"density tolerance {DENSITY_TOL:.0e}; entry is numerically zero")
     magnitude = np.zeros((n, n))
     epsilon = np.zeros((n, n), dtype=int)
     epsilon[iu, ju] = epsilon[ju, iu] = np.where(gap > 0, 1, -1)
@@ -301,8 +304,7 @@ def _four_cycle_rows(skel: Skeleton, quad: np.ndarray, cycle: np.ndarray,
 # ---------------------------------------------------------------------------
 # end to end
 
-def solve_pma(minors: MinorList, sign_tol: float = SIGN_TOL,
-              density_tol: float = DENSITY_TOL) -> PMASolution:
+def solve_pma(minors: MinorList, sign_tol: float = SIGN_TOL) -> PMASolution:
     """Reconstruct a dense signed kernel from minors of orders up to 4.
 
     Sign decisions whose underlying quantity falls below ``sign_tol``
@@ -310,7 +312,7 @@ def solve_pma(minors: MinorList, sign_tol: float = SIGN_TOL,
     constraint set); outright contradictions raise.
     """
     n = minors.n
-    skel = recover_skeleton(minors, density_tol)
+    skel = recover_skeleton(minors)
     tri, pi3, quad, pi4 = traveling_sums(minors, skel)
 
     # triangles: a positive triangle's pi3 carries its product sign
@@ -365,8 +367,7 @@ def solve_pma(minors: MinorList, sign_tol: float = SIGN_TOL,
     x = np.array(gf2.bits_of(solution.particular, n_vars), dtype=bool)
 
     return PMASolution(kernel=_assemble(skel.diagonal, mag, eps, x),
-                       free_switches=solution.null_basis,
-                       pairs=_pairs(n))
+                       solution=solution, pairs=_pairs(n))
 
 
 def _assemble(diagonal: np.ndarray, magnitude: np.ndarray, epsilon: np.ndarray,
@@ -393,7 +394,7 @@ def describe_solution_set(sol: PMASolution) -> list[SignedKernel]:
     eps = np.where(k.mat * k.mat.T > 0, 1, -1)
     return [_assemble(np.diag(k.mat), np.abs(k.mat), eps,
                       np.array(gf2.bits_of(bits, len(sol.pairs)), dtype=bool))
-            for bits in gf2.coset(sol.sign_pattern(), sol.free_switches)]
+            for bits in sol.solution.members()]
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,21 @@ def test_small_chunks_match_the_int_elimination(monkeypatch, chunk):
     assert inconsistent > 3
 
 
+def test_narrow_groups_share_one_elimination(monkeypatch):
+    # fresh rows wait until they are at least as many as the nullity, so
+    # 24 one-row groups over 40 variables are eliminated together
+    calls = []
+    eliminate = gf2._eliminate
+    monkeypatch.setattr(gf2, "_eliminate", lambda *args: calls.append(1) or eliminate(*args))
+    rng = np.random.default_rng(43)
+    groups = [rng.choice(40, size=(1, 3), replace=False) for _ in range(24)]
+    rhs = [rng.integers(0, 2, 1) for _ in groups]
+    sol = gf2.solve_groups(groups, rhs, 40)
+    assert len(calls) == 1
+    assert (sol.particular, sol.null_basis, sol.free_cols, sol.rank) == \
+        _reference_solve(_as_masks(groups, rhs), 40)
+
+
 def test_solve_groups_reads_the_solution_of_the_kept_rows():
     rng = np.random.default_rng(37)
     for _ in range(40):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -224,7 +225,8 @@ def test_minor_list_matches_a_dict():
     # insertion order with overwrites, for every order of n = 1..10
     gen = np.random.default_rng(71)
     for n in range(1, 11):
-        every = kernel.subsets_colex(n, range(1, n + 1))
+        every = sorted((j for t in range(1, n + 1)
+                        for j in itertools.combinations(range(1, n + 1), t)), key=kernel.colex_key)
         ml, want, reads = moments.MinorList(n), {}, set()
         for _ in range(3 * len(every) // 4 + 2):
             j = every[gen.integers(len(every))]
@@ -259,7 +261,6 @@ def test_minor_list_matches_a_dict():
             assert set(ml.queried) == reads and all(j in ml.queried for j in reads)
         ml.reset_queries()
         assert ml.queried == set() and len(ml.queried) == 0
-        assert ml.has_all_orders(n) == (len(want) == len(every))
 
 
 def test_minor_list_refuses_orders_above_the_limit():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -421,6 +422,30 @@ def test_solution_set_size_and_equivalence():
     want = moments.exact_minors(k, "all")
     for m in members:
         assert pma.verify(m, want, 1e-9).passed
+
+
+def test_solution_set_is_the_gf2_coset_in_order():
+    # member c flips the base kernel's upper entries (and their mirror
+    # images) where the sign bits of member c of gf2's coset of the
+    # kernel's own upper sign bits differ from them
+    for seed in range(6):
+        n = 4 + seed % 5
+        k = kernel.generate_admissible(n, 0.3, 70 + seed)
+        sol = pma.solve_pma(moments.exact_minors(k, 4))
+        h = sol.kernel.mat
+        iu, ju = np.triu_indices(n, 1)
+        negative = h[iu, ju] < 0
+        signs = sum(1 << t for t in np.flatnonzero(negative).tolist())
+        assert sol.sign_pattern() == signs
+        want = []
+        for bits in dataclasses.replace(sol.solution, particular=signs).members():
+            flip = np.array(gf2.bits_of(bits, len(iu)), dtype=bool) != negative
+            mat = h.copy()
+            mat[iu[flip], ju[flip]] *= -1
+            mat[ju[flip], iu[flip]] *= -1
+            want.append(mat.tobytes())
+        assert len(want) == 1 << n
+        assert [m.mat.tobytes() for m in pma.describe_solution_set(sol)] == want
 
 
 def test_solution_set_contains_switches_and_transpose():
