@@ -43,7 +43,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", required=True, help="kernel JSON input path")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--method", choices=("exact", "sequential"), default="exact")
+    p.add_argument("--method", choices=("exact", "sequential"), default="exact",
+                   help=f"exact enumerates all 2^N subsets (N <= {kernel.ENUMERATION_LIMIT}); "
+                        f"sequential walks the items (N <= {sampler.MASK_ITEMS})")
     p.add_argument("--out", required=True, help="samples text output path")
     p.set_defaults(func=cmd_sample)
 
@@ -115,11 +117,17 @@ def cmd_minors(args) -> int:
         except ValueError:
             return _usage(
                 f'--max-order must be an integer or "all", got {args.max_order!r}')
+        if not 1 <= order <= k.n:
+            return _usage(f"--max-order must lie in 1..{k.n}, got {order}")
     moments.write_minors(args.out, moments.exact_minors(k, order))
     return 0
 
 
 def cmd_estimate(args) -> int:
+    if args.n < 1:
+        return _usage(f"--n must be positive, got {args.n}")
+    if not 1 <= args.max_order <= 4:
+        return _usage(f"--max-order must lie in 1..4, got {args.max_order}")
     batch = sampler.read_samples(args.samples, args.n)
     minors = moments.estimate_required_minors(batch, args.max_order)
     moments.write_minors(args.out, minors)

@@ -224,6 +224,8 @@ def estimate_required_minors(batch: SampleBatch, max_order: int) -> MinorList:
     if max_order not in (1, 2, 3, 4):
         raise DimensionError(f"max_order must be in 1..4, got {max_order}")
     n = batch.n_items
+    if n < 1:
+        raise DimensionError("estimating minors needs a ground set of at least one item")
     orders = [index_combinations(n, t) for t in range(1, min(max_order, n) + 1)]
     jm = np.concatenate([np.bitwise_or.reduce(np.uint64(1) << idx.astype(np.uint64), axis=1)
                          for idx in orders])

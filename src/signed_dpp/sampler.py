@@ -2,8 +2,11 @@
 
 Two exact schemes: inverse-CDF over the fully enumerated point masses
 (N <= 16), and a sequential conditional walk over items 1..N that
-updates a residual kernel after every decision, for a block of samples
-at once (the LU-style sampler of Poulson 2019).  Sample index i always
+updates a residual kernel after every decision (the LU-style sampler of
+Poulson 2019).  The walk runs a block of samples at once and keeps one
+residual per distinct decision prefix, not per sample; a block holds
+_WALK_CELLS // N**2 samples, so its residuals stay within _WALK_CELLS
+entries whatever the prefixes.  Sample index i always
 draws from rng.stream(seed, i), so batches are reproducible and
 order-independent.  A batch holds one uint64 mask per sample: N <= 64.
 """
@@ -26,10 +29,12 @@ from .kernel import (
 
 PROB_CLAMP = 1e-9
 MASK_ITEMS = 64      # bits in a sample mask
-_WALK_ROWS = 256     # samples per block of the sequential walk
+_WALK_CELLS = 256 * 64 * 64   # residual entries per block of the sequential walk
 
 
 def _require_mask_width(n_items: int) -> None:
+    if n_items < 0:
+        raise DimensionError(f"a ground set cannot have {n_items} items")
     if n_items > MASK_ITEMS:
         raise CapabilityError(f"sample batches hold one {MASK_ITEMS}-bit mask per "
                               f"draw, so N is capped at {MASK_ITEMS}, got {n_items}")
@@ -101,41 +106,58 @@ def _sequential_walk(k: SignedKernel, count: int, draws):
     clamped probability: uniforms draw a sample, -1 (take) and 2 (leave)
     fix a path.  The residual kernel over the undecided items starts as K;
     including or excluding the next item is a rank-1 update of its
-    trailing block, made for a whole block of rows in the one-sample
-    operation order.  Returns (taken items as a (count, N) bool array,
-    per-step probability of the decision taken).  A zero-probability
-    decision ends that row's walk; its later steps report probability 1.
+    trailing block.  Rows that made the same decisions so far share one
+    residual: each row carries the id of its decision prefix, the children
+    of prefix g are numbered 2g + take and compacted in that order, and
+    each child is updated once from its parent, in the one-sample
+    operation order.  A block holds _WALK_CELLS // N**2 rows, so its
+    residuals never exceed _WALK_CELLS entries.  Returns (taken items as a
+    (count, N) bool array, per-step probability of the decision taken).
+    A zero-probability decision ends that row's walk; its later steps
+    report probability 1.
     """
     n = k.n
     taken = np.zeros((count, n), dtype=bool)
     factors = np.ones((count, n))
-    for lo in range(0, count, _WALK_ROWS):
-        hi = min(count, lo + _WALK_ROWS)
+    block = max(1, _WALK_CELLS // (n * n))
+    for lo in range(0, count, block):
+        hi = min(count, lo + block)
         u = draws(lo, hi)
-        resid = np.broadcast_to(k.mat, (hi - lo, n, n))
+        resid = k.mat[None]                       # one residual per prefix
+        prefix = np.zeros(hi - lo, dtype=np.intp)  # each row's prefix id
         alive = np.ones(hi - lo, dtype=bool)
         for t in range(n):
+            # Every prefix has a live row, so a bad prefix is a bad row.
             raw = resid[:, 0, 0]
-            bad = alive & ~((raw >= -PROB_CLAMP) & (raw <= 1.0 + PROB_CLAMP))
+            bad = ~((raw >= -PROB_CLAMP) & (raw <= 1.0 + PROB_CLAMP))
             if bad.any():
-                raise SamplingError(f"conditional inclusion probability {float(raw[bad][0])!r} "
+                first = prefix[np.argmax(alive & bad[prefix])]
+                raise SamplingError(f"conditional inclusion probability {float(raw[first])!r} "
                                     "outside [0, 1]: kernel is not admissible")
-            p = np.where(raw < 0.0, 0.0, np.minimum(raw, 1.0))
+            p = np.where(raw < 0.0, 0.0, np.minimum(raw, 1.0))[prefix]
             take = u[:, t] < p
             factors[lo:hi, t] = np.where(alive, np.where(take, p, 1.0 - p), 1.0)
             alive &= factors[lo:hi, t] != 0.0
             taken[lo:hi, t] = take & alive
             if t == n - 1 or not alive.any():
                 break
-            denom = np.where(alive, np.where(take, raw, 1.0 - raw), 1.0)
+            # Dead rows keep a valid but meaningless id; alive masks them.
+            key = 2 * prefix + take
+            present = np.zeros(2 * len(resid), dtype=bool)
+            present[key[alive]] = True
+            prefix = (np.cumsum(present) - 1)[key]
+            child = np.flatnonzero(present)
+            parent, took = child >> 1, (child & 1) == 1
+            denom = np.where(took, raw[parent], 1.0 - raw[parent])
             small = np.abs(denom) <= 1e-12
             if small.any():
+                first = prefix[np.argmax(alive & small[prefix])]
                 raise SamplingError(
                     f"degenerate conditioning at item {t + 1}: decision probability "
-                    f"{float(denom[small][0])!r} is ~ 0 (round-off path)")
-            update = resid[:, 1:, :1] * resid[:, :1, 1:] / denom[:, None, None]
-            update *= np.where(take, -1.0, 1.0)[:, None, None]   # R - U is R + (-U)
-            resid = np.add(update, resid[:, 1:, 1:], out=update)
+                    f"{float(denom[first])!r} is ~ 0 (round-off path)")
+            update = resid[parent, 1:, :1] * resid[parent, :1, 1:] / denom[:, None, None]
+            update *= np.where(took, -1.0, 1.0)[:, None, None]   # R - U is R + (-U)
+            resid = np.add(update, resid[parent, 1:, 1:], out=update)
     return taken, factors
 
 

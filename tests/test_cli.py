@@ -130,6 +130,19 @@ def test_estimate_malformed_line_exits_one(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_estimate_and_minors_flag_errors_exit_one(tmp_path, capsys):
+    s_path, k_path, out = (str(tmp_path / name) for name in ("s.txt", "k.json", "o.json"))
+    (tmp_path / "s.txt").write_text("-\n")
+    main(["gen", "--n", "5", "--lambda", "0.3", "--seed", "1", "--out", k_path])
+    for n, order in (("0", "2"), ("-3", "2"), ("5", "0"), ("5", "7")):
+        assert main(["estimate", "--samples", s_path, "--n", n,
+                     "--max-order", order, "--out", out]) == 1
+    for order in ("0", "6"):
+        assert main(["minors", "--kernel", k_path, "--max-order", order, "--out", out]) == 1
+    assert capsys.readouterr().err.count("signed-dpp: error: --") == 6
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_missing_input_exits_one(tmp_path):
     assert main(["minors", "--kernel", str(tmp_path / "nope.json"),
                  "--max-order", "2", "--out", str(tmp_path / "m.json")]) == 1

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from helpers import signed_matrix
-from signed_dpp import kernel, rng, sampler
+from signed_dpp import kernel, moments, rng, sampler
 from signed_dpp.errors import (
     CapabilityError,
+    DimensionError,
     FormatError,
     InadmissibleKernelError,
     SamplingError,
@@ -116,6 +117,56 @@ def test_batch_samplers_equal_their_singles(n):
                                        for i in range(count - 5, count))
     assert batch.masks().dtype == np.uint64 and not batch.masks().flags.writeable
     assert batch == sampler.SampleBatch(n, batch.samples)
+
+
+@pytest.mark.parametrize("n", [24, 32])
+def test_sequential_batch_past_the_enumeration_cap_equals_its_singles(n):
+    k = kernel.generate_admissible(n, 0.3, n)
+    batch = sampler.sample_sequential_batch(k, 300, 5)
+    assert batch.samples == tuple(one_sample_walk(k, 5, i) for i in range(300))
+
+
+@pytest.mark.parametrize("n, count", [(7, 50), (16, 23)])
+def test_walk_output_does_not_depend_on_the_block_size(monkeypatch, n, count):
+    k = kernel.generate_admissible(n, 0.3, 60 + n)
+
+    def walk():
+        taken, factors = sampler._sequential_walk(
+            k, count, lambda lo, hi: rng.uniforms(3, np.arange(lo, hi), n))
+        return taken.tobytes(), factors.tobytes(), sampler.sample_sequential_batch(k, count, 3)
+
+    whole = walk()
+    for rows in (1, 3, 7):
+        monkeypatch.setattr(sampler, "_WALK_CELLS", rows * n * n)
+        assert walk() == whole
+
+
+def test_walk_rows_sharing_a_prefix_match_their_paths():
+    # A diagonal kernel's conditionals are its diagonal, so a row takes
+    # item i when its draw is below K_ii.  P[1] = 1, so every row that
+    # leaves item 1 out dies at step 1.
+    k = kernel.SignedKernel(np.diag([1.0, 0.5, 0.5]))
+    draws = np.array([[0.3, 0.2, 0.7], [-1.0, -1.0, 2.0], [2.0, 0.2, 0.7],
+                      [-1.0, 2.0, -1.0], [2.0, -1.0, 2.0], [0.3, 0.9, 0.1],
+                      [-1.0, -1.0, 2.0], [2.0, 2.0, 2.0]])
+    taken, factors = sampler._sequential_walk(k, len(draws), lambda lo, hi: draws[lo:hi])
+    for row, took, got in zip(draws, taken, factors):
+        path = tuple(int(i) + 1 for i in np.flatnonzero(row < [1.0, 0.5, 0.5]))
+        assert got.tobytes() == sampler.sequential_path_probabilities(k, path).tobytes()
+        if row[0] == 2.0:
+            assert got.tolist() == [0.0, 1.0, 1.0] and not took.any()
+        else:
+            assert took.tolist() == (row < [1.0, 0.5, 0.5]).tolist()
+            assert got.tolist() == [1.0, 0.5, 0.5]
+
+
+def test_negative_and_empty_ground_sets_are_dimension_errors():
+    with pytest.raises(DimensionError):
+        sampler.SampleBatch(-3, masks=[0])
+    with pytest.raises(DimensionError):
+        sampler.parse_samples("-\n", -3)
+    with pytest.raises(DimensionError):
+        moments.estimate_required_minors(sampler.parse_samples("-\n", 0), 2)
 
 
 def test_sequential_batch_rejects_inadmissible_kernels():
