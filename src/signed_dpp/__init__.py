@@ -8,8 +8,9 @@ skipped, which enlarges the solution set.
 
 The PMA stages are public as the batched array functions that
 ``solve_pma`` composes: ``recover_skeleton``, ``traveling_sums`` and
-``match_four_cycles``.  GF(2) systems are solved by one function,
-``solve_groups``, on rows held as index arrays.
+``match_four_cycles``.  GF(2) systems, on rows held as index arrays,
+have one elimination, held by a ``SpanBasis`` that takes rows
+incrementally; ``solve_groups`` is its one-shot wrapper.
 """
 
 from .errors import (
@@ -61,7 +62,7 @@ from .graph import (
     signed_adjacency,
     travelings,
 )
-from .gf2 import GF2Solution, solve_groups
+from .gf2 import GF2Solution, SpanBasis, solve_groups
 from .moments import (
     MinorList,
     estimate_minor,

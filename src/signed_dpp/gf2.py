@@ -1,12 +1,13 @@
 """Linear algebra over the two-element field.
 
 Sign systems (products of +-1 unknowns equal to prescribed +-1 values)
-are solved here as XOR systems, with bit 1 for the sign -1.  There is
-one solver, ``solve_groups``: rows come in as index arrays, a span
-filter drops rows already implied by earlier ones, Gauss-Jordan
-elimination of the rest on bit-packed rows (the right-hand side carried
-as one more column) reads off the solution, and every row is checked
-against it.  Solutions hold their vectors as ints.
+are solved here as XOR systems, with bit 1 for the sign -1, on rows held
+as index arrays of distinct variables.  A ``SpanBasis`` takes rows
+incrementally and keeps the reduced row echelon form of their span as
+its null space, in packed 64-bit words, and its particular solution;
+callers test rows against ``null_words`` between additions and read
+``solution`` at the end.  ``solve_groups`` is the one-shot wrapper.
+Solutions hold their vectors as ints.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import numpy as np
 from .errors import DimensionError
 
 # Rows of index arrays are filtered in chunks of this many at a time
-# against the span of the basis so far.
+# against the span of the basis so far; ``pma.solve_pma`` walks the
+# 4-sets in chunks of the same size.
 SPAN_CHUNK = 4096
 
 
@@ -66,76 +68,170 @@ class GF2Solution:
         return diff == 0
 
 
-def _null_space(n_vars: int, cols: np.ndarray, reduced: np.ndarray):
-    """Free columns and (n_vars, nullity) null basis of packed reduced
-    rows: vector t is free column t plus every pivot whose row has it set."""
-    bits = np.unpackbits(reduced, axis=1, count=n_vars, bitorder="little").astype(bool)
-    free = np.setdiff1d(np.arange(n_vars), cols)
-    null = np.zeros((n_vars, free.size), dtype=bool)
-    null[free, np.arange(free.size)] = True
-    null[cols] = bits[:, free]
-    return free, null
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """(m, k) bools as (m, ceil(k / 64)) little-endian uint64 words: bit
+    c of a row is bit c & 63 of word c >> 6."""
+    out = np.zeros((len(bits), -(-bits.shape[1] // 64) * 8), dtype=np.uint8)
+    out[:, :-(-bits.shape[1] // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return out.view("<u8")
+
+
+def _column(words: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Bits ``cols`` of packed rows, as an (m, len(cols)) bool array."""
+    return np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")[:, cols] == 1
+
+
+def _with_column(words: np.ndarray, bits: np.ndarray, col: int) -> np.ndarray:
+    """Packed rows widened to hold column ``col``, which is set from the
+    0/1 ``bits``; ``words`` has no bit at ``col`` or beyond."""
+    out = np.zeros((len(words), col // 64 + 1), dtype=np.uint64)
+    out[:, :words.shape[1]] = words
+    out[:, col >> 6] |= bits.astype(np.uint64) << np.uint64(col & 63)
+    return out
 
 
 def parities(supports: np.ndarray, assignment: np.ndarray) -> np.ndarray:
     """XOR of ``assignment`` over each row of an (m, w) array of distinct
     variable indices.  A 0/1 vector gives (m,) parities; an (n_vars, d)
-    matrix gives the (m, d) parities against each of its d columns."""
-    out = np.zeros((len(supports),) + assignment.shape[1:], dtype=bool)
+    matrix gives the (m, d) parities against each of its d columns, and
+    an (n_vars, d) matrix of packed words the (m, d) words of the
+    parities against each of their bits."""
+    out = np.zeros((len(supports),) + assignment.shape[1:], dtype=assignment.dtype)
     for col in np.asarray(supports).T:
         out ^= assignment[col]
     return out
 
 
+_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
+
+
 def _eliminate(work: np.ndarray, n_vars: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jordan on the first n_vars columns of (m, bytes) uint8 rows,
-    in place; column c is bit c & 7 of byte c >> 3, and later columns (a
-    right-hand side) ride along.  Returns the pivot rows and columns: the
-    pivot rows end in reduced row echelon form, the rest end zero."""
+    """Gauss-Jordan on the first n_vars columns of packed (m, words) rows
+    (see ``_pack``), in place; later columns (a right-hand side) ride
+    along.  Returns the pivot rows and columns: the pivot rows end in
+    reduced row echelon form, the rest end zero.
+
+    Columns are taken in increasing order.  Past a column without a
+    pivot the loop jumps to the next column of the same 64-bit word at
+    which a row not yet chosen has a bit, read off the OR of that word
+    over those rows.
+    """
     unused = np.ones(len(work), dtype=bool)
     chosen, cols = [], []
-    for col in range(n_vars):
-        hit = (work[:, col >> 3] >> (col & 7)) & 1 == 1
+    col = 0
+    while col < n_vars:
+        hit = (work[:, col >> 6] & _BITS[col & 63]) != 0
         candidates = np.flatnonzero(hit & unused)
         if candidates.size == 0:
+            rest = int(np.bitwise_or.reduce(work[unused, col >> 6])) >> (col & 63)
+            col = col + (rest & -rest).bit_length() - 1 if rest else (col | 63) + 1
             continue
         p = candidates[0]
         unused[p] = hit[p] = False
         work[hit] ^= work[p]
         chosen.append(p)
         cols.append(col)
+        col += 1
     return np.array(chosen, dtype=np.intp), np.array(cols, dtype=np.intp)
 
 
-def _span_basis(groups: list[tuple[np.ndarray, np.ndarray]], n_vars: int):
-    """Pivot columns, packed reduced rows (right-hand side at column
-    n_vars), free columns and null basis (see ``_null_space``) of a basis
-    of the row space of all (supports, rhs) groups, found in chunks.
+class SpanBasis:
+    """The reduced row echelon form of the XOR rows added so far, held as
+    its null space (``null_words``) and particular solution.
 
-    A row whose parity against every vector of the current null space is
-    0 already lies in the span and is dropped without elimination.  The
-    rest wait until there are at least as many as the nullity, and are
-    then eliminated together with the reduced rows so far; whatever waits
-    at the end is eliminated last.  A row space has one reduced row
-    echelon form, so the result does not depend on the chunking.
+    Rows come in as (supports, rhs) groups: (m, w) arrays of distinct
+    variable indices in 0..n_vars-1 and (m,) 0/1 right-hand sides.  A
+    row's parities against the null space are the row reduced by the
+    basis, over the free columns, and its parity against the particular
+    solution reduces its right-hand side.  A row that reduces to zero
+    lies in the span and is only checked: a reduced right-hand side of 1
+    contradicts the rows before it.  The other rows wait, reduced, until
+    they are as many as the nullity, and are then eliminated among
+    themselves over the free columns.  Groups are filtered in chunks of
+    ``SPAN_CHUNK`` rows.  A row space has one reduced row echelon form,
+    so the result does not depend on the chunking or on when rows were
+    added.
     """
-    free, null = np.arange(n_vars), np.eye(n_vars, dtype=bool)
-    cols = np.zeros(0, dtype=np.intp)
-    reduced = pending = np.zeros((0, n_vars // 8 + 1), dtype=np.uint8)
-    chunks = [(supports[lo:lo + SPAN_CHUNK], bits[lo:lo + SPAN_CHUNK])
-              for supports, bits in groups for lo in range(0, len(supports), SPAN_CHUNK)]
-    for t, (chunk, bits) in enumerate(chunks):
-        fresh = np.flatnonzero(parities(chunk, null).any(axis=1))
-        new = np.zeros((fresh.size, n_vars + 1), dtype=bool)
-        new[np.arange(fresh.size)[:, None], chunk[fresh]] = True
-        new[:, n_vars] = bits[fresh]
-        pending = np.concatenate([pending, np.packbits(new, axis=1, bitorder="little")])
-        if len(pending) and (len(pending) >= null.shape[1] or t == len(chunks) - 1):
-            work = np.concatenate([reduced, pending])
-            chosen, cols = _eliminate(work, n_vars)
-            reduced, pending = work[chosen], pending[:0]
-            free, null = _null_space(n_vars, cols, reduced)
-    return cols, reduced, free, null
+
+    def __init__(self, n_vars: int):
+        self.n_vars = n_vars
+        self._free = np.arange(n_vars)
+        self._null = _pack(np.eye(n_vars, dtype=bool))
+        self._x = np.zeros(n_vars, dtype=bool)
+        self._pending = np.zeros((0, n_vars // 64 + 1), dtype=np.uint64)
+        self._consistent = True
+
+    @property
+    def nullity(self) -> int:
+        """Dimension of the null space of every row added so far."""
+        self._flush()
+        return len(self._free)
+
+    def add(self, supports, rhs) -> None:
+        """Add one group of rows; DimensionError when it is malformed."""
+        supports, bits = _checked(supports, rhs, self.n_vars)
+        lo = 0
+        while lo < len(supports):
+            chunk = supports[lo:lo + SPAN_CHUNK]
+            reduced = parities(chunk, self._null)
+            fresh = reduced.any(axis=1)
+            # before the first elimination every row is fresh: take only as
+            # many as the nullity, so that the filter can drop the rest
+            n_free = len(self._free)
+            need = n_free - len(self._pending) if n_free == self.n_vars else 0
+            stop = (np.flatnonzero(fresh)[need - 1] + 1
+                    if 0 < need <= np.count_nonzero(fresh) else len(chunk))
+            reduced, fresh = reduced[:stop], fresh[:stop]
+            off = bits[lo:lo + stop] ^ parities(chunk[:stop], self._x)
+            self._consistent &= not np.any(off & ~fresh)
+            self._pending = np.concatenate(
+                [self._pending, _with_column(reduced[fresh], off[fresh], n_free)])
+            lo += stop
+            if len(self._pending) >= n_free:
+                self._flush()
+
+    def _flush(self) -> None:
+        if not len(self._pending):
+            return
+        n_free = len(self._free)
+        chosen, pivots = _eliminate(self._pending, n_free)
+        rest = np.delete(self._pending, chosen, axis=0)
+        self._consistent &= not _column(rest, np.array([n_free])).any()
+        # each variable's row, with the particular solution as column n_free
+        rows = _with_column(self._null, self._x, n_free)
+        for q, pivot_row in zip(pivots, self._pending[chosen]):
+            rows[(rows[:, q >> 6] & _BITS[q & 63]) != 0] ^= pivot_row
+        keep = np.setdiff1d(np.arange(n_free), pivots)
+        bits = _column(rows, np.append(keep, n_free))
+        self._null, self._x, self._free = _pack(bits[:, :-1]), bits[:, -1], self._free[keep]
+        self._pending = np.zeros((0, len(keep) // 64 + 1), dtype=np.uint64)
+
+    def null_words(self) -> np.ndarray:
+        """The null space as (n_vars, ceil(nullity / 64)) packed words: bit
+        t of variable v is entry v of null vector t, the solution of the
+        homogeneous rows that is 1 at free column t and 0 at the other
+        free columns.  ``parities`` of rows against it are nonzero
+        exactly for rows outside the span."""
+        self._flush()
+        return self._null
+
+    def solution(self) -> GF2Solution | None:
+        """The solution of every row added, or None when some row
+        contradicts the rest.
+
+        The particular solution has every free variable zero.  It and
+        the null-space basis are read off the reduced row echelon form,
+        which is unique for the row space, so they do not depend on row
+        order.
+        """
+        self._flush()
+        if not self._consistent:
+            return None
+        null = _column(self._null, np.arange(len(self._free))).T
+        ints = [int.from_bytes(row.tobytes(), "little") for row in _pack(np.vstack([self._x, null]))]
+        return GF2Solution(n_vars=self.n_vars, particular=ints[0], null_basis=tuple(ints[1:]),
+                           free_cols=tuple(self._free.tolist()),
+                           rank=self.n_vars - len(self._free))
 
 
 def _checked(supports, bits, n_vars: int) -> tuple[np.ndarray, np.ndarray]:
@@ -159,20 +255,10 @@ def solve_groups(groups: Sequence[np.ndarray], rhs: Sequence[np.ndarray],
     """Solve XOR rows given as groups of (m, w) arrays of distinct
     variable indices in 0..n_vars-1, with 0/1 right-hand sides ``rhs``
     (one (m,) array per group); None when some row contradicts the rest.
-
-    The particular solution has every free variable zero.  It and the
-    null-space basis are read off the reduced row echelon form, which is
-    unique for the row space, so they do not depend on row order.
-    """
+    One ``SpanBasis`` takes every group in turn."""
     if len(groups) != len(rhs):
         raise DimensionError(f"{len(groups)} groups but {len(rhs)} right-hand sides")
-    checked = [_checked(s, b, n_vars) for s, b in zip(groups, rhs)]
-    cols, reduced, free, null = _span_basis(checked, n_vars)
-    x = np.zeros(n_vars, dtype=bool)
-    x[cols] = (reduced[:, n_vars >> 3] >> (n_vars & 7)) & 1
-    if any(np.any(parities(s, x) != b) for s, b in checked):
-        return None
-    ints = [int.from_bytes(row.tobytes(), "little")
-            for row in np.packbits(np.vstack([x, null.T]), axis=1, bitorder="little")]
-    return GF2Solution(n_vars=n_vars, particular=ints[0], null_basis=tuple(ints[1:]),
-                       free_cols=tuple(free.tolist()), rank=len(cols))
+    basis = SpanBasis(n_vars)
+    for supports, bits in zip(groups, rhs):
+        basis.add(supports, bits)
+    return basis.solution()

@@ -388,16 +388,16 @@ def conditional_kernel(k: SignedKernel, s: Iterable[int]) -> SignedKernel:
 def size_polynomial(k: SignedKernel) -> np.ndarray:
     """Coefficients of det(I - K + zK); coefficient p is P[|Y| = p].
 
-    Evaluated at N+1 consecutive integers centered at z = 1 (where the
-    determinant stays O(1)) and interpolated back to monomial form.
+    Evaluated at the N+1 roots of unity in one batched determinant and
+    read back with one inverse FFT.  For an admissible kernel the
+    polynomial is at most sum_p P[|Y| = p] = 1 in modulus on the unit
+    circle, so the coefficients carry rounding errors of about machine
+    precision at any N.
     """
     n = k.n
-    lo = 1 - (n + 1) // 2
-    zs = np.arange(lo, lo + n + 1, dtype=float)
-    eye = np.eye(n)
-    points = [(z, numerics.det(eye + (z - 1.0) * k.mat)) for z in zs]
-    coeffs = numerics.interpolate(points)
-    return coeffs
+    z = np.exp(-2j * np.pi * np.arange(n + 1) / (n + 1))
+    values = numerics.batched_det(np.eye(n) + (z - 1.0)[:, None, None] * k.mat)
+    return np.fft.ifft(values).real
 
 
 def size_variance(k: SignedKernel) -> float:

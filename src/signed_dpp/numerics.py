@@ -1,16 +1,14 @@
-"""Dense real linear algebra shared by every other module.
+"""Dense linear algebra shared by every other module.
 
 Determinants and solves are LU-with-partial-pivoting, delegated to
 LAPACK (``getrf``) through numpy/scipy; this module adds the package's
 input validation, the scale-invariant singularity threshold, and the
-0x0-determinant convention.  Polynomials are plain coefficient arrays,
-``coeffs[k]`` multiplying ``x**k``.
+0x0-determinant convention.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -43,13 +41,15 @@ def det(a) -> float:
 
 
 def batched_det(stack: np.ndarray) -> np.ndarray:
-    """Determinants of a (k, n, n) stack, in chunks of 2^14 to bound peak memory."""
-    stack = np.asarray(stack, dtype=float)
+    """Determinants of a (k, n, n) real or complex stack, in chunks of
+    2^14 to bound peak memory."""
+    stack = np.asarray(stack)
+    stack = stack.astype(np.result_type(stack.dtype, float), copy=False)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise DimensionError(f"expected a (k, n, n) stack, got shape {stack.shape}")
     if stack.shape[1] == 0:
-        return np.ones(stack.shape[0])
-    out, chunk = np.empty(stack.shape[0]), 1 << 14
+        return np.ones(stack.shape[0], dtype=stack.dtype)
+    out, chunk = np.empty(stack.shape[0], dtype=stack.dtype), 1 << 14
     for lo in range(0, stack.shape[0], chunk):
         out[lo:lo + chunk] = np.linalg.det(stack[lo:lo + chunk])
     return out
@@ -75,37 +75,3 @@ def solve_linear(a, b) -> np.ndarray:
         raise SingularMatrixError(
             f"pivot {np.min(pivots):.3e} below threshold {PIVOT_RTOL * scale:.3e}")
     return scipy.linalg.lu_solve((lu, piv), rhs)
-
-
-def interpolate(points: Sequence[tuple[float, float]]) -> np.ndarray:
-    """Coefficients of the unique polynomial through the given points.
-
-    Newton's divided differences, expanded to the monomial basis.  The
-    abscissae must be pairwise distinct; n points give degree <= n-1.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
-        raise DimensionError("points must be a nonempty sequence of (x, y) pairs")
-    xs, ys = pts[:, 0], pts[:, 1]
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("interpolation points must be finite")
-    n = len(xs)
-    if len(np.unique(xs)) != n:
-        raise ValueError("duplicate abscissae in interpolation points")
-
-    # Divided-difference table, column by column in place.
-    dd = ys.copy()
-    for k in range(1, n):
-        dd[k:] = (dd[k:] - dd[k - 1:-1]) / (xs[k:] - xs[:-k])
-
-    # Horner expansion of the Newton form into monomial coefficients.
-    coeffs = np.zeros(n)
-    coeffs[0] = dd[n - 1]
-    deg = 0
-    for i in range(n - 2, -1, -1):
-        coeffs[1:deg + 2] = coeffs[:deg + 1].copy()
-        coeffs[0] = 0.0
-        coeffs[:deg + 1] -= xs[i] * coeffs[1:deg + 2]
-        coeffs[0] += dd[i]
-        deg += 1
-    return coeffs

@@ -1,47 +1,62 @@
 """Dense principal minor assignment: rebuild a signed kernel from its
 principal minors of orders 1..4 and describe every solution.
 
-The reconstruction runs as whole-array stages over every pair, triangle
-and 4-set at once.  ``solve_pma`` composes the public stage functions
-``recover_skeleton``, ``traveling_sums`` and ``match_four_cycles`` with
-the GF(2) solve; there is no one-item entry point.
+The reconstruction runs as whole-array stages.  ``solve_pma`` composes
+the public stage functions ``recover_skeleton``, ``traveling_sums`` and
+``match_four_cycles`` with a ``gf2.SpanBasis``; there is no one-item
+entry point.  Each sign decision is one XOR row over the upper-triangle
+entry signs, held as an index array of its 3 or 4 variables.
 
 1. Skeleton.  Orders 1 and 2, read in bulk, give the diagonal, the
    off-diagonal magnitudes and the relating signs, via
    det(K_ij) = K_ii K_jj - eps_ij K_ij^2.
-2. Traveling sums.  Orders 3 and 4 give pi(S) for every triangle and
-   every 4-set as arrays, by subtracting from the prescribed minor every
-   permutation class that does not involve a full-length cycle (those
-   classes only need quantities already known).
-3. Sign decisions.  Each positive triangle fixes the sign of one
-   oriented entry product.  Each 4-set's traveling sum is matched
-   against the at most 8 +-1 patterns of its positive 4-cycles, all
-   4-sets at once.  This per-4-set separation test is the only
-   genericity rule: a 4-set whose best two patterns lie within the
-   tolerance is skipped with a warning, which enlarges the solution
-   set instead of guessing.
-4. The GF(2) system.  Each decision is one XOR row over the
-   upper-triangle entry signs, held as an index array of its 3 or 4
-   variables.  ``gf2.solve_groups`` filters out rows already in the
-   span of earlier rows (zero parity against the current null space),
-   so its packed eliminations only see rows outside that span, and then
-   checks its particular solution against every row; a violated row
-   means the minors are inconsistent.  The reduced row echelon form of
-   a row space is unique, so the particular solution and the
-   null-space basis are those of the full system.
+2. Traveling sums.  The minor of a triangle or 4-set gives its pi(S),
+   by subtracting every permutation class that does not involve a
+   full-length cycle (those classes only need quantities already known).
+3. Triangles.  Every minor of order 3 is read.  Each positive triangle
+   fixes the sign of one oriented entry product, and its row goes into
+   the basis.
+4. 4-sets, only where the span needs them.  The 4-sets are walked in
+   colex chunks of ``gf2.SPAN_CHUNK``.  Which cycles of a 4-set are
+   positive, and their rows, follow from the relating signs alone; a
+   4-set is read only when one of those rows has nonzero parity against
+   the null space the chunks before it left.  Its traveling sum is
+   matched against the at most 8 +-1 patterns of its positive cycles,
+   and its decided rows go into the basis.  This per-4-set separation
+   test is the only genericity rule: a 4-set whose best two patterns lie
+   within the tolerance is skipped with a warning, which enlarges the
+   solution set instead of guessing.  The walk stops once the null
+   space is no larger than the span of the vertex switches and the
+   transpose, which every positive cycle leaves in it.
+
+Every row of a 4-set that is not read already lies in the span of the
+rows before it, and the reduced row echelon form of a row space is
+unique, so the particular solution and the null-space basis are those
+of the full system whenever the rows read are consistent.  Errors and
+warnings only concern minors that were read: a wrong 4-set minor that
+is never read does not change the solution, and ``verify`` reports it.
+A row that contradicts the rows before it means the minors are
+inconsistent.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gf2
-from .errors import AmbiguousSignWarning, CapabilityError, InconsistentMinorsError, NotDenseError
-from .kernel import SignedKernel, colex_key, index_combinations, principal_minors
+from .errors import (
+    AmbiguousSignWarning,
+    CapabilityError,
+    DimensionError,
+    InconsistentMinorsError,
+    NotDenseError,
+)
+from .kernel import SignedKernel, colex_key, colex_unrank, index_combinations, principal_minors
 from .moments import MinorList
 
 DENSITY_TOL = 1e-8
@@ -55,6 +70,8 @@ SOLUTION_SET_CAP = 12
 # of the vertex each one leaves out.
 _FACES = np.array(list(itertools.combinations(range(4), 3)))
 _FACE_REST = (3, 2, 1, 0)
+# The six edges of a sorted 4-set, as position pairs.
+_EDGES = tuple(itertools.combinations(range(4), 2))
 # The three Hamiltonian cycles of a sorted 4-set (i, j, k, l), in the
 # order of their sorted edge tuples: i-j-l-k, i-j-k-l, i-k-j-l.  Each is
 # walked from i toward its smaller neighbor (the row orientation).
@@ -195,32 +212,29 @@ def _pi4(minors: MinorList, skel: Skeleton, pt: np.ndarray, quad: np.ndarray,
     return fixed - minors.get_many(quad + 1)
 
 
-def traveling_sums(minors: MinorList, skel: Skeleton):
-    """pi(S) over every triangle and every 4-set, extracted from minors.
+def traveling_sums(minors: MinorList, skel: Skeleton, subsets: np.ndarray) -> np.ndarray:
+    """pi(S) of each row of an (m, 3) or (m, 4) array of sorted 0-based
+    triangles or 4-sets, extracted from their minors.
 
-    Returns ``(tri, pi3, quad, pi4)``: the (m, 3) and (m, 4) arrays of
-    sorted 0-based subsets in ``index_combinations`` order, and their
-    traveling sums.  Expanding det(K_S) over permutations grouped by the
-    supports of their cyclic factors, every class except the full-length
-    cycles is a known function of the skeleton (and, at order 4, of the
-    face triangles' pi3, looked up rather than recomputed); full-length
-    cycles enter with permutation sign (-1)^{|S|-1}.
+    Expanding det(K_S) over permutations grouped by the supports of
+    their cyclic factors, every class except the full-length cycles is a
+    known function of the skeleton (and, at order 4, of the traveling
+    sums of the four face triangles); full-length cycles enter with
+    permutation sign (-1)^{|S|-1}.  Only the minors of the given subsets
+    (and of the faces of given 4-sets) are read.
     """
-    n = skel.n
+    subsets = np.asarray(subsets)
+    if subsets.ndim != 2 or subsets.shape[1] not in (3, 4):
+        raise DimensionError(f"expected (m, 3) triangles or (m, 4) 4-sets, got shape {subsets.shape}")
     pt = _pair_terms(skel)
-    tri = index_combinations(n, 3)
-    pi3 = _pi3(minors, skel, pt, tri)
-    tri_index = np.zeros((n, n, n), dtype=np.intp)
-    tri_index[tri[:, 0], tri[:, 1], tri[:, 2]] = np.arange(len(tri))
-    quad = index_combinations(n, 4)
-    faces = quad[:, _FACES]
-    pi4 = _pi4(minors, skel, pt, quad,
-               pi3[tri_index[faces[..., 0], faces[..., 1], faces[..., 2]]])
-    return tri, pi3, quad, pi4
+    if subsets.shape[1] == 3:
+        return _pi3(minors, skel, pt, subsets)
+    faces = _pi3(minors, skel, pt, subsets[:, _FACES].reshape(-1, 3)).reshape(-1, 4)
+    return _pi4(minors, skel, pt, subsets, faces)
 
 
 # ---------------------------------------------------------------------------
-# stage 3: cycle sign decisions
+# sign decisions: 4-cycle patterns
 
 def _four_cycle_signs(skel: Skeleton, quad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(m, 3) edge-sign products and magnitude products of each 4-set's cycles."""
@@ -272,7 +286,7 @@ def match_four_cycles(skel: Skeleton, quad: np.ndarray, pi4: np.ndarray, tol: fl
 
 
 # ---------------------------------------------------------------------------
-# stage 4: the GF(2) sign system
+# XOR rows of the sign decisions
 
 def _triangle_rows(skel: Skeleton, tri: np.ndarray, negative: np.ndarray):
     """XOR rows (supports, rhs) of known triangle product signs."""
@@ -302,18 +316,22 @@ def _four_cycle_rows(skel: Skeleton, quad: np.ndarray, cycle: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# end to end
+# end to end: stages 3 and 4
 
 def solve_pma(minors: MinorList, sign_tol: float = SIGN_TOL) -> PMASolution:
     """Reconstruct a dense signed kernel from minors of orders up to 4.
 
+    Every minor of orders 1-3 is read, but a 4-set only when one of its
+    positive cycles is outside the span of the rows so far (see the
+    module docstring); errors and warnings only concern minors read.
     Sign decisions whose underlying quantity falls below ``sign_tol``
     are skipped with an AmbiguousSignWarning (they only shrink the
     constraint set); outright contradictions raise.
     """
     n = minors.n
     skel = recover_skeleton(minors)
-    tri, pi3, quad, pi4 = traveling_sums(minors, skel)
+    tri = index_combinations(n, 3)
+    pi3 = traveling_sums(minors, skel, tri)
 
     # triangles: a positive triangle's pi3 carries its product sign
     i, j, k = tri.T
@@ -334,40 +352,78 @@ def solve_pma(minors: MinorList, sign_tol: float = SIGN_TOL) -> PMASolution:
             f"triangle {_subset(tri[t])} is negative but its traveling sum is "
             f"{pi3[t]:.3e}; the minor list is not realizable at tol {tri_tol[t]:.1e}")
     used = positive & ~small
+    basis = gf2.SpanBasis(n * (n - 1) // 2)
+    basis.add(*_triangle_rows(skel, tri[used], ~(pi3[used] > 0)))
 
-    # 4-sets: one sign per positive cycle, unless the patterns are too close
-    cycles, negative, best, second, quad_tol = match_four_cycles(skel, quad, pi4, sign_tol)
-    bad = np.flatnonzero(best > quad_tol)
-    ambiguous = np.flatnonzero(second - best <= quad_tol)
-    for t in ambiguous[ambiguous < (bad[0] if bad.size else len(quad))]:
-        warnings.warn(
-            f"4-set {_subset(quad[t])}: sign patterns are separated by "
-            f"{second[t] - best[t]:.1e} < tol {quad_tol[t]:.1e}; magnitude products are "
-            "too close to decide; skipping the 4-set's sign constraints",
-            AmbiguousSignWarning, stacklevel=2)
-    if bad.size:
-        t = bad[0]
-        raise InconsistentMinorsError(
-            f"4-set {_subset(quad[t])}: no sign pattern matches the traveling sum "
-            f"(best residual {best[t]:.3e} > tol {quad_tol[t]:.1e})")
-    cycles[ambiguous] = False
-    rows, cycle = np.nonzero(cycles)
+    # 4-sets, in colex chunks, read only where the span still needs them.
+    # Every row is a positive cycle, on which the vertex switches and the
+    # transpose's flips (the pairs with eps = -1) have even parity, so
+    # they stay in the null space; once it is no larger than their span,
+    # no 4-set has a row outside the span and the walk stops.
+    sigma = np.where(np.arange(n) == 0, 1, eps[0])
+    floor = n - 1 + (not np.array_equal(eps + np.eye(n, dtype=int), np.outer(sigma, sigma)))
+    total = math.comb(n, 4)
+    for lo in range(0, total, gf2.SPAN_CHUNK):
+        if basis.nullity <= floor:
+            break
+        quad = colex_unrank(np.arange(lo, min(lo + gf2.SPAN_CHUNK, total)), n, 4)
+        _add_four_sets(minors, skel, basis, quad, sign_tol)
 
-    # GF(2): one row per decision; a row that contradicts the rest
-    # leaves no solution
-    groups = [_triangle_rows(skel, tri[used], ~(pi3[used] > 0)),
-              _four_cycle_rows(skel, quad[rows], cycle, negative[rows, cycle])]
-    n_vars = n * (n - 1) // 2
-    solution = gf2.solve_groups([support for support, _ in groups],
-                                [rhs for _, rhs in groups], n_vars)
+    # a row that contradicts the rest leaves no solution
+    solution = basis.solution()
     if solution is None:
         raise InconsistentMinorsError(
             "cycle sign constraints are mutually inconsistent; "
             "the minor list is not realizable in the signed class")
-    x = np.array(gf2.bits_of(solution.particular, n_vars), dtype=bool)
+    x = np.array(gf2.bits_of(solution.particular, basis.n_vars), dtype=bool)
 
     return PMASolution(kernel=_assemble(skel.diagonal, mag, eps, x),
                        solution=solution, pairs=_pairs(n))
+
+
+def _outside_span(skel: Skeleton, quad: np.ndarray, null: np.ndarray) -> np.ndarray:
+    """Which rows of an (m, 4) array of sorted 4-sets have a positive
+    cycle whose XOR row has nonzero parities against the packed null
+    space ``null`` (``gf2.SpanBasis.null_words``).  Only the relating
+    signs are read, no minor."""
+    index = _pair_index(skel.n)
+    ends = {e: (quad[:, e[0]], quad[:, e[1]]) for e in _EDGES}
+    odd = {e: skel.epsilon[ab] == -1 for e, ab in ends.items()}
+    words = {e: null[index[ab]] for e, ab in ends.items()}
+    out = np.zeros(len(quad), dtype=bool)
+    for edges in _CYCLE_EDGES:
+        negative = np.logical_xor.reduce([odd[e] for e in edges])
+        parity = np.bitwise_xor.reduce([words[e] for e in edges])
+        out |= ~negative & parity.any(axis=1)
+    return out
+
+
+def _add_four_sets(minors: MinorList, skel: Skeleton, basis: gf2.SpanBasis,
+                   quad: np.ndarray, sign_tol: float) -> None:
+    """Read the 4-sets of ``quad`` that have a positive cycle outside the
+    span of ``basis`` and add their decided cycle rows to it: one sign
+    per positive cycle, unless the patterns are too close."""
+    quad = quad[_outside_span(skel, quad, basis.null_words())]
+    if not len(quad):
+        return
+    cycles, negative, best, second, tol = match_four_cycles(
+        skel, quad, traveling_sums(minors, skel, quad), sign_tol)
+    bad = np.flatnonzero(best > tol)
+    ambiguous = np.flatnonzero(second - best <= tol)
+    for t in ambiguous[ambiguous < (bad[0] if bad.size else len(quad))]:
+        warnings.warn(
+            f"4-set {_subset(quad[t])}: sign patterns are separated by "
+            f"{second[t] - best[t]:.1e} < tol {tol[t]:.1e}; magnitude products are "
+            "too close to decide; skipping the 4-set's sign constraints",
+            AmbiguousSignWarning, stacklevel=3)
+    if bad.size:
+        t = bad[0]
+        raise InconsistentMinorsError(
+            f"4-set {_subset(quad[t])}: no sign pattern matches the traveling sum "
+            f"(best residual {best[t]:.3e} > tol {tol[t]:.1e})")
+    cycles[ambiguous] = False
+    rows, cycle = np.nonzero(cycles)
+    basis.add(*_four_cycle_rows(skel, quad[rows], cycle, negative[rows, cycle]))
 
 
 def _assemble(diagonal: np.ndarray, magnitude: np.ndarray, epsilon: np.ndarray,

@@ -49,6 +49,46 @@ def random_signed(n, seed, diag=(0.3, 0.7), mags=(0.05, 0.1)):
     return kernel.SignedKernel(mat)
 
 
+def antisymmetric(n, seed, mags=(0.05, 0.1)):
+    """Dense kernel with every relating sign -1 (K_ji = -K_ij).  Every
+    triangle is negative and every 4-cycle positive, so no triangle row
+    exists and every 4-set's cycle rows are outside the span of the rows
+    before it.  K + K^T and (I - K) + (I - K)^T are positive diagonal
+    matrices, so the kernel is admissible."""
+    gen = rng.stream(seed)
+    mat = np.diag(gen.uniform(0.4, 0.6, n))
+    iu, ju = np.triu_indices(n, 1)
+    mat[iu, ju] = gen.uniform(*mags, len(iu)) * np.where(gen.random(len(iu)) < 0.5, -1.0, 1.0)
+    mat[ju, iu] = -mat[iu, ju]
+    return kernel.SignedKernel(mat)
+
+
+def full_sign_system(minors, sign_tol=pma.SIGN_TOL):
+    """Every decided triangle row and every decided 4-cycle row of a
+    minor list, built from the public stage functions over every 4-set,
+    as ``gf2.solve_groups`` arguments (groups, rhs)."""
+    n = minors.n
+    skel = pma.recover_skeleton(minors)
+    tri, quad = kernel.index_combinations(n, 3), kernel.index_combinations(n, 4)
+    pi3, pi4 = pma.traveling_sums(minors, skel, tri), pma.traveling_sums(minors, skel, quad)
+    i, j, k = tri.T
+    mag, eps = skel.magnitude, skel.epsilon
+    tri_tol = np.maximum(sign_tol, pma.SIGN_RTOL * 2.0 * mag[i, j] * mag[j, k] * mag[i, k])
+    used = (eps[i, j] * eps[j, k] * eps[i, k] == 1) & (np.abs(pi3) > tri_tol)
+    cycles, negative, best, second, tol = pma.match_four_cycles(skel, quad, pi4, sign_tol)
+    assert np.all(best <= tol)
+    cycles[second - best <= tol] = False
+    rows, cycle = np.nonzero(cycles)
+    groups = [pma._triangle_rows(skel, tri[used], ~(pi3[used] > 0)),
+              pma._four_cycle_rows(skel, quad[rows], cycle, negative[rows, cycle])]
+    return [g for g, _ in groups], [b for _, b in groups]
+
+
+def read_four_sets(minors):
+    """The 4-sets a minor list has been read at, as 1-based tuples."""
+    return {j for j in minors.queried if len(j) == 4}
+
+
 def conjugation_distance(h, k):
     """min over +-1 diagonals D of max |H - D K D| and max |H - D K^T D|,
     with D fitted from the first row."""
@@ -129,7 +169,8 @@ def _triangles_pin_signs(k):
     """The positive triangles' rows span every decided 4-cycle row."""
     minors = moments.exact_minors(k, 4)
     skel = pma.recover_skeleton(minors)
-    tri, pi3, quad, pi4 = pma.traveling_sums(minors, skel)
+    tri, quad = kernel.index_combinations(k.n, 3), kernel.index_combinations(k.n, 4)
+    pi3, pi4 = pma.traveling_sums(minors, skel, tri), pma.traveling_sums(minors, skel, quad)
     eps = skel.epsilon
     positive = eps[tri[:, 0], tri[:, 1]] * eps[tri[:, 1], tri[:, 2]] * eps[tri[:, 0], tri[:, 2]] == 1
     cycles, negative, _, _, _ = pma.match_four_cycles(skel, quad, pi4, pma.SIGN_TOL)

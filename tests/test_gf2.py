@@ -293,3 +293,52 @@ def test_solve_groups_reads_the_solution_of_the_kept_rows():
         particular, basis, free, rank = _reference_solve(_as_masks(groups, rhs), n_vars)
         assert sol == gf2.GF2Solution(n_vars, particular, basis, free, rank)
         assert sol.contains(sum(1 << i for i in range(n_vars) if planted[i]))
+
+
+def test_span_basis_in_any_split_matches_the_int_elimination():
+    # rows added in random groups, with the null space read in between,
+    # give the solution of the whole system, consistent or not
+    rng = np.random.default_rng(47)
+    inconsistent = 0
+    for trial in range(60):
+        m = int(rng.integers(1, 150))
+        rows = _random_rows(rng, m, trial % 3 == 0)
+        groups, rhs = mask_groups(rows, m)
+        supports = [row for g in groups for row in g]
+        bits = [b for r in rhs for b in r]
+        basis = gf2.SpanBasis(m)
+        cuts = np.sort(rng.integers(0, len(supports) + 1, size=3))
+        for lo, hi in zip([0, *cuts], [*cuts, len(supports)]):
+            for width in {len(row) for row in supports[lo:hi]}:
+                sel = [t for t in range(lo, hi) if len(supports[t]) == width]
+                basis.add(np.array([supports[t] for t in sel]).reshape(len(sel), width),
+                          np.array([bits[t] for t in sel], dtype=bool))
+            assert basis.null_words().shape == (m, -(-basis.nullity // 64))
+        want, sol = _reference_solve(rows, m), basis.solution()
+        if want is None:
+            assert sol is None
+            inconsistent += 1
+        else:
+            assert (sol.particular, sol.null_basis, sol.free_cols, sol.rank) == want
+    assert inconsistent > 5
+
+
+def test_null_words_flag_exactly_the_rows_outside_the_span():
+    # nullities above 64 take several words per variable
+    rng = np.random.default_rng(53)
+    for n_vars in (5, 70, 150, 200):
+        basis = gf2.SpanBasis(n_vars)
+        groups = _index_groups(rng, n_vars)
+        rows = groups[0][:n_vars // 3]
+        basis.add(rows, np.zeros(len(rows), dtype=bool))
+        words = basis.null_words()
+        assert words.dtype == np.uint64 and words.shape == (n_vars, -(-basis.nullity // 64))
+        kept = _as_masks([rows], [np.zeros(len(rows), dtype=bool)])
+        rank = _reference_solve(kept, n_vars)[3]
+        assert basis.nullity == n_vars - rank
+        assert basis.nullity > 64 or n_vars < 150
+        candidates = groups[0][:n_vars // 3 + 40]
+        outside = gf2.parities(candidates, words).any(axis=1)
+        for row, flag in zip(candidates, outside):
+            grown = _reference_solve(kept + [(sum(1 << int(i) for i in row), 0)], n_vars)[3]
+            assert flag == (grown > rank)

@@ -303,6 +303,20 @@ def test_size_polynomial_matches_mass_sums():
         assert np.max(np.abs(coeffs - sizes)) <= 1e-9
 
 
+def test_size_polynomial_matches_the_eigenvalue_product():
+    # det(I + (z - 1) K) = prod_i (1 - l_i + l_i z) over the eigenvalues
+    # l_i of K; the coefficients are probabilities, so none is negative
+    for n in (8, 16, 24, 32):
+        k = kernel.generate_admissible(n, 0.3, 7)
+        want = np.array([1.0 + 0j])
+        for lam in np.linalg.eigvals(k.mat):
+            want = np.convolve(want, [1 - lam, lam])
+        coeffs = kernel.size_polynomial(k)
+        assert coeffs.shape == (n + 1,)
+        assert np.max(np.abs(coeffs - want.real)) <= 1e-12, n
+        assert coeffs.min() >= -1e-12 and abs(coeffs.sum() - 1.0) <= 1e-12
+
+
 def test_size_polynomial_complement_reversal():
     k = kernel.generate_admissible(7, 0.3, 5)
     comp = kernel.complement_kernel(k)

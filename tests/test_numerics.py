@@ -54,28 +54,6 @@ def test_solve_singular_raises():
         numerics.solve_linear([[1.0, 1.0], [1.0, 1.0]], [1.0, 0.0])
 
 
-def test_interpolate_constant():
-    coeffs = numerics.interpolate([(0.0, 1.0), (1.0, 1.0), (2.0, 1.0)])
-    assert np.allclose(coeffs, [1.0, 0.0, 0.0], atol=1e-12)
-
-
-def test_interpolate_square():
-    coeffs = numerics.interpolate([(0.0, 0.0), (1.0, 1.0), (2.0, 4.0)])
-    assert np.allclose(coeffs, [0.0, 0.0, 1.0], atol=1e-12)
-
-
-def test_interpolate_degree6_round_trip():
-    coeffs = np.array([0.31, -1.2, 0.45, 0.9, -0.17, 0.08, 0.61])
-    xs = np.arange(-3.0, 4.0)
-    points = [(x, np.polynomial.polynomial.polyval(x, coeffs)) for x in xs]
-    assert np.allclose(numerics.interpolate(points), coeffs, atol=1e-9)
-
-
-def test_interpolate_duplicate_abscissae():
-    with pytest.raises(ValueError):
-        numerics.interpolate([(1.0, 0.0), (1.0, 1.0)])
-
-
 def test_det_product_property():
     gen = np.random.default_rng(17)
     for _ in range(20):
@@ -94,18 +72,18 @@ def test_det_transpose_property():
         assert abs(numerics.det(a.T) - d) <= 1e-10 * max(1.0, abs(d))
 
 
-def test_interpolate_evaluate_identity_degree_12():
-    gen = np.random.default_rng(31)
-    for _ in range(10):
-        coeffs = gen.uniform(-1, 1, 13)
-        xs = np.arange(-6.0, 7.0)
-        points = [(x, np.polynomial.polynomial.polyval(x, coeffs)) for x in xs]
-        assert np.allclose(numerics.interpolate(points), coeffs, atol=1e-8)
-
-
 def test_batched_det_matches_scalar():
     gen = np.random.default_rng(41)
     stack = gen.uniform(-1, 1, (40, 5, 5))
     dets = numerics.batched_det(stack)
     for t in range(40):
         assert dets[t] == pytest.approx(numerics.det(stack[t]), rel=1e-12, abs=1e-12)
+
+
+def test_batched_det_complex_stack():
+    gen = np.random.default_rng(43)
+    stack = gen.uniform(-1, 1, (6, 4, 4)) + 1j * gen.uniform(-1, 1, (6, 4, 4))
+    dets = numerics.batched_det(stack)
+    assert dets.dtype == np.complex128
+    np.testing.assert_allclose(dets, [np.linalg.det(m) for m in stack], rtol=1e-12)
+    assert numerics.batched_det(np.zeros((2, 0, 0), dtype=complex)).tolist() == [1, 1]

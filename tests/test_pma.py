@@ -1,12 +1,22 @@
 import dataclasses
 import itertools
+import ast
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from helpers import conjugation_distance, in_coset, signed_matrix, strong_admissible
+from helpers import (
+    antisymmetric,
+    conjugation_distance,
+    full_sign_system,
+    in_coset,
+    read_four_sets,
+    signed_matrix,
+    strong_admissible,
+)
 from signed_dpp import gf2, graph, kernel, moments, pma, sampler
 from signed_dpp.errors import (
     AmbiguousSignWarning,
@@ -76,7 +86,9 @@ def test_traveling_sums_negative_triangle_vanishes():
     eps = {(1, 2): -1, (1, 3): 1, (2, 3): 1}
     k = signed_matrix([0.5, 0.4, 0.6], upper, eps)
     minors = moments.exact_minors(k, 3)
-    tri, pi3, quad, pi4 = pma.traveling_sums(minors, pma.recover_skeleton(minors))
+    skel = pma.recover_skeleton(minors)
+    tri, quad = kernel.index_combinations(3, 3), kernel.index_combinations(3, 4)
+    pi3, pi4 = pma.traveling_sums(minors, skel, tri), pma.traveling_sums(minors, skel, quad)
     assert tri.tolist() == [[0, 1, 2]] and quad.shape == (0, 4) and pi4.shape == (0,)
     assert pi3[0] == pytest.approx(0.0, abs=1e-12)
     assert graph.pi_of_subset(k, (1, 2, 3)) == pytest.approx(0.0, abs=1e-15)
@@ -87,7 +99,7 @@ def test_traveling_sums_positive_triangle_product():
     eps = {(1, 2): 1, (1, 3): 1, (2, 3): 1}
     k = signed_matrix([0.5, 0.4, 0.6], upper, eps)
     minors = moments.exact_minors(k, 3)
-    _, pi3, _, _ = pma.traveling_sums(minors, pma.recover_skeleton(minors))
+    pi3 = pma.traveling_sums(minors, pma.recover_skeleton(minors), np.array([[0, 1, 2]]))
     want = 2 * k.entry(1, 2) * k.entry(2, 3) * k.entry(3, 1)
     assert pi3[0] == pytest.approx(want, rel=1e-12)
 
@@ -98,7 +110,8 @@ def test_traveling_sums_figure_four_set():
     upper = {p: gen.uniform(0.1, 0.3) * gen.choice([-1.0, 1.0]) for p in eps}
     k = signed_matrix([0.5, 0.45, 0.55, 0.6], upper, eps)
     minors = moments.exact_minors(k, 4)
-    _, _, quad, pi4 = pma.traveling_sums(minors, pma.recover_skeleton(minors))
+    quad = kernel.index_combinations(4, 4)
+    pi4 = pma.traveling_sums(minors, pma.recover_skeleton(minors), quad)
     assert quad.tolist() == [[0, 1, 2, 3]]
     want = 2 * k.entry(1, 3) * k.entry(3, 2) * k.entry(2, 4) * k.entry(4, 1)
     assert pi4[0] == pytest.approx(want, rel=1e-10)
@@ -108,7 +121,9 @@ def test_extract_pi_matches_direct_sums():
     # every 3- and 4-set's traveling sum equals the sum over its positive cycles
     k = kernel.generate_admissible(6, 0.3, 23)
     minors = moments.exact_minors(k, 4)
-    tri, pi3, quad, pi4 = pma.traveling_sums(minors, pma.recover_skeleton(minors))
+    skel = pma.recover_skeleton(minors)
+    tri, quad = kernel.index_combinations(6, 3), kernel.index_combinations(6, 4)
+    pi3, pi4 = pma.traveling_sums(minors, skel, tri), pma.traveling_sums(minors, skel, quad)
     for subsets, got in ((tri, pi3), (quad, pi4)):
         for s, value in zip(subsets, got):
             want = graph.pi_of_subset(k, tuple(s + 1))
@@ -120,16 +135,17 @@ def test_batched_traveling_sums_match_direct_sums():
         k = kernel.generate_admissible(n, 0.3, seed)
         minors = moments.exact_minors(k, 4)
         skel = pma.recover_skeleton(minors)
-        tri, pi3, quad, pi4 = pma.traveling_sums(minors, skel)
-        assert tri.tolist() == kernel.index_combinations(n, 3).tolist()
-        assert quad.tolist() == kernel.index_combinations(n, 4).tolist()
+        tri, quad = kernel.index_combinations(n, 3), kernel.index_combinations(n, 4)
+        pi3, pi4 = pma.traveling_sums(minors, skel, tri), pma.traveling_sums(minors, skel, quad)
         for subsets, got in ((tri, pi3), (quad, pi4)):
             want = [graph.pi_of_subset(k, s + 1) for s in subsets]
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
-        # the face lookup equals computing each face's pi3 again
+        # the batched faces equal computing each face's pi3 alone, and
+        # each 4-set's pi4 does not depend on the others given with it
         pt = pma._pair_terms(skel)
         faces = np.array([pma._pi3(minors, skel, pt, q[pma._FACES]) for q in quad])
         assert pma._pi4(minors, skel, pt, quad, faces).tolist() == pi4.tolist()
+        assert [pma.traveling_sums(minors, skel, q[None])[0] for q in quad] == pi4.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +176,8 @@ def cycle_edges(quad_row, c):
 def four_cycle_decisions(k, minors=None):
     minors = moments.exact_minors(k, 4) if minors is None else minors
     skel = pma.recover_skeleton(minors)
-    tri, pi3, quad, pi4 = pma.traveling_sums(minors, skel)
+    tri, quad = kernel.index_combinations(k.n, 3), kernel.index_combinations(k.n, 4)
+    pi3, pi4 = pma.traveling_sums(minors, skel, tri), pma.traveling_sums(minors, skel, quad)
     return skel, tri, pi3, quad, pi4, pma.match_four_cycles(skel, quad, pi4, pma.SIGN_TOL)
 
 
@@ -189,7 +206,9 @@ def test_disambiguate_recovers_ground_truth_signs():
 
 
 def test_disambiguate_rejects_unmatchable_sum():
-    k = kernel.generate_admissible(4, 0.3, 3)
+    # every relating sign is -1: no triangle is positive, so the 4-set's
+    # three positive cycles are outside the (empty) span and it is read
+    k = antisymmetric(4, 3)
     minors = moments.exact_minors(k, 4)
     skel, *_, quad, pi4, _ = four_cycle_decisions(k, minors)
     _, _, best, _, tol = pma.match_four_cycles(skel, quad, np.array([0.5]), pma.SIGN_TOL)
@@ -200,6 +219,32 @@ def test_disambiguate_rejects_unmatchable_sum():
     with pytest.raises(InconsistentMinorsError,
                        match=r"^4-set \(1, 2, 3, 4\): no sign pattern matches the traveling sum"):
         pma.solve_pma(spoiled)
+    assert read_four_sets(spoiled) == {(1, 2, 3, 4)}
+
+
+def test_unread_four_set_minor_changes_nothing():
+    # the positive triangles of these kernels span the cycle rows of some
+    # 4-sets, whose minors are never read: spoiling them or leaving them
+    # out gives the same solution, and verify reports exactly the spoiled
+    for n, seed in ((4, 3), (8, 2024)):
+        k = kernel.generate_admissible(n, 0.3, seed)
+        minors = moments.exact_minors(k, 4)
+        sol = pma.solve_pma(minors)
+        read = read_four_sets(minors)
+        unread = sorted(set(itertools.combinations(range(1, n + 1), 4)) - read,
+                        key=kernel.colex_key)
+        assert unread
+        values = dict(minors.items())
+        spoiled = moments.MinorList(n, {j: v + 0.25 * (j in unread) for j, v in values.items()})
+        missing = moments.MinorList(n, {j: v for j, v in values.items() if j not in unread})
+        for other in (spoiled, missing):
+            got = pma.solve_pma(other)
+            assert got.kernel.mat.tobytes() == sol.kernel.mat.tobytes()
+            assert (got.free_switches, got.sign_pattern(), got.pairs) == \
+                (sol.free_switches, sol.sign_pattern(), sol.pairs)
+            assert read_four_sets(other) == read
+        assert [f[0] for f in pma.verify(sol.kernel, spoiled, 1e-9).failures] == unread
+        assert pma.verify(sol.kernel, missing, 1e-9).passed
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +326,24 @@ def test_solve_pma_reads_only_low_orders():
 
 
 def test_solve_pma_missing_minor():
-    k = kernel.generate_admissible(5, 0.3, 13)
+    # with every relating sign -1 every 4-set is read, so an absent one raises
+    k = antisymmetric(5, 13)
     with pytest.raises(MissingMinorError):
         pma.solve_pma(moments.exact_minors(k, 3))
+
+
+def test_solve_pma_generator_law_needs_no_four_sets():
+    # on generator-law kernels the positive triangles already pin every
+    # sign the 4-sets could, so orders 1-3 give the same solution
+    for seed in (1, 2, 3):
+        k = kernel.generate_admissible(16, 0.3, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AmbiguousSignWarning)
+            low = pma.solve_pma(moments.exact_minors(k, 3))
+            full = pma.solve_pma(moments.exact_minors(k, 4))
+        assert low.kernel.mat.tobytes() == full.kernel.mat.tobytes()
+        assert low.solution == full.solution and low.pairs == full.pairs
+        assert low.null_dimension == 16
 
 
 def test_solve_pma_not_dense():
@@ -311,10 +371,29 @@ def test_solve_pma_degenerate_magnitudes():
     assert sol.null_dimension == 3
 
 
+def _partly_spanned(inner):
+    """An N = 5 kernel whose 4-set (1, 2, 3, 4) has upper entries
+    ``inner`` and every relating sign -1, so its triangles are negative
+    and its three cycles positive.  Item 5 relates to items 1 and 3 with
+    sign +1 and to items 2 and 4 with sign -1: the triangles (a, b, 5)
+    along the cycle 1-2-3-4 are positive, and their rows span that
+    cycle's row but not the rows of the other two cycles."""
+    eps = {p: -1 for p in itertools.combinations(range(1, 5), 2)}
+    eps.update({(1, 5): 1, (2, 5): -1, (3, 5): 1, (4, 5): -1})
+    upper = {**inner, (1, 5): 0.07, (2, 5): -0.09, (3, 5): 0.11, (4, 5): 0.13}
+    return signed_matrix([0.5, 0.45, 0.55, 0.6, 0.5], upper, eps)
+
+
 def test_solve_pma_ambiguous_four_set_enlarges_solution_set():
-    # with K_12 < 0 the pattern (-, -, +) ties with the other two of sum -2 m
-    k = _equal_magnitudes(-0.1)
-    minors = moments.exact_minors(k, "all")
+    # inside (1, 2, 3, 4) the magnitudes are equal and K_12 < 0, so its
+    # cycle pattern ties with two others of the same sum; the 4-set is
+    # read, since two of its cycles are outside the triangles' span.
+    # Every member reproduces every minor solve_pma was given.
+    inner = {p: 0.1 for p in itertools.combinations(range(1, 5), 2)}
+    inner[(1, 2)] = -0.1
+    k = _partly_spanned(inner)
+    assert kernel.is_admissible(k)
+    minors = moments.exact_minors(k, 4)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         sol = pma.solve_pma(minors)
@@ -349,22 +428,37 @@ def test_solve_pma_inconsistent_minors():
 
 
 def test_solve_pma_redundant_inconsistent_row():
-    # triangles pin the signs, so every 4-cycle row lies in their span and
-    # is dropped before elimination; only the final parity check sees it
-    k = strong_admissible(3)
+    # the 4-set (1, 2, 3, 4) is read, since two of its cycles are outside
+    # the span of the triangle rows.  Flipping its traveling sum flips all
+    # three cycle signs, and the contradiction sits on the third cycle,
+    # whose row already lies in that span: it is dropped before
+    # elimination, and only its check against the particular solution
+    # sees it.
+    inner = {(1, 2): 0.08, (1, 3): -0.1, (1, 4): 0.12, (2, 3): 0.09, (2, 4): -0.11, (3, 4): 0.13}
+    k = _partly_spanned(inner)
+    assert kernel.is_admissible(k)
     minors = moments.exact_minors(k, 4)
-    skel, *_, quad, pi4, (positive, before, *_) = four_cycle_decisions(k, minors)
-    t = int(np.flatnonzero(positive.sum(axis=1) == 1)[0])
+    skel, tri, pi3, quad, pi4, (positive, before, *_) = four_cycle_decisions(k, minors)
+    t = 0
+    assert quad[t].tolist() == [0, 1, 2, 3] and positive[t].all()
+    i, j, kk = tri.T
+    eps = skel.epsilon
+    used = eps[i, j] * eps[j, kk] * eps[i, kk] == 1
+    basis = gf2.SpanBasis(10)
+    basis.add(*pma._triangle_rows(skel, tri[used], pi3[used] < 0))
+    support, _ = pma._four_cycle_rows(skel, quad[[t, t, t]], np.arange(3), np.zeros(3, dtype=bool))
+    assert gf2.parities(support, basis.null_words()).any(axis=1).tolist() == [True, False, True]
     s = tuple(int(v) + 1 for v in quad[t])
-    spoiled = moments.MinorList(6, dict(minors.items()))
-    # pi4 = fixed - a_S, so this flips the lone positive cycle's sign
+    spoiled = moments.MinorList(5, dict(minors.items()))
+    # pi4 = fixed - a_S, so this flips the sign of the 4-set's traveling sum
     spoiled.put(s, minors.get(s) + 2 * pi4[t])
     *_, flipped, (_, after, *_) = four_cycle_decisions(k, spoiled)
     assert flipped[t] == pytest.approx(-pi4[t], rel=1e-9)
     assert np.array_equal(after[t, positive[t]], ~before[t, positive[t]])
     assert np.array_equal(np.delete(after, t, axis=0), np.delete(before, t, axis=0))
-    with pytest.raises(InconsistentMinorsError):
+    with pytest.raises(InconsistentMinorsError, match="mutually inconsistent"):
         pma.solve_pma(spoiled)
+    assert s in read_four_sets(spoiled)
 
 
 def _generated_round_trip(n):
@@ -387,7 +481,9 @@ def test_solve_pma_round_trip_n32():
 
 
 def test_solve_pma_same_solution_in_small_span_chunks(monkeypatch):
-    # later chunks start from the reduced rows of the earlier ones
+    # later chunks start from the reduced rows of the earlier ones, and
+    # each chunk of 4-sets is filtered against the span the chunks
+    # before it left, so smaller chunks read fewer 4-sets
     k = kernel.generate_admissible(12, 0.3, 2024)
     minors = moments.exact_minors(k, 4)
     with warnings.catch_warnings():
@@ -398,6 +494,120 @@ def test_solve_pma_same_solution_in_small_span_chunks(monkeypatch):
     assert conjugation_distance(whole.kernel, k) <= 1e-9
     assert chunked.kernel.mat.tobytes() == whole.kernel.mat.tobytes()
     assert chunked.free_switches == whole.free_switches
+    for other in (kernel.generate_admissible(8, 0.3, 2024), antisymmetric(9, 5)):
+        reads, sols = [], []
+        for chunk in (4096, 16, 1):
+            monkeypatch.setattr(gf2, "SPAN_CHUNK", chunk)
+            minors = moments.exact_minors(other, 4)
+            sols.append(pma.solve_pma(minors))
+            reads.append(len(read_four_sets(minors)))
+        assert len({(sol.kernel.mat.tobytes(), sol.solution, sol.pairs) for sol in sols}) == 1
+        assert reads[0] >= reads[1] >= reads[2] > 0
+    assert reads[0] > reads[2]  # every 4-set in one chunk, fewer one by one
+
+
+def _same_solution(sol, want):
+    assert want is not None
+    got = sol.solution
+    assert (got.particular, got.null_basis, got.free_cols) == \
+        (want.particular, want.null_basis, want.free_cols)
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_solve_pma_equals_the_full_system(n):
+    # every triangle row and every decided 4-cycle row, solved at once,
+    # give the solution of the 4-sets solve_pma reads
+    n_vars = n * (n - 1) // 2
+    kernels = [kernel.generate_admissible(n, 0.3, 300 + seed) for seed in range(3)]
+    kernels.append(antisymmetric(n, 310))
+    if n <= 7:  # larger draws of these magnitudes are rarely admissible
+        kernels.append(strong_admissible(n, n=n, require_triangle_rank=False))
+    for k in kernels:
+        minors = moments.exact_minors(k, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AmbiguousSignWarning)
+            want = gf2.solve_groups(*full_sign_system(minors), n_vars)
+            _same_solution(pma.solve_pma(minors), want)
+
+
+def test_solve_pma_equals_the_full_system_on_estimates():
+    # noisy minors from 1e5 draws at N = 7, as in the learn benchmark
+    for seed in range(4):
+        k = strong_admissible(seed, n=7, require_triangle_rank=False)
+        est = moments.estimate_required_minors(sampler.sample_enumerate(k, 100_000, seed), 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AmbiguousSignWarning)
+            want = gf2.solve_groups(*full_sign_system(est, 5e-3), 21)
+            _same_solution(pma.solve_pma(est, sign_tol=5e-3), want)
+
+
+def test_solve_pma_reads_no_four_set_on_the_generator_law():
+    k = kernel.generate_admissible(32, 0.3, 2024)
+    minors = moments.exact_minors(k, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AmbiguousSignWarning)
+        sol = pma.solve_pma(minors)
+    assert read_four_sets(minors) == set()
+    assert len(minors.queried) == sum(math.comb(32, t) for t in (1, 2, 3))
+    assert sol.null_dimension == 32
+
+
+def test_solve_pma_reads_every_four_set_when_every_relating_sign_is_negative():
+    # no triangle is positive, and every 4-set of the one chunk has rows
+    # outside the empty span it starts from
+    for n in (4, 6, 9):
+        k = antisymmetric(n, 400 + n)
+        minors = moments.exact_minors(k, 4)
+        sol = pma.solve_pma(minors)
+        assert read_four_sets(minors) == set(itertools.combinations(range(1, n + 1), 4))
+        assert conjugation_distance(sol.kernel, k) <= 1e-9
+        assert pma.verify(sol.kernel, minors, 1e-9).passed
+        assert sol.null_dimension == n
+
+
+def test_switches_and_transpose_stay_in_the_null_space():
+    # every row is a positive cycle, so each vertex switch and the flips
+    # of the pairs with eps = -1 (the transpose) solve it; solve_pma stops
+    # walking the 4-sets once the null space is no larger than their span
+    for k, balanced in ((kernel.generate_admissible(8, 0.3, 2024), False),
+                        (antisymmetric(7, 1), False),
+                        (_equal_magnitudes(0.1), True),
+                        (strong_admissible(2), False)):
+        sol = pma.solve_pma(moments.exact_minors(k, 4))
+        base = sol.sign_pattern()
+        for v in range(1, k.n + 1):
+            switch = sum(1 << t for t, pair in enumerate(sol.pairs) if v in pair)
+            assert sol.solution.contains(base ^ switch)
+        flips = sum(1 << t for t, (i, j) in enumerate(sol.pairs) if k.epsilon(i, j) == -1)
+        assert sol.solution.contains(base ^ flips)
+        assert sol.null_dimension == k.n - 1 + (not balanced)
+
+
+def _warned_four_sets(caught):
+    return [ast.literal_eval(m.group(1)) for w in caught
+            if (m := re.match(r"4-set (\([0-9, ]+\)):", str(w.message)))]
+
+
+def test_ambiguous_warnings_name_only_read_four_sets():
+    # the 4-set of this N = 4 kernel ties, but the positive triangles span
+    # its cycle rows: it is never read, and nothing is warned
+    k = _equal_magnitudes(-0.1)
+    minors = moments.exact_minors(k, "all")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AmbiguousSignWarning)
+        sol = pma.solve_pma(minors)
+    assert read_four_sets(minors) == set()
+    for m in pma.describe_solution_set(sol):
+        assert pma.verify(m, minors, 1e-9).passed
+    # on noisy estimates many 4-sets are warned about, each one read
+    k = kernel.generate_admissible(16, 0.3, 1679072675)
+    est = moments.estimate_required_minors(
+        sampler.sample_sequential_batch(k, 10_000, 1260265874), 4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pma.solve_pma(est, sign_tol=0.01)
+    named = _warned_four_sets(caught)
+    assert named and set(named) <= read_four_sets(est)
 
 
 def test_solve_pma_warns_on_subthreshold_signs():
