@@ -4,6 +4,12 @@ The inclusion probability of a subset J equals the minor det(K_J), so
 its empirical counterpart is the fraction of observed samples containing
 J.  The dense reconstruction pipeline only ever needs orders 1..4.
 
+estimate_required_minors counts all of them from the pair Gram
+P^T diag(w) P of the distinct sample masks (P has a row per mask and a
+column per pair of items, w holds the masks' counts): a triangle or a
+4-set is counted in the entry of two of its pairs.  Only the blocks that
+orders 3 and 4 read are formed, summed over chunks of masks.
+
 MinorList holds each order as arrays indexed by the colex rank of a
 subset, and the builders here fill whole orders at once.  It doubles as
 the query-instrumented interface handed to the solver: every read is
@@ -33,7 +39,9 @@ from .kernel import (
 from .sampler import SampleBatch
 
 ORDER_LIMIT = 1 << 24    # subsets per order a MinorList holds; larger orders are refused
-_COUNT_CELLS = 1 << 16   # subset-by-distinct-sample cells compared at once
+# Cells per counting chunk: subset-by-sample comparisons, or the sample-by-pair
+# cells of P (more when the Gram blocks of _gram_counts are larger).
+_COUNT_CELLS = 1 << 16
 
 
 class MinorList:
@@ -200,13 +208,19 @@ class QueriedSubsets(Set):
 # ---------------------------------------------------------------------------
 # estimators
 
-def _containment_counts(batch: SampleBatch, subset_masks: np.ndarray) -> np.ndarray:
-    """Number of samples containing each subset mask, counted over the
-    distinct sample masks weighted by their multiplicities."""
+def _distinct_masks(batch: SampleBatch) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct sample masks and their counts as floats: the sums of
+    counts are exact below 2^53, and the products with them run in BLAS."""
     if len(batch) == 0:
         raise DimensionError("cannot estimate from an empty batch")
     distinct, counts = np.unique(batch.masks(), return_counts=True)
-    weight = counts.astype(float)   # exact sums below 2^53, and the product runs in BLAS
+    return distinct, counts.astype(float)
+
+
+def _containment_counts(batch: SampleBatch, subset_masks: np.ndarray) -> np.ndarray:
+    """Number of samples containing each subset mask, counted over the
+    distinct sample masks weighted by their multiplicities."""
+    distinct, weight = _distinct_masks(batch)
     parts = -(-len(subset_masks) * len(distinct) // _COUNT_CELLS)
     return np.concatenate([((distinct & jm) == jm) @ weight
                            for jm in np.array_split(subset_masks[:, None], parts)])
@@ -219,21 +233,73 @@ def estimate_minor(batch: SampleBatch, j: Iterable[int]) -> float:
 
 
 def estimate_required_minors(batch: SampleBatch, max_order: int) -> MinorList:
-    """Empirical minors for every subset of size 1..max_order, counted in
-    one pass over the distinct sample masks."""
+    """Empirical minors for every subset of size 1..max_order, counted
+    from the pair Gram of the distinct sample masks."""
     if max_order not in (1, 2, 3, 4):
         raise DimensionError(f"max_order must be in 1..4, got {max_order}")
     n = batch.n_items
     if n < 1:
         raise DimensionError("estimating minors needs a ground set of at least one item")
-    orders = [index_combinations(n, t) for t in range(1, min(max_order, n) + 1)]
-    jm = np.concatenate([np.bitwise_or.reduce(np.uint64(1) << idx.astype(np.uint64), axis=1)
-                         for idx in orders])
-    freq = _containment_counts(batch, jm) / len(batch)
+    subsets = [index_combinations(n, t) for t in range(1, min(max_order, n) + 1)]
     out = MinorList(n)
-    for idx, values in zip(orders, np.split(freq, np.cumsum([len(idx) for idx in orders])[:-1])):
-        out._write(idx + 1, values)
+    for idx, counts in zip(subsets, _gram_counts(batch, subsets)):
+        idx += 1                 # in place: at N = 64 the 4-sets take 20 MB
+        out._write(idx, counts / len(batch))
     return out
+
+
+def _gram_counts(batch: SampleBatch, subsets: list[np.ndarray]) -> list[np.ndarray]:
+    """The number of samples containing each row of ``subsets[t - 1]``,
+    the 0-based t-subsets in lexicographic order, for t = 1..4 at most.
+
+    Row r of B holds the item bits of distinct mask r, w[r] its count, and
+    column (i, j) of P is B[:, i] * B[:, j], pairs in lexicographic order.
+    Singletons are counted by w B and pairs by w P.  The Gram
+    G = P^T diag(w) P holds a triangle i < j < k at G[(i, j), (j, k)] and
+    a 4-set i < j < k < l at G[(i, j), (k, l)], so only the blocks
+    G_j = G[(., j), (j.., .)] are formed: rows i < j, columns the pairs
+    from (j, j + 1) on (only those starting at j when t <= 3).  They are
+    summed over chunks of distinct masks whose P holds at most
+    max(_COUNT_CELLS, |blocks|) cells.  Every sum is an integer below
+    2^53, so the counts are exact.
+    """
+    n, top = batch.n_items, len(subsets)
+    distinct, weight = _distinct_masks(batch)
+    lo_item, hi_item = index_combinations(n, 2).T
+    mid = np.arange(n)
+    first = _pair_index(n, mid, mid + 1)          # P's column of the pair (j, j + 1)
+    width = np.zeros(n, dtype=np.int64)           # G_j's columns: pairs (j, l), then (k > j, l)
+    if top > 2:
+        width[1:-1] = (n - 1 - mid if top == 3 else len(lo_item) - first)[1:-1]
+    offset = np.concatenate(([0], np.cumsum(mid * width)))   # G_j starts at offset[j]
+    blocks = np.zeros(offset[-1])
+    counts = [np.zeros(n), np.zeros(len(lo_item))][:top]
+    # P may be as large as the blocks: with shorter chunks, re-adding into the
+    # blocks takes most of the time at N = 64.
+    rows = max(_COUNT_CELLS, len(blocks)) // max(1, len(lo_item))
+    shifts = np.arange(n, dtype=np.uint64)[:, None]
+    for lo in range(0, len(distinct), rows):
+        w = weight[lo:lo + rows]
+        bits = ((distinct[lo:lo + rows] >> shifts) & np.uint64(1)).astype(float)   # B^T
+        counts[0] += bits @ w
+        if top == 1:
+            continue
+        pairs = bits[lo_item]                                                      # P^T
+        pairs *= bits[hi_item]
+        counts[1] += pairs @ w
+        for j in np.flatnonzero(width):
+            gram = (bits[:j] * (w * bits[j])) @ pairs[first[j]:first[j] + width[j]].T
+            blocks[offset[j]:offset[j + 1]] += gram.ravel()
+    for idx in subsets[2:]:
+        i, j, k = idx[:, 0], idx[:, 1], idx[:, 2]
+        column = k - j - 1 if idx.shape[1] == 3 else _pair_index(n, k, idx[:, 3]) - first[j]
+        counts.append(blocks[offset[j] + i * width[j] + column])
+    return counts
+
+
+def _pair_index(n: int, i, j):
+    """Lexicographic rank of the pair i < j of {0..n-1}."""
+    return i * (2 * n - i - 3) // 2 + j - 1
 
 
 def exact_minors(k: SignedKernel, max_order: int | str = "all") -> MinorList:

@@ -208,6 +208,58 @@ def format_samples(batch: SampleBatch) -> str:
 
 
 def parse_samples(text: str, n_items: int) -> SampleBatch:
+    """The batch a samples text describes.  Text in the canonical grammar
+    that format_samples writes is parsed as whole arrays; any other text
+    goes, whole, through the per-line parser, which alone defines what is
+    accepted and how a malformed line is reported."""
+    masks = _parse_canonical(text, n_items)
+    return SampleBatch(n_items, masks=masks) if masks is not None else _parse_lines(text, n_items)
+
+
+def _parse_canonical(text: str, n_items: int) -> np.ndarray | None:
+    """Masks of a canonical samples text, or None for any other text.
+
+    Canonical: every line is "-" or increasing indices in 1..n_items with
+    no leading zero, joined by single spaces; lines end in "\n", and the
+    last one may lack it.  Such a text parses the same by _parse_lines.
+    """
+    if not text.isascii() or not 0 <= n_items <= MASK_ITEMS:
+        return None
+    if not text.endswith("\n"):
+        if not text:
+            return np.zeros(0, dtype=np.uint64)
+        text += "\n"
+    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    digit, newline, space, dash = b - np.uint8(48) < 10, b == 10, b == 32, b == 45
+    # Checks on adjacent chars, b[:-1] before b[1:]; the last char is "\n".
+    first, later = slice(None, -1), slice(1, None)
+    if (b[0] in (10, 32) or not (digit | newline | space | dash).all()
+            or (newline[first] & newline[later]).any()                 # an empty line
+            or (dash[later] & ~newline[first]).any() or (dash[first] & ~newline[later]).any()
+            or (space[later] & ~digit[first]).any() or (space[first] & ~digit[later]).any()
+            or (digit[2:] & digit[1:-1] & digit[:-2]).any()):          # three digits in a row
+        return None
+    starts = np.flatnonzero(digit & ~np.concatenate(([False], digit[:-1])))
+    values = b[starts] - np.uint8(48)
+    if (values == 0).any():                                            # a leading zero
+        return None
+    two = digit[starts + 1]
+    values[two] = 10 * values[two] + b[starts[two] + 1] - 48
+    head = newline[starts - 1]      # an index starts its line; at 0, b[-1] is the "\n"
+    if (values > n_items).any() or (~head[1:] & (values[1:] <= values[:-1])).any():
+        return None
+    masks = np.zeros(np.count_nonzero(newline), dtype=np.uint64)
+    if starts.size:
+        head = np.flatnonzero(head)
+        bits = np.uint64(1) << (values - 1).astype(np.uint64)
+        lines = np.searchsorted(np.flatnonzero(newline), starts[head])
+        masks[lines] = np.add.reduceat(bits, head)        # distinct bits: the sum is the OR
+    return masks
+
+
+def _parse_lines(text: str, n_items: int) -> SampleBatch:
+    """Per-line parser: each line, stripped, is "-" or 1-based indices
+    separated by single spaces, as int() reads them, strictly increasing."""
     seen = {"-": 0}   # the mask of each distinct stripped line
     masks = []
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -275,3 +275,63 @@ def test_minor_list_refuses_orders_above_the_limit():
         ml.get_many([(1, 2, 3, 4)])
     with pytest.raises(CapabilityError):
         moments.minors_from_json('{"n": 200, "minors": {"1,2,3,4": 0.1}}')
+
+
+def direct_frequencies(masks, n, t):
+    """Fraction of the masks that contain each t-subset, in
+    ``index_combinations`` order, one subset mask compared at a time."""
+    idx = kernel.index_combinations(n, t).astype(np.uint64)
+    subsets = np.bitwise_or.reduce(np.uint64(1) << idx, axis=1)
+    counts = np.zeros(len(subsets))
+    for m in np.asarray(masks, dtype=np.uint64):
+        counts += (subsets & m) == subsets
+    return counts / len(masks)
+
+
+def assert_counts_match(batch, max_order):
+    n = batch.n_items
+    est = moments.estimate_required_minors(batch, max_order)
+    top = min(max_order, n)
+    assert len(est) == sum(math.comb(n, t) for t in range(1, top + 1))
+    for t in range(1, top + 1):
+        got = est.get_many(kernel.index_combinations(n, t) + 1)
+        assert got.tobytes() == direct_frequencies(batch.masks(), n, t).tobytes(), (n, t)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 16])
+@pytest.mark.parametrize("max_order", [1, 2, 3, 4])
+def test_estimated_minors_equal_direct_counts(n, max_order):
+    gen = np.random.default_rng(1000 * n + max_order)
+    masks = gen.integers(0, 1 << n, 300, dtype=np.uint64)
+    masks[::7] = masks[0]          # repeated masks carry weights above one
+    assert_counts_match(sampler.SampleBatch(n, masks=masks), max_order)
+
+
+def test_estimated_minors_at_64_items_count_the_top_bit():
+    gen = np.random.default_rng(64)
+    masks = gen.integers(0, 1 << 62, 12, dtype=np.uint64)
+    masks[::2] |= np.uint64(1) << np.uint64(63)
+    masks = np.concatenate([masks, [np.uint64(1) << np.uint64(63), np.uint64(2 ** 64 - 1)] * 2])
+    assert_counts_match(sampler.SampleBatch(64, masks=masks), 4)
+
+
+def test_estimated_minors_of_one_repeated_mask():
+    batch = sampler.SampleBatch(9, [(1, 4, 5, 8, 9)] * 40)
+    assert_counts_match(batch, 4)
+    est = moments.estimate_required_minors(batch, 4)
+    assert est.get((1, 4, 8, 9)) == 1.0 and est.get((1, 2)) == 0.0
+
+
+def test_estimated_minors_span_several_gram_chunks():
+    n, gen = 48, np.random.default_rng(48)
+    masks = gen.integers(0, 1 << n, 700, dtype=np.uint64) & gen.integers(0, 1 << n, 700, dtype=np.uint64)
+    batch = sampler.SampleBatch(n, masks=np.concatenate([masks, masks[:50]]))
+    pairs, blocks = math.comb(n, 2), math.comb(n, 3) + math.comb(n, 4)
+    assert len(np.unique(masks)) > 3 * max(moments._COUNT_CELLS, blocks) // pairs
+    assert_counts_match(batch, 4)
+
+
+def test_estimating_from_an_empty_batch_is_a_dimension_error():
+    for max_order in (1, 4):
+        with pytest.raises(DimensionError, match="cannot estimate from an empty batch"):
+            moments.estimate_required_minors(sampler.SampleBatch(6), max_order)

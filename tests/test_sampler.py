@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import signed_matrix
 from signed_dpp import kernel, moments, rng, sampler
@@ -85,6 +87,15 @@ def test_uniforms_match_streams_bit_for_bit(seed):
         for i, got in zip(indices.tolist(), rows):
             assert np.array_equal(got, rng.stream(seed, i).random(d))
     assert rng.uniforms(seed, np.arange(0), 3).shape == (0, 3)
+
+
+@pytest.mark.parametrize("words", [1, 5, 64, 1 << 14])
+def test_uniforms_do_not_depend_on_the_chunk_size(monkeypatch, words):
+    monkeypatch.setattr(rng, "_CHUNK_WORDS", words)
+    indices = np.arange(37) * 1009
+    for d in (1, 7, 16, 64):
+        want = np.array([rng.stream(3, i).random(d) for i in indices.tolist()])
+        assert rng.uniforms(3, indices, d).tobytes() == want.tobytes()
 
 
 def one_sample_walk(k, seed, index):
@@ -296,3 +307,86 @@ def test_format_samples_matches_the_tuple_join():
         assert sampler.format_samples(batch) == want
         assert sampler.parse_samples(want, n) == batch
     assert sampler.format_samples(sampler.SampleBatch(64, [(), (64,)])) == "-\n64\n"
+
+
+def parse_outcome(parse, text, n):
+    """The masks a parser returns, or the text of its FormatError."""
+    try:
+        return parse(text, n).masks().tolist()
+    except FormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_parse_samples_inverts_format_samples(data):
+    n = data.draw(st.sampled_from([1, 7, 16, 63, 64]))
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=30))
+    masks += [0] + masks[:3] + ([1 << 63, (1 << 64) - 1] if n == 64 else [])
+    batch = sampler.SampleBatch(n, masks=data.draw(st.permutations(masks)))
+    text = sampler.format_samples(batch)
+    assert sampler._parse_canonical(text, n) is not None
+    assert sampler.parse_samples(text, n) == batch
+    assert sampler.parse_samples(text[:-1], n) == batch       # no final newline
+
+
+NON_CANONICAL = [
+    "1 3\r\n-\r\n2 5\r\n",    # CRLF
+    "1 3\n\n2\n",             # an empty line
+    "1 3\n-\n\n",
+    "\n",
+    " 1 3\n2\n",              # a leading space
+    "1 3 \n2\n",              # a trailing space
+    "1  3\n",                 # a double space
+    "05 7\n",                 # a leading zero
+    "1 07\n",
+    "+3\n",
+    "0 2\n",                  # an index of 0
+    "1 17\n",                 # an index of N + 1
+    "100\n",
+    "3 3\n",                  # non-increasing indices
+    "4 2\n",
+    "- 1\n",                  # "-" beside an index
+    "-1\n",
+    "1 -\n",
+    "--\n",
+    "1\t3\n",                 # a tab
+    "\t1 3\n",
+    "1 ٣\n",                  # non-ASCII
+    "é\n",
+    "1 2\x0c3\n",             # a line break splitlines knows and "\n" does not
+]
+
+
+@pytest.mark.parametrize("text", NON_CANONICAL)
+def test_parse_samples_falls_back_to_the_line_parser(text):
+    assert sampler._parse_canonical(text, 16) is None
+    for prefix in ("", "1 2\n-\n"):
+        full = prefix + text
+        assert parse_outcome(sampler.parse_samples, full, 16) == parse_outcome(
+            sampler._parse_lines, full, 16)
+
+
+FRAGMENTS = ["\n", "\r\n", "\n\n", " ", "  ", "0", "05", "+3", "-", "\t", "é", "٣",
+             "17", "64", "65", "100", "x", "_"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parse_samples_agrees_with_the_line_parser_on_mutated_texts(data):
+    n = data.draw(st.sampled_from([0, 1, 9, 10, 16, 64]))
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
+    text = sampler.format_samples(sampler.SampleBatch(n, masks=masks))
+    for _ in range(data.draw(st.integers(0, 3))):
+        at = data.draw(st.integers(0, len(text)))
+        if data.draw(st.booleans()):
+            text = text[:at] + data.draw(st.sampled_from(FRAGMENTS)) + text[at:]
+        else:
+            text = text[:at] + text[at + data.draw(st.integers(1, 3)):]
+    assert parse_outcome(sampler.parse_samples, text, n) == parse_outcome(
+        sampler._parse_lines, text, n)
+
+
+def test_parse_samples_of_the_empty_text_is_an_empty_batch():
+    assert sampler.parse_samples("", 5) == sampler.SampleBatch(5)
+    assert len(sampler.parse_samples("", 64)) == 0
