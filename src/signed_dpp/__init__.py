@@ -50,18 +50,6 @@ from .kernel import (
     size_variance,
     write_kernel,
 )
-from .graph import (
-    SignedGraph,
-    epsilon_of_cycle,
-    pi_of_cycle,
-    pi_of_subset,
-    pma_equivalent,
-    pma_equivalent_structural,
-    positive_four_cycles,
-    positive_triangles,
-    signed_adjacency,
-    travelings,
-)
 from .gf2 import GF2Solution, SpanBasis, solve_groups
 from .moments import (
     MinorList,
@@ -79,6 +67,7 @@ from .pma import (
     VerifyReport,
     describe_solution_set,
     match_four_cycles,
+    pma_equivalent,
     recover_skeleton,
     solve_pma,
     traveling_sums,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import kernel, moments, pma, sampler
@@ -135,6 +136,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_pma(args) -> int:
+    if not 0 <= args.tol < math.inf:
+        return _usage(f"--tol must be finite and >= 0, got {args.tol}")
     minors = moments.read_minors(args.minors)
     sol = pma.solve_pma(minors, sign_tol=args.tol)
     # Above the enumeration cap this raises before any file is written.
@@ -149,6 +152,8 @@ def cmd_pma(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not 0 <= args.tol < math.inf:
+        return _usage(f"--tol must be finite and >= 0, got {args.tol}")
     k = kernel.read_kernel(args.kernel)
     minors = moments.read_minors(args.minors)
     report = pma.verify(k, minors, args.tol)

@@ -112,9 +112,20 @@ def _binomials(n: int, t: int) -> np.ndarray:
 def colex_rank(subsets: np.ndarray, n: int) -> np.ndarray:
     """Rank sum_i C(c_i, i) of each row c_1 < ... < c_t of an (m, t) array
     of sorted 0-based subsets of {0..n-1}: its position among the
-    t-subsets in colexicographic (bitmask) order.  Needs C(n, t) < 2^63."""
+    t-subsets in colexicographic (bitmask) order.  Needs C(n, t) < 2^63.
+    The terms are summed one column at a time, so no (m, t) table is formed."""
     idx = np.asarray(subsets, dtype=np.intp)
-    return _binomials(n, idx.shape[1])[idx, np.arange(idx.shape[1])].sum(axis=1)
+    table = _binomials(n, idx.shape[1])
+    out = np.zeros(len(idx), dtype=np.int64)
+    for i in range(idx.shape[1]):
+        out += table[idx[:, i], i]
+    return out
+
+
+def pair_index(n: int, i, j):
+    """Lexicographic rank of the pair i < j of {0..n-1}, elementwise: the
+    position of entry (i, j) in ``np.triu_indices(n, 1)``."""
+    return i * (2 * n - i - 3) // 2 + j - 1
 
 
 def colex_unrank(ranks: np.ndarray, n: int, t: int) -> np.ndarray:

@@ -33,6 +33,7 @@ from .kernel import (
     colex_unrank,
     index_combinations,
     normalize_subset,
+    pair_index,
     principal_minors,
     subset_to_mask,
 )
@@ -80,8 +81,11 @@ class MinorList:
         idx = np.asarray(subsets, dtype=np.int64)
         if idx.ndim != 2 or idx.shape[1] == 0:
             raise DimensionError(f"expected an (m, t) array of subsets, t >= 1, got shape {idx.shape}")
-        idx = np.sort(idx, axis=1) - 1
-        bad = (idx[:, 0] < 0) | (idx[:, -1] >= self.n) | np.any(np.diff(idx) == 0, axis=1)
+        idx = np.sort(idx, axis=1)   # the one copy: at N = 64 the 4-sets take 20 MB
+        idx -= 1
+        bad = (idx[:, 0] < 0) | (idx[:, -1] >= self.n)
+        for c in range(1, idx.shape[1]):
+            bad |= idx[:, c] == idx[:, c - 1]
         if bad.any():
             normalize_subset(np.asarray(subsets)[np.argmax(bad)].tolist(), self.n)
         return idx
@@ -267,7 +271,7 @@ def _gram_counts(batch: SampleBatch, subsets: list[np.ndarray]) -> list[np.ndarr
     distinct, weight = _distinct_masks(batch)
     lo_item, hi_item = index_combinations(n, 2).T
     mid = np.arange(n)
-    first = _pair_index(n, mid, mid + 1)          # P's column of the pair (j, j + 1)
+    first = pair_index(n, mid, mid + 1)           # P's column of the pair (j, j + 1)
     width = np.zeros(n, dtype=np.int64)           # G_j's columns: pairs (j, l), then (k > j, l)
     if top > 2:
         width[1:-1] = (n - 1 - mid if top == 3 else len(lo_item) - first)[1:-1]
@@ -292,14 +296,9 @@ def _gram_counts(batch: SampleBatch, subsets: list[np.ndarray]) -> list[np.ndarr
             blocks[offset[j]:offset[j + 1]] += gram.ravel()
     for idx in subsets[2:]:
         i, j, k = idx[:, 0], idx[:, 1], idx[:, 2]
-        column = k - j - 1 if idx.shape[1] == 3 else _pair_index(n, k, idx[:, 3]) - first[j]
+        column = k - j - 1 if idx.shape[1] == 3 else pair_index(n, k, idx[:, 3]) - first[j]
         counts.append(blocks[offset[j] + i * width[j] + column])
     return counts
-
-
-def _pair_index(n: int, i, j):
-    """Lexicographic rank of the pair i < j of {0..n-1}."""
-    return i * (2 * n - i - 3) // 2 + j - 1
 
 
 def exact_minors(k: SignedKernel, max_order: int | str = "all") -> MinorList:
@@ -319,7 +318,8 @@ def exact_minors(k: SignedKernel, max_order: int | str = "all") -> MinorList:
             raise DimensionError(f"max_order must be in 1..{n}, got {max_order}")
     out = MinorList(n)
     for t in range(1, top + 1):
-        idx = index_combinations(n, t) + 1
+        idx = index_combinations(n, t)
+        idx += 1
         out._write(idx, principal_minors(k.mat, idx))
     return out
 

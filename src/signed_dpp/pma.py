@@ -56,8 +56,15 @@ from .errors import (
     InconsistentMinorsError,
     NotDenseError,
 )
-from .kernel import SignedKernel, colex_key, colex_unrank, index_combinations, principal_minors
-from .moments import MinorList
+from .kernel import (
+    SignedKernel,
+    colex_key,
+    colex_unrank,
+    index_combinations,
+    pair_index,
+    principal_minors,
+)
+from .moments import MinorList, exact_minors
 
 DENSITY_TOL = 1e-8
 SIGN_TOL = 1e-12
@@ -129,14 +136,6 @@ def _pairs(n: int) -> tuple[tuple[int, int], ...]:
 def _subset(row: np.ndarray) -> tuple[int, ...]:
     """1-based index tuple of a 0-based index row."""
     return tuple(int(x) + 1 for x in row)
-
-
-def _pair_index(n: int) -> np.ndarray:
-    """(n, n) variable index of each unordered pair, in ``_pairs`` order."""
-    index = np.full((n, n), -1, dtype=np.intp)
-    iu, ju = np.triu_indices(n, 1)
-    index[iu, ju] = index[ju, iu] = np.arange(len(iu))
-    return index
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +289,9 @@ def match_four_cycles(skel: Skeleton, quad: np.ndarray, pi4: np.ndarray, tol: fl
 
 def _triangle_rows(skel: Skeleton, tri: np.ndarray, negative: np.ndarray):
     """XOR rows (supports, rhs) of known triangle product signs."""
-    index = _pair_index(skel.n)
+    n = skel.n
     i, j, k = tri.T
-    support = np.stack([index[i, j], index[j, k], index[i, k]], axis=1)
+    support = np.stack([pair_index(n, i, j), pair_index(n, j, k), pair_index(n, i, k)], axis=1)
     return support, negative ^ (skel.epsilon[i, k] == -1)
 
 
@@ -303,13 +302,12 @@ def _four_cycle_rows(skel: Skeleton, quad: np.ndarray, cycle: np.ndarray,
     Row t is cycle ``cycle[t]`` (a column of ``_CYCLE_ORDERS``) of 4-set
     ``quad[t]``, walked in its row orientation.
     """
-    index = _pair_index(skel.n)
     support = np.empty((len(quad), 4), dtype=np.intp)
     rhs = negative.copy()
     for c in range(3):
         sel = cycle == c
         v = quad[sel].T
-        support[sel] = np.stack([index[v[a], v[b]] for a, b in _CYCLE_EDGES[c]], axis=1)
+        support[sel] = np.stack([pair_index(skel.n, v[a], v[b]) for a, b in _CYCLE_EDGES[c]], axis=1)
         for a, b in _CYCLE_LOWER[c]:
             rhs[sel] ^= skel.epsilon[v[a], v[b]] == -1
     return support, rhs
@@ -326,8 +324,10 @@ def solve_pma(minors: MinorList, sign_tol: float = SIGN_TOL) -> PMASolution:
     module docstring); errors and warnings only concern minors read.
     Sign decisions whose underlying quantity falls below ``sign_tol``
     are skipped with an AmbiguousSignWarning (they only shrink the
-    constraint set); outright contradictions raise.
+    constraint set); outright contradictions raise.  ``sign_tol`` must
+    be finite and nonnegative.
     """
+    _check_tol("sign_tol", sign_tol)
     n = minors.n
     skel = recover_skeleton(minors)
     tri = index_combinations(n, 3)
@@ -386,10 +386,9 @@ def _outside_span(skel: Skeleton, quad: np.ndarray, null: np.ndarray) -> np.ndar
     cycle whose XOR row has nonzero parities against the packed null
     space ``null`` (``gf2.SpanBasis.null_words``).  Only the relating
     signs are read, no minor."""
-    index = _pair_index(skel.n)
     ends = {e: (quad[:, e[0]], quad[:, e[1]]) for e in _EDGES}
     odd = {e: skel.epsilon[ab] == -1 for e, ab in ends.items()}
-    words = {e: null[index[ab]] for e, ab in ends.items()}
+    words = {e: null[pair_index(skel.n, *ab)] for e, ab in ends.items()}
     out = np.zeros(len(quad), dtype=bool)
     for edges in _CYCLE_EDGES:
         negative = np.logical_xor.reduce([odd[e] for e in edges])
@@ -481,8 +480,10 @@ def verify(h: SignedKernel, minors: MinorList, tol: float = 1e-9) -> VerifyRepor
     A subset passes on relative error when |a_J| > tol and on absolute
     error otherwise.  An empty list passes vacuously, with a warning.
     Failures are listed in colexicographic order, and the worst subset
-    is the colex-first one of largest error.
+    is the colex-first one of largest error.  ``tol`` must be finite and
+    nonnegative.
     """
+    _check_tol("tol", tol)
     if len(minors) == 0:
         return VerifyReport(passed=True, checked=0, max_abs_error=0.0,
                             worst_subset=None, failures=(),
@@ -503,6 +504,19 @@ def verify(h: SignedKernel, minors: MinorList, tol: float = 1e-9) -> VerifyRepor
     return VerifyReport(passed=not failures, checked=len(minors), max_abs_error=worst,
                         worst_subset=min(ties, key=colex_key) if ties else None,
                         failures=tuple(failures))
+
+
+def pma_equivalent(h: SignedKernel, k: SignedKernel) -> bool:
+    """Whether h has every principal minor of k, under ``verify``'s
+    default tolerance; the full list caps N as ``exact_minors`` does."""
+    if h.n != k.n:
+        raise DimensionError(f"dimension mismatch: {h.n} vs {k.n}")
+    return verify(h, exact_minors(k, "all")).passed
+
+
+def _check_tol(name: str, tol: float) -> None:
+    if not 0 <= tol < math.inf:
+        raise DimensionError(f"{name} must be finite and >= 0, got {tol}")
 
 
 # ---------------------------------------------------------------------------

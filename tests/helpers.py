@@ -184,3 +184,76 @@ def _triangles_pin_signs(k):
                                 n_vars).rank
 
     return rank_of(tri_rows) == rank_of(tri_rows, quad_rows)
+
+
+# ---------------------------------------------------------------------------
+# independent references for the cycle structure, on the kernel matrix
+
+def positive_triangles(skel):
+    """1-based triangles whose relating signs in a ``pma.Skeleton`` multiply to +1."""
+    e = skel.epsilon
+    return [tuple(v + 1 for v in t) for t in itertools.combinations(range(skel.n), 3)
+            if e[t[0], t[1]] * e[t[1], t[2]] * e[t[0], t[2]] == 1]
+
+
+def cyclic_sum(k, vertices):
+    """Sum over the cyclic orders of a vertex set (1-based), each starting
+    at its smallest vertex, of the product of K along the order.  On 3 or
+    more vertices this is the traveling sum pi; a missing edge makes its
+    product 0."""
+    head, *rest = sorted(vertices)
+    total = 0.0
+    for perm in itertools.permutations(rest):
+        order = (head, *perm)
+        prod = 1.0
+        for a, b in zip(order, order[1:] + order[:1]):
+            prod *= k.mat[a - 1, b - 1]
+        total += prod
+    return total
+
+
+def set_partitions(items):
+    """Yield all partitions of ``items`` into nonempty blocks."""
+    if not items:
+        yield []
+        return
+    head, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for t in range(len(part)):
+            yield part[:t] + [[head] + part[t]] + part[t + 1:]
+        yield [[head]] + part
+
+
+def det_from_cycle_data(k, j):
+    """det(K_J) grouped by the supports of the permutations' cyclic
+    factors: a block B of a set partition contributes K_aa (a singleton),
+    -eps_ab |K_ab|^2 = -K_ab K_ba (a pair) or (-1)^(|B|-1) pi(B)."""
+    total = 0.0
+    for part in set_partitions(sorted(j)):
+        term = 1.0
+        for block in part:
+            term *= (-1.0) ** (len(block) - 1) * cyclic_sum(k, block)
+        total += term
+    return total
+
+
+def _close(a, b, tol=1e-9):
+    """``pma.verify``'s test: relative where |b| > tol, absolute elsewhere."""
+    err = np.abs(a - b)
+    return np.all(np.where(np.abs(b) > tol, err <= tol * np.abs(b), err <= tol))
+
+
+def pma_equivalent_structural(h, k):
+    """Minor equality through its structural characterization: equal
+    diagonals and off-diagonal magnitudes, the same signed graph (zero
+    pattern and relating signs), and equal traveling sums on every vertex
+    set of 3 or more."""
+    h.require_signed()
+    k.require_signed()
+    iu, ju = np.triu_indices(k.n, 1)
+    if not (_close(np.diag(h.mat), np.diag(k.mat)) and _close(np.abs(h.mat), np.abs(k.mat))
+            and np.array_equal(np.sign(h.mat[iu, ju] * h.mat[ju, iu]),
+                               np.sign(k.mat[iu, ju] * k.mat[ju, iu]))):
+        return False
+    return all(_close(cyclic_sum(h, vs), cyclic_sum(k, vs))
+               for m in range(3, k.n + 1) for vs in itertools.combinations(range(1, k.n + 1), m))

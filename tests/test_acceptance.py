@@ -12,8 +12,8 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import mask_groups, satisfies, strong_admissible
-from signed_dpp import gf2, graph, kernel, moments, pma, sampler
+from helpers import mask_groups, positive_triangles, satisfies, strong_admissible
+from signed_dpp import gf2, kernel, moments, pma, sampler
 
 
 def report(name, ok, detail):
@@ -40,7 +40,7 @@ def test_criterion_01_pma_round_trip():
         for seed in range(50):
             k = kernel.generate_admissible(n, 0.3, 1000 * n + seed)
             sol = pma.solve_pma(moments.exact_minors(k, 4))
-            assert graph.pma_equivalent(sol.kernel, k), (n, seed)
+            assert pma.pma_equivalent(sol.kernel, k), (n, seed)
             checked += 1
     elapsed = time.perf_counter() - t0
     report("criterion 1 (reconstruction round trip)",
@@ -78,7 +78,7 @@ def test_criterion_03_solution_set():
         members = pma.describe_solution_set(sol)
         assert len(members) == 1 << sol.null_dimension
         for m in members:
-            assert graph.pma_equivalent(m, k), (n, seed)
+            assert pma.pma_equivalent(m, k), (n, seed)
 
         def in_set(mat):
             return any(np.max(np.abs(mat - m.mat)) <= 1e-9 for m in members)
@@ -291,15 +291,17 @@ def test_criterion_10_worked_example():
         mat[i - 1, j - 1] = v
         mat[j - 1, i - 1] = e * v
     k = kernel.SignedKernel(mat)
-    g = graph.signed_adjacency(k)
+    minors = moments.exact_minors(k, 4)
+    skel = pma.recover_skeleton(minors)
+    quad = np.array([[0, 1, 2, 3]])
 
-    triangles = graph.positive_triangles(g)
-    cycle = graph.as_cycle([(1, 2), (2, 3), (3, 4), (1, 4)])
-    n_travelings = len(graph.travelings(g, cycle))
-    pi = graph.pi_of_cycle(k, cycle)
+    triangles = positive_triangles(skel)
+    pi = pma.traveling_sums(minors, skel, quad)
+    positive = pma.match_four_cycles(skel, quad, pi, pma.SIGN_TOL)[0][0]
+    # the cycles of a 4-set follow pma._CYCLE_ORDERS: 1-2-4-3, 1-2-3-4, 1-3-2-4
     want = 2 * k.entry(1, 3) * k.entry(3, 2) * k.entry(2, 4) * k.entry(4, 1)
-    ok = (triangles == [(1, 3, 4), (2, 3, 4)] and n_travelings == 6
-          and pi == pytest.approx(want, rel=1e-12))
+    ok = (triangles == [(1, 3, 4), (2, 3, 4)] and positive.tolist() == [False, False, True]
+          and pi[0] == pytest.approx(want, rel=1e-12))
     report("criterion 10 (worked signed-graph example)", ok,
-           "positive triangles {134, 234}; six travelings; "
+           "positive triangles {134, 234}; one positive 4-cycle 1-3-2-4; "
            "pi(1234) = 2 K13 K32 K24 K41")

@@ -143,6 +143,33 @@ def test_estimate_and_minors_flag_errors_exit_one(tmp_path, capsys):
     assert not (tmp_path / "o.json").exists()
 
 
+def _tol_fixture(tmp_path):
+    k_path, m_path = str(tmp_path / "k.json"), str(tmp_path / "m.json")
+    main(["gen", "--n", "8", "--lambda", "0.3", "--seed", "1", "--out", k_path])
+    main(["minors", "--kernel", k_path, "--max-order", "4", "--out", m_path])
+    return k_path, m_path
+
+
+def test_pma_tol_must_be_finite_and_nonnegative(tmp_path, capsys):
+    _, m_path = _tol_fixture(tmp_path)
+    h_path = str(tmp_path / "h.json")
+    for tol in ("nan", "-1", "inf"):
+        assert main(["pma", "--minors", m_path, "--out", h_path, "--tol", tol]) == 1
+    assert capsys.readouterr().err.count("signed-dpp: error: --tol must be finite") == 3
+    assert not (tmp_path / "h.json").exists()
+    assert main(["pma", "--minors", m_path, "--out", h_path, "--tol", "0"]) == 0
+
+
+def test_verify_tol_must_be_finite_and_nonnegative(tmp_path, capsys):
+    k_path, m_path = _tol_fixture(tmp_path)
+    for tol in ("nan", "-1", "inf"):
+        assert main(["verify", "--kernel", k_path, "--minors", m_path, "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("signed-dpp: error: --tol must be finite") == 3
+    assert "FAIL" not in captured.out
+    assert main(["verify", "--kernel", k_path, "--minors", m_path, "--tol", "0"]) == 0
+
+
 def test_missing_input_exits_one(tmp_path):
     assert main(["minors", "--kernel", str(tmp_path / "nope.json"),
                  "--max-order", "2", "--out", str(tmp_path / "m.json")]) == 1

@@ -1,11 +1,24 @@
+"""The signed graph of a kernel, its cycles and traveling sums, as the
+array stages of ``pma`` hold them, checked against the matrix-level
+references of ``helpers``."""
+
 import itertools
 
 import numpy as np
 import pytest
 
-from helpers import random_signed, signed_matrix
-from signed_dpp import graph, kernel
-from signed_dpp.errors import CapabilityError, DimensionError, NotDenseError, SignedClassError
+from helpers import (
+    cyclic_sum,
+    det_from_cycle_data,
+    pma_equivalent_structural,
+    positive_triangles,
+    random_signed,
+    signed_matrix,
+)
+from signed_dpp import kernel, moments, pma
+from signed_dpp.errors import DimensionError, NotDenseError, SignedClassError
+
+QUAD = np.array([[0, 1, 2, 3]])
 
 
 def figure_kernel(seed=7):
@@ -16,170 +29,153 @@ def figure_kernel(seed=7):
     return signed_matrix(gen.uniform(0.3, 0.7, 4), upper, eps)
 
 
-def four_cycle():
-    return graph.as_cycle([(1, 2), (2, 3), (3, 4), (1, 4)])
+def uniform_kernel(n, eps):
+    """Dense n-kernel with every relating sign equal to ``eps``."""
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    upper = {p: 0.1 + 0.01 * t for t, p in enumerate(pairs)}
+    return signed_matrix([0.5] * n, upper, {p: eps for p in upper})
+
+
+def skeleton(k):
+    return pma.recover_skeleton(moments.exact_minors(k, 2))
 
 
 # ---------------------------------------------------------------------------
-# adjacency
-
-def test_adjacency_diagonal_kernel_is_edgeless():
-    g = graph.signed_adjacency(kernel.SignedKernel(np.diag([0.5, 0.5, 0.5])))
-    assert g.edges == {}
-
+# the signed graph: the skeleton's relating signs
 
 def test_adjacency_dense_kernel_is_complete():
-    g = graph.signed_adjacency(kernel.generate_admissible(5, 0.3, 1))
-    assert len(g.edges) == 10
+    eps = skeleton(kernel.generate_admissible(5, 0.3, 1)).epsilon
+    assert np.count_nonzero(np.triu(eps, 1)) == 10
 
 
 def test_adjacency_skew_pair_sign():
     k = signed_matrix([0.5, 0.5], {(1, 2): 0.3}, {(1, 2): -1})
-    assert graph.signed_adjacency(k).sign(1, 2) == -1
+    assert skeleton(k).epsilon[0, 1] == -1
 
 
 def test_adjacency_requires_signed_class():
     mat = np.array([[0.5, 0.3], [0.2, 0.5]])
     with pytest.raises(SignedClassError):
-        graph.signed_adjacency(kernel.SignedKernel(mat))
+        kernel.SignedKernel(mat).epsilon(1, 2)
 
 
 # ---------------------------------------------------------------------------
-# cycles and travelings
-
-def test_as_cycle_validates():
-    with pytest.raises(DimensionError):
-        graph.as_cycle([(1, 2), (2, 3)])  # open path
-    with pytest.raises(DimensionError):
-        # two disjoint triangles: all degrees 2 but not connected
-        graph.as_cycle([(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
-
-
-def test_induced_cycle_has_two_travelings():
-    # a plain 4-cycle with no chords
-    g = graph.SignedGraph(4, {(1, 2): 1, (2, 3): 1, (3, 4): 1, (1, 4): 1})
-    tv = graph.travelings(g, four_cycle())
-    assert len(tv) == 2
-    assert tv[0][0][0] == 1  # canonical start at the smallest vertex
-
-
-def test_four_cycle_in_complete_graph_has_six_travelings():
-    g = graph.signed_adjacency(figure_kernel())
-    assert len(graph.travelings(g, four_cycle())) == 6
-
-
-def test_triangle_has_two_travelings():
-    g = graph.signed_adjacency(figure_kernel())
-    tri = graph.as_cycle([(1, 2), (2, 3), (1, 3)])
-    assert len(graph.travelings(g, tri)) == 2
-
-
-def test_travelings_cap():
-    k = kernel.generate_admissible(9, 0.3, 3)
-    g = graph.signed_adjacency(k)
-    with pytest.raises(CapabilityError):
-        graph.travelings(g, graph.as_cycle(
-            [(i, i + 1) for i in range(1, 9)] + [(1, 9)]))
-
+# cycle signs
 
 def test_epsilon_of_cycle():
-    g = graph.signed_adjacency(figure_kernel())
-    tri = graph.as_cycle([(1, 3), (3, 4), (1, 4)])
-    assert graph.epsilon_of_cycle(g, tri) == 1
-    bad_tri = graph.as_cycle([(1, 2), (2, 3), (1, 3)])
-    assert graph.epsilon_of_cycle(g, bad_tri) == -1
-    assert graph.epsilon_of_cycle(g, four_cycle()) == -1
-
-
-def test_epsilon_missing_edge():
-    g = graph.SignedGraph(3, {(1, 2): 1, (2, 3): 1, (1, 3): 1})
-    with pytest.raises(DimensionError):
-        graph.epsilon_of_cycle(
-            graph.SignedGraph(4, {(1, 2): 1, (2, 3): 1}),
-            graph.as_cycle([(1, 2), (2, 3), (1, 3)]))
-    assert graph.epsilon_of_cycle(g, graph.as_cycle([(1, 2), (2, 3), (1, 3)])) == 1
+    skel = skeleton(figure_kernel())
+    e = skel.epsilon
+    assert e[0, 2] * e[2, 3] * e[0, 3] == 1
+    assert e[0, 1] * e[1, 2] * e[0, 2] == -1
+    # the cycle 1-2-3-4 is column 1 of _CYCLE_ORDERS; it runs through eps_12 = -1
+    eps, _ = pma._four_cycle_signs(skel, QUAD)
+    assert eps[0, 1] == -1
 
 
 # ---------------------------------------------------------------------------
 # traveling sums
 
+def test_induced_cycle_has_two_travelings():
+    # a plain 4-cycle with no chords: only its two orientations survive
+    upper = {(1, 2): 0.2, (2, 3): 0.3, (3, 4): 0.25, (1, 4): 0.15}
+    k = signed_matrix([0.5] * 4, upper, {p: 1 for p in upper})
+    m = k.mat
+    want = m[0, 1] * m[1, 2] * m[2, 3] * m[3, 0] + m[0, 3] * m[3, 2] * m[2, 1] * m[1, 0]
+    assert cyclic_sum(k, (1, 2, 3, 4)) == want
+
+
 def test_pi_negative_induced_cycle_cancels():
     g_edges = {(1, 2): 1, (2, 3): 1, (3, 4): 1, (1, 4): -1}
     upper = {(1, 2): 0.2, (2, 3): 0.3, (3, 4): 0.25, (1, 4): 0.15}
     k = signed_matrix([0.5] * 4, upper, g_edges)
-    assert graph.pi_of_cycle(k, four_cycle()) == pytest.approx(0.0, abs=1e-15)
+    assert cyclic_sum(k, (1, 2, 3, 4)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_pi_positive_triangle_doubles_product():
     k = figure_kernel()
-    tri = graph.as_cycle([(1, 3), (3, 4), (1, 4)])
+    minors = moments.exact_minors(k, 3)
+    pi3 = pma.traveling_sums(minors, pma.recover_skeleton(minors), np.array([[0, 2, 3]]))
     want = 2 * k.entry(1, 3) * k.entry(3, 4) * k.entry(4, 1)
-    assert graph.pi_of_cycle(k, tri) == pytest.approx(want, rel=1e-12)
+    assert pi3[0] == pytest.approx(want, rel=1e-12)
+    assert cyclic_sum(k, (1, 3, 4)) == pytest.approx(want, rel=1e-12)
 
 
 def test_pi_figure_four_set():
     k = figure_kernel()
+    minors = moments.exact_minors(k, 4)
+    pi4 = pma.traveling_sums(minors, pma.recover_skeleton(minors), QUAD)
     want = 2 * k.entry(1, 3) * k.entry(3, 2) * k.entry(2, 4) * k.entry(4, 1)
-    assert graph.pi_of_cycle(k, four_cycle()) == pytest.approx(want, rel=1e-12)
-    assert graph.pi_of_subset(k, (1, 2, 3, 4)) == pytest.approx(want, rel=1e-12)
+    assert pi4[0] == pytest.approx(want, rel=1e-10)
+    assert cyclic_sum(k, (1, 2, 3, 4)) == pytest.approx(want, rel=1e-12)
 
 
 def test_pi_orientation_and_transpose_invariance():
     k = random_signed(5, 21)
     kt = kernel.SignedKernel(k.mat.T.copy())
-    for vs in itertools.combinations(range(1, 6), 3):
-        assert graph.pi_of_subset(kt, vs) == pytest.approx(
-            graph.pi_of_subset(k, vs), abs=1e-14)
-    assert graph.pi_of_subset(kt, (1, 2, 3, 4, 5)) == pytest.approx(
-        graph.pi_of_subset(k, (1, 2, 3, 4, 5)), abs=1e-14)
+    for m in (3, 4, 5):
+        for vs in itertools.combinations(range(1, 6), m):
+            assert cyclic_sum(kt, vs) == pytest.approx(cyclic_sum(k, vs), abs=1e-14)
+    for t in (3, 4):
+        subsets = kernel.index_combinations(5, t)
+        got = [pma.traveling_sums(minors, pma.recover_skeleton(minors), subsets)
+               for minors in (moments.exact_minors(k, 4), moments.exact_minors(kt, 4))]
+        np.testing.assert_allclose(got[1], got[0], rtol=0, atol=1e-14)
 
 
 def test_pi_equals_positive_cycle_sum():
-    # pi(J) = 2 sum over positive cycles of the oriented product
+    # pi(J) = 2 sum over the positive Hamiltonian cycles of J of the
+    # oriented product; each cycle is listed once, from its smallest vertex
     k = kernel.generate_admissible(6, 0.3, 31)
-    g = graph.signed_adjacency(k)
-    for m in (3, 4, 5):
-        for vs in itertools.combinations(range(1, 7), m):
+    minors = moments.exact_minors(k, 4)
+    skel = pma.recover_skeleton(minors)
+    eps, m = skel.epsilon, k.mat
+    for size in (3, 4, 5):
+        subsets = kernel.index_combinations(6, size)
+        stage = pma.traveling_sums(minors, skel, subsets) if size < 5 else None
+        for t, vs in enumerate(subsets.tolist()):
             total = 0.0
-            for c in graph.hamiltonian_cycles(g, vs):
-                if graph.epsilon_of_cycle(g, c) == 1:
-                    oriented = graph.travelings(g, c)
-                    # all travelings share the vertex set; restrict to this
-                    # cycle's edge set to pick its own two orientations
-                    own = [oc for oc in oriented
-                           if {graph.edge(a, b) for a, b in oc} == set(c)]
-                    total += 2 * graph.oriented_product(k, own[0])
-            assert graph.pi_of_subset(k, vs) == pytest.approx(total, rel=1e-9, abs=1e-12)
+            for perm in itertools.permutations(vs[1:]):
+                order = (vs[0], *perm)
+                if perm[0] > perm[-1]:
+                    continue
+                arcs = list(zip(order, order[1:] + order[:1]))
+                if np.prod([eps[a, b] for a, b in arcs]) == 1:
+                    total += 2 * np.prod([m[a, b] for a, b in arcs])
+            pi = cyclic_sum(k, [v + 1 for v in vs])
+            assert pi == pytest.approx(total, rel=1e-9, abs=1e-12)
+            if stage is not None:
+                assert stage[t] == pytest.approx(total, rel=1e-9, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # positive triangles and 4-cycles
 
 def test_positive_triangles_all_positive_graph():
-    g = graph.SignedGraph(4, {p: 1 for p in itertools.combinations(range(1, 5), 2)})
-    assert graph.positive_triangles(g) == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
+    assert positive_triangles(skeleton(uniform_kernel(4, 1))) == [
+        (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
 
 
 def test_positive_triangles_figure_assignment():
-    g = graph.signed_adjacency(figure_kernel())
-    assert graph.positive_triangles(g) == [(1, 3, 4), (2, 3, 4)]
+    assert positive_triangles(skeleton(figure_kernel())) == [(1, 3, 4), (2, 3, 4)]
 
 
 def test_all_negative_triangle_excluded():
-    g = graph.SignedGraph(3, {(1, 2): -1, (2, 3): -1, (1, 3): -1})
-    assert graph.positive_triangles(g) == []
+    assert positive_triangles(skeleton(uniform_kernel(3, -1))) == []
 
 
 def test_positive_four_cycles():
-    all_pos = graph.SignedGraph(4, {p: 1 for p in itertools.combinations(range(1, 5), 2)})
-    assert len(graph.positive_four_cycles(all_pos, (1, 2, 3, 4))) == 3
-    fig = graph.signed_adjacency(figure_kernel())
-    cycles = graph.positive_four_cycles(fig, (1, 2, 3, 4))
-    # only the pairing through chords 1-3 and 2-4 avoids the negative edge
-    assert cycles == [graph.as_cycle([(1, 3), (3, 2), (2, 4), (4, 1)])]
+    def positive(k):
+        minors = moments.exact_minors(k, 4)
+        skel = pma.recover_skeleton(minors)
+        return pma.match_four_cycles(skel, QUAD, pma.traveling_sums(minors, skel, QUAD),
+                                     pma.SIGN_TOL)[0][0].tolist()
+
+    assert positive(uniform_kernel(4, 1)) == [True, True, True]
+    # only the pairing through chords 1-3 and 2-4 (i-k-j-l) avoids the negative edge
+    assert positive(figure_kernel()) == [False, False, True]
+    sparse = signed_matrix([0.5] * 4, {(1, 2): 0.2, (2, 3): 0.2}, {(1, 2): 1, (2, 3): 1})
     with pytest.raises(NotDenseError):
-        graph.positive_four_cycles(
-            graph.SignedGraph(4, {(1, 2): 1, (2, 3): 1}), (1, 2, 3, 4))
+        skeleton(sparse)
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +187,7 @@ def test_det_from_cycle_data_matches_determinant():
         for m in range(1, 7):
             j = tuple(range(1, m + 1))
             want = kernel.principal_minor(k, j)
-            assert graph.det_from_cycle_data(k, j) == pytest.approx(
-                want, rel=1e-9, abs=1e-12)
+            assert det_from_cycle_data(k, j) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_det_from_cycle_data_sparse_kernel():
@@ -202,8 +197,7 @@ def test_det_from_cycle_data_sparse_kernel():
     eps = {p: -1 if p == (1, 2) else 1 for p in upper}
     k = signed_matrix([0.4, 0.5, 0.6, 0.45], upper, eps)
     j = (1, 2, 3, 4)
-    assert graph.det_from_cycle_data(k, j) == pytest.approx(
-        kernel.principal_minor(k, j), abs=1e-12)
+    assert det_from_cycle_data(k, j) == pytest.approx(kernel.principal_minor(k, j), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -211,26 +205,25 @@ def test_det_from_cycle_data_sparse_kernel():
 
 def test_pma_equivalent_reflexive_and_conjugation():
     k = random_signed(6, 41)
-    assert graph.pma_equivalent(k, k)
+    assert pma.pma_equivalent(k, k)
     d = np.diag([1, -1, -1, 1, -1, 1.0])
-    assert graph.pma_equivalent(kernel.SignedKernel(d @ k.mat @ d), k)
+    assert pma.pma_equivalent(kernel.SignedKernel(d @ k.mat @ d), k)
 
 
 def test_pma_equivalent_detects_sign_flip():
     k = kernel.generate_admissible(6, 0.3, 8)
-    g = graph.signed_adjacency(k)
-    i, j, _ = graph.positive_triangles(g)[0]
+    i, j, _ = positive_triangles(skeleton(k))[0]
     mat = np.array(k.mat)
     mat[i - 1, j - 1] *= -1
     mat[j - 1, i - 1] *= -1
     flipped = kernel.SignedKernel(mat)
-    assert not graph.pma_equivalent(flipped, k)
-    assert not graph.pma_equivalent_structural(flipped, k)
+    assert not pma.pma_equivalent(flipped, k)
+    assert not pma_equivalent_structural(flipped, k)
 
 
 def test_pma_equivalent_dimension_mismatch():
     with pytest.raises(DimensionError):
-        graph.pma_equivalent(random_signed(3, 1), random_signed(4, 1))
+        pma.pma_equivalent(random_signed(3, 1), random_signed(4, 1))
 
 
 def test_pma_equivalent_implementations_agree():
@@ -252,4 +245,4 @@ def test_pma_equivalent_implementations_agree():
             mat[i - 1, j - 1] *= -1
             mat[j - 1, i - 1] *= -1
             h = kernel.SignedKernel(mat)
-        assert graph.pma_equivalent(h, k) == graph.pma_equivalent_structural(h, k)
+        assert pma.pma_equivalent(h, k) == pma_equivalent_structural(h, k)

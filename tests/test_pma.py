@@ -11,16 +11,19 @@ import pytest
 from helpers import (
     antisymmetric,
     conjugation_distance,
+    cyclic_sum,
     full_sign_system,
     in_coset,
+    positive_triangles,
     read_four_sets,
     signed_matrix,
     strong_admissible,
 )
-from signed_dpp import gf2, graph, kernel, moments, pma, sampler
+from signed_dpp import gf2, kernel, moments, pma, sampler
 from signed_dpp.errors import (
     AmbiguousSignWarning,
     CapabilityError,
+    DimensionError,
     InconsistentMinorsError,
     MissingMinorError,
     NotDenseError,
@@ -91,7 +94,7 @@ def test_traveling_sums_negative_triangle_vanishes():
     pi3, pi4 = pma.traveling_sums(minors, skel, tri), pma.traveling_sums(minors, skel, quad)
     assert tri.tolist() == [[0, 1, 2]] and quad.shape == (0, 4) and pi4.shape == (0,)
     assert pi3[0] == pytest.approx(0.0, abs=1e-12)
-    assert graph.pi_of_subset(k, (1, 2, 3)) == pytest.approx(0.0, abs=1e-15)
+    assert cyclic_sum(k, (1, 2, 3)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_traveling_sums_positive_triangle_product():
@@ -126,7 +129,7 @@ def test_extract_pi_matches_direct_sums():
     pi3, pi4 = pma.traveling_sums(minors, skel, tri), pma.traveling_sums(minors, skel, quad)
     for subsets, got in ((tri, pi3), (quad, pi4)):
         for s, value in zip(subsets, got):
-            want = graph.pi_of_subset(k, tuple(s + 1))
+            want = cyclic_sum(k, tuple(s + 1))
             assert value == pytest.approx(want, abs=1e-12)
 
 
@@ -138,7 +141,7 @@ def test_batched_traveling_sums_match_direct_sums():
         tri, quad = kernel.index_combinations(n, 3), kernel.index_combinations(n, 4)
         pi3, pi4 = pma.traveling_sums(minors, skel, tri), pma.traveling_sums(minors, skel, quad)
         for subsets, got in ((tri, pi3), (quad, pi4)):
-            want = [graph.pi_of_subset(k, s + 1) for s in subsets]
+            want = [cyclic_sum(k, s + 1) for s in subsets]
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
         # the batched faces equal computing each face's pi3 alone, and
         # each 4-set's pi4 does not depend on the others given with it
@@ -189,7 +192,7 @@ def test_disambiguate_single_positive_cycle():
     k = signed_matrix([0.5, 0.45, 0.55, 0.6], upper, eps)
     *_, quad, pi4, (positive, negative, best, second, tol) = four_cycle_decisions(k)
     assert positive.tolist() == [[False, False, True]]
-    assert cycle_edges(quad[0], 2) == sorted(graph.as_cycle([(1, 3), (2, 3), (2, 4), (1, 4)]))
+    assert cycle_edges(quad[0], 2) == [(1, 3), (1, 4), (2, 3), (2, 4)]
     assert best[0] <= tol[0] < second[0] - best[0]
     sigma = -1 if negative[0, 2] else 1
     assert sigma == (1 if pi4[0] > 0 else -1)
@@ -291,7 +294,7 @@ def test_solve_pma_round_trip():
         n = 4 + seed % 5
         k = kernel.generate_admissible(n, 0.3, 70 + seed)
         sol = pma.solve_pma(moments.exact_minors(k, 4))
-        assert graph.pma_equivalent(sol.kernel, k)
+        assert pma.pma_equivalent(sol.kernel, k)
 
 
 def test_solve_pma_transpose_same_solution():
@@ -704,12 +707,29 @@ def test_reconstruction_structure_matches_ground_truth():
         assert h.epsilon(i, j) == k.epsilon(i, j)
     for m in (3, 4):
         for s in itertools.combinations(range(1, 7), m):
-            assert graph.pi_of_subset(h, s) == pytest.approx(
-                graph.pi_of_subset(k, s), abs=1e-9)
+            assert cyclic_sum(h, s) == pytest.approx(cyclic_sum(k, s), abs=1e-9)
+
+
+def test_solve_pma_rejects_bad_sign_tol():
+    minors = moments.exact_minors(kernel.generate_admissible(5, 0.3, 1), 4)
+    for tol in (math.nan, -1.0, math.inf):
+        with pytest.raises(DimensionError, match="sign_tol must be finite"):
+            pma.solve_pma(minors, sign_tol=tol)
+    assert pma.solve_pma(minors, sign_tol=0.0).null_dimension == 5
 
 
 # ---------------------------------------------------------------------------
 # verification
+
+def test_verify_rejects_bad_tol():
+    k = kernel.generate_admissible(5, 0.3, 1)
+    minors = moments.exact_minors(k, "all")
+    for tol in (math.nan, -1.0, math.inf):
+        for listed in (minors, moments.MinorList(5)):
+            with pytest.raises(DimensionError, match="tol must be finite"):
+                pma.verify(k, listed, tol)
+    assert pma.verify(k, minors, 0.0).checked == 31
+
 
 def test_verify_round_trip_passes():
     k = kernel.generate_admissible(5, 0.3, 121)
@@ -719,8 +739,7 @@ def test_verify_round_trip_passes():
 
 def test_verify_flags_flipped_triangle():
     k = kernel.generate_admissible(6, 0.3, 131)
-    g = graph.signed_adjacency(k)
-    tri = graph.positive_triangles(g)[0]
+    tri = positive_triangles(pma.recover_skeleton(moments.exact_minors(k, 2)))[0]
     i, j = tri[0], tri[1]
     mat = np.array(k.mat)
     mat[i - 1, j - 1] *= -1
