@@ -257,16 +257,16 @@ def principal_minor(k: SignedKernel, j: Iterable[int]) -> float:
 
 
 def principal_minors(mat: np.ndarray, subsets: np.ndarray) -> np.ndarray:
-    """det(mat_J) for each row J of an (m, t) array of sorted 1-based
-    subsets, in row order, as one ``numerics.batched_det`` call; t = 0
-    yields ones."""
+    """det(mat_J) for each row J of an (m, t) array of sorted 1-based subsets,
+    in row order (t = 0 yields ones), gathered numerics.DET_CHUNK rows at a time."""
     idx = np.asarray(subsets, dtype=np.intp)
     if idx.ndim != 2:
         raise DimensionError(f"expected an (m, t) array of subsets, got shape {idx.shape}")
-    idx = idx - 1
-    if idx.size and (idx.min() < 0 or idx.max() >= mat.shape[0]):
+    if idx.size and (idx.min() < 1 or idx.max() > mat.shape[0]):
         raise DimensionError(f"subset index out of range 1..{mat.shape[0]}")
-    return numerics.batched_det(mat[idx[:, :, None], idx[:, None, :]])
+    chunks = (idx[lo:lo + numerics.DET_CHUNK] - 1 for lo in range(0, len(idx), numerics.DET_CHUNK))
+    return np.concatenate([numerics.batched_det(mat[c[:, :, None], c[:, None, :]]) for c in chunks]
+                          or [np.ones(0)])
 
 
 def _shifted_stack(mat: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -300,10 +300,10 @@ def _clamp_mass(value: float) -> float:
 
 def _signed_masses(k: SignedKernel):
     """The unclamped masses (-1)^{|Jbar|} det(K - 1_Jbar) of every subset
-    J, by increasing bitmask, in chunks of 2^14 subsets."""
+    J, by increasing bitmask, in chunks of numerics.DET_CHUNK subsets."""
     full = (1 << k.n) - 1
-    for lo in range(0, full + 1, 1 << 14):
-        comp = full - np.arange(lo, min(lo + (1 << 14), full + 1), dtype=np.int64)
+    for lo in range(0, full + 1, numerics.DET_CHUNK):
+        comp = full - np.arange(lo, min(lo + numerics.DET_CHUNK, full + 1), dtype=np.int64)
         dets = numerics.batched_det(_shifted_stack(k.mat, comp))
         yield np.where(_popcount(comp) % 2 == 0, dets, -dets)
 

@@ -166,27 +166,27 @@ class MinorList:
         subsets in colex order and their values.  Reads are not recorded."""
         return self._rows(1)
 
-    def _colex(self) -> tuple[list[tuple[int, ...]], np.ndarray]:
-        """Every present subset and its value, in colexicographic order:
-        the orders merged by sorting their reversed, zero-padded rows."""
+    def _colex(self) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
+        """The orders as ``arrays()`` lists them, the colex order of their
+        concatenated rows (by their reversed, zero-padded rows), and the values in it."""
         parts = list(self.arrays())
         if not parts:
-            return [], np.empty(0)
+            return parts, np.empty(0, dtype=np.intp), np.empty(0)
         width = max(idx.shape[1] for idx, _ in parts)
         flipped = np.concatenate([np.pad(idx[:, ::-1], ((0, 0), (0, width - idx.shape[1])))
                                   for idx, _ in parts])
-        order = np.lexsort(flipped.T[::-1]).tolist()
-        keys = [tuple(row) for idx, _ in parts for row in idx.tolist()]
-        return [keys[t] for t in order], np.concatenate([v for _, v in parts])[order]
+        order = np.lexsort(flipped.T[::-1])
+        return parts, order, np.concatenate([v for _, v in parts])[order]
 
     def subsets(self) -> list[tuple[int, ...]]:
         """Present subsets in colexicographic order."""
-        return self._colex()[0]
+        return [j for j, _ in self.items()]
 
     def items(self) -> list[tuple[tuple[int, ...], float]]:
         """(subset, minor) pairs in colexicographic order, as ``subsets()``."""
-        keys, values = self._colex()
-        return list(zip(keys, values.tolist()))
+        parts, order, values = self._colex()
+        keys = [tuple(row) for idx, _ in parts for row in idx.tolist()]
+        return [(keys[t], v) for t, v in zip(order.tolist(), values.tolist())]
 
 
 class QueriedSubsets(Set):
@@ -328,9 +328,18 @@ def exact_minors(k: SignedKernel, max_order: int | str = "all") -> MinorList:
 # JSON round trip ({"n": N, "minors": {"1,2": value, ...}})
 
 def minors_to_json(minors: MinorList) -> str:
-    keys, values = minors._colex()
-    payload = {",".join(map(str, j)): v for j, v in zip(keys, values.tolist())}
-    return json.dumps({"n": minors.n, "minors": payload})
+    """json.dumps of {"n": n, "minors": {"i,j,...": value}} in colex order, with
+    keys joined by columns from tables of '"i' and ',i' and json's float.__repr__."""
+    parts, order, values = minors._colex()
+    head, tail = (np.array([f"{c}{i}" for i in range(minors.n + 1)], dtype=object) for c in '",')
+    keys = [np.empty(0, dtype=object)]
+    for idx, _ in parts:
+        key = head[idx[:, 0]]
+        for c in range(1, idx.shape[1]):
+            key += tail[idx[:, c]]
+        keys.append(key + '": ')
+    pairs = map(str.__add__, np.concatenate(keys)[order].tolist(), map(float.__repr__, values.tolist()))
+    return f'{{"n": {minors.n}, "minors": {{{", ".join(pairs)}}}}}'
 
 
 def minors_from_json(text: str) -> MinorList:

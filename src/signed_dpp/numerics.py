@@ -18,6 +18,7 @@ from .errors import DimensionError, SingularMatrixError
 # A pivot counts as zero when it is this small relative to the largest
 # row norm of the input.  Conservative at desk sizes (N <= 20).
 PIVOT_RTOL = 1e-12
+DET_CHUNK = 1 << 14   # matrices per batched_det call, where a caller chunks its stack
 
 
 def as_matrix(a, square: bool = False) -> np.ndarray:
@@ -41,18 +42,15 @@ def det(a) -> float:
 
 
 def batched_det(stack: np.ndarray) -> np.ndarray:
-    """Determinants of a (k, n, n) real or complex stack, in chunks of
-    2^14 to bound peak memory."""
+    """Determinants of a (k, n, n) real or complex stack, in one
+    np.linalg.det call; callers pass at most DET_CHUNK matrices at once."""
     stack = np.asarray(stack)
     stack = stack.astype(np.result_type(stack.dtype, float), copy=False)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise DimensionError(f"expected a (k, n, n) stack, got shape {stack.shape}")
     if stack.shape[1] == 0:
         return np.ones(stack.shape[0], dtype=stack.dtype)
-    out, chunk = np.empty(stack.shape[0], dtype=stack.dtype), 1 << 14
-    for lo in range(0, stack.shape[0], chunk):
-        out[lo:lo + chunk] = np.linalg.det(stack[lo:lo + chunk])
-    return out
+    return np.linalg.det(stack)
 
 
 def solve_linear(a, b) -> np.ndarray:

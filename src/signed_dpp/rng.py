@@ -16,7 +16,7 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _LO32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 # Philox4x64 round multipliers and Weyl key increments (Random123).
-_M0, _M1 = np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157)
+_M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
 _W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 _CHUNK_WORDS = 1 << 14   # counter words per buffer in uniforms
 
@@ -34,53 +34,67 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _mulhilo(m: np.uint64, x: np.ndarray, hi: np.ndarray, lo: np.ndarray,
+def _mulhilo(m: int, x: np.ndarray, hi: np.ndarray, lo: np.ndarray,
              t0: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> None:
-    """High and low 64-bit words of the 128-bit products m * x, written to
-    hi and lo; t0..t2 are scratch buffers of x's shape."""
-    m0, m1 = m & _LO32, m >> _32
+    """High and low 64-bit words of the 128-bit products m * x (Hacker's
+    Delight's mulhu), written to hi and lo; t0..t2 are scratch of x's shape."""
+    m0, m1 = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
     np.bitwise_and(x, _LO32, out=t0)          # x0
     np.right_shift(x, _32, out=t1)            # x1
-    np.multiply(t1, m0, out=t2)               # p01 = m0 x1
-    np.multiply(t1, m1, out=hi)               # m1 x1
-    np.multiply(t0, m1, out=t1)               # p10 = m1 x0
-    np.multiply(t0, m0, out=t0)
-    t0 >>= _32                                # mid = (m0 x0 >> 32) + low halves of p01, p10
-    t0 += np.bitwise_and(t2, _LO32, out=lo)
-    t0 += np.bitwise_and(t1, _LO32, out=lo)
-    hi += np.right_shift(t2, _32, out=t2)
-    hi += np.right_shift(t1, _32, out=t1)
-    hi += np.right_shift(t0, _32, out=t0)
-    np.multiply(x, m, out=lo)
+    np.multiply(t0, m0, out=t2)
+    t2 >>= _32
+    np.multiply(t1, m0, out=lo)
+    lo += t2                                  # u = x1 m0 + (x0 m0 >> 32)
+    np.multiply(t0, m1, out=t0)
+    t0 += np.bitwise_and(lo, _LO32, out=t2)   # v = x0 m1 + (u & LO)
+    np.multiply(t1, m1, out=hi)
+    hi += np.right_shift(lo, _32, out=t2)
+    hi += np.right_shift(t0, _32, out=t0)     # x1 m1 + (u >> 32) + (v >> 32)
+    np.multiply(x, np.uint64(m), out=lo)
 
 
 def uniforms(seed: int, indices, d: int) -> np.ndarray:
-    """Row r is ``stream(seed, indices[r]).random(d)``, for all rows at once.
+    """Row r is ``stream(seed, indices[r]).random(d)``, for all rows at once;
+    indices are integers, and negative ones wrap mod 2^64 as in ``stream``.
 
     Evaluates Philox4x64-10 on counter blocks 1..ceil(d/4) under the key
     (seed, index) of every row, and maps each word x to (x >> 11) * 2^-53,
-    as numpy's Generator.random does.  Rows go through in chunks of about
-    _CHUNK_WORDS counter words, in preallocated buffers.
+    as numpy's Generator.random does.  Rounds 0 and 1 are folded, so only
+    round 1's M1 product runs over rows.  Rows go through in chunks of
+    about _CHUNK_WORDS counter words, in preallocated buffers.
     """
     seed = _check_int(seed, "seed")
-    idx = np.asarray(indices).astype(np.uint64).reshape(-1, 1)
+    idx = np.asarray(indices)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise TypeError(f"stream indices must be integers, got dtype {idx.dtype}")
+    idx = idx.astype(np.uint64).reshape(-1, 1)
     blocks = -(-int(d) // 4)
     out = np.empty((len(idx), int(d)))
     rows = max(1, _CHUNK_WORDS // max(1, blocks))
     buf = np.empty((11, min(rows, len(idx)), blocks), dtype=np.uint64)
+    key = np.empty((min(rows, len(idx)), 1), dtype=np.uint64)
     words = np.empty((min(rows, len(idx)), blocks, 4), dtype=np.uint64)
-    counter = np.arange(1, blocks + 1, dtype=np.uint64)
+    # Round 0 leaves (seed, 0, hi(M0 b) ^ index, lo(M0 b)) for block b; round 1
+    # leaves (hi(M1 c2) ^ k0, lo(M1 c2), hi(M0 seed) ^ lo(M0 b) ^ k1, lo(M0 seed)).
+    block_hi, block_lo = np.array([divmod(_M0 * b, 1 << 64) for b in range(1, blocks + 1)],
+                                  dtype=np.uint64).reshape(blocks, 2).T
+    seed_hi, seed_lo = divmod(_M0 * seed, 1 << 64)
+    block_lo ^= np.uint64(seed_hi)
     for lo in range(0, len(idx), rows):
         hi = min(len(idx), lo + rows)
         c0, c1, c2, c3, h0, l0, h1, l1, t0, t1, t2 = buf[:, :hi - lo]
-        c0[:] = counter
-        c1[:] = c2[:] = c3[:] = 0
-        for r in range(10):
-            k0, k1 = np.uint64(seed + r * _W0 & _MASK64), idx[lo:hi] + np.uint64(r * _W1 & _MASK64)
+        k1, ix = key[:hi - lo], idx[lo:hi]
+        np.bitwise_xor(ix, block_hi, out=c2)
+        _mulhilo(_M1, c2, c0, c1, t0, t1, t2)
+        c0 ^= np.uint64(seed + _W0 & _MASK64)
+        np.bitwise_xor(np.add(ix, np.uint64(_W1), out=k1), block_lo, out=c2)
+        c3.fill(seed_lo)
+        for r in range(2, 10):
+            np.add(ix, np.uint64(r * _W1 & _MASK64), out=k1)
             _mulhilo(_M0, c0, h0, l0, t0, t1, t2)
             _mulhilo(_M1, c2, h1, l1, t0, t1, t2)
             h1 ^= c1
-            h1 ^= k0
+            h1 ^= np.uint64(seed + r * _W0 & _MASK64)
             h0 ^= c3
             h0 ^= k1
             # The new state is (h1, l1, h0, l0); the old one's buffers take the next products.

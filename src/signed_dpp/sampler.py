@@ -85,15 +85,35 @@ def _per_distinct_mask(masks: np.ndarray, fn) -> list:
 # ---------------------------------------------------------------------------
 # enumeration sampler
 
+def _check_count(count) -> int:
+    if isinstance(count, (int, np.integer)) and count < 0:
+        raise SamplingError(f"sample count must be nonnegative, got {count}")
+    return rng._check_int(count, "sample count")
+
+
 def sample_enumerate(k: SignedKernel, count: int, seed: int) -> SampleBatch:
     """i.i.d. draws by inverse CDF over the enumerated distribution."""
-    if count < 0:
-        raise SamplingError(f"sample count must be nonnegative, got {count}")
+    count = _check_count(count)
     table = enumerate_pmf(k)
-    cdf = np.cumsum(table)
-    uniforms = rng.uniforms(seed, np.arange(count), 1)[:, 0]
-    masks = np.minimum(np.searchsorted(cdf, uniforms, side="right"), len(table) - 1)
+    u = rng.uniforms(seed, np.arange(count), 1)[:, 0]
+    masks = np.minimum(_inverse_cdf(np.cumsum(table), u), len(table) - 1)
     return SampleBatch(k.n, masks=masks)
+
+
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """np.searchsorted(cdf, u, side="right") for a nondecreasing cdf and u
+    in [0, 1), by a guide table (Chen and Asau's indexed search): guide[c]
+    counts the entries <= c/B, and u lies in cell floor(u * B), exact for
+    B a power of two.  A cell of at most one entry needs one comparison;
+    the draws in cells of two or more are searched."""
+    cells = 1 << (max(1, min(4 * len(cdf), len(u))) - 1).bit_length()
+    guide = np.searchsorted(cdf, np.arange(cells + 1) / cells, side="right")
+    cell = (u * cells).astype(np.intp)
+    first = guide[cell]
+    out = first + (np.append(cdf, np.inf)[first] <= u)
+    wide = np.flatnonzero((np.diff(guide) > 1)[cell])
+    out[wide] = np.searchsorted(cdf, u[wide], side="right")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +189,7 @@ def sample_sequential(k: SignedKernel, seed: int, index: int = 0) -> tuple[int, 
 
 def sample_sequential_batch(k: SignedKernel, count: int, seed: int) -> SampleBatch:
     """i.i.d. draws from the sequential scheme, one substream per index."""
-    if count < 0:
-        raise SamplingError(f"sample count must be nonnegative, got {count}")
+    count = _check_count(count)
     _require_mask_width(k.n)
     taken, _ = _sequential_walk(
         k, count, lambda lo, hi: rng.uniforms(seed, np.arange(lo, hi), k.n))

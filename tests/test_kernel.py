@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import random_signed, signed_matrix
-from signed_dpp import kernel
+from signed_dpp import kernel, numerics
 from signed_dpp.errors import (
     CapabilityError,
     ConditioningError,
@@ -48,6 +48,16 @@ def test_principal_minors_batched_matches_scalar():
         kernel.principal_minors(k.mat, [(1, 8)])
     with pytest.raises(DimensionError):
         kernel.principal_minors(k.mat, [1, 2])
+
+
+def test_principal_minors_do_not_depend_on_the_chunk_size(monkeypatch):
+    k = random_signed(9, 3)
+    subsets = kernel.index_combinations(9, 4) + 1
+    want = kernel.principal_minors(k.mat, subsets)
+    for chunk in (1, 7, 100):
+        monkeypatch.setattr(numerics, "DET_CHUNK", chunk)
+        assert kernel.principal_minors(k.mat, subsets).tobytes() == want.tobytes()
+    assert want.tolist() == [kernel.principal_minor(k, j) for j in subsets.tolist()]
 
 
 # ---------------------------------------------------------------------------

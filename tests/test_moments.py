@@ -183,6 +183,15 @@ def test_minors_json_round_trip():
         assert again.get(j) == v
 
 
+def test_minors_json_is_the_json_dumps_text():
+    k = kernel.generate_admissible(9, 0.3, 5)
+    estimated = moments.estimate_required_minors(sampler.sample_enumerate(k, 500, 2), 4)
+    ml = moments.MinorList(12, {(12,): -0.0, (3, 10, 11): 1e-300, (1, 2): 0.1 + 0.2})
+    for minors in (moments.exact_minors(k, "all"), estimated, ml, moments.MinorList(4)):
+        payload = {",".join(map(str, j)): v for j, v in minors.items()}
+        assert moments.minors_to_json(minors) == json.dumps({"n": minors.n, "minors": payload})
+
+
 def test_minors_json_key_format():
     ml = moments.MinorList(3, {(2, 3): 0.25, (1,): 0.5})
     text = moments.minors_to_json(ml)

@@ -114,20 +114,64 @@ def one_sample_walk(k, seed, index):
     return tuple(included)
 
 
-@pytest.mark.parametrize("n", [7, 16])
+@pytest.mark.parametrize("n", [7, 12, 16])
 def test_batch_samplers_equal_their_singles(n):
+    # Small counts build a guide table smaller than the 2^N CDF; at N = 12
+    # and 16 many of the 600 draws land in cells of several CDF entries.
     k = kernel.generate_admissible(n, 0.3, 40 + n)
-    count = 600
     cdf = np.cumsum(kernel.enumerate_pmf(k))
-    singles = [kernel.mask_to_subset(min(int(np.searchsorted(
-        cdf, rng.stream(5, i).random(), side="right")), len(cdf) - 1)) for i in range(count)]
-    assert sampler.sample_enumerate(k, count, 5).samples == tuple(singles)
-    batch = sampler.sample_sequential_batch(k, count, 5)
-    assert batch.samples == tuple(one_sample_walk(k, 5, i) for i in range(count))
-    assert batch.samples[-5:] == tuple(sampler.sample_sequential(k, 5, i)
-                                       for i in range(count - 5, count))
-    assert batch.masks().dtype == np.uint64 and not batch.masks().flags.writeable
-    assert batch == sampler.SampleBatch(n, batch.samples)
+    for count in (0, 1, 5, 600):
+        singles = [kernel.mask_to_subset(min(int(np.searchsorted(
+            cdf, rng.stream(5, i).random(), side="right")), len(cdf) - 1)) for i in range(count)]
+        assert sampler.sample_enumerate(k, count, 5).samples == tuple(singles)
+        batch = sampler.sample_sequential_batch(k, count, 5)
+        assert batch.samples == tuple(one_sample_walk(k, 5, i) for i in range(count))
+        assert batch.samples[-5:] == tuple(sampler.sample_sequential(k, 5, i)
+                                           for i in range(max(0, count - 5), count))
+        assert batch.masks().dtype == np.uint64 and not batch.masks().flags.writeable
+        assert batch == sampler.SampleBatch(n, batch.samples)
+
+
+def test_inverse_cdf_equals_searchsorted_on_hard_draws():
+    gen = np.random.default_rng(8)
+    masses = gen.random(300)
+    masses[gen.random(300) < 0.3] = 0.0       # zero-mass subsets repeat a CDF value
+    masses[100:180] *= 1e-9                   # 80 entries inside one cell of any table
+    for total in (1.0, 1.0 - 1e-3):           # the top draws lie past cdf[-1] < 1
+        cdf = np.cumsum(masses / masses.sum() * total)
+        edges = cdf[cdf < 1.0]
+        u = np.concatenate([
+            [0.0, 5e-324, 1.0 - 2.0 ** -53, 0.3, 0.5, 0.999], edges,
+            np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)[np.nextafter(edges, 1.0) < 1.0],
+            gen.integers(0, 1 << 53, 2000) * 2.0 ** -53])
+        gen.shuffle(u)
+        for size in (1, 2, 5, 64, 999, len(u)):   # table sizes 1 to 2048 cells
+            for lo in range(0, len(u), size):
+                part = u[lo:lo + size]
+                got = sampler._inverse_cdf(cdf, part)
+                assert np.array_equal(got, np.searchsorted(cdf, part, side="right")), (total, size)
+
+
+def test_sample_counts_must_be_nonnegative_integers():
+    k = kernel.generate_admissible(4, 0.3, 1)
+    for sample in (sampler.sample_enumerate, sampler.sample_sequential_batch):
+        for bad in (2.5, float("nan"), "3", None):
+            with pytest.raises(TypeError, match="sample count must be an integer"):
+                sample(k, bad, 1)
+        with pytest.raises(SamplingError, match="nonnegative"):
+            sample(k, -1, 1)
+        assert sample(k, np.int64(3), 1) == sample(k, 3, 1)
+
+
+def test_uniforms_take_integer_indices_only():
+    for bad in ([1.7, 2.2], np.array([1.0]), np.array([True]), np.array([1], dtype=object)):
+        with pytest.raises(TypeError, match="stream indices must be integers"):
+            rng.uniforms(1, bad, 1)
+    assert rng.uniforms(1, [], 3).shape == (0, 3)
+    # negative indices wrap mod 2^64, as in stream
+    rows = rng.uniforms(1, np.array([-1, -7], dtype=np.int8), 5)
+    assert np.array_equal(rows[0], rng.stream(1, 2 ** 64 - 1).random(5))
+    assert np.array_equal(rows[1], rng.stream(1, -7).random(5))
 
 
 @pytest.mark.parametrize("n", [24, 32])
