@@ -91,14 +91,15 @@ def _with_column(words: np.ndarray, bits: np.ndarray, col: int) -> np.ndarray:
 
 
 def parities(supports: np.ndarray, assignment: np.ndarray) -> np.ndarray:
-    """XOR of ``assignment`` over each row of an (m, w) array of distinct
-    variable indices.  A 0/1 vector gives (m,) parities; an (n_vars, d)
-    matrix gives the (m, d) parities against each of its d columns, and
-    an (n_vars, d) matrix of packed words the (m, d) words of the
-    parities against each of their bits."""
-    out = np.zeros((len(supports),) + assignment.shape[1:], dtype=assignment.dtype)
-    for col in np.asarray(supports).T:
-        out ^= assignment[col]
+    """XOR of ``assignment`` over the last axis of an (..., w) array of
+    distinct variable indices.  A 0/1 vector gives (...) parities; an
+    (n_vars, d) matrix gives the (..., d) parities against each of its d
+    columns, and an (n_vars, d) matrix of packed words the (..., d) words
+    of the parities against each of their bits."""
+    supports = np.asarray(supports)
+    out = np.zeros(supports.shape[:-1] + assignment.shape[1:], dtype=assignment.dtype)
+    for t in range(supports.shape[-1]):
+        out ^= assignment[supports[..., t]]
     return out
 
 

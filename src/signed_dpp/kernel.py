@@ -215,7 +215,7 @@ def kernel_from_json(text: str) -> SignedKernel:
     if not isinstance(obj, dict) or "n" not in obj or "rows" not in obj:
         raise FormatError('kernel JSON must be {"n": ..., "rows": ...}')
     n, rows = obj["n"], obj["rows"]
-    if not isinstance(n, int) or n < 0:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise FormatError(f"kernel JSON: n must be a nonnegative integer, got {n!r}")
     if (not isinstance(rows, list) or len(rows) != n
             or any(not isinstance(r, list) or len(r) != n for r in rows)):
@@ -253,7 +253,7 @@ def atomic_write(path: str, text: str) -> None:
 
 def principal_minor(k: SignedKernel, j: Iterable[int]) -> float:
     """det(K_J); the empty subset yields 1 (the empty-product convention)."""
-    return numerics.det(k.submatrix(normalize_subset(j, k.n)))
+    return float(principal_minors(k.mat, np.array([normalize_subset(j, k.n)], dtype=np.intp))[0])
 
 
 def principal_minors(mat: np.ndarray, subsets: np.ndarray) -> np.ndarray:
@@ -287,7 +287,7 @@ def pmf(k: SignedKernel, j: Iterable[int]) -> float:
     shifted = k.mat.copy()
     for i in comp:
         shifted[i - 1, i - 1] -= 1.0
-    value = (-1.0) ** len(comp) * numerics.det(shifted)
+    value = (-1.0) ** len(comp) * float(numerics.batched_det(shifted[None])[0])
     return _clamp_mass(value)
 
 

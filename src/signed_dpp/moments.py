@@ -40,8 +40,8 @@ from .kernel import (
 from .sampler import SampleBatch
 
 ORDER_LIMIT = 1 << 24    # subsets per order a MinorList holds; larger orders are refused
-# Cells per counting chunk: subset-by-sample comparisons, or the sample-by-pair
-# cells of P (more when the Gram blocks of _gram_counts are larger).
+# Sample-by-pair cells of P per counting chunk (more when the Gram blocks of
+# _gram_counts are larger).
 _COUNT_CELLS = 1 << 16
 
 
@@ -221,19 +221,12 @@ def _distinct_masks(batch: SampleBatch) -> tuple[np.ndarray, np.ndarray]:
     return distinct, counts.astype(float)
 
 
-def _containment_counts(batch: SampleBatch, subset_masks: np.ndarray) -> np.ndarray:
-    """Number of samples containing each subset mask, counted over the
-    distinct sample masks weighted by their multiplicities."""
-    distinct, weight = _distinct_masks(batch)
-    parts = -(-len(subset_masks) * len(distinct) // _COUNT_CELLS)
-    return np.concatenate([((distinct & jm) == jm) @ weight
-                           for jm in np.array_split(subset_masks[:, None], parts)])
-
-
 def estimate_minor(batch: SampleBatch, j: Iterable[int]) -> float:
     """Fraction of samples containing j (the empirical inclusion frequency)."""
-    jm = subset_to_mask(normalize_subset(j, batch.n_items, allow_empty=False))
-    return float(_containment_counts(batch, np.array([jm], dtype=np.uint64))[0] / len(batch))
+    jm = np.uint64(subset_to_mask(normalize_subset(j, batch.n_items, allow_empty=False)))
+    if len(batch) == 0:
+        raise DimensionError("cannot estimate from an empty batch")
+    return np.count_nonzero((batch.masks() & jm) == jm) / len(batch)
 
 
 def estimate_required_minors(batch: SampleBatch, max_order: int) -> MinorList:
@@ -350,7 +343,7 @@ def minors_from_json(text: str) -> MinorList:
     if not isinstance(obj, dict) or "n" not in obj or "minors" not in obj:
         raise FormatError('minors JSON must be {"n": ..., "minors": ...}')
     n, entries = obj["n"], obj["minors"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise FormatError(f"minors JSON: n must be a positive integer, got {n!r}")
     if not isinstance(entries, dict):
         raise FormatError("minors JSON: minors must be an object")
@@ -360,7 +353,7 @@ def minors_from_json(text: str) -> MinorList:
             subset = [int(tok) for tok in key.split(",")]
         except ValueError as exc:
             raise FormatError(f"minors JSON: bad subset key {key!r}") from exc
-        if not isinstance(value, (int, float)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise FormatError(f"minors JSON: value for {key!r} is not a number")
         rows, values = by_order.setdefault(len(subset), ([], []))
         rows.append(subset)
@@ -371,6 +364,9 @@ def minors_from_json(text: str) -> MinorList:
             out._write(rows, values)
     except DimensionError as exc:
         raise FormatError(f"minors JSON: {exc}") from exc
+    if len(out) != len(entries):
+        raise FormatError(f"minors JSON: {len(entries) - len(out)} of {len(entries)} keys "
+                          "repeat a subset that an earlier key names")
     return out
 
 

@@ -33,14 +33,6 @@ def as_matrix(a, square: bool = False) -> np.ndarray:
     return m
 
 
-def det(a) -> float:
-    """Determinant by LU with partial pivoting; the 0x0 matrix has det 1."""
-    m = as_matrix(a, square=True)
-    if m.shape[0] == 0:
-        return 1.0
-    return float(np.linalg.det(m))
-
-
 def batched_det(stack: np.ndarray) -> np.ndarray:
     """Determinants of a (k, n, n) real or complex stack, in one
     np.linalg.det call; callers pass at most DET_CHUNK matrices at once."""

@@ -5,7 +5,13 @@ The reconstruction runs as whole-array stages.  ``solve_pma`` composes
 the public stage functions ``recover_skeleton``, ``traveling_sums`` and
 ``match_four_cycles`` with a ``gf2.SpanBasis``; there is no one-item
 entry point.  Each sign decision is one XOR row over the upper-triangle
-entry signs, held as an index array of its 3 or 4 variables.
+entry signs, held as an index array of its 3 or 4 variables.  Every
+cycle is described once, in one table per subset size (``_TRIANGLE``,
+``_FOUR_CYCLES``): its edges and the arcs its row orientation walks
+against the upper triangle.  ``_cycles`` reads each cycle's
+relating-sign product, magnitude product, XOR row and right-hand-side
+flip off that table for the triangle stage, the 4-set span filter and
+``match_four_cycles`` alike.
 
 1. Skeleton.  Orders 1 and 2, read in bulk, give the diagonal, the
    off-diagonal magnitudes and the relating signs, via
@@ -41,6 +47,7 @@ inconsistent.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -77,17 +84,27 @@ SOLUTION_SET_CAP = 12
 # of the vertex each one leaves out.
 _FACES = np.array(list(itertools.combinations(range(4), 3)))
 _FACE_REST = (3, 2, 1, 0)
-# The six edges of a sorted 4-set, as position pairs.
-_EDGES = tuple(itertools.combinations(range(4), 2))
-# The three Hamiltonian cycles of a sorted 4-set (i, j, k, l), in the
-# order of their sorted edge tuples: i-j-l-k, i-j-k-l, i-k-j-l.  Each is
-# walked from i toward its smaller neighbor (the row orientation).
+# The three Hamiltonian cycles of a sorted 4-set (i, j, k, l): i-j-l-k,
+# i-j-k-l, i-k-j-l, each walked from i toward its smaller neighbor (the
+# row orientation).
 _CYCLE_ORDERS = ((0, 1, 3, 2), (0, 1, 2, 3), (0, 2, 1, 3))
-_CYCLE_ARCS = tuple(tuple((o[t], o[(t + 1) % 4]) for t in range(4)) for o in _CYCLE_ORDERS)
-_CYCLE_EDGES = tuple(tuple(sorted(tuple(sorted(arc)) for arc in arcs)) for arcs in _CYCLE_ARCS)
-# Arcs that run against the upper triangle (w > u) read sign(K_wu) as
-# eps_uw sign(K_uw), so their relating signs enter the right-hand side.
-_CYCLE_LOWER = tuple(tuple((b, a) for a, b in arcs if a > b) for arcs in _CYCLE_ARCS)
+
+
+def _cycle_table(arcs) -> tuple[np.ndarray, np.ndarray]:
+    """A cycle table from cycles given as lists of arcs (a, b) between
+    positions of a sorted subset, walked in row orientation.  Each cycle
+    is its (w, 2) edges, as sorted position pairs in the order of its
+    magnitude product, and a (w,) flag on the arcs with a > b: such an
+    arc reads the lower entry K_ab = eps_ab K_ba, so its relating sign
+    enters the right-hand side."""
+    arcs = np.array(arcs)
+    return np.sort(arcs, axis=2), arcs[..., 0] > arcs[..., 1]
+
+
+# The one cycle of a triangle, i-j-k, with its edges in the order i-j,
+# j-k, i-k, and the three of a 4-set, with their edges sorted.
+_TRIANGLE = _cycle_table([[(0, 1), (1, 2), (2, 0)]])
+_FOUR_CYCLES = _cycle_table([sorted(zip(o, o[1:] + o[:1]), key=sorted) for o in _CYCLE_ORDERS])
 
 
 @dataclass(frozen=True)
@@ -233,20 +250,25 @@ def traveling_sums(minors: MinorList, skel: Skeleton, subsets: np.ndarray) -> np
 
 
 # ---------------------------------------------------------------------------
-# sign decisions: 4-cycle patterns
+# cycles: signs, magnitudes and XOR rows
 
-def _four_cycle_signs(skel: Skeleton, quad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(m, 3) edge-sign products and magnitude products of each 4-set's cycles."""
-    v, m = quad.T, skel.magnitude
-    eps = np.ones((len(quad), 3), dtype=int)
-    mags = np.empty((len(quad), 3))
-    for c, edges in enumerate(_CYCLE_EDGES):
-        ends = [(v[a], v[b]) for a, b in edges]
-        for a, b in ends:
-            eps[:, c] *= skel.epsilon[a, b]
-        (a0, b0), (a1, b1), (a2, b2), (a3, b3) = ends
-        mags[:, c] = m[a0, b0] * m[a1, b1] * m[a2, b2] * m[a3, b3]
-    return eps, mags
+def _cycles(skel: Skeleton, sets: np.ndarray, table) -> tuple[np.ndarray, ...]:
+    """Per row of an (m, s) array of sorted 0-based subsets and per cycle
+    of ``table`` (``_TRIANGLE`` or ``_FOUR_CYCLES``): the (m, c)
+    relating-sign products, the (m, c) magnitude products, the (m, c, w)
+    pair indices of the cycles' XOR rows and the (m, c) right-hand-side
+    flips.  A cycle whose oriented entry product has sign bit ``negative``
+    gives the row (support, negative ^ flip).  No minor is read."""
+    edges, lower = table
+    a, b = sets[:, edges[..., 0]], sets[:, edges[..., 1]]
+    eps = skel.epsilon[a, b]
+    product = functools.reduce(np.multiply, np.moveaxis(skel.magnitude[a, b], 2, 0))
+    return (eps.prod(axis=2), product, pair_index(skel.n, a, b),
+            np.logical_xor.reduce((eps == -1) & lower, axis=2))
+
+
+# Bit c of pattern p makes cycle c of a 4-set negative.
+_PATTERNS = (np.arange(8)[:, None] >> np.arange(3)) & 1 == 1
 
 
 def match_four_cycles(skel: Skeleton, quad: np.ndarray, pi4: np.ndarray, tol: float):
@@ -255,62 +277,37 @@ def match_four_cycles(skel: Skeleton, quad: np.ndarray, pi4: np.ndarray, tol: fl
     Each positive cycle contributes twice its oriented product, whose
     magnitude is the product of its four edge magnitudes.  A 4-set has 1
     or 3 positive cycles (each edge lies on two of the three cycles), so
-    at most 8 candidates.  The first minimal residual wins.  Returns the
-    (m, 3) positive cycles (columns follow ``_CYCLE_ORDERS``), the (m, 3)
-    positive cycles the best pattern makes negative, and per 4-set the
-    best and second-smallest residuals and the effective tolerance
+    at most 8 candidates; a pattern that flips a cycle that is not
+    positive is no candidate.  The first minimal residual wins.  Returns
+    the (m, 3) positive cycles (columns follow ``_CYCLE_ORDERS``), the
+    (m, 3) positive cycles the best pattern makes negative, and per 4-set
+    the best and second-smallest residuals and the effective tolerance
     ``max(tol, SIGN_RTOL * scale)``.  A 4-set is decided when the best
     residual is within that tolerance and the second is not.
     """
-    eps, mags = _four_cycle_signs(skel, quad)
-    positive = eps == 1
-    count = positive.sum(axis=1)
-    # positive-cycle magnitudes packed to the left, in cycle order
-    packed = np.where(count[:, None] == 3, mags, 0.0)
-    single = count == 1
-    packed[single, 0] = mags[single, positive[single].argmax(axis=1)]
-    bits = np.arange(8)
-    flips = np.where((bits[:, None] >> np.arange(3)) & 1 == 1, -1.0, 1.0)  # (8, 3)
+    sign, mags, _, _ = _cycles(skel, quad, _FOUR_CYCLES)
+    positive = sign == 1
+    packed = np.where(positive, mags, 0.0)
+    flips = np.where(_PATTERNS, -1.0, 1.0)  # (8, 3)
     totals = 2.0 * (flips[:, 0] * packed[:, :1] + flips[:, 1] * packed[:, 1:2]
                     + flips[:, 2] * packed[:, 2:])
     residual = np.abs(totals - pi4[:, None])
-    residual[bits[None, :] >= (1 << count)[:, None]] = np.inf
+    residual[(_PATTERNS & ~positive[:, None, :]).any(axis=2)] = np.inf
     pattern = residual.argmin(axis=1)
-    rows = np.arange(len(quad))
-    rank = np.maximum(np.cumsum(positive, axis=1) - 1, 0)
-    negative = positive & ((pattern[:, None] >> rank) & 1 == 1)
-    return (positive, negative, residual[rows, pattern],
+    return (positive, positive & _PATTERNS[pattern], residual[np.arange(len(quad)), pattern],
             np.partition(residual, 1, axis=1)[:, 1],
             np.maximum(tol, SIGN_RTOL * 2.0 * mags.max(axis=1)))
 
 
-# ---------------------------------------------------------------------------
-# XOR rows of the sign decisions
-
-def _triangle_rows(skel: Skeleton, tri: np.ndarray, negative: np.ndarray):
-    """XOR rows (supports, rhs) of known triangle product signs."""
-    n = skel.n
-    i, j, k = tri.T
-    support = np.stack([pair_index(n, i, j), pair_index(n, j, k), pair_index(n, i, k)], axis=1)
-    return support, negative ^ (skel.epsilon[i, k] == -1)
-
-
-def _four_cycle_rows(skel: Skeleton, quad: np.ndarray, cycle: np.ndarray,
-                     negative: np.ndarray):
-    """XOR rows (supports, rhs) of known 4-cycle product signs.
-
-    Row t is cycle ``cycle[t]`` (a column of ``_CYCLE_ORDERS``) of 4-set
-    ``quad[t]``, walked in its row orientation.
-    """
-    support = np.empty((len(quad), 4), dtype=np.intp)
-    rhs = negative.copy()
-    for c in range(3):
-        sel = cycle == c
-        v = quad[sel].T
-        support[sel] = np.stack([pair_index(skel.n, v[a], v[b]) for a, b in _CYCLE_EDGES[c]], axis=1)
-        for a, b in _CYCLE_LOWER[c]:
-            rhs[sel] ^= skel.epsilon[v[a], v[b]] == -1
-    return support, rhs
+def _screen(skipped: np.ndarray, bad: np.ndarray, warning, error, stacklevel: int) -> None:
+    """Warn with ``warning(t)`` on each skipped decision t before the
+    first bad one, then raise ``error(t)`` on that one.  ``skipped`` and
+    ``bad`` are (m,) masks; ``stacklevel`` counts from the caller."""
+    stop = int(bad.argmax()) if bad.any() else len(bad)
+    for t in np.flatnonzero(skipped[:stop]):
+        warnings.warn(warning(t), AmbiguousSignWarning, stacklevel=stacklevel + 1)
+    if stop < len(bad):
+        raise InconsistentMinorsError(error(stop))
 
 
 # ---------------------------------------------------------------------------
@@ -334,32 +331,26 @@ def solve_pma(minors: MinorList, sign_tol: float = SIGN_TOL) -> PMASolution:
     pi3 = traveling_sums(minors, skel, tri)
 
     # triangles: a positive triangle's pi3 carries its product sign
-    i, j, k = tri.T
-    mag, eps = skel.magnitude, skel.epsilon
-    tri_tol = np.maximum(sign_tol, SIGN_RTOL * (2.0 * mag[i, j] * mag[j, k] * mag[i, k]))
-    positive = eps[i, j] * eps[j, k] * eps[i, k] == 1
+    sign, mag3, support, flip = (a[:, 0] for a in _cycles(skel, tri, _TRIANGLE))
+    tri_tol = np.maximum(sign_tol, SIGN_RTOL * (2.0 * mag3))
+    positive = sign == 1
     small = np.abs(pi3) <= tri_tol
-    bad = np.flatnonzero(~positive & ~small)
-    skipped = np.flatnonzero(positive & small)
-    for t in skipped[skipped < (bad[0] if bad.size else len(tri))]:
-        warnings.warn(
-            f"triangle {_subset(tri[t])}: traveling sum {pi3[t]:.3e} below tol "
-            f"{tri_tol[t]:.1e}; skipping its sign constraint",
-            AmbiguousSignWarning, stacklevel=2)
-    if bad.size:
-        t = bad[0]
-        raise InconsistentMinorsError(
-            f"triangle {_subset(tri[t])} is negative but its traveling sum is "
-            f"{pi3[t]:.3e}; the minor list is not realizable at tol {tri_tol[t]:.1e}")
+    _screen(positive & small, ~positive & ~small,
+            lambda t: (f"triangle {_subset(tri[t])}: traveling sum {pi3[t]:.3e} below tol "
+                       f"{tri_tol[t]:.1e}; skipping its sign constraint"),
+            lambda t: (f"triangle {_subset(tri[t])} is negative but its traveling sum is "
+                       f"{pi3[t]:.3e}; the minor list is not realizable at tol {tri_tol[t]:.1e}"),
+            stacklevel=2)
     used = positive & ~small
     basis = gf2.SpanBasis(n * (n - 1) // 2)
-    basis.add(*_triangle_rows(skel, tri[used], ~(pi3[used] > 0)))
+    basis.add(support[used], ~(pi3[used] > 0) ^ flip[used])
 
     # 4-sets, in colex chunks, read only where the span still needs them.
     # Every row is a positive cycle, on which the vertex switches and the
     # transpose's flips (the pairs with eps = -1) have even parity, so
     # they stay in the null space; once it is no larger than their span,
     # no 4-set has a row outside the span and the walk stops.
+    eps = skel.epsilon
     sigma = np.where(np.arange(n) == 0, 1, eps[0])
     floor = n - 1 + (not np.array_equal(eps + np.eye(n, dtype=int), np.outer(sigma, sigma)))
     total = math.comb(n, 4)
@@ -377,24 +368,8 @@ def solve_pma(minors: MinorList, sign_tol: float = SIGN_TOL) -> PMASolution:
             "the minor list is not realizable in the signed class")
     x = np.array(gf2.bits_of(solution.particular, basis.n_vars), dtype=bool)
 
-    return PMASolution(kernel=_assemble(skel.diagonal, mag, eps, x),
+    return PMASolution(kernel=_assemble(skel.diagonal, skel.magnitude, eps, x),
                        solution=solution, pairs=_pairs(n))
-
-
-def _outside_span(skel: Skeleton, quad: np.ndarray, null: np.ndarray) -> np.ndarray:
-    """Which rows of an (m, 4) array of sorted 4-sets have a positive
-    cycle whose XOR row has nonzero parities against the packed null
-    space ``null`` (``gf2.SpanBasis.null_words``).  Only the relating
-    signs are read, no minor."""
-    ends = {e: (quad[:, e[0]], quad[:, e[1]]) for e in _EDGES}
-    odd = {e: skel.epsilon[ab] == -1 for e, ab in ends.items()}
-    words = {e: null[pair_index(skel.n, *ab)] for e, ab in ends.items()}
-    out = np.zeros(len(quad), dtype=bool)
-    for edges in _CYCLE_EDGES:
-        negative = np.logical_xor.reduce([odd[e] for e in edges])
-        parity = np.bitwise_xor.reduce([words[e] for e in edges])
-        out |= ~negative & parity.any(axis=1)
-    return out
 
 
 def _add_four_sets(minors: MinorList, skel: Skeleton, basis: gf2.SpanBasis,
@@ -402,27 +377,23 @@ def _add_four_sets(minors: MinorList, skel: Skeleton, basis: gf2.SpanBasis,
     """Read the 4-sets of ``quad`` that have a positive cycle outside the
     span of ``basis`` and add their decided cycle rows to it: one sign
     per positive cycle, unless the patterns are too close."""
-    quad = quad[_outside_span(skel, quad, basis.null_words())]
-    if not len(quad):
+    sign, _, support, flip = _cycles(skel, quad, _FOUR_CYCLES)
+    read = ((sign == 1) & gf2.parities(support, basis.null_words()).any(axis=2)).any(axis=1)
+    if not read.any():
         return
+    quad, support, flip = quad[read], support[read], flip[read]
     cycles, negative, best, second, tol = match_four_cycles(
         skel, quad, traveling_sums(minors, skel, quad), sign_tol)
-    bad = np.flatnonzero(best > tol)
-    ambiguous = np.flatnonzero(second - best <= tol)
-    for t in ambiguous[ambiguous < (bad[0] if bad.size else len(quad))]:
-        warnings.warn(
-            f"4-set {_subset(quad[t])}: sign patterns are separated by "
-            f"{second[t] - best[t]:.1e} < tol {tol[t]:.1e}; magnitude products are "
-            "too close to decide; skipping the 4-set's sign constraints",
-            AmbiguousSignWarning, stacklevel=3)
-    if bad.size:
-        t = bad[0]
-        raise InconsistentMinorsError(
-            f"4-set {_subset(quad[t])}: no sign pattern matches the traveling sum "
-            f"(best residual {best[t]:.3e} > tol {tol[t]:.1e})")
+    ambiguous = second - best <= tol
+    _screen(ambiguous, best > tol,
+            lambda t: (f"4-set {_subset(quad[t])}: sign patterns are separated by "
+                       f"{second[t] - best[t]:.1e} < tol {tol[t]:.1e}; magnitude products are "
+                       "too close to decide; skipping the 4-set's sign constraints"),
+            lambda t: (f"4-set {_subset(quad[t])}: no sign pattern matches the traveling sum "
+                       f"(best residual {best[t]:.3e} > tol {tol[t]:.1e})"),
+            stacklevel=3)
     cycles[ambiguous] = False
-    rows, cycle = np.nonzero(cycles)
-    basis.add(*_four_cycle_rows(skel, quad[rows], cycle, negative[rows, cycle]))
+    basis.add(support[cycles], negative[cycles] ^ flip[cycles])
 
 
 def _assemble(diagonal: np.ndarray, magnitude: np.ndarray, epsilon: np.ndarray,
@@ -484,6 +455,8 @@ def verify(h: SignedKernel, minors: MinorList, tol: float = 1e-9) -> VerifyRepor
     nonnegative.
     """
     _check_tol("tol", tol)
+    if h.n != minors.n:
+        raise DimensionError(f"dimension mismatch: kernel N = {h.n}, minor list N = {minors.n}")
     if len(minors) == 0:
         return VerifyReport(passed=True, checked=0, max_abs_error=0.0,
                             worst_subset=None, failures=(),
@@ -508,9 +481,8 @@ def verify(h: SignedKernel, minors: MinorList, tol: float = 1e-9) -> VerifyRepor
 
 def pma_equivalent(h: SignedKernel, k: SignedKernel) -> bool:
     """Whether h has every principal minor of k, under ``verify``'s
-    default tolerance; the full list caps N as ``exact_minors`` does."""
-    if h.n != k.n:
-        raise DimensionError(f"dimension mismatch: {h.n} vs {k.n}")
+    default tolerance, which also raises on a size mismatch; the full
+    list caps N as ``exact_minors`` does."""
     return verify(h, exact_minors(k, "all")).passed
 
 

@@ -63,10 +63,48 @@ def antisymmetric(n, seed, mags=(0.05, 0.1)):
     return kernel.SignedKernel(mat)
 
 
+# The Hamiltonian cycles of a sorted 4-set (i, j, k, l), as closed walks
+# over its positions, in the column order of ``pma.match_four_cycles``:
+# i-j-l-k, i-j-k-l, i-k-j-l.
+FOUR_CYCLE_WALKS = ((0, 1, 3, 2), (0, 1, 2, 3), (0, 2, 1, 3))
+
+
+def walk_cycle(skel, walk):
+    """Reference description of the closed walk v0 -> v1 -> ... -> v0 over
+    0-based vertices: the product of the relating signs along it, its XOR
+    row's support (the ``pma`` pair indices of its arcs' sorted pairs,
+    sorted) and its right-hand-side flip, the XOR of (eps = -1) over each
+    arc a -> b with a > b, which reads sign(K_ab) as eps_ab sign(K_ba).
+    The row of a walk whose entry product has sign bit ``negative`` is
+    (support, negative ^ flip)."""
+    index = {p: t for t, p in enumerate(itertools.combinations(range(skel.n), 2))}
+    arcs = list(zip(walk, walk[1:] + walk[:1]))
+    sign = int(np.prod([skel.epsilon[a, b] for a, b in arcs]))
+    support = sorted(index[min(a, b), max(a, b)] for a, b in arcs)
+    flip = sum(skel.epsilon[a, b] == -1 for a, b in arcs if a > b) % 2 == 1
+    return sign, support, flip
+
+
+def walk_rows(skel, walks, negative):
+    """Reference XOR rows (supports, rhs) of the closed walks in the rows
+    of an (m, w) array, whose entry products have sign bits ``negative``."""
+    walks = np.asarray(walks)
+    cycles = [walk_cycle(skel, tuple(walk.tolist())) for walk in walks]
+    supports = np.array([c[1] for c in cycles], dtype=np.intp).reshape(walks.shape)
+    return supports, np.array([c[2] ^ bool(neg) for c, neg in zip(cycles, negative)], dtype=bool)
+
+
+def four_cycle_walks(quad, cycle):
+    """(m, 4) array: row t walks cycle column ``cycle[t]`` of the 0-based
+    4-set ``quad[t]``."""
+    return np.take_along_axis(quad, np.array(FOUR_CYCLE_WALKS)[cycle], axis=1)
+
+
 def full_sign_system(minors, sign_tol=pma.SIGN_TOL):
     """Every decided triangle row and every decided 4-cycle row of a
-    minor list, built from the public stage functions over every 4-set,
-    as ``gf2.solve_groups`` arguments (groups, rhs)."""
+    minor list, read over every 4-set from the public stage functions
+    and built by ``walk_rows``, as ``gf2.solve_groups`` arguments
+    (groups, rhs)."""
     n = minors.n
     skel = pma.recover_skeleton(minors)
     tri, quad = kernel.index_combinations(n, 3), kernel.index_combinations(n, 4)
@@ -79,8 +117,8 @@ def full_sign_system(minors, sign_tol=pma.SIGN_TOL):
     assert np.all(best <= tol)
     cycles[second - best <= tol] = False
     rows, cycle = np.nonzero(cycles)
-    groups = [pma._triangle_rows(skel, tri[used], ~(pi3[used] > 0)),
-              pma._four_cycle_rows(skel, quad[rows], cycle, negative[rows, cycle])]
+    groups = [walk_rows(skel, tri[used], ~(pi3[used] > 0)),
+              walk_rows(skel, four_cycle_walks(quad[rows], cycle), negative[rows, cycle])]
     return [g for g, _ in groups], [b for _, b in groups]
 
 
@@ -175,8 +213,8 @@ def _triangles_pin_signs(k):
     positive = eps[tri[:, 0], tri[:, 1]] * eps[tri[:, 1], tri[:, 2]] * eps[tri[:, 0], tri[:, 2]] == 1
     cycles, negative, _, _, _ = pma.match_four_cycles(skel, quad, pi4, pma.SIGN_TOL)
     rows, cycle = np.nonzero(cycles)
-    tri_rows, _ = pma._triangle_rows(skel, tri[positive], pi3[positive] < 0)
-    quad_rows, _ = pma._four_cycle_rows(skel, quad[rows], cycle, negative[rows, cycle])
+    tri_rows, _ = walk_rows(skel, tri[positive], pi3[positive] < 0)
+    quad_rows, _ = walk_rows(skel, four_cycle_walks(quad[rows], cycle), negative[rows, cycle])
     n_vars = k.n * (k.n - 1) // 2
 
     def rank_of(*groups):

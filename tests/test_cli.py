@@ -64,6 +64,17 @@ def test_verify_failure_exits_two(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_refuses_minors_of_another_size(tmp_path, capsys):
+    k_path, m_path = str(tmp_path / "k.json"), str(tmp_path / "m.json")
+    k = kernel.generate_admissible(5, 0.3, 1)
+    kernel.write_kernel(k_path, k)
+    moments.write_minors(m_path, moments.exact_minors(kernel.SignedKernel(k.mat[:4, :4]), "all"))
+    assert main(["verify", "--kernel", k_path, "--minors", m_path]) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert "dimension mismatch: kernel N = 5, minor list N = 4" in captured.err
+
+
 def test_verify_refuses_an_oversized_minor_order(tmp_path, capsys):
     # C(200, 4) subsets exceed what a minor list holds per order
     k_path, m_path = str(tmp_path / "k.json"), str(tmp_path / "m.json")

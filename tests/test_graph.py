@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from helpers import (
+    FOUR_CYCLE_WALKS,
     cyclic_sum,
     det_from_cycle_data,
     pma_equivalent_structural,
     positive_triangles,
     random_signed,
     signed_matrix,
+    walk_cycle,
 )
 from signed_dpp import kernel, moments, pma
 from signed_dpp.errors import DimensionError, NotDenseError, SignedClassError
@@ -67,9 +69,9 @@ def test_epsilon_of_cycle():
     e = skel.epsilon
     assert e[0, 2] * e[2, 3] * e[0, 3] == 1
     assert e[0, 1] * e[1, 2] * e[0, 2] == -1
-    # the cycle 1-2-3-4 is column 1 of _CYCLE_ORDERS; it runs through eps_12 = -1
-    eps, _ = pma._four_cycle_signs(skel, QUAD)
-    assert eps[0, 1] == -1
+    # the cycle 1-2-3-4 is column 1 of match_four_cycles; it runs through eps_12 = -1
+    assert FOUR_CYCLE_WALKS[1] == (0, 1, 2, 3)
+    assert walk_cycle(skel, FOUR_CYCLE_WALKS[1])[0] == -1
 
 
 # ---------------------------------------------------------------------------

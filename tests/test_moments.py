@@ -214,9 +214,30 @@ def test_minors_json_fills_orders_in_bulk():
         moments.minors_from_json('{"n": 2, "minors": {"1": 0.5, "2": NaN}}')
     with pytest.raises(FormatError, match=r"index 3 out of range 1\.\.2"):
         moments.minors_from_json('{"n": 2, "minors": {"1,2": 0.5, "2,3": 0.5}}')
-    # keys naming one subset: the later one wins, as with put()
-    ml = moments.minors_from_json('{"n": 3, "minors": {"1,2": 0.1, "3": 0.3, "2,1": 0.2}}')
-    assert ml.items() == [((1, 2), 0.2), ((3,), 0.3)]
+    ml = moments.minors_from_json('{"n": 3, "minors": {"1,2": 0.1, "3": 0.3, "2,3": 0.2}}')
+    assert ml.items() == [((1, 2), 0.1), ((3,), 0.3), ((2, 3), 0.2)]
+
+
+def test_minors_json_rejects_two_keys_for_one_subset():
+    with pytest.raises(FormatError, match="1 of 4 keys repeat a subset that an earlier key names"):
+        moments.minors_from_json('{"n": 2, "minors": {"1": 0.5, "2": 0.5, "1,2": 0.1, "2,1": 0.2}}')
+    with pytest.raises(FormatError, match="2 of 3 keys repeat"):
+        moments.minors_from_json('{"n": 3, "minors": {"1,3": 0.1, "3,1": 0.1, "3, 1": 0.1}}')
+
+
+def test_minors_json_rejects_a_boolean_n():
+    with pytest.raises(FormatError, match="n must be a positive integer, got True"):
+        moments.minors_from_json('{"n": true, "minors": {"1": 0.5}}')
+
+
+def test_minors_json_rejects_a_boolean_value():
+    with pytest.raises(FormatError, match="value for '1' is not a number"):
+        moments.minors_from_json('{"n": 1, "minors": {"1": true}}')
+
+
+def test_kernel_json_rejects_a_boolean_n():
+    with pytest.raises(FormatError, match="n must be a nonnegative integer, got True"):
+        kernel.kernel_from_json('{"n": true, "rows": [[0.5]]}')
 
 
 def test_minors_file_round_trip(tmp_path):

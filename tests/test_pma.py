@@ -9,15 +9,20 @@ import numpy as np
 import pytest
 
 from helpers import (
+    FOUR_CYCLE_WALKS,
     antisymmetric,
     conjugation_distance,
     cyclic_sum,
+    four_cycle_walks,
     full_sign_system,
     in_coset,
     positive_triangles,
+    random_signed,
     read_four_sets,
     signed_matrix,
     strong_admissible,
+    walk_cycle,
+    walk_rows,
 )
 from signed_dpp import gf2, kernel, moments, pma, sampler
 from signed_dpp.errors import (
@@ -167,13 +172,14 @@ def test_four_clique_positive_cycle_parity():
             mags[i - 1, j - 1] = mags[j - 1, i - 1] = 0.1
             em[i - 1, j - 1] = em[j - 1, i - 1] = e
         skel = pma.Skeleton(4, np.full(4, 0.5), mags, em)
-        eps, _ = pma._four_cycle_signs(skel, np.array([[0, 1, 2, 3]]))
-        assert np.count_nonzero(eps == 1) in (1, 3)
+        signs = [walk_cycle(skel, walk)[0] for walk in FOUR_CYCLE_WALKS]
+        assert signs.count(1) in (1, 3)
 
 
 def cycle_edges(quad_row, c):
     """1-based sorted edges of cycle column ``c`` of a 0-based 4-set."""
-    return [(int(quad_row[a]) + 1, int(quad_row[b]) + 1) for a, b in pma._CYCLE_EDGES[c]]
+    walk = [int(quad_row[a]) + 1 for a in FOUR_CYCLE_WALKS[c]]
+    return sorted(tuple(sorted(arc)) for arc in zip(walk, walk[1:] + walk[:1]))
 
 
 def four_cycle_decisions(k, minors=None):
@@ -197,6 +203,59 @@ def test_disambiguate_single_positive_cycle():
     sigma = -1 if negative[0, 2] else 1
     assert sigma == (1 if pi4[0] > 0 else -1)
     assert sigma == oriented_sign(k, cycle_edges(quad[0], 2))
+
+
+def test_single_positive_cycle_in_each_column():
+    # one negative edge makes the two cycles through it negative; the
+    # positive cycle avoids it and its chord partner, in column 0, 1 or 2
+    gen = np.random.default_rng(11)
+    for c, negative_edge in enumerate([(1, 4), (1, 3), (1, 2)]):
+        eps = {p: -1 if p == negative_edge else 1 for p in itertools.combinations(range(1, 5), 2)}
+        signs = set()
+        for _ in range(6):
+            upper = {p: gen.uniform(0.1, 0.3) * gen.choice([-1.0, 1.0]) for p in eps}
+            k = signed_matrix([0.5, 0.45, 0.55, 0.6], upper, eps)
+            *_, quad, pi4, (positive, negative, best, second, tol) = four_cycle_decisions(k)
+            assert positive[0].tolist() == [t == c for t in range(3)]
+            assert best[0] <= tol[0] < second[0] - best[0]
+            sigma = oriented_sign(k, cycle_edges(quad[0], c))
+            assert negative[0].tolist() == [t == c and sigma == -1 for t in range(3)]
+            signs.add(sigma)
+        assert signs == {-1, 1}
+
+
+def test_cycle_table_matches_the_walk_reference():
+    # signs, supports and right-hand-side flips of pma's one cycle table
+    # against walk_cycle, on every relating-sign pattern of one 4-set and
+    # on every triangle of a random kernel; the magnitude products keep
+    # the order of the sorted edges (i-j, j-k, i-k for a triangle)
+    mags = np.zeros((4, 4))
+    for t, (i, j) in enumerate(itertools.combinations(range(4), 2)):
+        mags[i, j] = mags[j, i] = 0.1 + 0.01 * t
+    quad = np.array([[0, 1, 2, 3]])
+    for bits in range(1 << 6):
+        em = np.zeros((4, 4), dtype=int)
+        for t, (i, j) in enumerate(itertools.combinations(range(4), 2)):
+            em[i, j] = em[j, i] = -1 if (bits >> t) & 1 else 1
+        skel = pma.Skeleton(4, np.full(4, 0.5), mags, em)
+        sign, product, support, flip = pma._cycles(skel, quad, pma._FOUR_CYCLES)
+        for c, walk in enumerate(FOUR_CYCLE_WALKS):
+            want_sign, want_support, want_flip = walk_cycle(skel, walk)
+            assert (sign[0, c], sorted(support[0, c].tolist()), flip[0, c]) == \
+                (want_sign, want_support, want_flip)
+            edges = sorted(tuple(sorted(arc)) for arc in zip(walk, walk[1:] + walk[:1]))
+            (a0, b0), (a1, b1), (a2, b2), (a3, b3) = edges
+            assert product[0, c] == mags[a0, b0] * mags[a1, b1] * mags[a2, b2] * mags[a3, b3]
+    k = random_signed(7, 5)
+    skel = pma.recover_skeleton(moments.exact_minors(k, 2))
+    tri = kernel.index_combinations(7, 3)
+    sign, product, support, flip = pma._cycles(skel, tri, pma._TRIANGLE)
+    m = skel.magnitude
+    for t, (i, j, kk) in enumerate(tri.tolist()):
+        want_sign, want_support, want_flip = walk_cycle(skel, (i, j, kk))
+        assert (sign[t, 0], sorted(support[t, 0].tolist()), flip[t, 0]) == \
+            (want_sign, want_support, want_flip)
+        assert product[t, 0] == m[i, j] * m[j, kk] * m[i, kk]
 
 
 def test_disambiguate_recovers_ground_truth_signs():
@@ -261,7 +320,7 @@ def test_sign_system_single_triangle_row():
     for (i, j), e in {(0, 1): -1, (0, 2): -1, (1, 2): 1}.items():
         em[i, j] = em[j, i] = e
     skel = pma.Skeleton(3, np.full(3, 0.5), mags, em)
-    support, rhs = pma._triangle_rows(skel, np.array([[0, 1, 2]]), np.array([True]))
+    support, rhs = walk_rows(skel, np.array([[0, 1, 2]]), np.array([True]))
     assert sorted(support[0].tolist()) == [0, 1, 2]  # variables x_12, x_13, x_23
     # rhs = bit(sign) xor bit(eps_13) = 1 xor 1 = 0
     assert rhs.tolist() == [False]
@@ -275,8 +334,8 @@ def test_sign_system_satisfied_by_ground_truth():
         eps = skel.epsilon
         positive = eps[i, j] * eps[j, kk] * eps[i, kk] == 1
         rows, cycle = np.nonzero(cycles)
-        groups = [pma._triangle_rows(skel, tri[positive], ~(pi3[positive] > 0)),
-                  pma._four_cycle_rows(skel, quad[rows], cycle, negative[rows, cycle])]
+        groups = [walk_rows(skel, tri[positive], ~(pi3[positive] > 0)),
+                  walk_rows(skel, four_cycle_walks(quad[rows], cycle), negative[rows, cycle])]
         pairs = pma._pairs(6)
         truth = np.array([k.entry(a, b) < 0 for a, b in pairs])
         # vertex switches flip an even number of signs around any cycle
@@ -448,8 +507,8 @@ def test_solve_pma_redundant_inconsistent_row():
     eps = skel.epsilon
     used = eps[i, j] * eps[j, kk] * eps[i, kk] == 1
     basis = gf2.SpanBasis(10)
-    basis.add(*pma._triangle_rows(skel, tri[used], pi3[used] < 0))
-    support, _ = pma._four_cycle_rows(skel, quad[[t, t, t]], np.arange(3), np.zeros(3, dtype=bool))
+    basis.add(*walk_rows(skel, tri[used], pi3[used] < 0))
+    support, _ = walk_rows(skel, four_cycle_walks(quad[[t, t, t]], np.arange(3)), np.zeros(3, dtype=bool))
     assert gf2.parities(support, basis.null_words()).any(axis=1).tolist() == [True, False, True]
     s = tuple(int(v) + 1 for v in quad[t])
     spoiled = moments.MinorList(5, dict(minors.items()))
@@ -729,6 +788,16 @@ def test_verify_rejects_bad_tol():
             with pytest.raises(DimensionError, match="tol must be finite"):
                 pma.verify(k, listed, tol)
     assert pma.verify(k, minors, 0.0).checked == 31
+
+
+def test_verify_rejects_a_kernel_of_another_size():
+    # the leading 4x4 block's minors hold for a 5x5 kernel, and the other way
+    k = kernel.generate_admissible(5, 0.3, 1)
+    block = kernel.SignedKernel(k.mat[:4, :4])
+    with pytest.raises(DimensionError, match="kernel N = 5, minor list N = 4"):
+        pma.verify(k, moments.exact_minors(block, "all"))
+    with pytest.raises(DimensionError, match="kernel N = 4, minor list N = 5"):
+        pma.verify(block, moments.exact_minors(k, "all"))
 
 
 def test_verify_round_trip_passes():
