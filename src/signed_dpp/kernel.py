@@ -56,24 +56,13 @@ def normalize_subset(j: Iterable[int], n: int, allow_empty: bool = True) -> tupl
     return tuple(sorted(items))
 
 
-def subset_complement(j: Iterable[int], n: int) -> tuple[int, ...]:
-    inside = set(normalize_subset(j, n))
-    return tuple(i for i in range(1, n + 1) if i not in inside)
-
-
 def subset_to_mask(j: Iterable[int]) -> int:
     return sum(1 << (int(i) - 1) for i in j)
 
 
 def mask_to_subset(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+    mask = int(mask)
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def colex_key(j: tuple[int, ...]) -> tuple[int, ...]:
@@ -220,9 +209,14 @@ def kernel_from_json(text: str) -> SignedKernel:
     if (not isinstance(rows, list) or len(rows) != n
             or any(not isinstance(r, list) or len(r) != n for r in rows)):
         raise FormatError(f"kernel JSON: rows must be an {n}x{n} array")
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            # null reads as NaN, which SignedKernel rejects as not finite
+            if v is not None and (isinstance(v, bool) or not isinstance(v, (int, float))):
+                raise FormatError(f"kernel JSON: entry ({i + 1},{j + 1}) is not a number: {v!r}")
     try:
         return SignedKernel(np.array(rows, dtype=float).reshape(n, n))
-    except (TypeError, ValueError, DimensionError) as exc:
+    except (OverflowError, DimensionError) as exc:
         raise FormatError(f"kernel JSON: bad matrix entries: {exc}") from exc
 
 
@@ -269,43 +263,40 @@ def principal_minors(mat: np.ndarray, subsets: np.ndarray) -> np.ndarray:
                           or [np.ones(0)])
 
 
-def _shifted_stack(mat: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Stack of copies of ``mat`` with 1 subtracted at diagonal i for each
-    mask with bit i set."""
-    n = mat.shape[0]
-    stack = np.broadcast_to(mat, (len(masks), n, n)).copy()
-    for i in range(n):
-        sel = (masks >> i) & 1 == 1
-        stack[sel, i, i] -= 1.0
-    return stack
+def _masses(mat: np.ndarray, outside: np.ndarray) -> np.ndarray:
+    """The unclamped point masses (-1)^{|Jbar|} det(K - 1_Jbar), one per
+    row of an (m, N) bool array that marks the complement Jbar of J."""
+    stack = np.broadcast_to(mat, (len(outside),) + mat.shape).copy()
+    diag = np.arange(mat.shape[0])
+    stack[:, diag, diag] -= outside
+    dets = numerics.batched_det(stack)
+    return np.where(outside.sum(axis=1) % 2 == 0, dets, -dets)
+
+
+def _clamped(masses: np.ndarray) -> np.ndarray:
+    """The round-off floor: a mass below -PMF_CLAMP means the kernel is
+    not admissible, and masses in [-PMF_CLAMP, 0) become 0."""
+    low = masses.min()
+    if low < -PMF_CLAMP:
+        raise InadmissibleKernelError(
+            f"negative point mass {low:.3e}: not an admissible kernel")
+    return np.maximum(masses, 0.0)
 
 
 def pmf(k: SignedKernel, j: Iterable[int]) -> float:
     """Exact point mass P[Y = J] = (-1)^{|Jbar|} det(K - 1_{Jbar})."""
-    jj = normalize_subset(j, k.n)
-    comp = subset_complement(jj, k.n)
-    shifted = k.mat.copy()
-    for i in comp:
-        shifted[i - 1, i - 1] -= 1.0
-    value = (-1.0) ** len(comp) * float(numerics.batched_det(shifted[None])[0])
-    return _clamp_mass(value)
-
-
-def _clamp_mass(value: float) -> float:
-    if value < -PMF_CLAMP:
-        raise InadmissibleKernelError(
-            f"negative point mass {value:.3e}: not an admissible kernel")
-    return max(value, 0.0)
+    outside = np.ones((1, k.n), dtype=bool)
+    outside[0, [i - 1 for i in normalize_subset(j, k.n)]] = False
+    return float(_clamped(_masses(k.mat, outside))[0])
 
 
 def _signed_masses(k: SignedKernel):
-    """The unclamped masses (-1)^{|Jbar|} det(K - 1_Jbar) of every subset
-    J, by increasing bitmask, in chunks of numerics.DET_CHUNK subsets."""
+    """The unclamped masses of every subset J, by increasing bitmask, in
+    chunks of numerics.DET_CHUNK subsets."""
     full = (1 << k.n) - 1
     for lo in range(0, full + 1, numerics.DET_CHUNK):
         comp = full - np.arange(lo, min(lo + numerics.DET_CHUNK, full + 1), dtype=np.int64)
-        dets = numerics.batched_det(_shifted_stack(k.mat, comp))
-        yield np.where(_popcount(comp) % 2 == 0, dets, -dets)
+        yield _masses(k.mat, (comp[:, None] >> np.arange(k.n)) & 1 == 1)
 
 
 def enumerate_pmf(k: SignedKernel) -> np.ndarray:
@@ -316,27 +307,23 @@ def enumerate_pmf(k: SignedKernel) -> np.ndarray:
     n = k.n
     if n > ENUMERATION_LIMIT:
         raise CapabilityError(f"pmf enumeration capped at N={ENUMERATION_LIMIT}, got {n}")
-    values = np.concatenate(list(_signed_masses(k)))
-    low = values.min()
-    if low < -PMF_CLAMP:
-        raise InadmissibleKernelError(
-            f"negative point mass {low:.3e}: not an admissible kernel")
-    return np.maximum(values, 0.0)
-
-
-def _popcount(masks: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(masks.astype(np.uint64)).astype(np.int64)
+    return _clamped(np.concatenate(list(_signed_masses(k))))
 
 
 def is_admissible(k: SignedKernel) -> bool:
-    """Exhaustive test: every point mass (-1)^{|Jbar|} det(K - 1_Jbar) is
-    at least -PMF_CLAMP, the round-off floor ``pmf`` and ``enumerate_pmf``
-    clamp to 0, so a kernel passes exactly when those succeed."""
+    """Exhaustive test: every point mass (-1)^{|Jbar|} det(K - 1_Jbar)
+    passes the round-off floor that ``pmf`` and ``enumerate_pmf`` apply,
+    so a kernel passes exactly when those succeed."""
     n = k.n
     if n > ADMISSIBILITY_LIMIT:
         raise CapabilityError(
             f"exhaustive admissibility test capped at N={ADMISSIBILITY_LIMIT}, got {n}")
-    return not any(part.min() < -PMF_CLAMP for part in _signed_masses(k))
+    try:
+        for part in _signed_masses(k):
+            _clamped(part)
+    except InadmissibleKernelError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +356,11 @@ def marginal_kernel(k: SignedKernel, s: Iterable[int]) -> SignedKernel:
 
 
 def conditional_kernel(k: SignedKernel, s: Iterable[int]) -> SignedKernel:
-    """Kernel of Y on the complement of s, conditioned on s being included.
+    """Kernel of Y on the complement C of s, conditioned on s being
+    included: the Schur complement K_CC - K_Cs K_ss^{-1} K_sC.
 
-    Ground set of the result is the complement of s, relabeled 1..N-|s|
-    in increasing original order.  Requires det(K_s) away from zero.
+    Ground set of the result is C, relabeled 1..N-|s| in increasing
+    original order.  Requires det(K_s) away from zero.
     """
     ss = normalize_subset(s, k.n)
     if not ss:
@@ -380,17 +368,10 @@ def conditional_kernel(k: SignedKernel, s: Iterable[int]) -> SignedKernel:
     if abs(principal_minor(k, ss)) <= 1e-12:
         raise ConditioningError(
             f"conditioning on a zero-probability event: det(K_S) ~ 0 for S={ss}")
-    n = k.n
-    comp = subset_complement(ss, n)
-    ones_comp = np.zeros((n, n))
-    for i in comp:
-        ones_comp[i - 1, i - 1] = 1.0
-    eye = np.eye(n)
-    m = k.mat + (eye - k.mat) @ ones_comp
-    x = numerics.solve_linear(m, eye - k.mat)
-    idx = [i - 1 for i in comp]
-    cond = np.eye(len(comp)) - x[np.ix_(idx, idx)]
-    return SignedKernel(cond)
+    s_idx = np.array(ss) - 1
+    c_idx = np.setdiff1d(np.arange(k.n), s_idx)
+    x = numerics.solve_linear(k.mat[np.ix_(s_idx, s_idx)], k.mat[np.ix_(s_idx, c_idx)])
+    return SignedKernel(k.mat[np.ix_(c_idx, c_idx)] - k.mat[np.ix_(c_idx, s_idx)] @ x)
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +440,8 @@ def generate_admissible(n: int, lam: float, seed: int) -> SignedKernel:
     mags = gen.uniform(0.2, 1.0, size=n_pairs)
     signs = 2 * gen.integers(0, 2, size=n_pairs) - 1
     eps = 2 * gen.integers(0, 2, size=n_pairs) - 1
+    iu, ju = np.triu_indices(n, 1)
     mat = np.diag(diag)
-    idx = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            mat[i, j] = signs[idx] * mags[idx] * mu
-            mat[j, i] = eps[idx] * mat[i, j]
-            idx += 1
+    mat[iu, ju] = signs * mags * mu
+    mat[ju, iu] = eps * mat[iu, ju]
     return SignedKernel(mat)

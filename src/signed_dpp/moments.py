@@ -37,6 +37,7 @@ from .kernel import (
     principal_minors,
     subset_to_mask,
 )
+from .numerics import DET_CHUNK
 from .sampler import SampleBatch
 
 ORDER_LIMIT = 1 << 24    # subsets per order a MinorList holds; larger orders are refused
@@ -75,31 +76,32 @@ class MinorList:
                                np.zeros(size, dtype=bool))
         return self._orders[t]
 
-    def _checked(self, subsets) -> np.ndarray:
-        """Sorted 0-based rows of an (m, t) array of 1-based subsets; the
-        first invalid row is rejected as ``normalize_subset`` rejects it."""
+    def _ranked(self, subsets) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted rows of an (m, t) array of 1-based subsets, not copied
+        when already sorted (at N = 64 the 4-sets take 20 MB), and their colex
+        ranks; the first invalid row is rejected as ``normalize_subset`` does."""
         idx = np.asarray(subsets, dtype=np.int64)
         if idx.ndim != 2 or idx.shape[1] == 0:
             raise DimensionError(f"expected an (m, t) array of subsets, t >= 1, got shape {idx.shape}")
-        idx = np.sort(idx, axis=1)   # the one copy: at N = 64 the 4-sets take 20 MB
-        idx -= 1
-        bad = (idx[:, 0] < 0) | (idx[:, -1] >= self.n)
+        if not (idx[:, 1:] > idx[:, :-1]).all():
+            idx = np.sort(idx, axis=1)
+        bad = (idx[:, 0] < 1) | (idx[:, -1] > self.n)
         for c in range(1, idx.shape[1]):
             bad |= idx[:, c] == idx[:, c - 1]
         if bad.any():
             normalize_subset(np.asarray(subsets)[np.argmax(bad)].tolist(), self.n)
-        return idx
+        ranks = [colex_rank(idx[lo:lo + DET_CHUNK] - 1, self.n) for lo in range(0, len(idx), DET_CHUNK)]
+        return idx, np.concatenate(ranks or [np.zeros(0, dtype=np.int64)])
 
     def _write(self, subsets, values) -> None:
         """Bulk ``put``: store the values of an (m, t) array of 1-based subsets."""
-        idx = self._checked(subsets)
+        idx, ranks = self._ranked(subsets)
         values = np.asarray(values, dtype=float).reshape(len(idx))
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
-            raise DimensionError(f"minor for {tuple((idx[bad[0]] + 1).tolist())} must be finite, "
+            raise DimensionError(f"minor for {tuple(idx[bad[0]].tolist())} must be finite, "
                                  f"got {values[bad[0]]}")
         stored, present, _ = self._order(idx.shape[1])
-        ranks = colex_rank(idx, self.n)
         stored[ranks] = values
         present[ranks] = True
 
@@ -132,17 +134,16 @@ class MinorList:
         subset raises MissingMinorError after the rows before it have been
         recorded as read.
         """
-        idx = self._checked(subsets)
+        idx, ranks = self._ranked(subsets)
         if len(idx) == 0:
             return np.empty(0)
         if idx.shape[1] not in self._orders:
-            raise MissingMinorError(f"minor for subset {tuple((idx[0] + 1).tolist())} not in the list")
+            raise MissingMinorError(f"minor for subset {tuple(idx[0].tolist())} not in the list")
         values, present, read = self._orders[idx.shape[1]]
-        ranks = colex_rank(idx, self.n)
         missing = np.flatnonzero(~present[ranks])
         if missing.size:
             read[ranks[:missing[0]]] = True
-            raise MissingMinorError(f"minor for subset {tuple((idx[missing[0]] + 1).tolist())} not in the list")
+            raise MissingMinorError(f"minor for subset {tuple(idx[missing[0]].tolist())} not in the list")
         read[ranks] = True
         return values[ranks]
 

@@ -10,8 +10,7 @@ cycle is described once, in one table per subset size (``_TRIANGLE``,
 ``_FOUR_CYCLES``): its edges and the arcs its row orientation walks
 against the upper triangle.  ``_cycles`` reads each cycle's
 relating-sign product, magnitude product, XOR row and right-hand-side
-flip off that table for the triangle stage, the 4-set span filter and
-``match_four_cycles`` alike.
+flip off that table, once per subset for all the stages that use them.
 
 1. Skeleton.  Orders 1 and 2, read in bulk, give the diagonal, the
    off-diagonal magnitudes and the relating signs, via
@@ -285,7 +284,11 @@ def match_four_cycles(skel: Skeleton, quad: np.ndarray, pi4: np.ndarray, tol: fl
     ``max(tol, SIGN_RTOL * scale)``.  A 4-set is decided when the best
     residual is within that tolerance and the second is not.
     """
-    sign, mags, _, _ = _cycles(skel, quad, _FOUR_CYCLES)
+    return _match(*_cycles(skel, quad, _FOUR_CYCLES)[:2], pi4, tol)
+
+
+def _match(sign: np.ndarray, mags: np.ndarray, pi4: np.ndarray, tol: float):
+    """``match_four_cycles`` on the sign and magnitude products of ``_cycles``."""
     positive = sign == 1
     packed = np.where(positive, mags, 0.0)
     flips = np.where(_PATTERNS, -1.0, 1.0)  # (8, 3)
@@ -294,7 +297,7 @@ def match_four_cycles(skel: Skeleton, quad: np.ndarray, pi4: np.ndarray, tol: fl
     residual = np.abs(totals - pi4[:, None])
     residual[(_PATTERNS & ~positive[:, None, :]).any(axis=2)] = np.inf
     pattern = residual.argmin(axis=1)
-    return (positive, positive & _PATTERNS[pattern], residual[np.arange(len(quad)), pattern],
+    return (positive, positive & _PATTERNS[pattern], residual[np.arange(len(pi4)), pattern],
             np.partition(residual, 1, axis=1)[:, 1],
             np.maximum(tol, SIGN_RTOL * 2.0 * mags.max(axis=1)))
 
@@ -377,13 +380,13 @@ def _add_four_sets(minors: MinorList, skel: Skeleton, basis: gf2.SpanBasis,
     """Read the 4-sets of ``quad`` that have a positive cycle outside the
     span of ``basis`` and add their decided cycle rows to it: one sign
     per positive cycle, unless the patterns are too close."""
-    sign, _, support, flip = _cycles(skel, quad, _FOUR_CYCLES)
+    sign, mags, support, flip = _cycles(skel, quad, _FOUR_CYCLES)
     read = ((sign == 1) & gf2.parities(support, basis.null_words()).any(axis=2)).any(axis=1)
     if not read.any():
         return
     quad, support, flip = quad[read], support[read], flip[read]
-    cycles, negative, best, second, tol = match_four_cycles(
-        skel, quad, traveling_sums(minors, skel, quad), sign_tol)
+    cycles, negative, best, second, tol = _match(
+        sign[read], mags[read], traveling_sums(minors, skel, quad), sign_tol)
     ambiguous = second - best <= tol
     _screen(ambiguous, best > tol,
             lambda t: (f"4-set {_subset(quad[t])}: sign patterns are separated by "

@@ -20,6 +20,7 @@ import numpy as np
 from . import rng
 from .errors import CapabilityError, DimensionError, FormatError, SamplingError
 from .kernel import (
+    PMF_CLAMP,
     SignedKernel,
     enumerate_pmf,
     mask_to_subset,
@@ -27,7 +28,6 @@ from .kernel import (
     subset_to_mask,
 )
 
-PROB_CLAMP = 1e-9
 MASK_ITEMS = 64      # bits in a sample mask
 _WALK_CELLS = 256 * 64 * 64   # residual entries per block of the sequential walk
 
@@ -149,7 +149,7 @@ def _sequential_walk(k: SignedKernel, count: int, draws):
         for t in range(n):
             # Every prefix has a live row, so a bad prefix is a bad row.
             raw = resid[:, 0, 0]
-            bad = ~((raw >= -PROB_CLAMP) & (raw <= 1.0 + PROB_CLAMP))
+            bad = ~((raw >= -PMF_CLAMP) & (raw <= 1.0 + PMF_CLAMP))
             if bad.any():
                 first = prefix[np.argmax(alive & bad[prefix])]
                 raise SamplingError(f"conditional inclusion probability {float(raw[first])!r} "

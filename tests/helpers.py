@@ -63,6 +63,19 @@ def antisymmetric(n, seed, mags=(0.05, 0.1)):
     return kernel.SignedKernel(mat)
 
 
+def partly_spanned(inner):
+    """An N = 5 kernel whose 4-set (1, 2, 3, 4) has upper entries
+    ``inner`` and every relating sign -1, so its triangles are negative
+    and its three cycles positive.  Item 5 relates to items 1 and 3 with
+    sign +1 and to items 2 and 4 with sign -1: the triangles (a, b, 5)
+    along the cycle 1-2-3-4 are positive, and their rows span that
+    cycle's row but not the rows of the other two cycles."""
+    eps = {p: -1 for p in itertools.combinations(range(1, 5), 2)}
+    eps.update({(1, 5): 1, (2, 5): -1, (3, 5): 1, (4, 5): -1})
+    upper = {**inner, (1, 5): 0.07, (2, 5): -0.09, (3, 5): 0.11, (4, 5): 0.13}
+    return signed_matrix([0.5, 0.45, 0.55, 0.6, 0.5], upper, eps)
+
+
 # The Hamiltonian cycles of a sorted 4-set (i, j, k, l), as closed walks
 # over its positions, in the column order of ``pma.match_four_cycles``:
 # i-j-l-k, i-j-k-l, i-k-j-l.

@@ -124,7 +124,7 @@ def test_criterion_04_probability_layer():
         p_s = kernel.principal_minor(k, s2)
         if p_s > 1e-6:
             cond = kernel.conditional_kernel(k, s2)
-            comp = kernel.subset_complement(s2, n)
+            comp = tuple(i for i in range(1, n + 1) if i not in s2)
             for m in range(1 << len(comp)):
                 j = tuple(comp[i] for i in range(len(comp)) if (m >> i) & 1)
                 want = kernel.principal_minor(k, tuple(sorted(s2 + j))) / p_s

@@ -186,6 +186,15 @@ def test_missing_input_exits_one(tmp_path):
                  "--max-order", "2", "--out", str(tmp_path / "m.json")]) == 1
 
 
+def test_kernel_entry_that_is_not_a_number_exits_one(tmp_path, capsys):
+    k_path = str(tmp_path / "k.json")
+    with open(k_path, "w") as fh:
+        json.dump({"n": 2, "rows": [[True, 0.1], [0.1, 0.5]]}, fh)
+    assert main(["minors", "--kernel", k_path, "--max-order", "2",
+                 "--out", str(tmp_path / "m.json")]) == 1
+    assert "entry (1,1) is not a number" in capsys.readouterr().err
+
+
 def test_pma_inconsistent_minors_exits_two(tmp_path, capsys):
     k_path = str(tmp_path / "k.json")
     m_path = str(tmp_path / "m.json")

@@ -107,6 +107,16 @@ def test_pmf_negative_mass_raises():
         kernel.pmf(k, ())
 
 
+def test_pmf_is_the_enumerated_table_bit_for_bit():
+    # one routine computes both, so every mass is the same float
+    kernels = [kernel.generate_admissible(n, 0.3, n) for n in range(1, 9)]
+    kernels += [random_signed(5, 3), kernel.SignedKernel(np.diag([1.0, 0.0, 0.5]))]
+    for k in kernels:
+        table = kernel.enumerate_pmf(k)
+        got = np.array([kernel.pmf(k, kernel.mask_to_subset(m)) for m in range(1 << k.n)])
+        assert got.tobytes() == table.tobytes()
+
+
 def test_enumerate_pmf_capped():
     with pytest.raises(CapabilityError):
         kernel.enumerate_pmf(kernel.SignedKernel(np.eye(17) * 0.5))
@@ -221,7 +231,7 @@ def test_complement_reverses_masses():
     masses = masses_by_subset(k)
     comp_masses = masses_by_subset(comp)
     for j, p in masses.items():
-        jbar = kernel.subset_complement(j, 6)
+        jbar = tuple(i for i in range(1, 7) if i not in j)
         assert comp_masses[jbar] == pytest.approx(p, abs=1e-10)
 
 
@@ -263,7 +273,7 @@ def test_conditional_kernel_bayes_oracle():
     k = kernel.generate_admissible(6, 0.3, 33)
     s = (1, 4)
     cond = kernel.conditional_kernel(k, s)
-    comp = kernel.subset_complement(s, 6)
+    comp = tuple(i for i in range(1, 7) if i not in s)
     p_s = kernel.principal_minor(k, s)
     for m in range(1 << len(comp)):
         j = tuple(comp[i] for i in range(len(comp)) if (m >> i) & 1)
@@ -445,6 +455,20 @@ def test_kernel_json_rejects_malformed():
         kernel.kernel_from_json(json.dumps({"n": 2, "rows": [[1.0, 0.0]]}))
     with pytest.raises(FormatError):
         kernel.kernel_from_json(json.dumps({"rows": []}))
+
+
+@pytest.mark.parametrize("entry", [True, "0.5", " 5e-1 ", [0.5], {"v": 0.5}])
+def test_kernel_json_rejects_entries_that_are_not_numbers(entry):
+    text = json.dumps({"n": 2, "rows": [[0.5, 0.1], [0.1, entry]]})
+    with pytest.raises(FormatError, match=r"entry \(2,2\) is not a number"):
+        kernel.kernel_from_json(text)
+
+
+def test_kernel_json_rejects_null_and_huge_entries():
+    # null reads as NaN; an integer beyond the float range overflows
+    for entry in ("null", "1" + "0" * 400):
+        with pytest.raises(FormatError, match="bad matrix entries"):
+            kernel.kernel_from_json('{"n": 1, "rows": [[%s]]}' % entry)
 
 
 def test_kernel_file_round_trip(tmp_path):

@@ -158,6 +158,20 @@ def test_minor_list_bulk_read():
             ml.get_many(bad)
 
 
+def test_minor_list_leaves_the_callers_rows_alone():
+    # sorted int64 rows are read in place, never written; unsorted ones are sorted in a copy
+    ml = moments.exact_minors(kernel.generate_admissible(5, 0.3, 2), 3)
+    for rows in ([[1, 2, 3], [2, 4, 5]], [[3, 2, 1], [5, 2, 4]]):
+        idx = np.array(rows, dtype=np.int64)
+        idx.flags.writeable = False
+        before = idx.copy()
+        assert ml.get_many(idx).tolist() == [ml.get((1, 2, 3)), ml.get((2, 4, 5))]
+        out = moments.MinorList(5)
+        out._write(idx, [0.1, 0.2])
+        assert out.items() == [((1, 2, 3), 0.1), ((2, 4, 5), 0.2)]
+        assert np.array_equal(idx, before)
+
+
 def test_exact_minors_match_scalar_determinants():
     k = kernel.generate_admissible(6, 0.3, 31)
     minors = moments.exact_minors(k, "all")

@@ -16,6 +16,7 @@ from helpers import (
     four_cycle_walks,
     full_sign_system,
     in_coset,
+    partly_spanned,
     positive_triangles,
     random_signed,
     read_four_sets,
@@ -433,19 +434,6 @@ def test_solve_pma_degenerate_magnitudes():
     assert sol.null_dimension == 3
 
 
-def _partly_spanned(inner):
-    """An N = 5 kernel whose 4-set (1, 2, 3, 4) has upper entries
-    ``inner`` and every relating sign -1, so its triangles are negative
-    and its three cycles positive.  Item 5 relates to items 1 and 3 with
-    sign +1 and to items 2 and 4 with sign -1: the triangles (a, b, 5)
-    along the cycle 1-2-3-4 are positive, and their rows span that
-    cycle's row but not the rows of the other two cycles."""
-    eps = {p: -1 for p in itertools.combinations(range(1, 5), 2)}
-    eps.update({(1, 5): 1, (2, 5): -1, (3, 5): 1, (4, 5): -1})
-    upper = {**inner, (1, 5): 0.07, (2, 5): -0.09, (3, 5): 0.11, (4, 5): 0.13}
-    return signed_matrix([0.5, 0.45, 0.55, 0.6, 0.5], upper, eps)
-
-
 def test_solve_pma_ambiguous_four_set_enlarges_solution_set():
     # inside (1, 2, 3, 4) the magnitudes are equal and K_12 < 0, so its
     # cycle pattern ties with two others of the same sum; the 4-set is
@@ -453,7 +441,7 @@ def test_solve_pma_ambiguous_four_set_enlarges_solution_set():
     # Every member reproduces every minor solve_pma was given.
     inner = {p: 0.1 for p in itertools.combinations(range(1, 5), 2)}
     inner[(1, 2)] = -0.1
-    k = _partly_spanned(inner)
+    k = partly_spanned(inner)
     assert kernel.is_admissible(k)
     minors = moments.exact_minors(k, 4)
     with warnings.catch_warnings(record=True) as caught:
@@ -497,7 +485,7 @@ def test_solve_pma_redundant_inconsistent_row():
     # elimination, and only its check against the particular solution
     # sees it.
     inner = {(1, 2): 0.08, (1, 3): -0.1, (1, 4): 0.12, (2, 3): 0.09, (2, 4): -0.11, (3, 4): 0.13}
-    k = _partly_spanned(inner)
+    k = partly_spanned(inner)
     assert kernel.is_admissible(k)
     minors = moments.exact_minors(k, 4)
     skel, tri, pi3, quad, pi4, (positive, before, *_) = four_cycle_decisions(k, minors)
