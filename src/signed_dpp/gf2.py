@@ -6,7 +6,9 @@ as index arrays of distinct variables.  A ``SpanBasis`` takes rows
 incrementally and keeps the reduced row echelon form of their span as
 its null space, in packed 64-bit words, and its particular solution;
 callers test rows against ``null_words`` between additions and read
-``solution`` at the end.  ``solve_groups`` is the one-shot wrapper.
+``solution`` at the end.  Triangle rows over the pairs of a vertex set
+are solved on a parity forest (``SpanBasis._of_triangles``), other rows
+by dense elimination.  ``solve_groups`` is the one-shot wrapper.
 Solutions hold their vectors as ints.
 """
 
@@ -18,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError
+from .kernel import pair_index
 
 # Rows of index arrays are filtered in chunks of this many at a time
 # against the span of the basis so far; ``pma.solve_pma`` walks the
@@ -150,17 +153,74 @@ class SpanBasis:
     they are as many as the nullity, and are then eliminated among
     themselves over the free columns.  Groups are filtered in chunks of
     ``SPAN_CHUNK`` rows.  A row space has one reduced row echelon form,
-    so the result does not depend on the chunking or on when rows were
-    added.
+    so the result does not depend on the chunking, on when rows were
+    added or on whether ``_of_triangles`` took the first ones.
     """
 
     def __init__(self, n_vars: int):
         self.n_vars = n_vars
-        self._free = np.arange(n_vars)
-        self._null = _pack(np.eye(n_vars, dtype=bool))
-        self._x = np.zeros(n_vars, dtype=bool)
-        self._pending = np.zeros((0, n_vars // 64 + 1), dtype=np.uint64)
+        self._set(np.arange(n_vars), np.eye(n_vars, dtype=bool), np.zeros(n_vars, dtype=bool))
         self._consistent = True
+
+    def _set(self, free: np.ndarray, null: np.ndarray, x: np.ndarray) -> None:
+        """Hold free columns, (n_vars, nullity) null bits and a particular solution."""
+        self._free, self._null, self._x = free, _pack(null), x
+        self._pending = np.zeros((0, len(free) // 64 + 1), dtype=np.uint64)
+
+    @classmethod
+    def _of_triangles(cls, n: int, triangles, rhs) -> "SpanBasis":
+        """The basis of the rows x_ij ^ x_jk ^ x_ik = rhs of an (m, 3) array
+        of 0-based triangles i < j < k < n, over the pairs in
+        ``kernel.pair_index`` order, solved vertex by vertex.
+
+        Variables are affine in free bits: packed words, the constant as bit
+        0 of a last word.  At each k, every j with a row (i, j, k) hangs off
+        the smallest such i through x_ij, and every other j is a root whose
+        x_jk is a fresh bit; pointer doubling adds up the paths.  The other
+        rows reduce to rows over the free bits, which are eliminated and
+        substituted into every variable."""
+        tri, bits = _checked(triangles, rhs, max(n, 1))
+        if tri.shape[1] != 3 or not np.all(tri[:, :2] < tri[:, 1:]):
+            raise DimensionError("a triangle's vertices must increase")
+        if not len(tri):
+            return cls(n * (n - 1) // 2)
+        basis = cls.__new__(cls)        # its state is set at the end
+        basis.n_vars, basis._consistent = n * (n - 1) // 2, True
+        order = np.lexsort(tri.T)                   # by k, then j, then i
+        tri, bits = tri[order], bits[order].astype(np.uint64)
+        # the first row of each (k, j) hangs j off its smallest i at k
+        tree = np.append(True, (tri[1:, 1:] != tri[:-1, 1:]).any(axis=1))
+        order = np.lexsort((~tree, tri[:, 2]))      # by k, the tree rows first
+        (i, j, k), bits, tree = tri[order].T, bits[order], tree[order]
+        earlier, bounds = pair_index(n, i, j), np.searchsorted(k, np.arange(n + 1))
+        split = bounds[:-1] + np.bincount(k[tree], minlength=n)
+        expr = np.zeros((basis.n_vars, -(-(basis.n_vars - tree.sum()) // 64) + 1), dtype=np.uint64)
+        top = 0                                     # free bits handed out
+        for v in range(1, n):
+            lo, mid, hi = bounds[v], split[v], bounds[v + 1]
+            parent = np.arange(v)
+            parent[j[lo:mid]] = i[lo:mid]
+            fresh = top + np.cumsum(parent == np.arange(v)) - 1   # a root's free bit
+            top += v - (mid - lo)
+            label = expr[earlier[lo:hi]]
+            label[:, -1] ^= bits[lo:hi]
+            acc = np.zeros((v, expr.shape[1]), dtype=np.uint64)
+            acc[j[lo:mid]] = label[:mid - lo]
+            while (parent[parent] != parent).any():
+                acc ^= acc[parent]
+                parent = parent[parent]
+            acc[np.arange(v), fresh[parent] >> 6] ^= _BITS[fresh[parent] & 63]
+            expr[pair_index(n, np.arange(v), v)] = acc
+            work = acc[i[mid:hi]] ^ acc[j[mid:hi]] ^ label[mid - lo:]
+            work = work[work.any(axis=1)]           # a zero row is a check that holds
+            if len(work):
+                chosen, pivots = _eliminate(work, 64 * (expr.shape[1] - 1))
+                basis._consistent &= not np.delete(work, chosen, axis=0)[:, -1].any()
+                for q, row in zip(pivots, work[chosen]):
+                    expr[(expr[:, q >> 6] & _BITS[q & 63]) != 0] ^= row
+        null = _column(expr[:, :-1], np.arange(top))
+        basis._set(*_reduced(null[:, null.any(axis=0)], (expr[:, -1] & np.uint64(1)) == 1))
+        return basis
 
     @property
     def nullity(self) -> int:
@@ -171,23 +231,14 @@ class SpanBasis:
     def add(self, supports, rhs) -> None:
         """Add one group of rows; DimensionError when it is malformed."""
         supports, bits = _checked(supports, rhs, self.n_vars)
-        lo = 0
-        while lo < len(supports):
-            chunk = supports[lo:lo + SPAN_CHUNK]
+        for lo in range(0, len(supports), SPAN_CHUNK):
+            chunk, n_free = supports[lo:lo + SPAN_CHUNK], len(self._free)
             reduced = parities(chunk, self._null)
             fresh = reduced.any(axis=1)
-            # before the first elimination every row is fresh: take only as
-            # many as the nullity, so that the filter can drop the rest
-            n_free = len(self._free)
-            need = n_free - len(self._pending) if n_free == self.n_vars else 0
-            stop = (np.flatnonzero(fresh)[need - 1] + 1
-                    if 0 < need <= np.count_nonzero(fresh) else len(chunk))
-            reduced, fresh = reduced[:stop], fresh[:stop]
-            off = bits[lo:lo + stop] ^ parities(chunk[:stop], self._x)
+            off = bits[lo:lo + SPAN_CHUNK] ^ parities(chunk, self._x)
             self._consistent &= not np.any(off & ~fresh)
             self._pending = np.concatenate(
                 [self._pending, _with_column(reduced[fresh], off[fresh], n_free)])
-            lo += stop
             if len(self._pending) >= n_free:
                 self._flush()
 
@@ -204,8 +255,7 @@ class SpanBasis:
             rows[(rows[:, q >> 6] & _BITS[q & 63]) != 0] ^= pivot_row
         keep = np.setdiff1d(np.arange(n_free), pivots)
         bits = _column(rows, np.append(keep, n_free))
-        self._null, self._x, self._free = _pack(bits[:, :-1]), bits[:, -1], self._free[keep]
-        self._pending = np.zeros((0, len(keep) // 64 + 1), dtype=np.uint64)
+        self._set(self._free[keep], bits[:, :-1], bits[:, -1])
 
     def null_words(self) -> np.ndarray:
         """The null space as (n_vars, ceil(nullity / 64)) packed words: bit
@@ -233,6 +283,27 @@ class SpanBasis:
         return GF2Solution(n_vars=self.n_vars, particular=ints[0], null_basis=tuple(ints[1:]),
                            free_cols=tuple(self._free.tolist()),
                            rank=self.n_vars - len(self._free))
+
+
+def _reduced(null: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Free columns, null bits and particular solution of the reduced row
+    echelon form whose solutions are x plus the span of the columns of the
+    (n_vars, d) bools ``null``.  The free columns are the highest bits of
+    the null vectors eliminated over the columns in decreasing order; a
+    vector of one bit is already reduced, and its bit is cleared from the
+    others."""
+    n_vars = len(null)
+    lone = null.sum(axis=0) == 1
+    cols = np.nonzero(null[:, lone].T)[1]
+    rest = null[:, ~lone]
+    rest[cols] = False
+    packed = _pack(rest.T[:, ::-1])
+    chosen, pivots = _eliminate(packed, n_vars)
+    free = np.concatenate([cols, n_vars - 1 - pivots])
+    null = np.concatenate([np.arange(n_vars)[:, None] == cols,
+                           _column(packed[chosen], np.arange(n_vars)[::-1]).T], axis=1)
+    order = np.argsort(free)
+    return free[order], null[:, order], x ^ np.logical_xor.reduce(null[:, x[free]], axis=1)
 
 
 def _checked(supports, bits, n_vars: int) -> tuple[np.ndarray, np.ndarray]:

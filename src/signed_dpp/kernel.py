@@ -252,15 +252,22 @@ def principal_minor(k: SignedKernel, j: Iterable[int]) -> float:
 
 def principal_minors(mat: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     """det(mat_J) for each row J of an (m, t) array of sorted 1-based subsets,
-    in row order (t = 0 yields ones), gathered numerics.DET_CHUNK rows at a time."""
+    in row order, numerics.DET_CHUNK rows at a time.  Orders up to 4 take
+    ``numerics.closed_det`` of the entries gathered by flat index (t = 0
+    yields ones, t = 1 the diagonal entries themselves); larger orders
+    take ``numerics.batched_det``."""
     idx = np.asarray(subsets, dtype=np.intp)
     if idx.ndim != 2:
         raise DimensionError(f"expected an (m, t) array of subsets, got shape {idx.shape}")
     if idx.size and (idx.min() < 1 or idx.max() > mat.shape[0]):
         raise DimensionError(f"subset index out of range 1..{mat.shape[0]}")
-    chunks = (idx[lo:lo + numerics.DET_CHUNK] - 1 for lo in range(0, len(idx), numerics.DET_CHUNK))
-    return np.concatenate([numerics.batched_det(mat[c[:, :, None], c[:, None, :]]) for c in chunks]
-                          or [np.ones(0)])
+    flat, n = mat.ravel(), mat.shape[0]
+    out = []
+    for lo in range(0, len(idx), numerics.DET_CHUNK):
+        c = np.ascontiguousarray(idx[lo:lo + numerics.DET_CHUNK].T) - 1
+        out.append(numerics.closed_det(flat[c[:, None] * n + c]) if len(c) <= 4
+                   else numerics.batched_det(mat[c.T[:, :, None], c.T[:, None, :]]))
+    return np.concatenate(out or [np.ones(0)])
 
 
 def _masses(mat: np.ndarray, outside: np.ndarray) -> np.ndarray:

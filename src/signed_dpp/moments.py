@@ -358,7 +358,10 @@ def minors_from_json(text: str) -> MinorList:
             raise FormatError(f"minors JSON: value for {key!r} is not a number")
         rows, values = by_order.setdefault(len(subset), ([], []))
         rows.append(subset)
-        values.append(float(value))
+        try:
+            values.append(float(value))
+        except OverflowError as exc:
+            raise FormatError(f"minors JSON: value for {key!r} is beyond the float range") from exc
     out = MinorList(n)
     try:
         for rows, values in by_order.values():

@@ -20,7 +20,7 @@ flip off that table, once per subset for all the stages that use them.
    full-length cycle (those classes only need quantities already known).
 3. Triangles.  Every minor of order 3 is read.  Each positive triangle
    fixes the sign of one oriented entry product, and its row goes into
-   the basis.
+   the basis, which ``gf2.SpanBasis._of_triangles`` starts vertex by vertex.
 4. 4-sets, only where the span needs them.  The 4-sets are walked in
    colex chunks of ``gf2.SPAN_CHUNK``.  Which cycles of a 4-set are
    positive, and their rows, follow from the relating signs alone; a
@@ -334,7 +334,7 @@ def solve_pma(minors: MinorList, sign_tol: float = SIGN_TOL) -> PMASolution:
     pi3 = traveling_sums(minors, skel, tri)
 
     # triangles: a positive triangle's pi3 carries its product sign
-    sign, mag3, support, flip = (a[:, 0] for a in _cycles(skel, tri, _TRIANGLE))
+    sign, mag3, _, flip = (a[:, 0] for a in _cycles(skel, tri, _TRIANGLE))
     tri_tol = np.maximum(sign_tol, SIGN_RTOL * (2.0 * mag3))
     positive = sign == 1
     small = np.abs(pi3) <= tri_tol
@@ -345,8 +345,7 @@ def solve_pma(minors: MinorList, sign_tol: float = SIGN_TOL) -> PMASolution:
                        f"{pi3[t]:.3e}; the minor list is not realizable at tol {tri_tol[t]:.1e}"),
             stacklevel=2)
     used = positive & ~small
-    basis = gf2.SpanBasis(n * (n - 1) // 2)
-    basis.add(support[used], ~(pi3[used] > 0) ^ flip[used])
+    basis = gf2.SpanBasis._of_triangles(n, tri[used], ~(pi3[used] > 0) ^ flip[used])
 
     # 4-sets, in colex chunks, read only where the span still needs them.
     # Every row is a positive cycle, on which the vertex switches and the

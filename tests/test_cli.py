@@ -195,6 +195,15 @@ def test_kernel_entry_that_is_not_a_number_exits_one(tmp_path, capsys):
     assert "entry (1,1) is not a number" in capsys.readouterr().err
 
 
+def test_minors_value_beyond_the_float_range_exits_one(tmp_path, capsys):
+    m_path = str(tmp_path / "m.json")
+    with open(m_path, "w") as fh:
+        fh.write('{"n": 1, "minors": {"1": 1%s}}' % ("0" * 400))
+    assert main(["pma", "--minors", m_path, "--out", str(tmp_path / "h.json")]) == 1
+    err = capsys.readouterr().err
+    assert "value for '1' is beyond the float range" in err and "Traceback" not in err
+
+
 def test_pma_inconsistent_minors_exits_two(tmp_path, capsys):
     k_path = str(tmp_path / "k.json")
     m_path = str(tmp_path / "m.json")

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import mask_groups, satisfies
-from signed_dpp import gf2
+from signed_dpp import gf2, kernel
 from signed_dpp.errors import DimensionError
 
 
@@ -342,3 +342,54 @@ def test_null_words_flag_exactly_the_rows_outside_the_span():
         for row, flag in zip(candidates, outside):
             grown = _reference_solve(kept + [(sum(1 << int(i) for i in row), 0)], n_vars)[3]
             assert flag == (grown > rank)
+
+
+def _planted_triangles(rng, n, density, corrupt):
+    """A random subset of the triangles of n vertices, as (m, 3) sorted
+    0-based rows in random order, with right-hand sides planted from a
+    random sign pattern; ``corrupt`` flips one of them."""
+    triangles = kernel.index_combinations(n, 3)
+    triangles = triangles[rng.random(len(triangles)) < density]
+    triangles = triangles[rng.permutation(len(triangles))]
+    supports = kernel.pair_index(n, triangles[:, [0, 1, 0]], triangles[:, [1, 2, 2]])
+    rhs = gf2.parities(supports, rng.integers(0, 2, n * (n - 1) // 2).astype(bool))
+    if corrupt and len(rhs):
+        rhs[rng.integers(len(rhs))] ^= True
+    return triangles, supports, rhs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16])
+def test_triangle_forest_matches_the_dense_elimination(n):
+    # sparse sets leave the vertex graphs disconnected; a flipped rhs makes
+    # the rows inconsistent unless the row is outside the span of the rest
+    rng = np.random.default_rng(60 + n)
+    n_vars = n * (n - 1) // 2
+    inconsistent = 0
+    for trial in range(40):
+        density = (0.02, 0.1, 0.3, 1.0)[trial % 4]
+        triangles, supports, rhs = _planted_triangles(rng, n, density, trial % 3 == 0)
+        basis = gf2.SpanBasis._of_triangles(n, triangles, rhs)
+        want = gf2.solve_groups([supports], [rhs], n_vars)
+        assert basis.solution() == want
+        inconsistent += want is None
+        # later rows go through the dense path on top of the forest's state
+        extra = rng.integers(0, n_vars, (3, 1)) if n_vars else np.zeros((0, 1), dtype=int)
+        extra_rhs = rng.integers(0, 2, len(extra))
+        basis.add(extra, extra_rhs)
+        assert basis.solution() == gf2.solve_groups([supports, extra], [rhs, extra_rhs], n_vars)
+    assert inconsistent > 0 or n < 4
+
+
+def test_triangle_forest_takes_repeated_rows_and_checks_its_input():
+    rng = np.random.default_rng(71)
+    triangles, supports, rhs = _planted_triangles(rng, 9, 0.5, False)
+    twice = np.concatenate([triangles, triangles[:5]])
+    assert gf2.SpanBasis._of_triangles(9, twice, np.concatenate([rhs, rhs[:5]])).solution() == \
+        gf2.solve_groups([supports], [rhs], 36)
+    assert gf2.SpanBasis._of_triangles(9, twice, np.concatenate([rhs, ~rhs[:5]])).solution() is None
+    with pytest.raises(DimensionError):
+        gf2.SpanBasis._of_triangles(4, [[0, 2, 1]], [0])
+    with pytest.raises(DimensionError):
+        gf2.SpanBasis._of_triangles(4, [[0, 1, 4]], [0])
+    with pytest.raises(DimensionError):
+        gf2.SpanBasis._of_triangles(4, [[0, 1]], [0])

@@ -223,6 +223,11 @@ def test_minors_json_rejects_malformed():
         moments.minors_from_json('{"n": 2, "minors": {"1": "high"}}')
 
 
+def test_minors_json_rejects_an_integer_beyond_the_float_range():
+    with pytest.raises(FormatError, match=r"value for '1,2' is beyond the float range"):
+        moments.minors_from_json('{"n": 2, "minors": {"1": 0.5, "1,2": %s}}' % ("1" + "0" * 400))
+
+
 def test_minors_json_fills_orders_in_bulk():
     with pytest.raises(FormatError, match=r"minor for \(2,\) must be finite"):
         moments.minors_from_json('{"n": 2, "minors": {"1": 0.5, "2": NaN}}')

@@ -1,3 +1,9 @@
+import itertools
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -93,3 +99,68 @@ def test_batched_det_complex_stack():
     assert dets.dtype == np.complex128
     np.testing.assert_allclose(dets, [np.linalg.det(m) for m in stack], rtol=1e-12)
     assert numerics.batched_det(np.zeros((2, 0, 0), dtype=complex)).tolist() == [1, 1]
+
+
+def _expansion(a):
+    """det(a) as an exact rational, and the sum of the absolute values of
+    the terms of its permutation expansion (the scale of its rounding)."""
+    n, det, scale = len(a), Fraction(0), 0.0
+    for p in itertools.permutations(range(n)):
+        inversions = sum(p[x] > p[y] for x, y in itertools.combinations(range(n), 2))
+        term = Fraction((-1) ** inversions)
+        for r in range(n):
+            term *= Fraction(float(a[r, p[r]]))
+        det, scale = det + term, scale + abs(float(term))
+    return det, scale
+
+
+def _closed_form_cases():
+    gen = np.random.default_rng(73)
+    hilbert = 1.0 / (np.arange(1, 9)[:, None] + np.arange(8))
+    repeated = gen.normal(size=(8, 8))
+    repeated[5] = repeated[1]                   # minors holding items 2 and 6 are 0
+    negative = gen.normal(size=(8, 8))
+    negative[np.arange(8), np.arange(8)] = -np.abs(negative.diagonal()) - 1.0
+    return [gen.normal(size=(8, 8)), gen.uniform(-1e3, 1e3, (8, 8)), hilbert, repeated,
+            negative, np.asarray(kernel.generate_admissible(8, 0.3, 5).mat)]
+
+
+def test_closed_form_minors_are_within_a_few_ulps_of_exact_determinants():
+    # LAPACK's own error reaches 13 ulps of the scale on the wide uniform case
+    eps = np.finfo(float).eps
+    for mat in _closed_form_cases():
+        for t in range(5):
+            subsets = kernel.index_combinations(8, t) + 1
+            got = kernel.principal_minors(mat, subsets)
+            for j, value in zip(subsets, got):
+                sub = mat[np.ix_(j - 1, j - 1)]
+                exact, scale = _expansion(sub)
+                assert abs(Fraction(float(value)) - exact) <= 4 * eps * scale, (t, j)
+                assert abs(value - (np.linalg.det(sub) if t else 1.0)) <= 16 * eps * scale, (t, j)
+
+
+def test_closed_form_minors_edge_cases():
+    mat = _closed_form_cases()[3]
+    pairs = kernel.index_combinations(8, 4) + 1
+    both = pairs[np.isin(pairs, 2).any(axis=1) & np.isin(pairs, 6).any(axis=1)]
+    assert np.abs(kernel.principal_minors(mat, both)).max() <= 1e-12
+    # order 1 is the diagonal itself, bit for bit, and order 0 is all ones
+    single = kernel.principal_minors(mat, np.arange(1, 9)[:, None])
+    assert single.tobytes() == mat.diagonal().copy().tobytes()
+    assert kernel.principal_minors(mat, np.zeros((3, 0), dtype=int)).tolist() == [1.0] * 3
+    assert kernel.principal_minors(mat, np.zeros((0, 4), dtype=int)).shape == (0,)
+
+
+def test_minors_above_order_four_stay_lapack_determinants():
+    mat = _closed_form_cases()[0]
+    for t in (5, 6, 8):
+        subsets = kernel.index_combinations(8, t) + 1
+        want = numerics.batched_det(mat[(subsets - 1)[:, :, None], (subsets - 1)[:, None, :]])
+        assert kernel.principal_minors(mat, subsets).tobytes() == want.tobytes()
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    code = "import sys, signed_dpp; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
