@@ -9,8 +9,10 @@ skipped, which enlarges the solution set.
 The PMA stages are public as the batched array functions that
 ``solve_pma`` composes: ``recover_skeleton``, ``traveling_sums`` and
 ``match_four_cycles``.  GF(2) systems, on rows held as index arrays,
-have one elimination, held by a ``SpanBasis`` that takes rows
-incrementally; ``solve_groups`` is its one-shot wrapper.
+have one state and one eliminate-and-substitute step, held by a
+``SpanBasis`` that keeps every variable as an affine form over free
+parameters and takes rows incrementally; ``solve_groups`` is its
+one-shot wrapper.
 """
 
 from .errors import (

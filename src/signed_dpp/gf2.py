@@ -2,14 +2,16 @@
 
 Sign systems (products of +-1 unknowns equal to prescribed +-1 values)
 are solved here as XOR systems, with bit 1 for the sign -1, on rows held
-as index arrays of distinct variables.  A ``SpanBasis`` takes rows
-incrementally and keeps the reduced row echelon form of their span as
-its null space, in packed 64-bit words, and its particular solution;
-callers test rows against ``null_words`` between additions and read
-``solution`` at the end.  Triangle rows over the pairs of a vertex set
-are solved on a parity forest (``SpanBasis._of_triangles``), other rows
-by dense elimination.  ``solve_groups`` is the one-shot wrapper.
-Solutions hold their vectors as ints.
+as index arrays of distinct variables.  A ``SpanBasis`` holds the
+solutions of the rows so far as one affine form per variable over free
+parameters, in packed 64-bit words, and takes rows incrementally: each
+group is eliminated over the parameters and substituted into every form.
+Callers test rows against ``null_words`` between additions and read
+``solution``, the reduced row echelon form, at the end.  Triangle rows
+over the pairs of a vertex set are solved on a parity forest
+(``SpanBasis._of_triangles``), which hands each vertex's other rows to
+the same step.  ``solve_groups`` is the one-shot wrapper.  Solutions
+hold their vectors as ints.
 """
 
 from __future__ import annotations
@@ -21,12 +23,6 @@ import numpy as np
 
 from .errors import DimensionError
 from .kernel import pair_index
-
-# Rows of index arrays are filtered in chunks of this many at a time
-# against the span of the basis so far; ``pma.solve_pma`` walks the
-# 4-sets in chunks of the same size.
-SPAN_CHUNK = 4096
-
 
 def bits_of(mask: int, n_vars: int) -> tuple[int, ...]:
     """Expand a bitset into an explicit 0/1 tuple of length n_vars."""
@@ -84,15 +80,6 @@ def _column(words: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")[:, cols] == 1
 
 
-def _with_column(words: np.ndarray, bits: np.ndarray, col: int) -> np.ndarray:
-    """Packed rows widened to hold column ``col``, which is set from the
-    0/1 ``bits``; ``words`` has no bit at ``col`` or beyond."""
-    out = np.zeros((len(words), col // 64 + 1), dtype=np.uint64)
-    out[:, :words.shape[1]] = words
-    out[:, col >> 6] |= bits.astype(np.uint64) << np.uint64(col & 63)
-    return out
-
-
 def parities(supports: np.ndarray, assignment: np.ndarray) -> np.ndarray:
     """XOR of ``assignment`` over the last axis of an (..., w) array of
     distinct variable indices.  A 0/1 vector gives (...) parities; an
@@ -140,32 +127,28 @@ def _eliminate(work: np.ndarray, n_vars: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class SpanBasis:
-    """The reduced row echelon form of the XOR rows added so far, held as
-    its null space (``null_words``) and particular solution.
+    """The solutions of the XOR rows added so far, every variable held as
+    an affine form over ``nullity`` free parameters: (n_vars, words + 1)
+    packed words (see ``_pack``), bit t for parameter t and the constant
+    as bit 0 of the last word.  A fresh basis is the identity.
 
     Rows come in as (supports, rhs) groups: (m, w) arrays of distinct
     variable indices in 0..n_vars-1 and (m,) 0/1 right-hand sides.  A
-    row's parities against the null space are the row reduced by the
-    basis, over the free columns, and its parity against the particular
-    solution reduces its right-hand side.  A row that reduces to zero
-    lies in the span and is only checked: a reduced right-hand side of 1
-    contradicts the rows before it.  The other rows wait, reduced, until
-    they are as many as the nullity, and are then eliminated among
-    themselves over the free columns.  Groups are filtered in chunks of
-    ``SPAN_CHUNK`` rows.  A row space has one reduced row echelon form,
-    so the result does not depend on the chunking, on when rows were
-    added or on whether ``_of_triangles`` took the first ones.
+    row's parities against the forms are the row over the parameters, and
+    ``_impose`` eliminates such rows, checks those that reduce to a bare
+    constant and substitutes each pivot into every form; the parameters
+    no form still uses are then dropped.  ``solution`` reads the reduced
+    row echelon form off the forms.  A row space has one reduced row
+    echelon form, so the result does not depend on how rows were grouped,
+    on when they were added or on whether ``_of_triangles`` took the first
+    ones.
     """
 
     def __init__(self, n_vars: int):
-        self.n_vars = n_vars
-        self._set(np.arange(n_vars), np.eye(n_vars, dtype=bool), np.zeros(n_vars, dtype=bool))
-        self._consistent = True
-
-    def _set(self, free: np.ndarray, null: np.ndarray, x: np.ndarray) -> None:
-        """Hold free columns, (n_vars, nullity) null bits and a particular solution."""
-        self._free, self._null, self._x = free, _pack(null), x
-        self._pending = np.zeros((0, len(free) // 64 + 1), dtype=np.uint64)
+        self.n_vars, self.nullity, self._consistent = n_vars, n_vars, True
+        cols = np.arange(n_vars)
+        self._expr = np.zeros((n_vars, -(-n_vars // 64) + 1), dtype=np.uint64)
+        self._expr[cols, cols >> 6] = _BITS[cols & 63]
 
     @classmethod
     def _of_triangles(cls, n: int, triangles, rhs) -> "SpanBasis":
@@ -173,19 +156,16 @@ class SpanBasis:
         of 0-based triangles i < j < k < n, over the pairs in
         ``kernel.pair_index`` order, solved vertex by vertex.
 
-        Variables are affine in free bits: packed words, the constant as bit
-        0 of a last word.  At each k, every j with a row (i, j, k) hangs off
-        the smallest such i through x_ij, and every other j is a root whose
-        x_jk is a fresh bit; pointer doubling adds up the paths.  The other
-        rows reduce to rows over the free bits, which are eliminated and
-        substituted into every variable."""
+        At each k, every j with a row (i, j, k) hangs off the smallest such
+        i through x_ij, and every other j is a root whose x_jk is a fresh
+        parameter; pointer doubling adds up the paths.  The other rows
+        reduce to rows over the parameters, which ``_impose`` takes."""
         tri, bits = _checked(triangles, rhs, max(n, 1))
         if tri.shape[1] != 3 or not np.all(tri[:, :2] < tri[:, 1:]):
             raise DimensionError("a triangle's vertices must increase")
+        basis = cls(n * (n - 1) // 2)
         if not len(tri):
-            return cls(n * (n - 1) // 2)
-        basis = cls.__new__(cls)        # its state is set at the end
-        basis.n_vars, basis._consistent = n * (n - 1) // 2, True
+            return basis
         order = np.lexsort(tri.T)                   # by k, then j, then i
         tri, bits = tri[order], bits[order].astype(np.uint64)
         # the first row of each (k, j) hangs j off its smallest i at k
@@ -194,13 +174,15 @@ class SpanBasis:
         (i, j, k), bits, tree = tri[order].T, bits[order], tree[order]
         earlier, bounds = pair_index(n, i, j), np.searchsorted(k, np.arange(n + 1))
         split = bounds[:-1] + np.bincount(k[tree], minlength=n)
-        expr = np.zeros((basis.n_vars, -(-(basis.n_vars - tree.sum()) // 64) + 1), dtype=np.uint64)
-        top = 0                                     # free bits handed out
+        # the forest's parameters replace the identity's
+        basis._expr = expr = np.zeros(
+            (basis.n_vars, -(-(basis.n_vars - tree.sum()) // 64) + 1), dtype=np.uint64)
+        top = 0                                     # parameters handed out
         for v in range(1, n):
             lo, mid, hi = bounds[v], split[v], bounds[v + 1]
             parent = np.arange(v)
             parent[j[lo:mid]] = i[lo:mid]
-            fresh = top + np.cumsum(parent == np.arange(v)) - 1   # a root's free bit
+            fresh = top + np.cumsum(parent == np.arange(v)) - 1   # a root's parameter
             top += v - (mid - lo)
             label = expr[earlier[lo:hi]]
             label[:, -1] ^= bits[lo:hi]
@@ -211,78 +193,69 @@ class SpanBasis:
                 parent = parent[parent]
             acc[np.arange(v), fresh[parent] >> 6] ^= _BITS[fresh[parent] & 63]
             expr[pair_index(n, np.arange(v), v)] = acc
-            work = acc[i[mid:hi]] ^ acc[j[mid:hi]] ^ label[mid - lo:]
-            work = work[work.any(axis=1)]           # a zero row is a check that holds
-            if len(work):
-                chosen, pivots = _eliminate(work, 64 * (expr.shape[1] - 1))
-                basis._consistent &= not np.delete(work, chosen, axis=0)[:, -1].any()
-                for q, row in zip(pivots, work[chosen]):
-                    expr[(expr[:, q >> 6] & _BITS[q & 63]) != 0] ^= row
-        null = _column(expr[:, :-1], np.arange(top))
-        basis._set(*_reduced(null[:, null.any(axis=0)], (expr[:, -1] & np.uint64(1)) == 1))
+            basis._impose(acc[i[mid:hi]] ^ acc[j[mid:hi]] ^ label[mid - lo:])
+        basis._drop_unused()
         return basis
 
-    @property
-    def nullity(self) -> int:
-        """Dimension of the null space of every row added so far."""
-        self._flush()
-        return len(self._free)
+    def _impose(self, work: np.ndarray) -> None:
+        """Impose packed rows over the parameters, their right-hand sides
+        as bit 0 of the last word: drop zero rows, eliminate the rest,
+        check that none reduces to the bare constant 1, and substitute
+        each pivot into every form."""
+        work = work[work.any(axis=1)]               # a zero row is a check that holds
+        if not len(work):
+            return
+        chosen, pivots = _eliminate(work, 64 * (self._expr.shape[1] - 1))
+        self._consistent &= not np.delete(work, chosen, axis=0)[:, -1].any()
+        for q, row in zip(pivots, work[chosen]):
+            self._expr[(self._expr[:, q >> 6] & _BITS[q & 63]) != 0] ^= row
+
+    def _drop_unused(self) -> None:
+        """Renumber the parameters that some form still uses from 0."""
+        params = _column(self._expr[:, :-1], np.arange(64 * (self._expr.shape[1] - 1)))
+        params = params[:, params.any(axis=0)]
+        self._expr = np.concatenate([_pack(params), self._expr[:, -1:]], axis=1)
+        self.nullity = params.shape[1]
+
+    def _rows(self, supports, rhs) -> np.ndarray:
+        """One group's rows over the parameters, each distinct row once, or
+        DimensionError when the group is malformed."""
+        supports, bits = _checked(supports, rhs, self.n_vars)
+        work = parities(supports, self._expr)
+        work[:, -1] ^= bits
+        order = np.lexsort(work.T)                  # a repeated row adds nothing
+        keep = np.ones(len(work), dtype=bool)
+        keep[order[1:]] = (work[order[1:]] != work[order[:-1]]).any(axis=1)
+        return work[keep]
 
     def add(self, supports, rhs) -> None:
         """Add one group of rows; DimensionError when it is malformed."""
-        supports, bits = _checked(supports, rhs, self.n_vars)
-        for lo in range(0, len(supports), SPAN_CHUNK):
-            chunk, n_free = supports[lo:lo + SPAN_CHUNK], len(self._free)
-            reduced = parities(chunk, self._null)
-            fresh = reduced.any(axis=1)
-            off = bits[lo:lo + SPAN_CHUNK] ^ parities(chunk, self._x)
-            self._consistent &= not np.any(off & ~fresh)
-            self._pending = np.concatenate(
-                [self._pending, _with_column(reduced[fresh], off[fresh], n_free)])
-            if len(self._pending) >= n_free:
-                self._flush()
-
-    def _flush(self) -> None:
-        if not len(self._pending):
-            return
-        n_free = len(self._free)
-        chosen, pivots = _eliminate(self._pending, n_free)
-        rest = np.delete(self._pending, chosen, axis=0)
-        self._consistent &= not _column(rest, np.array([n_free])).any()
-        # each variable's row, with the particular solution as column n_free
-        rows = _with_column(self._null, self._x, n_free)
-        for q, pivot_row in zip(pivots, self._pending[chosen]):
-            rows[(rows[:, q >> 6] & _BITS[q & 63]) != 0] ^= pivot_row
-        keep = np.setdiff1d(np.arange(n_free), pivots)
-        bits = _column(rows, np.append(keep, n_free))
-        self._set(self._free[keep], bits[:, :-1], bits[:, -1])
+        self._impose(self._rows(supports, rhs))
+        self._drop_unused()
 
     def null_words(self) -> np.ndarray:
-        """The null space as (n_vars, ceil(nullity / 64)) packed words: bit
-        t of variable v is entry v of null vector t, the solution of the
-        homogeneous rows that is 1 at free column t and 0 at the other
-        free columns.  ``parities`` of rows against it are nonzero
-        exactly for rows outside the span."""
-        self._flush()
-        return self._null
+        """A basis of the null space as (n_vars, ceil(nullity / 64)) packed
+        words: bit t of variable v is entry v of null vector t, the
+        coefficient of parameter t in the form of v.  ``parities`` of rows
+        against it are nonzero exactly for rows outside the span."""
+        return self._expr[:, :-1]
 
     def solution(self) -> GF2Solution | None:
         """The solution of every row added, or None when some row
         contradicts the rest.
 
         The particular solution has every free variable zero.  It and
-        the null-space basis are read off the reduced row echelon form,
+        the null-space basis are those of the reduced row echelon form,
         which is unique for the row space, so they do not depend on row
         order.
         """
-        self._flush()
         if not self._consistent:
             return None
-        null = _column(self._null, np.arange(len(self._free))).T
-        ints = [int.from_bytes(row.tobytes(), "little") for row in _pack(np.vstack([self._x, null]))]
+        params = _column(self._expr[:, :-1], np.arange(64 * (self._expr.shape[1] - 1)))
+        free, null, x = _reduced(params, self._expr[:, -1] == 1)
+        ints = [int.from_bytes(row.tobytes(), "little") for row in _pack(np.vstack([x, null.T]))]
         return GF2Solution(n_vars=self.n_vars, particular=ints[0], null_basis=tuple(ints[1:]),
-                           free_cols=tuple(self._free.tolist()),
-                           rank=self.n_vars - len(self._free))
+                           free_cols=tuple(free.tolist()), rank=self.n_vars - len(free))
 
 
 def _reduced(null: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -327,10 +300,9 @@ def solve_groups(groups: Sequence[np.ndarray], rhs: Sequence[np.ndarray],
     """Solve XOR rows given as groups of (m, w) arrays of distinct
     variable indices in 0..n_vars-1, with 0/1 right-hand sides ``rhs``
     (one (m,) array per group); None when some row contradicts the rest.
-    One ``SpanBasis`` takes every group in turn."""
+    One ``SpanBasis`` imposes the rows of every group at once."""
     if len(groups) != len(rhs):
         raise DimensionError(f"{len(groups)} groups but {len(rhs)} right-hand sides")
     basis = SpanBasis(n_vars)
-    for supports, bits in zip(groups, rhs):
-        basis.add(supports, bits)
+    basis._impose(np.concatenate([basis._expr[:0], *map(basis._rows, groups, rhs)]))
     return basis.solution()

@@ -9,8 +9,10 @@ entry signs, held as an index array of its 3 or 4 variables.  Every
 cycle is described once, in one table per subset size (``_TRIANGLE``,
 ``_FOUR_CYCLES``): its edges and the arcs its row orientation walks
 against the upper triangle.  ``_cycles`` reads each cycle's
-relating-sign product, magnitude product, XOR row and right-hand-side
-flip off that table, once per subset for all the stages that use them.
+relating-sign product, magnitude product, right-hand-side flip and edge
+endpoints off that table, once per subset for all the stages that use
+them; only the 4-set walk ranks the endpoints into XOR rows, since the
+triangle forest takes the triangles themselves.
 
 1. Skeleton.  Orders 1 and 2, read in bulk, give the diagonal, the
    off-diagonal magnitudes and the relating signs, via
@@ -22,7 +24,7 @@ flip off that table, once per subset for all the stages that use them.
    fixes the sign of one oriented entry product, and its row goes into
    the basis, which ``gf2.SpanBasis._of_triangles`` starts vertex by vertex.
 4. 4-sets, only where the span needs them.  The 4-sets are walked in
-   colex chunks of ``gf2.SPAN_CHUNK``.  Which cycles of a 4-set are
+   colex chunks of ``SPAN_CHUNK``.  Which cycles of a 4-set are
    positive, and their rows, follow from the relating signs alone; a
    4-set is read only when one of those rows has nonzero parity against
    the null space the chunks before it left.  Its traveling sum is
@@ -78,6 +80,9 @@ SIGN_TOL = 1e-12
 # matched: effective tol = max(sign_tol, SIGN_RTOL * scale).
 SIGN_RTOL = 1e-6
 SOLUTION_SET_CAP = 12
+# The 4-sets are walked in colex chunks of this many, each filtered
+# against the span the chunks before it left.
+SPAN_CHUNK = 4096
 
 # Positions (into a sorted 4-set) of the four triangles of a 4-set, and
 # of the vertex each one leaves out.
@@ -254,16 +259,16 @@ def traveling_sums(minors: MinorList, skel: Skeleton, subsets: np.ndarray) -> np
 def _cycles(skel: Skeleton, sets: np.ndarray, table) -> tuple[np.ndarray, ...]:
     """Per row of an (m, s) array of sorted 0-based subsets and per cycle
     of ``table`` (``_TRIANGLE`` or ``_FOUR_CYCLES``): the (m, c)
-    relating-sign products, the (m, c) magnitude products, the (m, c, w)
-    pair indices of the cycles' XOR rows and the (m, c) right-hand-side
-    flips.  A cycle whose oriented entry product has sign bit ``negative``
-    gives the row (support, negative ^ flip).  No minor is read."""
+    relating-sign products, the (m, c) magnitude products, the (m, c)
+    right-hand-side flips and the (m, c, w) endpoints a < b of the
+    cycles' edges.  A cycle whose oriented entry product has sign bit
+    ``negative`` gives the row (``pair_index`` of its edges, negative ^
+    flip).  No minor is read."""
     edges, lower = table
     a, b = sets[:, edges[..., 0]], sets[:, edges[..., 1]]
     eps = skel.epsilon[a, b]
     product = functools.reduce(np.multiply, np.moveaxis(skel.magnitude[a, b], 2, 0))
-    return (eps.prod(axis=2), product, pair_index(skel.n, a, b),
-            np.logical_xor.reduce((eps == -1) & lower, axis=2))
+    return eps.prod(axis=2), product, np.logical_xor.reduce((eps == -1) & lower, axis=2), a, b
 
 
 # Bit c of pattern p makes cycle c of a 4-set negative.
@@ -334,7 +339,7 @@ def solve_pma(minors: MinorList, sign_tol: float = SIGN_TOL) -> PMASolution:
     pi3 = traveling_sums(minors, skel, tri)
 
     # triangles: a positive triangle's pi3 carries its product sign
-    sign, mag3, _, flip = (a[:, 0] for a in _cycles(skel, tri, _TRIANGLE))
+    sign, mag3, flip = (a[:, 0] for a in _cycles(skel, tri, _TRIANGLE)[:3])
     tri_tol = np.maximum(sign_tol, SIGN_RTOL * (2.0 * mag3))
     positive = sign == 1
     small = np.abs(pi3) <= tri_tol
@@ -356,10 +361,10 @@ def solve_pma(minors: MinorList, sign_tol: float = SIGN_TOL) -> PMASolution:
     sigma = np.where(np.arange(n) == 0, 1, eps[0])
     floor = n - 1 + (not np.array_equal(eps + np.eye(n, dtype=int), np.outer(sigma, sigma)))
     total = math.comb(n, 4)
-    for lo in range(0, total, gf2.SPAN_CHUNK):
+    for lo in range(0, total, SPAN_CHUNK):
         if basis.nullity <= floor:
             break
-        quad = colex_unrank(np.arange(lo, min(lo + gf2.SPAN_CHUNK, total)), n, 4)
+        quad = colex_unrank(np.arange(lo, min(lo + SPAN_CHUNK, total)), n, 4)
         _add_four_sets(minors, skel, basis, quad, sign_tol)
 
     # a row that contradicts the rest leaves no solution
@@ -379,7 +384,8 @@ def _add_four_sets(minors: MinorList, skel: Skeleton, basis: gf2.SpanBasis,
     """Read the 4-sets of ``quad`` that have a positive cycle outside the
     span of ``basis`` and add their decided cycle rows to it: one sign
     per positive cycle, unless the patterns are too close."""
-    sign, mags, support, flip = _cycles(skel, quad, _FOUR_CYCLES)
+    sign, mags, flip, a, b = _cycles(skel, quad, _FOUR_CYCLES)
+    support = pair_index(skel.n, a, b)
     read = ((sign == 1) & gf2.parities(support, basis.null_words()).any(axis=2)).any(axis=1)
     if not read.any():
         return

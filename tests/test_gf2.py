@@ -255,21 +255,10 @@ def test_packed_solve_matches_the_int_elimination():
     assert inconsistent > 10
 
 
-@pytest.mark.parametrize("chunk", [1, 7])
-def test_small_chunks_match_the_int_elimination(monkeypatch, chunk):
-    # later chunks are eliminated together with the reduced rows so far
-    monkeypatch.setattr(gf2, "SPAN_CHUNK", chunk)
-    rng = np.random.default_rng(41 + chunk)
-    inconsistent = 0
-    for trial in range(80):
-        m = int(rng.integers(1, 60))
-        inconsistent += not _matches_reference(_random_rows(rng, m, trial % 4 == 0), m)
-    assert inconsistent > 3
-
-
 def test_narrow_groups_share_one_elimination(monkeypatch):
-    # fresh rows wait until they are at least as many as the nullity, so
-    # 24 one-row groups over 40 variables are eliminated together
+    # the rows of 24 one-row groups over 40 variables are eliminated
+    # together; the second call is the reduced row echelon form that
+    # ``solution`` builds from the null space
     calls = []
     eliminate = gf2._eliminate
     monkeypatch.setattr(gf2, "_eliminate", lambda *args: calls.append(1) or eliminate(*args))
@@ -277,9 +266,20 @@ def test_narrow_groups_share_one_elimination(monkeypatch):
     groups = [rng.choice(40, size=(1, 3), replace=False) for _ in range(24)]
     rhs = [rng.integers(0, 2, 1) for _ in groups]
     sol = gf2.solve_groups(groups, rhs, 40)
-    assert len(calls) == 1
+    assert len(calls) == 2
     assert (sol.particular, sol.null_basis, sol.free_cols, sol.rank) == \
         _reference_solve(_as_masks(groups, rhs), 40)
+
+
+def test_repeated_rows_are_checked_and_near_repeats_kept():
+    # rows that agree on their first 64 variables but not beyond are two
+    # rows; a repeat with the other right-hand side contradicts its copy
+    near = [(1 | 1 << 70, 1), (1 | 1 << 71, 0), (1 | 1 << 129, 1), (2 | 1 << 129, 0)]
+    for rows in (near, near + near[:3], near + [(1 | 1 << 70, 0)]):
+        assert _matches_reference(rows, 130) == (rows[-1] != (1 | 1 << 70, 0))
+    basis = gf2.SpanBasis(130)
+    basis.add(np.array([[0, 70], [0, 70], [0, 71], [0, 71]]), np.array([1, 1, 0, 0]))
+    assert basis.nullity == 128
 
 
 def test_solve_groups_reads_the_solution_of_the_kept_rows():

@@ -239,7 +239,8 @@ def test_cycle_table_matches_the_walk_reference():
         for t, (i, j) in enumerate(itertools.combinations(range(4), 2)):
             em[i, j] = em[j, i] = -1 if (bits >> t) & 1 else 1
         skel = pma.Skeleton(4, np.full(4, 0.5), mags, em)
-        sign, product, support, flip = pma._cycles(skel, quad, pma._FOUR_CYCLES)
+        sign, product, flip, a, b = pma._cycles(skel, quad, pma._FOUR_CYCLES)
+        support = kernel.pair_index(4, a, b)
         for c, walk in enumerate(FOUR_CYCLE_WALKS):
             want_sign, want_support, want_flip = walk_cycle(skel, walk)
             assert (sign[0, c], sorted(support[0, c].tolist()), flip[0, c]) == \
@@ -250,7 +251,8 @@ def test_cycle_table_matches_the_walk_reference():
     k = random_signed(7, 5)
     skel = pma.recover_skeleton(moments.exact_minors(k, 2))
     tri = kernel.index_combinations(7, 3)
-    sign, product, support, flip = pma._cycles(skel, tri, pma._TRIANGLE)
+    sign, product, flip, a, b = pma._cycles(skel, tri, pma._TRIANGLE)
+    support = kernel.pair_index(7, a, b)
     m = skel.magnitude
     for t, (i, j, kk) in enumerate(tri.tolist()):
         want_sign, want_support, want_flip = walk_cycle(skel, (i, j, kk))
@@ -539,7 +541,7 @@ def test_solve_pma_same_solution_in_small_span_chunks(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AmbiguousSignWarning)
         whole = pma.solve_pma(minors)
-        monkeypatch.setattr(gf2, "SPAN_CHUNK", 16)
+        monkeypatch.setattr(pma, "SPAN_CHUNK", 16)
         chunked = pma.solve_pma(minors)
     assert conjugation_distance(whole.kernel, k) <= 1e-9
     assert chunked.kernel.mat.tobytes() == whole.kernel.mat.tobytes()
@@ -547,7 +549,7 @@ def test_solve_pma_same_solution_in_small_span_chunks(monkeypatch):
     for other in (kernel.generate_admissible(8, 0.3, 2024), antisymmetric(9, 5)):
         reads, sols = [], []
         for chunk in (4096, 16, 1):
-            monkeypatch.setattr(gf2, "SPAN_CHUNK", chunk)
+            monkeypatch.setattr(pma, "SPAN_CHUNK", chunk)
             minors = moments.exact_minors(other, 4)
             sols.append(pma.solve_pma(minors))
             reads.append(len(read_four_sets(minors)))
