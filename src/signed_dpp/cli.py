@@ -8,6 +8,7 @@ Output files are written atomically.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -84,6 +85,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_verify)
     return parser
+
+
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process: parsing leaves it
+    unchanged."""
+    return build_parser()
 
 
 def cmd_gen(args) -> int:
@@ -168,7 +176,7 @@ def _usage(message: str) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         # argparse's exits: --help (0) and usage errors (1)

@@ -117,6 +117,33 @@ def pair_index(n: int, i, j):
     return i * (2 * n - i - 3) // 2 + j - 1
 
 
+@functools.lru_cache(maxsize=64)
+def colex_table(n: int, t: int) -> np.ndarray:
+    """Read-only (C(n, t), t) array of the 1-based t-subsets of {1..n}, in
+    colexicographic (bitmask) order: row r has ``colex_rank`` r.  Colex
+    order nests: the s-subsets of {1..m} whose largest item is c are the
+    first C(c - 1, s - 1) of the (s - 1)-subsets of {1..m - 1}, with c
+    appended.  So the table grows from the one 0-subset through
+    m = n - t + s for s = 1..t, and no row is ranked.  Stored in the
+    narrowest unsigned dtype that holds n (uint8 up to n = 255)."""
+    dtype = np.min_scalar_type(n)
+    if t > n:
+        table = np.zeros((0, t), dtype=dtype)
+    else:
+        table = np.zeros((1, 0), dtype=dtype)
+        for s in range(1, t + 1):
+            m = n - t + s
+            prev, table = table, np.empty((math.comb(m, s), s), dtype=dtype)
+            start = 0
+            for c in range(s, m + 1):
+                stop = start + math.comb(c - 1, s - 1)
+                table[start:stop, :-1] = prev[:stop - start]
+                table[start:stop, -1] = c
+                start = stop
+    table.flags.writeable = False
+    return table
+
+
 def colex_unrank(ranks: np.ndarray, n: int, t: int) -> np.ndarray:
     """The (m, t) sorted 0-based t-subsets of {0..n-1} with the given
     ``colex_rank``s: greedily, c_i is the largest c with C(c, i) <= rank."""
@@ -252,11 +279,12 @@ def principal_minor(k: SignedKernel, j: Iterable[int]) -> float:
 
 def principal_minors(mat: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     """det(mat_J) for each row J of an (m, t) array of sorted 1-based subsets,
-    in row order, numerics.DET_CHUNK rows at a time.  Orders up to 4 take
-    ``numerics.closed_det`` of the entries gathered by flat index (t = 0
-    yields ones, t = 1 the diagonal entries themselves); larger orders
-    take ``numerics.batched_det``."""
-    idx = np.asarray(subsets, dtype=np.intp)
+    in row order, numerics.DET_CHUNK rows at a time, each chunk converted
+    to intp on its own (a ``colex_table`` stays in its narrow dtype).
+    Orders up to 4 take ``numerics.closed_det`` of the entries gathered by
+    flat index (t = 0 yields ones, t = 1 the diagonal entries themselves);
+    larger orders take ``numerics.batched_det``."""
+    idx = np.asarray(subsets)
     if idx.ndim != 2:
         raise DimensionError(f"expected an (m, t) array of subsets, got shape {idx.shape}")
     if idx.size and (idx.min() < 1 or idx.max() > mat.shape[0]):
@@ -264,7 +292,7 @@ def principal_minors(mat: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     flat, n = mat.ravel(), mat.shape[0]
     out = []
     for lo in range(0, len(idx), numerics.DET_CHUNK):
-        c = np.ascontiguousarray(idx[lo:lo + numerics.DET_CHUNK].T) - 1
+        c = np.ascontiguousarray(idx[lo:lo + numerics.DET_CHUNK].T, dtype=np.intp) - 1
         out.append(numerics.closed_det(flat[c[:, None] * n + c]) if len(c) <= 4
                    else numerics.batched_det(mat[c.T[:, :, None], c.T[:, None, :]]))
     return np.concatenate(out or [np.ones(0)])

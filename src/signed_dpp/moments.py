@@ -11,9 +11,11 @@ column per pair of items, w holds the masks' counts): a triangle or a
 orders 3 and 4 read are formed, summed over chunks of masks.
 
 MinorList holds each order as arrays indexed by the colex rank of a
-subset, and the builders here fill whole orders at once.  It doubles as
-the query-instrumented interface handed to the solver: every read is
-recorded, so tests can assert how much of the list an algorithm reads.
+subset.  The builders here fill whole orders at once, in the order of
+``kernel.colex_table``, so no subset of a whole order is ever ranked.
+It doubles as the query-instrumented interface handed to the solver:
+every read is recorded, so tests can assert how much of the list an
+algorithm reads.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .kernel import (
     ENUMERATION_LIMIT,
     SignedKernel,
     colex_rank,
+    colex_table,
     colex_unrank,
     index_combinations,
     normalize_subset,
@@ -52,35 +55,54 @@ class MinorList:
     Order t is three arrays indexed by ``kernel.colex_rank``: values, a
     presence mask and a read mask (the reads of get() and get_many(), seen
     through ``queried``).  An order is allocated on its first write, and
-    one of more than ORDER_LIMIT subsets raises CapabilityError.  Keys are
-    sorted 1-based tuples, listed in colex (bitmask) order.
+    one of more than ORDER_LIMIT subsets raises CapabilityError before any
+    subset is ranked; so does a list of more than ORDER_LIMIT items, which
+    could hold no minor at all.  Keys are sorted 1-based tuples, listed in
+    colex (bitmask) order; a whole order is listed as its ``colex_table``.
     """
 
     def __init__(self, n: int, entries: dict | None = None):
         if n < 1:
             raise DimensionError(f"ground-set size must be positive, got {n}")
         self.n = int(n)
+        self._size(1)
         self._orders: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         for j, v in (entries or {}).items():
             self.put(j, v)
 
+    def _size(self, t: int) -> int:
+        """C(n, t), refused above ORDER_LIMIT."""
+        size = math.comb(self.n, t)
+        if size > ORDER_LIMIT:
+            raise CapabilityError(
+                f"order {t} of N={self.n} has {size} subsets, above the "
+                f"{ORDER_LIMIT} a minor list holds per order")
+        return size
+
     def _order(self, t: int):
         """(values, present, read) of order t, allocated on first use."""
         if t not in self._orders:
-            size = math.comb(self.n, t)
-            if size > ORDER_LIMIT:
-                raise CapabilityError(
-                    f"order {t} of N={self.n} has {size} subsets, above the "
-                    f"{ORDER_LIMIT} a minor list holds per order")
+            size = self._size(t)
             self._orders[t] = (np.zeros(size), np.zeros(size, dtype=bool),
                                np.zeros(size, dtype=bool))
         return self._orders[t]
 
-    def _ranked(self, subsets) -> tuple[np.ndarray, np.ndarray]:
+    def _table(self, t: int) -> np.ndarray:
+        """The rows of the whole order t, ``colex_table(n, t)``; an order
+        above ORDER_LIMIT is refused before its table is built."""
+        self._size(t)
+        return colex_table(self.n, t)
+
+    def _sorted(self, subsets) -> np.ndarray:
         """The sorted rows of an (m, t) array of 1-based subsets, not copied
-        when already sorted (at N = 64 the 4-sets take 20 MB), and their colex
-        ranks; the first invalid row is rejected as ``normalize_subset`` does."""
-        idx = np.asarray(subsets, dtype=np.int64)
+        when already sorted (at N = 64 the 4-sets take 20 MB); the first
+        invalid row is rejected as ``normalize_subset`` does."""
+        try:
+            idx = np.asarray(subsets, dtype=np.int64)
+        except OverflowError:
+            for row in subsets:      # an index beyond int64 is out of range
+                normalize_subset(row, self.n)
+            raise
         if idx.ndim != 2 or idx.shape[1] == 0:
             raise DimensionError(f"expected an (m, t) array of subsets, t >= 1, got shape {idx.shape}")
         if not (idx[:, 1:] > idx[:, :-1]).all():
@@ -90,20 +112,40 @@ class MinorList:
             bad |= idx[:, c] == idx[:, c - 1]
         if bad.any():
             normalize_subset(np.asarray(subsets)[np.argmax(bad)].tolist(), self.n)
-        ranks = [colex_rank(idx[lo:lo + DET_CHUNK] - 1, self.n) for lo in range(0, len(idx), DET_CHUNK)]
-        return idx, np.concatenate(ranks or [np.zeros(0, dtype=np.int64)])
+        return idx
 
-    def _write(self, subsets, values) -> None:
-        """Bulk ``put``: store the values of an (m, t) array of 1-based subsets."""
-        idx, ranks = self._ranked(subsets)
+    def _ranks(self, idx: np.ndarray) -> np.ndarray:
+        """The colex ranks of sorted 1-based rows, DET_CHUNK rows at a time."""
+        ranks = [colex_rank(idx[lo:lo + DET_CHUNK] - 1, self.n) for lo in range(0, len(idx), DET_CHUNK)]
+        return np.concatenate(ranks or [np.zeros(0, dtype=np.int64)])
+
+    @staticmethod
+    def _finite(idx: np.ndarray, values) -> np.ndarray:
+        """The values as floats, one per row of ``idx``; the first
+        non-finite one is refused, naming its subset."""
         values = np.asarray(values, dtype=float).reshape(len(idx))
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise DimensionError(f"minor for {tuple(idx[bad[0]].tolist())} must be finite, "
                                  f"got {values[bad[0]]}")
+        return values
+
+    def _write(self, subsets, values) -> None:
+        """Bulk ``put``: store the values of an (m, t) array of 1-based subsets."""
+        idx = self._sorted(subsets)
+        values = self._finite(idx, values)
         stored, present, _ = self._order(idx.shape[1])
+        ranks = self._ranks(idx)
         stored[ranks] = values
         present[ranks] = True
+
+    def _fill(self, t: int, values) -> None:
+        """Store the whole order t: one value per row of ``_table(t)``, in
+        its order, which is the rank order, so nothing is ranked."""
+        values = self._finite(self._table(t), values)
+        stored, present, _ = self._order(t)
+        stored[:] = values
+        present[:] = True
 
     def _has(self, j, which: int) -> bool:
         """Whether subset j is set in its order's mask ``which`` (1 present, 2 read)."""
@@ -116,10 +158,17 @@ class MinorList:
 
     def _rows(self, which: int):
         """Per order, increasing: the (m, t) 1-based subsets set in mask
-        ``which``, in colex order, and their values."""
+        ``which``, in colex order, and their values.  A whole order gives its
+        shared ``colex_table`` and a read-only view of the values."""
         for t in sorted(self._orders):
-            ranks = np.flatnonzero(self._orders[t][which])
-            yield colex_unrank(ranks, self.n, t) + 1, self._orders[t][0][ranks]
+            values, mask = self._orders[t][0], self._orders[t][which]
+            if mask.all():
+                view = values.view()
+                view.flags.writeable = False
+                yield colex_table(self.n, t), view
+            else:
+                ranks = np.flatnonzero(mask)
+                yield colex_unrank(ranks, self.n, t) + 1, values[ranks]
 
     def put(self, j: Iterable[int], value: float) -> None:
         self._write([normalize_subset(j, self.n, allow_empty=False)], [float(value)])
@@ -134,12 +183,13 @@ class MinorList:
         subset raises MissingMinorError after the rows before it have been
         recorded as read.
         """
-        idx, ranks = self._ranked(subsets)
+        idx = self._sorted(subsets)
         if len(idx) == 0:
             return np.empty(0)
-        if idx.shape[1] not in self._orders:
+        if idx.shape[1] not in self._orders:    # so only an order that fits is ranked
             raise MissingMinorError(f"minor for subset {tuple(idx[0].tolist())} not in the list")
         values, present, read = self._orders[idx.shape[1]]
+        ranks = self._ranks(idx)
         missing = np.flatnonzero(~present[ranks])
         if missing.size:
             read[ranks[:missing[0]]] = True
@@ -238,30 +288,30 @@ def estimate_required_minors(batch: SampleBatch, max_order: int) -> MinorList:
     n = batch.n_items
     if n < 1:
         raise DimensionError("estimating minors needs a ground set of at least one item")
-    subsets = [index_combinations(n, t) for t in range(1, min(max_order, n) + 1)]
     out = MinorList(n)
-    for idx, counts in zip(subsets, _gram_counts(batch, subsets)):
-        idx += 1                 # in place: at N = 64 the 4-sets take 20 MB
-        out._write(idx, counts / len(batch))
+    tables = [out._table(t) for t in range(1, min(max_order, n) + 1)]
+    for t, counts in enumerate(_gram_counts(batch, tables), 1):
+        out._fill(t, counts / len(batch))
     return out
 
 
-def _gram_counts(batch: SampleBatch, subsets: list[np.ndarray]) -> list[np.ndarray]:
-    """The number of samples containing each row of ``subsets[t - 1]``,
-    the 0-based t-subsets in lexicographic order, for t = 1..4 at most.
+def _gram_counts(batch: SampleBatch, tables: list[np.ndarray]) -> list[np.ndarray]:
+    """The number of samples containing each row of ``tables[t - 1]``,
+    the 1-based t-subsets in colex order (``colex_table``), for t = 1..4
+    at most.
 
     Row r of B holds the item bits of distinct mask r, w[r] its count, and
     column (i, j) of P is B[:, i] * B[:, j], pairs in lexicographic order.
-    Singletons are counted by w B and pairs by w P.  The Gram
-    G = P^T diag(w) P holds a triangle i < j < k at G[(i, j), (j, k)] and
-    a 4-set i < j < k < l at G[(i, j), (k, l)], so only the blocks
-    G_j = G[(., j), (j.., .)] are formed: rows i < j, columns the pairs
-    from (j, j + 1) on (only those starting at j when t <= 3).  They are
-    summed over chunks of distinct masks whose P holds at most
-    max(_COUNT_CELLS, |blocks|) cells.  Every sum is an integer below
-    2^53, so the counts are exact.
+    Singletons are counted by w B and pairs by w P, then gathered into
+    colex order.  The Gram G = P^T diag(w) P holds a triangle i < j < k
+    at G[(i, j), (j, k)] and a 4-set i < j < k < l at G[(i, j), (k, l)],
+    so only the blocks G_j = G[(., j), (j.., .)] are formed: rows i < j,
+    columns the pairs from (j, j + 1) on (only those starting at j when
+    t <= 3).  They are summed over chunks of distinct masks whose P holds
+    at most max(_COUNT_CELLS, |blocks|) cells.  Every sum is an integer
+    below 2^53, so the counts are exact.
     """
-    n, top = batch.n_items, len(subsets)
+    n, top = batch.n_items, len(tables)
     distinct, weight = _distinct_masks(batch)
     lo_item, hi_item = index_combinations(n, 2).T
     mid = np.arange(n)
@@ -288,9 +338,12 @@ def _gram_counts(batch: SampleBatch, subsets: list[np.ndarray]) -> list[np.ndarr
         for j in np.flatnonzero(width):
             gram = (bits[:j] * (w * bits[j])) @ pairs[first[j]:first[j] + width[j]].T
             blocks[offset[j]:offset[j + 1]] += gram.ravel()
-    for idx in subsets[2:]:
-        i, j, k = idx[:, 0], idx[:, 1], idx[:, 2]
-        column = k - j - 1 if idx.shape[1] == 3 else pair_index(n, k, idx[:, 3]) - first[j]
+    if top > 1:
+        i, j = tables[1].T.astype(np.intp) - 1
+        counts[1] = counts[1][pair_index(n, i, j)]
+    for table in tables[2:]:
+        i, j, k, *l = table.T.astype(np.intp) - 1
+        column = k - j - 1 if not l else pair_index(n, k, l[0]) - first[j]
         counts.append(blocks[offset[j] + i * width[j] + column])
     return counts
 
@@ -312,9 +365,7 @@ def exact_minors(k: SignedKernel, max_order: int | str = "all") -> MinorList:
             raise DimensionError(f"max_order must be in 1..{n}, got {max_order}")
     out = MinorList(n)
     for t in range(1, top + 1):
-        idx = index_combinations(n, t)
-        idx += 1
-        out._write(idx, principal_minors(k.mat, idx))
+        out._fill(t, principal_minors(k.mat, out._table(t)))
     return out
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from signed_dpp import kernel, moments, pma, sampler
+from signed_dpp import cli, kernel, moments, pma, sampler
 from signed_dpp.cli import main
 from signed_dpp.errors import AmbiguousSignWarning
 
@@ -202,6 +202,34 @@ def test_minors_value_beyond_the_float_range_exits_one(tmp_path, capsys):
     assert main(["pma", "--minors", m_path, "--out", str(tmp_path / "h.json")]) == 1
     err = capsys.readouterr().err
     assert "value for '1' is beyond the float range" in err and "Traceback" not in err
+
+
+def test_minors_key_beyond_int64_exits_one(tmp_path, capsys):
+    m_path = str(tmp_path / "m.json")
+    with open(m_path, "w") as fh:
+        fh.write('{"n": 2, "minors": {"99999999999999999999": 0.5}}')
+    assert main(["pma", "--minors", m_path, "--out", str(tmp_path / "h.json")]) == 1
+    err = capsys.readouterr().err
+    assert "signed-dpp: error: minors JSON: index 99999999999999999999 out of range 1..2" in err
+    assert "Traceback" not in err
+
+
+def test_minors_of_a_huge_ground_set_exit_two_before_any_ranking(tmp_path, capsys, monkeypatch):
+    def no_ranking(*args):
+        raise AssertionError("ranked a subset of an order that does not fit")
+
+    monkeypatch.setattr(moments, "colex_rank", no_ranking)
+    m_path = str(tmp_path / "m.json")
+    for entries in ('{"1,2": 0.5}', '{}'):
+        with open(m_path, "w") as fh:
+            fh.write('{"n": 100000000000000000000, "minors": %s}' % entries)
+        assert main(["pma", "--minors", m_path, "--out", str(tmp_path / "h.json")]) == 2
+        assert "signed-dpp: error: order 1 of N=100000000000000000000" in capsys.readouterr().err
+
+
+def test_main_builds_its_parser_once():
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_pma_inconsistent_minors_exits_two(tmp_path, capsys):

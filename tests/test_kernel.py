@@ -509,3 +509,17 @@ def test_colex_rank_is_bitmask_order():
         assert np.array_equal(np.sort(ranks), np.arange(math.comb(n, t))), (n, t)
         assert np.all(np.diff(_masks(by_rank)) > 0), (n, t)
         assert np.array_equal(kernel.colex_unrank(np.arange(len(rows)), n, t), by_rank), (n, t)
+
+
+def test_colex_table_lists_the_subsets_by_rank():
+    cases = ([(n, t) for n in (0, 1, 2, 5, 9) for t in range(0, n + 2)] + [(64, 4)]
+             + [(256, t) for t in (0, 1, 2, 255, 256, 257)] + [(300, 2), (300, 300)])
+    for n, t in cases:
+        table = kernel.colex_table(n, t)
+        assert table.shape == (math.comb(n, t), t), (n, t)
+        assert table.dtype == (np.uint8 if n <= 255 else np.uint16), (n, t)
+        assert not table.flags.writeable
+        assert np.array_equal(table, kernel.colex_unrank(np.arange(len(table)), n, t) + 1), (n, t)
+        assert np.array_equal(kernel.colex_rank(table - 1, n), np.arange(len(table))), (n, t)
+    with pytest.raises(ValueError):
+        kernel.colex_table(9, 2)[0, 0] = 3

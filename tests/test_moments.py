@@ -172,6 +172,39 @@ def test_minor_list_leaves_the_callers_rows_alone():
         assert np.array_equal(idx, before)
 
 
+def test_whole_orders_list_their_shared_table_and_read_only_values():
+    k = kernel.generate_admissible(9, 0.3, 5)
+    whole = moments.exact_minors(k, 4)
+    part = moments.MinorList(9)
+    for t, (rows, values) in enumerate(whole.arrays(), 1):
+        assert rows is kernel.colex_table(9, t)
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+        part._write(rows[1:], values[1:])          # one subset short: rows are unranked
+    for (rows, values), (part_rows, part_values) in zip(whole.arrays(), part.arrays()):
+        assert np.array_equal(part_rows, rows[1:])
+        assert part_values.tobytes() == values[1:].tobytes()
+    assert whole.items() == moments.exact_minors(k, 4).items()
+
+
+def _written_by_rank(n: int, orders) -> moments.MinorList:
+    """The reference list: each (t, values of the lexicographic t-subsets)
+    written through the ranked ``_write``."""
+    out = moments.MinorList(n)
+    for t, values in orders:
+        out._write(kernel.index_combinations(n, t) + 1, values)
+    return out
+
+
+@pytest.mark.parametrize("n, max_order", [(10, "all"), (16, 4), (32, 4)])
+def test_exact_minors_json_equals_the_ranked_write(n, max_order):
+    k = kernel.generate_admissible(n, 0.3, 7)
+    top = n if max_order == "all" else max_order
+    ref = _written_by_rank(n, [(t, kernel.principal_minors(k.mat, kernel.index_combinations(n, t) + 1))
+                               for t in range(1, top + 1)])
+    assert moments.minors_to_json(moments.exact_minors(k, max_order)) == moments.minors_to_json(ref)
+
+
 def test_exact_minors_match_scalar_determinants():
     k = kernel.generate_admissible(6, 0.3, 31)
     minors = moments.exact_minors(k, "all")
@@ -235,6 +268,37 @@ def test_minors_json_fills_orders_in_bulk():
         moments.minors_from_json('{"n": 2, "minors": {"1,2": 0.5, "2,3": 0.5}}')
     ml = moments.minors_from_json('{"n": 3, "minors": {"1,2": 0.1, "3": 0.3, "2,3": 0.2}}')
     assert ml.items() == [((1, 2), 0.1), ((3,), 0.3), ((2, 3), 0.2)]
+
+
+def test_minors_json_rejects_an_index_beyond_int64():
+    with pytest.raises(FormatError, match=r"index 99999999999999999999 out of range 1\.\.2"):
+        moments.minors_from_json('{"n": 2, "minors": {"99999999999999999999": 0.5}}')
+
+
+def test_a_huge_ground_set_is_refused_before_any_subset_is_ranked(monkeypatch):
+    # ranking first builds a binomial table with a row per item
+    def no_ranking(*args):
+        raise AssertionError("ranked a subset of an order that does not fit")
+
+    monkeypatch.setattr(moments, "colex_rank", no_ranking)
+    for entries in ('{"1,2": 0.5}', '{}'):
+        with pytest.raises(CapabilityError, match="order 1 of N=100000000000000000000"):
+            moments.minors_from_json('{"n": 100000000000000000000, "minors": %s}' % entries)
+    ml = moments.MinorList(10 ** 6)                     # its singletons fit, its pairs do not
+    with pytest.raises(CapabilityError, match="order 2 of N=1000000"):
+        ml.put((1, 2), 0.5)
+    with pytest.raises(MissingMinorError):
+        ml.get_many([[1, 2]])
+    assert (1, 2) not in ml and (1, 2) not in ml.queried and len(ml) == 0
+
+
+def test_exact_minors_refuse_an_oversized_order_before_building_its_table(monkeypatch):
+    built = []
+    monkeypatch.setattr(moments, "ORDER_LIMIT", 200)
+    monkeypatch.setattr(moments, "colex_table", lambda n, t: built.append(t) or kernel.colex_table(n, t))
+    with pytest.raises(CapabilityError, match="order 3 of N=20"):
+        moments.exact_minors(kernel.generate_admissible(20, 0.3, 1), 4)
+    assert set(built) == {1, 2}
 
 
 def test_minors_json_rejects_two_keys_for_one_subset():
@@ -354,6 +418,14 @@ def test_estimated_minors_equal_direct_counts(n, max_order):
     masks = gen.integers(0, 1 << n, 300, dtype=np.uint64)
     masks[::7] = masks[0]          # repeated masks carry weights above one
     assert_counts_match(sampler.SampleBatch(n, masks=masks), max_order)
+
+
+@pytest.mark.parametrize("n", [3, 8, 16])
+def test_estimated_minors_json_equals_the_ranked_write(n):
+    batch = sampler.sample_sequential_batch(kernel.generate_admissible(n, 0.3, 1), 2000, 1)
+    ref = _written_by_rank(n, [(t, direct_frequencies(batch.masks(), n, t)) for t in range(1, min(4, n) + 1)])
+    est = moments.estimate_required_minors(batch, 4)
+    assert moments.minors_to_json(est) == moments.minors_to_json(ref)
 
 
 def test_estimated_minors_at_64_items_count_the_top_bit():
