@@ -20,6 +20,7 @@ algorithm reads.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections.abc import Set
@@ -388,6 +389,13 @@ def minors_to_json(minors: MinorList) -> str:
 
 
 def minors_from_json(text: str) -> MinorList:
+    """The MinorList of a minors JSON text, read as whole arrays: the key
+    tokens by an int map over keys joined by "," (``_key_tokens``), the key
+    sizes from their commas, one float map over the values, and each
+    order's rows written by one ``MinorList._write``, orders in order of
+    first appearance.  Only when a key or a value does not parse are the
+    entries scanned in file order, for the first bad one
+    (``_first_bad_entry``)."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -399,30 +407,60 @@ def minors_from_json(text: str) -> MinorList:
         raise FormatError(f"minors JSON: n must be a positive integer, got {n!r}")
     if not isinstance(entries, dict):
         raise FormatError("minors JSON: minors must be an object")
-    by_order: dict[int, tuple[list, list]] = {}
-    for key, value in entries.items():
-        try:
-            subset = [int(tok) for tok in key.split(",")]
-        except ValueError as exc:
-            raise FormatError(f"minors JSON: bad subset key {key!r}") from exc
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise FormatError(f"minors JSON: value for {key!r} is not a number")
-        rows, values = by_order.setdefault(len(subset), ([], []))
-        rows.append(subset)
-        try:
-            values.append(float(value))
-        except OverflowError as exc:
-            raise FormatError(f"minors JSON: value for {key!r} is beyond the float range") from exc
+    keys, values = list(entries), list(entries.values())
+    try:
+        flat = _key_tokens(keys)
+        if not set(map(type, values)) <= {int, float}:     # bool is not int here
+            raise TypeError("a value is not a number")
+        values = np.array(list(map(float, values)), dtype=float)
+    except (ValueError, TypeError, OverflowError):
+        _first_bad_entry(entries)
+        raise
+    sizes = np.fromiter(map(str.count, keys, itertools.repeat(",")), dtype=np.intp,
+                        count=len(keys)) + 1
+    starts = np.cumsum(sizes) - sizes
+    orders = [np.flatnonzero(sizes == t) for t in np.flatnonzero(np.bincount(sizes))]
     out = MinorList(n)
     try:
-        for rows, values in by_order.values():
-            out._write(rows, values)
+        for rows in sorted(orders, key=lambda rows: rows[0]):
+            out._write(flat[starts[rows, None] + np.arange(sizes[rows[0]])], values[rows])
     except DimensionError as exc:
         raise FormatError(f"minors JSON: {exc}") from exc
     if len(out) != len(entries):
         raise FormatError(f"minors JSON: {len(entries) - len(out)} of {len(entries)} keys "
                           "repeat a subset that an earlier key names")
     return out
+
+
+def _key_tokens(keys: list) -> np.ndarray:
+    """The integers of the keys' comma-separated tokens, in file order: one
+    int map over every DET_CHUNK keys joined by ",", so that the tokens are
+    never all held as strings at once.  The dtype is object when one is
+    beyond int64 (``MinorList._write`` names it)."""
+    parts = [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, len(keys), DET_CHUNK):
+        tokens = list(map(int, ",".join(keys[lo:lo + DET_CHUNK]).split(",")))
+        try:
+            parts.append(np.array(tokens, dtype=np.int64))
+        except OverflowError:
+            parts.append(np.array(tokens, dtype=object))
+    return np.concatenate(parts)
+
+
+def _first_bad_entry(entries: dict) -> None:
+    """Raise FormatError for the first entry, in file order, whose key is
+    not comma-separated integers or whose value is not a float-range number."""
+    for key, value in entries.items():
+        try:
+            [int(tok) for tok in key.split(",")]
+        except ValueError as exc:
+            raise FormatError(f"minors JSON: bad subset key {key!r}") from exc
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise FormatError(f"minors JSON: value for {key!r} is not a number")
+        try:
+            float(value)
+        except OverflowError as exc:
+            raise FormatError(f"minors JSON: value for {key!r} is beyond the float range") from exc
 
 
 def write_minors(path: str, minors: MinorList) -> None:

@@ -60,8 +60,9 @@ def uniforms(seed: int, indices, d: int) -> np.ndarray:
     Evaluates Philox4x64-10 on counter blocks 1..ceil(d/4) under the key
     (seed, index) of every row, and maps each word x to (x >> 11) * 2^-53,
     as numpy's Generator.random does.  Rounds 0 and 1 are folded, so only
-    round 1's M1 product runs over rows.  Rows go through in chunks of
-    about _CHUNK_WORDS counter words, in preallocated buffers.
+    round 1's M1 product runs over rows; for d <= 2 round 9's M0 product,
+    which makes only words 2 and 3, is skipped.  Rows go through in chunks
+    of about _CHUNK_WORDS counter words, in preallocated buffers.
     """
     seed = _check_int(seed, "seed")
     idx = np.asarray(indices)
@@ -90,13 +91,13 @@ def uniforms(seed: int, indices, d: int) -> np.ndarray:
         np.bitwise_xor(np.add(ix, np.uint64(_W1), out=k1), block_lo, out=c2)
         c3.fill(seed_lo)
         for r in range(2, 10):
-            np.add(ix, np.uint64(r * _W1 & _MASK64), out=k1)
-            _mulhilo(_M0, c0, h0, l0, t0, t1, t2)
             _mulhilo(_M1, c2, h1, l1, t0, t1, t2)
             h1 ^= c1
             h1 ^= np.uint64(seed + r * _W0 & _MASK64)
-            h0 ^= c3
-            h0 ^= k1
+            if r < 9 or d > 2:    # round 9's M0 product makes words 2 and 3 only
+                _mulhilo(_M0, c0, h0, l0, t0, t1, t2)
+                h0 ^= c3
+                h0 ^= np.add(ix, np.uint64(r * _W1 & _MASK64), out=k1)
             # The new state is (h1, l1, h0, l0); the old one's buffers take the next products.
             c0, c1, c2, c3, h0, l0, h1, l1 = h1, l1, h0, l0, c0, c1, c2, c3
         w = words[:hi - lo]

@@ -4,11 +4,13 @@ Two exact schemes: inverse-CDF over the fully enumerated point masses
 (N <= 16), and a sequential conditional walk over items 1..N that
 updates a residual kernel after every decision (the LU-style sampler of
 Poulson 2019).  The walk runs a block of samples at once and keeps one
-residual per distinct decision prefix, not per sample; a block holds
-_WALK_CELLS // N**2 samples, so its residuals stay within _WALK_CELLS
-entries whatever the prefixes.  Sample index i always
-draws from rng.stream(seed, i), so batches are reproducible and
-order-independent.  A batch holds one uint64 mask per sample: N <= 64.
+residual per distinct decision prefix, not per sample.  After t + 1
+decisions a block of R samples holds at most min(R, 2^(t+1)) residuals,
+so a block holds the most samples for which that residual stack and the
+block's draws each fit in _WALK_CELLS entries: 65,536 at N = 16, 346 at
+N = 64.  Sample index i always draws from rng.stream(seed, i), so
+batches are reproducible and order-independent.  A batch holds one
+uint64 mask per sample: N <= 64.
 """
 
 from __future__ import annotations
@@ -119,6 +121,20 @@ def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # sequential conditional sampler
 
+def _walk_rows(n: int) -> int:
+    """Rows per block of the sequential walk over n items: the most for
+    which the block's draws, rows x n, and its largest residual stack each
+    fit in _WALK_CELLS entries.  After t + 1 decisions a block holds at
+    most min(rows, 2^(t+1)) residuals of (n - 1 - t)^2 entries; where
+    2^(t+1) of them would not fit, the rows are capped instead."""
+    rows = _WALK_CELLS // max(1, n)
+    for t in range(n - 1):
+        side = (n - 1 - t) ** 2
+        if side << (t + 1) > _WALK_CELLS:
+            rows = min(rows, _WALK_CELLS // side)
+    return max(1, rows)
+
+
 def _sequential_walk(k: SignedKernel, count: int, draws):
     """Visit items 1..N in order for ``count`` samples, a block at a time.
 
@@ -130,19 +146,21 @@ def _sequential_walk(k: SignedKernel, count: int, draws):
     residual: each row carries the id of its decision prefix, the children
     of prefix g are numbered 2g + take and compacted in that order, and
     each child is updated once from its parent, in the one-sample
-    operation order.  A block holds _WALK_CELLS // N**2 rows, so its
-    residuals never exceed _WALK_CELLS entries.  Returns (taken items as a
-    (count, N) bool array, per-step probability of the decision taken).
-    A zero-probability decision ends that row's walk; its later steps
-    report probability 1.
+    operation order.  A block holds _walk_rows(N) rows, so its draws and
+    its residuals each stay within _WALK_CELLS entries.  The draws, the
+    taken items and the probabilities are stored item-major, so every step
+    reads and writes contiguous rows.  Returns (taken items as a (count, N)
+    bool array, per-step probability of the decision taken), as views of
+    those arrays.  A zero-probability decision ends that row's walk; its
+    later steps report probability 1.
     """
     n = k.n
-    taken = np.zeros((count, n), dtype=bool)
-    factors = np.ones((count, n))
-    block = max(1, _WALK_CELLS // (n * n))
+    taken = np.zeros((n, count), dtype=bool)
+    factors = np.ones((n, count))
+    block = _walk_rows(n)
     for lo in range(0, count, block):
         hi = min(count, lo + block)
-        u = draws(lo, hi)
+        u = np.ascontiguousarray(draws(lo, hi).T)
         resid = k.mat[None]                       # one residual per prefix
         prefix = np.zeros(hi - lo, dtype=np.intp)  # each row's prefix id
         alive = np.ones(hi - lo, dtype=bool)
@@ -155,10 +173,10 @@ def _sequential_walk(k: SignedKernel, count: int, draws):
                 raise SamplingError(f"conditional inclusion probability {float(raw[first])!r} "
                                     "outside [0, 1]: kernel is not admissible")
             p = np.where(raw < 0.0, 0.0, np.minimum(raw, 1.0))[prefix]
-            take = u[:, t] < p
-            factors[lo:hi, t] = np.where(alive, np.where(take, p, 1.0 - p), 1.0)
-            alive &= factors[lo:hi, t] != 0.0
-            taken[lo:hi, t] = take & alive
+            take = u[t] < p
+            factors[t, lo:hi] = np.where(alive, np.where(take, p, 1.0 - p), 1.0)
+            alive &= factors[t, lo:hi] != 0.0
+            taken[t, lo:hi] = take & alive
             if t == n - 1 or not alive.any():
                 break
             # Dead rows keep a valid but meaningless id; alive masks them.
@@ -178,7 +196,7 @@ def _sequential_walk(k: SignedKernel, count: int, draws):
             update = resid[parent, 1:, :1] * resid[parent, :1, 1:] / denom[:, None, None]
             update *= np.where(took, -1.0, 1.0)[:, None, None]   # R - U is R + (-U)
             resid = np.add(update, resid[parent, 1:, 1:], out=update)
-    return taken, factors
+    return taken.T, factors.T
 
 
 def sample_sequential(k: SignedKernel, seed: int, index: int = 0) -> tuple[int, ...]:

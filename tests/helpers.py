@@ -1,10 +1,12 @@
 """Shared fixture builders for the test suite."""
 
 import itertools
+import json
 
 import numpy as np
 
 from signed_dpp import gf2, kernel, moments, pma, rng
+from signed_dpp.errors import DimensionError, FormatError
 
 
 def mask_groups(rows, n_vars):
@@ -308,3 +310,45 @@ def pma_equivalent_structural(h, k):
         return False
     return all(_close(cyclic_sum(h, vs), cyclic_sum(k, vs))
                for m in range(3, k.n + 1) for vs in itertools.combinations(range(1, k.n + 1), m))
+
+
+def per_key_minors_from_json(text):
+    """The per-key minors reader that ``moments.minors_from_json`` replaced:
+    every key is split and parsed on its own, in file order, and its row
+    and value are appended to its order's lists.  Kept as the reference for
+    what the array reader accepts and how it reports a defect."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid minors JSON: {exc}") from exc
+    if not isinstance(obj, dict) or "n" not in obj or "minors" not in obj:
+        raise FormatError('minors JSON must be {"n": ..., "minors": ...}')
+    n, entries = obj["n"], obj["minors"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise FormatError(f"minors JSON: n must be a positive integer, got {n!r}")
+    if not isinstance(entries, dict):
+        raise FormatError("minors JSON: minors must be an object")
+    by_order = {}
+    for key, value in entries.items():
+        try:
+            subset = [int(tok) for tok in key.split(",")]
+        except ValueError as exc:
+            raise FormatError(f"minors JSON: bad subset key {key!r}") from exc
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise FormatError(f"minors JSON: value for {key!r} is not a number")
+        rows, values = by_order.setdefault(len(subset), ([], []))
+        rows.append(subset)
+        try:
+            values.append(float(value))
+        except OverflowError as exc:
+            raise FormatError(f"minors JSON: value for {key!r} is beyond the float range") from exc
+    out = moments.MinorList(n)
+    try:
+        for rows, values in by_order.values():
+            out._write(rows, values)
+    except DimensionError as exc:
+        raise FormatError(f"minors JSON: {exc}") from exc
+    if len(out) != len(entries):
+        raise FormatError(f"minors JSON: {len(entries) - len(out)} of {len(entries)} keys "
+                          "repeat a subset that an earlier key names")
+    return out

@@ -107,6 +107,17 @@ def test_sample_methods_agree_with_library(tmp_path):
         assert sampler.read_samples(s_path, 5) == reference
 
 
+def test_sample_an_empty_kernel_by_either_method(tmp_path):
+    k_path = str(tmp_path / "k.json")
+    with open(k_path, "w") as fh:
+        fh.write('{"n": 0, "rows": []}')
+    for method in ("exact", "sequential"):
+        s_path = str(tmp_path / f"{method}.txt")
+        assert main(["sample", "--kernel", k_path, "--count", "3", "--seed", "1",
+                     "--method", method, "--out", s_path]) == 0
+        assert open(s_path).read() == "-\n" * 3
+
+
 def test_sample_inadmissible_kernel_exits_two(tmp_path, capsys):
     k_path = str(tmp_path / "k.json")
     s_path = str(tmp_path / "s.txt")

@@ -5,7 +5,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import per_key_minors_from_json
 from signed_dpp import kernel, moments, sampler
 from signed_dpp.errors import (
     CapabilityError,
@@ -273,6 +276,76 @@ def test_minors_json_fills_orders_in_bulk():
 def test_minors_json_rejects_an_index_beyond_int64():
     with pytest.raises(FormatError, match=r"index 99999999999999999999 out of range 1\.\.2"):
         moments.minors_from_json('{"n": 2, "minors": {"99999999999999999999": 0.5}}')
+
+
+def read_outcome(read, text):
+    """The minors_to_json bytes of what a reader returns, or its exception's type and text."""
+    try:
+        return moments.minors_to_json(read(text))
+    except Exception as exc:      # the two readers must fail alike
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n, source", [(8, "minors"), (8, "estimate"), (16, "minors"),
+                                       (16, "estimate"), (24, "minors"), (24, "estimate")])
+def test_minors_json_reads_back_byte_for_byte(n, source):
+    k = kernel.generate_admissible(n, 0.3, n)
+    minors = (moments.exact_minors(k, 4) if source == "minors" else
+              moments.estimate_required_minors(sampler.sample_sequential_batch(k, 500, n), 4))
+    text = moments.minors_to_json(minors)
+    assert read_outcome(moments.minors_from_json, text) == text
+    assert read_outcome(per_key_minors_from_json, text) == text
+
+
+def test_minors_json_defects_past_the_first_key_chunk_are_named_in_file_order():
+    # 12,950 keys: the int map runs over four chunks of keys
+    text = moments.minors_to_json(moments.exact_minors(kernel.generate_admissible(24, 0.3, 1), 4))
+    keys = list(json.loads(text)["minors"])
+    assert len(keys) > 3 * moments.DET_CHUNK
+    early, late = keys[5], keys[3 * moments.DET_CHUNK + 7]
+    for defect in ("99999999999999999999", " 1", "x", "25", "1"):
+        spoiled = text.replace(f'"{late}":', f'"{late},{defect}":')
+        assert read_outcome(moments.minors_from_json, spoiled) == read_outcome(
+            per_key_minors_from_json, spoiled)
+        spoiled = spoiled.replace(f'"{early}": ', f'"{early}": true, "{early}x": ')
+        assert read_outcome(moments.minors_from_json, spoiled) == read_outcome(
+            per_key_minors_from_json, spoiled)
+
+
+KEY_TOKENS = [" 1", "1 ", "+1", "01", "", "x", "1_0", "-1", "0", "٣", "1.0",
+              "99999999999999999999", "-99999999999999999999", "4300" * 1200]
+VALUES = ["true", "false", '"0.5"', "null", "1" + "0" * 400, "-" + "9" * 330, "7", "-0.0",
+          "NaN", "Infinity", "1e400", "[0.5]", "{}"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_minors_json_reader_agrees_with_the_per_key_reader(data):
+    n = data.draw(st.sampled_from([1, 2, 5, 9]))
+    subsets = st.sets(st.integers(1, n), min_size=1, max_size=min(4, n)).map(lambda s: tuple(sorted(s)))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    minors = moments.MinorList(n, data.draw(st.dictionaries(subsets, finite, max_size=8)))
+    entries = [[key, json.dumps(value)]
+               for key, value in json.loads(moments.minors_to_json(minors))["minors"].items()]
+    for _ in range(data.draw(st.integers(0, 4))):        # several defects in one file
+        kind = data.draw(st.sampled_from(["token", "value", "repeat", "insert", "n"]))
+        at = data.draw(st.integers(0, max(0, len(entries) - 1)))
+        if kind == "insert" or not entries:
+            key = ",".join(map(str, data.draw(st.lists(st.integers(-1, n + 1), min_size=1, max_size=5))))
+            entries.insert(at, [key, data.draw(st.sampled_from(VALUES + ["0.25"]))])
+        elif kind == "token":
+            tokens = entries[at][0].split(",")
+            tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(st.sampled_from(KEY_TOKENS))
+            entries[at][0] = ",".join(tokens)
+        elif kind == "value":
+            entries[at][1] = data.draw(st.sampled_from(VALUES))
+        elif kind == "repeat":            # the same subset again, its tokens permuted, or the same key
+            tokens = data.draw(st.permutations(entries[at][0].split(",")))
+            entries.insert(data.draw(st.integers(0, len(entries))), [",".join(tokens), "0.125"])
+        else:
+            n = data.draw(st.sampled_from([1, 3, n + 1]))
+    text = '{"n": %d, "minors": {%s}}' % (n, ", ".join(f"{json.dumps(k)}: {v}" for k, v in entries))
+    assert read_outcome(moments.minors_from_json, text) == read_outcome(per_key_minors_from_json, text)
 
 
 def test_a_huge_ground_set_is_refused_before_any_subset_is_ranked(monkeypatch):

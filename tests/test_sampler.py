@@ -163,6 +163,27 @@ def test_sample_counts_must_be_nonnegative_integers():
         assert sample(k, np.int64(3), 1) == sample(k, 3, 1)
 
 
+def test_uniforms_of_up_to_five_draws_match_streams_byte_for_byte():
+    indices = [0, 1, 2, 1000, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1]
+    for seed in (0, 5, 2 ** 64 - 1, -1):
+        for d in range(1, 6):
+            want = np.array([rng.stream(seed, i).random(d) for i in indices + [-1, -2, -(2 ** 63)]])
+            got = np.concatenate([rng.uniforms(seed, np.array(indices, dtype=np.uint64), d),
+                                  rng.uniforms(seed, np.array([-1, -2, -(2 ** 63)]), d)])
+            assert got.tobytes() == want.tobytes()
+
+
+def test_uniforms_of_one_or_two_draws_skip_the_last_m0_product(monkeypatch):
+    calls = []
+    mulhilo = rng._mulhilo
+    monkeypatch.setattr(rng, "_mulhilo", lambda m, *args: calls.append(m) or mulhilo(m, *args))
+    for d, m0 in ((1, 7), (2, 7), (3, 8), (4, 8), (5, 8)):
+        calls.clear()
+        rng.uniforms(9, np.arange(5), d)
+        # round 1's M1 product, then rounds 2..9 of M1 and M0
+        assert calls.count(rng._M1) == 9 and calls.count(rng._M0) == m0
+
+
 def test_uniforms_take_integer_indices_only():
     for bad in ([1.7, 2.2], np.array([1.0]), np.array([True]), np.array([1], dtype=object)):
         with pytest.raises(TypeError, match="stream indices must be integers"):
@@ -181,19 +202,101 @@ def test_sequential_batch_past_the_enumeration_cap_equals_its_singles(n):
     assert batch.samples == tuple(one_sample_walk(k, 5, i) for i in range(300))
 
 
-@pytest.mark.parametrize("n, count", [(7, 50), (16, 23)])
+def blocked_walk(monkeypatch, k, count, rows=None):
+    """(taken bytes, factors bytes, sample_sequential_batch) of ``count``
+    draws of stream seed 3, and the block sizes the walk asked draws for;
+    blocks of ``rows`` rows when given, else of the walk's own size."""
+    if rows is not None:
+        monkeypatch.setattr(sampler, "_walk_rows", lambda n: rows)
+    blocks = []
+
+    def draws(lo, hi):
+        blocks.append(hi - lo)
+        return rng.uniforms(3, np.arange(lo, hi), k.n)
+
+    taken, factors = sampler._sequential_walk(k, count, draws)
+    return (taken.tobytes(), factors.tobytes(), sampler.sample_sequential_batch(k, count, 3)), blocks
+
+
+@pytest.mark.parametrize("n, count", [(7, 50), (16, 23), (33, 30), (64, 16)])
 def test_walk_output_does_not_depend_on_the_block_size(monkeypatch, n, count):
     k = kernel.generate_admissible(n, 0.3, 60 + n)
-
-    def walk():
-        taken, factors = sampler._sequential_walk(
-            k, count, lambda lo, hi: rng.uniforms(3, np.arange(lo, hi), n))
-        return taken.tobytes(), factors.tobytes(), sampler.sample_sequential_batch(k, count, 3)
-
-    whole = walk()
+    whole, blocks = blocked_walk(monkeypatch, k, count, count)
+    assert blocks == [count]
     for rows in (1, 3, 7):
-        monkeypatch.setattr(sampler, "_WALK_CELLS", rows * n * n)
-        assert walk() == whole
+        out, blocks = blocked_walk(monkeypatch, k, count, rows)
+        assert blocks == [rows] * (count // rows) + [count % rows] * (count % rows > 0)
+        assert out == whole
+
+
+@pytest.mark.parametrize("n", [33, 64])
+def test_walk_blocks_of_its_own_size_match_one_block(monkeypatch, n):
+    k = kernel.generate_admissible(n, 0.3, n)
+    rows = sampler._walk_rows(n)
+    own, blocks = blocked_walk(monkeypatch, k, 2 * rows + 5)
+    assert blocks == [rows, rows, 5]
+    assert own == blocked_walk(monkeypatch, k, 2 * rows + 5, 2 * rows + 5)[0]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 16, 24, 32, 33, 48, 63, 64, 65, 1024, 1025, 2000])
+def test_walk_rows_are_the_most_whose_draws_and_residuals_fit(n):
+    cells = sampler._WALK_CELLS
+
+    def fits(rows):
+        stack = max([min(rows, 2 ** (t + 1)) * (n - 1 - t) ** 2 for t in range(n - 1)], default=0)
+        return rows * n <= cells and stack <= cells
+
+    rows = sampler._walk_rows(n)
+    if n < 2:
+        assert rows == cells               # nothing to bound but the cap
+    elif n > 1025:
+        assert rows == 1 and not fits(1)   # one row's first residual is already larger
+    else:
+        assert fits(rows) and not fits(rows + 1)
+    assert {16: 65_536, 32: 2_621, 48: 726, 64: 346}.get(n, rows) == rows
+
+
+class _RecordingNumpy:
+    """numpy, but np.add records the size of what it returns: the walk's
+    residual stack after every update."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def add(self, *args, **kwargs):
+        out = np.add(*args, **kwargs)
+        self.sizes.append(out.size)
+        return out
+
+
+@pytest.mark.parametrize("n, cells", [(16, 3000), (16, 20_000), (24, 40_000), (33, 60_000)])
+def test_walk_blocks_hold_their_draws_and_residuals_within_the_cells(monkeypatch, n, cells):
+    # A diagonal kernel of 1/2: every step splits each prefix's rows in
+    # two, so the residuals double until they meet the block's rows.
+    monkeypatch.setattr(sampler, "_WALK_CELLS", cells)
+    recording = _RecordingNumpy()
+    monkeypatch.setattr(sampler, "np", recording)
+    k = kernel.SignedKernel(np.diag([0.5] * n))
+    rows, draws = sampler._walk_rows(n), []
+    sampler._sequential_walk(k, 3 * rows, lambda lo, hi: draws.append((hi - lo) * n)
+                             or rng.uniforms(5, np.arange(lo, hi), n))
+    assert len(draws) == 3 and max(draws) <= cells
+    assert len(recording.sizes) == 3 * (n - 1) and max(recording.sizes) <= cells
+    # the rows are the most that fit, so the fullest stack comes close to the cells
+    assert max(recording.sizes) > cells // 2
+
+
+def test_sequential_sampler_of_an_empty_kernel_draws_empty_samples():
+    k = kernel.SignedKernel(np.zeros((0, 0)))
+    for count in (0, 1, 5):
+        batch = sampler.sample_sequential_batch(k, count, 1)
+        assert batch == sampler.sample_enumerate(k, count, 1) == sampler.SampleBatch(0, [()] * count)
+        assert sampler.format_samples(batch) == "-\n" * count
+    assert sampler.sample_sequential(k, 1, 3) == ()
+    assert sampler.sequential_path_probabilities(k, ()).shape == (0,)
 
 
 def test_walk_rows_sharing_a_prefix_match_their_paths():
