@@ -219,16 +219,11 @@ class MinorList:
         return self._rows(1)
 
     def _colex(self) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
-        """The orders as ``arrays()`` lists them, the colex order of their
-        concatenated rows (by their reversed, zero-padded rows), and the values in it."""
+        """The orders as ``arrays()`` lists them, the ``_colex_order`` of
+        their concatenated rows, and the values in it."""
         parts = list(self.arrays())
-        if not parts:
-            return parts, np.empty(0, dtype=np.intp), np.empty(0)
-        width = max(idx.shape[1] for idx, _ in parts)
-        flipped = np.concatenate([np.pad(idx[:, ::-1], ((0, 0), (0, width - idx.shape[1])))
-                                  for idx, _ in parts])
-        order = np.lexsort(flipped.T[::-1])
-        return parts, order, np.concatenate([v for _, v in parts])[order]
+        order = _colex_order([idx for idx, _ in parts])
+        return parts, order, np.concatenate([np.empty(0)] + [v for _, v in parts])[order]
 
     def subsets(self) -> list[tuple[int, ...]]:
         """Present subsets in colexicographic order."""
@@ -239,6 +234,33 @@ class MinorList:
         parts, order, values = self._colex()
         keys = [tuple(row) for idx, _ in parts for row in idx.tolist()]
         return [(keys[t], v) for t, v in zip(order.tolist(), values.tolist())]
+
+
+def _colex_order(tables: list[np.ndarray]) -> np.ndarray:
+    """The colex order of the concatenated rows of (m, t) arrays of
+    1-based subsets: by their reversed, zero-padded rows."""
+    if not tables:
+        return np.empty(0, dtype=np.intp)
+    width = max(idx.shape[1] for idx in tables)
+    flipped = np.concatenate([np.pad(idx[:, ::-1], ((0, 0), (0, width - idx.shape[1])))
+                              for idx in tables])
+    return np.lexsort(flipped.T[::-1])
+
+
+def _json_keys(n: int, tables: list[np.ndarray]) -> np.ndarray:
+    """The minors JSON keys "i,j,..." of the concatenated rows of (m, t)
+    arrays of 1-based subsets of {1..n}, as an object array, joined by
+    columns from tables of "i" and ",i".  minors_to_json writes them, and
+    minors_from_json recognizes whole orders by them."""
+    head = np.array([str(i) for i in range(n + 1)], dtype=object)
+    tail = np.array([f",{i}" for i in range(n + 1)], dtype=object)
+    keys = [np.empty(0, dtype=object)]
+    for idx in tables:
+        key = head[idx[:, 0]]
+        for c in range(1, idx.shape[1]):
+            key += tail[idx[:, c]]
+        keys.append(key)
+    return np.concatenate(keys)
 
 
 class QueriedSubsets(Set):
@@ -374,28 +396,26 @@ def exact_minors(k: SignedKernel, max_order: int | str = "all") -> MinorList:
 # JSON round trip ({"n": N, "minors": {"1,2": value, ...}})
 
 def minors_to_json(minors: MinorList) -> str:
-    """json.dumps of {"n": n, "minors": {"i,j,...": value}} in colex order, with
-    keys joined by columns from tables of '"i' and ',i' and json's float.__repr__."""
+    """json.dumps of {"n": n, "minors": {"i,j,...": value}} in colex order,
+    from the ``_json_keys`` of the orders and json's float.__repr__; each
+    key's opening quote is the end of the separator before it."""
     parts, order, values = minors._colex()
-    head, tail = (np.array([f"{c}{i}" for i in range(minors.n + 1)], dtype=object) for c in '",')
-    keys = [np.empty(0, dtype=object)]
-    for idx, _ in parts:
-        key = head[idx[:, 0]]
-        for c in range(1, idx.shape[1]):
-            key += tail[idx[:, c]]
-        keys.append(key + '": ')
-    pairs = map(str.__add__, np.concatenate(keys)[order].tolist(), map(float.__repr__, values.tolist()))
-    return f'{{"n": {minors.n}, "minors": {{{", ".join(pairs)}}}}}'
+    keys = (_json_keys(minors.n, [idx for idx, _ in parts]) + '": ')[order]
+    pairs = ', "'.join(map(str.__add__, keys.tolist(), map(float.__repr__, values.tolist())))
+    return f'{{"n": {minors.n}, "minors": {{"{pairs}}}}}' if pairs else f'{{"n": {minors.n}, "minors": {{}}}}'
 
 
 def minors_from_json(text: str) -> MinorList:
-    """The MinorList of a minors JSON text, read as whole arrays: the key
-    tokens by an int map over keys joined by "," (``_key_tokens``), the key
-    sizes from their commas, one float map over the values, and each
-    order's rows written by one ``MinorList._write``, orders in order of
-    first appearance.  Only when a key or a value does not parse are the
-    entries scanned in file order, for the first bad one
-    (``_first_bad_entry``)."""
+    """The MinorList of a minors JSON text, read as whole arrays.
+
+    The values go through one float map.  When the keys are those that
+    minors_to_json writes for the whole orders 1..T (``_whole_orders``),
+    each order is filled in rank order, and no key is tokenized or ranked.
+    Otherwise the key tokens come from an int map over keys joined by ","
+    (``_key_tokens``), the key sizes from their commas, and each order's
+    rows are written by one ``MinorList._write``, orders in order of first
+    appearance.  Only when a key or a value does not parse are the entries
+    scanned in file order, for the first bad one (``_first_bad_entry``)."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -408,20 +428,28 @@ def minors_from_json(text: str) -> MinorList:
     if not isinstance(entries, dict):
         raise FormatError("minors JSON: minors must be an object")
     keys, values = list(entries), list(entries.values())
+    whole = _whole_orders(n, keys)
     try:
-        flat = _key_tokens(keys)
         if not set(map(type, values)) <= {int, float}:     # bool is not int here
             raise TypeError("a value is not a number")
         values = np.array(list(map(float, values)), dtype=float)
+        flat = None if whole else _key_tokens(keys)
     except (ValueError, TypeError, OverflowError):
         _first_bad_entry(entries)
         raise
-    sizes = np.fromiter(map(str.count, keys, itertools.repeat(",")), dtype=np.intp,
-                        count=len(keys)) + 1
-    starts = np.cumsum(sizes) - sizes
-    orders = [np.flatnonzero(sizes == t) for t in np.flatnonzero(np.bincount(sizes))]
     out = MinorList(n)
     try:
+        if whole:
+            tables, order = whole
+            ranked = np.empty(len(values))
+            ranked[order] = values
+            for t, part in enumerate(np.split(ranked, np.cumsum([len(tb) for tb in tables])[:-1]), 1):
+                out._fill(t, part)
+            return out
+        sizes = np.fromiter(map(str.count, keys, itertools.repeat(",")), dtype=np.intp,
+                            count=len(keys)) + 1
+        starts = np.cumsum(sizes) - sizes
+        orders = [np.flatnonzero(sizes == t) for t in np.flatnonzero(np.bincount(sizes))]
         for rows in sorted(orders, key=lambda rows: rows[0]):
             out._write(flat[starts[rows, None] + np.arange(sizes[rows[0]])], values[rows])
     except DimensionError as exc:
@@ -430,6 +458,19 @@ def minors_from_json(text: str) -> MinorList:
         raise FormatError(f"minors JSON: {len(entries) - len(out)} of {len(entries)} keys "
                           "repeat a subset that an earlier key names")
     return out
+
+
+def _whole_orders(n: int, keys: list) -> tuple[list[np.ndarray], np.ndarray] | None:
+    """When ``keys`` are those that minors_to_json writes for the whole
+    orders 1..T of n items, T from the last key's commas: the
+    ``colex_table`` of each order and the ``_colex_order`` of their
+    concatenated rows, in which the keys list them.  Otherwise None."""
+    top = keys[-1].count(",") + 1 if keys else 0
+    if not 1 <= top <= n or len(keys) != sum(math.comb(n, t) for t in range(1, top + 1)):
+        return None
+    tables = [colex_table(n, t) for t in range(1, top + 1)]
+    order = _colex_order(tables)
+    return (tables, order) if _json_keys(n, tables)[order].tolist() == keys else None
 
 
 def _key_tokens(keys: list) -> np.ndarray:

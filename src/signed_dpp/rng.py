@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import SamplingError
+
 _MASK64 = (1 << 64) - 1
 _LO32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 # Philox4x64 round multipliers and Weyl key increments (Random123).
@@ -25,6 +27,16 @@ def _check_int(value, what: str) -> int:
     if not isinstance(value, (int, np.integer)):
         raise TypeError(f"{what} must be an integer, got {type(value).__name__}")
     return int(value) & _MASK64
+
+
+def _check_count(value, what: str) -> int:
+    """A count as an int: TypeError unless it is an integer, SamplingError
+    when it is negative."""
+    if not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{what} must be an integer, got {type(value).__name__}")
+    if value < 0:
+        raise SamplingError(f"{what} must be nonnegative, got {value}")
+    return int(value)
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
@@ -61,19 +73,22 @@ def uniforms(seed: int, indices, d: int) -> np.ndarray:
     (seed, index) of every row, and maps each word x to (x >> 11) * 2^-53,
     as numpy's Generator.random does.  Rounds 0 and 1 are folded, so only
     round 1's M1 product runs over rows; for d <= 2 round 9's M0 product,
-    which makes only words 2 and 3, is skipped.  Rows go through in chunks
-    of about _CHUNK_WORDS counter words, in preallocated buffers.
+    which makes only words 2 and 3, is skipped.  The round key
+    index + r W1 is held for every block and stepped in place, so no xor
+    broadcasts a column over the blocks.  Rows go through in chunks of
+    about _CHUNK_WORDS counter words, in preallocated buffers.
     """
     seed = _check_int(seed, "seed")
+    d = _check_count(d, "draws per row")
     idx = np.asarray(indices)
     if idx.size and idx.dtype.kind not in "iu":
         raise TypeError(f"stream indices must be integers, got dtype {idx.dtype}")
     idx = idx.astype(np.uint64).reshape(-1, 1)
-    blocks = -(-int(d) // 4)
-    out = np.empty((len(idx), int(d)))
+    blocks = -(-d // 4)
+    out = np.empty((len(idx), d))
     rows = max(1, _CHUNK_WORDS // max(1, blocks))
     buf = np.empty((11, min(rows, len(idx)), blocks), dtype=np.uint64)
-    key = np.empty((min(rows, len(idx)), 1), dtype=np.uint64)
+    key = np.empty((min(rows, len(idx)), blocks), dtype=np.uint64)
     words = np.empty((min(rows, len(idx)), blocks, 4), dtype=np.uint64)
     # Round 0 leaves (seed, 0, hi(M0 b) ^ index, lo(M0 b)) for block b; round 1
     # leaves (hi(M1 c2) ^ k0, lo(M1 c2), hi(M0 seed) ^ lo(M0 b) ^ k1, lo(M0 seed)).
@@ -97,7 +112,7 @@ def uniforms(seed: int, indices, d: int) -> np.ndarray:
             if r < 9 or d > 2:    # round 9's M0 product makes words 2 and 3 only
                 _mulhilo(_M0, c0, h0, l0, t0, t1, t2)
                 h0 ^= c3
-                h0 ^= np.add(ix, np.uint64(r * _W1 & _MASK64), out=k1)
+                h0 ^= np.add(k1, np.uint64(_W1), out=k1)     # index + r W1, in every block
             # The new state is (h1, l1, h0, l0); the old one's buffers take the next products.
             c0, c1, c2, c3, h0, l0, h1, l1 = h1, l1, h0, l0, c0, c1, c2, c3
         w = words[:hi - lo]

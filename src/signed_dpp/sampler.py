@@ -87,15 +87,9 @@ def _per_distinct_mask(masks: np.ndarray, fn) -> list:
 # ---------------------------------------------------------------------------
 # enumeration sampler
 
-def _check_count(count) -> int:
-    if isinstance(count, (int, np.integer)) and count < 0:
-        raise SamplingError(f"sample count must be nonnegative, got {count}")
-    return rng._check_int(count, "sample count")
-
-
 def sample_enumerate(k: SignedKernel, count: int, seed: int) -> SampleBatch:
     """i.i.d. draws by inverse CDF over the enumerated distribution."""
-    count = _check_count(count)
+    count = rng._check_count(count, "sample count")
     table = enumerate_pmf(k)
     u = rng.uniforms(seed, np.arange(count), 1)[:, 0]
     masks = np.minimum(_inverse_cdf(np.cumsum(table), u), len(table) - 1)
@@ -143,16 +137,19 @@ def _sequential_walk(k: SignedKernel, count: int, draws):
     fix a path.  The residual kernel over the undecided items starts as K;
     including or excluding the next item is a rank-1 update of its
     trailing block.  Rows that made the same decisions so far share one
-    residual: each row carries the id of its decision prefix, the children
-    of prefix g are numbered 2g + take and compacted in that order, and
-    each child is updated once from its parent, in the one-sample
-    operation order.  A block holds _walk_rows(N) rows, so its draws and
-    its residuals each stay within _WALK_CELLS entries.  The draws, the
-    taken items and the probabilities are stored item-major, so every step
-    reads and writes contiguous rows.  Returns (taken items as a (count, N)
-    bool array, per-step probability of the decision taken), as views of
-    those arrays.  A zero-probability decision ends that row's walk; its
-    later steps report probability 1.
+    residual, and everything but the decision is held per prefix: each row
+    carries only the id of its decision prefix, the children of prefix g
+    are numbered 2g + take and compacted in that order, and each child is
+    updated once from its parent, in the one-sample operation order, with
+    the sign of the update folded into its denominator.  A zero-probability
+    decision ends its rows' walks: they move to the id len(residuals),
+    whose probability -inf takes nothing, and their later steps report
+    probability 1.  On draws in [0, 1) no row ends so.  A block holds
+    _walk_rows(N) rows, so its draws and its residuals each stay within
+    _WALK_CELLS entries.  The draws, the taken items and the probabilities
+    are stored item-major, so every step reads and writes contiguous rows.
+    Returns (taken items as a (count, N) bool array, per-step probability
+    of the decision taken), as views of those arrays.
     """
     n = k.n
     taken = np.zeros((n, count), dtype=bool)
@@ -161,41 +158,53 @@ def _sequential_walk(k: SignedKernel, count: int, draws):
     for lo in range(0, count, block):
         hi = min(count, lo + block)
         u = np.ascontiguousarray(draws(lo, hi).T)
-        resid = k.mat[None]                       # one residual per prefix
+        resid = k.mat[..., None]                  # one residual per live prefix, last axis
         prefix = np.zeros(hi - lo, dtype=np.intp)  # each row's prefix id
-        alive = np.ones(hi - lo, dtype=bool)
         for t in range(n):
-            # Every prefix has a live row, so a bad prefix is a bad row.
-            raw = resid[:, 0, 0]
+            # Every live prefix has a row, so a bad prefix is a bad row.
+            raw = resid[0, 0]
             bad = ~((raw >= -PMF_CLAMP) & (raw <= 1.0 + PMF_CLAMP))
             if bad.any():
-                first = prefix[np.argmax(alive & bad[prefix])]
+                first = prefix[np.argmax(np.append(bad, False)[prefix])]
                 raise SamplingError(f"conditional inclusion probability {float(raw[first])!r} "
                                     "outside [0, 1]: kernel is not admissible")
-            p = np.where(raw < 0.0, 0.0, np.minimum(raw, 1.0))[prefix]
-            take = u[t] < p
-            factors[t, lo:hi] = np.where(alive, np.where(take, p, 1.0 - p), 1.0)
-            alive &= factors[t, lo:hi] != 0.0
-            taken[t, lo:hi] = take & alive
-            if t == n - 1 or not alive.any():
-                break
-            # Dead rows keep a valid but meaningless id; alive masks them.
+            p = np.append(np.where(raw < 0.0, 0.0, np.minimum(raw, 1.0)), -np.inf)
+            take = np.less(u[t], p[prefix], out=taken[t, lo:hi])
             key = 2 * prefix + take
-            present = np.zeros(2 * len(resid), dtype=bool)
-            present[key[alive]] = True
-            prefix = (np.cumsum(present) - 1)[key]
+            # Child 2g + took of prefix g decides with probability p[g] or 1 - p[g];
+            # the rows of the dead id L leave, as child 2L, with probability 1.
+            factor = np.empty(2 * len(p))
+            factor[0::2], factor[1::2], factor[-2] = 1.0 - p, p, 1.0
+            np.take(factor, key, out=factors[t, lo:hi])
+            if (p == 0.0).any():     # a row that took a zero-probability item took nothing
+                take &= factors[t, lo:hi] != 0.0
+            if t == n - 1:
+                break
+            present = np.zeros(len(factor), dtype=bool)
+            present[key] = True
+            present &= factor != 0.0      # a zero-probability decision ends its rows' walks
+            present[-2] = False           # and ended walks stay ended
             child = np.flatnonzero(present)
-            parent, took = child >> 1, (child & 1) == 1
-            denom = np.where(took, raw[parent], 1.0 - raw[parent])
+            if not child.size:
+                break
+            ids = np.full(len(factor), len(child))
+            ids[child] = np.arange(len(child))
+            prefix = ids[key]
+            # Child 2g + took divides by 1 - raw[g] or -raw[g]: R - U/d is R + U/(-d).
+            denom = np.empty(2 * len(raw))
+            denom[0::2], denom[1::2] = 1.0 - raw, -raw
+            denom = denom[child]
             small = np.abs(denom) <= 1e-12
             if small.any():
-                first = prefix[np.argmax(alive & small[prefix])]
+                first = prefix[np.argmax(np.append(small, False)[prefix])]
                 raise SamplingError(
                     f"degenerate conditioning at item {t + 1}: decision probability "
-                    f"{float(denom[first])!r} is ~ 0 (round-off path)")
-            update = resid[parent, 1:, :1] * resid[parent, :1, 1:] / denom[:, None, None]
-            update *= np.where(took, -1.0, 1.0)[:, None, None]   # R - U is R + (-U)
-            resid = np.add(update, resid[parent, 1:, 1:], out=update)
+                    f"{float(-denom[first] if child[first] & 1 else denom[first])!r} "
+                    "is ~ 0 (round-off path)")
+            r = np.take(resid, child >> 1, axis=2)
+            update = r[1:, :1] * r[:1, 1:]
+            update /= denom
+            resid = np.add(update, r[1:, 1:], out=update)
     return taken.T, factors.T
 
 
@@ -207,7 +216,7 @@ def sample_sequential(k: SignedKernel, seed: int, index: int = 0) -> tuple[int, 
 
 def sample_sequential_batch(k: SignedKernel, count: int, seed: int) -> SampleBatch:
     """i.i.d. draws from the sequential scheme, one substream per index."""
-    count = _check_count(count)
+    count = rng._check_count(count, "sample count")
     _require_mask_width(k.n)
     taken, _ = _sequential_walk(
         k, count, lambda lo, hi: rng.uniforms(seed, np.arange(lo, hi), k.n))
@@ -232,16 +241,26 @@ def sequential_path_probabilities(k: SignedKernel, j: Iterable[int]) -> np.ndarr
 # single spaces; the empty set is "-"
 
 def format_samples(batch: SampleBatch) -> str:
-    """The samples text, built per distinct mask from a table of the
-    items (each followed by a space) of every value of each mask byte."""
+    """The samples text, built per distinct mask from two tables, per mask
+    byte k, of the items of each of its 256 values: one with a space before
+    every item, for when a lower byte is nonzero, and one without a space
+    before the first.  Each table doubles eight times, by array ops: the
+    values with bit b set are those without it, followed by item 8k + b + 1."""
     distinct, inverse = np.unique(batch.masks(), return_inverse=True)
     octets = distinct.astype("<u8").view(np.uint8).reshape(-1, 8)
     lines = np.full(len(distinct), "", dtype=object)
     for k in range(-(-batch.n_items // 8)):
-        table = ["".join(f"{8 * k + b + 1} " for b in range(8) if v >> b & 1) for v in range(256)]
-        lines = lines + np.array(table, dtype=object)[octets[:, k]]
-    text = np.array([line[:-1] + "\n" if line else "-\n" for line in lines.tolist()], dtype=object)
-    return "".join(text[inverse].tolist())
+        first, after = np.array([""], dtype=object), np.array([""], dtype=object)
+        for b in range(8):
+            item = np.full(len(first), f" {8 * k + b + 1}", dtype=object)
+            after = np.concatenate([after, after + item])
+            item[0] = item[0][1:]                     # no space before an only item
+            first = np.concatenate([first, first + item])
+        lower = (distinct & np.uint64((1 << 8 * k) - 1)) != 0
+        lines += np.concatenate([first, after])[octets[:, k] + 256 * lower]
+    if len(distinct) and distinct[0] == 0:
+        lines[0] = "-"
+    return "\n".join(lines[inverse].tolist()) + "\n" if len(inverse) else ""
 
 
 def parse_samples(text: str, n_items: int) -> SampleBatch:
@@ -259,38 +278,40 @@ def _parse_canonical(text: str, n_items: int) -> np.ndarray | None:
     Canonical: every line is "-" or increasing indices in 1..n_items with
     no leading zero, joined by single spaces; lines end in "\n", and the
     last one may lack it.  Such a text parses the same by _parse_lines.
+    The text is read after a "\n", so that every line follows one, and
+    every step runs over whole arrays of chars, indices or lines.
     """
     if not text.isascii() or not 0 <= n_items <= MASK_ITEMS:
         return None
+    if not text:
+        return np.zeros(0, dtype=np.uint64)
     if not text.endswith("\n"):
-        if not text:
-            return np.zeros(0, dtype=np.uint64)
         text += "\n"
-    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    b = np.frombuffer(("\n" + text).encode("ascii"), dtype=np.uint8)
     digit, newline, space, dash = b - np.uint8(48) < 10, b == 10, b == 32, b == 45
-    # Checks on adjacent chars, b[:-1] before b[1:]; the last char is "\n".
+    # Checks on adjacent chars, b[:-1] before b[1:]; the first and last chars are "\n".
     first, later = slice(None, -1), slice(1, None)
-    if (b[0] in (10, 32) or not (digit | newline | space | dash).all()
+    if (not (digit | newline | space | dash).all()
             or (newline[first] & newline[later]).any()                 # an empty line
             or (dash[later] & ~newline[first]).any() or (dash[first] & ~newline[later]).any()
             or (space[later] & ~digit[first]).any() or (space[first] & ~digit[later]).any()
             or (digit[2:] & digit[1:-1] & digit[:-2]).any()):          # three digits in a row
         return None
-    starts = np.flatnonzero(digit & ~np.concatenate(([False], digit[:-1])))
-    values = b[starts] - np.uint8(48)
-    if (values == 0).any():                                            # a leading zero
+    starts = np.flatnonzero(digit[1:] > digit[:-1]) + 1               # a digit after another char
+    lead = b[starts] - np.uint8(48)
+    if (lead == 0).any():                                              # a leading zero
         return None
-    two = digit[starts + 1]
-    values[two] = 10 * values[two] + b[starts[two] + 1] - 48
-    head = newline[starts - 1]      # an index starts its line; at 0, b[-1] is the "\n"
+    second = b[starts + 1] - np.uint8(48)    # wraps past 9 after a one-digit index
+    values = np.where(second < 10, 10 * lead + second, lead)
+    head = newline[starts - 1]               # an index that starts its line
     if (values > n_items).any() or (~head[1:] & (values[1:] <= values[:-1])).any():
         return None
-    masks = np.zeros(np.count_nonzero(newline), dtype=np.uint64)
+    ends = np.flatnonzero(newline)           # the leading "\n", then every line's end
+    masks = np.zeros(len(ends) - 1, dtype=np.uint64)
     if starts.size:
-        head = np.flatnonzero(head)
         bits = np.uint64(1) << (values - 1).astype(np.uint64)
-        lines = np.searchsorted(np.flatnonzero(newline), starts[head])
-        masks[lines] = np.add.reduceat(bits, head)        # distinct bits: the sum is the OR
+        lines = np.flatnonzero(digit[ends[:-1] + 1])                   # the lines that are not "-"
+        masks[lines] = np.add.reduceat(bits, np.flatnonzero(head))     # distinct bits: the sum is the OR
     return masks
 
 

@@ -297,6 +297,48 @@ def test_minors_json_reads_back_byte_for_byte(n, source):
     assert read_outcome(per_key_minors_from_json, text) == text
 
 
+def test_minors_json_of_whole_orders_is_read_without_tokens_or_ranks(monkeypatch):
+    def refused(*args):
+        raise AssertionError("tokenized or ranked a key of a whole-orders file")
+
+    k = kernel.generate_admissible(9, 0.3, 3)
+    batch = sampler.sample_sequential_batch(k, 300, 3)
+    texts = [moments.minors_to_json(m) for m in
+             (moments.exact_minors(k, 4), moments.exact_minors(k, 1), moments.exact_minors(k, "all"),
+              moments.estimate_required_minors(batch, 3))]
+    monkeypatch.setattr(moments, "_key_tokens", refused)
+    monkeypatch.setattr(moments, "colex_rank", refused)
+    for text in texts:
+        assert read_outcome(moments.minors_from_json, text) == text
+    # a non-finite value is named as the ranked write names it
+    spoiled = re.sub(r'"2,3": [^,]+', '"2,3": NaN', texts[0], count=1)
+    assert read_outcome(moments.minors_from_json, spoiled) == (
+        FormatError, "minors JSON: minor for (2, 3) must be finite, got nan")
+
+
+@pytest.mark.parametrize("change", ["drop", "swap", "order 2 only", "orders 1 and 3", "n + 1"])
+def test_minors_json_close_to_whole_orders_goes_through_the_tokens(monkeypatch, change):
+    tokenized = []
+    key_tokens = moments._key_tokens
+    monkeypatch.setattr(moments, "_key_tokens", lambda keys: tokenized.append(1) or key_tokens(keys))
+    k = kernel.generate_admissible(7, 0.3, 5)
+    entries = list(json.loads(moments.minors_to_json(moments.exact_minors(k, 3)))["minors"].items())
+    n = 7
+    if change == "drop":
+        entries.pop(10)
+    elif change == "swap":
+        entries[3], entries[4] = entries[4], entries[3]
+    elif change == "order 2 only":
+        entries = [e for e in entries if e[0].count(",") == 1]
+    elif change == "orders 1 and 3":
+        entries = [e for e in entries if e[0].count(",") != 1]
+    else:
+        n = 8
+    text = '{"n": %d, "minors": {%s}}' % (n, ", ".join(f'"{key}": {v!r}' for key, v in entries))
+    assert read_outcome(moments.minors_from_json, text) == read_outcome(per_key_minors_from_json, text)
+    assert tokenized
+
+
 def test_minors_json_defects_past_the_first_key_chunk_are_named_in_file_order():
     # 12,950 keys: the int map runs over four chunks of keys
     text = moments.minors_to_json(moments.exact_minors(kernel.generate_admissible(24, 0.3, 1), 4))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,6 +186,16 @@ def test_uniforms_of_one_or_two_draws_skip_the_last_m0_product(monkeypatch):
         assert calls.count(rng._M1) == 9 and calls.count(rng._M0) == m0
 
 
+def test_uniforms_take_a_nonnegative_integer_count_of_draws():
+    with pytest.raises(SamplingError, match="draws per row must be nonnegative, got -1"):
+        rng.uniforms(1, [0, 1], -1)
+    for bad in (2.5, "3", None):
+        with pytest.raises(TypeError, match="draws per row must be an integer"):
+            rng.uniforms(1, [0, 1], bad)
+    assert rng.uniforms(1, [0, 1], 0).shape == (2, 0)
+    assert rng.uniforms(1, [0, 1], np.int64(3)).tobytes() == rng.uniforms(1, [0, 1], 3).tobytes()
+
+
 def test_uniforms_take_integer_indices_only():
     for bad in ([1.7, 2.2], np.array([1.0]), np.array([True]), np.array([1], dtype=object)):
         with pytest.raises(TypeError, match="stream indices must be integers"):
@@ -316,6 +328,61 @@ def test_walk_rows_sharing_a_prefix_match_their_paths():
         else:
             assert took.tolist() == (row < [1.0, 0.5, 0.5]).tolist()
             assert got.tolist() == [1.0, 0.5, 0.5]
+
+
+def test_no_walk_row_decides_with_zero_probability_on_draws_in_the_unit_interval():
+    # The premise of holding deaths per prefix: u < p takes when p = 1 and
+    # leaves when p = 0, for every u in [0, 1), so no factor is 0.  The
+    # second kernel's item 3 has probability 0 once item 2 is taken.
+    edges = np.array([0.0, 5e-324, 0.5, 1.0 - 2.0 ** -53])
+    for k in (kernel.SignedKernel(np.diag([1.0, 0.0, 0.5, 1.0, 0.0])),
+              kernel.SignedKernel(np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])),
+              kernel.generate_admissible(9, 0.3, 2)):
+        grid = edges[np.indices((4,) * min(k.n, 6)).reshape(min(k.n, 6), -1).T]
+        draws = np.concatenate([np.pad(grid, ((0, 0), (0, k.n - grid.shape[1])), constant_values=0.5),
+                                rng.uniforms(4, np.arange(500), k.n)])
+        taken, factors = sampler._sequential_walk(k, len(draws), lambda lo, hi: draws[lo:hi])
+        assert (factors > 0.0).all()
+        for took, got in zip(taken[::37], factors[::37]):
+            path = tuple(int(i) + 1 for i in np.flatnonzero(took))
+            assert sampler.sequential_path_probabilities(k, path).tobytes() == got.tobytes()
+
+
+def test_path_probabilities_report_one_after_a_zero_probability_step():
+    dense = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 0.3]])  # item 2 is 0 after item 1
+    for mat, path, want in ((np.diag([1.0, 0.5, 0.3]), (2,), [0.0, 1.0, 1.0]),        # leaves a sure item
+                            (np.diag([0.0, 0.5, 0.3]), (1, 2), [0.0, 1.0, 1.0]),      # takes an impossible one
+                            (np.diag([0.5, 1.0, 0.3]), (1,), [0.5, 0.0, 1.0]),
+                            (dense, (1, 2, 3), [0.5, 0.0, 1.0])):
+        k = kernel.SignedKernel(mat)
+        assert sampler.sequential_path_probabilities(k, path).tolist() == want
+        # the walk's rows take nothing from the zero-probability step on
+        draws = np.where(np.isin(np.arange(1, 4), path), -1.0, 2.0)[None]
+        taken, _ = sampler._sequential_walk(k, 1, lambda lo, hi: draws)
+        assert taken[0].tolist() == [i + 1 in path and i < want.index(0.0) for i in range(3)]
+
+
+# sha256 of format_samples and of minors_to_json(estimate_required_minors(., 4))
+# for sample_sequential_batch(generate_admissible(n, 0.3, gen_seed), count, seed)
+SEQUENTIAL_BYTES = {
+    (16, 10_000, 1, 1): ("1745d6ab7c4efa11619a141454981739b45538d7d69b5035165973a7907748ab",
+                         "7664c9f04e23e70b3e693761a9390391e50c23ce699af102e3484cf5f9e949b7"),
+    (16, 10_000, 2, 7): ("8df66cf0a82a6e3d7ad4b7cb2bb2aabdec3132d03d07507518e6fca2c5defb2c",
+                         "6c24e2db996497aae09de0ebdb7a3e78ab3688b36f7f42a90411d9c4f8537996"),
+    (48, 2_000, 1, 1): ("e0605c1e08c1564e292f8b813bd235bcbaa45a624af3b2f1902294b7458a5a1e",
+                        "5e6937fd45611458528c8b9285e9077c77021ea7381881bb9fdab6e6deea45be"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEQUENTIAL_BYTES))
+def test_sequential_samples_and_their_estimates_keep_their_bytes(case):
+    n, count, gen_seed, seed = case
+    batch = sampler.sample_sequential_batch(kernel.generate_admissible(n, 0.3, gen_seed), count, seed)
+    text = sampler.format_samples(batch)
+    estimate = moments.minors_to_json(moments.estimate_required_minors(batch, 4))
+    assert (hashlib.sha256(text.encode()).hexdigest(),
+            hashlib.sha256(estimate.encode()).hexdigest()) == SEQUENTIAL_BYTES[case]
+    assert sampler.parse_samples(text, n) == batch
 
 
 def test_negative_and_empty_ground_sets_are_dimension_errors():
