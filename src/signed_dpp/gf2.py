@@ -8,10 +8,11 @@ parameters, in packed 64-bit words, and takes rows incrementally: each
 group is eliminated over the parameters and substituted into every form.
 Callers test rows against ``null_words`` between additions and read
 ``solution``, the reduced row echelon form, at the end.  Triangle rows
-over the pairs of a vertex set are solved on a parity forest
-(``SpanBasis._of_triangles``), which hands each vertex's other rows to
-the same step.  ``solve_groups`` is the one-shot wrapper.  Solutions
-hold their vectors as ints.
+over the pairs of a vertex set are solved on a parity forest per vertex
+(``SpanBasis._of_triangles``): the forms of all vertices are evaluated
+together, one dependency level at a time, and the rows off the forest go
+through the same step at once.  ``solve_groups`` is the one-shot
+wrapper.  Solutions hold their vectors as ints.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def parities(supports: np.ndarray, assignment: np.ndarray) -> np.ndarray:
     supports = np.asarray(supports)
     out = np.zeros(supports.shape[:-1] + assignment.shape[1:], dtype=assignment.dtype)
     for t in range(supports.shape[-1]):
-        out ^= assignment[supports[..., t]]
+        out ^= np.take(assignment, supports[..., t], axis=0)
     return out
 
 
@@ -154,55 +155,63 @@ class SpanBasis:
     def _of_triangles(cls, n: int, triangles, rhs) -> "SpanBasis":
         """The basis of the rows x_ij ^ x_jk ^ x_ik = rhs of an (m, 3) array
         of 0-based triangles i < j < k < n, over the pairs in
-        ``kernel.pair_index`` order, solved vertex by vertex.
+        ``kernel.pair_index`` order, solved on a parity forest per vertex.
 
-        At each k, every j with a row (i, j, k) hangs off the smallest such
-        i through x_ij, and every other j is a root whose x_jk is a fresh
-        parameter; pointer doubling adds up the paths.  The other rows
-        reduce to rows over the parameters, which ``_impose`` takes."""
+        At each k, a row (i, j, k) ties the pairs (i, k) and (j, k) through
+        the earlier pair (i, j).  Every j with such a row hangs off the
+        smallest such i; an i with none hangs off its smallest j, unless
+        that row already hangs j off i.  A pair that hangs off nothing is a
+        fresh parameter.  A hung pair's form is its parent pair's, XOR the
+        earlier pair's and the right-hand side, so the forms are evaluated
+        by dependency level, one gather per level.  The other rows reduce
+        to rows over the parameters, which one ``_impose`` takes."""
         tri, bits = _checked(triangles, rhs, max(n, 1))
         if tri.shape[1] != 3 or not np.all(tri[:, :2] < tri[:, 1:]):
             raise DimensionError("a triangle's vertices must increase")
-        basis = cls(n * (n - 1) // 2)
-        if not len(tri):
-            return basis
-        order = np.lexsort(tri.T)                   # by k, then j, then i
-        tri, bits = tri[order], bits[order].astype(np.uint64)
-        # the first row of each (k, j) hangs j off its smallest i at k
-        tree = np.append(True, (tri[1:, 1:] != tri[:-1, 1:]).any(axis=1))
-        order = np.lexsort((~tree, tri[:, 2]))      # by k, the tree rows first
-        (i, j, k), bits, tree = tri[order].T, bits[order], tree[order]
-        earlier, bounds = pair_index(n, i, j), np.searchsorted(k, np.arange(n + 1))
-        split = bounds[:-1] + np.bincount(k[tree], minlength=n)
-        # the forest's parameters replace the identity's
-        basis._expr = expr = np.zeros(
-            (basis.n_vars, -(-(basis.n_vars - tree.sum()) // 64) + 1), dtype=np.uint64)
-        top = 0                                     # parameters handed out
-        for v in range(1, n):
-            lo, mid, hi = bounds[v], split[v], bounds[v + 1]
-            parent = np.arange(v)
-            parent[j[lo:mid]] = i[lo:mid]
-            fresh = top + np.cumsum(parent == np.arange(v)) - 1   # a root's parameter
-            top += v - (mid - lo)
-            label = expr[earlier[lo:hi]]
-            label[:, -1] ^= bits[lo:hi]
-            acc = np.zeros((v, expr.shape[1]), dtype=np.uint64)
-            acc[j[lo:mid]] = label[:mid - lo]
-            while (parent[parent] != parent).any():
-                acc ^= acc[parent]
-                parent = parent[parent]
-            acc[np.arange(v), fresh[parent] >> 6] ^= _BITS[fresh[parent] & 63]
-            expr[pair_index(n, np.arange(v), v)] = acc
-            basis._impose(acc[i[mid:hi]] ^ acc[j[mid:hi]] ^ label[mid - lo:])
+        n_vars, m = n * (n - 1) // 2, len(tri)
+        if not m:
+            return cls(n_vars)
+        (i, j, k), bits = tri.T, bits.astype(np.uint64)
+        at_i, at_j, earlier = pair_index(n, i, k), pair_index(n, j, k), pair_index(n, i, j)
+        # the rows with the smallest i at each (j, k) and the smallest j at each (i, k)
+        below, above = np.full(n_vars, n * m), np.full(n_vars, n * m)
+        np.minimum.at(below, at_j, i * m + np.arange(m))
+        np.minimum.at(above, at_i, j * m + np.arange(m))
+        row = np.where(below < n * m, below % m, -1)   # the row a pair hangs off, or -1
+        up = np.flatnonzero((row < 0) & (above < n * m))
+        first = above[up] % m
+        keep = i[row[at_j[first]]] != i[first]
+        row[up[keep]] = first[keep]
+        roots = np.flatnonzero(row < 0)
+        expr = np.zeros((n_vars, -(-len(roots) // 64) + 1), dtype=np.uint64)
+        expr[roots, np.arange(len(roots)) >> 6] = _BITS[np.arange(len(roots)) & 63]
+        # the forms, one dependency level at a time: a pair whose parent
+        # pair and earlier pair have their forms takes theirs
+        hung = np.flatnonzero(row >= 0)
+        tree = row[hung]
+        parent = np.where(at_i[tree] == hung, at_j[tree], at_i[tree])
+        done = row < 0
+        while len(hung):
+            ready = done[parent] & done[earlier[tree]]
+            pairs, via = hung[ready], tree[ready]
+            expr[pairs] = np.take(expr, parent[ready], axis=0) ^ np.take(expr, earlier[via], axis=0)
+            expr[pairs, -1] ^= bits[via]
+            done[pairs] = True
+            hung, tree, parent = hung[~ready], tree[~ready], parent[~ready]
+        rest = np.ones(m, dtype=bool)
+        rest[row[row >= 0]] = False
+        basis = cls(0)
+        basis.n_vars, basis.nullity, basis._expr = n_vars, len(roots), expr
+        basis._impose(basis._rows(np.stack([at_i[rest], at_j[rest], earlier[rest]], axis=1),
+                                  bits[rest]))
         basis._drop_unused()
         return basis
 
     def _impose(self, work: np.ndarray) -> None:
-        """Impose packed rows over the parameters, their right-hand sides
-        as bit 0 of the last word: drop zero rows, eliminate the rest,
-        check that none reduces to the bare constant 1, and substitute
-        each pivot into every form."""
-        work = work[work.any(axis=1)]               # a zero row is a check that holds
+        """Impose nonzero packed rows over the parameters, their right-hand
+        sides as bit 0 of the last word: eliminate them, check that none
+        reduces to the bare constant 1, and substitute each pivot into
+        every form."""
         if not len(work):
             return
         chosen, pivots = _eliminate(work, 64 * (self._expr.shape[1] - 1))
@@ -217,12 +226,12 @@ class SpanBasis:
         self._expr = np.concatenate([_pack(params), self._expr[:, -1:]], axis=1)
         self.nullity = params.shape[1]
 
-    def _rows(self, supports, rhs) -> np.ndarray:
-        """One group's rows over the parameters, each distinct row once, or
-        DimensionError when the group is malformed."""
-        supports, bits = _checked(supports, rhs, self.n_vars)
+    def _rows(self, supports: np.ndarray, bits: np.ndarray) -> np.ndarray:
+        """One checked group's rows over the parameters (see ``_checked``),
+        each distinct nonzero row once."""
         work = parities(supports, self._expr)
         work[:, -1] ^= bits
+        work = work[work.any(axis=1)]               # a zero row is a check that holds
         order = np.lexsort(work.T)                  # a repeated row adds nothing
         keep = np.ones(len(work), dtype=bool)
         keep[order[1:]] = (work[order[1:]] != work[order[:-1]]).any(axis=1)
@@ -230,7 +239,7 @@ class SpanBasis:
 
     def add(self, supports, rhs) -> None:
         """Add one group of rows; DimensionError when it is malformed."""
-        self._impose(self._rows(supports, rhs))
+        self._impose(self._rows(*_checked(supports, rhs, self.n_vars)))
         self._drop_unused()
 
     def null_words(self) -> np.ndarray:
@@ -288,7 +297,8 @@ def _checked(supports, bits, n_vars: int) -> tuple[np.ndarray, np.ndarray]:
     if supports.size and (supports.dtype.kind not in "iu"
                           or not 0 <= supports.min() <= supports.max() < n_vars):
         raise DimensionError(f"variable indices must be integers in 0..{n_vars - 1}")
-    if np.any(np.diff(np.sort(supports, axis=1), axis=1) == 0):
+    if (not np.all(supports[:, :-1] < supports[:, 1:])        # increasing rows repeat none
+            and np.any(np.diff(np.sort(supports, axis=1), axis=1) == 0)):
         raise DimensionError("a row repeats a variable index")
     if not np.all((bits == 0) | (bits == 1)):
         raise DimensionError("right-hand sides must be 0 or 1")
@@ -304,5 +314,6 @@ def solve_groups(groups: Sequence[np.ndarray], rhs: Sequence[np.ndarray],
     if len(groups) != len(rhs):
         raise DimensionError(f"{len(groups)} groups but {len(rhs)} right-hand sides")
     basis = SpanBasis(n_vars)
-    basis._impose(np.concatenate([basis._expr[:0], *map(basis._rows, groups, rhs)]))
+    basis._impose(np.concatenate([basis._expr[:0], *(
+        basis._rows(*_checked(g, r, n_vars)) for g, r in zip(groups, rhs))]))
     return basis.solution()

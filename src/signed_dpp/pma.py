@@ -22,7 +22,9 @@ triangle forest takes the triangles themselves.
    full-length cycle (those classes only need quantities already known).
 3. Triangles.  Every minor of order 3 is read.  Each positive triangle
    fixes the sign of one oriented entry product, and its row goes into
-   the basis, which ``gf2.SpanBasis._of_triangles`` starts vertex by vertex.
+   the basis, which ``gf2.SpanBasis._of_triangles`` starts: a parity
+   forest per vertex, evaluated one dependency level at a time over all
+   vertices, then one elimination of the rows off the forest.
 4. 4-sets, only where the span needs them.  The 4-sets are walked in
    colex chunks of ``SPAN_CHUNK``.  Which cycles of a 4-set are
    positive, and their rows, follow from the relating signs alone; a

@@ -73,10 +73,11 @@ def uniforms(seed: int, indices, d: int) -> np.ndarray:
     (seed, index) of every row, and maps each word x to (x >> 11) * 2^-53,
     as numpy's Generator.random does.  Rounds 0 and 1 are folded, so only
     round 1's M1 product runs over rows; for d <= 2 round 9's M0 product,
-    which makes only words 2 and 3, is skipped.  The round key
-    index + r W1 is held for every block and stepped in place, so no xor
-    broadcasts a column over the blocks.  Rows go through in chunks of
-    about _CHUNK_WORDS counter words, in preallocated buffers.
+    which makes only words 2 and 3, is skipped, and for d < 4 only the
+    first d words are packed and shifted.  The round key index + r W1 is
+    held for every block and stepped in place, so no xor broadcasts a
+    column over the blocks.  Rows go through in chunks of about
+    _CHUNK_WORDS counter words, in preallocated buffers.
     """
     seed = _check_int(seed, "seed")
     d = _check_count(d, "draws per row")
@@ -89,7 +90,8 @@ def uniforms(seed: int, indices, d: int) -> np.ndarray:
     rows = max(1, _CHUNK_WORDS // max(1, blocks))
     buf = np.empty((11, min(rows, len(idx)), blocks), dtype=np.uint64)
     key = np.empty((min(rows, len(idx)), blocks), dtype=np.uint64)
-    words = np.empty((min(rows, len(idx)), blocks, 4), dtype=np.uint64)
+    width = min(d, 4)             # words per block read: all four past one block
+    words = np.empty((min(rows, len(idx)), blocks, width), dtype=np.uint64)
     # Round 0 leaves (seed, 0, hi(M0 b) ^ index, lo(M0 b)) for block b; round 1
     # leaves (hi(M1 c2) ^ k0, lo(M1 c2), hi(M0 seed) ^ lo(M0 b) ^ k1, lo(M0 seed)).
     block_hi, block_lo = np.array([divmod(_M0 * b, 1 << 64) for b in range(1, blocks + 1)],
@@ -116,7 +118,8 @@ def uniforms(seed: int, indices, d: int) -> np.ndarray:
             # The new state is (h1, l1, h0, l0); the old one's buffers take the next products.
             c0, c1, c2, c3, h0, l0, h1, l1 = h1, l1, h0, l0, c0, c1, c2, c3
         w = words[:hi - lo]
-        w[..., 0], w[..., 1], w[..., 2], w[..., 3] = c0, c1, c2, c3
+        for t, c in enumerate((c0, c1, c2, c3)[:width]):
+            w[..., t] = c
         w >>= np.uint64(11)
-        np.multiply(w.reshape(hi - lo, 4 * blocks)[:, :d], 2.0 ** -53, out=out[lo:hi])
+        np.multiply(w.reshape(hi - lo, width * blocks)[:, :d], 2.0 ** -53, out=out[lo:hi])
     return out

@@ -129,7 +129,7 @@ def _walk_rows(n: int) -> int:
     return max(1, rows)
 
 
-def _sequential_walk(k: SignedKernel, count: int, draws):
+def _sequential_walk(k: SignedKernel, count: int, draws, probabilities: bool = True):
     """Visit items 1..N in order for ``count`` samples, a block at a time.
 
     Sample r takes item i when draws(lo, hi)[r - lo, i-1] is below its
@@ -149,11 +149,12 @@ def _sequential_walk(k: SignedKernel, count: int, draws):
     _WALK_CELLS entries.  The draws, the taken items and the probabilities
     are stored item-major, so every step reads and writes contiguous rows.
     Returns (taken items as a (count, N) bool array, per-step probability
-    of the decision taken), as views of those arrays.
+    of the decision taken), as views of those arrays; without
+    ``probabilities`` the second is None and is not filled.
     """
     n = k.n
     taken = np.zeros((n, count), dtype=bool)
-    factors = np.ones((n, count))
+    factors = np.ones((n, count)) if probabilities else None
     block = _walk_rows(n)
     for lo in range(0, count, block):
         hi = min(count, lo + block)
@@ -175,9 +176,10 @@ def _sequential_walk(k: SignedKernel, count: int, draws):
             # the rows of the dead id L leave, as child 2L, with probability 1.
             factor = np.empty(2 * len(p))
             factor[0::2], factor[1::2], factor[-2] = 1.0 - p, p, 1.0
-            np.take(factor, key, out=factors[t, lo:hi])
+            if probabilities:
+                np.take(factor, key, out=factors[t, lo:hi])
             if (p == 0.0).any():     # a row that took a zero-probability item took nothing
-                take &= factors[t, lo:hi] != 0.0
+                take &= factor[key] != 0.0
             if t == n - 1:
                 break
             present = np.zeros(len(factor), dtype=bool)
@@ -205,12 +207,13 @@ def _sequential_walk(k: SignedKernel, count: int, draws):
             update = r[1:, :1] * r[:1, 1:]
             update /= denom
             resid = np.add(update, r[1:, 1:], out=update)
-    return taken.T, factors.T
+    return taken.T, factors.T if probabilities else None
 
 
 def sample_sequential(k: SignedKernel, seed: int, index: int = 0) -> tuple[int, ...]:
     """One draw from the sequential conditional scheme (substream ``index``)."""
-    taken, _ = _sequential_walk(k, 1, lambda lo, hi: rng.stream(seed, index).random((1, k.n)))
+    taken, _ = _sequential_walk(k, 1, lambda lo, hi: rng.stream(seed, index).random((1, k.n)),
+                                probabilities=False)
     return tuple(int(i) + 1 for i in np.flatnonzero(taken[0]))
 
 
@@ -219,7 +222,7 @@ def sample_sequential_batch(k: SignedKernel, count: int, seed: int) -> SampleBat
     count = rng._check_count(count, "sample count")
     _require_mask_width(k.n)
     taken, _ = _sequential_walk(
-        k, count, lambda lo, hi: rng.uniforms(seed, np.arange(lo, hi), k.n))
+        k, count, lambda lo, hi: rng.uniforms(seed, np.arange(lo, hi), k.n), probabilities=False)
     masks = np.bitwise_or.reduce(taken << np.arange(k.n, dtype=np.uint64), axis=1)
     return SampleBatch(k.n, masks=masks)
 

@@ -1,11 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mask_groups, satisfies
-from signed_dpp import gf2, kernel
+from helpers import mask_groups, satisfies, walk_rows
+from signed_dpp import gf2, kernel, pma
 from signed_dpp.errors import DimensionError
+from signed_dpp.moments import exact_minors
 
 
 def _solve(rows, m):
@@ -358,19 +361,21 @@ def _planted_triangles(rng, n, density, corrupt):
     return triangles, supports, rhs
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 16])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 33, 48])
 def test_triangle_forest_matches_the_dense_elimination(n):
     # sparse sets leave the vertex graphs disconnected; a flipped rhs makes
-    # the rows inconsistent unless the row is outside the span of the rest
+    # the rows inconsistent unless the row is outside the span of the rest;
+    # at n = 33 and 48 the parameters of the sparse sets take two words
     rng = np.random.default_rng(60 + n)
     n_vars = n * (n - 1) // 2
     inconsistent = 0
-    for trial in range(40):
+    for trial in range(40 if n < 33 else 8):     # the dense reference is slow past n = 32
         density = (0.02, 0.1, 0.3, 1.0)[trial % 4]
         triangles, supports, rhs = _planted_triangles(rng, n, density, trial % 3 == 0)
         basis = gf2.SpanBasis._of_triangles(n, triangles, rhs)
         want = gf2.solve_groups([supports], [rhs], n_vars)
         assert basis.solution() == want
+        assert basis.nullity > 64 or density > 0.02 or n < 33
         inconsistent += want is None
         # later rows go through the dense path on top of the forest's state
         extra = rng.integers(0, n_vars, (3, 1)) if n_vars else np.zeros((0, 1), dtype=int)
@@ -378,6 +383,72 @@ def test_triangle_forest_matches_the_dense_elimination(n):
         basis.add(extra, extra_rhs)
         assert basis.solution() == gf2.solve_groups([supports, extra], [rhs, extra_rhs], n_vars)
     assert inconsistent > 0 or n < 4
+
+
+def test_triangle_forest_matches_the_dense_elimination_on_the_generator_law():
+    # half the triangles of generate_admissible(32, 0.3, 7) are positive
+    n = 32
+    minors = exact_minors(kernel.generate_admissible(n, 0.3, 7), 3)
+    skel = pma.recover_skeleton(minors)
+    tri = kernel.index_combinations(n, 3)
+    pi3 = pma.traveling_sums(minors, skel, tri)
+    i, j, k = tri.T
+    used = skel.epsilon[i, j] * skel.epsilon[j, k] * skel.epsilon[i, k] == 1
+    supports, rhs = walk_rows(skel, tri[used], ~(pi3[used] > 0))
+    want = gf2.solve_groups([supports], [rhs], n * (n - 1) // 2)
+    assert want is not None and want.nullity == n
+    assert gf2.SpanBasis._of_triangles(n, tri[used], rhs).solution() == want
+    rhs[len(rhs) // 2] ^= True
+    assert gf2.SpanBasis._of_triangles(n, tri[used], rhs).solution() is None
+
+
+def _forest_check(monkeypatch, n, triangles, rhs):
+    """The forest's solution, checked against the dense elimination, and
+    how many rows it handed to ``_impose``."""
+    imposed = []
+    impose = gf2.SpanBasis._impose
+    monkeypatch.setattr(gf2.SpanBasis, "_impose",
+                        lambda self, work: imposed.append(len(work)) or impose(self, work))
+    triangles = np.array(triangles)
+    supports = kernel.pair_index(n, triangles[:, [0, 1, 0]], triangles[:, [1, 2, 2]])
+    got = gf2.SpanBasis._of_triangles(n, triangles, rhs).solution()
+    forest = sum(imposed)
+    assert got == gf2.solve_groups([supports], [rhs], n * (n - 1) // 2)
+    return got, forest
+
+
+def test_triangle_forest_hangs_a_node_off_a_larger_neighbour(monkeypatch):
+    # At k = 4, nodes 1 and 2 reach node 0 only through node 3, which hangs
+    # off 0: both hang off 3, so every row is a tree row.
+    for rhs in itertools.product([False, True], repeat=3):
+        got, imposed = _forest_check(monkeypatch, 5, [[0, 3, 4], [1, 3, 4], [2, 3, 4]], list(rhs))
+        assert got.nullity == 10 - 3 and imposed == 0
+    # At k = 4, node 1's smallest larger neighbour 2 hangs off 1 through
+    # the row (1, 2, 4), so 1 stays a root.  The rows at k = 2 and 3 tie
+    # the pairs (1, 2), (1, 3) and (2, 3) to each other, so the one row
+    # left, (2, 3, 4), reduces to a bare constant: it is imposed exactly
+    # when it contradicts the rest.
+    rows = [[1, 2, 4], [1, 3, 4], [2, 3, 4], [0, 1, 3], [0, 1, 2], [0, 2, 3]]
+    outcomes = set()
+    for rhs in itertools.product([False, True], repeat=len(rows)):
+        got, imposed = _forest_check(monkeypatch, 5, rows, list(rhs))
+        outcomes.add(got is None)
+        assert imposed == (got is None)
+    assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("n", [4, 9, 24, 40])
+def test_triangle_forest_takes_a_path_at_every_vertex(monkeypatch, n):
+    # rows (j, j + 1, k): at k the nodes form the path 0 - 1 - ... - k - 1,
+    # so pair (j, k) waits for (j - 1, k) and (j - 1, j), and the number of
+    # dependency levels grows with n
+    rng = np.random.default_rng(n)
+    triangles = [[j, j + 1, k] for k in range(2, n) for j in range(k - 1)]
+    for trial in range(4):
+        rhs = rng.integers(0, 2, len(triangles)).astype(bool)
+        got, imposed = _forest_check(monkeypatch, n, triangles, rhs)
+        assert got is not None and imposed == 0
+        assert got.nullity == n * (n - 1) // 2 - len(triangles)
 
 
 def test_triangle_forest_takes_repeated_rows_and_checks_its_input():
