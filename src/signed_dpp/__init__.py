@@ -3,16 +3,16 @@
 Construct and validate signed kernels, sample the processes exactly,
 estimate principal minors from samples, and reconstruct a kernel from
 minors of orders 1..4 (with the full solution set) when the kernel is
-dense; 4-sets whose sign patterns the minors cannot tell apart are
-skipped, which enlarges the solution set.
+dense; a 4-set is read only to join two components of a vertex forest,
+and 4-sets whose sign patterns the minors cannot tell apart are skipped,
+which can enlarge the solution set.
 
 The PMA stages are public as the batched array functions that
 ``solve_pma`` composes: ``recover_skeleton``, ``traveling_sums`` and
 ``match_four_cycles``.  GF(2) systems, on rows held as index arrays,
 have one state and one eliminate-and-substitute step, held by a
 ``SpanBasis`` that keeps every variable as an affine form over free
-parameters and takes rows incrementally; ``solve_groups`` is its
-one-shot wrapper.
+parameters; ``solve_groups`` solves a system in that one step.
 """
 
 from .errors import (

@@ -3,20 +3,21 @@
 Sign systems (products of +-1 unknowns equal to prescribed +-1 values)
 are solved here as XOR systems, with bit 1 for the sign -1, on rows held
 as index arrays of distinct variables.  A ``SpanBasis`` holds the
-solutions of the rows so far as one affine form per variable over free
-parameters, in packed 64-bit words, and takes rows incrementally: each
-group is eliminated over the parameters and substituted into every form.
-Callers test rows against ``null_words`` between additions and read
-``solution``, the reduced row echelon form, at the end.  Triangle rows
-over the pairs of a vertex set are solved on a parity forest per vertex
-(``SpanBasis._of_triangles``): the forms of all vertices are evaluated
-together, one dependency level at a time, and the rows off the forest go
-through the same step at once.  ``solve_groups`` is the one-shot
-wrapper.  Solutions hold their vectors as ints.
+solutions of its rows as one affine form per variable over free
+parameters, in packed 64-bit words: rows are eliminated over the
+parameters and substituted into every form, and ``solution`` reads the
+reduced row echelon form off the forms.  Cycle rows over the pairs of a
+vertex set, triangles and 4-cycles alike, are solved on a parity forest
+per top vertex (``SpanBasis._of_cycles``): the forms of all vertices are
+evaluated together, one dependency level at a time, and the rows off the
+forest go through the same step at once.  ``solve_groups`` solves rows
+given as index arrays in that one step.  Solutions hold their vectors as
+ints.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,8 +27,11 @@ from .errors import DimensionError
 from .kernel import pair_index
 
 def bits_of(mask: int, n_vars: int) -> tuple[int, ...]:
-    """Expand a bitset into an explicit 0/1 tuple of length n_vars."""
-    return tuple((mask >> i) & 1 for i in range(n_vars))
+    """Expand a bitset into an explicit 0/1 tuple of length n_vars: bits
+    0..n_vars-1, unpacked from the int's little-endian bytes."""
+    raw = (mask & ((1 << n_vars) - 1)).to_bytes(-(-n_vars // 8), "little")
+    return tuple(np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n_vars,
+                               bitorder="little").tolist())
 
 
 @dataclass(frozen=True)
@@ -97,6 +101,16 @@ def parities(supports: np.ndarray, assignment: np.ndarray) -> np.ndarray:
 _BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 
+@functools.lru_cache(maxsize=64)
+def _pair_table(n: int) -> np.ndarray:
+    """Read-only (n + 1, n + 1) table of the variable of the pair {a, b},
+    in either order, and of n_vars, a form kept zero, for b = -1."""
+    table = np.full((n + 1, n + 1), n * (n - 1) // 2)
+    table[:n, :n] = pair_index(n, *np.sort(np.indices((n, n)), axis=0))
+    table.flags.writeable = False
+    return table
+
+
 def _eliminate(work: np.ndarray, n_vars: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jordan on the first n_vars columns of packed (m, words) rows
     (see ``_pack``), in place; later columns (a right-hand side) ride
@@ -133,16 +147,15 @@ class SpanBasis:
     packed words (see ``_pack``), bit t for parameter t and the constant
     as bit 0 of the last word.  A fresh basis is the identity.
 
-    Rows come in as (supports, rhs) groups: (m, w) arrays of distinct
-    variable indices in 0..n_vars-1 and (m,) 0/1 right-hand sides.  A
-    row's parities against the forms are the row over the parameters, and
+    Rows are (supports, rhs) groups: (m, w) arrays of distinct variable
+    indices in 0..n_vars-1 and (m,) 0/1 right-hand sides.  A row's
+    parities against the forms are the row over the parameters, and
     ``_impose`` eliminates such rows, checks those that reduce to a bare
-    constant and substitutes each pivot into every form; the parameters
-    no form still uses are then dropped.  ``solution`` reads the reduced
-    row echelon form off the forms.  A row space has one reduced row
-    echelon form, so the result does not depend on how rows were grouped,
-    on when they were added or on whether ``_of_triangles`` took the first
-    ones.
+    constant and substitutes each pivot into every form; ``_of_cycles``
+    then renumbers the parameters some form still uses.  ``solution``
+    reads the reduced row echelon form off the forms.  A row space has one
+    reduced row echelon form, so the result does not depend on how rows
+    were grouped or on which ones the forest took.
     """
 
     def __init__(self, n_vars: int):
@@ -152,49 +165,58 @@ class SpanBasis:
         self._expr[cols, cols >> 6] = _BITS[cols & 63]
 
     @classmethod
-    def _of_triangles(cls, n: int, triangles, rhs) -> "SpanBasis":
-        """The basis of the rows x_ij ^ x_jk ^ x_ik = rhs of an (m, 3) array
-        of 0-based triangles i < j < k < n, over the pairs in
-        ``kernel.pair_index`` order, solved on a parity forest per vertex.
+    def _of_cycles(cls, n: int, cycles, rhs) -> "SpanBasis":
+        """The basis of the rows of an (m, 4) array of cycles (p, q, v, r)
+        of 0-based vertices, p < q < v and r < v, over the pairs in
+        ``kernel.pair_index`` order: the triangle x_pv ^ x_qv ^ x_pq = rhs
+        for r = -1, else the 4-cycle x_pv ^ x_qv ^ x_pr ^ x_qr = rhs.
 
-        At each k, a row (i, j, k) ties the pairs (i, k) and (j, k) through
-        the earlier pair (i, j).  Every j with such a row hangs off the
-        smallest such i; an i with none hangs off its smallest j, unless
-        that row already hangs j off i.  A pair that hangs off nothing is a
-        fresh parameter.  A hung pair's form is its parent pair's, XOR the
-        earlier pair's and the right-hand side, so the forms are evaluated
-        by dependency level, one gather per level.  The other rows reduce
+        Each row ties its pairs (p, v) and (q, v) at its top vertex v
+        through its earlier pairs, in a parity forest per v: every q with
+        such a row hangs off the smallest such p, and a p with none off its
+        smallest q, unless that row already hangs q off p.  A pair that
+        hangs off nothing is a fresh parameter, and a hung pair's form is
+        its parent pair's XOR its earlier pairs' and the right-hand side,
+        evaluated one dependency level at a time.  The other rows reduce
         to rows over the parameters, which one ``_impose`` takes."""
-        tri, bits = _checked(triangles, rhs, max(n, 1))
-        if tri.shape[1] != 3 or not np.all(tri[:, :2] < tri[:, 1:]):
-            raise DimensionError("a triangle's vertices must increase")
-        n_vars, m = n * (n - 1) // 2, len(tri)
+        cyc = np.asarray(cycles)
+        if cyc.ndim != 2 or cyc.shape[1] != 4:
+            raise DimensionError(f"expected (m, 4) cycle rows (p, q, v, r), got shape {cyc.shape}")
+        top, bits = _checked(cyc[:, :3], rhs, max(n, 1))
+        (p, q, v), r = top.T, cyc[:, 3].astype(np.intp)
+        if not np.all((p < q) & (q < v) & (-1 <= r) & (r < v) & (r != p) & (r != q)):
+            raise DimensionError("a cycle row (p, q, v, r) needs p < q < v, and r = -1 or r < v not p or q")
+        n_vars, m = n * (n - 1) // 2, len(cyc)
         if not m:
             return cls(n_vars)
-        (i, j, k), bits = tri.T, bits.astype(np.uint64)
-        at_i, at_j, earlier = pair_index(n, i, k), pair_index(n, j, k), pair_index(n, i, j)
-        # the rows with the smallest i at each (j, k) and the smallest j at each (i, k)
+        bits = bits.astype(np.uint64)
+        # the earlier pairs: (p, q) and none, or (p, r) and (q, r)
+        pair = _pair_table(n)
+        at_p, at_q = pair[p, v], pair[q, v]
+        earlier, second = pair[p, np.where(r < 0, q, r)], pair[q, r]
+        # the rows with the smallest p at each (q, v) and the smallest q at each (p, v)
         below, above = np.full(n_vars, n * m), np.full(n_vars, n * m)
-        np.minimum.at(below, at_j, i * m + np.arange(m))
-        np.minimum.at(above, at_i, j * m + np.arange(m))
+        np.minimum.at(below, at_q, p * m + np.arange(m))
+        np.minimum.at(above, at_p, q * m + np.arange(m))
         row = np.where(below < n * m, below % m, -1)   # the row a pair hangs off, or -1
         up = np.flatnonzero((row < 0) & (above < n * m))
         first = above[up] % m
-        keep = i[row[at_j[first]]] != i[first]
+        keep = p[row[at_q[first]]] != p[first]
         row[up[keep]] = first[keep]
         roots = np.flatnonzero(row < 0)
-        expr = np.zeros((n_vars, -(-len(roots) // 64) + 1), dtype=np.uint64)
+        expr = np.zeros((n_vars + 1, -(-len(roots) // 64) + 1), dtype=np.uint64)
         expr[roots, np.arange(len(roots)) >> 6] = _BITS[np.arange(len(roots)) & 63]
         # the forms, one dependency level at a time: a pair whose parent
-        # pair and earlier pair have their forms takes theirs
+        # pair and earlier pairs have their forms takes theirs
         hung = np.flatnonzero(row >= 0)
         tree = row[hung]
-        parent = np.where(at_i[tree] == hung, at_j[tree], at_i[tree])
-        done = row < 0
+        parent = np.where(at_p[tree] == hung, at_q[tree], at_p[tree])
+        done = np.append(row < 0, True)
         while len(hung):
-            ready = done[parent] & done[earlier[tree]]
+            ready = done[parent] & done[earlier[tree]] & done[second[tree]]
             pairs, via = hung[ready], tree[ready]
-            expr[pairs] = np.take(expr, parent[ready], axis=0) ^ np.take(expr, earlier[via], axis=0)
+            expr[pairs] = (np.take(expr, parent[ready], axis=0) ^ np.take(expr, earlier[via], axis=0)
+                           ^ np.take(expr, second[via], axis=0))
             expr[pairs, -1] ^= bits[via]
             done[pairs] = True
             hung, tree, parent = hung[~ready], tree[~ready], parent[~ready]
@@ -202,9 +224,11 @@ class SpanBasis:
         rest[row[row >= 0]] = False
         basis = cls(0)
         basis.n_vars, basis.nullity, basis._expr = n_vars, len(roots), expr
-        basis._impose(basis._rows(np.stack([at_i[rest], at_j[rest], earlier[rest]], axis=1),
-                                  bits[rest]))
-        basis._drop_unused()
+        basis._impose(basis._rows(np.column_stack([at_p, at_q, earlier, second])[rest], bits[rest]))
+        params = _column(basis._expr[:n_vars, :-1], np.arange(64 * (basis._expr.shape[1] - 1)))
+        params = params[:, params.any(axis=0)]       # renumber the parameters still used
+        basis._expr = np.concatenate([_pack(params), basis._expr[:n_vars, -1:]], axis=1)
+        basis.nullity = params.shape[1]
         return basis
 
     def _impose(self, work: np.ndarray) -> None:
@@ -219,13 +243,6 @@ class SpanBasis:
         for q, row in zip(pivots, work[chosen]):
             self._expr[(self._expr[:, q >> 6] & _BITS[q & 63]) != 0] ^= row
 
-    def _drop_unused(self) -> None:
-        """Renumber the parameters that some form still uses from 0."""
-        params = _column(self._expr[:, :-1], np.arange(64 * (self._expr.shape[1] - 1)))
-        params = params[:, params.any(axis=0)]
-        self._expr = np.concatenate([_pack(params), self._expr[:, -1:]], axis=1)
-        self.nullity = params.shape[1]
-
     def _rows(self, supports: np.ndarray, bits: np.ndarray) -> np.ndarray:
         """One checked group's rows over the parameters (see ``_checked``),
         each distinct nonzero row once."""
@@ -236,18 +253,6 @@ class SpanBasis:
         keep = np.ones(len(work), dtype=bool)
         keep[order[1:]] = (work[order[1:]] != work[order[:-1]]).any(axis=1)
         return work[keep]
-
-    def add(self, supports, rhs) -> None:
-        """Add one group of rows; DimensionError when it is malformed."""
-        self._impose(self._rows(*_checked(supports, rhs, self.n_vars)))
-        self._drop_unused()
-
-    def null_words(self) -> np.ndarray:
-        """A basis of the null space as (n_vars, ceil(nullity / 64)) packed
-        words: bit t of variable v is entry v of null vector t, the
-        coefficient of parameter t in the form of v.  ``parities`` of rows
-        against it are nonzero exactly for rows outside the span."""
-        return self._expr[:, :-1]
 
     def solution(self) -> GF2Solution | None:
         """The solution of every row added, or None when some row

@@ -5,14 +5,12 @@ The reconstruction runs as whole-array stages.  ``solve_pma`` composes
 the public stage functions ``recover_skeleton``, ``traveling_sums`` and
 ``match_four_cycles`` with a ``gf2.SpanBasis``; there is no one-item
 entry point.  Each sign decision is one XOR row over the upper-triangle
-entry signs, held as an index array of its 3 or 4 variables.  Every
-cycle is described once, in one table per subset size (``_TRIANGLE``,
-``_FOUR_CYCLES``): its edges and the arcs its row orientation walks
-against the upper triangle.  ``_cycles`` reads each cycle's
-relating-sign product, magnitude product, right-hand-side flip and edge
-endpoints off that table, once per subset for all the stages that use
-them; only the 4-set walk ranks the endpoints into XOR rows, since the
-triangle forest takes the triangles themselves.
+entry signs.  Every cycle is described once, in one table per subset
+size (``_TRIANGLE``, ``_FOUR_CYCLES``): its edges and the arcs its row
+orientation walks against the upper triangle.  ``_cycles`` reads each
+cycle's relating-sign product, magnitude product, right-hand-side flip
+and edge endpoints off that table, once per subset for all the stages
+that use them.
 
 1. Skeleton.  Orders 1 and 2, read in bulk, give the diagonal, the
    off-diagonal magnitudes and the relating signs, via
@@ -20,32 +18,34 @@ triangle forest takes the triangles themselves.
 2. Traveling sums.  The minor of a triangle or 4-set gives its pi(S),
    by subtracting every permutation class that does not involve a
    full-length cycle (those classes only need quantities already known).
-3. Triangles.  Every minor of order 3 is read.  Each positive triangle
-   fixes the sign of one oriented entry product, and its row goes into
-   the basis, which ``gf2.SpanBasis._of_triangles`` starts: a parity
-   forest per vertex, evaluated one dependency level at a time over all
-   vertices, then one elimination of the rows off the forest.
-4. 4-sets, only where the span needs them.  The 4-sets are walked in
-   colex chunks of ``SPAN_CHUNK``.  Which cycles of a 4-set are
-   positive, and their rows, follow from the relating signs alone; a
-   4-set is read only when one of those rows has nonzero parity against
-   the null space the chunks before it left.  Its traveling sum is
-   matched against the at most 8 +-1 patterns of its positive cycles,
-   and its decided rows go into the basis.  This per-4-set separation
-   test is the only genericity rule: a 4-set whose best two patterns lie
-   within the tolerance is skipped with a warning, which enlarges the
-   solution set instead of guessing.  The walk stops once the null
-   space is no larger than the span of the vertex switches and the
-   transpose, which every positive cycle leaves in it.
+3. Triangles.  Every minor of order 3 is read, and each positive
+   triangle fixes the sign of one oriented entry product.  Its row ties
+   the two pairs at its top vertex v in a parity forest per v
+   (``gf2.SpanBasis._of_cycles``).
+4. 4-sets, only to join two components of those forests, while the null
+   space is larger than the span of the vertex switches and the
+   transpose, which every positive cycle leaves in it.  A positive
+   4-cycle with top vertex v is a candidate edge between v's two
+   neighbours on it; which cycles are positive follows from the relating
+   signs alone.  In Borůvka rounds, every component reads the 4-set of
+   its first leaving candidate in colex order, and matches its traveling
+   sum against the at most 8 +-1 patterns of its positive cycles.  The
+   decided cycles join components.  This per-4-set separation test is
+   the only genericity rule: a 4-set whose best two patterns lie within
+   the tolerance is skipped with a warning, and the next candidate for
+   that join is tried; after a round that joins nothing, every candidate
+   left is read at once.  The rounds stop when no candidate joins two
+   components; then ``_of_cycles`` solves the triangle and 4-cycle rows.
 
-Every row of a 4-set that is not read already lies in the span of the
-rows before it, and the reduced row echelon form of a row space is
-unique, so the particular solution and the null-space basis are those
-of the full system whenever the rows read are consistent.  Errors and
+A 4-cycle row whose pairs at v share a component reduces, through the
+tree rows at v, to a positive even subgraph below v, which the rows of
+smaller top vertices span.  So on exact minors with no skipped decision
+the solution is that of every triangle and 4-cycle row, and otherwise
+the rows read are a subset of those, so the coset can only be larger;
+the reduced row echelon form of a row space is unique.  Errors and
 warnings only concern minors that were read: a wrong 4-set minor that
 is never read does not change the solution, and ``verify`` reports it.
-A row that contradicts the rows before it means the minors are
-inconsistent.
+A row that contradicts the others means the minors are inconsistent.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from .errors import (
 from .kernel import (
     SignedKernel,
     colex_key,
-    colex_unrank,
+    colex_table,
     index_combinations,
     pair_index,
     principal_minors,
@@ -82,9 +82,6 @@ SIGN_TOL = 1e-12
 # matched: effective tol = max(sign_tol, SIGN_RTOL * scale).
 SIGN_RTOL = 1e-6
 SOLUTION_SET_CAP = 12
-# The 4-sets are walked in colex chunks of this many, each filtered
-# against the span the chunks before it left.
-SPAN_CHUNK = 4096
 
 # Positions (into a sorted 4-set) of the four triangles of a 4-set, and
 # of the vertex each one leaves out.
@@ -111,6 +108,13 @@ def _cycle_table(arcs) -> tuple[np.ndarray, np.ndarray]:
 # j-k, i-k, and the three of a 4-set, with their edges sorted.
 _TRIANGLE = _cycle_table([[(0, 1), (1, 2), (2, 0)]])
 _FOUR_CYCLES = _cycle_table([sorted(zip(o, o[1:] + o[:1]), key=sorted) for o in _CYCLE_ORDERS])
+
+# The six pairs of a sorted 4-set, in pair_index(4, ...) order, and the
+# (3, 4) indices of each cycle's edges among them.  A cycle's edges at
+# position 3 end at its two neighbours there; position c is opposite it.
+_PAIRS4 = np.triu_indices(4, 1)
+_EDGES4 = pair_index(4, _FOUR_CYCLES[0][..., 0], _FOUR_CYCLES[0][..., 1])
+_NEIGHBOURS = _FOUR_CYCLES[0][..., 0][_FOUR_CYCLES[0][..., 1] == 3].reshape(3, 2)
 
 
 @dataclass(frozen=True)
@@ -220,17 +224,14 @@ def _pi4(minors: MinorList, skel: Skeleton, pt: np.ndarray, quad: np.ndarray,
          face_pi3: np.ndarray) -> np.ndarray:
     """pi of each row of an (m, 4) array of sorted 0-based 4-sets, given
     the (m, 4) traveling sums of their ``_FACES`` triangles."""
-    d = skel.diagonal
-    v = quad.T
-    fixed = d[v[0]] * d[v[1]] * d[v[2]] * d[v[3]]
-    for a, b in itertools.combinations(range(4), 2):
+    d, pair = skel.diagonal[quad].T, pt[quad[:, _PAIRS4[0]], quad[:, _PAIRS4[1]]].T
+    fixed = d[0] * d[1] * d[2] * d[3]
+    for k, (a, b) in enumerate(zip(*_PAIRS4)):
         c, e = (x for x in range(4) if x not in (a, b))
-        fixed = fixed - pt[v[a], v[b]] * d[v[c]] * d[v[e]]
-    fixed = fixed + (pt[v[0], v[1]] * pt[v[2], v[3]]
-                     + pt[v[0], v[2]] * pt[v[1], v[3]]
-                     + pt[v[0], v[3]] * pt[v[1], v[2]])
+        fixed = fixed - pair[k] * d[c] * d[e]
+    fixed = fixed + (pair[0] * pair[5] + pair[1] * pair[4] + pair[2] * pair[3])
     for t, rest in enumerate(_FACE_REST):
-        fixed = fixed + face_pi3[:, t] * d[v[rest]]
+        fixed = fixed + face_pi3[:, t] * d[rest]
     return fixed - minors.get_many(quad + 1)
 
 
@@ -326,8 +327,8 @@ def _screen(skipped: np.ndarray, bad: np.ndarray, warning, error, stacklevel: in
 def solve_pma(minors: MinorList, sign_tol: float = SIGN_TOL) -> PMASolution:
     """Reconstruct a dense signed kernel from minors of orders up to 4.
 
-    Every minor of orders 1-3 is read, but a 4-set only when one of its
-    positive cycles is outside the span of the rows so far (see the
+    Every minor of orders 1-3 is read, but a 4-set only when it is the
+    first candidate to join two components of a vertex forest (see the
     module docstring); errors and warnings only concern minors read.
     Sign decisions whose underlying quantity falls below ``sign_tol``
     are skipped with an AmbiguousSignWarning (they only shrink the
@@ -338,7 +339,8 @@ def solve_pma(minors: MinorList, sign_tol: float = SIGN_TOL) -> PMASolution:
     n = minors.n
     skel = recover_skeleton(minors)
     tri = index_combinations(n, 3)
-    pi3 = traveling_sums(minors, skel, tri)
+    pt = _pair_terms(skel)
+    pi3 = _pi3(minors, skel, pt, tri)
 
     # triangles: a positive triangle's pi3 carries its product sign
     sign, mag3, flip = (a[:, 0] for a in _cycles(skel, tri, _TRIANGLE)[:3])
@@ -352,22 +354,23 @@ def solve_pma(minors: MinorList, sign_tol: float = SIGN_TOL) -> PMASolution:
                        f"{pi3[t]:.3e}; the minor list is not realizable at tol {tri_tol[t]:.1e}"),
             stacklevel=2)
     used = positive & ~small
-    basis = gf2.SpanBasis._of_triangles(n, tri[used], ~(pi3[used] > 0) ^ flip[used])
+    cycles = np.concatenate([tri[used], np.full((used.sum(), 1), -1)], axis=1)
+    rhs = ~(pi3[used] > 0) ^ flip[used]
+    basis = gf2.SpanBasis._of_cycles(n, cycles, rhs)
 
-    # 4-sets, in colex chunks, read only where the span still needs them.
-    # Every row is a positive cycle, on which the vertex switches and the
-    # transpose's flips (the pairs with eps = -1) have even parity, so
-    # they stay in the null space; once it is no larger than their span,
-    # no 4-set has a row outside the span and the walk stops.
+    # 4-sets, only while the null space is larger than the span of the
+    # vertex switches and the transpose's flips (the pairs with eps = -1):
+    # every row is a positive cycle, on which they have even parity
     eps = skel.epsilon
     sigma = np.where(np.arange(n) == 0, 1, eps[0])
     floor = n - 1 + (not np.array_equal(eps + np.eye(n, dtype=int), np.outer(sigma, sigma)))
-    total = math.comb(n, 4)
-    for lo in range(0, total, SPAN_CHUNK):
-        if basis.nullity <= floor:
-            break
-        quad = colex_unrank(np.arange(lo, min(lo + SPAN_CHUNK, total)), n, 4)
-        _add_four_sets(minors, skel, basis, quad, sign_tol)
+    if basis.nullity > floor:
+        pi3_at = np.zeros((n, n, n))
+        pi3_at[tuple(tri.T)] = pi3
+        more, more_rhs = _join_four_cycles(minors, skel, pt, pi3_at, cycles, sign_tol)
+        if len(more):
+            basis = gf2.SpanBasis._of_cycles(n, np.concatenate([cycles, more]),
+                                             np.concatenate([rhs, more_rhs]))
 
     # a row that contradicts the rest leaves no solution
     solution = basis.solution()
@@ -381,29 +384,81 @@ def solve_pma(minors: MinorList, sign_tol: float = SIGN_TOL) -> PMASolution:
                        solution=solution, pairs=_pairs(n))
 
 
-def _add_four_sets(minors: MinorList, skel: Skeleton, basis: gf2.SpanBasis,
-                   quad: np.ndarray, sign_tol: float) -> None:
-    """Read the 4-sets of ``quad`` that have a positive cycle outside the
-    span of ``basis`` and add their decided cycle rows to it: one sign
-    per positive cycle, unless the patterns are too close."""
-    sign, mags, flip, a, b = _cycles(skel, quad, _FOUR_CYCLES)
-    support = pair_index(skel.n, a, b)
-    read = ((sign == 1) & gf2.parities(support, basis.null_words()).any(axis=2)).any(axis=1)
-    if not read.any():
-        return
-    quad, support, flip = quad[read], support[read], flip[read]
-    cycles, negative, best, second, tol = _match(
-        sign[read], mags[read], traveling_sums(minors, skel, quad), sign_tol)
-    ambiguous = second - best <= tol
-    _screen(ambiguous, best > tol,
-            lambda t: (f"4-set {_subset(quad[t])}: sign patterns are separated by "
-                       f"{second[t] - best[t]:.1e} < tol {tol[t]:.1e}; magnitude products are "
-                       "too close to decide; skipping the 4-set's sign constraints"),
-            lambda t: (f"4-set {_subset(quad[t])}: no sign pattern matches the traveling sum "
-                       f"(best residual {best[t]:.3e} > tol {tol[t]:.1e})"),
-            stacklevel=3)
-    cycles[ambiguous] = False
-    basis.add(support[cycles], negative[cycles] ^ flip[cycles])
+def _join_four_cycles(minors: MinorList, skel: Skeleton, pt: np.ndarray, pi3: np.ndarray,
+                      cycles: np.ndarray, sign_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Stage 4 (see the module docstring): the decided 4-cycle rows, as
+    ``gf2.SpanBasis._of_cycles`` rows (p, q, v, r) and right-hand sides,
+    of the 4-sets read by Borůvka rounds over the components that the
+    triangle rows ``cycles`` leave.  ``pt`` holds the pair terms and
+    ``pi3[i, j, k]`` the traveling sum of each triangle."""
+    n = skel.n
+    comp = _join(np.arange(n * (n - 1) // 2, dtype=np.int32),
+                 pair_index(n, cycles[:, 0], cycles[:, 2]), pair_index(n, cycles[:, 1], cycles[:, 2]))
+    # 4-sets last: the negative pairs and cycles of each 4-set, the pairs
+    # (x, v) of its lower vertices x at its top vertex v, and the positive
+    # cycles whose two neighbours of v lie in two components, in colex
+    # order: 4-set t, then cycle c
+    quad = colex_table(n, 4).T.astype(np.int32) - 1
+    minus = (skel.epsilon < 0)[quad[_PAIRS4[0]], quad[_PAIRS4[1]]]
+    node = pair_index(n, quad[:3], quad[3])
+    p, q = node[_NEIGHBOURS[:, 0]], node[_NEIGHBOURS[:, 1]]
+    t, c = np.nonzero((~np.logical_xor.reduce(minus[_EDGES4], axis=1) & (comp[p] != comp[q])).T)
+    at = np.stack([p[c, t], q[c, t]], axis=1)
+    del quad, minus, node, p, q, c      # O(C(n, 4)) each, unused from here
+    read = np.zeros(math.comb(n, 4), dtype=bool)
+    rows, rhs = [np.zeros((0, 4), dtype=np.intp)], [np.zeros(0, dtype=bool)]
+    joined, last = True, False
+    while not last:
+        ends = comp[at]
+        live = (ends[:, 0] != ends[:, 1]) & ~read[t]
+        if not live.all():
+            t, at, ends = t[live], at[live], ends[live]
+        if not len(t):
+            break
+        if joined:      # each component's first candidate
+            first, position = np.full(len(comp), len(t)), np.arange(len(t))
+            np.minimum.at(first, ends[:, 0], position)
+            np.minimum.at(first, ends[:, 1], position)
+        last = not joined   # after a round that joined nothing, every candidate left
+        picked = np.zeros_like(read)
+        picked[t[first[first < len(t)]] if joined else t] = True
+        read |= picked
+        sets = colex_table(n, 4)[picked].astype(np.intp) - 1
+        sign, mags, flip, _, _ = _cycles(skel, sets, _FOUR_CYCLES)
+        faces = pi3[tuple(np.moveaxis(sets[:, _FACES], 2, 0))]
+        decided, negative, best, second, tol = _match(
+            sign, mags, _pi4(minors, skel, pt, sets, faces), sign_tol)
+        ambiguous = second - best <= tol
+        _screen(ambiguous, best > tol,
+                lambda i: (f"4-set {_subset(sets[i])}: sign patterns are separated by "
+                           f"{second[i] - best[i]:.1e} < tol {tol[i]:.1e}; magnitude products "
+                           "are too close to decide; skipping the 4-set's sign constraints"),
+                lambda i: (f"4-set {_subset(sets[i])}: no sign pattern matches the traveling "
+                           f"sum (best residual {best[i]:.3e} > tol {tol[i]:.1e})"),
+                stacklevel=3)
+        decided[ambiguous] = False
+        joined = decided.any()
+        if joined:
+            s, c = np.nonzero(decided)
+            new = np.column_stack([sets[s[:, None], _NEIGHBOURS[c]], sets[s, 3], sets[s, c]])
+            rows.append(new)
+            rhs.append(negative[s, c] ^ flip[s, c])
+            _join(comp, pair_index(n, new[:, 0], new[:, 2]), pair_index(n, new[:, 1], new[:, 2]))
+    return np.concatenate(rows), np.concatenate(rhs)
+
+
+def _join(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Union-find in place: ``root`` maps each node to the smallest node
+    of its component, and goes on doing so once the edges a - b have
+    joined theirs.  Each pass hooks the larger root of every edge under
+    the smallest root it meets there, then points each node at its root."""
+    while (split := root[a] != root[b]).any():
+        a, b = a[split], b[split]
+        ra, rb = root[a], root[b]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not ((up := root[root]) == root).all():
+            root[:] = up
+    return root
 
 
 def _assemble(diagonal: np.ndarray, magnitude: np.ndarray, epsilon: np.ndarray,

@@ -54,9 +54,10 @@ def random_signed(n, seed, diag=(0.3, 0.7), mags=(0.05, 0.1)):
 def antisymmetric(n, seed, mags=(0.05, 0.1)):
     """Dense kernel with every relating sign -1 (K_ji = -K_ij).  Every
     triangle is negative and every 4-cycle positive, so no triangle row
-    exists and every 4-set's cycle rows are outside the span of the rows
-    before it.  K + K^T and (I - K) + (I - K)^T are positive diagonal
-    matrices, so the kernel is admissible."""
+    exists, and the 4-cycles alone join the pairs (u, v) at each vertex
+    v: ``solve_pma`` reads at most C(N - 1, 2) - 1 4-sets, one per join.
+    K + K^T and (I - K) + (I - K)^T are positive diagonal matrices, so
+    the kernel is admissible."""
     gen = rng.stream(seed)
     mat = np.diag(gen.uniform(0.4, 0.6, n))
     iu, ju = np.triu_indices(n, 1)

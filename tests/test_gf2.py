@@ -22,6 +22,17 @@ def test_solve_two_equations():
     assert sol.rank == 2
 
 
+def test_bits_of_matches_the_bit_loop():
+    # masks wider than 64 bits, bits past n_vars ignored, n_vars not a
+    # multiple of 8
+    rng = np.random.default_rng(3)
+    for n_vars in (0, 1, 7, 65, 130, 8127):
+        for mask in (0, (1 << n_vars) - 1, int.from_bytes(rng.bytes(n_vars // 8 + 2), "little")):
+            bits = gf2.bits_of(mask, n_vars)
+            assert bits == tuple((mask >> i) & 1 for i in range(n_vars))
+            assert all(type(b) is int for b in bits)
+
+
 def test_solve_inconsistent():
     assert gf2.solve_groups([np.array([[0], [0]])], [[0, 1]], 1) is None
 
@@ -280,9 +291,8 @@ def test_repeated_rows_are_checked_and_near_repeats_kept():
     near = [(1 | 1 << 70, 1), (1 | 1 << 71, 0), (1 | 1 << 129, 1), (2 | 1 << 129, 0)]
     for rows in (near, near + near[:3], near + [(1 | 1 << 70, 0)]):
         assert _matches_reference(rows, 130) == (rows[-1] != (1 | 1 << 70, 0))
-    basis = gf2.SpanBasis(130)
-    basis.add(np.array([[0, 70], [0, 70], [0, 71], [0, 71]]), np.array([1, 1, 0, 0]))
-    assert basis.nullity == 128
+    sol = gf2.solve_groups([np.array([[0, 70], [0, 70], [0, 71], [0, 71]])], [np.array([1, 1, 0, 0])], 130)
+    assert sol.nullity == 128
 
 
 def test_solve_groups_reads_the_solution_of_the_kept_rows():
@@ -299,8 +309,8 @@ def test_solve_groups_reads_the_solution_of_the_kept_rows():
 
 
 def test_span_basis_in_any_split_matches_the_int_elimination():
-    # rows added in random groups, with the null space read in between,
-    # give the solution of the whole system, consistent or not
+    # rows split into random groups give the solution of the whole
+    # system, consistent or not
     rng = np.random.default_rng(47)
     inconsistent = 0
     for trial in range(60):
@@ -309,15 +319,14 @@ def test_span_basis_in_any_split_matches_the_int_elimination():
         groups, rhs = mask_groups(rows, m)
         supports = [row for g in groups for row in g]
         bits = [b for r in rhs for b in r]
-        basis = gf2.SpanBasis(m)
+        split, split_rhs = [], []
         cuts = np.sort(rng.integers(0, len(supports) + 1, size=3))
         for lo, hi in zip([0, *cuts], [*cuts, len(supports)]):
             for width in {len(row) for row in supports[lo:hi]}:
                 sel = [t for t in range(lo, hi) if len(supports[t]) == width]
-                basis.add(np.array([supports[t] for t in sel]).reshape(len(sel), width),
-                          np.array([bits[t] for t in sel], dtype=bool))
-            assert basis.null_words().shape == (m, -(-basis.nullity // 64))
-        want, sol = _reference_solve(rows, m), basis.solution()
+                split.append(np.array([supports[t] for t in sel]).reshape(len(sel), width))
+                split_rhs.append(np.array([bits[t] for t in sel], dtype=bool))
+        want, sol = _reference_solve(rows, m), gf2.solve_groups(split, split_rhs, m)
         if want is None:
             assert sol is None
             inconsistent += 1
@@ -326,62 +335,58 @@ def test_span_basis_in_any_split_matches_the_int_elimination():
     assert inconsistent > 5
 
 
-def test_null_words_flag_exactly_the_rows_outside_the_span():
-    # nullities above 64 take several words per variable
-    rng = np.random.default_rng(53)
-    for n_vars in (5, 70, 150, 200):
-        basis = gf2.SpanBasis(n_vars)
-        groups = _index_groups(rng, n_vars)
-        rows = groups[0][:n_vars // 3]
-        basis.add(rows, np.zeros(len(rows), dtype=bool))
-        words = basis.null_words()
-        assert words.dtype == np.uint64 and words.shape == (n_vars, -(-basis.nullity // 64))
-        kept = _as_masks([rows], [np.zeros(len(rows), dtype=bool)])
-        rank = _reference_solve(kept, n_vars)[3]
-        assert basis.nullity == n_vars - rank
-        assert basis.nullity > 64 or n_vars < 150
-        candidates = groups[0][:n_vars // 3 + 40]
-        outside = gf2.parities(candidates, words).any(axis=1)
-        for row, flag in zip(candidates, outside):
-            grown = _reference_solve(kept + [(sum(1 << int(i) for i in row), 0)], n_vars)[3]
-            assert flag == (grown > rank)
+def _triangle_rows(triangles):
+    """(m, 3) triangles i < j < k as ``_of_cycles`` rows (i, j, k, -1)."""
+    triangles = np.asarray(triangles)
+    return np.column_stack([triangles, np.full(len(triangles), -1)]).astype(int)
 
 
-def _planted_triangles(rng, n, density, corrupt):
-    """A random subset of the triangles of n vertices, as (m, 3) sorted
-    0-based rows in random order, with right-hand sides planted from a
-    random sign pattern; ``corrupt`` flips one of them."""
+def _planted_cycles(rng, n, density, corrupt, fours=0):
+    """A random subset of the triangles of n vertices and ``fours`` random
+    4-cycles, as ``_of_cycles`` rows (p, q, v, r) in random order, with
+    their supports as ``solve_groups`` groups (triangles, then 4-cycles)
+    and right-hand sides planted from a random sign pattern; ``corrupt``
+    flips one of them."""
     triangles = kernel.index_combinations(n, 3)
     triangles = triangles[rng.random(len(triangles)) < density]
-    triangles = triangles[rng.permutation(len(triangles))]
-    supports = kernel.pair_index(n, triangles[:, [0, 1, 0]], triangles[:, [1, 2, 2]])
-    rhs = gf2.parities(supports, rng.integers(0, 2, n * (n - 1) // 2).astype(bool))
-    if corrupt and len(rhs):
-        rhs[rng.integers(len(rhs))] ^= True
-    return triangles, supports, rhs
+    quad = kernel.index_combinations(n, 4)
+    quad = quad[rng.integers(len(quad), size=fours if len(quad) else 0)]
+    r = rng.integers(3, size=len(quad))        # the vertex opposite the top one
+    p, q = quad[np.arange(len(quad))[:, None], np.array([[1, 2], [0, 2], [0, 1]])[r]].T
+    r, v = quad[np.arange(len(quad)), r], quad[:, 3]
+    rows = np.concatenate([_triangle_rows(triangles), np.column_stack([p, q, v, r])])
+    groups = [kernel.pair_index(n, triangles[:, [0, 1, 0]], triangles[:, [1, 2, 2]]),
+              kernel.pair_index(n, np.column_stack([p, q, np.minimum(p, r), np.minimum(q, r)]),
+                                np.column_stack([v, v, np.maximum(p, r), np.maximum(q, r)]))]
+    planted = rng.integers(0, 2, n * (n - 1) // 2).astype(bool)
+    rhs = [gf2.parities(g, planted) for g in groups]
+    bits = np.concatenate(rhs)
+    if corrupt and len(bits):
+        bits[rng.integers(len(bits))] ^= True
+    rhs = [bits[:len(triangles)], bits[len(triangles):]]
+    order = rng.permutation(len(rows))
+    return rows[order], bits[order], groups, rhs
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 33, 48])
 def test_triangle_forest_matches_the_dense_elimination(n):
     # sparse sets leave the vertex graphs disconnected; a flipped rhs makes
     # the rows inconsistent unless the row is outside the span of the rest;
-    # at n = 33 and 48 the parameters of the sparse sets take two words
+    # at n = 33 and 48 the parameters of the sparse sets take two words.
+    # The same triangles plus random 4-cycles, which tie two pairs at their
+    # top vertex through two earlier pairs, go through the same forest.
     rng = np.random.default_rng(60 + n)
     n_vars = n * (n - 1) // 2
     inconsistent = 0
     for trial in range(40 if n < 33 else 8):     # the dense reference is slow past n = 32
         density = (0.02, 0.1, 0.3, 1.0)[trial % 4]
-        triangles, supports, rhs = _planted_triangles(rng, n, density, trial % 3 == 0)
-        basis = gf2.SpanBasis._of_triangles(n, triangles, rhs)
-        want = gf2.solve_groups([supports], [rhs], n_vars)
-        assert basis.solution() == want
-        assert basis.nullity > 64 or density > 0.02 or n < 33
-        inconsistent += want is None
-        # later rows go through the dense path on top of the forest's state
-        extra = rng.integers(0, n_vars, (3, 1)) if n_vars else np.zeros((0, 1), dtype=int)
-        extra_rhs = rng.integers(0, 2, len(extra))
-        basis.add(extra, extra_rhs)
-        assert basis.solution() == gf2.solve_groups([supports, extra], [rhs, extra_rhs], n_vars)
+        for fours in (0, int(rng.integers(0, n_vars + 1))):
+            rows, bits, groups, rhs = _planted_cycles(rng, n, density, trial % 3 == 0, fours)
+            basis = gf2.SpanBasis._of_cycles(n, rows, bits)
+            want = gf2.solve_groups(groups, rhs, n_vars)
+            assert basis.solution() == want
+            assert basis.nullity > 64 or density > 0.02 or n < 33 or fours
+            inconsistent += want is None
     assert inconsistent > 0 or n < 4
 
 
@@ -397,9 +402,9 @@ def test_triangle_forest_matches_the_dense_elimination_on_the_generator_law():
     supports, rhs = walk_rows(skel, tri[used], ~(pi3[used] > 0))
     want = gf2.solve_groups([supports], [rhs], n * (n - 1) // 2)
     assert want is not None and want.nullity == n
-    assert gf2.SpanBasis._of_triangles(n, tri[used], rhs).solution() == want
+    assert gf2.SpanBasis._of_cycles(n, _triangle_rows(tri[used]), rhs).solution() == want
     rhs[len(rhs) // 2] ^= True
-    assert gf2.SpanBasis._of_triangles(n, tri[used], rhs).solution() is None
+    assert gf2.SpanBasis._of_cycles(n, _triangle_rows(tri[used]), rhs).solution() is None
 
 
 def _forest_check(monkeypatch, n, triangles, rhs):
@@ -411,7 +416,7 @@ def _forest_check(monkeypatch, n, triangles, rhs):
                         lambda self, work: imposed.append(len(work)) or impose(self, work))
     triangles = np.array(triangles)
     supports = kernel.pair_index(n, triangles[:, [0, 1, 0]], triangles[:, [1, 2, 2]])
-    got = gf2.SpanBasis._of_triangles(n, triangles, rhs).solution()
+    got = gf2.SpanBasis._of_cycles(n, _triangle_rows(triangles), rhs).solution()
     forest = sum(imposed)
     assert got == gf2.solve_groups([supports], [rhs], n * (n - 1) // 2)
     return got, forest
@@ -453,14 +458,12 @@ def test_triangle_forest_takes_a_path_at_every_vertex(monkeypatch, n):
 
 def test_triangle_forest_takes_repeated_rows_and_checks_its_input():
     rng = np.random.default_rng(71)
-    triangles, supports, rhs = _planted_triangles(rng, 9, 0.5, False)
-    twice = np.concatenate([triangles, triangles[:5]])
-    assert gf2.SpanBasis._of_triangles(9, twice, np.concatenate([rhs, rhs[:5]])).solution() == \
-        gf2.solve_groups([supports], [rhs], 36)
-    assert gf2.SpanBasis._of_triangles(9, twice, np.concatenate([rhs, ~rhs[:5]])).solution() is None
-    with pytest.raises(DimensionError):
-        gf2.SpanBasis._of_triangles(4, [[0, 2, 1]], [0])
-    with pytest.raises(DimensionError):
-        gf2.SpanBasis._of_triangles(4, [[0, 1, 4]], [0])
-    with pytest.raises(DimensionError):
-        gf2.SpanBasis._of_triangles(4, [[0, 1]], [0])
+    rows, bits, groups, rhs = _planted_cycles(rng, 9, 0.5, False, 20)
+    twice = np.concatenate([rows, rows[:5]])
+    assert gf2.SpanBasis._of_cycles(9, twice, np.concatenate([bits, bits[:5]])).solution() == \
+        gf2.solve_groups(groups, rhs, 36)
+    assert gf2.SpanBasis._of_cycles(9, twice, np.concatenate([bits, ~bits[:5]])).solution() is None
+    for bad in ([[0, 2, 1, -1]], [[0, 1, 4, -1]], [[0, 1, 3, 1]], [[-1, 1, 3, 2]], [[0, 1, 2, 3]],
+                [[0, 1, 3]], [[0, 1]]):
+        with pytest.raises(DimensionError):
+            gf2.SpanBasis._of_cycles(4, bad, [0])

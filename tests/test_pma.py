@@ -457,6 +457,49 @@ def test_solve_pma_ambiguous_four_set_enlarges_solution_set():
         assert pma.verify(m, minors, 1e-9).passed
 
 
+def test_solve_pma_reads_the_next_candidate_when_a_join_is_skipped():
+    # every relating sign is -1 and the magnitudes of (1, 2, 3, 5) are
+    # equal with K_12 < 0, so that 4-set ties.  At vertex 5 it is the first
+    # candidate of the pairs (1, 5), (2, 5) and (3, 5), and (1, 2, 4, 5)
+    # the first of (4, 5): the first round reads both, and only the second
+    # joins.  (3, 5) is then joined by its next candidate, (1, 3, 4, 5),
+    # and the coset is that of every decided row.
+    upper = {(1, 2): -0.1, (1, 3): 0.1, (2, 3): 0.1, (1, 5): 0.1, (2, 5): 0.1, (3, 5): 0.1,
+             (1, 4): 0.07, (2, 4): -0.09, (3, 4): 0.11, (4, 5): 0.13}
+    k = signed_matrix([0.5, 0.45, 0.55, 0.6, 0.5], upper, {p: -1 for p in upper})
+    assert kernel.is_admissible(k)
+    minors = moments.exact_minors(k, 4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = pma.solve_pma(minors)
+    assert _warned_four_sets(caught) == [(1, 2, 3, 5)]
+    assert read_four_sets(minors) == {(1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 4, 5), (1, 3, 4, 5)}
+    _same_solution(sol, gf2.solve_groups(*full_sign_system(minors), 10))
+    assert sol.null_dimension == 5
+
+
+def test_solve_pma_reads_every_candidate_left_after_a_round_that_joins_nothing(monkeypatch):
+    # every decision of these noisy minors is skipped, the triangles' too,
+    # so the first round of 4-set reads joins nothing.  The second reads
+    # every 4-set with a positive cycle at once: the set that one read per
+    # component and round would reach, in as many rounds as the longest
+    # run of skipped candidates.
+    k = kernel.generate_admissible(16, 0.3, 1679072675)
+    est = moments.estimate_required_minors(
+        sampler.sample_sequential_batch(k, 10_000, 1260265874), 4)
+    rounds = []
+    pi4 = pma._pi4
+    monkeypatch.setattr(pma, "_pi4", lambda *args: rounds.append(len(args[3])) or pi4(*args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AmbiguousSignWarning)
+        sol = pma.solve_pma(est, sign_tol=0.01)
+    assert sol.null_dimension == 120
+    quad = kernel.index_combinations(16, 4)
+    positive = (pma._cycles(pma.recover_skeleton(est), quad, pma._FOUR_CYCLES)[0] == 1).any(axis=1)
+    assert read_four_sets(est) == {tuple(int(x) + 1 for x in q) for q in quad[positive]}
+    assert len(rounds) == 2 and rounds[0] < rounds[1]
+
+
 def test_solve_pma_noisy_minors_never_raise_on_close_magnitudes():
     # noisy estimated minors: every 4-set whose sign patterns the noise
     # leaves within the tolerance is skipped, and none raises
@@ -480,12 +523,12 @@ def test_solve_pma_inconsistent_minors():
 
 
 def test_solve_pma_redundant_inconsistent_row():
-    # the 4-set (1, 2, 3, 4) is read, since two of its cycles are outside
-    # the span of the triangle rows.  Flipping its traveling sum flips all
-    # three cycle signs, and the contradiction sits on the third cycle,
-    # whose row already lies in that span: it is dropped before
-    # elimination, and only its check against the particular solution
-    # sees it.
+    # the 4-set (1, 2, 3, 4) is read, since its cycles join the three
+    # pairs at vertex 4, which no triangle row joins.  Two of its cycles
+    # are outside the span of the triangle rows.  Flipping its traveling
+    # sum flips all three cycle signs, and the contradiction sits on the
+    # third cycle, whose row already lies in that span: only its check
+    # against the other rows sees it.
     inner = {(1, 2): 0.08, (1, 3): -0.1, (1, 4): 0.12, (2, 3): 0.09, (2, 4): -0.11, (3, 4): 0.13}
     k = partly_spanned(inner)
     assert kernel.is_admissible(k)
@@ -496,10 +539,13 @@ def test_solve_pma_redundant_inconsistent_row():
     i, j, kk = tri.T
     eps = skel.epsilon
     used = eps[i, j] * eps[j, kk] * eps[i, kk] == 1
-    basis = gf2.SpanBasis(10)
-    basis.add(*walk_rows(skel, tri[used], pi3[used] < 0))
+    triangles, _ = walk_rows(skel, tri[used], pi3[used] < 0)
     support, _ = walk_rows(skel, four_cycle_walks(quad[[t, t, t]], np.arange(3)), np.zeros(3, dtype=bool))
-    assert gf2.parities(support, basis.null_words()).any(axis=1).tolist() == [True, False, True]
+
+    def rank(*groups):
+        return gf2.solve_groups(groups, [np.zeros(len(g), dtype=bool) for g in groups], 10).rank
+
+    assert [rank(triangles, support[[c]]) > rank(triangles) for c in range(3)] == [True, False, True]
     s = tuple(int(v) + 1 for v in quad[t])
     spoiled = moments.MinorList(5, dict(minors.items()))
     # pi4 = fixed - a_S, so this flips the sign of the 4-set's traveling sum
@@ -530,32 +576,6 @@ def test_solve_pma_round_trip_n24():
 
 def test_solve_pma_round_trip_n32():
     _generated_round_trip(32)
-
-
-def test_solve_pma_same_solution_in_small_span_chunks(monkeypatch):
-    # later chunks start from the reduced rows of the earlier ones, and
-    # each chunk of 4-sets is filtered against the span the chunks
-    # before it left, so smaller chunks read fewer 4-sets
-    k = kernel.generate_admissible(12, 0.3, 2024)
-    minors = moments.exact_minors(k, 4)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AmbiguousSignWarning)
-        whole = pma.solve_pma(minors)
-        monkeypatch.setattr(pma, "SPAN_CHUNK", 16)
-        chunked = pma.solve_pma(minors)
-    assert conjugation_distance(whole.kernel, k) <= 1e-9
-    assert chunked.kernel.mat.tobytes() == whole.kernel.mat.tobytes()
-    assert chunked.free_switches == whole.free_switches
-    for other in (kernel.generate_admissible(8, 0.3, 2024), antisymmetric(9, 5)):
-        reads, sols = [], []
-        for chunk in (4096, 16, 1):
-            monkeypatch.setattr(pma, "SPAN_CHUNK", chunk)
-            minors = moments.exact_minors(other, 4)
-            sols.append(pma.solve_pma(minors))
-            reads.append(len(read_four_sets(minors)))
-        assert len({(sol.kernel.mat.tobytes(), sol.solution, sol.pairs) for sol in sols}) == 1
-        assert reads[0] >= reads[1] >= reads[2] > 0
-    assert reads[0] > reads[2]  # every 4-set in one chunk, fewer one by one
 
 
 def _same_solution(sol, want):
@@ -604,23 +624,24 @@ def test_solve_pma_reads_no_four_set_on_the_generator_law():
     assert sol.null_dimension == 32
 
 
-def test_solve_pma_reads_every_four_set_when_every_relating_sign_is_negative():
-    # no triangle is positive, and every 4-set of the one chunk has rows
-    # outside the empty span it starts from
-    for n in (4, 6, 9):
-        k = antisymmetric(n, 400 + n)
-        minors = moments.exact_minors(k, 4)
-        sol = pma.solve_pma(minors)
-        assert read_four_sets(minors) == set(itertools.combinations(range(1, n + 1), 4))
-        assert conjugation_distance(sol.kernel, k) <= 1e-9
-        assert pma.verify(sol.kernel, minors, 1e-9).passed
-        assert sol.null_dimension == n
+@pytest.mark.parametrize("n", [9, 16, 32])
+def test_solve_pma_reads_one_four_set_per_join_when_every_relating_sign_is_negative(n):
+    # no triangle is positive, so at each vertex v = 4..N the v - 1 pairs
+    # (u, v) take v - 2 joins by 4-cycles, C(N - 1, 2) - 1 in all, and on
+    # exact minors each 4-set read makes one at least
+    k = antisymmetric(n, 400 + n)
+    minors = moments.exact_minors(k, 4)
+    sol = pma.solve_pma(minors)
+    assert 0 < len(read_four_sets(minors)) <= math.comb(n - 1, 2) - 1
+    assert conjugation_distance(sol.kernel, k) <= 1e-9
+    assert pma.verify(sol.kernel, minors, 1e-9).passed
+    assert sol.null_dimension == n
 
 
 def test_switches_and_transpose_stay_in_the_null_space():
     # every row is a positive cycle, so each vertex switch and the flips
-    # of the pairs with eps = -1 (the transpose) solve it; solve_pma stops
-    # walking the 4-sets once the null space is no larger than their span
+    # of the pairs with eps = -1 (the transpose) solve it; solve_pma reads
+    # no 4-set once the null space is no larger than their span
     for k, balanced in ((kernel.generate_admissible(8, 0.3, 2024), False),
                         (antisymmetric(7, 1), False),
                         (_equal_magnitudes(0.1), True),
