@@ -99,6 +99,7 @@ def parities(supports: np.ndarray, assignment: np.ndarray) -> np.ndarray:
 
 
 _BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
+_MIX = np.uint64(0x9E3779B97F4A7C15)    # odd, so each step is one-to-one
 
 
 @functools.lru_cache(maxsize=64)
@@ -245,14 +246,26 @@ class SpanBasis:
 
     def _rows(self, supports: np.ndarray, bits: np.ndarray) -> np.ndarray:
         """One checked group's rows over the parameters (see ``_checked``),
-        each distinct nonzero row once."""
+        each distinct nonzero row once, in the order of its first copy.  A
+        repeated row adds nothing: the rows are sorted by a 64-bit mix of
+        their words (its high bits, then the row number, in one word), and
+        a row equal to the one before it is dropped.  Distinct rows whose
+        mixes share those high bits can leave a repeat, which ``_impose``
+        reduces to zero."""
         work = parities(supports, self._expr)
         work[:, -1] ^= bits
-        work = work[work.any(axis=1)]               # a zero row is a check that holds
-        order = np.lexsort(work.T)                  # a repeated row adds nothing
-        keep = np.ones(len(work), dtype=bool)
-        keep[order[1:]] = (work[order[1:]] != work[order[:-1]]).any(axis=1)
-        return work[keep]
+        mix = np.zeros(len(work), dtype=np.uint64)
+        for word in work.T:
+            mix = (mix ^ word) * _MIX
+            mix ^= mix >> np.uint64(29)
+        low = np.uint64((1 << len(work).bit_length()) - 1)
+        order = (np.sort(mix & ~low | np.arange(len(work), dtype=np.uint64)) & low).astype(np.intp)
+        repeat = np.arange(len(work)) > 0
+        for word in work.T:
+            word = word[order]
+            repeat[1:] &= word[1:] == word[:-1]
+        work = work[np.sort(order[~repeat])]
+        return work[work.any(axis=1)]               # a zero row is a check that holds
 
     def solution(self) -> GF2Solution | None:
         """The solution of every row added, or None when some row

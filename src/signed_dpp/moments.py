@@ -32,6 +32,7 @@ from .errors import CapabilityError, DimensionError, FormatError, MissingMinorEr
 from .kernel import (
     ENUMERATION_LIMIT,
     SignedKernel,
+    colex_minors,
     colex_rank,
     colex_table,
     colex_unrank,
@@ -375,6 +376,8 @@ def exact_minors(k: SignedKernel, max_order: int | str = "all") -> MinorList:
     """True principal minors of k up to the requested order.
 
     ``max_order="all"`` computes the full list and is capped at N=16.
+    Orders 3 and 4 together take one ``kernel.colex_minors`` pass, the
+    others ``principal_minors``; the two agree bit for bit.
     """
     n = k.n
     if max_order == "all":
@@ -387,8 +390,12 @@ def exact_minors(k: SignedKernel, max_order: int | str = "all") -> MinorList:
         if not 1 <= top <= n:
             raise DimensionError(f"max_order must be in 1..{n}, got {max_order}")
     out = MinorList(n)
+    whole = {}
     for t in range(1, top + 1):
-        out._fill(t, principal_minors(k.mat, out._table(t)))
+        if t == 3 and top >= 4:      # both in one pass, each refused first if too large
+            out._size(3), out._size(4)
+            whole = dict(zip((3, 4), colex_minors(k.mat)))
+        out._fill(t, whole[t] if t in whole else principal_minors(k.mat, out._table(t)))
     return out
 
 

@@ -1,10 +1,12 @@
 """Dense linear algebra shared by every other module.
 
-Determinants up to order 4 are closed forms (``closed_det``); larger
-ones and solves are LU with partial pivoting, delegated to LAPACK
-(``getrf``) through numpy and scipy, imported on the first solve.  This
-module adds the package's input validation and the scale-invariant
-singularity threshold.
+Determinants up to order 4 are closed forms (``closed_det``); order 4
+borders the adjugate of its leading 3 x 3 block (``bordered_det``), which
+a caller holding that adjugate pays twelve products for.  Larger ones and
+solves are LU with partial pivoting, delegated to LAPACK (``getrf``)
+through numpy and scipy, imported on the first solve.  This module adds
+the package's input validation and the scale-invariant singularity
+threshold.
 """
 
 from __future__ import annotations
@@ -45,25 +47,60 @@ def batched_det(stack: np.ndarray) -> np.ndarray:
     return np.linalg.det(stack)   # 0 x 0 matrices have determinant 1
 
 
+# Entry (i, j) of a 3 x 3 adjugate is the cofactor of entry (j, i): the 2 x 2
+# minor e_rp e_sq - e_rq e_sp on the rows r < s other than j and the columns
+# p < q other than i, negated where i + j is odd.
+_OTHER = ((1, 2), (0, 2), (0, 1))
+_ADJUGATE = [[_OTHER[j] + _OTHER[i] + ((i + j) % 2,) for j in range(3)] for i in range(3)]
+
+
+def adjugate(e: np.ndarray, j: int | None = None) -> np.ndarray:
+    """The adjugates of m 3 x 3 matrices from their (3, 3, m) entries (or
+    the leading 3 x 3 blocks of larger ones), as (3, 3, m); only column j,
+    as (3, m), when j is given."""
+    cells = [row[j] for row in _ADJUGATE] if j is not None else sum(_ADJUGATE, [])
+    out, tmp = np.empty((len(cells),) + e.shape[2:]), np.empty(e.shape[2:])
+    for cell, (r, s, p, q, odd) in zip(out, cells):
+        np.multiply(e[r, p], e[s, q], out=cell)
+        cell -= np.multiply(e[r, q], e[s, p], out=tmp)
+        if odd:
+            np.negative(cell, out=cell)
+    return out if j is not None else out.reshape((3, 3) + out.shape[1:])
+
+
+def cofactor_det(e: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Determinants of the leading 3 x 3 blocks of (t, t, m) entries from
+    the first column of their adjugates, (3, m): the expansion along the
+    first row."""
+    return e[0, 0] * first[0] + e[0, 1] * first[1] + e[0, 2] * first[2]
+
+
+def bordered_det(det3: np.ndarray, adj: np.ndarray, u: np.ndarray, v: np.ndarray,
+                 corner) -> np.ndarray:
+    """det [[A, u], [v, corner]] = corner det A - v adj(A) u for m 3 x 3
+    matrices A, from det A, the (3, 3, m) adjugates and the (3, m) borders:
+    twelve products, each sum taken left to right."""
+    w = adj[:, 0] * u[0]
+    w += adj[:, 1] * u[1]
+    w += adj[:, 2] * u[2]
+    w *= v
+    return corner * det3 - (w[0] + w[1] + w[2])
+
+
 def closed_det(e: np.ndarray) -> np.ndarray:
     """Determinants of m matrices of order t <= 4 from their (t, t, m)
     entries: ones, the entry, ad - bc, the cofactor expansion along the
-    first row, and the Laplace expansion along the first two rows (six
-    products of complementary 2 x 2 minors)."""
-    def minor(r, s, p, q):   # rows r, s and columns p, q
-        return e[r, p] * e[s, q] - e[r, q] * e[s, p]
-
+    first row, and the leading 3 x 3 block bordered by the last row and
+    column (``bordered_det``)."""
     t = len(e)
     if t < 2:
         return np.ones(e.shape[2]) if t == 0 else e[0, 0]
     if t == 2:
-        return minor(0, 1, 0, 1)
+        return e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
     if t == 3:
-        return (e[0, 0] * minor(1, 2, 1, 2) - e[0, 1] * minor(1, 2, 0, 2)
-                + e[0, 2] * minor(1, 2, 0, 1))
-    return (minor(0, 1, 0, 1) * minor(2, 3, 2, 3) - minor(0, 1, 0, 2) * minor(2, 3, 1, 3)
-            + minor(0, 1, 0, 3) * minor(2, 3, 1, 2) + minor(0, 1, 1, 2) * minor(2, 3, 0, 3)
-            - minor(0, 1, 1, 3) * minor(2, 3, 0, 2) + minor(0, 1, 2, 3) * minor(2, 3, 0, 1))
+        return cofactor_det(e, adjugate(e, 0))
+    adj = adjugate(e)
+    return bordered_det(cofactor_det(e, adj[:, 0]), adj, e[:3, 3], e[3, :3], e[3, 3])
 
 
 def solve_linear(a, b) -> np.ndarray:

@@ -295,6 +295,30 @@ def test_repeated_rows_are_checked_and_near_repeats_kept():
     assert sol.nullity == 128
 
 
+def test_rows_keep_each_distinct_row_once_and_colliding_mixes_only_leave_repeats(monkeypatch):
+    # a few distinct rows, each copied many times, some copies with the
+    # other right-hand side; over the identity basis a row is its own words
+    rng = np.random.default_rng(53)
+    n_vars = 130
+    pool = np.array([rng.choice(n_vars, size=4, replace=False) for _ in range(6)])
+    for trial in range(20):
+        pick = rng.integers(0, len(pool), 300)
+        supports, bits = pool[pick], (pick + (rng.random(300) < 0.02 * (trial % 2))) % 2 == 1
+        rows = gf2.SpanBasis(n_vars)._rows(supports, bits)
+        keys = list(zip(pick.tolist(), bits.tolist()))
+        first = [t for t, key in enumerate(keys) if key not in keys[:t]]
+        assert rows.tobytes() == gf2.SpanBasis(n_vars)._rows(supports[first], bits[first]).tobytes()
+        assert len(rows) == len(first)
+        want = gf2.solve_groups([supports], [bits], n_vars)
+        with monkeypatch.context() as patch:    # every mix 0: only neighbouring copies are dropped
+            patch.setattr(gf2, "_MIX", np.uint64(0))
+            repeats = gf2.SpanBasis(n_vars)._rows(supports, bits)
+            assert len(rows) < len(repeats)
+            assert {r.tobytes() for r in repeats} == {r.tobytes() for r in rows}
+            assert gf2.solve_groups([supports], [bits], n_vars) == want
+        assert (want is None) == (trial % 2 == 1 and len(first) > len(set(pick.tolist())))
+
+
 def test_solve_groups_reads_the_solution_of_the_kept_rows():
     rng = np.random.default_rng(37)
     for _ in range(40):

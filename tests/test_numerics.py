@@ -151,6 +151,38 @@ def test_closed_form_minors_edge_cases():
     assert kernel.principal_minors(mat, np.zeros((0, 4), dtype=int)).shape == (0,)
 
 
+def _first_row_expansion(mat, subsets):
+    """Order-3 minors as the cofactor expansion along the first row, each
+    2 x 2 minor written ad - bc: the formula order 3 has always taken."""
+    c = (np.asarray(subsets, dtype=np.intp) - 1).T
+    e = mat[c[:, None], c]
+
+    def minor(r, s, p, q):
+        return e[r, p] * e[s, q] - e[r, q] * e[s, p]
+
+    return e[0, 0] * minor(1, 2, 1, 2) - e[0, 1] * minor(1, 2, 0, 2) + e[0, 2] * minor(1, 2, 0, 1)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 16, 24, 40])
+def test_whole_order_minors_equal_the_minors_row_by_row(n, monkeypatch):
+    # from N = 17 on, the 4-sets of the top items past the first 16 are bordered one item at a time
+    gen = np.random.default_rng(n)
+    mats = [kernel.generate_admissible(n, 0.3, n).mat, gen.normal(size=(n, n))]
+    mats += _closed_form_cases() if n == 8 else []
+    for mat in mats:
+        whole = dict(zip((3, 4), kernel.colex_minors(mat)))
+        for t, values in whole.items():
+            table = kernel.colex_table(n, t)
+            assert values.tobytes() == kernel.principal_minors(mat, table).tobytes(), t
+            rows = gen.permutation(len(table))[:len(table) // 3 + 1]     # shuffled and partial
+            assert kernel.principal_minors(mat, table[rows]).tobytes() == values[rows].tobytes(), t
+        assert whole[3].tobytes() == _first_row_expansion(mat, kernel.colex_table(n, 3)).tobytes()
+        monkeypatch.setattr(numerics, "DET_CHUNK", 7)
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(kernel.colex_minors(mat), whole.values()))
+        monkeypatch.undo()
+
+
 def test_minors_above_order_four_stay_lapack_determinants():
     mat = _closed_form_cases()[0]
     for t in (5, 6, 8):

@@ -849,6 +849,28 @@ def test_verify_report_is_in_colex_order_whatever_the_insertion_order():
     assert report == pma.verify(k, colex, 1e-9)
 
 
+@pytest.mark.parametrize("n", [9, 20])
+def test_verify_reports_the_same_values_on_a_whole_list_and_a_partial_one(n):
+    # At tol 0 every minor with any error fails, so the failures list the
+    # values verify computed: on the whole list orders 3 and 4 come from one
+    # whole-order pass, and with some 4-sets dropped row by row.
+    k = kernel.generate_admissible(n, 0.3, n)
+    h = kernel.SignedKernel(k.mat + 1e-6 * np.random.default_rng(n).normal(size=(n, n)))
+    values = dict(moments.exact_minors(k, 4).items())
+    gen = np.random.default_rng(2 * n)
+    dropped = {j for j in values if len(j) == 4 and gen.random() < 0.3}
+    whole = pma.verify(h, moments.MinorList(n, values), 0.0)
+    part = pma.verify(h, moments.MinorList(n, {j: v for j, v in values.items() if j not in dropped}), 0.0)
+    kept = tuple(f for f in whole.failures if f[0] not in dropped)
+    assert len(whole.failures) > len(kept) > 0.9 * (len(values) - len(dropped))
+    assert part.failures == kept
+    assert part.checked == whole.checked - len(dropped)
+    worst = max(abs(got - want) for _, got, want in kept)
+    assert part.max_abs_error == worst
+    assert part.worst_subset == min((j for j, got, want in kept if abs(got - want) == worst),
+                                    key=kernel.colex_key)
+
+
 def test_verify_empty_list_vacuous():
     k = kernel.generate_admissible(4, 0.3, 141)
     report = pma.verify(k, moments.MinorList(4), 1e-9)
