@@ -38,7 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="diagonal margin in (0, 1/2)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="kernel JSON output path")
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("sample",
                        help="draw i.i.d. subsets from a kernel")
@@ -49,7 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"exact enumerates all 2^N subsets (N <= {kernel.ENUMERATION_LIMIT}); "
                         f"sequential walks the items (N <= {sampler.MASK_ITEMS})")
     p.add_argument("--out", required=True, help="samples text output path")
-    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("minors",
                        help="exact principal minors of a kernel")
@@ -57,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-order", default="all",
                    help='order cap (integer) or "all"')
     p.add_argument("--out", required=True, help="minors JSON output path")
-    p.set_defaults(func=cmd_minors)
 
     p = sub.add_parser("estimate",
                        help="estimate principal minors from samples")
@@ -65,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="ground-set size")
     p.add_argument("--max-order", type=int, default=4)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("pma",
                        help="reconstruct a kernel from minors of orders 1..4")
@@ -76,14 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "their noise, e.g. 0.005 for 1e5 samples")
     p.add_argument("--solution-set", action="store_true",
                    help="also enumerate every solution into <out>.set.json")
-    p.set_defaults(func=cmd_pma)
 
     p = sub.add_parser("verify",
                        help="check a kernel against a minor list")
     p.add_argument("--kernel", required=True)
     p.add_argument("--minors", required=True)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
@@ -177,7 +171,9 @@ def _usage(message: str) -> int:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.func(args)
+        # Looked up on each call, not bound into the parser that is built
+        # once, so a wrapper set on the module's cmd_* attribute is called.
+        return globals()[f"cmd_{args.command}"](args)
     except SystemExit as exc:
         # argparse's exits: --help (0) and usage errors (1)
         return int(exc.code) if isinstance(exc.code, int) else 1

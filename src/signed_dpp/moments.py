@@ -4,11 +4,13 @@ The inclusion probability of a subset J equals the minor det(K_J), so
 its empirical counterpart is the fraction of observed samples containing
 J.  The dense reconstruction pipeline only ever needs orders 1..4.
 
-estimate_required_minors counts all of them from the pair Gram
-P^T diag(w) P of the distinct sample masks (P has a row per mask and a
-column per pair of items, w holds the masks' counts): a triangle or a
-4-set is counted in the entry of two of its pairs.  Only the blocks that
-orders 3 and 4 read are formed, summed over chunks of masks.
+estimate_required_minors counts all of them in one of two exact ways.
+For few items, the superset sums of the histogram of sample masks: the
+count of J is the sum of the histogram over the masks S ⊇ J, the
+empirical side of det(K_J) = Σ_{S ⊇ J} P(Y = S).  Otherwise, the pair
+Gram P^T diag(w) P of the distinct sample masks (P has a row per mask
+and a column per pair of items, w holds the masks' counts): a triangle
+or a 4-set is counted in the entry of two of its pairs.
 
 MinorList holds each order as arrays indexed by the colex rank of a
 subset.  The builders here fill whole orders at once, in the order of
@@ -49,6 +51,11 @@ ORDER_LIMIT = 1 << 24    # subsets per order a MinorList holds; larger orders ar
 # Sample-by-pair cells of P per counting chunk (more when the Gram blocks of
 # _gram_counts are larger).
 _COUNT_CELLS = 1 << 16
+# _superset_counts holds one count per subset mask, so it serves at most
+# 2^TABLE_BITS masks (32 MB of counts).  Its N 2^N cell updates cost about
+# _TABLE_COST times as much per cell as the Gram's multiply-adds.
+TABLE_BITS = 22
+_TABLE_COST = 5
 
 
 class MinorList:
@@ -290,8 +297,6 @@ class QueriedSubsets(Set):
 def _distinct_masks(batch: SampleBatch) -> tuple[np.ndarray, np.ndarray]:
     """The distinct sample masks and their counts as floats: the sums of
     counts are exact below 2^53, and the products with them run in BLAS."""
-    if len(batch) == 0:
-        raise DimensionError("cannot estimate from an empty batch")
     distinct, counts = np.unique(batch.masks(), return_counts=True)
     return distinct, counts.astype(float)
 
@@ -305,24 +310,60 @@ def estimate_minor(batch: SampleBatch, j: Iterable[int]) -> float:
 
 
 def estimate_required_minors(batch: SampleBatch, max_order: int) -> MinorList:
-    """Empirical minors for every subset of size 1..max_order, counted
-    from the pair Gram of the distinct sample masks."""
+    """Empirical minors for every subset of size 1..max_order, counted by
+    ``_superset_counts`` when ``_uses_table`` says so, else by
+    ``_gram_counts``; both counts are exact, so the estimates agree bit
+    for bit."""
     if max_order not in (1, 2, 3, 4):
         raise DimensionError(f"max_order must be in 1..4, got {max_order}")
     n = batch.n_items
     if n < 1:
         raise DimensionError("estimating minors needs a ground set of at least one item")
+    if len(batch) == 0:
+        raise DimensionError("cannot estimate from an empty batch")
     out = MinorList(n)
     tables = [out._table(t) for t in range(1, min(max_order, n) + 1)]
-    for t, counts in enumerate(_gram_counts(batch, tables), 1):
+    count = _superset_counts if _uses_table(n, len(batch), sum(map(len, tables))) else _gram_counts
+    for t, counts in enumerate(count(batch, tables), 1):
         out._fill(t, counts / len(batch))
     return out
+
+
+def _uses_table(n: int, draws: int, minors: int) -> bool:
+    """Whether ``_superset_counts`` is the cheaper count of ``minors``
+    subsets from ``draws`` samples of n items: its n 2^n cell updates,
+    _TABLE_COST times as dear each, against the multiply-adds of
+    ``_gram_counts``, one per minor and distinct mask (its Gram blocks
+    hold C(n, 3) + C(n, 4) cells), at most min(draws, 2^n) masks.  Never
+    above TABLE_BITS items."""
+    return n <= TABLE_BITS and _TABLE_COST * n * (1 << n) < min(draws, 1 << n) * minors
+
+
+def _superset_counts(batch: SampleBatch, tables: list[np.ndarray]) -> list[np.ndarray]:
+    """The number of samples containing each row of ``tables[t - 1]``,
+    the 1-based t-subsets in colex order (``colex_table``): the histogram
+    of the sample masks over all 2^n masks, summed over supersets one
+    item at a time (n passes of the zeta transform), read at each row's
+    mask."""
+    n = batch.n_items
+    counts = np.bincount(batch.masks().astype(np.intp), minlength=1 << n)
+    for i in range(n):
+        half = 1 << i
+        rows = counts.reshape(-1, 2 * half)     # mask [:, half + c] is [:, c] with item i + 1
+        if half < 8:      # numpy adds a short inner axis slowly; one column at a time
+            for c in range(half):
+                rows[:, c] += rows[:, half + c]
+        else:
+            rows[:, :half] += rows[:, half:]
+    return [counts[(np.intp(1) << (table.astype(np.intp) - 1)).sum(axis=1)] for table in tables]
 
 
 def _gram_counts(batch: SampleBatch, tables: list[np.ndarray]) -> list[np.ndarray]:
     """The number of samples containing each row of ``tables[t - 1]``,
     the 1-based t-subsets in colex order (``colex_table``), for t = 1..4
-    at most.
+    at most.  It runs where ``_uses_table`` refuses the superset sums:
+    past TABLE_BITS items, and where many items meet few distinct masks
+    (at N = 20 below about 17,000 draws).
 
     Row r of B holds the item bits of distinct mask r, w[r] its count, and
     column (i, j) of P is B[:, i] * B[:, j], pairs in lexicographic order.

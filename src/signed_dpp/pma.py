@@ -76,6 +76,7 @@ from .kernel import (
     principal_minors,
 )
 from .moments import MinorList, exact_minors
+from .numerics import DET_CHUNK
 
 DENSITY_TOL = 1e-8
 SIGN_TOL = 1e-12
@@ -520,7 +521,8 @@ def verify(h: SignedKernel, minors: MinorList, tol: float = 1e-9) -> VerifyRepor
     is the colex-first one of largest error.  ``tol`` must be finite and
     nonnegative.  When orders 3 and 4 are both whole, their minors of h
     come from one ``kernel.colex_minors`` pass, which agrees bit for bit
-    with the ``principal_minors`` that the other orders take.
+    with the ``principal_minors`` that the other orders take.  Each order
+    is compared ``numerics.DET_CHUNK`` subsets at a time.
     """
     _check_tol("tol", tol)
     if h.n != minors.n:
@@ -536,17 +538,24 @@ def verify(h: SignedKernel, minors: MinorList, tol: float = 1e-9) -> VerifyRepor
         whole = dict(zip((3, 4), colex_minors(h.mat)))
     failures, worst, ties = [], 0.0, []
     for subsets, want in parts:
-        order = subsets.shape[1]
-        got = whole.pop(order) if order in whole else principal_minors(h.mat, subsets)
-        err = np.abs(got - want)
-        ok = np.where(np.abs(want) > tol, err <= tol * np.abs(want), err <= tol)
-        failures += [(tuple(subsets[t].tolist()), float(got[t]), float(want[t]))
-                     for t in np.flatnonzero(~ok)]
-        top = float(err.max(initial=0.0))
+        whole_got = whole.pop(subsets.shape[1], None)
+        top, at = 0.0, []     # the order's largest error (NaN if one is) and its subsets
+        for lo in range(0, len(subsets), DET_CHUNK):
+            rows, w = subsets[lo:lo + DET_CHUNK], want[lo:lo + DET_CHUNK]
+            got = principal_minors(h.mat, rows) if whole_got is None else whole_got[lo:lo + DET_CHUNK]
+            err = np.abs(got - w)
+            ok = np.where(np.abs(w) > tol, err <= tol * np.abs(w), err <= tol)
+            failures += [(tuple(rows[t].tolist()), float(got[t]), float(w[t]))
+                         for t in np.flatnonzero(~ok)]
+            part = float(err.max(initial=0.0))
+            if part > top or math.isnan(part):
+                top, at = part, []
+            if part == top > 0:
+                at += [tuple(rows[t].tolist()) for t in np.flatnonzero(err == top)]
         if top > worst:
             worst, ties = top, []
         if top == worst > 0:
-            ties += [tuple(subsets[t].tolist()) for t in np.flatnonzero(err == worst)]
+            ties += at
     failures.sort(key=lambda f: colex_key(f[0]))
     return VerifyReport(passed=not failures, checked=len(minors), max_abs_error=worst,
                         worst_subset=min(ties, key=colex_key) if ties else None,

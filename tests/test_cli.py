@@ -243,6 +243,15 @@ def test_main_builds_its_parser_once():
     assert cli.build_parser() is not cli.build_parser()
 
 
+def test_main_calls_the_command_the_module_holds_now(monkeypatch):
+    # the parser is built before the command is replaced
+    cli._parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.minors) or 0)
+    assert cli.main(["verify", "--kernel", "k.json", "--minors", "m.json"]) == 0
+    assert seen == ["m.json"]
+
+
 def test_pma_inconsistent_minors_exits_two(tmp_path, capsys):
     k_path = str(tmp_path / "k.json")
     m_path = str(tmp_path / "m.json")

@@ -25,7 +25,7 @@ from helpers import (
     walk_cycle,
     walk_rows,
 )
-from signed_dpp import gf2, kernel, moments, pma, sampler
+from signed_dpp import gf2, kernel, moments, numerics, pma, sampler
 from signed_dpp.errors import (
     AmbiguousSignWarning,
     CapabilityError,
@@ -869,6 +869,31 @@ def test_verify_reports_the_same_values_on_a_whole_list_and_a_partial_one(n):
     assert part.max_abs_error == worst
     assert part.worst_subset == min((j for j, got, want in kept if abs(got - want) == worst),
                                     key=kernel.colex_key)
+
+
+@pytest.mark.parametrize("orders", [3, 4])
+def test_verify_compares_across_its_slice_boundaries(orders):
+    # Every minor of the identity is exactly 1.  At N = 32 order 3 holds
+    # 4,960 subsets and order 4 35,960, so the two largest errors, at ranks
+    # DET_CHUNK - 1 and DET_CHUNK of the top order, sit in two slices.  The
+    # top order 4 comes from the whole-order pass, a top order 3 from
+    # principal_minors.
+    n, cut = 32, numerics.DET_CHUNK
+    k = kernel.SignedKernel(np.eye(n))
+    minors = moments.exact_minors(k, orders)
+    top = math.comb(n, orders) - 1
+    spoil = {(2, 7): 0.125, (orders, 5): 0.125, (orders, cut - 1): 0.25, (orders, cut): -0.25,
+             (orders, cut + 1): 1e-3, (orders, top): 0.0625}
+    for (t, rank), delta in spoil.items():
+        j = tuple(kernel.colex_table(n, t)[rank].tolist())
+        minors.put(j, minors.get(j) + delta)
+    errors = {tuple(kernel.colex_table(n, t)[rank].tolist()): abs(delta)
+              for (t, rank), delta in spoil.items()}
+    report = pma.verify(k, minors, 1e-9)
+    assert report.failures == tuple((j, 1.0, minors.get(j)) for j in sorted(errors, key=kernel.colex_key))
+    assert report.max_abs_error == 0.25
+    assert report.worst_subset == min((j for j, e in errors.items() if e == 0.25), key=kernel.colex_key)
+    assert report.checked == sum(math.comb(n, t) for t in range(1, orders + 1))
 
 
 def test_verify_empty_list_vacuous():
