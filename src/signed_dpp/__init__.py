@@ -12,7 +12,7 @@ The PMA stages are public as the batched array functions that
 ``match_four_cycles``.  GF(2) systems, on rows held as index arrays,
 have one state and one eliminate-and-substitute step, held by a
 ``SpanBasis`` that keeps every variable as an affine form over free
-parameters; ``solve_groups`` solves a system in that one step.
+parameters; ``solve_pma`` fills it through its parity forests.
 """
 
 from .errors import (
@@ -52,7 +52,7 @@ from .kernel import (
     size_variance,
     write_kernel,
 )
-from .gf2 import GF2Solution, SpanBasis, solve_groups
+from .gf2 import GF2Solution, SpanBasis
 from .moments import (
     MinorList,
     estimate_minor,

@@ -10,16 +10,14 @@ reduced row echelon form off the forms.  Cycle rows over the pairs of a
 vertex set, triangles and 4-cycles alike, are solved on a parity forest
 per top vertex (``SpanBasis._of_cycles``): the forms of all vertices are
 evaluated together, one dependency level at a time, and the rows off the
-forest go through the same step at once.  ``solve_groups`` solves rows
-given as index arrays in that one step.  Solutions hold their vectors as
-ints.
+forest go through the same step at once; this is the solver's one
+entry.  Solutions hold their vectors as ints.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -322,16 +320,3 @@ def _checked(supports, bits, n_vars: int) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionError("right-hand sides must be 0 or 1")
     return supports.astype(np.intp, copy=False), bits.astype(bool, copy=False)
 
-
-def solve_groups(groups: Sequence[np.ndarray], rhs: Sequence[np.ndarray],
-                 n_vars: int) -> GF2Solution | None:
-    """Solve XOR rows given as groups of (m, w) arrays of distinct
-    variable indices in 0..n_vars-1, with 0/1 right-hand sides ``rhs``
-    (one (m,) array per group); None when some row contradicts the rest.
-    One ``SpanBasis`` imposes the rows of every group at once."""
-    if len(groups) != len(rhs):
-        raise DimensionError(f"{len(groups)} groups but {len(rhs)} right-hand sides")
-    basis = SpanBasis(n_vars)
-    basis._impose(np.concatenate([basis._expr[:0], *(
-        basis._rows(*_checked(g, r, n_vars)) for g, r in zip(groups, rhs))]))
-    return basis.solution()

@@ -71,22 +71,6 @@ def colex_key(j: tuple[int, ...]) -> tuple[int, ...]:
     return j[::-1]
 
 
-def index_combinations(n: int, t: int) -> np.ndarray:
-    """(C(n, t), t) array of the t-subsets of {0..n-1}, in lexicographic
-    order; column k extends each row by every larger item that leaves
-    room for the columns after it."""
-    if t > n:
-        return np.zeros((0, t), dtype=np.intp)
-    rows = np.arange(n - t + 1)[:, None] if t else np.zeros((1, 0), dtype=np.intp)
-    for k in range(1, t):
-        start = rows[:, -1] + 1
-        counts = n - t + k + 1 - start
-        ends = np.cumsum(counts)
-        items = np.arange(ends[-1]) - np.repeat(ends - counts - start, counts)
-        rows = np.concatenate([np.repeat(rows, counts, axis=0), items[:, None]], axis=1)
-    return rows
-
-
 @functools.lru_cache(maxsize=64)
 def _binomials(n: int, t: int) -> np.ndarray:
     """Read-only (n, t) table of C(c, i + 1), capped at C(n, t); the cap

@@ -22,7 +22,6 @@ algorithm reads.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections.abc import Set
@@ -38,7 +37,6 @@ from .kernel import (
     colex_rank,
     colex_table,
     colex_unrank,
-    index_combinations,
     normalize_subset,
     pair_index,
     principal_minors,
@@ -378,7 +376,7 @@ def _gram_counts(batch: SampleBatch, tables: list[np.ndarray]) -> list[np.ndarra
     """
     n, top = batch.n_items, len(tables)
     distinct, weight = _distinct_masks(batch)
-    lo_item, hi_item = index_combinations(n, 2).T
+    lo_item, hi_item = np.triu_indices(n, 1)
     mid = np.arange(n)
     first = pair_index(n, mid, mid + 1)           # P's column of the pair (j, j + 1)
     width = np.zeros(n, dtype=np.int64)           # G_j's columns: pairs (j, l), then (k > j, l)
@@ -454,16 +452,15 @@ def minors_to_json(minors: MinorList) -> str:
 
 
 def minors_from_json(text: str) -> MinorList:
-    """The MinorList of a minors JSON text, read as whole arrays.
+    """The MinorList of a minors JSON text.
 
-    The values go through one float map.  When the keys are those that
-    minors_to_json writes for the whole orders 1..T (``_whole_orders``),
-    each order is filled in rank order, and no key is tokenized or ranked.
-    Otherwise the key tokens come from an int map over keys joined by ","
-    (``_key_tokens``), the key sizes from their commas, and each order's
-    rows are written by one ``MinorList._write``, orders in order of first
-    appearance.  Only when a key or a value does not parse are the entries
-    scanned in file order, for the first bad one (``_first_bad_entry``)."""
+    When the keys are those that minors_to_json writes for the whole
+    orders 1..T (``_whole_orders``) and every value is a number, each
+    order is filled in rank order from one float map, and no key is
+    tokenized or ranked.  Any other text is read key by key in file
+    order: each key is split into its integers, and each order's rows are
+    written by one ``MinorList._write``, orders in order of first
+    appearance.  The first key or value that does not parse is named."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -475,16 +472,13 @@ def minors_from_json(text: str) -> MinorList:
         raise FormatError(f"minors JSON: n must be a positive integer, got {n!r}")
     if not isinstance(entries, dict):
         raise FormatError("minors JSON: minors must be an object")
-    keys, values = list(entries), list(entries.values())
-    whole = _whole_orders(n, keys)
+    # a bool value is no number here, and an int beyond the float range is read key by key
+    whole = _whole_orders(n, list(entries)) if set(map(type, entries.values())) <= {int, float} else None
     try:
-        if not set(map(type, values)) <= {int, float}:     # bool is not int here
-            raise TypeError("a value is not a number")
-        values = np.array(list(map(float, values)), dtype=float)
-        flat = None if whole else _key_tokens(keys)
-    except (ValueError, TypeError, OverflowError):
-        _first_bad_entry(entries)
-        raise
+        values = np.array(list(map(float, entries.values()))) if whole else None
+    except OverflowError:
+        whole = None
+    by_order = {} if whole else _rows_by_order(entries)
     out = MinorList(n)
     try:
         if whole:
@@ -494,12 +488,8 @@ def minors_from_json(text: str) -> MinorList:
             for t, part in enumerate(np.split(ranked, np.cumsum([len(tb) for tb in tables])[:-1]), 1):
                 out._fill(t, part)
             return out
-        sizes = np.fromiter(map(str.count, keys, itertools.repeat(",")), dtype=np.intp,
-                            count=len(keys)) + 1
-        starts = np.cumsum(sizes) - sizes
-        orders = [np.flatnonzero(sizes == t) for t in np.flatnonzero(np.bincount(sizes))]
-        for rows in sorted(orders, key=lambda rows: rows[0]):
-            out._write(flat[starts[rows, None] + np.arange(sizes[rows[0]])], values[rows])
+        for rows, order_values in by_order.values():
+            out._write(rows, order_values)
     except DimensionError as exc:
         raise FormatError(f"minors JSON: {exc}") from exc
     if len(out) != len(entries):
@@ -521,35 +511,26 @@ def _whole_orders(n: int, keys: list) -> tuple[list[np.ndarray], np.ndarray] | N
     return (tables, order) if _json_keys(n, tables)[order].tolist() == keys else None
 
 
-def _key_tokens(keys: list) -> np.ndarray:
-    """The integers of the keys' comma-separated tokens, in file order: one
-    int map over every DET_CHUNK keys joined by ",", so that the tokens are
-    never all held as strings at once.  The dtype is object when one is
-    beyond int64 (``MinorList._write`` names it)."""
-    parts = [np.zeros(0, dtype=np.int64)]
-    for lo in range(0, len(keys), DET_CHUNK):
-        tokens = list(map(int, ",".join(keys[lo:lo + DET_CHUNK]).split(",")))
-        try:
-            parts.append(np.array(tokens, dtype=np.int64))
-        except OverflowError:
-            parts.append(np.array(tokens, dtype=object))
-    return np.concatenate(parts)
-
-
-def _first_bad_entry(entries: dict) -> None:
-    """Raise FormatError for the first entry, in file order, whose key is
-    not comma-separated integers or whose value is not a float-range number."""
+def _rows_by_order(entries: dict) -> dict[int, tuple[list, list]]:
+    """Per key size, in order of first appearance: the subsets and values
+    of the entries, each key split into its integers, in file order.  The
+    first key that is not comma-separated integers or value that is not a
+    float-range number raises FormatError."""
+    by_order: dict[int, tuple[list, list]] = {}
     for key, value in entries.items():
         try:
-            [int(tok) for tok in key.split(",")]
+            subset = [int(tok) for tok in key.split(",")]
         except ValueError as exc:
             raise FormatError(f"minors JSON: bad subset key {key!r}") from exc
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise FormatError(f"minors JSON: value for {key!r} is not a number")
+        rows, values = by_order.setdefault(len(subset), ([], []))
+        rows.append(subset)
         try:
-            float(value)
+            values.append(float(value))
         except OverflowError as exc:
             raise FormatError(f"minors JSON: value for {key!r} is beyond the float range") from exc
+    return by_order
 
 
 def write_minors(path: str, minors: MinorList) -> None:

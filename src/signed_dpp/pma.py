@@ -71,7 +71,6 @@ from .kernel import (
     colex_key,
     colex_minors,
     colex_table,
-    index_combinations,
     pair_index,
     principal_minors,
 )
@@ -340,9 +339,8 @@ def solve_pma(minors: MinorList, sign_tol: float = SIGN_TOL) -> PMASolution:
     _check_tol("sign_tol", sign_tol)
     n = minors.n
     skel = recover_skeleton(minors)
-    tri = index_combinations(n, 3)
-    pt = _pair_terms(skel)
-    pi3 = _pi3(minors, skel, pt, tri)
+    tri = colex_table(n, 3).astype(np.intp) - 1
+    pi3 = traveling_sums(minors, skel, tri)
 
     # triangles: a positive triangle's pi3 carries its product sign
     sign, mag3, flip = (a[:, 0] for a in _cycles(skel, tri, _TRIANGLE)[:3])
@@ -367,9 +365,7 @@ def solve_pma(minors: MinorList, sign_tol: float = SIGN_TOL) -> PMASolution:
     sigma = np.where(np.arange(n) == 0, 1, eps[0])
     floor = n - 1 + (not np.array_equal(eps + np.eye(n, dtype=int), np.outer(sigma, sigma)))
     if basis.nullity > floor:
-        pi3_at = np.zeros((n, n, n))
-        pi3_at[tuple(tri.T)] = pi3
-        more, more_rhs = _join_four_cycles(minors, skel, pt, pi3_at, cycles, sign_tol)
+        more, more_rhs = _join_four_cycles(minors, skel, cycles, sign_tol)
         if len(more):
             basis = gf2.SpanBasis._of_cycles(n, np.concatenate([cycles, more]),
                                              np.concatenate([rhs, more_rhs]))
@@ -386,13 +382,12 @@ def solve_pma(minors: MinorList, sign_tol: float = SIGN_TOL) -> PMASolution:
                        solution=solution, pairs=_pairs(n))
 
 
-def _join_four_cycles(minors: MinorList, skel: Skeleton, pt: np.ndarray, pi3: np.ndarray,
-                      cycles: np.ndarray, sign_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _join_four_cycles(minors: MinorList, skel: Skeleton, cycles: np.ndarray,
+                      sign_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Stage 4 (see the module docstring): the decided 4-cycle rows, as
     ``gf2.SpanBasis._of_cycles`` rows (p, q, v, r) and right-hand sides,
     of the 4-sets read by Borůvka rounds over the components that the
-    triangle rows ``cycles`` leave.  ``pt`` holds the pair terms and
-    ``pi3[i, j, k]`` the traveling sum of each triangle."""
+    triangle rows ``cycles`` leave."""
     n = skel.n
     comp = _join(np.arange(n * (n - 1) // 2, dtype=np.int32),
                  pair_index(n, cycles[:, 0], cycles[:, 2]), pair_index(n, cycles[:, 1], cycles[:, 2]))
@@ -427,9 +422,8 @@ def _join_four_cycles(minors: MinorList, skel: Skeleton, pt: np.ndarray, pi3: np
         read |= picked
         sets = colex_table(n, 4)[picked].astype(np.intp) - 1
         sign, mags, flip, _, _ = _cycles(skel, sets, _FOUR_CYCLES)
-        faces = pi3[tuple(np.moveaxis(sets[:, _FACES], 2, 0))]
         decided, negative, best, second, tol = _match(
-            sign, mags, _pi4(minors, skel, pt, sets, faces), sign_tol)
+            sign, mags, traveling_sums(minors, skel, sets), sign_tol)
         ambiguous = second - best <= tol
         _screen(ambiguous, best > tol,
                 lambda i: (f"4-set {_subset(sets[i])}: sign patterns are separated by "

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 
 import numpy as np
 
@@ -9,8 +10,29 @@ from signed_dpp import gf2, kernel, moments, pma, rng
 from signed_dpp.errors import DimensionError, FormatError
 
 
+def lex_combinations(n, t):
+    """(C(n, t), t) intp array of the t-subsets of {0..n-1}, in
+    lexicographic order: one row (0, t) for t = 0, none for t > n."""
+    rows = list(itertools.combinations(range(n), t))
+    return np.array(rows, dtype=np.intp).reshape(math.comb(n, t), t)
+
+
+def solve_groups(groups, rhs, n_vars):
+    """The dense oracle of the GF(2) solver: solve XOR rows given as groups
+    of (m, w) arrays of distinct variable indices in 0..n_vars-1, with 0/1
+    right-hand sides ``rhs`` (one (m,) array per group), by imposing every
+    checked row at once on a fresh ``gf2.SpanBasis`` (the identity), with
+    no parity forest; None when some row contradicts the rest."""
+    if len(groups) != len(rhs):
+        raise DimensionError(f"{len(groups)} groups but {len(rhs)} right-hand sides")
+    basis = gf2.SpanBasis(n_vars)
+    basis._impose(np.concatenate([basis._expr[:0], *(
+        basis._rows(*gf2._checked(g, r, n_vars)) for g, r in zip(groups, rhs))]))
+    return basis.solution()
+
+
 def mask_groups(rows, n_vars):
-    """XOR rows held as (mask, rhs) ints, as ``gf2.solve_groups``
+    """XOR rows held as (mask, rhs) ints, as ``solve_groups``
     arguments: one index-array group per row width, and their rhs."""
     nbytes = n_vars // 8 + 1
     data = b"".join((mask & ((1 << n_vars) - 1)).to_bytes(nbytes, "little") for mask, _ in rows)
@@ -119,11 +141,11 @@ def four_cycle_walks(quad, cycle):
 def full_sign_system(minors, sign_tol=pma.SIGN_TOL):
     """Every decided triangle row and every decided 4-cycle row of a
     minor list, read over every 4-set from the public stage functions
-    and built by ``walk_rows``, as ``gf2.solve_groups`` arguments
+    and built by ``walk_rows``, as ``solve_groups`` arguments
     (groups, rhs)."""
     n = minors.n
     skel = pma.recover_skeleton(minors)
-    tri, quad = kernel.index_combinations(n, 3), kernel.index_combinations(n, 4)
+    tri, quad = lex_combinations(n, 3), lex_combinations(n, 4)
     pi3, pi4 = pma.traveling_sums(minors, skel, tri), pma.traveling_sums(minors, skel, quad)
     i, j, k = tri.T
     mag, eps = skel.magnitude, skel.epsilon
@@ -223,7 +245,7 @@ def _triangles_pin_signs(k):
     """The positive triangles' rows span every decided 4-cycle row."""
     minors = moments.exact_minors(k, 4)
     skel = pma.recover_skeleton(minors)
-    tri, quad = kernel.index_combinations(k.n, 3), kernel.index_combinations(k.n, 4)
+    tri, quad = lex_combinations(k.n, 3), lex_combinations(k.n, 4)
     pi3, pi4 = pma.traveling_sums(minors, skel, tri), pma.traveling_sums(minors, skel, quad)
     eps = skel.epsilon
     positive = eps[tri[:, 0], tri[:, 1]] * eps[tri[:, 1], tri[:, 2]] * eps[tri[:, 0], tri[:, 2]] == 1
@@ -234,7 +256,7 @@ def _triangles_pin_signs(k):
     n_vars = k.n * (k.n - 1) // 2
 
     def rank_of(*groups):
-        return gf2.solve_groups(groups, [np.zeros(len(g), dtype=bool) for g in groups],
+        return solve_groups(groups, [np.zeros(len(g), dtype=bool) for g in groups],
                                 n_vars).rank
 
     return rank_of(tri_rows) == rank_of(tri_rows, quad_rows)

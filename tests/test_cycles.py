@@ -11,6 +11,7 @@ from helpers import (
     FOUR_CYCLE_WALKS,
     cyclic_sum,
     det_from_cycle_data,
+    lex_combinations,
     pma_equivalent_structural,
     positive_triangles,
     random_signed,
@@ -118,7 +119,7 @@ def test_pi_orientation_and_transpose_invariance():
         for vs in itertools.combinations(range(1, 6), m):
             assert cyclic_sum(kt, vs) == pytest.approx(cyclic_sum(k, vs), abs=1e-14)
     for t in (3, 4):
-        subsets = kernel.index_combinations(5, t)
+        subsets = lex_combinations(5, t)
         got = [pma.traveling_sums(minors, pma.recover_skeleton(minors), subsets)
                for minors in (moments.exact_minors(k, 4), moments.exact_minors(kt, 4))]
         np.testing.assert_allclose(got[1], got[0], rtol=0, atol=1e-14)
@@ -132,7 +133,7 @@ def test_pi_equals_positive_cycle_sum():
     skel = pma.recover_skeleton(minors)
     eps, m = skel.epsilon, k.mat
     for size in (3, 4, 5):
-        subsets = kernel.index_combinations(6, size)
+        subsets = lex_combinations(6, size)
         stage = pma.traveling_sums(minors, skel, subsets) if size < 5 else None
         for t, vs in enumerate(subsets.tolist()):
             total = 0.0

@@ -5,18 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mask_groups, satisfies, walk_rows
+from helpers import lex_combinations, mask_groups, satisfies, solve_groups, walk_rows
 from signed_dpp import gf2, kernel, pma
 from signed_dpp.errors import DimensionError
 from signed_dpp.moments import exact_minors
 
 
 def _solve(rows, m):
-    return gf2.solve_groups(*mask_groups(rows, m), m)
+    return solve_groups(*mask_groups(rows, m), m)
 
 
 def test_solve_two_equations():
-    sol = gf2.solve_groups([np.array([[0, 1]]), np.array([[1]])], [[1], [1]], 2)
+    sol = solve_groups([np.array([[0, 1]]), np.array([[1]])], [[1], [1]], 2)
     assert gf2.bits_of(sol.particular, 2) == (0, 1)
     assert sol.nullity == 0
     assert sol.rank == 2
@@ -34,15 +34,15 @@ def test_bits_of_matches_the_bit_loop():
 
 
 def test_solve_inconsistent():
-    assert gf2.solve_groups([np.array([[0], [0]])], [[0, 1]], 1) is None
+    assert solve_groups([np.array([[0], [0]])], [[0, 1]], 1) is None
 
 
 def test_empty_rows_are_fine():
     empty = np.zeros((2, 0), dtype=int)
-    sol = gf2.solve_groups([empty], [[0, 0]], 3)
+    sol = solve_groups([empty], [[0, 0]], 3)
     assert sol is not None and sol.nullity == 3
-    assert gf2.solve_groups([empty], [[0, 1]], 3) is None
-    assert gf2.solve_groups([], [], 3).nullity == 3
+    assert solve_groups([empty], [[0, 1]], 3) is None
+    assert solve_groups([], [], 3).nullity == 3
 
 
 def test_add_row_validates():
@@ -57,9 +57,9 @@ def test_add_row_validates():
     ]
     for supports, rhs in bad:
         with pytest.raises(DimensionError):
-            gf2.solve_groups([np.array(supports)], [np.array(rhs)], 2)
+            solve_groups([np.array(supports)], [np.array(rhs)], 2)
     with pytest.raises(DimensionError):
-        gf2.solve_groups([np.array([[0]])], [], 2)
+        solve_groups([np.array([[0]])], [], 2)
 
 
 def _planted_system(rng, m, n_rows):
@@ -188,7 +188,7 @@ def test_spanning_rows_form_a_basis():
         groups = _index_groups(rng, n_vars)
         zeros = [np.zeros(len(g), dtype=bool) for g in groups]
         _, basis, _, rank = _reference_solve(_as_masks(groups, zeros), n_vars)
-        sol = gf2.solve_groups(groups, zeros, n_vars)
+        sol = solve_groups(groups, zeros, n_vars)
         assert (sol.null_basis, sol.rank) == (basis, rank)
 
 
@@ -279,7 +279,7 @@ def test_narrow_groups_share_one_elimination(monkeypatch):
     rng = np.random.default_rng(43)
     groups = [rng.choice(40, size=(1, 3), replace=False) for _ in range(24)]
     rhs = [rng.integers(0, 2, 1) for _ in groups]
-    sol = gf2.solve_groups(groups, rhs, 40)
+    sol = solve_groups(groups, rhs, 40)
     assert len(calls) == 2
     assert (sol.particular, sol.null_basis, sol.free_cols, sol.rank) == \
         _reference_solve(_as_masks(groups, rhs), 40)
@@ -291,7 +291,7 @@ def test_repeated_rows_are_checked_and_near_repeats_kept():
     near = [(1 | 1 << 70, 1), (1 | 1 << 71, 0), (1 | 1 << 129, 1), (2 | 1 << 129, 0)]
     for rows in (near, near + near[:3], near + [(1 | 1 << 70, 0)]):
         assert _matches_reference(rows, 130) == (rows[-1] != (1 | 1 << 70, 0))
-    sol = gf2.solve_groups([np.array([[0, 70], [0, 70], [0, 71], [0, 71]])], [np.array([1, 1, 0, 0])], 130)
+    sol = solve_groups([np.array([[0, 70], [0, 70], [0, 71], [0, 71]])], [np.array([1, 1, 0, 0])], 130)
     assert sol.nullity == 128
 
 
@@ -309,13 +309,13 @@ def test_rows_keep_each_distinct_row_once_and_colliding_mixes_only_leave_repeats
         first = [t for t, key in enumerate(keys) if key not in keys[:t]]
         assert rows.tobytes() == gf2.SpanBasis(n_vars)._rows(supports[first], bits[first]).tobytes()
         assert len(rows) == len(first)
-        want = gf2.solve_groups([supports], [bits], n_vars)
+        want = solve_groups([supports], [bits], n_vars)
         with monkeypatch.context() as patch:    # every mix 0: only neighbouring copies are dropped
             patch.setattr(gf2, "_MIX", np.uint64(0))
             repeats = gf2.SpanBasis(n_vars)._rows(supports, bits)
             assert len(rows) < len(repeats)
             assert {r.tobytes() for r in repeats} == {r.tobytes() for r in rows}
-            assert gf2.solve_groups([supports], [bits], n_vars) == want
+            assert solve_groups([supports], [bits], n_vars) == want
         assert (want is None) == (trial % 2 == 1 and len(first) > len(set(pick.tolist())))
 
 
@@ -326,7 +326,7 @@ def test_solve_groups_reads_the_solution_of_the_kept_rows():
         planted = rng.integers(0, 2, n_vars).astype(bool)
         groups = _index_groups(rng, n_vars)
         rhs = [gf2.parities(g, planted) for g in groups]
-        sol = gf2.solve_groups(groups, rhs, n_vars)
+        sol = solve_groups(groups, rhs, n_vars)
         particular, basis, free, rank = _reference_solve(_as_masks(groups, rhs), n_vars)
         assert sol == gf2.GF2Solution(n_vars, particular, basis, free, rank)
         assert sol.contains(sum(1 << i for i in range(n_vars) if planted[i]))
@@ -350,7 +350,7 @@ def test_span_basis_in_any_split_matches_the_int_elimination():
                 sel = [t for t in range(lo, hi) if len(supports[t]) == width]
                 split.append(np.array([supports[t] for t in sel]).reshape(len(sel), width))
                 split_rhs.append(np.array([bits[t] for t in sel], dtype=bool))
-        want, sol = _reference_solve(rows, m), gf2.solve_groups(split, split_rhs, m)
+        want, sol = _reference_solve(rows, m), solve_groups(split, split_rhs, m)
         if want is None:
             assert sol is None
             inconsistent += 1
@@ -371,9 +371,9 @@ def _planted_cycles(rng, n, density, corrupt, fours=0):
     their supports as ``solve_groups`` groups (triangles, then 4-cycles)
     and right-hand sides planted from a random sign pattern; ``corrupt``
     flips one of them."""
-    triangles = kernel.index_combinations(n, 3)
+    triangles = lex_combinations(n, 3)
     triangles = triangles[rng.random(len(triangles)) < density]
-    quad = kernel.index_combinations(n, 4)
+    quad = lex_combinations(n, 4)
     quad = quad[rng.integers(len(quad), size=fours if len(quad) else 0)]
     r = rng.integers(3, size=len(quad))        # the vertex opposite the top one
     p, q = quad[np.arange(len(quad))[:, None], np.array([[1, 2], [0, 2], [0, 1]])[r]].T
@@ -407,7 +407,7 @@ def test_triangle_forest_matches_the_dense_elimination(n):
         for fours in (0, int(rng.integers(0, n_vars + 1))):
             rows, bits, groups, rhs = _planted_cycles(rng, n, density, trial % 3 == 0, fours)
             basis = gf2.SpanBasis._of_cycles(n, rows, bits)
-            want = gf2.solve_groups(groups, rhs, n_vars)
+            want = solve_groups(groups, rhs, n_vars)
             assert basis.solution() == want
             assert basis.nullity > 64 or density > 0.02 or n < 33 or fours
             inconsistent += want is None
@@ -419,12 +419,12 @@ def test_triangle_forest_matches_the_dense_elimination_on_the_generator_law():
     n = 32
     minors = exact_minors(kernel.generate_admissible(n, 0.3, 7), 3)
     skel = pma.recover_skeleton(minors)
-    tri = kernel.index_combinations(n, 3)
+    tri = lex_combinations(n, 3)
     pi3 = pma.traveling_sums(minors, skel, tri)
     i, j, k = tri.T
     used = skel.epsilon[i, j] * skel.epsilon[j, k] * skel.epsilon[i, k] == 1
     supports, rhs = walk_rows(skel, tri[used], ~(pi3[used] > 0))
-    want = gf2.solve_groups([supports], [rhs], n * (n - 1) // 2)
+    want = solve_groups([supports], [rhs], n * (n - 1) // 2)
     assert want is not None and want.nullity == n
     assert gf2.SpanBasis._of_cycles(n, _triangle_rows(tri[used]), rhs).solution() == want
     rhs[len(rhs) // 2] ^= True
@@ -442,7 +442,7 @@ def _forest_check(monkeypatch, n, triangles, rhs):
     supports = kernel.pair_index(n, triangles[:, [0, 1, 0]], triangles[:, [1, 2, 2]])
     got = gf2.SpanBasis._of_cycles(n, _triangle_rows(triangles), rhs).solution()
     forest = sum(imposed)
-    assert got == gf2.solve_groups([supports], [rhs], n * (n - 1) // 2)
+    assert got == solve_groups([supports], [rhs], n * (n - 1) // 2)
     return got, forest
 
 
@@ -485,7 +485,7 @@ def test_triangle_forest_takes_repeated_rows_and_checks_its_input():
     rows, bits, groups, rhs = _planted_cycles(rng, 9, 0.5, False, 20)
     twice = np.concatenate([rows, rows[:5]])
     assert gf2.SpanBasis._of_cycles(9, twice, np.concatenate([bits, bits[:5]])).solution() == \
-        gf2.solve_groups(groups, rhs, 36)
+        solve_groups(groups, rhs, 36)
     assert gf2.SpanBasis._of_cycles(9, twice, np.concatenate([bits, ~bits[:5]])).solution() is None
     for bad in ([[0, 2, 1, -1]], [[0, 1, 4, -1]], [[0, 1, 3, 1]], [[-1, 1, 3, 2]], [[0, 1, 2, 3]],
                 [[0, 1, 3]], [[0, 1]]):

@@ -1,11 +1,10 @@
-import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from helpers import random_signed, signed_matrix
+from helpers import lex_combinations, random_signed, signed_matrix
 from signed_dpp import kernel, numerics
 from signed_dpp.errors import (
     CapabilityError,
@@ -28,13 +27,6 @@ def masses_by_subset(k):
 # ---------------------------------------------------------------------------
 # subsets
 
-def test_index_combinations_lexicographic():
-    for n, t in ((6, 3), (5, 0), (3, 4), (7, 4)):
-        got = kernel.index_combinations(n, t)
-        assert got.shape == (math.comb(n, t), t)
-        assert [tuple(r) for r in got.tolist()] == list(itertools.combinations(range(n), t))
-
-
 def test_principal_minors_batched_matches_scalar():
     k = random_signed(7, 8)
     subsets = [(), (3,), (1, 2), (2, 5, 7), (1, 2, 3, 4, 5, 6, 7), (4, 6), (1, 3, 5, 7)]
@@ -52,7 +44,7 @@ def test_principal_minors_batched_matches_scalar():
 
 def test_principal_minors_do_not_depend_on_the_chunk_size(monkeypatch):
     k = random_signed(9, 3)
-    subsets = kernel.index_combinations(9, 4) + 1
+    subsets = lex_combinations(9, 4) + 1
     want = kernel.principal_minors(k.mat, subsets)
     for chunk in (1, 7, 100):
         monkeypatch.setattr(numerics, "DET_CHUNK", chunk)
@@ -484,16 +476,6 @@ def test_mat_is_read_only():
         k.mat[0, 0] = 2.0
 
 
-def test_index_combinations_match_itertools():
-    for n in range(0, 13):
-        for t in range(0, n + 2):
-            got = kernel.index_combinations(n, t)
-            assert got.dtype == np.intp
-            assert got.tolist() == [list(c) for c in itertools.combinations(range(n), t)]
-    got = kernel.index_combinations(64, 4)
-    assert got.tolist() == [list(c) for c in itertools.combinations(range(64), 4)]
-
-
 def _masks(rows):
     return (np.uint64(1) << rows.astype(np.uint64)).sum(axis=1, dtype=np.uint64)
 
@@ -502,7 +484,7 @@ def test_colex_rank_is_bitmask_order():
     # the rank is a bijection onto 0..C(n, t)-1 that orders like the mask
     cases = [(n, t) for n in range(1, 11) for t in range(1, n + 1)] + [(64, t) for t in range(1, 5)]
     for n, t in cases:
-        rows = kernel.index_combinations(n, t)
+        rows = lex_combinations(n, t)
         ranks = kernel.colex_rank(rows, n)
         by_rank = np.empty_like(rows)
         by_rank[ranks] = rows

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import per_key_minors_from_json
+from helpers import lex_combinations, per_key_minors_from_json
 from signed_dpp import kernel, moments, sampler
 from signed_dpp.errors import (
     CapabilityError,
@@ -195,7 +195,7 @@ def _written_by_rank(n: int, orders) -> moments.MinorList:
     written through the ranked ``_write``."""
     out = moments.MinorList(n)
     for t, values in orders:
-        out._write(kernel.index_combinations(n, t) + 1, values)
+        out._write(lex_combinations(n, t) + 1, values)
     return out
 
 
@@ -203,7 +203,7 @@ def _written_by_rank(n: int, orders) -> moments.MinorList:
 def test_exact_minors_json_equals_the_ranked_write(n, max_order):
     k = kernel.generate_admissible(n, 0.3, 7)
     top = n if max_order == "all" else max_order
-    ref = _written_by_rank(n, [(t, kernel.principal_minors(k.mat, kernel.index_combinations(n, t) + 1))
+    ref = _written_by_rank(n, [(t, kernel.principal_minors(k.mat, lex_combinations(n, t) + 1))
                                for t in range(1, top + 1)])
     assert moments.minors_to_json(moments.exact_minors(k, max_order)) == moments.minors_to_json(ref)
 
@@ -306,7 +306,7 @@ def test_minors_json_of_whole_orders_is_read_without_tokens_or_ranks(monkeypatch
     texts = [moments.minors_to_json(m) for m in
              (moments.exact_minors(k, 4), moments.exact_minors(k, 1), moments.exact_minors(k, "all"),
               moments.estimate_required_minors(batch, 3))]
-    monkeypatch.setattr(moments, "_key_tokens", refused)
+    monkeypatch.setattr(moments.MinorList, "_write", refused)
     monkeypatch.setattr(moments, "colex_rank", refused)
     for text in texts:
         assert read_outcome(moments.minors_from_json, text) == text
@@ -319,8 +319,9 @@ def test_minors_json_of_whole_orders_is_read_without_tokens_or_ranks(monkeypatch
 @pytest.mark.parametrize("change", ["drop", "swap", "order 2 only", "orders 1 and 3", "n + 1"])
 def test_minors_json_close_to_whole_orders_goes_through_the_tokens(monkeypatch, change):
     tokenized = []
-    key_tokens = moments._key_tokens
-    monkeypatch.setattr(moments, "_key_tokens", lambda keys: tokenized.append(1) or key_tokens(keys))
+    write = moments.MinorList._write
+    monkeypatch.setattr(moments.MinorList, "_write",
+                        lambda self, *args: tokenized.append(1) or write(self, *args))
     k = kernel.generate_admissible(7, 0.3, 5)
     entries = list(json.loads(moments.minors_to_json(moments.exact_minors(k, 3)))["minors"].items())
     n = 7
@@ -335,8 +336,9 @@ def test_minors_json_close_to_whole_orders_goes_through_the_tokens(monkeypatch, 
     else:
         n = 8
     text = '{"n": %d, "minors": {%s}}' % (n, ", ".join(f'"{key}": {v!r}' for key, v in entries))
-    assert read_outcome(moments.minors_from_json, text) == read_outcome(per_key_minors_from_json, text)
-    assert tokenized
+    got = read_outcome(moments.minors_from_json, text)
+    assert tokenized        # before the reference reader writes too
+    assert got == read_outcome(per_key_minors_from_json, text)
 
 
 def test_minors_json_defects_past_the_first_key_chunk_are_named_in_file_order():
@@ -507,8 +509,8 @@ def test_minor_list_refuses_orders_above_the_limit():
 
 def direct_frequencies(masks, n, t):
     """Fraction of the masks that contain each t-subset, in
-    ``index_combinations`` order, one subset mask compared at a time."""
-    idx = kernel.index_combinations(n, t).astype(np.uint64)
+    ``lex_combinations`` order, one subset mask compared at a time."""
+    idx = lex_combinations(n, t).astype(np.uint64)
     subsets = np.bitwise_or.reduce(np.uint64(1) << idx, axis=1)
     counts = np.zeros(len(subsets))
     for m in np.asarray(masks, dtype=np.uint64):
@@ -522,7 +524,7 @@ def assert_counts_match(batch, max_order):
     top = min(max_order, n)
     assert len(est) == sum(math.comb(n, t) for t in range(1, top + 1))
     for t in range(1, top + 1):
-        got = est.get_many(kernel.index_combinations(n, t) + 1)
+        got = est.get_many(lex_combinations(n, t) + 1)
         assert got.tobytes() == direct_frequencies(batch.masks(), n, t).tobytes(), (n, t)
 
 

@@ -16,11 +16,13 @@ from helpers import (
     four_cycle_walks,
     full_sign_system,
     in_coset,
+    lex_combinations,
     partly_spanned,
     positive_triangles,
     random_signed,
     read_four_sets,
     signed_matrix,
+    solve_groups,
     strong_admissible,
     walk_cycle,
     walk_rows,
@@ -96,7 +98,7 @@ def test_traveling_sums_negative_triangle_vanishes():
     k = signed_matrix([0.5, 0.4, 0.6], upper, eps)
     minors = moments.exact_minors(k, 3)
     skel = pma.recover_skeleton(minors)
-    tri, quad = kernel.index_combinations(3, 3), kernel.index_combinations(3, 4)
+    tri, quad = lex_combinations(3, 3), lex_combinations(3, 4)
     pi3, pi4 = pma.traveling_sums(minors, skel, tri), pma.traveling_sums(minors, skel, quad)
     assert tri.tolist() == [[0, 1, 2]] and quad.shape == (0, 4) and pi4.shape == (0,)
     assert pi3[0] == pytest.approx(0.0, abs=1e-12)
@@ -119,7 +121,7 @@ def test_traveling_sums_figure_four_set():
     upper = {p: gen.uniform(0.1, 0.3) * gen.choice([-1.0, 1.0]) for p in eps}
     k = signed_matrix([0.5, 0.45, 0.55, 0.6], upper, eps)
     minors = moments.exact_minors(k, 4)
-    quad = kernel.index_combinations(4, 4)
+    quad = lex_combinations(4, 4)
     pi4 = pma.traveling_sums(minors, pma.recover_skeleton(minors), quad)
     assert quad.tolist() == [[0, 1, 2, 3]]
     want = 2 * k.entry(1, 3) * k.entry(3, 2) * k.entry(2, 4) * k.entry(4, 1)
@@ -131,7 +133,7 @@ def test_extract_pi_matches_direct_sums():
     k = kernel.generate_admissible(6, 0.3, 23)
     minors = moments.exact_minors(k, 4)
     skel = pma.recover_skeleton(minors)
-    tri, quad = kernel.index_combinations(6, 3), kernel.index_combinations(6, 4)
+    tri, quad = lex_combinations(6, 3), lex_combinations(6, 4)
     pi3, pi4 = pma.traveling_sums(minors, skel, tri), pma.traveling_sums(minors, skel, quad)
     for subsets, got in ((tri, pi3), (quad, pi4)):
         for s, value in zip(subsets, got):
@@ -144,7 +146,7 @@ def test_batched_traveling_sums_match_direct_sums():
         k = kernel.generate_admissible(n, 0.3, seed)
         minors = moments.exact_minors(k, 4)
         skel = pma.recover_skeleton(minors)
-        tri, quad = kernel.index_combinations(n, 3), kernel.index_combinations(n, 4)
+        tri, quad = lex_combinations(n, 3), lex_combinations(n, 4)
         pi3, pi4 = pma.traveling_sums(minors, skel, tri), pma.traveling_sums(minors, skel, quad)
         for subsets, got in ((tri, pi3), (quad, pi4)):
             want = [cyclic_sum(k, s + 1) for s in subsets]
@@ -186,7 +188,7 @@ def cycle_edges(quad_row, c):
 def four_cycle_decisions(k, minors=None):
     minors = moments.exact_minors(k, 4) if minors is None else minors
     skel = pma.recover_skeleton(minors)
-    tri, quad = kernel.index_combinations(k.n, 3), kernel.index_combinations(k.n, 4)
+    tri, quad = lex_combinations(k.n, 3), lex_combinations(k.n, 4)
     pi3, pi4 = pma.traveling_sums(minors, skel, tri), pma.traveling_sums(minors, skel, quad)
     return skel, tri, pi3, quad, pi4, pma.match_four_cycles(skel, quad, pi4, pma.SIGN_TOL)
 
@@ -250,7 +252,7 @@ def test_cycle_table_matches_the_walk_reference():
             assert product[0, c] == mags[a0, b0] * mags[a1, b1] * mags[a2, b2] * mags[a3, b3]
     k = random_signed(7, 5)
     skel = pma.recover_skeleton(moments.exact_minors(k, 2))
-    tri = kernel.index_combinations(7, 3)
+    tri = lex_combinations(7, 3)
     sign, product, flip, a, b = pma._cycles(skel, tri, pma._TRIANGLE)
     support = kernel.pair_index(7, a, b)
     m = skel.magnitude
@@ -474,7 +476,7 @@ def test_solve_pma_reads_the_next_candidate_when_a_join_is_skipped():
         sol = pma.solve_pma(minors)
     assert _warned_four_sets(caught) == [(1, 2, 3, 5)]
     assert read_four_sets(minors) == {(1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 4, 5), (1, 3, 4, 5)}
-    _same_solution(sol, gf2.solve_groups(*full_sign_system(minors), 10))
+    _same_solution(sol, solve_groups(*full_sign_system(minors), 10))
     assert sol.null_dimension == 5
 
 
@@ -494,7 +496,7 @@ def test_solve_pma_reads_every_candidate_left_after_a_round_that_joins_nothing(m
         warnings.simplefilter("ignore", AmbiguousSignWarning)
         sol = pma.solve_pma(est, sign_tol=0.01)
     assert sol.null_dimension == 120
-    quad = kernel.index_combinations(16, 4)
+    quad = lex_combinations(16, 4)
     positive = (pma._cycles(pma.recover_skeleton(est), quad, pma._FOUR_CYCLES)[0] == 1).any(axis=1)
     assert read_four_sets(est) == {tuple(int(x) + 1 for x in q) for q in quad[positive]}
     assert len(rounds) == 2 and rounds[0] < rounds[1]
@@ -543,7 +545,7 @@ def test_solve_pma_redundant_inconsistent_row():
     support, _ = walk_rows(skel, four_cycle_walks(quad[[t, t, t]], np.arange(3)), np.zeros(3, dtype=bool))
 
     def rank(*groups):
-        return gf2.solve_groups(groups, [np.zeros(len(g), dtype=bool) for g in groups], 10).rank
+        return solve_groups(groups, [np.zeros(len(g), dtype=bool) for g in groups], 10).rank
 
     assert [rank(triangles, support[[c]]) > rank(triangles) for c in range(3)] == [True, False, True]
     s = tuple(int(v) + 1 for v in quad[t])
@@ -598,7 +600,7 @@ def test_solve_pma_equals_the_full_system(n):
         minors = moments.exact_minors(k, 4)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AmbiguousSignWarning)
-            want = gf2.solve_groups(*full_sign_system(minors), n_vars)
+            want = solve_groups(*full_sign_system(minors), n_vars)
             _same_solution(pma.solve_pma(minors), want)
 
 
@@ -609,7 +611,7 @@ def test_solve_pma_equals_the_full_system_on_estimates():
         est = moments.estimate_required_minors(sampler.sample_enumerate(k, 100_000, seed), 4)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AmbiguousSignWarning)
-            want = gf2.solve_groups(*full_sign_system(est, 5e-3), 21)
+            want = solve_groups(*full_sign_system(est, 5e-3), 21)
             _same_solution(pma.solve_pma(est, sign_tol=5e-3), want)
 
 
