@@ -177,8 +177,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse's exits: --help (0) and usage errors (1)
         return int(exc.code) if isinstance(exc.code, int) else 1
-    except (FormatError, FileNotFoundError) as exc:
+    except (FormatError, OSError) as exc:
         print(f"signed-dpp: error: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        print(f"signed-dpp: error: an input file is not UTF-8 text: {exc}", file=sys.stderr)
         return 1
     except SignedDppError as exc:
         print(f"signed-dpp: error: {exc}", file=sys.stderr)

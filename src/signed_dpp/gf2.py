@@ -3,15 +3,13 @@
 Sign systems (products of +-1 unknowns equal to prescribed +-1 values)
 are solved here as XOR systems, with bit 1 for the sign -1, on rows held
 as index arrays of distinct variables.  A ``SpanBasis`` holds the
-solutions of its rows as one affine form per variable over free
-parameters, in packed 64-bit words: rows are eliminated over the
-parameters and substituted into every form, and ``solution`` reads the
-reduced row echelon form off the forms.  Cycle rows over the pairs of a
-vertex set, triangles and 4-cycles alike, are solved on a parity forest
-per top vertex (``SpanBasis._of_cycles``): the forms of all vertices are
-evaluated together, one dependency level at a time, and the rows off the
-forest go through the same step at once; this is the solver's one
-entry.  Solutions hold their vectors as ints.
+solutions as one affine form per variable over free parameters, a row
+of 64-bit words each, and works on those words alone: rows over the
+parameters are reduced as ints and each pivot is substituted into every
+form, and ``solution`` reaches the reduced row echelon form by changes
+of parameter.  Its one entry, ``SpanBasis._of_cycles``, solves triangle
+and 4-cycle rows on a parity forest per top vertex, one dependency level
+at a time, and imposes the rows off the forest in one step.
 """
 
 from __future__ import annotations
@@ -70,19 +68,6 @@ class GF2Solution:
         return diff == 0
 
 
-def _pack(bits: np.ndarray) -> np.ndarray:
-    """(m, k) bools as (m, ceil(k / 64)) little-endian uint64 words: bit
-    c of a row is bit c & 63 of word c >> 6."""
-    out = np.zeros((len(bits), -(-bits.shape[1] // 64) * 8), dtype=np.uint8)
-    out[:, :-(-bits.shape[1] // 8)] = np.packbits(bits, axis=1, bitorder="little")
-    return out.view("<u8")
-
-
-def _column(words: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Bits ``cols`` of packed rows, as an (m, len(cols)) bool array."""
-    return np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")[:, cols] == 1
-
-
 def parities(supports: np.ndarray, assignment: np.ndarray) -> np.ndarray:
     """XOR of ``assignment`` over the last axis of an (..., w) array of
     distinct variable indices.  A 0/1 vector gives (...) parities; an
@@ -110,48 +95,42 @@ def _pair_table(n: int) -> np.ndarray:
     return table
 
 
-def _eliminate(work: np.ndarray, n_vars: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jordan on the first n_vars columns of packed (m, words) rows
-    (see ``_pack``), in place; later columns (a right-hand side) ride
-    along.  Returns the pivot rows and columns: the pivot rows end in
-    reduced row echelon form, the rest end zero.
+_HALVES = [(j, np.bitwise_or.reduce(_BITS[np.arange(64) & j == 0])) for j in (32, 16, 8, 4, 2, 1)]
 
-    Columns are taken in increasing order.  Past a column without a
-    pivot the loop jumps to the next column of the same 64-bit word at
-    which a row not yet chosen has a bit, read off the OR of that word
-    over those rows.
-    """
-    unused = np.ones(len(work), dtype=bool)
-    chosen, cols = [], []
-    col = 0
-    while col < n_vars:
-        hit = (work[:, col >> 6] & _BITS[col & 63]) != 0
-        candidates = np.flatnonzero(hit & unused)
-        if candidates.size == 0:
-            rest = int(np.bitwise_or.reduce(work[unused, col >> 6])) >> (col & 63)
-            col = col + (rest & -rest).bit_length() - 1 if rest else (col | 63) + 1
-            continue
-        p = candidates[0]
-        unused[p] = hit[p] = False
-        work[hit] ^= work[p]
-        chosen.append(p)
-        cols.append(col)
-        col += 1
-    return np.array(chosen, dtype=np.intp), np.array(cols, dtype=np.intp)
+
+def _columns(words: np.ndarray) -> np.ndarray:
+    """The bit columns of packed (m, words) rows, as (64 * words,
+    ceil(m / 64)) packed rows: each 64 x 64 block of bits is transposed
+    by swapping its off-diagonal halves, then quarters, down to bits."""
+    width, rows = words.shape[1], -(-len(words) // 64)
+    blocks = np.zeros((width, 64 * rows), dtype=np.uint64)
+    blocks[:, :len(words)] = words.T
+    for j, mask in _HALVES:
+        low, high = blocks.reshape(-1, 2, j).transpose(1, 0, 2)
+        swap = ((low >> j) ^ high) & mask
+        low ^= swap << j
+        high ^= swap
+    return blocks.reshape(width, rows, 64).transpose(0, 2, 1).reshape(64 * width, rows)
+
+
+def _ints(words: np.ndarray) -> list[int]:
+    """Each row of (m, words) little-endian words as one int."""
+    rows = np.ascontiguousarray(words).view(f"V{8 * words.shape[1]}").ravel().tolist()
+    return [int.from_bytes(row, "little") for row in rows]
 
 
 class SpanBasis:
     """The solutions of the XOR rows added so far, every variable held as
     an affine form over ``nullity`` free parameters: (n_vars, words + 1)
-    packed words (see ``_pack``), bit t for parameter t and the constant
-    as bit 0 of the last word.  A fresh basis is the identity.
+    uint64 words, bit t for parameter t and the constant as bit 0 of the
+    last word.  A fresh basis is the identity; the bit of a parameter that
+    imposed rows eliminate stays unused.
 
     Rows are (supports, rhs) groups: (m, w) arrays of distinct variable
     indices in 0..n_vars-1 and (m,) 0/1 right-hand sides.  A row's
     parities against the forms are the row over the parameters, and
     ``_impose`` eliminates such rows, checks those that reduce to a bare
-    constant and substitutes each pivot into every form; ``_of_cycles``
-    then renumbers the parameters some form still uses.  ``solution``
+    constant and substitutes each pivot into every form.  ``solution``
     reads the reduced row echelon form off the forms.  A row space has one
     reduced row echelon form, so the result does not depend on how rows
     were grouped or on which ones the forest took.
@@ -224,23 +203,33 @@ class SpanBasis:
         basis = cls(0)
         basis.n_vars, basis.nullity, basis._expr = n_vars, len(roots), expr
         basis._impose(basis._rows(np.column_stack([at_p, at_q, earlier, second])[rest], bits[rest]))
-        params = _column(basis._expr[:n_vars, :-1], np.arange(64 * (basis._expr.shape[1] - 1)))
-        params = params[:, params.any(axis=0)]       # renumber the parameters still used
-        basis._expr = np.concatenate([_pack(params), basis._expr[:n_vars, -1:]], axis=1)
-        basis.nullity = params.shape[1]
+        basis._expr = basis._expr[:n_vars]
+        basis.nullity = int(np.bitwise_count(np.bitwise_or.reduce(basis._expr[:, :-1])).sum())
         return basis
 
     def _impose(self, work: np.ndarray) -> None:
         """Impose nonzero packed rows over the parameters, their right-hand
-        sides as bit 0 of the last word: eliminate them, check that none
-        reduces to the bare constant 1, and substitute each pivot into
-        every form."""
-        if not len(work):
-            return
-        chosen, pivots = _eliminate(work, 64 * (self._expr.shape[1] - 1))
-        self._consistent &= not np.delete(work, chosen, axis=0)[:, -1].any()
-        for q, row in zip(pivots, work[chosen]):
-            self._expr[(self._expr[:, q >> 6] & _BITS[q & 63]) != 0] ^= row
+        sides as bit 0 of the last word: reduce them as ints, keeping the
+        pivot rows (each keyed by its lowest bit) free of each other's
+        pivots, check that none reduces to the bare constant 1, and
+        substitute each pivot into every form with one word operation."""
+        step = 8 * self._expr.shape[1]
+        constant, lows, pivots, data = 1 << 8 * step - 64, 0, {}, work.tobytes()
+        for at in range(0, len(data), step):
+            row = int.from_bytes(data[at:at + step], "little")
+            while hit := row & lows:
+                row ^= pivots[hit & -hit]
+            if row & (constant - 1):
+                low = row & -row
+                for key, pivot in pivots.items():
+                    if pivot & low:
+                        pivots[key] = pivot ^ row
+                pivots[low], lows = row, lows | low
+            elif row:
+                self._consistent = False
+        for low, row in pivots.items():
+            j, row = low.bit_length() - 1, np.frombuffer(row.to_bytes(step, "little"), dtype="<u8")
+            self._expr[(self._expr[:, j >> 6] & _BITS[j & 63]).nonzero()[0]] ^= row
 
     def _rows(self, supports: np.ndarray, bits: np.ndarray) -> np.ndarray:
         """One checked group's rows over the parameters (see ``_checked``),
@@ -267,41 +256,48 @@ class SpanBasis:
 
     def solution(self) -> GF2Solution | None:
         """The solution of every row added, or None when some row
-        contradicts the rest.
-
-        The particular solution has every free variable zero.  It and
-        the null-space basis are those of the reduced row echelon form,
-        which is unique for the row space, so they do not depend on row
-        order.
-        """
+        contradicts the rest: the particular solution with every free
+        variable zero and the null basis of the reduced row echelon form,
+        unique for the row space.  The null vectors are the forms' columns
+        after changes of parameter: a parameter in one form only pivots
+        there, and the highest form with unpivoted ones pivots on its lowest,
+        with one word operation on the forms holding it that clears the rest."""
         if not self._consistent:
             return None
-        params = _column(self._expr[:, :-1], np.arange(64 * (self._expr.shape[1] - 1)))
-        free, null, x = _reduced(params, self._expr[:, -1] == 1)
-        ints = [int.from_bytes(row.tobytes(), "little") for row in _pack(np.vstack([x, null.T]))]
-        return GF2Solution(n_vars=self.n_vars, particular=ints[0], null_basis=tuple(ints[1:]),
+        words = np.array(self._expr[:, :-1], order="F")
+        used = np.bitwise_or.reduce(words)
+        lone = used & ~np.bitwise_or.reduce(words[1:] & np.bitwise_or.accumulate(words)[:-1])
+        # a lone parameter's form keeps that bit alone, at 64 per word below plus the bits below
+        free = np.flatnonzero((words & lone).any(axis=1))
+        words[free] &= lone
+        one = words[free]
+        below = (np.bitwise_count(one - np.uint64(1)) + 64 * np.arange(one.shape[1])) * (one != 0)
+        params, left, top, tops, pivots = below.sum(axis=1), used & ~lone, len(words), [], []
+        live = (words & left).any(axis=1)
+        while len(rows := live[:top].nonzero()[0]):
+            # rows above top hold no parameter left, so only the rows with j change
+            top = rows[-1]
+            bits = int.from_bytes((words[top] & left).tobytes(), "little")
+            j = (bits & -bits).bit_length() - 1
+            at, bit = j >> 6, _BITS[j & 63]
+            left[at] ^= bit
+            hit = (words[:top + 1, at] & bit).nonzero()[0]
+            sub = words[hit] ^ words[top]
+            sub[:, at] |= bit
+            words[hit] = sub
+            live[hit] = (sub & left).any(axis=1)
+            tops.append(top)
+            pivots.append(j)
+        free, params = np.append(free, tops).astype(np.intp), np.append(params, pivots).astype(np.intp)
+        free, params = np.sort(free), params[np.argsort(free)]
+        # the particular solution sets each parameter to its free variable's constant
+        const, ones = self._expr[:, -1] & np.uint64(1), np.zeros_like(used)
+        np.bitwise_or.at(ones, (on := params[const[free] == 1]) >> 6, _BITS[on & 63])
+        x = const ^ np.bitwise_count(words & ones).sum(axis=1, dtype=np.uint64) & np.uint64(1)
+        x = int.from_bytes(np.packbits(x, bitorder="little").tobytes(), "little")
+        return GF2Solution(n_vars=self.n_vars, particular=x,
+                           null_basis=tuple(_ints(_columns(words)[params])),
                            free_cols=tuple(free.tolist()), rank=self.n_vars - len(free))
-
-
-def _reduced(null: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Free columns, null bits and particular solution of the reduced row
-    echelon form whose solutions are x plus the span of the columns of the
-    (n_vars, d) bools ``null``.  The free columns are the highest bits of
-    the null vectors eliminated over the columns in decreasing order; a
-    vector of one bit is already reduced, and its bit is cleared from the
-    others."""
-    n_vars = len(null)
-    lone = null.sum(axis=0) == 1
-    cols = np.nonzero(null[:, lone].T)[1]
-    rest = null[:, ~lone]
-    rest[cols] = False
-    packed = _pack(rest.T[:, ::-1])
-    chosen, pivots = _eliminate(packed, n_vars)
-    free = np.concatenate([cols, n_vars - 1 - pivots])
-    null = np.concatenate([np.arange(n_vars)[:, None] == cols,
-                           _column(packed[chosen], np.arange(n_vars)[::-1]).T], axis=1)
-    order = np.argsort(free)
-    return free[order], null[:, order], x ^ np.logical_xor.reduce(null[:, x[free]], axis=1)
 
 
 def _checked(supports, bits, n_vars: int) -> tuple[np.ndarray, np.ndarray]:

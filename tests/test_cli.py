@@ -197,6 +197,42 @@ def test_missing_input_exits_one(tmp_path):
                  "--max-order", "2", "--out", str(tmp_path / "m.json")]) == 1
 
 
+def test_input_that_is_a_directory_exits_one(tmp_path, capsys):
+    k_path = str(tmp_path / "k.json")
+    assert main(["gen", "--n", "4", "--lambda", "0.3", "--seed", "1", "--out", k_path]) == 0
+    assert main(["verify", "--kernel", str(tmp_path), "--minors", k_path]) == 1
+    assert main(["sample", "--kernel", str(tmp_path), "--count", "3", "--seed", "1",
+                 "--out", str(tmp_path / "s.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err.count(f"signed-dpp: error: [Errno 21] Is a directory: {str(tmp_path)!r}") == 2
+    assert "Traceback" not in err
+
+
+def test_input_that_is_not_utf8_exits_one(tmp_path, capsys):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b'{"n": 1, "rows": [[0.5]]}\xff')
+    k_path = str(tmp_path / "k.json")
+    assert main(["gen", "--n", "4", "--lambda", "0.3", "--seed", "1", "--out", k_path]) == 0
+    assert main(["verify", "--kernel", str(bad), "--minors", k_path]) == 1
+    assert main(["pma", "--minors", str(bad), "--out", str(tmp_path / "h.json")]) == 1
+    assert main(["estimate", "--samples", str(bad), "--n", "4", "--out", str(tmp_path / "e.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("signed-dpp: error: an input file is not UTF-8 text: ") == 3
+    assert "Traceback" not in err and not (tmp_path / "h.json").exists()
+
+
+def test_failed_write_names_the_out_path(tmp_path, capsys):
+    # a directory in the way, and a directory that does not exist: the
+    # message names --out, and no temporary file is left behind
+    (tmp_path / "taken").mkdir()
+    for out in (tmp_path / "taken", tmp_path / "missing" / "k.json"):
+        assert main(["gen", "--n", "4", "--lambda", "0.3", "--seed", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("signed-dpp: error: [Errno ") and err.endswith(f": {str(out)!r}\n")
+        assert ".tmp-" not in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["taken"]
+
+
 def test_kernel_entry_that_is_not_a_number_exits_one(tmp_path, capsys):
     k_path = str(tmp_path / "k.json")
     with open(k_path, "w") as fh:

@@ -1,11 +1,13 @@
+import inspect
 import itertools
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import lex_combinations, mask_groups, satisfies, solve_groups, walk_rows
+from helpers import antisymmetric, lex_combinations, mask_groups, satisfies, solve_groups, walk_rows
 from signed_dpp import gf2, kernel, pma
 from signed_dpp.errors import DimensionError
 from signed_dpp.moments import exact_minors
@@ -269,20 +271,118 @@ def test_packed_solve_matches_the_int_elimination():
     assert inconsistent > 10
 
 
-def test_narrow_groups_share_one_elimination(monkeypatch):
-    # the rows of 24 one-row groups over 40 variables are eliminated
-    # together; the second call is the reduced row echelon form that
-    # ``solution`` builds from the null space
-    calls = []
-    eliminate = gf2._eliminate
-    monkeypatch.setattr(gf2, "_eliminate", lambda *args: calls.append(1) or eliminate(*args))
+def test_narrow_groups_are_solved_as_one_system():
+    # the rows of 24 one-row groups over 40 variables give the reduced row
+    # echelon form of the whole system
     rng = np.random.default_rng(43)
     groups = [rng.choice(40, size=(1, 3), replace=False) for _ in range(24)]
     rhs = [rng.integers(0, 2, 1) for _ in groups]
     sol = solve_groups(groups, rhs, 40)
-    assert len(calls) == 2
     assert (sol.particular, sol.null_basis, sol.free_cols, sol.rank) == \
         _reference_solve(_as_masks(groups, rhs), 40)
+
+
+def _sparse_rows(rng, m, count, corrupt):
+    """``count`` int rows of at most 5 of m variables, consistent with a
+    planted solution unless ``corrupt`` flips one right-hand side."""
+    planted = int.from_bytes(rng.bytes(m // 8 + 1), "little") & ((1 << m) - 1)
+    rows = []
+    for _ in range(count):
+        mask = sum(1 << int(i) for i in rng.choice(m, size=int(rng.integers(1, 6)), replace=False))
+        rows.append((mask, bin(mask & planted).count("1") % 2))
+    if corrupt:
+        t = int(rng.integers(count))
+        rows[t] = (rows[t][0], rows[t][1] ^ 1)
+    return rows
+
+
+@pytest.mark.parametrize("m, count", [(100, 30), (300, 120)])
+def test_forms_wider_than_one_word_match_the_int_elimination(m, count):
+    # nullity above 64, then above 128: the parameters take two, then
+    # three words, and a pivot clears its parameter from every word
+    rng = np.random.default_rng(m)
+    for trial in range(6):
+        rows = _sparse_rows(rng, m, count, False)
+        assert _matches_reference(rows, m)
+        assert _solve(rows, m).nullity >= m - count
+
+
+def test_wide_forest_forms_match_the_dense_elimination():
+    # a twentieth of the triangles at n = 40 leave over 128 parameters,
+    # which the forms hold in more than two words; a repeated triangle
+    # with the other right-hand side contradicts its copy
+    rng = np.random.default_rng(83)
+    n = 40
+    for flip in (False, True):
+        tri = lex_combinations(n, 3)
+        tri = tri[rng.random(len(tri)) < 0.05]
+        tri = np.concatenate([tri, tri[:int(flip)]])
+        supports = kernel.pair_index(n, tri[:, [0, 1, 0]], tri[:, [1, 2, 2]])
+        rhs = gf2.parities(supports, rng.integers(0, 2, n * (n - 1) // 2).astype(bool))
+        rhs[len(rhs) - int(flip):] ^= True
+        basis = gf2.SpanBasis._of_cycles(n, _triangle_rows(tri), rhs)
+        want = solve_groups([supports], [rhs], n * (n - 1) // 2)
+        assert basis.solution() == want
+        assert (want is None) == flip
+        assert basis._expr.shape[1] - 1 > 2 and basis.nullity > 128
+
+
+def _pivot_steps(basis):
+    """``basis.solution()`` and how many times the body of its pivot loop
+    ran, counted by a line tracer on the loop's first statement."""
+    lines, first = inspect.getsourcelines(gf2.SpanBasis.solution)
+    loop = next(t for t, line in enumerate(lines) if line.lstrip().startswith("while "))
+    body = first + next(t for t in range(loop + 1, len(lines)) if not lines[t].lstrip().startswith("#"))
+    steps = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == body:
+            steps.append(1)
+        return local
+
+    code, previous = gf2.SpanBasis.solution.__code__, sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        return basis.solution(), len(steps)
+    finally:
+        sys.settrace(previous)
+
+
+def test_a_solve_that_decides_nothing_runs_no_pivot_step():
+    # with no rows every parameter is in one form only, so each form is a
+    # pivot already; the forest of generate_admissible(32, 0.3, 7) leaves
+    # no such parameter, and each of its 32 takes one step
+    bases = [gf2.SpanBasis(n_vars) for n_vars in (0, 1, 63, 64, 65, 130)]
+    bases += [gf2.SpanBasis._of_cycles(n, np.zeros((0, 4), dtype=int), []) for n in (1, 2, 12, 17)]
+    for basis in bases:
+        sol, steps = _pivot_steps(basis)
+        assert (sol.particular, sol.null_basis, sol.free_cols, sol.rank) == \
+            _reference_solve([], basis.n_vars)
+        assert steps == 0 and sol.nullity == basis.n_vars
+    n = 32
+    minors = exact_minors(kernel.generate_admissible(n, 0.3, 7), 3)
+    skel = pma.recover_skeleton(minors)
+    tri = lex_combinations(n, 3)
+    pi3 = pma.traveling_sums(minors, skel, tri)
+    i, j, k = tri.T
+    used = skel.epsilon[i, j] * skel.epsilon[j, k] * skel.epsilon[i, k] == 1
+    _, rhs = walk_rows(skel, tri[used], ~(pi3[used] > 0))
+    sol, steps = _pivot_steps(gf2.SpanBasis._of_cycles(n, _triangle_rows(tri[used]), rhs))
+    assert steps == sol.nullity == n
+
+
+def test_inconsistent_rows_leave_no_solution():
+    # a flipped right-hand side among sparse rows over one to three words
+    # of parameters, with a contradicting copy of a row where the flip
+    # alone leaves the rows consistent, and with repeated rows
+    rng = np.random.default_rng(89)
+    for m in (5, 64, 65, 150):
+        for count in (m // 4 + 1, 2 * m):
+            rows = _sparse_rows(rng, m, count, True)
+            if _reference_solve(rows, m) is not None:      # the flipped row was free
+                rows.append((rows[0][0], rows[0][1] ^ 1))
+            assert not _matches_reference(rows, m)
+            assert not _matches_reference(rows + rows[:3], m)
 
 
 def test_repeated_rows_are_checked_and_near_repeats_kept():
@@ -491,3 +591,18 @@ def test_triangle_forest_takes_repeated_rows_and_checks_its_input():
                 [[0, 1, 3]], [[0, 1]]):
         with pytest.raises(DimensionError):
             gf2.SpanBasis._of_cycles(4, bad, [0])
+
+
+def test_four_cycle_forest_matches_the_dense_elimination_on_the_all_negative_law():
+    # no triangle is positive, so the 4-cycle rows of the forest joins
+    # alone leave the N vertex switches
+    n = 48
+    minors = exact_minors(antisymmetric(n, 1), 4)
+    rows, rhs = pma._join_four_cycles(minors, pma.recover_skeleton(minors),
+                                      np.zeros((0, 4), dtype=np.intp), pma.SIGN_TOL)
+    p, q, v, r = rows.T
+    supports = kernel.pair_index(n, np.column_stack([p, q, np.minimum(p, r), np.minimum(q, r)]),
+                                 np.column_stack([v, v, np.maximum(p, r), np.maximum(q, r)]))
+    want = solve_groups([supports], [rhs], n * (n - 1) // 2)
+    assert want is not None and want.nullity == n
+    assert gf2.SpanBasis._of_cycles(n, rows, rhs).solution() == want
