@@ -180,9 +180,6 @@ def main(argv=None) -> int:
     except (FormatError, OSError) as exc:
         print(f"signed-dpp: error: {exc}", file=sys.stderr)
         return 1
-    except UnicodeDecodeError as exc:
-        print(f"signed-dpp: error: an input file is not UTF-8 text: {exc}", file=sys.stderr)
-        return 1
     except SignedDppError as exc:
         print(f"signed-dpp: error: {exc}", file=sys.stderr)
         return 2

@@ -1,15 +1,14 @@
 """Linear algebra over the two-element field.
 
 Sign systems (products of +-1 unknowns equal to prescribed +-1 values)
-are solved here as XOR systems, with bit 1 for the sign -1, on rows held
-as index arrays of distinct variables.  A ``SpanBasis`` holds the
-solutions as one affine form per variable over free parameters, a row
-of 64-bit words each, and works on those words alone: rows over the
-parameters are reduced as ints and each pivot is substituted into every
-form, and ``solution`` reaches the reduced row echelon form by changes
-of parameter.  Its one entry, ``SpanBasis._of_cycles``, solves triangle
-and 4-cycle rows on a parity forest per top vertex, one dependency level
-at a time, and imposes the rows off the forest in one step.
+are solved here as XOR systems, with bit 1 for the sign -1.  A
+``SpanBasis`` holds the solutions as one affine form per variable over
+free parameters.  Its one entry, ``SpanBasis._of_cycles``, solves
+triangle and 4-cycle rows on a parity forest per top vertex, one
+dependency level at a time, on rows of 64-bit words per variable; it
+then transposes the forms once into one int per parameter and imposes
+the rows off the forest on those ints, and ``solution`` reduces them to
+the reduced row echelon form.
 """
 
 from __future__ import annotations
@@ -121,26 +120,24 @@ def _ints(words: np.ndarray) -> list[int]:
 
 class SpanBasis:
     """The solutions of the XOR rows added so far, every variable held as
-    an affine form over ``nullity`` free parameters: (n_vars, words + 1)
-    uint64 words, bit t for parameter t and the constant as bit 0 of the
-    last word.  A fresh basis is the identity; the bit of a parameter that
-    imposed rows eliminate stays unused.
+    an affine form over free parameters, parameter-major: ``_params[t]``
+    is an int with bit v set when variable v's form uses parameter t, and
+    ``_const`` has bit v set when its constant is 1.  A fresh basis is the
+    identity, and a parameter that imposed rows eliminate keeps a zero
+    int.
 
-    Rows are (supports, rhs) groups: (m, w) arrays of distinct variable
-    indices in 0..n_vars-1 and (m,) 0/1 right-hand sides.  A row's
-    parities against the forms are the row over the parameters, and
-    ``_impose`` eliminates such rows, checks those that reduce to a bare
-    constant and substitutes each pivot into every form.  ``solution``
-    reads the reduced row echelon form off the forms.  A row space has one
-    reduced row echelon form, so the result does not depend on how rows
-    were grouped or on which ones the forest took.
+    ``_impose`` takes rows over the parameters (a row's parities against
+    the forms, see ``_rows``), eliminates them, checks those that reduce
+    to a bare constant and substitutes each pivot into the forms.
+    ``solution`` reads the reduced row echelon form off the parameters'
+    ints.  A row space has one reduced row echelon form, so the result
+    does not depend on how rows were grouped or on which ones the forest
+    took.
     """
 
     def __init__(self, n_vars: int):
         self.n_vars, self.nullity, self._consistent = n_vars, n_vars, True
-        cols = np.arange(n_vars)
-        self._expr = np.zeros((n_vars, -(-n_vars // 64) + 1), dtype=np.uint64)
-        self._expr[cols, cols >> 6] = _BITS[cols & 63]
+        self._params, self._const = [1 << v for v in range(n_vars)], 0
 
     @classmethod
     def _of_cycles(cls, n: int, cycles, rhs) -> "SpanBasis":
@@ -155,15 +152,21 @@ class SpanBasis:
         smallest q, unless that row already hangs q off p.  A pair that
         hangs off nothing is a fresh parameter, and a hung pair's form is
         its parent pair's XOR its earlier pairs' and the right-hand side,
-        evaluated one dependency level at a time.  The other rows reduce
-        to rows over the parameters, which one ``_impose`` takes."""
-        cyc = np.asarray(cycles)
-        if cyc.ndim != 2 or cyc.shape[1] != 4:
-            raise DimensionError(f"expected (m, 4) cycle rows (p, q, v, r), got shape {cyc.shape}")
-        top, bits = _checked(cyc[:, :3], rhs, max(n, 1))
-        (p, q, v), r = top.T, cyc[:, 3].astype(np.intp)
-        if not np.all((p < q) & (q < v) & (-1 <= r) & (r < v) & (r != p) & (r != q)):
-            raise DimensionError("a cycle row (p, q, v, r) needs p < q < v, and r = -1 or r < v not p or q")
+        evaluated one dependency level at a time on (pairs, words) uint64
+        words.  The other rows reduce to rows over the parameters, which
+        one ``_impose`` takes after the words are transposed once into the
+        parameters' ints."""
+        cyc, bits = np.asarray(cycles), np.asarray(rhs)
+        if cyc.ndim != 2 or cyc.shape[1] != 4 or bits.shape != (len(cyc),):
+            raise DimensionError(f"expected (m, 4) cycle rows (p, q, v, r) with m right-hand "
+                                 f"sides, got shapes {cyc.shape} and {bits.shape}")
+        if cyc.size and cyc.dtype.kind not in "iu":
+            raise DimensionError("cycle vertices must be integers")
+        p, q, v, r = np.ascontiguousarray(cyc.T, dtype=np.intp)
+        if not np.all((0 <= p) & (p < q) & (q < v) & (v < n) & (-1 <= r) & (r < v)
+                      & (r != p) & (r != q) & ((bits == 0) | (bits == 1))):
+            raise DimensionError(f"a cycle row (p, q, v, r) needs 0 <= p < q < v < {n}, r = -1 "
+                                 f"or r < v not p or q, and a right-hand side of 0 or 1")
         n_vars, m = n * (n - 1) // 2, len(cyc)
         if not m:
             return cls(n_vars)
@@ -200,20 +203,24 @@ class SpanBasis:
             hung, tree, parent = hung[~ready], tree[~ready], parent[~ready]
         rest = np.ones(m, dtype=bool)
         rest[row[row >= 0]] = False
+        work = _rows(expr, np.column_stack([at_p, at_q, earlier, second])[rest], bits[rest])
+        ints = _ints(_columns(expr[:n_vars]))
         basis = cls(0)
-        basis.n_vars, basis.nullity, basis._expr = n_vars, len(roots), expr
-        basis._impose(basis._rows(np.column_stack([at_p, at_q, earlier, second])[rest], bits[rest]))
-        basis._expr = basis._expr[:n_vars]
-        basis.nullity = int(np.bitwise_count(np.bitwise_or.reduce(basis._expr[:, :-1])).sum())
+        basis.n_vars, basis.nullity = n_vars, len(roots)
+        basis._params, basis._const = ints[:len(roots)], ints[-64]
+        basis._impose(work)
         return basis
 
     def _impose(self, work: np.ndarray) -> None:
         """Impose nonzero packed rows over the parameters, their right-hand
         sides as bit 0 of the last word: reduce them as ints, keeping the
         pivot rows (each keyed by its lowest bit) free of each other's
-        pivots, check that none reduces to the bare constant 1, and
-        substitute each pivot into every form with one word operation."""
-        step = 8 * self._expr.shape[1]
+        pivots, and check that none reduces to the bare constant 1.  Pivot
+        j's row sets parameter j to the XOR of its other parameters and its
+        constant, so j's int is XORed into theirs, and into the constants
+        when the row's constant is 1, and cleared.  No pivot row holds
+        another's pivot, so the substitutions do not touch each other."""
+        step = 8 * work.shape[1]
         constant, lows, pivots, data = 1 << 8 * step - 64, 0, {}, work.tobytes()
         for at in range(0, len(data), step):
             row = int.from_bytes(data[at:at + step], "little")
@@ -227,92 +234,72 @@ class SpanBasis:
                 pivots[low], lows = row, lows | low
             elif row:
                 self._consistent = False
+        params = self._params
         for low, row in pivots.items():
-            j, row = low.bit_length() - 1, np.frombuffer(row.to_bytes(step, "little"), dtype="<u8")
-            self._expr[(self._expr[:, j >> 6] & _BITS[j & 63]).nonzero()[0]] ^= row
-
-    def _rows(self, supports: np.ndarray, bits: np.ndarray) -> np.ndarray:
-        """One checked group's rows over the parameters (see ``_checked``),
-        each distinct nonzero row once, in the order of its first copy.  A
-        repeated row adds nothing: the rows are sorted by a 64-bit mix of
-        their words (its high bits, then the row number, in one word), and
-        a row equal to the one before it is dropped.  Distinct rows whose
-        mixes share those high bits can leave a repeat, which ``_impose``
-        reduces to zero."""
-        work = parities(supports, self._expr)
-        work[:, -1] ^= bits
-        mix = np.zeros(len(work), dtype=np.uint64)
-        for word in work.T:
-            mix = (mix ^ word) * _MIX
-            mix ^= mix >> np.uint64(29)
-        low = np.uint64((1 << len(work).bit_length()) - 1)
-        order = (np.sort(mix & ~low | np.arange(len(work), dtype=np.uint64)) & low).astype(np.intp)
-        repeat = np.arange(len(work)) > 0
-        for word in work.T:
-            word = word[order]
-            repeat[1:] &= word[1:] == word[:-1]
-        work = work[np.sort(order[~repeat])]
-        return work[work.any(axis=1)]               # a zero row is a check that holds
+            j = low.bit_length() - 1
+            col, params[j] = params[j], 0
+            if row & constant:
+                self._const ^= col
+            row &= constant - 1 - low
+            while row:
+                t = row.bit_length() - 1
+                params[t] ^= col
+                row ^= 1 << t
+        self.nullity -= len(pivots)
 
     def solution(self) -> GF2Solution | None:
         """The solution of every row added, or None when some row
         contradicts the rest: the particular solution with every free
         variable zero and the null basis of the reduced row echelon form,
-        unique for the row space.  The null vectors are the forms' columns
-        after changes of parameter: a parameter in one form only pivots
-        there, and the highest form with unpivoted ones pivots on its lowest,
-        with one word operation on the forms holding it that clears the rest."""
+        unique for the row space.  The parameters' ints span the null
+        space.  Each is reduced by the null vectors so far until its
+        highest bit is none of theirs, and kept under that bit; then, from
+        the lowest bit up, each null vector is cleared of the lower ones'
+        highest bits, and last the constants of all of them.  Those bits
+        are the free columns, and the cleared constants the particular
+        solution."""
         if not self._consistent:
             return None
-        words = np.array(self._expr[:, :-1], order="F")
-        used = np.bitwise_or.reduce(words)
-        lone = used & ~np.bitwise_or.reduce(words[1:] & np.bitwise_or.accumulate(words)[:-1])
-        # a lone parameter's form keeps that bit alone, at 64 per word below plus the bits below
-        free = np.flatnonzero((words & lone).any(axis=1))
-        words[free] &= lone
-        one = words[free]
-        below = (np.bitwise_count(one - np.uint64(1)) + 64 * np.arange(one.shape[1])) * (one != 0)
-        params, left, top, tops, pivots = below.sum(axis=1), used & ~lone, len(words), [], []
-        live = (words & left).any(axis=1)
-        while len(rows := live[:top].nonzero()[0]):
-            # rows above top hold no parameter left, so only the rows with j change
-            top = rows[-1]
-            bits = int.from_bytes((words[top] & left).tobytes(), "little")
-            j = (bits & -bits).bit_length() - 1
-            at, bit = j >> 6, _BITS[j & 63]
-            left[at] ^= bit
-            hit = (words[:top + 1, at] & bit).nonzero()[0]
-            sub = words[hit] ^ words[top]
-            sub[:, at] |= bit
-            words[hit] = sub
-            live[hit] = (sub & left).any(axis=1)
-            tops.append(top)
-            pivots.append(j)
-        free, params = np.append(free, tops).astype(np.intp), np.append(params, pivots).astype(np.intp)
-        free, params = np.sort(free), params[np.argsort(free)]
-        # the particular solution sets each parameter to its free variable's constant
-        const, ones = self._expr[:, -1] & np.uint64(1), np.zeros_like(used)
-        np.bitwise_or.at(ones, (on := params[const[free] == 1]) >> 6, _BITS[on & 63])
-        x = const ^ np.bitwise_count(words & ones).sum(axis=1, dtype=np.uint64) & np.uint64(1)
-        x = int.from_bytes(np.packbits(x, bitorder="little").tobytes(), "little")
-        return GF2Solution(n_vars=self.n_vars, particular=x,
-                           null_basis=tuple(_ints(_columns(words)[params])),
-                           free_cols=tuple(free.tolist()), rank=self.n_vars - len(free))
+        null = {}
+        for vec in self._params:
+            while (top := vec.bit_length() - 1) in null:
+                vec ^= null[top]
+            if vec:
+                null[top] = vec
+        free, tops = sorted(null), 0
+        for f in free:
+            vec = null[f]
+            while hit := vec & tops:        # a lower vector holds its own highest bit alone
+                vec ^= null[(hit & -hit).bit_length() - 1]
+            null[f], tops = vec, tops | 1 << f
+        x = self._const
+        while hit := x & tops:
+            x ^= null[(hit & -hit).bit_length() - 1]
+        return GF2Solution(n_vars=self.n_vars, particular=x, null_basis=tuple(null[f] for f in free),
+                           free_cols=tuple(free), rank=self.n_vars - len(free))
 
 
-def _checked(supports, bits, n_vars: int) -> tuple[np.ndarray, np.ndarray]:
-    """One group as (m, w) indices and (m,) bools, or DimensionError."""
-    supports, bits = np.asarray(supports), np.asarray(bits)
-    if supports.ndim != 2 or bits.shape != (len(supports),):
-        raise DimensionError(f"expected (m, w) rows with m right-hand sides, got "
-                             f"shapes {supports.shape} and {bits.shape}")
-    if supports.size and (supports.dtype.kind not in "iu"
-                          or not 0 <= supports.min() <= supports.max() < n_vars):
-        raise DimensionError(f"variable indices must be integers in 0..{n_vars - 1}")
-    if (not np.all(supports[:, :-1] < supports[:, 1:])        # increasing rows repeat none
-            and np.any(np.diff(np.sort(supports, axis=1), axis=1) == 0)):
-        raise DimensionError("a row repeats a variable index")
-    if not np.all((bits == 0) | (bits == 1)):
-        raise DimensionError("right-hand sides must be 0 or 1")
-    return supports.astype(np.intp, copy=False), bits.astype(bool, copy=False)
-
+def _rows(expr: np.ndarray, supports: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """The XOR rows (supports, bits) over the parameters of the forms
+    ``expr``, (n_vars, words + 1) uint64 words with the constant as bit 0
+    of the last word: (m, w) arrays of variable indices and (m,) 0/1
+    right-hand sides give packed rows, each distinct nonzero row once, in
+    the order of its first copy.  A repeated row adds nothing: the rows
+    are sorted by a 64-bit mix of their words (its high bits, then the row
+    number, in one word), and a row equal to the one before it is dropped.
+    Distinct rows whose mixes share those high bits can leave a repeat,
+    which ``_impose`` reduces to zero."""
+    work = parities(supports, expr)
+    work[:, -1] ^= bits
+    mix = np.zeros(len(work), dtype=np.uint64)
+    for word in work.T:
+        mix = (mix ^ word) * _MIX
+        mix ^= mix >> np.uint64(29)
+    low = np.uint64((1 << len(work).bit_length()) - 1)
+    order = (np.sort(mix & ~low | np.arange(len(work), dtype=np.uint64)) & low).astype(np.intp)
+    repeat = np.arange(len(work)) > 0
+    for word in work.T:
+        word = word[order]
+        repeat[1:] &= word[1:] == word[:-1]
+    work = work[np.sort(order[~repeat])]
+    return work[work.any(axis=1)]               # a zero row is a check that holds

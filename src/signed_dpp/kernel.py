@@ -236,8 +236,17 @@ def write_kernel(path: str, k: SignedKernel) -> None:
 
 
 def read_kernel(path: str) -> SignedKernel:
+    return kernel_from_json(read_text(path))
+
+
+def read_text(path: str) -> str:
+    """The text of a UTF-8 file, or FormatError naming a file that is not."""
     with open(path, encoding="utf-8") as fh:
-        return kernel_from_json(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"an input file is not UTF-8 text: {path!r} "
+                              f"({exc.reason} at byte {exc.start})") from exc
 
 
 def atomic_write(path: str, text: str) -> None:

@@ -40,6 +40,7 @@ from .kernel import (
     normalize_subset,
     pair_index,
     principal_minors,
+    read_text,
     subset_to_mask,
 )
 from .numerics import DET_CHUNK
@@ -539,5 +540,4 @@ def write_minors(path: str, minors: MinorList) -> None:
 
 
 def read_minors(path: str) -> MinorList:
-    with open(path, encoding="utf-8") as fh:
-        return minors_from_json(fh.read())
+    return minors_from_json(read_text(path))

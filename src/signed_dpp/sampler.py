@@ -27,6 +27,7 @@ from .kernel import (
     enumerate_pmf,
     mask_to_subset,
     normalize_subset,
+    read_text,
     subset_to_mask,
 )
 
@@ -347,5 +348,4 @@ def write_samples(path: str, batch: SampleBatch) -> None:
 
 
 def read_samples(path: str, n_items: int) -> SampleBatch:
-    with open(path, encoding="utf-8") as fh:
-        return parse_samples(fh.read(), n_items)
+    return parse_samples(read_text(path), n_items)

@@ -25,10 +25,36 @@ def solve_groups(groups, rhs, n_vars):
     no parity forest; None when some row contradicts the rest."""
     if len(groups) != len(rhs):
         raise DimensionError(f"{len(groups)} groups but {len(rhs)} right-hand sides")
-    basis = gf2.SpanBasis(n_vars)
-    basis._impose(np.concatenate([basis._expr[:0], *(
-        basis._rows(*gf2._checked(g, r, n_vars)) for g, r in zip(groups, rhs))]))
+    eye, basis = identity_forms(n_vars), gf2.SpanBasis(n_vars)
+    basis._impose(np.concatenate([eye[:0], *(
+        gf2._rows(eye, *checked_group(g, r, n_vars)) for g, r in zip(groups, rhs))]))
     return basis.solution()
+
+
+def identity_forms(n_vars):
+    """The forms of a fresh ``gf2.SpanBasis`` as (n_vars, words + 1)
+    uint64 words: variable v is parameter v, with constant 0."""
+    cols = np.arange(n_vars)
+    eye = np.zeros((n_vars, -(-n_vars // 64) + 1), dtype=np.uint64)
+    eye[cols, cols >> 6] = np.uint64(1) << (cols & 63).astype(np.uint64)
+    return eye
+
+
+def checked_group(supports, bits, n_vars):
+    """One group as (m, w) indices and (m,) bools, or DimensionError."""
+    supports, bits = np.asarray(supports), np.asarray(bits)
+    if supports.ndim != 2 or bits.shape != (len(supports),):
+        raise DimensionError(f"expected (m, w) rows with m right-hand sides, got "
+                             f"shapes {supports.shape} and {bits.shape}")
+    if supports.size and (supports.dtype.kind not in "iu"
+                          or not 0 <= supports.min() <= supports.max() < n_vars):
+        raise DimensionError(f"variable indices must be integers in 0..{n_vars - 1}")
+    if (not np.all(supports[:, :-1] < supports[:, 1:])        # increasing rows repeat none
+            and np.any(np.diff(np.sort(supports, axis=1), axis=1) == 0)):
+        raise DimensionError("a row repeats a variable index")
+    if not np.all((bits == 0) | (bits == 1)):
+        raise DimensionError("right-hand sides must be 0 or 1")
+    return supports.astype(np.intp, copy=False), bits.astype(bool, copy=False)
 
 
 def mask_groups(rows, n_vars):

@@ -221,6 +221,18 @@ def test_input_that_is_not_utf8_exits_one(tmp_path, capsys):
     assert "Traceback" not in err and not (tmp_path / "h.json").exists()
 
 
+def test_verify_names_the_input_that_is_not_utf8(tmp_path, capsys):
+    # verify reads two files: the message names the one that is not UTF-8
+    k_path, m_path = _tol_fixture(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"n": 1, "rows": [[0.5]]}\xff')
+    for argv in (["--kernel", str(bad), "--minors", m_path], ["--kernel", k_path, "--minors", str(bad)]):
+        assert main(["verify", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"signed-dpp: error: an input file is not UTF-8 text: {str(bad)!r} "
+                       f"(invalid start byte at byte 25)\n")
+
+
 def test_failed_write_names_the_out_path(tmp_path, capsys):
     # a directory in the way, and a directory that does not exist: the
     # message names --out, and no temporary file is left behind

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import antisymmetric, lex_combinations, mask_groups, satisfies, solve_groups, walk_rows
+from helpers import (antisymmetric, identity_forms, lex_combinations, mask_groups, satisfies, solve_groups,
+                     walk_rows)
 from signed_dpp import gf2, kernel, pma
 from signed_dpp.errors import DimensionError
 from signed_dpp.moments import exact_minors
@@ -309,8 +310,9 @@ def test_forms_wider_than_one_word_match_the_int_elimination(m, count):
 
 def test_wide_forest_forms_match_the_dense_elimination():
     # a twentieth of the triangles at n = 40 leave over 128 parameters,
-    # which the forms hold in more than two words; a repeated triangle
-    # with the other right-hand side contradicts its copy
+    # which the forest's forms hold in more than two words, and over 128
+    # null vectors; a repeated triangle with the other right-hand side
+    # contradicts its copy
     rng = np.random.default_rng(83)
     n = 40
     for flip in (False, True):
@@ -324,19 +326,18 @@ def test_wide_forest_forms_match_the_dense_elimination():
         want = solve_groups([supports], [rhs], n * (n - 1) // 2)
         assert basis.solution() == want
         assert (want is None) == flip
-        assert basis._expr.shape[1] - 1 > 2 and basis.nullity > 128
+        assert len(basis._params) > 128 and basis.nullity > 128
 
 
-def _pivot_steps(basis):
-    """``basis.solution()`` and how many times the body of its pivot loop
-    ran, counted by a line tracer on the loop's first statement."""
+def _reduction_xors(basis):
+    """``basis.solution()`` and how many XORs it made, counted by a line
+    tracer on its lines with an XOR."""
     lines, first = inspect.getsourcelines(gf2.SpanBasis.solution)
-    loop = next(t for t, line in enumerate(lines) if line.lstrip().startswith("while "))
-    body = first + next(t for t in range(loop + 1, len(lines)) if not lines[t].lstrip().startswith("#"))
+    xors = {first + t for t, line in enumerate(lines) if "^" in line.split("#")[0]}
     steps = []
 
     def local(frame, event, arg):
-        if event == "line" and frame.f_lineno == body:
+        if event == "line" and frame.f_lineno in xors:
             steps.append(1)
         return local
 
@@ -349,13 +350,16 @@ def _pivot_steps(basis):
 
 
 def test_a_solve_that_decides_nothing_runs_no_pivot_step():
-    # with no rows every parameter is in one form only, so each form is a
-    # pivot already; the forest of generate_admissible(32, 0.3, 7) leaves
-    # no such parameter, and each of its 32 takes one step
+    # with no rows each parameter's int is one variable's bit, which no
+    # other holds, so each is a null vector as it is and the solve makes
+    # no XOR; the forest of generate_admissible(32, 0.3, 7) leaves 43
+    # parameters, which the rows off it cut to 32, and the solve of those
+    # takes 32 XORs to set the highest bits apart, 26 to clear them from
+    # the other null vectors and 13 to clear them from the constants
     bases = [gf2.SpanBasis(n_vars) for n_vars in (0, 1, 63, 64, 65, 130)]
     bases += [gf2.SpanBasis._of_cycles(n, np.zeros((0, 4), dtype=int), []) for n in (1, 2, 12, 17)]
     for basis in bases:
-        sol, steps = _pivot_steps(basis)
+        sol, steps = _reduction_xors(basis)
         assert (sol.particular, sol.null_basis, sol.free_cols, sol.rank) == \
             _reference_solve([], basis.n_vars)
         assert steps == 0 and sol.nullity == basis.n_vars
@@ -366,9 +370,11 @@ def test_a_solve_that_decides_nothing_runs_no_pivot_step():
     pi3 = pma.traveling_sums(minors, skel, tri)
     i, j, k = tri.T
     used = skel.epsilon[i, j] * skel.epsilon[j, k] * skel.epsilon[i, k] == 1
-    _, rhs = walk_rows(skel, tri[used], ~(pi3[used] > 0))
-    sol, steps = _pivot_steps(gf2.SpanBasis._of_cycles(n, _triangle_rows(tri[used]), rhs))
-    assert steps == sol.nullity == n
+    supports, rhs = walk_rows(skel, tri[used], ~(pi3[used] > 0))
+    basis = gf2.SpanBasis._of_cycles(n, _triangle_rows(tri[used]), rhs)
+    sol, steps = _reduction_xors(basis)
+    assert sol == solve_groups([supports], [rhs], n * (n - 1) // 2)
+    assert (len(basis._params), sol.nullity, steps) == (43, n, 32 + 26 + 13)
 
 
 def test_inconsistent_rows_leave_no_solution():
@@ -400,19 +406,20 @@ def test_rows_keep_each_distinct_row_once_and_colliding_mixes_only_leave_repeats
     # other right-hand side; over the identity basis a row is its own words
     rng = np.random.default_rng(53)
     n_vars = 130
+    eye = identity_forms(n_vars)
     pool = np.array([rng.choice(n_vars, size=4, replace=False) for _ in range(6)])
     for trial in range(20):
         pick = rng.integers(0, len(pool), 300)
         supports, bits = pool[pick], (pick + (rng.random(300) < 0.02 * (trial % 2))) % 2 == 1
-        rows = gf2.SpanBasis(n_vars)._rows(supports, bits)
+        rows = gf2._rows(eye, supports, bits)
         keys = list(zip(pick.tolist(), bits.tolist()))
         first = [t for t, key in enumerate(keys) if key not in keys[:t]]
-        assert rows.tobytes() == gf2.SpanBasis(n_vars)._rows(supports[first], bits[first]).tobytes()
+        assert rows.tobytes() == gf2._rows(eye, supports[first], bits[first]).tobytes()
         assert len(rows) == len(first)
         want = solve_groups([supports], [bits], n_vars)
         with monkeypatch.context() as patch:    # every mix 0: only neighbouring copies are dropped
             patch.setattr(gf2, "_MIX", np.uint64(0))
-            repeats = gf2.SpanBasis(n_vars)._rows(supports, bits)
+            repeats = gf2._rows(eye, supports, bits)
             assert len(rows) < len(repeats)
             assert {r.tobytes() for r in repeats} == {r.tobytes() for r in rows}
             assert solve_groups([supports], [bits], n_vars) == want
@@ -591,6 +598,9 @@ def test_triangle_forest_takes_repeated_rows_and_checks_its_input():
                 [[0, 1, 3]], [[0, 1]]):
         with pytest.raises(DimensionError):
             gf2.SpanBasis._of_cycles(4, bad, [0])
+    for bad, rhs in (([[0, 1, 3, -1]], [2]), ([[0, 1, 3, -1]], [0, 1]), ([[0.0, 1, 3, -1]], [0])):
+        with pytest.raises(DimensionError):
+            gf2.SpanBasis._of_cycles(4, bad, rhs)
 
 
 def test_four_cycle_forest_matches_the_dense_elimination_on_the_all_negative_law():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import ast
 import math
@@ -916,3 +917,39 @@ def test_solution_set_sidecar_json():
     assert len(payload["null_basis"]) == sol.null_dimension
     assert all(len(row) == 6 and set(row) <= {0, 1}
                for row in payload["null_basis"])
+
+
+# sha256 of a solve_pma result: its GF2Solution fields, its kernel's bytes
+# and the subsets it read, for generate_admissible(n, 0.3, 7) at order 3,
+# antisymmetric(48, 448) at order 4, and the noisy solve that decides
+# nothing (1e4 sequential draws of generate_admissible(16, 0.3, 1), seed
+# 1, sign_tol 1e-2, nullity 120)
+SOLVE_BYTES = {
+    "admissible 32": "05ccd3410c2340840ab62e2cdfbd48a4514e42015956ea6b65779548b58e50d7",
+    "admissible 64": "977690fb35f909cb60329dbba0cc5d07a5dc21ef59d408036b29028a26a0354f",
+    "admissible 128": "d897eab675ea144f6d1d9400d48591c6fd3abfe1d3604dbc82acad70679bb7d5",
+    "antisymmetric 48": "975e8eb1b252a056cbb3dd5a05261388390f5e6c42adc1931690a0a5b0302794",
+    "noisy 16": "ba314688d5420a9f4eac0845d180fec8f9b1291021440e1c769a14600cdb7f5e",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOLVE_BYTES))
+def test_solve_pma_keeps_its_bytes(case):
+    law, n = case.split()
+    n, tol = int(n), pma.SIGN_TOL
+    if law == "admissible":
+        minors = moments.exact_minors(kernel.generate_admissible(n, 0.3, 7), 3)
+    elif law == "antisymmetric":
+        minors = moments.exact_minors(antisymmetric(n, 448), 4)
+    else:
+        batch = sampler.sample_sequential_batch(kernel.generate_admissible(n, 0.3, 1), 10_000, 1)
+        minors, tol = moments.estimate_required_minors(batch, 4), 1e-2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AmbiguousSignWarning)
+        sol = pma.solve_pma(minors, sign_tol=tol)
+    s = sol.solution
+    digest = hashlib.sha256(repr((hex(s.particular), [hex(v) for v in s.null_basis],
+                                  s.free_cols, s.rank)).encode())
+    digest.update(np.ascontiguousarray(sol.kernel.mat).tobytes())
+    digest.update(repr(sorted(minors.queried)).encode())
+    assert digest.hexdigest() == SOLVE_BYTES[case]
