@@ -14,10 +14,11 @@ or a 4-set is counted in the entry of two of its pairs.
 
 MinorList holds each order as arrays indexed by the colex rank of a
 subset.  The builders here fill whole orders at once, in the order of
-``kernel.colex_table``, so no subset of a whole order is ever ranked.
-It doubles as the query-instrumented interface handed to the solver:
-every read is recorded, so tests can assert how much of the list an
-algorithm reads.
+``kernel.colex_table``, ``get_many`` reads a whole order given as that
+table, and the JSON form places every key by a closed form, so no subset
+of a whole order is ever ranked or sorted.  It doubles as the
+query-instrumented interface handed to the solver: every read is
+recorded, so tests can assert how much of the list an algorithm reads.
 """
 
 from __future__ import annotations
@@ -155,6 +156,17 @@ class MinorList:
         stored[:] = values
         present[:] = True
 
+    def _whole(self, subsets) -> int:
+        """t when ``subsets`` is an array equal to ``colex_table(n, t)``
+        and every t-subset is present, else 0."""
+        if not isinstance(subsets, np.ndarray) or subsets.ndim != 2:
+            return 0
+        t = subsets.shape[1]
+        arrays = self._orders.get(t)
+        if arrays is None or len(subsets) != len(arrays[0]) or not arrays[1].all():
+            return 0
+        return t if np.array_equal(subsets, colex_table(self.n, t)) else 0
+
     def _has(self, j, which: int) -> bool:
         """Whether subset j is set in its order's mask ``which`` (1 present, 2 read)."""
         key = normalize_subset(j, self.n, allow_empty=False)
@@ -189,8 +201,15 @@ class MinorList:
 
         Every row is normalized like a key of ``get``.  The first missing
         subset raises MissingMinorError after the rows before it have been
-        recorded as read.
+        recorded as read.  An array equal to ``colex_table(n, t)`` of an
+        order t the list holds whole reads that order's values as stored,
+        with no row sorted or ranked, as ``_fill`` writes them.
         """
+        t = self._whole(subsets)
+        if t:
+            values, _, read = self._orders[t]
+            read[:] = True
+            return values.copy()
         idx = self._sorted(subsets)
         if len(idx) == 0:
             return np.empty(0)
@@ -229,7 +248,7 @@ class MinorList:
         """The orders as ``arrays()`` lists them, the ``_colex_order`` of
         their concatenated rows, and the values in it."""
         parts = list(self.arrays())
-        order = _colex_order([idx for idx, _ in parts])
+        order = _colex_order(self.n, [idx for idx, _ in parts])
         return parts, order, np.concatenate([np.empty(0)] + [v for _, v in parts])[order]
 
     def subsets(self) -> list[tuple[int, ...]]:
@@ -243,26 +262,65 @@ class MinorList:
         return [(keys[t], v) for t, v in zip(order.tolist(), values.tolist())]
 
 
-def _colex_order(tables: list[np.ndarray]) -> np.ndarray:
-    """The colex order of the concatenated rows of (m, t) arrays of
-    1-based subsets: by their reversed, zero-padded rows."""
-    if not tables:
-        return np.empty(0, dtype=np.intp)
-    width = max(idx.shape[1] for idx in tables)
-    flipped = np.concatenate([np.pad(idx[:, ::-1], ((0, 0), (0, width - idx.shape[1])))
-                              for idx in tables])
-    return np.lexsort(flipped.T[::-1])
+def _colex_order(n: int, tables: list[np.ndarray]) -> np.ndarray:
+    """The colex (bitmask) order of the concatenated rows of (m, t) arrays
+    of 1-based subsets of {1..n}, from the place of each row among all
+    subsets of 1..T items, T the widest row.  The subsets of smaller mask
+    than a row c_1 < ... < c_t (0-based items) are, for each i, those that
+    agree with it above c_i, lack c_i and hold at most T - t + i of the
+    items below c_i.  So its place is sum_i F(c_i, T - t + i) - 1, the
+    empty set being no row, where F(c, m) = sum_{s <= m} C(c, s) counts
+    the subsets of at most m of c items, and F(c, m) = 1 + sum_{c' < c}
+    F(c', m - 1).  When the rows are every such subset, as the whole
+    orders 1..T, the places are a permutation and are inverted, otherwise
+    they are sorted (as Python ints once F passes int64)."""
+    top = max((idx.shape[1] for idx in tables), default=0)
+    count = sum(math.comb(n, s) for s in range(top + 1))    # F(n, T)
+    f = np.ones((top + 1, n), dtype=np.int64 if count < 1 << 63 else object)
+    for m in range(1, top + 1):
+        f[m, 1:] = 1 + np.cumsum(f[m - 1, :-1])
+    place = [np.zeros(0, dtype=f.dtype)]
+    for idx in tables:
+        t = idx.shape[1]
+        at = np.full(len(idx), -1, dtype=f.dtype)
+        for i in range(t):
+            at += f[top - t + i + 1, idx[:, i].astype(np.intp) - 1]
+        place.append(at)
+    place = np.concatenate(place)
+    if len(place) != count - 1:
+        return np.argsort(place)
+    order = np.empty(len(place), dtype=np.intp)
+    order[place] = np.arange(len(place))
+    return order
+
+
+def _whole_keys(n: int, top: int) -> list[list[str]]:
+    """The minors JSON keys "i,j,..." of the t-subsets of {1..n} in colex
+    order, t = 1..top, by colex nesting: order t lists, for c = t..n, the
+    first C(c - 1, t - 1) keys of order t - 1, each with ",c" appended."""
+    keys = [[str(c) for c in range(1, n + 1)]] if top else []
+    for t in range(2, top + 1):
+        prev = keys[-1]
+        keys.append([key + tail for c in range(t, n + 1) for tail in (f",{c}",)
+                     for key in prev[:math.comb(c - 1, t - 1)]])
+    return keys
 
 
 def _json_keys(n: int, tables: list[np.ndarray]) -> np.ndarray:
     """The minors JSON keys "i,j,..." of the concatenated rows of (m, t)
-    arrays of 1-based subsets of {1..n}, as an object array, joined by
+    arrays of 1-based subsets of {1..n}, each in colex order, as an object
+    array: a whole order's from ``_whole_keys``, any other's joined by
     columns from tables of "i" and ",i".  minors_to_json writes them, and
     minors_from_json recognizes whole orders by them."""
+    whole = _whole_keys(n, max((idx.shape[1] for idx in tables
+                                if len(idx) == math.comb(n, idx.shape[1])), default=0))
     head = np.array([str(i) for i in range(n + 1)], dtype=object)
     tail = np.array([f",{i}" for i in range(n + 1)], dtype=object)
     keys = [np.empty(0, dtype=object)]
     for idx in tables:
+        if len(idx) == math.comb(n, idx.shape[1]):
+            keys.append(np.array(whole[idx.shape[1] - 1], dtype=object))
+            continue
         key = head[idx[:, 0]]
         for c in range(1, idx.shape[1]):
             key += tail[idx[:, c]]
@@ -443,13 +501,16 @@ def exact_minors(k: SignedKernel, max_order: int | str = "all") -> MinorList:
 # JSON round trip ({"n": N, "minors": {"1,2": value, ...}})
 
 def minors_to_json(minors: MinorList) -> str:
-    """json.dumps of {"n": n, "minors": {"i,j,...": value}} in colex order,
-    from the ``_json_keys`` of the orders and json's float.__repr__; each
-    key's opening quote is the end of the separator before it."""
+    """json.dumps of {"n": n, "minors": {"i,j,...": value}} in colex order:
+    the ``_json_keys`` of the orders, placed by ``_colex_order``, make one
+    template into which every value goes through %r, json's
+    float.__repr__."""
     parts, order, values = minors._colex()
-    keys = (_json_keys(minors.n, [idx for idx, _ in parts]) + '": ')[order]
-    pairs = ', "'.join(map(str.__add__, keys.tolist(), map(float.__repr__, values.tolist())))
-    return f'{{"n": {minors.n}, "minors": {{"{pairs}}}}}' if pairs else f'{{"n": {minors.n}, "minors": {{}}}}'
+    if not len(order):
+        return f'{{"n": {minors.n}, "minors": {{}}}}'
+    keys = _json_keys(minors.n, [idx for idx, _ in parts])[order].tolist()
+    template = '{"n": %d, "minors": {"' + '": %r, "'.join(keys) + '": %r}}'
+    return template % (minors.n, *values.tolist())
 
 
 def minors_from_json(text: str) -> MinorList:
@@ -508,7 +569,7 @@ def _whole_orders(n: int, keys: list) -> tuple[list[np.ndarray], np.ndarray] | N
     if not 1 <= top <= n or len(keys) != sum(math.comb(n, t) for t in range(1, top + 1)):
         return None
     tables = [colex_table(n, t) for t in range(1, top + 1)]
-    order = _colex_order(tables)
+    order = _colex_order(n, tables)
     return (tables, order) if _json_keys(n, tables)[order].tolist() == keys else None
 
 

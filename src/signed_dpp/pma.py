@@ -12,15 +12,15 @@ cycle's relating-sign product, magnitude product, right-hand-side flip
 and edge endpoints off that table, once per subset for all the stages
 that use them.
 
-1. Skeleton.  Orders 1 and 2, read in bulk, give the diagonal, the
+1. Skeleton.  Orders 1 and 2, each read whole, give the diagonal, the
    off-diagonal magnitudes and the relating signs, via
    det(K_ij) = K_ii K_jj - eps_ij K_ij^2.
 2. Traveling sums.  The minor of a triangle or 4-set gives its pi(S),
    by subtracting every permutation class that does not involve a
    full-length cycle (those classes only need quantities already known).
-3. Triangles.  Every minor of order 3 is read, and each positive
-   triangle fixes the sign of one oriented entry product.  Its row ties
-   the two pairs at its top vertex v in a parity forest per v
+3. Triangles.  Order 3 is read whole, and each positive triangle fixes
+   the sign of one oriented entry product.  Its row ties the two pairs
+   at its top vertex v in a parity forest per v
    (``gf2.SpanBasis._of_cycles``).
 4. 4-sets, only to join two components of those forests, while the null
    space is larger than the span of the vertex switches and the
@@ -75,7 +75,6 @@ from .kernel import (
     principal_minors,
 )
 from .moments import MinorList, exact_minors
-from .numerics import DET_CHUNK
 
 DENSITY_TOL = 1e-8
 SIGN_TOL = 1e-12
@@ -83,6 +82,7 @@ SIGN_TOL = 1e-12
 # matched: effective tol = max(sign_tol, SIGN_RTOL * scale).
 SIGN_RTOL = 1e-6
 SOLUTION_SET_CAP = 12
+_VERIFY_SLICE = 1 << 16    # subsets of one order that verify compares at a time
 
 # Positions (into a sorted 4-set) of the four triangles of a 4-set, and
 # of the vertex each one leaves out.
@@ -170,7 +170,8 @@ def _subset(row: np.ndarray) -> tuple[int, ...]:
 # stage 1: skeleton
 
 def recover_skeleton(minors: MinorList) -> Skeleton:
-    """Diagonal, magnitudes and relating signs from orders 1 and 2.
+    """Diagonal, magnitudes and relating signs from orders 1 and 2, each
+    read whole as its ``colex_table``.
 
     Each relating sign eps_ij is the sign of a_i a_j - a_ij, with no
     noise margin and no warning; only the density tolerance
@@ -180,19 +181,19 @@ def recover_skeleton(minors: MinorList) -> Skeleton:
     on it: at N = 16 from 1e4 sequential draws, 51 of 120 were wrong.
     """
     n = minors.n
-    diagonal = minors.get_many(np.arange(1, n + 1)[:, None])
-    iu, ju = np.triu_indices(n, 1)
-    gap = diagonal[iu] * diagonal[ju] - minors.get_many(np.stack([iu, ju], axis=1) + 1)
+    diagonal = minors.get_many(colex_table(n, 1))
+    i, j = colex_table(n, 2).T.astype(np.intp) - 1
+    gap = diagonal[i] * diagonal[j] - minors.get_many(colex_table(n, 2))
     flat = np.flatnonzero(np.abs(gap) <= DENSITY_TOL)
     if flat.size:
-        t = flat[0]
+        t = flat[np.argmin(pair_index(n, i[flat], j[flat]))]     # lexicographically first
         raise NotDenseError(
-            f"pair ({iu[t] + 1},{ju[t] + 1}): a_i a_j - a_ij = {gap[t]:.3e} is below the "
+            f"pair ({i[t] + 1},{j[t] + 1}): a_i a_j - a_ij = {gap[t]:.3e} is below the "
             f"density tolerance {DENSITY_TOL:.0e}; entry is numerically zero")
     magnitude = np.zeros((n, n))
     epsilon = np.zeros((n, n), dtype=int)
-    epsilon[iu, ju] = epsilon[ju, iu] = np.where(gap > 0, 1, -1)
-    magnitude[iu, ju] = magnitude[ju, iu] = np.sqrt(np.abs(gap))
+    epsilon[i, j] = epsilon[j, i] = np.where(gap > 0, 1, -1)
+    magnitude[i, j] = magnitude[j, i] = np.sqrt(np.abs(gap))
     return Skeleton(n, diagonal, magnitude, epsilon)
 
 
@@ -516,7 +517,7 @@ def verify(h: SignedKernel, minors: MinorList, tol: float = 1e-9) -> VerifyRepor
     nonnegative.  When orders 3 and 4 are both whole, their minors of h
     come from one ``kernel.colex_minors`` pass, which agrees bit for bit
     with the ``principal_minors`` that the other orders take.  Each order
-    is compared ``numerics.DET_CHUNK`` subsets at a time.
+    is compared 2^16 subsets at a time (one slice per order up to N = 36).
     """
     _check_tol("tol", tol)
     if h.n != minors.n:
@@ -534,9 +535,9 @@ def verify(h: SignedKernel, minors: MinorList, tol: float = 1e-9) -> VerifyRepor
     for subsets, want in parts:
         whole_got = whole.pop(subsets.shape[1], None)
         top, at = 0.0, []     # the order's largest error (NaN if one is) and its subsets
-        for lo in range(0, len(subsets), DET_CHUNK):
-            rows, w = subsets[lo:lo + DET_CHUNK], want[lo:lo + DET_CHUNK]
-            got = principal_minors(h.mat, rows) if whole_got is None else whole_got[lo:lo + DET_CHUNK]
+        for lo in range(0, len(subsets), _VERIFY_SLICE):
+            rows, w = subsets[lo:lo + _VERIFY_SLICE], want[lo:lo + _VERIFY_SLICE]
+            got = principal_minors(h.mat, rows) if whole_got is None else whole_got[lo:lo + _VERIFY_SLICE]
             err = np.abs(got - w)
             ok = np.where(np.abs(w) > tol, err <= tol * np.abs(w), err <= tol)
             failures += [(tuple(rows[t].tolist()), float(got[t]), float(w[t]))

@@ -361,6 +361,19 @@ def pma_equivalent_structural(h, k):
                for m in range(3, k.n + 1) for vs in itertools.combinations(range(1, k.n + 1), m))
 
 
+def lexsort_colex_order(tables):
+    """The colex order of the concatenated rows of (m, t) arrays of
+    1-based subsets, by a lexsort of their reversed rows, zero-padded to
+    the widest: the sort that ``moments._colex_order``'s closed form
+    replaced, kept as its reference."""
+    if not tables:
+        return np.empty(0, dtype=np.intp)
+    width = max(idx.shape[1] for idx in tables)
+    flipped = np.concatenate([np.pad(idx[:, ::-1], ((0, 0), (0, width - idx.shape[1])))
+                              for idx in tables])
+    return np.lexsort(flipped.T[::-1])
+
+
 def per_key_minors_from_json(text):
     """The per-key minors reader that ``moments.minors_from_json`` replaced:
     every key is split and parsed on its own, in file order, and its row

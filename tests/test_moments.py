@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import lex_combinations, per_key_minors_from_json
+from helpers import lex_combinations, lexsort_colex_order, per_key_minors_from_json
 from signed_dpp import kernel, moments, sampler
 from signed_dpp.errors import (
     CapabilityError,
@@ -188,6 +188,141 @@ def test_whole_orders_list_their_shared_table_and_read_only_values():
         assert np.array_equal(part_rows, rows[1:])
         assert part_values.tobytes() == values[1:].tobytes()
     assert whole.items() == moments.exact_minors(k, 4).items()
+
+
+def test_get_many_reads_a_whole_order_as_stored(monkeypatch):
+    n = 12
+    k = kernel.generate_admissible(n, 0.3, 4)
+    ml, ranked = moments.exact_minors(k, 4), moments.exact_minors(k, 4)
+    tables = [kernel.colex_table(n, t) for t in range(1, 5)]
+    perms = [np.random.default_rng(t).permutation(len(tb)) for t, tb in enumerate(tables, 1)]
+    want = [ranked.get_many(tb[p]) for tb, p in zip(tables, perms)]   # no table: ranked
+    ranked.reset_queries()
+
+    def refused(*args):
+        raise AssertionError("sorted or ranked a row of a whole order")
+
+    monkeypatch.setattr(moments, "colex_rank", refused)
+    monkeypatch.setattr(moments.MinorList, "_sorted", refused)
+    for t, (table, perm) in enumerate(zip(tables, perms), 1):
+        ml.reset_queries()
+        for rows in (table, table.astype(np.int64), table.astype(np.intp) - 1 + 1):
+            got = ml.get_many(rows)
+            assert got[perm].tobytes() == want[t - 1].tobytes()
+        assert ml.queried == set(map(tuple, table.tolist()))
+        assert len(ml.queried) == math.comb(n, t)
+        got[:] = 7.0          # a copy: the list keeps its values
+        assert ml.get_many(table)[perm].tobytes() == want[t - 1].tobytes()
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_a_whole_order_one_subset_short_is_read_as_rows(t):
+    # the missing subset is named as the ranked read of the same rows names it
+    n = 10
+    table = kernel.colex_table(n, t)
+    drop = len(table) // 2
+    whole = moments.exact_minors(kernel.generate_admissible(n, 0.3, 6), 4)
+    short, ranked = moments.MinorList(n), moments.MinorList(n)
+    for rows, values in whole.arrays():
+        keep = np.arange(len(rows)) != drop if rows.shape[1] == t else slice(None)
+        short._write(rows[keep], values[keep])
+        ranked._write(rows[keep], values[keep])
+    with pytest.raises(MissingMinorError) as got:
+        short.get_many(table)
+    with pytest.raises(MissingMinorError) as want:
+        ranked.get_many(table.tolist())
+    assert got.value.args == want.value.args == (
+        f"minor for subset {tuple(table[drop].tolist())} not in the list",)
+    assert short.queried == ranked.queried == set(map(tuple, table[:drop].tolist()))
+
+
+def _masks(tables):
+    """The bitmask of each concatenated row of (m, t) arrays of 1-based subsets."""
+    return np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        (np.int64(1) << (idx.astype(np.int64) - 1)).sum(axis=1) for idx in tables])
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_colex_order_places_every_subset_as_its_bitmask_sorts(n):
+    gen = np.random.default_rng(n)
+    for top in range(1, min(4, n) + 1):
+        tables = [kernel.colex_table(n, t) for t in range(1, top + 1)]
+        order = moments._colex_order(n, tables)
+        assert np.array_equal(order, np.argsort(_masks(tables)))
+        assert np.array_equal(order, lexsort_colex_order(tables))
+        # partial orders, some of them empty, are sorted by the same places
+        parts = [tb[gen.random(len(tb)) < 0.4] for tb in tables]
+        order = moments._colex_order(n, parts)
+        assert np.array_equal(order, np.argsort(_masks(parts)))
+        assert np.array_equal(order, lexsort_colex_order(parts))
+
+
+def test_colex_order_past_int64_places():
+    # all 2^70 subsets do not fit an int64 place; the places turn to Python ints
+    n = 70
+    tables = [np.array([[70], [3], [1]]), np.array([[2, 70], [1, 69]]), np.arange(1, 71)[None, :],
+              np.array([np.arange(2, 71)]), np.array([np.arange(1, 70)])]
+    assert np.array_equal(moments._colex_order(n, tables), lexsort_colex_order(tables))
+
+
+_SPECIAL_VALUES = [-0.0, 0.0, 1e-300, 5e-324, 0.1 + 0.2, 1e16, -123456.789, 1 / 3]
+
+
+def _random_list(n, top, seed, keep=1.0):
+    """A MinorList of n items holding each t-subset, t = 1..top, with
+    probability ``keep`` (all of them at 1.0), with normal and special values."""
+    gen, out = np.random.default_rng(seed), moments.MinorList(n)
+    for t in range(1, top + 1):
+        table = kernel.colex_table(n, t)
+        values = gen.normal(size=len(table)) * 10.0 ** gen.integers(-8, 3, size=len(table))
+        values[:len(_SPECIAL_VALUES)] = _SPECIAL_VALUES[:len(values)]
+        if keep == 1.0:
+            out._fill(t, values)
+        else:
+            picked = gen.random(len(table)) < keep
+            out._write(table[picked], values[picked])
+    return out
+
+
+def _dumps(minors):
+    """json.dumps of a list's JSON object, its keys sorted apart from the writer."""
+    pairs = sorted(((tuple(row), v) for rows, values in minors.arrays()
+                    for row, v in zip(rows.tolist(), values.tolist())), key=lambda p: kernel.colex_key(p[0]))
+    return json.dumps({"n": minors.n, "minors": {",".join(map(str, j)): v for j, v in pairs}})
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_minors_json_of_whole_orders_is_the_json_dumps_text(n):
+    for top in range(1, min(4, n) + 1):
+        minors = _random_list(n, top, 100 * n + top)
+        text = moments.minors_to_json(minors)
+        assert text == _dumps(minors)
+        assert moments.minors_to_json(moments.minors_from_json(text)) == text
+
+
+@pytest.mark.parametrize("n, top, keep", [(1, 1, 0.5), (5, 3, 0.5), (9, 4, 0.1), (16, 4, 0.02),
+                                          (20, 2, 0.9), (20, 4, 0.001)])
+def test_minors_json_of_partial_orders_is_the_json_dumps_text(n, top, keep):
+    minors = _random_list(n, top, n, keep)
+    minors._fill(1, np.arange(n) / n)      # a whole order beside partial ones
+    text = moments.minors_to_json(minors)
+    assert text == _dumps(minors)
+    assert moments.minors_to_json(moments.minors_from_json(text)) == text
+
+
+def test_minors_json_of_whole_orders_with_two_keys_swapped_is_read_key_by_key(monkeypatch):
+    tokenized = []
+    write = moments.MinorList._write
+    monkeypatch.setattr(moments.MinorList, "_write",
+                        lambda self, *args: tokenized.append(1) or write(self, *args))
+    text = moments.minors_to_json(_random_list(12, 4, 3))
+    entries = list(json.loads(text)["minors"].items())
+    a, b = [i for i, (key, _) in enumerate(entries) if key.count(",") == 3][5::400][:2]
+    entries[a], entries[b] = entries[b], entries[a]      # two 4-sets apart in the file
+    swapped = '{"n": 12, "minors": {%s}}' % ", ".join(f'"{key}": {v!r}' for key, v in entries)
+    got = read_outcome(moments.minors_from_json, swapped)
+    assert tokenized
+    assert got == read_outcome(per_key_minors_from_json, swapped) == text
 
 
 def _written_by_rank(n: int, orders) -> moments.MinorList:

@@ -28,7 +28,7 @@ from helpers import (
     walk_cycle,
     walk_rows,
 )
-from signed_dpp import gf2, kernel, moments, numerics, pma, sampler
+from signed_dpp import gf2, kernel, moments, pma, sampler
 from signed_dpp.errors import (
     AmbiguousSignWarning,
     CapabilityError,
@@ -70,6 +70,17 @@ def test_recover_skeleton_density_error():
     ml = moments.MinorList(2, {(1,): 0.5, (2,): 0.5, (1, 2): 0.25})
     with pytest.raises(NotDenseError):
         pma.recover_skeleton(ml)
+
+
+def test_recover_skeleton_names_the_lexicographically_first_flat_pair():
+    # pairs (3, 4) and (2, 5) vanish; (3, 4) comes first in colex order
+    mat = kernel.generate_admissible(6, 0.3, 3).mat.copy()
+    for i, j in ((2, 3), (1, 4)):
+        mat[i, j] = mat[j, i] = 0.0
+    minors = moments.exact_minors(kernel.SignedKernel(mat), 2)
+    with pytest.raises(NotDenseError, match=r"^pair \(2,5\): a_i a_j - a_ij = 0\.000e\+00 is below"):
+        pma.recover_skeleton(minors)
+    assert minors.queried == set(minors.subsets())
 
 
 def test_recover_skeleton_round_trip():
@@ -876,12 +887,12 @@ def test_verify_reports_the_same_values_on_a_whole_list_and_a_partial_one(n):
 
 @pytest.mark.parametrize("orders", [3, 4])
 def test_verify_compares_across_its_slice_boundaries(orders):
-    # Every minor of the identity is exactly 1.  At N = 32 order 3 holds
-    # 4,960 subsets and order 4 35,960, so the two largest errors, at ranks
-    # DET_CHUNK - 1 and DET_CHUNK of the top order, sit in two slices.  The
-    # top order 4 comes from the whole-order pass, a top order 3 from
-    # principal_minors.
-    n, cut = 32, numerics.DET_CHUNK
+    # Every minor of the identity is exactly 1.  At N = 75 order 3 holds
+    # 67,525 subsets and at N = 40 order 4 91,390, so the two largest
+    # errors, at ranks 2^16 - 1 and 2^16 of the top order, sit in two
+    # slices.  The top order 4 comes from the whole-order pass, a top
+    # order 3 from principal_minors.
+    n, cut = {3: 75, 4: 40}[orders], pma._VERIFY_SLICE
     k = kernel.SignedKernel(np.eye(n))
     minors = moments.exact_minors(k, orders)
     top = math.comb(n, orders) - 1
