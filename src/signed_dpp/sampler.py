@@ -54,10 +54,21 @@ class SampleBatch:
         _require_mask_width(n_items)
         if masks is None:
             masks = [subset_to_mask(normalize_subset(s, n_items)) for s in samples]
-        self.n_items, self._samples = int(n_items), None
-        self._masks = np.array(masks, dtype=np.uint64).reshape(-1)
-        self._masks.flags.writeable = False
-        if n_items < MASK_ITEMS and np.any(self._masks >> np.uint64(n_items)):
+        self._hold(n_items, np.array(masks, dtype=np.uint64).reshape(-1))
+
+    @classmethod
+    def _of_fresh(cls, n_items: int, masks: np.ndarray) -> "SampleBatch":
+        """The batch of ``masks``, a 1-d uint64 array that nothing else
+        refers to: held as it is, with no copy."""
+        _require_mask_width(n_items)
+        batch = cls.__new__(cls)
+        batch._hold(n_items, masks)
+        return batch
+
+    def _hold(self, n_items: int, masks: np.ndarray) -> None:
+        self.n_items, self._samples, self._masks = int(n_items), None, masks
+        masks.flags.writeable = False
+        if n_items < MASK_ITEMS and masks.size and int(masks.max()) >> n_items:
             raise DimensionError(f"sample masks name items above {n_items}")
 
     def __len__(self) -> int:
@@ -89,26 +100,41 @@ def _per_distinct_mask(masks: np.ndarray, fn) -> list:
 # enumeration sampler
 
 def sample_enumerate(k: SignedKernel, count: int, seed: int) -> SampleBatch:
-    """i.i.d. draws by inverse CDF over the enumerated distribution."""
+    """i.i.d. draws by inverse CDF over the enumerated distribution, filled
+    into one mask array rng._CHUNK_WORDS draws at a time, so that the
+    draws' working memory does not grow with the count."""
     count = rng._check_count(count, "sample count")
-    table = enumerate_pmf(k)
-    u = rng.uniforms(seed, np.arange(count), 1)[:, 0]
-    masks = np.minimum(_inverse_cdf(np.cumsum(table), u), len(table) - 1)
-    return SampleBatch(k.n, masks=masks)
+    cdf = np.cumsum(enumerate_pmf(k))
+    table = _guide_table(cdf, count)
+    masks = np.empty(count, dtype=np.uint64)
+    for lo in range(0, count, rng._CHUNK_WORDS):
+        hi = min(count, lo + rng._CHUNK_WORDS)
+        u = rng.uniforms(seed, np.arange(lo, hi), 1)[:, 0]
+        masks[lo:hi] = np.minimum(_inverse_cdf(cdf, u, table), len(cdf) - 1)
+    return SampleBatch._of_fresh(k.n, masks)
 
 
-def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """np.searchsorted(cdf, u, side="right") for a nondecreasing cdf and u
-    in [0, 1), by a guide table (Chen and Asau's indexed search): guide[c]
-    counts the entries <= c/B, and u lies in cell floor(u * B), exact for
-    B a power of two.  A cell of at most one entry needs one comparison;
-    the draws in cells of two or more are searched."""
-    cells = 1 << (max(1, min(4 * len(cdf), len(u))) - 1).bit_length()
+def _guide_table(cdf: np.ndarray, count: int) -> tuple:
+    """(B, guide, cdf followed by inf, which cells hold two or more entries)
+    for count draws searched in cdf: B, a power of two, is about
+    min(4 len(cdf), count) cells, and guide[c] counts the entries <= c/B."""
+    cells = 1 << (max(1, min(4 * len(cdf), count)) - 1).bit_length()
     guide = np.searchsorted(cdf, np.arange(cells + 1) / cells, side="right")
+    return cells, guide, np.append(cdf, np.inf), np.diff(guide) > 1
+
+
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray, table: tuple | None = None) -> np.ndarray:
+    """np.searchsorted(cdf, u, side="right") for a nondecreasing cdf and u
+    in [0, 1), by a guide table (Chen and Asau's indexed search), the
+    _guide_table of cdf for len(u) draws unless one is given: u lies in
+    cell floor(u * B), exact for B a power of two.  A cell of at most one
+    entry needs one comparison; the draws in cells of two or more are
+    searched."""
+    cells, guide, upper, wide_cell = _guide_table(cdf, len(u)) if table is None else table
     cell = (u * cells).astype(np.intp)
     first = guide[cell]
-    out = first + (np.append(cdf, np.inf)[first] <= u)
-    wide = np.flatnonzero((np.diff(guide) > 1)[cell])
+    out = first + (upper[first] <= u)
+    wide = np.flatnonzero(wide_cell[cell])
     out[wide] = np.searchsorted(cdf, u[wide], side="right")
     return out
 
@@ -224,8 +250,9 @@ def sample_sequential_batch(k: SignedKernel, count: int, seed: int) -> SampleBat
     _require_mask_width(k.n)
     taken, _ = _sequential_walk(
         k, count, lambda lo, hi: rng.uniforms(seed, np.arange(lo, hi), k.n), probabilities=False)
-    masks = np.bitwise_or.reduce(taken << np.arange(k.n, dtype=np.uint64), axis=1)
-    return SampleBatch(k.n, masks=masks)
+    rows = np.zeros((count, 8), dtype=np.uint8)     # one little-endian mask per row
+    rows[:, :-(-k.n // 8)] = np.packbits(taken, axis=1, bitorder="little")
+    return SampleBatch._of_fresh(k.n, rows.view("<u8").astype(np.uint64, copy=False).reshape(-1))
 
 
 def sequential_path_probabilities(k: SignedKernel, j: Iterable[int]) -> np.ndarray:
@@ -273,7 +300,7 @@ def parse_samples(text: str, n_items: int) -> SampleBatch:
     goes, whole, through the per-line parser, which alone defines what is
     accepted and how a malformed line is reported."""
     masks = _parse_canonical(text, n_items)
-    return SampleBatch(n_items, masks=masks) if masks is not None else _parse_lines(text, n_items)
+    return SampleBatch._of_fresh(n_items, masks) if masks is not None else _parse_lines(text, n_items)
 
 
 def _parse_canonical(text: str, n_items: int) -> np.ndarray | None:

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,28 @@ def test_uniforms_do_not_depend_on_the_chunk_size(monkeypatch, words):
         assert rng.uniforms(3, indices, d).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("words", [1, 5, 64, 1 << 14])
+def test_enumerate_masks_do_not_depend_on_the_chunk_size(monkeypatch, words):
+    monkeypatch.setattr(rng, "_CHUNK_WORDS", words)
+    k = kernel.generate_admissible(8, 0.3, 3)
+    cdf = np.cumsum(kernel.enumerate_pmf(k))
+    singles = np.array([min(int(np.searchsorted(cdf, rng.stream(2, i).random(), side="right")),
+                            len(cdf) - 1) for i in range(3 * words + 7)], dtype=np.uint64)
+    for count in (0, 1, words - 1, words, words + 1, 3 * words + 7):
+        assert sampler.sample_enumerate(k, count, 2).masks().tobytes() == singles[:count].tobytes()
+
+
+def test_enumerate_holds_little_more_than_its_masks():
+    k = kernel.generate_admissible(8, 0.3, 1)
+    tracemalloc.start()
+    try:
+        masks = sampler.sample_enumerate(k, 10 ** 6, 1).masks()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * masks.nbytes, (peak, masks.nbytes)
+
+
 def one_sample_walk(k, seed, index):
     """The sequential sampler one sample at a time: one uniform of
     stream(seed, index) per item and np.outer rank-1 updates."""
@@ -175,15 +198,28 @@ def test_uniforms_of_up_to_five_draws_match_streams_byte_for_byte():
             assert got.tobytes() == want.tobytes()
 
 
-def test_uniforms_of_one_or_two_draws_skip_the_last_m0_product(monkeypatch):
+def test_uniforms_make_only_the_philox_words_their_draws_read(monkeypatch):
     calls = []
     mulhilo = rng._mulhilo
-    monkeypatch.setattr(rng, "_mulhilo", lambda m, *args: calls.append(m) or mulhilo(m, *args))
-    for d, m0 in ((1, 7), (2, 7), (3, 8), (4, 8), (5, 8)):
+
+    def recording(m, x, hi, lo, *scratch):
+        calls.append(f"{'M0' if m == rng._M0 else 'M1'}:{'h' * (hi is not None)}{'l' * (lo is not None)}")
+        mulhilo(m, x, hi, lo, *scratch)
+
+    monkeypatch.setattr(rng, "_mulhilo", recording)
+    # Round 1's M1 product, then rounds 2..9 of M1 and M0.  Draws of one
+    # block read the round 9 words 0..d-1, and through them, working back,
+    # fewer words of rounds 7 and 8.
+    full = ["M1:hl"] + ["M1:hl", "M0:hl"] * 5
+    tails = {1: ["M1:h", "M0:hl", "M1:l", "M0:h", "M1:h"],
+             2: ["M1:h", "M0:hl", "M1:l", "M0:h", "M1:hl"],
+             3: ["M1:hl", "M0:hl", "M1:hl", "M0:hl", "M1:hl", "M0:h"],
+             4: ["M1:hl", "M0:hl"] * 3, 5: ["M1:hl", "M0:hl"] * 3}
+    for d, tail in tails.items():
         calls.clear()
-        rng.uniforms(9, np.arange(5), d)
-        # round 1's M1 product, then rounds 2..9 of M1 and M0
-        assert calls.count(rng._M1) == 9 and calls.count(rng._M0) == m0
+        got = rng.uniforms(9, np.arange(5), d)
+        assert calls == full + tail, d
+        assert got.tobytes() == np.array([rng.stream(9, i).random(d) for i in range(5)]).tobytes()
 
 
 def test_uniforms_take_a_nonnegative_integer_count_of_draws():
