@@ -3,8 +3,8 @@
 Construct and validate signed kernels, sample the processes exactly,
 estimate principal minors from samples, and reconstruct a kernel from
 minors of orders 1..4 (with the full solution set) when the kernel is
-dense; a 4-set is read only to join two components of a vertex forest,
-and 4-sets whose sign patterns the minors cannot tell apart are skipped,
+dense, from O(N^2) of them: the triangles at one hub and the subsets
+that join them.  Decisions the minors cannot tell apart are skipped,
 which can enlarge the solution set.
 
 The PMA stages are public as the batched array functions that
@@ -54,6 +54,7 @@ from .kernel import (
 )
 from .gf2 import GF2Solution, SpanBasis
 from .moments import (
+    KernelMinors,
     MinorList,
     estimate_minor,
     estimate_required_minors,
@@ -68,6 +69,7 @@ from .pma import (
     Skeleton,
     VerifyReport,
     describe_solution_set,
+    is_conjugate,
     match_four_cycles,
     pma_equivalent,
     recover_skeleton,

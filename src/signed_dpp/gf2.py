@@ -81,7 +81,6 @@ def parities(supports: np.ndarray, assignment: np.ndarray) -> np.ndarray:
 
 
 _BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
-_MIX = np.uint64(0x9E3779B97F4A7C15)    # odd, so each step is one-to-one
 
 
 @functools.lru_cache(maxsize=64)
@@ -280,26 +279,9 @@ class SpanBasis:
 
 
 def _rows(expr: np.ndarray, supports: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """The XOR rows (supports, bits) over the parameters of the forms
-    ``expr``, (n_vars, words + 1) uint64 words with the constant as bit 0
-    of the last word: (m, w) arrays of variable indices and (m,) 0/1
-    right-hand sides give packed rows, each distinct nonzero row once, in
-    the order of its first copy.  A repeated row adds nothing: the rows
-    are sorted by a 64-bit mix of their words (its high bits, then the row
-    number, in one word), and a row equal to the one before it is dropped.
-    Distinct rows whose mixes share those high bits can leave a repeat,
-    which ``_impose`` reduces to zero."""
+    """The nonzero XOR rows of (m, w) variable indices and (m,) 0/1
+    right-hand sides over the parameters of the forms ``expr`` ((n_vars,
+    words + 1) uint64, the constant as bit 0 of the last word), packed."""
     work = parities(supports, expr)
     work[:, -1] ^= bits
-    mix = np.zeros(len(work), dtype=np.uint64)
-    for word in work.T:
-        mix = (mix ^ word) * _MIX
-        mix ^= mix >> np.uint64(29)
-    low = np.uint64((1 << len(work).bit_length()) - 1)
-    order = (np.sort(mix & ~low | np.arange(len(work), dtype=np.uint64)) & low).astype(np.intp)
-    repeat = np.arange(len(work)) > 0
-    for word in work.T:
-        word = word[order]
-        repeat[1:] &= word[1:] == word[:-1]
-    work = work[np.sort(order[~repeat])]
     return work[work.any(axis=1)]               # a zero row is a check that holds

@@ -13,12 +13,10 @@ and a column per pair of items, w holds the masks' counts): a triangle
 or a 4-set is counted in the entry of two of its pairs.
 
 MinorList holds each order as arrays indexed by the colex rank of a
-subset.  The builders here fill whole orders at once, in the order of
-``kernel.colex_table``, ``get_many`` reads a whole order given as that
-table, and the JSON form places every key by a closed form, so no subset
-of a whole order is ever ranked or sorted.  It doubles as the
-query-instrumented interface handed to the solver: every read is
-recorded, so tests can assert how much of the list an algorithm reads.
+subset; the builders fill whole orders in ``kernel.colex_table`` order,
+and the JSON form places every key by a closed form, ranking nothing.
+Its reads, and those of ``KernelMinors``, which computes each minor from
+the kernel, are recorded, so tests can assert what an algorithm reads.
 """
 
 from __future__ import annotations
@@ -156,17 +154,6 @@ class MinorList:
         stored[:] = values
         present[:] = True
 
-    def _whole(self, subsets) -> int:
-        """t when ``subsets`` is an array equal to ``colex_table(n, t)``
-        and every t-subset is present, else 0."""
-        if not isinstance(subsets, np.ndarray) or subsets.ndim != 2:
-            return 0
-        t = subsets.shape[1]
-        arrays = self._orders.get(t)
-        if arrays is None or len(subsets) != len(arrays[0]) or not arrays[1].all():
-            return 0
-        return t if np.array_equal(subsets, colex_table(self.n, t)) else 0
-
     def _has(self, j, which: int) -> bool:
         """Whether subset j is set in its order's mask ``which`` (1 present, 2 read)."""
         key = normalize_subset(j, self.n, allow_empty=False)
@@ -201,15 +188,8 @@ class MinorList:
 
         Every row is normalized like a key of ``get``.  The first missing
         subset raises MissingMinorError after the rows before it have been
-        recorded as read.  An array equal to ``colex_table(n, t)`` of an
-        order t the list holds whole reads that order's values as stored,
-        with no row sorted or ranked, as ``_fill`` writes them.
+        recorded as read.
         """
-        t = self._whole(subsets)
-        if t:
-            values, _, read = self._orders[t]
-            read[:] = True
-            return values.copy()
         idx = self._sorted(subsets)
         if len(idx) == 0:
             return np.empty(0)
@@ -346,6 +326,23 @@ class QueriedSubsets(Set):
     def __iter__(self):
         for idx, _ in self._minors._rows(2):
             yield from map(tuple, idx.tolist())
+
+
+class KernelMinors:
+    """The principal minors of a kernel, computed as read: ``get_many`` is
+    ``principal_minors`` of exactly the sorted 1-based rows asked for, and
+    ``queried`` the set of rows read.  No ORDER_LIMIT applies."""
+
+    def __init__(self, k: SignedKernel):
+        self.n, self._mat, self._read = k.n, k.mat, []
+
+    def get_many(self, subsets) -> np.ndarray:
+        self._read.append(np.asarray(subsets))
+        return principal_minors(self._mat, subsets)
+
+    @property
+    def queried(self) -> frozenset:
+        return frozenset(tuple(row) for rows in self._read for row in rows.tolist())
 
 
 # ---------------------------------------------------------------------------

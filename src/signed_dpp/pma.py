@@ -1,16 +1,13 @@
 """Dense principal minor assignment: rebuild a signed kernel from its
 principal minors of orders 1..4 and describe every solution.
 
-The reconstruction runs as whole-array stages.  ``solve_pma`` composes
-the public stage functions ``recover_skeleton``, ``traveling_sums`` and
-``match_four_cycles`` with a ``gf2.SpanBasis``; there is no one-item
-entry point.  Each sign decision is one XOR row over the upper-triangle
-entry signs.  Every cycle is described once, in one table per subset
-size (``_TRIANGLE``, ``_FOUR_CYCLES``): its edges and the arcs its row
-orientation walks against the upper triangle.  ``_cycles`` reads each
-cycle's relating-sign product, magnitude product, right-hand-side flip
-and edge endpoints off that table, once per subset for all the stages
-that use them.
+``solve_pma`` composes the public whole-array stages
+``recover_skeleton``, ``traveling_sums`` and ``match_four_cycles`` with a
+``gf2.SpanBasis``.  Each sign decision is one XOR row over the
+upper-triangle entry signs.  Every cycle is described once, in one table
+per subset size (``_TRIANGLE``, ``_FOUR_CYCLES``), from which ``_cycles``
+reads its relating-sign product, magnitude product, right-hand-side flip
+and edge endpoints.
 
 1. Skeleton.  Orders 1 and 2, each read whole, give the diagonal, the
    off-diagonal magnitudes and the relating signs, via
@@ -18,40 +15,39 @@ that use them.
 2. Traveling sums.  The minor of a triangle or 4-set gives its pi(S),
    by subtracting every permutation class that does not involve a
    full-length cycle (those classes only need quantities already known).
-3. Triangles.  Order 3 is read whole, and each positive triangle fixes
-   the sign of one oriented entry product.  Its row ties the two pairs
-   at its top vertex v in a parity forest per v
-   (``gf2.SpanBasis._of_cycles``).
-4. 4-sets, only to join two components of those forests, while the null
-   space is larger than the span of the vertex switches and the
-   transpose, which every positive cycle leaves in it.  A positive
-   4-cycle with top vertex v is a candidate edge between v's two
-   neighbours on it; which cycles are positive follows from the relating
-   signs alone.  In Borůvka rounds, every component reads the 4-set of
-   its first leaving candidate in colex order, and matches its traveling
-   sum against the at most 8 +-1 patterns of its positive cycles.  The
-   decided cycles join components.  This per-4-set separation test is
-   the only genericity rule: a 4-set whose best two patterns lie within
-   the tolerance is skipped with a warning, and the next candidate for
-   that join is tried; after a round that joins nothing, every candidate
-   left is read at once.  The rounds stop when no candidate joins two
-   components; then ``_of_cycles`` solves the triangle and 4-cycle rows.
+3. Hub triangles.  The C(N - 1, 2) triangles {h, x, y} at the hub h = 1,
+   the fundamental cycles of the star at h, are a basis of the cycle
+   space.  A cycle is positive when its relating signs multiply to +1,
+   and then its traveling sum fixes the sign of its oriented entry
+   product.  The positive hub triangles and the sums of two negative ones
+   span the positive cycles.
+4. Joins.  Negative {h, u, x} and {h, u, y} sum to the 4-cycle h-x-u-y
+   of the 4-set {h, u, x, y}, or, when {h, x, y} is positive, to the
+   triangle {u, x, y} plus it.  Negative hub pairs in two components of
+   their graph share no vertex, and {h, a, b} + {h, c, d} is the 4-cycle
+   a-b-c-d plus the positive {h, b, c} and {h, a, d}.  Kruskal's order
+   over these joins, triangles first, against one union-find over the
+   negative hub pairs picks the rest of a basis from the skeleton alone:
+   at most 3 C(N - 1, 2) reads of orders 3 and 4, and no 4-set where
+   triangles suffice.  A 4-set matches its traveling sum against the at
+   most 8 +-1 patterns of its positive cycles; this separation test is
+   the only genericity rule.  A decision within the tolerance is skipped
+   with a warning, and its join falls to the next candidates, read in one
+   more round.  ``gf2.SpanBasis._of_cycles`` solves the rows.
 
-A 4-cycle row whose pairs at v share a component reduces, through the
-tree rows at v, to a positive even subgraph below v, which the rows of
-smaller top vertices span.  So on exact minors with no skipped decision
-the solution is that of every triangle and 4-cycle row, and otherwise
-the rows read are a subset of those, so the coset can only be larger;
-the reduced row echelon form of a row space is unique.  Errors and
-warnings only concern minors that were read: a wrong 4-set minor that
-is never read does not change the solution, and ``verify`` reports it.
-A row that contradicts the others means the minors are inconsistent.
+On exact minors with no skipped decision the rows span every positive
+cycle, so the solution is that of every triangle and 4-cycle row (a row
+space has one reduced row echelon form); otherwise the coset can only be
+larger.  Errors and warnings only concern minors that were read: a wrong
+minor that is never read does not change the solution, and ``verify``
+reports it; a row that contradicts the others raises.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -95,12 +91,9 @@ _CYCLE_ORDERS = ((0, 1, 3, 2), (0, 1, 2, 3), (0, 2, 1, 3))
 
 
 def _cycle_table(arcs) -> tuple[np.ndarray, np.ndarray]:
-    """A cycle table from cycles given as lists of arcs (a, b) between
-    positions of a sorted subset, walked in row orientation.  Each cycle
-    is its (w, 2) edges, as sorted position pairs in the order of its
-    magnitude product, and a (w,) flag on the arcs with a > b: such an
-    arc reads the lower entry K_ab = eps_ab K_ba, so its relating sign
-    enters the right-hand side."""
+    """A cycle table from cycles given as arcs (a, b) between positions of
+    a sorted subset, in row orientation: their (w, 2) sorted edges and a
+    (w,) flag on the arcs with a > b, which read K_ab = eps_ab K_ba."""
     arcs = np.array(arcs)
     return np.sort(arcs, axis=2), arcs[..., 0] > arcs[..., 1]
 
@@ -110,11 +103,9 @@ def _cycle_table(arcs) -> tuple[np.ndarray, np.ndarray]:
 _TRIANGLE = _cycle_table([[(0, 1), (1, 2), (2, 0)]])
 _FOUR_CYCLES = _cycle_table([sorted(zip(o, o[1:] + o[:1]), key=sorted) for o in _CYCLE_ORDERS])
 
-# The six pairs of a sorted 4-set, in pair_index(4, ...) order, and the
-# (3, 4) indices of each cycle's edges among them.  A cycle's edges at
-# position 3 end at its two neighbours there; position c is opposite it.
+# The six pairs of a sorted 4-set, in pair_index(4, ...) order.  A cycle's
+# edges at position 3 end at its two neighbours there; c is opposite it.
 _PAIRS4 = np.triu_indices(4, 1)
-_EDGES4 = pair_index(4, _FOUR_CYCLES[0][..., 0], _FOUR_CYCLES[0][..., 1])
 _NEIGHBOURS = _FOUR_CYCLES[0][..., 0][_FOUR_CYCLES[0][..., 1] == 3].reshape(3, 2)
 
 
@@ -128,17 +119,24 @@ class Skeleton:
     magnitude: np.ndarray  # (n, n) symmetric, zero diagonal
     epsilon: np.ndarray    # (n, n) symmetric entries in {-1,+1}, zero diagonal
 
+    @functools.cached_property
+    def pair_terms(self) -> np.ndarray:
+        """(n, n) matrix of eps_ab |K_ab|^2, the 2-cycle factors, squared by
+        Python's float power, whose last bit can differ from numpy's x*x."""
+        iu, ju = np.triu_indices(self.n, 1)
+        squares = np.array([m ** 2 for m in self.magnitude[iu, ju].tolist()])
+        out = np.zeros((self.n, self.n))
+        out[iu, ju] = out[ju, iu] = self.epsilon[iu, ju] * squares
+        return out
+
 
 @dataclass(frozen=True)
 class PMASolution:
-    """One reconstructed kernel plus the generators of all sign choices.
-
-    ``solution`` is the GF(2) solution over the upper-triangle entry
-    signs, as bitmasks over ``pairs`` (bit 1 = negative).  Its particular
-    solution is the kernel's sign pattern, and XORing any subset of its
-    null basis, the ``free_switches``, into that pattern yields another
-    matrix with the same principal minors.
-    """
+    """One reconstructed kernel plus the generators of all sign choices:
+    ``solution`` over the upper-triangle entry signs, as bitmasks over
+    ``pairs`` (bit 1 = negative), whose particular solution is the kernel's
+    sign pattern; XORing in any of its null basis, the ``free_switches``,
+    gives another matrix with the same principal minors."""
 
     kernel: SignedKernel
     solution: gf2.GF2Solution
@@ -170,15 +168,10 @@ def _subset(row: np.ndarray) -> tuple[int, ...]:
 # stage 1: skeleton
 
 def recover_skeleton(minors: MinorList) -> Skeleton:
-    """Diagonal, magnitudes and relating signs from orders 1 and 2, each
-    read whole as its ``colex_table``.
-
-    Each relating sign eps_ij is the sign of a_i a_j - a_ij, with no
-    noise margin and no warning; only the density tolerance
-    ``DENSITY_TOL`` is checked.
-    On estimated minors a pair whose K_ij^2 lies below the noise of its
-    pair minor can get the wrong sign, and every later decision builds
-    on it: at N = 16 from 1e4 sequential draws, 51 of 120 were wrong.
+    """Diagonal, magnitudes and relating signs from orders 1 and 2, read
+    whole.  Each relating sign eps_ij is the sign of a_i a_j - a_ij, with
+    no noise margin (only ``DENSITY_TOL`` is checked), so on estimated
+    minors a pair whose K_ij^2 is below the noise can get the wrong sign.
     """
     n = minors.n
     diagonal = minors.get_many(colex_table(n, 1))
@@ -200,33 +193,18 @@ def recover_skeleton(minors: MinorList) -> Skeleton:
 # ---------------------------------------------------------------------------
 # stage 2: traveling sums from minors
 
-def _pair_terms(skel: Skeleton) -> np.ndarray:
-    """(n, n) matrix of eps_ab |K_ab|^2, the 2-cycle factors.
-
-    The squares use Python's float power (the C library's pow) rather
-    than numpy's x*x: the two differ in the last bit for some inputs,
-    and reconstructions are kept bit-identical across releases.
-    """
-    iu, ju = np.triu_indices(skel.n, 1)
-    squares = np.array([m ** 2 for m in skel.magnitude[iu, ju].tolist()])
-    out = np.zeros((skel.n, skel.n))
-    out[iu, ju] = out[ju, iu] = skel.epsilon[iu, ju] * squares
-    return out
-
-
-def _pi3(minors: MinorList, skel: Skeleton, pt: np.ndarray, tri: np.ndarray) -> np.ndarray:
+def _pi3(minors: MinorList, skel: Skeleton, tri: np.ndarray) -> np.ndarray:
     """pi of each row of an (m, 3) array of sorted 0-based triangles."""
-    d = skel.diagonal
+    d, pt = skel.diagonal, skel.pair_terms
     i, j, k = tri.T
     fixed = d[i] * d[j] * d[k] - d[i] * pt[j, k] - d[j] * pt[i, k] - d[k] * pt[i, j]
     return minors.get_many(tri + 1) - fixed
 
 
-def _pi4(minors: MinorList, skel: Skeleton, pt: np.ndarray, quad: np.ndarray,
-         face_pi3: np.ndarray) -> np.ndarray:
+def _pi4(minors: MinorList, skel: Skeleton, quad: np.ndarray, face_pi3: np.ndarray) -> np.ndarray:
     """pi of each row of an (m, 4) array of sorted 0-based 4-sets, given
     the (m, 4) traveling sums of their ``_FACES`` triangles."""
-    d, pair = skel.diagonal[quad].T, pt[quad[:, _PAIRS4[0]], quad[:, _PAIRS4[1]]].T
+    d, pair = skel.diagonal[quad].T, skel.pair_terms[quad[:, _PAIRS4[0]], quad[:, _PAIRS4[1]]].T
     fixed = d[0] * d[1] * d[2] * d[3]
     for k, (a, b) in enumerate(zip(*_PAIRS4)):
         c, e = (x for x in range(4) if x not in (a, b))
@@ -239,23 +217,18 @@ def _pi4(minors: MinorList, skel: Skeleton, pt: np.ndarray, quad: np.ndarray,
 
 def traveling_sums(minors: MinorList, skel: Skeleton, subsets: np.ndarray) -> np.ndarray:
     """pi(S) of each row of an (m, 3) or (m, 4) array of sorted 0-based
-    triangles or 4-sets, extracted from their minors.
-
-    Expanding det(K_S) over permutations grouped by the supports of
-    their cyclic factors, every class except the full-length cycles is a
-    known function of the skeleton (and, at order 4, of the traveling
-    sums of the four face triangles); full-length cycles enter with
-    permutation sign (-1)^{|S|-1}.  Only the minors of the given subsets
-    (and of the faces of given 4-sets) are read.
+    triangles or 4-sets, from their minors (and their faces'): grouping
+    det(K_S) by the supports of the permutations' cycles, every class but
+    the full-length cycles (sign (-1)^{|S|-1}) is known from the skeleton
+    and, at order 4, the traveling sums of the faces.
     """
     subsets = np.asarray(subsets)
     if subsets.ndim != 2 or subsets.shape[1] not in (3, 4):
         raise DimensionError(f"expected (m, 3) triangles or (m, 4) 4-sets, got shape {subsets.shape}")
-    pt = _pair_terms(skel)
     if subsets.shape[1] == 3:
-        return _pi3(minors, skel, pt, subsets)
-    faces = _pi3(minors, skel, pt, subsets[:, _FACES].reshape(-1, 3)).reshape(-1, 4)
-    return _pi4(minors, skel, pt, subsets, faces)
+        return _pi3(minors, skel, subsets)
+    faces = _pi3(minors, skel, subsets[:, _FACES].reshape(-1, 3)).reshape(-1, 4)
+    return _pi4(minors, skel, subsets, faces)
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +236,10 @@ def traveling_sums(minors: MinorList, skel: Skeleton, subsets: np.ndarray) -> np
 
 def _cycles(skel: Skeleton, sets: np.ndarray, table) -> tuple[np.ndarray, ...]:
     """Per row of an (m, s) array of sorted 0-based subsets and per cycle
-    of ``table`` (``_TRIANGLE`` or ``_FOUR_CYCLES``): the (m, c)
-    relating-sign products, the (m, c) magnitude products, the (m, c)
-    right-hand-side flips and the (m, c, w) endpoints a < b of the
-    cycles' edges.  A cycle whose oriented entry product has sign bit
-    ``negative`` gives the row (``pair_index`` of its edges, negative ^
-    flip).  No minor is read."""
+    of ``table``: the (m, c) relating-sign products, magnitude products
+    and right-hand-side flips, and the (m, c, w) endpoints a < b of the
+    edges.  A cycle whose oriented entry product has sign bit ``negative``
+    gives the row (``pair_index`` of its edges, negative ^ flip)."""
     edges, lower = table
     a, b = sets[:, edges[..., 0]], sets[:, edges[..., 1]]
     eps = skel.epsilon[a, b]
@@ -283,22 +254,15 @@ _PATTERNS = (np.arange(8)[:, None] >> np.arange(3)) & 1 == 1
 def match_four_cycles(skel: Skeleton, quad: np.ndarray, pi4: np.ndarray, tol: float):
     """Score every candidate pattern of every 4-set against its pi4.
 
-    Each positive cycle contributes twice its oriented product, whose
-    magnitude is the product of its four edge magnitudes.  A 4-set has 1
-    or 3 positive cycles (each edge lies on two of the three cycles), so
-    at most 8 candidates; a pattern that flips a cycle that is not
-    positive is no candidate.  The first minimal residual wins.  Returns
-    the (m, 3) positive cycles (columns follow ``_CYCLE_ORDERS``), the
-    (m, 3) positive cycles the best pattern makes negative, and per 4-set
-    the best and second-smallest residuals and the effective tolerance
+    Each positive cycle contributes twice its oriented product; a 4-set
+    has 1 or 3 positive cycles, so at most 8 patterns, and the first
+    minimal residual wins.  Returns the (m, 3) positive cycles (columns
+    follow ``_CYCLE_ORDERS``), those the best pattern makes negative, and
+    per 4-set the best and second-smallest residuals and the tolerance
     ``max(tol, SIGN_RTOL * scale)``.  A 4-set is decided when the best
     residual is within that tolerance and the second is not.
     """
-    return _match(*_cycles(skel, quad, _FOUR_CYCLES)[:2], pi4, tol)
-
-
-def _match(sign: np.ndarray, mags: np.ndarray, pi4: np.ndarray, tol: float):
-    """``match_four_cycles`` on the sign and magnitude products of ``_cycles``."""
+    sign, mags = _cycles(skel, quad, _FOUR_CYCLES)[:2]
     positive = sign == 1
     packed = np.where(positive, mags, 0.0)
     flips = np.where(_PATTERNS, -1.0, 1.0)  # (8, 3)
@@ -327,135 +291,178 @@ def _screen(skipped: np.ndarray, bad: np.ndarray, warning, error, stacklevel: in
 # end to end: stages 3 and 4
 
 def solve_pma(minors: MinorList, sign_tol: float = SIGN_TOL) -> PMASolution:
-    """Reconstruct a dense signed kernel from minors of orders up to 4.
-
-    Every minor of orders 1-3 is read, but a 4-set only when it is the
-    first candidate to join two components of a vertex forest (see the
-    module docstring); errors and warnings only concern minors read.
-    Sign decisions whose underlying quantity falls below ``sign_tol``
-    are skipped with an AmbiguousSignWarning (they only shrink the
-    constraint set); outright contradictions raise.  ``sign_tol`` must
-    be finite and nonnegative.
-    """
+    """Reconstruct a dense signed kernel from minors of orders up to 4,
+    read through ``n`` and ``get_many`` alone (see the module docstring).
+    A decision within ``sign_tol`` (finite, nonnegative) is skipped with an
+    AmbiguousSignWarning, which only enlarges the coset; contradictions
+    raise."""
     _check_tol("sign_tol", sign_tol)
-    n = minors.n
     skel = recover_skeleton(minors)
-    tri = colex_table(n, 3).astype(np.intp) - 1
-    pi3 = traveling_sums(minors, skel, tri)
-
-    # triangles: a positive triangle's pi3 carries its product sign
-    sign, mag3, flip = (a[:, 0] for a in _cycles(skel, tri, _TRIANGLE)[:3])
-    tri_tol = np.maximum(sign_tol, SIGN_RTOL * (2.0 * mag3))
-    positive = sign == 1
-    small = np.abs(pi3) <= tri_tol
-    _screen(positive & small, ~positive & ~small,
-            lambda t: (f"triangle {_subset(tri[t])}: traveling sum {pi3[t]:.3e} below tol "
-                       f"{tri_tol[t]:.1e}; skipping its sign constraint"),
-            lambda t: (f"triangle {_subset(tri[t])} is negative but its traveling sum is "
-                       f"{pi3[t]:.3e}; the minor list is not realizable at tol {tri_tol[t]:.1e}"),
-            stacklevel=2)
-    used = positive & ~small
-    cycles = np.concatenate([tri[used], np.full((used.sum(), 1), -1)], axis=1)
-    rhs = ~(pi3[used] > 0) ^ flip[used]
-    basis = gf2.SpanBasis._of_cycles(n, cycles, rhs)
-
-    # 4-sets, only while the null space is larger than the span of the
-    # vertex switches and the transpose's flips (the pairs with eps = -1):
-    # every row is a positive cycle, on which they have even parity
     eps = skel.epsilon
-    sigma = np.where(np.arange(n) == 0, 1, eps[0])
-    floor = n - 1 + (not np.array_equal(eps + np.eye(n, dtype=int), np.outer(sigma, sigma)))
-    if basis.nullity > floor:
-        more, more_rhs = _join_four_cycles(minors, skel, cycles, sign_tol)
-        if len(more):
-            basis = gf2.SpanBasis._of_cycles(n, np.concatenate([cycles, more]),
-                                             np.concatenate([rhs, more_rhs]))
-
-    # a row that contradicts the rest leaves no solution
-    solution = basis.solution()
-    if solution is None:
+    # (x, y) is a negative hub pair when the hub triangle {0, x, y} is negative
+    cycles, rhs = _hub_basis(minors, skel, eps * eps[0] * eps[:, :1] < 0, sign_tol)
+    solution = gf2.SpanBasis._of_cycles(skel.n, cycles, rhs).solution()
+    if solution is None:    # a row that contradicts the rest leaves no solution
         raise InconsistentMinorsError(
             "cycle sign constraints are mutually inconsistent; "
             "the minor list is not realizable in the signed class")
-    x = np.array(gf2.bits_of(solution.particular, basis.n_vars), dtype=bool)
-
+    x = np.array(gf2.bits_of(solution.particular, solution.n_vars), dtype=bool)
     return PMASolution(kernel=_assemble(skel.diagonal, skel.magnitude, eps, x),
-                       solution=solution, pairs=_pairs(n))
+                       solution=solution, pairs=_pairs(skel.n))
 
 
-def _join_four_cycles(minors: MinorList, skel: Skeleton, cycles: np.ndarray,
-                      sign_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Stage 4 (see the module docstring): the decided 4-cycle rows, as
-    ``gf2.SpanBasis._of_cycles`` rows (p, q, v, r) and right-hand sides,
-    of the 4-sets read by Borůvka rounds over the components that the
-    triangle rows ``cycles`` leave."""
+def _decide(minors: MinorList, skel: Skeleton, sets: np.ndarray, sign_tol: float,
+            stacklevel: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Which of an (m, 3) array of sorted 0-based triangles or (m, 4) of 4-sets
+    are decided, and the ``_of_cycles`` rows and right-hand sides they give."""
+    if not len(sets):
+        return np.zeros(0, dtype=bool), np.zeros((0, 4), dtype=np.intp), np.zeros(0, dtype=bool)
+    if sets.shape[1] == 3:
+        pi3 = traveling_sums(minors, skel, sets)
+        sign, mag3, flip = (a[:, 0] for a in _cycles(skel, sets, _TRIANGLE)[:3])
+        tol = np.maximum(sign_tol, SIGN_RTOL * (2.0 * mag3))
+        positive, small = sign == 1, np.abs(pi3) <= tol
+        _screen(positive & small, ~positive & ~small,
+                lambda t: (f"triangle {_subset(sets[t])}: traveling sum {pi3[t]:.3e} below tol "
+                           f"{tol[t]:.1e}; skipping its sign constraint"),
+                lambda t: (f"triangle {_subset(sets[t])} is negative but its traveling sum is "
+                           f"{pi3[t]:.3e}; the minor list is not realizable at tol {tol[t]:.1e}"),
+                stacklevel + 1)
+        used = positive & ~small
+        return used, np.insert(sets[used], 3, -1, axis=1), (~(pi3 > 0) ^ flip)[used]
+    flip = _cycles(skel, sets, _FOUR_CYCLES)[2]
+    positive, negative, best, second, tol = match_four_cycles(
+        skel, sets, traveling_sums(minors, skel, sets), sign_tol)
+    ambiguous = second - best <= tol
+    _screen(ambiguous, best > tol,
+            lambda t: (f"4-set {_subset(sets[t])}: sign patterns are separated by "
+                       f"{second[t] - best[t]:.1e} < tol {tol[t]:.1e}; magnitude products "
+                       "are too close to decide; skipping the 4-set's sign constraints"),
+            lambda t: (f"4-set {_subset(sets[t])}: no sign pattern matches the traveling "
+                       f"sum (best residual {best[t]:.3e} > tol {tol[t]:.1e})"),
+            stacklevel + 1)
+    s, c = np.nonzero(positive & ~ambiguous[:, None])
+    rows = np.column_stack([sets[s[:, None], _NEIGHBOURS[c]], sets[s, 3], sets[s, c]])
+    return ~ambiguous, rows, negative[s, c] ^ flip[s, c]
+
+
+def _hub_basis(minors: MinorList, skel: Skeleton, neg: np.ndarray,
+               sign_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Stages 3 and 4: the rows of the hub triangles and of the joins of the
+    negative hub pairs ``neg``.  Round one reads every hub triangle and
+    Kruskal's picks, all positive hub triangles taken as known; if a pick
+    was skipped or joins through a skipped one, round two reads every
+    candidate left that joins two components of the decided joins."""
     n = skel.n
-    comp = _join(np.arange(n * (n - 1) // 2, dtype=np.int32),
-                 pair_index(n, cycles[:, 0], cycles[:, 2]), pair_index(n, cycles[:, 1], cycles[:, 2]))
-    # 4-sets last: the negative pairs and cycles of each 4-set, the pairs
-    # (x, v) of its lower vertices x at its top vertex v, and the positive
-    # cycles whose two neighbours of v lie in two components, in colex
-    # order: 4-set t, then cycle c
-    quad = colex_table(n, 4).T.astype(np.int32) - 1
-    minus = (skel.epsilon < 0)[quad[_PAIRS4[0]], quad[_PAIRS4[1]]]
-    node = pair_index(n, quad[:3], quad[3])
-    p, q = node[_NEIGHBOURS[:, 0]], node[_NEIGHBOURS[:, 1]]
-    t, c = np.nonzero((~np.logical_xor.reduce(minus[_EDGES4], axis=1) & (comp[p] != comp[q])).T)
-    at = np.stack([p[c, t], q[c, t]], axis=1)
-    del quad, minus, node, p, q, c      # O(C(n, 4)) each, unused from here
-    read = np.zeros(math.comb(n, 4), dtype=bool)
-    rows, rhs = [np.zeros((0, 4), dtype=np.intp)], [np.zeros(0, dtype=bool)]
-    joined, last = True, False
-    while not last:
-        ends = comp[at]
-        live = (ends[:, 0] != ends[:, 1]) & ~read[t]
-        if not live.all():
-            t, at, ends = t[live], at[live], ends[live]
-        if not len(t):
+    hub = np.insert(colex_table(max(n - 1, 0), 2).astype(np.intp), 0, 0, axis=1)
+    known = ~neg
+    root, read, out = np.arange(n * (n - 1) // 2), [], []
+    for every in (False, True):
+        sets, joins, key = _candidates(neg, known, every)
+        if every:
+            top = root[np.where(joins >= 0, joins, joins[:, :1])]
+            picked = np.flatnonzero((top != top[:, :1]).any(axis=1) & ~np.isin(key, read))
+        else:
+            picked = _kruskal(root.copy(), joins)
+        tri, quad, read = picked[sets[picked, 0] < 0], picked[sets[picked, 0] >= 0], key[picked]
+        lead = hub[:0 if every else len(hub)]
+        decided, *rows = _decide(minors, skel, np.concatenate([lead, sets[tri, 1:]]), sign_tol, 3)
+        if not every:
+            x, y = hub[decided[:len(hub)], 1:].T
+            known[:] = False
+            known[x, y] = known[y, x] = True
+        four, *more = _decide(minors, skel, sets[quad], sign_tol, 3)
+        out += [rows, more]
+        # a triangle, or a 4-set without the hub, joins through its positive pairs
+        at, done = np.concatenate([tri, quad]), np.concatenate([decided[len(lead):], four])
+        a, b = sets[at][:, _PAIRS4[0]], sets[at][:, _PAIRS4[1]]
+        done &= (sets[at, 0] == 0) | ~((a > 0) & ~neg[a, b] & ~known[a, b]).any(axis=1)
+        if every or done.all():
+            return tuple(map(np.concatenate, zip(*out)))
+        _kruskal(root, joins[at[done]])
+        while not np.array_equal(up := root[root], root):
+            root = up
+
+
+def _candidates(neg: np.ndarray, known: np.ndarray, every: bool) -> tuple[np.ndarray, ...]:
+    """The joins of negative hub pairs in Kruskal's order, each kind in colex
+    order: triangles {u, x, y} with (x, y) known, 4-sets {0, u, x, y}, and
+    4-sets {a, b, c, d} that chain the components of the graph of ``neg``
+    through known pairs across.  Unless ``every`` one is asked for, only
+    a spanning forest (``_forest``) of each kind at each u and the first
+    chain links.  Returns the (m, 4) sorted subsets (triangles led by -1),
+    the ``pair_index`` of their negative pairs, -1 after, and keys."""
+    n = len(neg)
+    width = int(neg.sum(axis=1).max(initial=0))
+    member = np.argsort(~neg, axis=1, kind="stable")[:, :width]    # each u's negative pairs first
+    valid = np.take_along_axis(neg, member, axis=1)
+    subsets = [np.zeros((0, 4), dtype=np.intp)]
+    for u in np.array_split(np.arange(n), -(-n * width * width // (1 << 22)) or 1):
+        pair = valid[u, :, None] & valid[u, None, :]
+        tri = pair & known.ravel()[member[u, :, None] * n + member[u, None, :]]
+        if every:
+            found = [np.nonzero(np.triu(tri, 1)), np.nonzero(np.triu(pair, 1))]
+        else:       # over the trees of the triangles, node 0 offers the least label
+            label, parent = _forest(tri, np.where(valid[u], np.arange(width), width))
+            v, x = np.nonzero(valid[u] & (label > 0))
+            found = [(*np.nonzero(parent >= 0), parent[parent >= 0]), (v, x, 0 * x)]
+        for lead, (v, x, y) in zip((-1, 0), found):
+            subsets.append(np.column_stack(np.broadcast_arrays(lead, u[v], member[u[v], x],
+                                                               member[u[v], y])))
+    label = _forest(neg, np.arange(n))[0]
+    roots = np.unique(label[neg.any(axis=1)])
+    for r, s in zip(roots, roots[1:]):
+        (a, b), (c, d) = (np.nonzero(np.triu(neg) & (label == t)[:, None]) for t in (r, s))
+        a, b, c, d = np.repeat(a, len(c)), np.repeat(b, len(c)), np.tile(c, len(a)), np.tile(d, len(a))
+        ok = np.flatnonzero((known[b, c] & known[a, d]) | (known[b, d] & known[a, c]))
+        subsets.append(np.sort(np.column_stack([a, b, c, d])[ok if every else ok[:1]], axis=1))
+    sets = np.concatenate(subsets)
+    sets[:, 1:] = np.sort(sets[:, 1:], axis=1)
+    # one key per subset: its kind, then its vertices from the last
+    key = (np.minimum(sets[:, 0], 1) + 1) * (n + 1) ** 4 + (sets + 1) @ (n + 1) ** np.arange(4)
+    key, first = np.unique(key, return_index=True)
+    sets = sets[first]
+    a, b = sets[:, _PAIRS4[0]], sets[:, _PAIRS4[1]]
+    joins = np.where((a >= 0) & neg[a, b], pair_index(n, a, b), -1)
+    return sets, -np.sort(-joins, axis=1)[:, :3], key
+
+
+def _forest(adj: np.ndarray, label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-label propagation over (..., d, d) symmetric adjacencies from
+    (..., d) labels below d; returns the labels and each node's parent,
+    the neighbour it last took a label from (-1 for none), which held it a
+    step earlier: a forest joining each node to one that kept its own."""
+    blocked = np.where(adj, np.int32(0), np.int32(adj.shape[-1]))    # a non-neighbour offers d or more
+    label, parent = label.astype(np.int32), np.full(label.shape, -1)
+    while label.size:
+        offer = blocked + label[..., None, :]
+        best = offer.min(axis=-1)
+        better = best < label
+        if not better.any():
             break
-        if joined:      # each component's first candidate
-            first, position = np.full(len(comp), len(t)), np.arange(len(t))
-            np.minimum.at(first, ends[:, 0], position)
-            np.minimum.at(first, ends[:, 1], position)
-        last = not joined   # after a round that joined nothing, every candidate left
-        picked = np.zeros_like(read)
-        picked[t[first[first < len(t)]] if joined else t] = True
-        read |= picked
-        sets = colex_table(n, 4)[picked].astype(np.intp) - 1
-        sign, mags, flip, _, _ = _cycles(skel, sets, _FOUR_CYCLES)
-        decided, negative, best, second, tol = _match(
-            sign, mags, traveling_sums(minors, skel, sets), sign_tol)
-        ambiguous = second - best <= tol
-        _screen(ambiguous, best > tol,
-                lambda i: (f"4-set {_subset(sets[i])}: sign patterns are separated by "
-                           f"{second[i] - best[i]:.1e} < tol {tol[i]:.1e}; magnitude products "
-                           "are too close to decide; skipping the 4-set's sign constraints"),
-                lambda i: (f"4-set {_subset(sets[i])}: no sign pattern matches the traveling "
-                           f"sum (best residual {best[i]:.3e} > tol {tol[i]:.1e})"),
-                stacklevel=3)
-        decided[ambiguous] = False
-        joined = decided.any()
-        if joined:
-            s, c = np.nonzero(decided)
-            new = np.column_stack([sets[s[:, None], _NEIGHBOURS[c]], sets[s, 3], sets[s, c]])
-            rows.append(new)
-            rhs.append(negative[s, c] ^ flip[s, c])
-            _join(comp, pair_index(n, new[:, 0], new[:, 2]), pair_index(n, new[:, 1], new[:, 2]))
-    return np.concatenate(rows), np.concatenate(rhs)
+        parent[better], label = offer[better].argmin(axis=-1), np.minimum(label, best)
+    return label, parent
 
 
-def _join(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Union-find in place: ``root`` maps each node to the smallest node
-    of its component, and goes on doing so once the edges a - b have
-    joined theirs.  Each pass hooks the larger root of every edge under
-    the smallest root it meets there, then points each node at its root."""
-    while (split := root[a] != root[b]).any():
-        a, b = a[split], b[split]
-        ra, rb = root[a], root[b]
-        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
-        while not ((up := root[root]) == root).all():
-            root[:] = up
-    return root
+def _kruskal(root: np.ndarray, joins: np.ndarray) -> np.ndarray:
+    """The rows of (m, 3) ``joins``, two or three pair indices (then -1),
+    whose pairs lie in two or more components of the union-find ``root``
+    (each pair's parent, updated in place), which each such row merges."""
+    parent, picked = root.tolist(), []
+    for t, (a, b, c) in enumerate(joins.tolist()):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        while c >= 0 and parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        tops = {a, b, c} - {-1}
+        if len(tops) > 1:
+            for x in tops:
+                parent[x] = min(tops)
+            picked.append(t)
+    root[:] = parent
+    return np.array(picked, dtype=np.intp)
 
 
 def _assemble(diagonal: np.ndarray, magnitude: np.ndarray, epsilon: np.ndarray,
@@ -508,16 +515,12 @@ class VerifyReport:
 
 
 def verify(h: SignedKernel, minors: MinorList, tol: float = 1e-9) -> VerifyReport:
-    """Check det(H_J) against every listed minor.
-
-    A subset passes on relative error when |a_J| > tol and on absolute
-    error otherwise.  An empty list passes vacuously, with a warning.
-    Failures are listed in colexicographic order, and the worst subset
-    is the colex-first one of largest error.  ``tol`` must be finite and
-    nonnegative.  When orders 3 and 4 are both whole, their minors of h
-    come from one ``kernel.colex_minors`` pass, which agrees bit for bit
-    with the ``principal_minors`` that the other orders take.  Each order
-    is compared 2^16 subsets at a time (one slice per order up to N = 36).
+    """Check det(H_J) against every listed minor: relative error where
+    |a_J| > tol (finite, >= 0), absolute elsewhere; an empty list passes
+    vacuously, with a warning.  Failures come in colex order, and the worst
+    subset is the colex-first of largest error.  Orders 3 and 4 both whole
+    take one ``kernel.colex_minors`` pass, equal bit for bit to
+    ``principal_minors``; each order is compared 2^16 subsets at a time.
     """
     _check_tol("tol", tol)
     if h.n != minors.n:
@@ -557,11 +560,23 @@ def verify(h: SignedKernel, minors: MinorList, tol: float = 1e-9) -> VerifyRepor
                         failures=tuple(failures))
 
 
+def is_conjugate(h: SignedKernel, k: SignedKernel, tol: float = 1e-9) -> bool:
+    """Whether h = D K D or D K^T D entry by entry within ``tol`` (finite,
+    >= 0), D the +-1 diagonal fitted from the first rows (O(N^2)); either
+    keeps every principal minor.  A zero in K's first row never matches."""
+    _check_tol("tol", tol)
+    if h.n != k.n:
+        raise DimensionError(f"dimension mismatch: kernel N = {h.n}, other kernel N = {k.n}")
+    for ref in (k.mat, k.mat.T):
+        d = np.where(np.arange(k.n) > 0, np.sign(h.mat[0] * ref[0]), 1.0)
+        if np.max(np.abs(h.mat - d[:, None] * ref * d)) <= tol:
+            return True
+    return False
+
+
 def pma_equivalent(h: SignedKernel, k: SignedKernel) -> bool:
-    """Whether h has every principal minor of k, under ``verify``'s
-    default tolerance, which also raises on a size mismatch; the full
-    list caps N as ``exact_minors`` does."""
-    return verify(h, exact_minors(k, "all")).passed
+    """Whether h has k's minors: ``is_conjugate``, or else ``verify`` (N <= 16)."""
+    return is_conjugate(h, k) or verify(h, exact_minors(k, "all")).passed
 
 
 def _check_tol(name: str, tol: float) -> None:
@@ -573,8 +588,6 @@ def _check_tol(name: str, tol: float) -> None:
 # solution-set sidecar JSON
 
 def solution_set_json(sol: PMASolution) -> str:
-    import json
-
     return json.dumps({
         "null_basis": [list(gf2.bits_of(vec, len(sol.pairs)))
                        for vec in sol.free_switches],

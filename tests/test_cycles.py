@@ -229,6 +229,24 @@ def test_pma_equivalent_dimension_mismatch():
         pma.pma_equivalent(random_signed(3, 1), random_signed(4, 1))
 
 
+def test_is_conjugate_matches_switches_and_the_transpose_only():
+    k = kernel.generate_admissible(40, 0.3, 5)
+    d = np.diag(np.where(np.random.default_rng(5).random(40) < 0.5, -1.0, 1.0))
+    for mat in (k.mat, d @ k.mat @ d, d @ k.mat.T @ d):
+        assert pma.is_conjugate(kernel.SignedKernel(mat), k)
+        assert pma.pma_equivalent(kernel.SignedKernel(mat), k)     # no N = 16 cap on a match
+    flipped = np.array(k.mat)
+    flipped[[2, 3], [3, 2]] *= -1
+    assert not pma.is_conjugate(kernel.SignedKernel(flipped), k)
+    near = k.mat + 1e-10
+    assert pma.is_conjugate(kernel.SignedKernel(near), k)
+    assert not pma.is_conjugate(kernel.SignedKernel(near), k, tol=1e-11)
+    with pytest.raises(DimensionError):
+        pma.is_conjugate(k, kernel.generate_admissible(4, 0.3, 5))
+    with pytest.raises(DimensionError):
+        pma.is_conjugate(k, k, tol=-1.0)
+
+
 def test_pma_equivalent_implementations_agree():
     gen = np.random.default_rng(3)
     for trial in range(200):

@@ -401,7 +401,7 @@ def test_repeated_rows_are_checked_and_near_repeats_kept():
     assert sol.nullity == 128
 
 
-def test_rows_keep_each_distinct_row_once_and_colliding_mixes_only_leave_repeats(monkeypatch):
+def test_rows_keep_every_nonzero_row_and_repeats_solve_as_one():
     # a few distinct rows, each copied many times, some copies with the
     # other right-hand side; over the identity basis a row is its own words
     rng = np.random.default_rng(53)
@@ -412,17 +412,11 @@ def test_rows_keep_each_distinct_row_once_and_colliding_mixes_only_leave_repeats
         pick = rng.integers(0, len(pool), 300)
         supports, bits = pool[pick], (pick + (rng.random(300) < 0.02 * (trial % 2))) % 2 == 1
         rows = gf2._rows(eye, supports, bits)
+        assert len(rows) == 300 and rows[:, -1].tolist() == bits.tolist()
         keys = list(zip(pick.tolist(), bits.tolist()))
         first = [t for t, key in enumerate(keys) if key not in keys[:t]]
-        assert rows.tobytes() == gf2._rows(eye, supports[first], bits[first]).tobytes()
-        assert len(rows) == len(first)
-        want = solve_groups([supports], [bits], n_vars)
-        with monkeypatch.context() as patch:    # every mix 0: only neighbouring copies are dropped
-            patch.setattr(gf2, "_MIX", np.uint64(0))
-            repeats = gf2._rows(eye, supports, bits)
-            assert len(rows) < len(repeats)
-            assert {r.tobytes() for r in repeats} == {r.tobytes() for r in rows}
-            assert solve_groups([supports], [bits], n_vars) == want
+        want = solve_groups([supports[first]], [bits[first]], n_vars)
+        assert solve_groups([supports], [bits], n_vars) == want
         assert (want is None) == (trial % 2 == 1 and len(first) > len(set(pick.tolist())))
 
 
@@ -604,12 +598,15 @@ def test_triangle_forest_takes_repeated_rows_and_checks_its_input():
 
 
 def test_four_cycle_forest_matches_the_dense_elimination_on_the_all_negative_law():
-    # no triangle is positive, so the 4-cycle rows of the forest joins
+    # no hub triangle is positive, so the 4-cycle rows of the hub joins
     # alone leave the N vertex switches
     n = 48
     minors = exact_minors(antisymmetric(n, 1), 4)
-    rows, rhs = pma._join_four_cycles(minors, pma.recover_skeleton(minors),
-                                      np.zeros((0, 4), dtype=np.intp), pma.SIGN_TOL)
+    skel = pma.recover_skeleton(minors)
+    neg = skel.epsilon * skel.epsilon[0] * skel.epsilon[:, :1] < 0
+    assert neg[1:, 1:].sum() == (n - 1) * (n - 2)
+    rows, rhs = pma._hub_basis(minors, skel, neg, pma.SIGN_TOL)
+    assert (rows[:, 3] >= 0).all() and len({tuple(r) for r in rows.tolist()}) == len(rows)
     p, q, v, r = rows.T
     supports = kernel.pair_index(n, np.column_stack([p, q, np.minimum(p, r), np.minimum(q, r)]),
                                  np.column_stack([v, v, np.maximum(p, r), np.maximum(q, r)]))

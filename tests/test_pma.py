@@ -165,9 +165,8 @@ def test_batched_traveling_sums_match_direct_sums():
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
         # the batched faces equal computing each face's pi3 alone, and
         # each 4-set's pi4 does not depend on the others given with it
-        pt = pma._pair_terms(skel)
-        faces = np.array([pma._pi3(minors, skel, pt, q[pma._FACES]) for q in quad])
-        assert pma._pi4(minors, skel, pt, quad, faces).tolist() == pi4.tolist()
+        faces = np.array([pma._pi3(minors, skel, q[pma._FACES]) for q in quad])
+        assert pma._pi4(minors, skel, quad, faces).tolist() == pi4.tolist()
         assert [pma.traveling_sums(minors, skel, q[None])[0] for q in quad] == pi4.tolist()
 
 
@@ -472,11 +471,11 @@ def test_solve_pma_ambiguous_four_set_enlarges_solution_set():
 
 
 def test_solve_pma_reads_the_next_candidate_when_a_join_is_skipped():
-    # every relating sign is -1 and the magnitudes of (1, 2, 3, 5) are
-    # equal with K_12 < 0, so that 4-set ties.  At vertex 5 it is the first
-    # candidate of the pairs (1, 5), (2, 5) and (3, 5), and (1, 2, 4, 5)
-    # the first of (4, 5): the first round reads both, and only the second
-    # joins.  (3, 5) is then joined by its next candidate, (1, 3, 4, 5),
+    # every relating sign is -1, so every hub triangle {1, x, y} is
+    # negative and only 4-sets join the pairs (x, y); the magnitudes of
+    # (1, 2, 3, 5) are equal with K_12 < 0, so that 4-set ties.  Kruskal's
+    # order picks (1, 2, 3, 4), (1, 2, 3, 5) and (1, 2, 4, 5); the tie
+    # leaves (3, 5) unjoined, so its next candidate, (1, 3, 4, 5), is read,
     # and the coset is that of every decided row.
     upper = {(1, 2): -0.1, (1, 3): 0.1, (2, 3): 0.1, (1, 5): 0.1, (2, 5): 0.1, (3, 5): 0.1,
              (1, 4): 0.07, (2, 4): -0.09, (3, 4): 0.11, (4, 5): 0.13}
@@ -492,26 +491,33 @@ def test_solve_pma_reads_the_next_candidate_when_a_join_is_skipped():
     assert sol.null_dimension == 5
 
 
-def test_solve_pma_reads_every_candidate_left_after_a_round_that_joins_nothing(monkeypatch):
-    # every decision of these noisy minors is skipped, the triangles' too,
-    # so the first round of 4-set reads joins nothing.  The second reads
-    # every 4-set with a positive cycle at once: the set that one read per
-    # component and round would reach, in as many rounds as the longest
-    # run of skipped candidates.
+def test_solve_pma_links_vertex_disjoint_negative_hub_pairs_by_a_four_set():
+    # relative to the hub 1 only (2, 3) and (4, 5) are negative, so no
+    # triangle and no 4-set with the hub joins them: (2, 3, 4, 5) does
+    upper = {p: 0.08 + 0.01 * t for t, p in enumerate(itertools.combinations(range(1, 6), 2))}
+    eps = {p: -1 if p in ((2, 3), (4, 5)) else 1 for p in upper}
+    k = signed_matrix([0.5, 0.45, 0.55, 0.6, 0.5], upper, eps)
+    assert kernel.is_admissible(k)
+    minors = moments.exact_minors(k, 4)
+    sol = pma.solve_pma(minors)
+    assert read_four_sets(minors) == {(2, 3, 4, 5)}
+    _same_solution(sol, solve_groups(*full_sign_system(minors), 10))
+    assert conjugation_distance(sol.kernel, k) <= 1e-9 and sol.null_dimension == 5
+
+
+def test_solve_pma_skips_every_decision_of_noisy_minors_without_raising():
+    # every decision of these noisy minors is skipped, the triangles' too:
+    # the coset is every sign pattern, and each warning names a subset read
     k = kernel.generate_admissible(16, 0.3, 1679072675)
     est = moments.estimate_required_minors(
         sampler.sample_sequential_batch(k, 10_000, 1260265874), 4)
-    rounds = []
-    pi4 = pma._pi4
-    monkeypatch.setattr(pma, "_pi4", lambda *args: rounds.append(len(args[3])) or pi4(*args))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AmbiguousSignWarning)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         sol = pma.solve_pma(est, sign_tol=0.01)
     assert sol.null_dimension == 120
-    quad = lex_combinations(16, 4)
-    positive = (pma._cycles(pma.recover_skeleton(est), quad, pma._FOUR_CYCLES)[0] == 1).any(axis=1)
-    assert read_four_sets(est) == {tuple(int(x) + 1 for x in q) for q in quad[positive]}
-    assert len(rounds) == 2 and rounds[0] < rounds[1]
+    named = [ast.literal_eval(m.group(1)) for w in caught
+             if (m := re.match(r"(?:triangle|4-set) (\([0-9, ]+\)):? ", str(w.message)))]
+    assert len(named) == len(caught) > 0 and set(named) <= set(est.queried)
 
 
 def test_solve_pma_noisy_minors_never_raise_on_close_magnitudes():
@@ -616,6 +622,34 @@ def test_solve_pma_equals_the_full_system(n):
             _same_solution(pma.solve_pma(minors), want)
 
 
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_solve_pma_reads_the_same_from_the_kernel_as_from_its_list(n):
+    # KernelMinors computes each minor read; solve_pma reads only through
+    # n and get_many, so both sources give the same solution and reads
+    for k in (kernel.generate_admissible(n, 0.3, 7), antisymmetric(n, 1)):
+        listed, computed = moments.exact_minors(k, 4), moments.KernelMinors(k)
+        want, got = pma.solve_pma(listed), pma.solve_pma(computed)
+        assert got.solution == want.solution and got.pairs == want.pairs
+        assert got.kernel.mat.tobytes() == want.kernel.mat.tobytes()
+        assert computed.queried == listed.queried and len(computed.queried) == len(listed.queried)
+
+
+@pytest.mark.parametrize("n", [128])
+def test_solve_pma_on_computed_minors_reaches_the_floor_past_the_list_limit(n, monkeypatch):
+    # with no minor list, ORDER_LIMIT bounds nothing: here it is below
+    # C(N, 3), and the solve still reads O(N^2) minors
+    monkeypatch.setattr(moments, "ORDER_LIMIT", math.comb(n, 2))
+    with pytest.raises(CapabilityError):
+        moments.exact_minors(kernel.generate_admissible(n, 0.3, 7), 3)
+    for k in (kernel.generate_admissible(n, 0.3, 7), antisymmetric(n, 1)):
+        minors = moments.KernelMinors(k)
+        sol = pma.solve_pma(minors)
+        assert sol.null_dimension == n and pma.is_conjugate(sol.kernel, k)
+        reads = minors.queried
+        assert sum(len(j) <= 2 for j in reads) == n + math.comb(n, 2)
+        assert sum(len(j) >= 3 for j in reads) <= 3 * math.comb(n - 1, 2)
+
+
 def test_solve_pma_equals_the_full_system_on_estimates():
     # noisy minors from 1e5 draws at N = 7, as in the learn benchmark
     for seed in range(4):
@@ -633,8 +667,13 @@ def test_solve_pma_reads_no_four_set_on_the_generator_law():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AmbiguousSignWarning)
         sol = pma.solve_pma(minors)
+    # orders 1 and 2 whole, then the hub triangles {1, i, j} and at most
+    # one triangle per negative hub pair but one
+    reads = minors.queried
+    hub = {j for j in reads if len(j) == 3 and j[0] == 1}
     assert read_four_sets(minors) == set()
-    assert len(minors.queried) == sum(math.comb(32, t) for t in (1, 2, 3))
+    assert len(reads) - len(hub) <= 32 + math.comb(32, 2) + math.comb(31, 2) - 1
+    assert hub == {(1, *p) for p in itertools.combinations(range(2, 33), 2)}
     assert sol.null_dimension == 32
 
 
@@ -930,17 +969,22 @@ def test_solution_set_sidecar_json():
                for row in payload["null_basis"])
 
 
-# sha256 of a solve_pma result: its GF2Solution fields, its kernel's bytes
-# and the subsets it read, for generate_admissible(n, 0.3, 7) at order 3,
-# antisymmetric(48, 448) at order 4, and the noisy solve that decides
-# nothing (1e4 sequential draws of generate_admissible(16, 0.3, 1), seed
-# 1, sign_tol 1e-2, nullity 120)
+# sha256 of a solve_pma result, for generate_admissible(n, 0.3, 7) at
+# order 3, antisymmetric(48, 448) at order 4, and the noisy solve that
+# decides nothing (1e4 sequential draws of generate_admissible(16, 0.3, 1),
+# seed 1, sign_tol 1e-2, nullity 120): of its GF2Solution fields and its
+# kernel's bytes, and of the subsets it read
 SOLVE_BYTES = {
-    "admissible 32": "05ccd3410c2340840ab62e2cdfbd48a4514e42015956ea6b65779548b58e50d7",
-    "admissible 64": "977690fb35f909cb60329dbba0cc5d07a5dc21ef59d408036b29028a26a0354f",
-    "admissible 128": "d897eab675ea144f6d1d9400d48591c6fd3abfe1d3604dbc82acad70679bb7d5",
-    "antisymmetric 48": "975e8eb1b252a056cbb3dd5a05261388390f5e6c42adc1931690a0a5b0302794",
-    "noisy 16": "ba314688d5420a9f4eac0845d180fec8f9b1291021440e1c769a14600cdb7f5e",
+    "admissible 32": ("fc2773d7958f166d4fb9ba7bbcb7652a995a056351685fe779386bcd68522ba4",
+                      "770aed4fd3022e508e0fd27cc43a1d2f0fa7f14ed62975e32fd2ed085f574750"),
+    "admissible 64": ("e3da1e8a2aaaab39710dbacf815d26938890d331c021d7692f0faf3d1df83aca",
+                      "592b2d2aa27b33c0cc70359942d06ad8c16994fa3c2b7a4fcae86eed858b2b1e"),
+    "admissible 128": ("c2b4ccbb075dc3e9abcfca93761df3c751845bf77363329f4b1e97262dbc313b",
+                       "a1d7039a4e5b48360dfa8591481829fba99f57c885898c70c4e7d04133df9f9c"),
+    "antisymmetric 48": ("30c94087cc981c6460f30926e09f6e37b994447352785b361bb4e72df9ae131f",
+                         "21608e6e71744ad290a8ccae12d837c3b6b2ed5998d8e8c69b1d0470d9b68d21"),
+    "noisy 16": ("eef77a42861c97ea28899e03e7592c4460d2bf7a5e1d8a25e3d12686e7c3db52",
+                 "52d1921344f9e1da7916a164e74c1418476606bfc27693fbcb515838c0123292"),
 }
 
 
@@ -962,5 +1006,5 @@ def test_solve_pma_keeps_its_bytes(case):
     digest = hashlib.sha256(repr((hex(s.particular), [hex(v) for v in s.null_basis],
                                   s.free_cols, s.rank)).encode())
     digest.update(np.ascontiguousarray(sol.kernel.mat).tobytes())
-    digest.update(repr(sorted(minors.queried)).encode())
-    assert digest.hexdigest() == SOLVE_BYTES[case]
+    reads = hashlib.sha256(repr(sorted(minors.queried)).encode())
+    assert (digest.hexdigest(), reads.hexdigest()) == SOLVE_BYTES[case]
