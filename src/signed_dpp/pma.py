@@ -1,13 +1,16 @@
 """Dense principal minor assignment: rebuild a signed kernel from its
 principal minors of orders 1..4 and describe every solution.
 
-``solve_pma`` composes the public whole-array stages
-``recover_skeleton``, ``traveling_sums`` and ``match_four_cycles`` with a
-``gf2.SpanBasis``.  Each sign decision is one XOR row over the
-upper-triangle entry signs.  Every cycle is described once, in one table
-per subset size (``_TRIANGLE``, ``_FOUR_CYCLES``), from which ``_cycles``
-reads its relating-sign product, magnitude product, right-hand-side flip
-and edge endpoints.
+The reconstruction runs as whole-array stages.  ``solve_pma`` composes
+the public stage functions ``recover_skeleton``, ``traveling_sums`` and
+``match_four_cycles`` with a ``gf2.SpanBasis``; there is no one-item
+entry point.  Each sign decision is one XOR row over the upper-triangle
+entry signs.  Every cycle is described once, in one table per subset
+size (``_TRIANGLE``, ``_FOUR_CYCLES``): its edges and the arcs its row
+orientation walks against the upper triangle.  ``_cycles`` reads each
+cycle's relating-sign product, magnitude product, right-hand-side flip
+and edge endpoints off that table, once per subset for all the stages
+that use them.
 
 1. Skeleton.  Orders 1 and 2, each read whole, give the diagonal, the
    off-diagonal magnitudes and the relating signs, via
@@ -33,7 +36,9 @@ and edge endpoints.
    most 8 +-1 patterns of its positive cycles; this separation test is
    the only genericity rule.  A decision within the tolerance is skipped
    with a warning, and its join falls to the next candidates, read in one
-   more round.  ``gf2.SpanBasis._of_cycles`` solves the rows.
+   more round; a skipped hub triangle leaves its pair's row to the other
+   triangles, so that round reads every triangle.
+   ``gf2.SpanBasis._of_cycles`` solves the rows.
 
 On exact minors with no skipped decision the rows span every positive
 cycle, so the solution is that of every triangle and 4-cycle row (a row
@@ -47,7 +52,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -79,6 +83,7 @@ SIGN_TOL = 1e-12
 SIGN_RTOL = 1e-6
 SOLUTION_SET_CAP = 12
 _VERIFY_SLICE = 1 << 16    # subsets of one order that verify compares at a time
+_CONJUGATE_RTOL = 1e-9     # is_conjugate's bound, relative to sqrt|K_ii K_jj|
 
 # Positions (into a sorted 4-set) of the four triangles of a 4-set, and
 # of the vertex each one leaves out.
@@ -91,9 +96,12 @@ _CYCLE_ORDERS = ((0, 1, 3, 2), (0, 1, 2, 3), (0, 2, 1, 3))
 
 
 def _cycle_table(arcs) -> tuple[np.ndarray, np.ndarray]:
-    """A cycle table from cycles given as arcs (a, b) between positions of
-    a sorted subset, in row orientation: their (w, 2) sorted edges and a
-    (w,) flag on the arcs with a > b, which read K_ab = eps_ab K_ba."""
+    """A cycle table from cycles given as lists of arcs (a, b) between
+    positions of a sorted subset, walked in row orientation.  Each cycle
+    is its (w, 2) edges, as sorted position pairs in the order of its
+    magnitude product, and a (w,) flag on the arcs with a > b: such an
+    arc reads the lower entry K_ab = eps_ab K_ba, so its relating sign
+    enters the right-hand side."""
     arcs = np.array(arcs)
     return np.sort(arcs, axis=2), arcs[..., 0] > arcs[..., 1]
 
@@ -104,7 +112,8 @@ _TRIANGLE = _cycle_table([[(0, 1), (1, 2), (2, 0)]])
 _FOUR_CYCLES = _cycle_table([sorted(zip(o, o[1:] + o[:1]), key=sorted) for o in _CYCLE_ORDERS])
 
 # The six pairs of a sorted 4-set, in pair_index(4, ...) order.  A cycle's
-# edges at position 3 end at its two neighbours there; c is opposite it.
+# edges at position 3 end at its two neighbours there; position c is
+# opposite it.
 _PAIRS4 = np.triu_indices(4, 1)
 _NEIGHBOURS = _FOUR_CYCLES[0][..., 0][_FOUR_CYCLES[0][..., 1] == 3].reshape(3, 2)
 
@@ -121,8 +130,12 @@ class Skeleton:
 
     @functools.cached_property
     def pair_terms(self) -> np.ndarray:
-        """(n, n) matrix of eps_ab |K_ab|^2, the 2-cycle factors, squared by
-        Python's float power, whose last bit can differ from numpy's x*x."""
+        """(n, n) matrix of eps_ab |K_ab|^2, the 2-cycle factors.
+
+        The squares use Python's float power (the C library's pow) rather
+        than numpy's x*x: the two differ in the last bit for some inputs,
+        and reconstructions are kept bit-identical across releases.
+        """
         iu, ju = np.triu_indices(self.n, 1)
         squares = np.array([m ** 2 for m in self.magnitude[iu, ju].tolist()])
         out = np.zeros((self.n, self.n))
@@ -132,11 +145,14 @@ class Skeleton:
 
 @dataclass(frozen=True)
 class PMASolution:
-    """One reconstructed kernel plus the generators of all sign choices:
-    ``solution`` over the upper-triangle entry signs, as bitmasks over
-    ``pairs`` (bit 1 = negative), whose particular solution is the kernel's
-    sign pattern; XORing in any of its null basis, the ``free_switches``,
-    gives another matrix with the same principal minors."""
+    """One reconstructed kernel plus the generators of all sign choices.
+
+    ``solution`` is the GF(2) solution over the upper-triangle entry
+    signs, as bitmasks over ``pairs`` (bit 1 = negative).  Its particular
+    solution is the kernel's sign pattern, and XORing any subset of its
+    null basis, the ``free_switches``, into that pattern yields another
+    matrix with the same principal minors.
+    """
 
     kernel: SignedKernel
     solution: gf2.GF2Solution
@@ -168,10 +184,15 @@ def _subset(row: np.ndarray) -> tuple[int, ...]:
 # stage 1: skeleton
 
 def recover_skeleton(minors: MinorList) -> Skeleton:
-    """Diagonal, magnitudes and relating signs from orders 1 and 2, read
-    whole.  Each relating sign eps_ij is the sign of a_i a_j - a_ij, with
-    no noise margin (only ``DENSITY_TOL`` is checked), so on estimated
-    minors a pair whose K_ij^2 is below the noise can get the wrong sign.
+    """Diagonal, magnitudes and relating signs from orders 1 and 2, each
+    read whole as its ``colex_table``.
+
+    Each relating sign eps_ij is the sign of a_i a_j - a_ij, with no
+    noise margin and no warning; only the density tolerance
+    ``DENSITY_TOL`` is checked.
+    On estimated minors a pair whose K_ij^2 lies below the noise of its
+    pair minor can get the wrong sign, and every later decision builds
+    on it: at N = 16 from 1e4 sequential draws, 51 of 120 were wrong.
     """
     n = minors.n
     diagonal = minors.get_many(colex_table(n, 1))
@@ -217,10 +238,14 @@ def _pi4(minors: MinorList, skel: Skeleton, quad: np.ndarray, face_pi3: np.ndarr
 
 def traveling_sums(minors: MinorList, skel: Skeleton, subsets: np.ndarray) -> np.ndarray:
     """pi(S) of each row of an (m, 3) or (m, 4) array of sorted 0-based
-    triangles or 4-sets, from their minors (and their faces'): grouping
-    det(K_S) by the supports of the permutations' cycles, every class but
-    the full-length cycles (sign (-1)^{|S|-1}) is known from the skeleton
-    and, at order 4, the traveling sums of the faces.
+    triangles or 4-sets, extracted from their minors.
+
+    Expanding det(K_S) over permutations grouped by the supports of
+    their cyclic factors, every class except the full-length cycles is a
+    known function of the skeleton (and, at order 4, of the traveling
+    sums of the four face triangles); full-length cycles enter with
+    permutation sign (-1)^{|S|-1}.  Only the minors of the given subsets
+    (and of the faces of given 4-sets) are read.
     """
     subsets = np.asarray(subsets)
     if subsets.ndim != 2 or subsets.shape[1] not in (3, 4):
@@ -236,10 +261,12 @@ def traveling_sums(minors: MinorList, skel: Skeleton, subsets: np.ndarray) -> np
 
 def _cycles(skel: Skeleton, sets: np.ndarray, table) -> tuple[np.ndarray, ...]:
     """Per row of an (m, s) array of sorted 0-based subsets and per cycle
-    of ``table``: the (m, c) relating-sign products, magnitude products
-    and right-hand-side flips, and the (m, c, w) endpoints a < b of the
-    edges.  A cycle whose oriented entry product has sign bit ``negative``
-    gives the row (``pair_index`` of its edges, negative ^ flip)."""
+    of ``table`` (``_TRIANGLE`` or ``_FOUR_CYCLES``): the (m, c)
+    relating-sign products, the (m, c) magnitude products, the (m, c)
+    right-hand-side flips and the (m, c, w) endpoints a < b of the
+    cycles' edges.  A cycle whose oriented entry product has sign bit
+    ``negative`` gives the row (``pair_index`` of its edges, negative ^
+    flip).  No minor is read."""
     edges, lower = table
     a, b = sets[:, edges[..., 0]], sets[:, edges[..., 1]]
     eps = skel.epsilon[a, b]
@@ -254,11 +281,14 @@ _PATTERNS = (np.arange(8)[:, None] >> np.arange(3)) & 1 == 1
 def match_four_cycles(skel: Skeleton, quad: np.ndarray, pi4: np.ndarray, tol: float):
     """Score every candidate pattern of every 4-set against its pi4.
 
-    Each positive cycle contributes twice its oriented product; a 4-set
-    has 1 or 3 positive cycles, so at most 8 patterns, and the first
-    minimal residual wins.  Returns the (m, 3) positive cycles (columns
-    follow ``_CYCLE_ORDERS``), those the best pattern makes negative, and
-    per 4-set the best and second-smallest residuals and the tolerance
+    Each positive cycle contributes twice its oriented product, whose
+    magnitude is the product of its four edge magnitudes.  A 4-set has 1
+    or 3 positive cycles (each edge lies on two of the three cycles), so
+    at most 8 candidates; a pattern that flips a cycle that is not
+    positive is no candidate.  The first minimal residual wins.  Returns
+    the (m, 3) positive cycles (columns follow ``_CYCLE_ORDERS``), the
+    (m, 3) positive cycles the best pattern makes negative, and per 4-set
+    the best and second-smallest residuals and the effective tolerance
     ``max(tol, SIGN_RTOL * scale)``.  A 4-set is decided when the best
     residual is within that tolerance and the second is not.
     """
@@ -350,48 +380,52 @@ def _hub_basis(minors: MinorList, skel: Skeleton, neg: np.ndarray,
                sign_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Stages 3 and 4: the rows of the hub triangles and of the joins of the
     negative hub pairs ``neg``.  Round one reads every hub triangle and
-    Kruskal's picks, all positive hub triangles taken as known; if a pick
-    was skipped or joins through a skipped one, round two reads every
-    candidate left that joins two components of the decided joins."""
+    Kruskal's picks, planned with every positive hub triangle decided.  If
+    a decision was skipped, round two reads every unread candidate that
+    joins two components of the decided joins, and, when a positive hub
+    triangle was skipped, every unread triangle, as the hub basis then
+    misses that pair's row."""
     n = skel.n
     hub = np.insert(colex_table(max(n - 1, 0), 2).astype(np.intp), 0, 0, axis=1)
-    known = ~neg
-    root, read, out = np.arange(n * (n - 1) // 2), [], []
-    for every in (False, True):
-        sets, joins, key = _candidates(neg, known, every)
-        if every:
-            top = root[np.where(joins >= 0, joins, joins[:, :1])]
-            picked = np.flatnonzero((top != top[:, :1]).any(axis=1) & ~np.isin(key, read))
-        else:
-            picked = _kruskal(root.copy(), joins)
-        tri, quad, read = picked[sets[picked, 0] < 0], picked[sets[picked, 0] >= 0], key[picked]
-        lead = hub[:0 if every else len(hub)]
-        decided, *rows = _decide(minors, skel, np.concatenate([lead, sets[tri, 1:]]), sign_tol, 3)
-        if not every:
-            x, y = hub[decided[:len(hub)], 1:].T
-            known[:] = False
-            known[x, y] = known[y, x] = True
-        four, *more = _decide(minors, skel, sets[quad], sign_tol, 3)
-        out += [rows, more]
+    root = np.arange(n * (n - 1) // 2)
+    sets, joins, key = _candidates(neg, every=False)
+    picked = _kruskal(root.copy(), joins)
+    tri, quad = picked[sets[picked, 0] < 0], picked[sets[picked, 0] >= 0]
+    decided, *rows = _decide(minors, skel, np.concatenate([hub, sets[tri, 1:]]), sign_tol, 3)
+    four, *more = _decide(minors, skel, sets[quad], sign_tol, 3)
+    out = [rows, more]
+    lost = np.zeros_like(neg)       # the positive hub pairs whose triangle was skipped
+    x, y = hub[~decided[:len(hub)], 1:].T
+    lost[x, y] = lost[y, x] = ~neg[x, y]
+    at, done = np.concatenate([tri, quad]), np.concatenate([decided[len(hub):], four])
+    if not done.all() or lost.any():
         # a triangle, or a 4-set without the hub, joins through its positive pairs
-        at, done = np.concatenate([tri, quad]), np.concatenate([decided[len(lead):], four])
         a, b = sets[at][:, _PAIRS4[0]], sets[at][:, _PAIRS4[1]]
-        done &= (sets[at, 0] == 0) | ~((a > 0) & ~neg[a, b] & ~known[a, b]).any(axis=1)
-        if every or done.all():
-            return tuple(map(np.concatenate, zip(*out)))
+        done &= (sets[at, 0] == 0) | ~((a > 0) & lost[a, b]).any(axis=1)
         _kruskal(root, joins[at[done]])
         while not np.array_equal(up := root[root], root):
             root = up
+        read, old = key[picked], sets[tri, 1:] @ n ** np.arange(3)
+        sets, joins, key = _candidates(neg, every=True)
+        top = root[np.where(joins >= 0, joins, joins[:, :1])]
+        picked = np.flatnonzero((top != top[:, :1]).any(axis=1) & ~np.isin(key, read))
+        tri = sets[picked[sets[picked, 0] < 0], 1:]
+        if lost.any():
+            tri = colex_table(n, 3).astype(np.intp) - 1
+            tri = tri[(tri[:, 0] > 0) & ~np.isin(tri @ n ** np.arange(3), old)]
+        out += [_decide(minors, skel, tri, sign_tol, 3)[1:],
+                _decide(minors, skel, sets[picked[sets[picked, 0] >= 0]], sign_tol, 3)[1:]]
+    return tuple(map(np.concatenate, zip(*out)))
 
 
-def _candidates(neg: np.ndarray, known: np.ndarray, every: bool) -> tuple[np.ndarray, ...]:
+def _candidates(neg: np.ndarray, every: bool) -> tuple[np.ndarray, ...]:
     """The joins of negative hub pairs in Kruskal's order, each kind in colex
-    order: triangles {u, x, y} with (x, y) known, 4-sets {0, u, x, y}, and
-    4-sets {a, b, c, d} that chain the components of the graph of ``neg``
-    through known pairs across.  Unless ``every`` one is asked for, only
-    a spanning forest (``_forest``) of each kind at each u and the first
-    chain links.  Returns the (m, 4) sorted subsets (triangles led by -1),
-    the ``pair_index`` of their negative pairs, -1 after, and keys."""
+    order: triangles {u, x, y} with (x, y) positive, 4-sets {0, u, x, y},
+    and 4-sets {a, b, c, d} that chain the components of the graph of
+    ``neg`` through positive pairs across.  Unless ``every`` one is asked
+    for, only a spanning forest (``_forest``) of each kind at each u and the
+    first chain links.  Returns the (m, 4) sorted subsets (triangles led by
+    -1), the ``pair_index`` of their negative pairs, -1 after, and keys."""
     n = len(neg)
     width = int(neg.sum(axis=1).max(initial=0))
     member = np.argsort(~neg, axis=1, kind="stable")[:, :width]    # each u's negative pairs first
@@ -399,7 +433,7 @@ def _candidates(neg: np.ndarray, known: np.ndarray, every: bool) -> tuple[np.nda
     subsets = [np.zeros((0, 4), dtype=np.intp)]
     for u in np.array_split(np.arange(n), -(-n * width * width // (1 << 22)) or 1):
         pair = valid[u, :, None] & valid[u, None, :]
-        tri = pair & known.ravel()[member[u, :, None] * n + member[u, None, :]]
+        tri = pair & ~neg.ravel()[member[u, :, None] * n + member[u, None, :]]
         if every:
             found = [np.nonzero(np.triu(tri, 1)), np.nonzero(np.triu(pair, 1))]
         else:       # over the trees of the triangles, node 0 offers the least label
@@ -411,11 +445,12 @@ def _candidates(neg: np.ndarray, known: np.ndarray, every: bool) -> tuple[np.nda
                                                                member[u[v], y])))
     label = _forest(neg, np.arange(n))[0]
     roots = np.unique(label[neg.any(axis=1)])
-    for r, s in zip(roots, roots[1:]):
+    for r, s in zip(roots, roots[1:]):     # every pair across two components is positive
         (a, b), (c, d) = (np.nonzero(np.triu(neg) & (label == t)[:, None]) for t in (r, s))
-        a, b, c, d = np.repeat(a, len(c)), np.repeat(b, len(c)), np.tile(c, len(a)), np.tile(d, len(a))
-        ok = np.flatnonzero((known[b, c] & known[a, d]) | (known[b, d] & known[a, c]))
-        subsets.append(np.sort(np.column_stack([a, b, c, d])[ok if every else ok[:1]], axis=1))
+        if not every:
+            a, b, c, d = a[:1], b[:1], c[:1], d[:1]
+        quad = [np.repeat(a, len(c)), np.repeat(b, len(c)), np.tile(c, len(a)), np.tile(d, len(a))]
+        subsets.append(np.sort(np.column_stack(quad), axis=1))
     sets = np.concatenate(subsets)
     sets[:, 1:] = np.sort(sets[:, 1:], axis=1)
     # one key per subset: its kind, then its vertices from the last
@@ -436,11 +471,12 @@ def _forest(adj: np.ndarray, label: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     label, parent = label.astype(np.int32), np.full(label.shape, -1)
     while label.size:
         offer = blocked + label[..., None, :]
-        best = offer.min(axis=-1)
+        at = offer.argmin(axis=-1)
+        best = np.take_along_axis(offer, at[..., None], axis=-1)[..., 0]
         better = best < label
         if not better.any():
             break
-        parent[better], label = offer[better].argmin(axis=-1), np.minimum(label, best)
+        parent, label = np.where(better, at, parent), np.minimum(label, best)
     return label, parent
 
 
@@ -454,12 +490,12 @@ def _kruskal(root: np.ndarray, joins: np.ndarray) -> np.ndarray:
             parent[a] = a = parent[parent[a]]
         while parent[b] != b:
             parent[b] = b = parent[parent[b]]
-        while c >= 0 and parent[c] != c:
+        if c < 0:
+            c = a
+        while parent[c] != c:
             parent[c] = c = parent[parent[c]]
-        tops = {a, b, c} - {-1}
-        if len(tops) > 1:
-            for x in tops:
-                parent[x] = min(tops)
+        if a != b or a != c:
+            parent[a] = parent[b] = parent[c] = min(a, b, c)
             picked.append(t)
     root[:] = parent
     return np.array(picked, dtype=np.intp)
@@ -515,12 +551,16 @@ class VerifyReport:
 
 
 def verify(h: SignedKernel, minors: MinorList, tol: float = 1e-9) -> VerifyReport:
-    """Check det(H_J) against every listed minor: relative error where
-    |a_J| > tol (finite, >= 0), absolute elsewhere; an empty list passes
-    vacuously, with a warning.  Failures come in colex order, and the worst
-    subset is the colex-first of largest error.  Orders 3 and 4 both whole
-    take one ``kernel.colex_minors`` pass, equal bit for bit to
-    ``principal_minors``; each order is compared 2^16 subsets at a time.
+    """Check det(H_J) against every listed minor.
+
+    A subset passes on relative error when |a_J| > tol and on absolute
+    error otherwise.  An empty list passes vacuously, with a warning.
+    Failures are listed in colexicographic order, and the worst subset
+    is the colex-first one of largest error.  ``tol`` must be finite and
+    nonnegative.  When orders 3 and 4 are both whole, their minors of h
+    come from one ``kernel.colex_minors`` pass, which agrees bit for bit
+    with the ``principal_minors`` that the other orders take.  Each order
+    is compared 2^16 subsets at a time (one slice per order up to N = 36).
     """
     _check_tol("tol", tol)
     if h.n != minors.n:
@@ -560,22 +600,27 @@ def verify(h: SignedKernel, minors: MinorList, tol: float = 1e-9) -> VerifyRepor
                         failures=tuple(failures))
 
 
-def is_conjugate(h: SignedKernel, k: SignedKernel, tol: float = 1e-9) -> bool:
-    """Whether h = D K D or D K^T D entry by entry within ``tol`` (finite,
-    >= 0), D the +-1 diagonal fitted from the first rows (O(N^2)); either
-    keeps every principal minor.  A zero in K's first row never matches."""
-    _check_tol("tol", tol)
+def is_conjugate(h: SignedKernel, k: SignedKernel) -> bool:
+    """Whether h = D K D or D K^T D, D the +-1 diagonal fitted from the
+    first rows, with entry (i, j) within ``_CONJUGATE_RTOL`` sqrt|K_ii K_jj|
+    (O(N^2)); either keeps every principal minor, and the diagonal, k's
+    order-1 minors, is held to ``verify``'s relative 1e-9.  A zero in K's
+    first row never matches."""
     if h.n != k.n:
         raise DimensionError(f"dimension mismatch: kernel N = {h.n}, other kernel N = {k.n}")
+    diag = np.abs(np.diag(k.mat))
+    bound = _CONJUGATE_RTOL * np.sqrt(np.outer(diag, diag))
     for ref in (k.mat, k.mat.T):
         d = np.where(np.arange(k.n) > 0, np.sign(h.mat[0] * ref[0]), 1.0)
-        if np.max(np.abs(h.mat - d[:, None] * ref * d)) <= tol:
+        if np.all(np.abs(h.mat - d[:, None] * ref * d) <= bound):
             return True
     return False
 
 
 def pma_equivalent(h: SignedKernel, k: SignedKernel) -> bool:
-    """Whether h has k's minors: ``is_conjugate``, or else ``verify`` (N <= 16)."""
+    """Whether h has k's minors: ``is_conjugate``, or else ``verify``
+    against every minor of k, under its default tolerance (which caps N as
+    ``exact_minors`` does)."""
     return is_conjugate(h, k) or verify(h, exact_minors(k, "all")).passed
 
 
@@ -588,6 +633,8 @@ def _check_tol(name: str, tol: float) -> None:
 # solution-set sidecar JSON
 
 def solution_set_json(sol: PMASolution) -> str:
+    import json
+
     return json.dumps({
         "null_basis": [list(gf2.bits_of(vec, len(sol.pairs)))
                        for vec in sol.free_switches],

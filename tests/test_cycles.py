@@ -240,11 +240,20 @@ def test_is_conjugate_matches_switches_and_the_transpose_only():
     assert not pma.is_conjugate(kernel.SignedKernel(flipped), k)
     near = k.mat + 1e-10
     assert pma.is_conjugate(kernel.SignedKernel(near), k)
-    assert not pma.is_conjugate(kernel.SignedKernel(near), k, tol=1e-11)
+    assert not pma.is_conjugate(kernel.SignedKernel(k.mat + 1e-8), k)
     with pytest.raises(DimensionError):
         pma.is_conjugate(k, kernel.generate_admissible(4, 0.3, 5))
-    with pytest.raises(DimensionError):
-        pma.is_conjugate(k, k, tol=-1.0)
+
+
+def test_is_conjugate_scales_with_the_kernel_as_verify_does():
+    # entries near 1e-4: an error of 5e-10 is 1e-5 of an order-1 minor,
+    # which verify fails, and so must the O(N^2) check
+    k = kernel.SignedKernel(1e-4 * random_signed(6, 7).mat)
+    d = np.diag([1, -1, 1, 1, -1, -1.0])
+    for mat, same in ((d @ k.mat @ d, True), (k.mat + 5e-10, False)):
+        h = kernel.SignedKernel(mat)
+        assert pma.is_conjugate(h, k) == same
+        assert pma.pma_equivalent(h, k) == pma.verify(h, moments.exact_minors(k, "all")).passed == same
 
 
 def test_pma_equivalent_implementations_agree():

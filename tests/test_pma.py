@@ -651,9 +651,15 @@ def test_solve_pma_on_computed_minors_reaches_the_floor_past_the_list_limit(n, m
 
 
 def test_solve_pma_equals_the_full_system_on_estimates():
-    # noisy minors from 1e5 draws at N = 7, as in the learn benchmark
-    for seed in range(4):
-        k = strong_admissible(seed, n=7, require_triangle_rank=False)
+    # noisy minors from 1e5 draws at N = 7, as in the learn benchmark; with
+    # the hub's entries shrunk to 0.15 of the others', most hub triangles
+    # are skipped, and the triangles read instead must give their rows
+    for seed, hub_scale in itertools.product(range(4), (1.0, 0.15)):
+        mat = strong_admissible(seed, n=7, require_triangle_rank=False).mat.copy()
+        mat[0, 1:] *= hub_scale
+        mat[1:, 0] *= hub_scale
+        k = kernel.SignedKernel(mat)
+        assert kernel.is_admissible(k)
         est = moments.estimate_required_minors(sampler.sample_enumerate(k, 100_000, seed), 4)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AmbiguousSignWarning)
@@ -984,7 +990,7 @@ SOLVE_BYTES = {
     "antisymmetric 48": ("30c94087cc981c6460f30926e09f6e37b994447352785b361bb4e72df9ae131f",
                          "21608e6e71744ad290a8ccae12d837c3b6b2ed5998d8e8c69b1d0470d9b68d21"),
     "noisy 16": ("eef77a42861c97ea28899e03e7592c4460d2bf7a5e1d8a25e3d12686e7c3db52",
-                 "52d1921344f9e1da7916a164e74c1418476606bfc27693fbcb515838c0123292"),
+                 "79625166af37ad8a386304f9f6fb554080016ee838935aee0895dbd6d2e5cee2"),
 }
 
 
