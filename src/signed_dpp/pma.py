@@ -28,16 +28,17 @@ that use them.
    of the 4-set {h, u, x, y}, or, when {h, x, y} is positive, to the
    triangle {u, x, y} plus it.  Negative hub pairs in two components of
    their graph share no vertex, and {h, a, b} + {h, c, d} is the 4-cycle
-   a-b-c-d plus the positive {h, b, c} and {h, a, d}.  Kruskal's order
-   over these joins, triangles first, against one union-find over the
-   negative hub pairs picks the rest of a basis from the skeleton alone:
-   at most 3 C(N - 1, 2) reads of orders 3 and 4, and no 4-set where
-   triangles suffice.  A 4-set matches its traveling sum against the at
-   most 8 +-1 patterns of its positive cycles; this separation test is
-   the only genericity rule.  A decision within the tolerance is skipped
-   with a warning, and its join falls to the next candidates, read in one
-   more round; a skipped hub triangle leaves its pair's row to the other
-   triangles, so that round reads every triangle.
+   a-b-c-d plus the positive {h, b, c} and {h, a, d}.  A breadth-first
+   search over the negative hub pairs, by triangles level by level and
+   by 4-sets only where no triangle reaches, picks a spanning tree of
+   these joins from the skeleton alone: at most 3 C(N - 1, 2) reads of
+   orders 3 and 4, and no 4-set where triangles suffice.  A 4-set matches
+   its traveling sum against the at most 8 +-1 patterns of its positive
+   cycles; this separation test is the only genericity rule.  A decision
+   within the tolerance is skipped with a warning, and its join falls to
+   the next candidates, read in one more round; a skipped hub triangle
+   leaves its pair's row to the other triangles, so that round reads
+   every triangle.
    ``gf2.SpanBasis._of_cycles`` solves the rows.
 
 On exact minors with no skipped decision the rows span every positive
@@ -379,53 +380,97 @@ def _decide(minors: MinorList, skel: Skeleton, sets: np.ndarray, sign_tol: float
 def _hub_basis(minors: MinorList, skel: Skeleton, neg: np.ndarray,
                sign_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Stages 3 and 4: the rows of the hub triangles and of the joins of the
-    negative hub pairs ``neg``.  Round one reads every hub triangle and
-    Kruskal's picks, planned with every positive hub triangle decided.  If
-    a decision was skipped, round two reads every unread candidate that
-    joins two components of the decided joins, and, when a positive hub
-    triangle was skipped, every unread triangle, as the hub basis then
-    misses that pair's row."""
+    negative hub pairs ``neg``.  Round one reads every hub triangle and the
+    joins of ``_spanning_joins``, planned with every positive hub triangle
+    decided.  If a decision was skipped, round two reads every unread
+    candidate that joins two components of the decided joins, and, when a
+    positive hub triangle was skipped, every unread triangle, as the hub
+    basis then misses that pair's row."""
     n = skel.n
     hub = np.insert(colex_table(max(n - 1, 0), 2).astype(np.intp), 0, 0, axis=1)
-    root = np.arange(n * (n - 1) // 2)
-    sets, joins, key = _candidates(neg, every=False)
-    picked = _kruskal(root.copy(), joins)
-    tri, quad = picked[sets[picked, 0] < 0], picked[sets[picked, 0] >= 0]
-    decided, *rows = _decide(minors, skel, np.concatenate([hub, sets[tri, 1:]]), sign_tol, 3)
-    four, *more = _decide(minors, skel, sets[quad], sign_tol, 3)
+    sets, comp = _spanning_joins(neg)
+    ntri = int((sets[:, 0] < 0).sum())
+    decided, *rows = _decide(minors, skel, np.concatenate([hub, sets[:ntri, 1:]]), sign_tol, 3)
+    four, *more = _decide(minors, skel, sets[ntri:], sign_tol, 3)
     out = [rows, more]
     lost = np.zeros_like(neg)       # the positive hub pairs whose triangle was skipped
     x, y = hub[~decided[:len(hub)], 1:].T
     lost[x, y] = lost[y, x] = ~neg[x, y]
-    at, done = np.concatenate([tri, quad]), np.concatenate([decided[len(hub):], four])
+    done = np.concatenate([decided[len(hub):], four])
     if not done.all() or lost.any():
         # a triangle, or a 4-set without the hub, joins through its positive pairs
-        a, b = sets[at][:, _PAIRS4[0]], sets[at][:, _PAIRS4[1]]
-        done &= (sets[at, 0] == 0) | ~((a > 0) & lost[a, b]).any(axis=1)
-        _kruskal(root, joins[at[done]])
-        while not np.array_equal(up := root[root], root):
-            root = up
-        read, old = key[picked], sets[tri, 1:] @ n ** np.arange(3)
-        sets, joins, key = _candidates(neg, every=True)
-        top = root[np.where(joins >= 0, joins, joins[:, :1])]
-        picked = np.flatnonzero((top != top[:, :1]).any(axis=1) & ~np.isin(key, read))
-        tri = sets[picked[sets[picked, 0] < 0], 1:]
+        a, b = sets[:, _PAIRS4[0]], sets[:, _PAIRS4[1]]
+        done &= (sets[:, 0] == 0) | ~((a > 0) & lost[a, b]).any(axis=1)
+        every, joins, at = _candidates(neg, comp, sets)
+        root, link = np.arange(n * (n - 1) // 2), joins[at[done]]
+        while not ((top := root[link]) == (low := top.min(axis=1))[:, None]).all():
+            np.minimum.at(root, link, low[:, None])     # each pair's least label, then jump
+            root = root[root]
+        picked = np.setdiff1d(np.flatnonzero((root[joins] != root[joins[:, :1]]).any(axis=1)), at)
+        old, tri = sets[:ntri, 1:] @ n ** np.arange(3), every[picked[every[picked, 0] < 0], 1:]
         if lost.any():
             tri = colex_table(n, 3).astype(np.intp) - 1
             tri = tri[(tri[:, 0] > 0) & ~np.isin(tri @ n ** np.arange(3), old)]
         out += [_decide(minors, skel, tri, sign_tol, 3)[1:],
-                _decide(minors, skel, sets[picked[sets[picked, 0] >= 0]], sign_tol, 3)[1:]]
+                _decide(minors, skel, every[picked[every[picked, 0] >= 0]], sign_tol, 3)[1:]]
     return tuple(map(np.concatenate, zip(*out)))
 
 
-def _candidates(neg: np.ndarray, every: bool) -> tuple[np.ndarray, ...]:
-    """The joins of negative hub pairs in Kruskal's order, each kind in colex
-    order: triangles {u, x, y} with (x, y) positive, 4-sets {0, u, x, y},
-    and 4-sets {a, b, c, d} that chain the components of the graph of
-    ``neg`` through positive pairs across.  Unless ``every`` one is asked
-    for, only a spanning forest (``_forest``) of each kind at each u and the
-    first chain links.  Returns the (m, 4) sorted subsets (triangles led by
-    -1), the ``pair_index`` of their negative pairs, -1 after, and keys."""
+def _spanning_joins(neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A spanning tree of joins over the negative hub pairs ``neg``, grown
+    level by level from the first pair of each component.  A level joins
+    every unreached pair (c, x) to a pair (c, y) reached the level before
+    by the triangle {c, x, y}, (x, y) positive.  A level that reaches
+    nothing joins to a reached (c, y) by the 4-set {0, c, x, y} each pair
+    that no triangle joins and one other, whose triangles reach the rest
+    of its part; the next component's first pair is linked to the last by
+    the 4-set of both.  No subset is listed twice, and none is a 4-set
+    where triangles suffice.  Returns the (m, 4) sorted subsets, triangles
+    (led by -1) first, and each vertex's component (-1 for none)."""
+    n = len(neg)
+    positive = ~neg & ~np.eye(n, dtype=bool)
+    across = positive.astype(np.float32)        # one product finds a level's triangles
+    partners = neg.astype(np.float32) @ across
+    alone = partners + partners.T == 0          # the pairs that no triangle joins
+    upper, reached, fresh = ~np.tri(n, k=-1, dtype=bool), np.zeros_like(neg), np.zeros_like(neg)
+    picks, seed, comp = [np.zeros((0, 4), dtype=np.intp)], None, np.full(n, -1)
+    while True:
+        hit = neg & ~reached & (fresh.astype(np.float32) @ across > 0)
+        if four := not hit.any():
+            hit = neg & ~reached & (comp >= 0)[:, None]
+        c, x = np.nonzero(hit & (upper | ~hit.T))       # each pair once
+        if not len(c):      # the component is whole: seed the next one
+            if not (left := upper & neg & ~reached).any():
+                return np.concatenate(picks), comp
+            c, x = np.divmod([left.argmax()], n)
+            if seed is not None:
+                picks.append(np.sort(np.concatenate([seed, c, x]))[None])
+            seed = np.concatenate([c, x])
+            comp[seed] = comp.max() + 1
+        elif four:
+            quad = np.sort(np.array([0 * c, c, x, reached.argmax(axis=1)[c]]), axis=0).T
+            take = alone[c, x]
+            take[np.argmin(take)] = True
+            c, x, quad = c[take], x[take], quad[take]
+            picks.append(quad[np.unique(quad @ n ** np.arange(4), return_index=True)[1]])
+        else:   # triangles go first, each (c, x) by its first y, 2^22 cells at a time
+            step = max((1 << 22) // n, 1)
+            y = np.concatenate([(fresh[c[t:t + step]] & positive[x[t:t + step]]).argmax(axis=1)
+                                for t in range(0, len(c), step)])
+            picks.insert(0, np.sort(np.array([0 * c - 1, c, x, y]), axis=0).T)
+        reached[c, x] = reached[x, c] = True
+        fresh = np.zeros_like(neg)
+        fresh[c, x] = fresh[x, c] = True
+        comp[c] = comp[x] = comp[seed[0]]
+
+
+def _candidates(neg: np.ndarray, comp: np.ndarray, sets: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every join of negative hub pairs, each kind in colex order: triangles
+    {u, x, y} with (x, y) positive, 4-sets {0, u, x, y}, and 4-sets
+    {a, b, c, d} that chain consecutive components ``comp`` of the graph
+    of ``neg``.  Returns the (m, 4) sorted subsets (triangles led by -1),
+    the ``pair_index`` of their negative pairs (then the first again), and
+    the row of each of the joins ``sets`` among them."""
     n = len(neg)
     width = int(neg.sum(axis=1).max(initial=0))
     member = np.argsort(~neg, axis=1, kind="stable")[:, :width]    # each u's negative pairs first
@@ -434,71 +479,23 @@ def _candidates(neg: np.ndarray, every: bool) -> tuple[np.ndarray, ...]:
     for u in np.array_split(np.arange(n), -(-n * width * width // (1 << 22)) or 1):
         pair = valid[u, :, None] & valid[u, None, :]
         tri = pair & ~neg.ravel()[member[u, :, None] * n + member[u, None, :]]
-        if every:
-            found = [np.nonzero(np.triu(tri, 1)), np.nonzero(np.triu(pair, 1))]
-        else:       # over the trees of the triangles, node 0 offers the least label
-            label, parent = _forest(tri, np.where(valid[u], np.arange(width), width))
-            v, x = np.nonzero(valid[u] & (label > 0))
-            found = [(*np.nonzero(parent >= 0), parent[parent >= 0]), (v, x, 0 * x)]
+        found = (np.nonzero(np.triu(tri, 1)), np.nonzero(np.triu(pair, 1)))
         for lead, (v, x, y) in zip((-1, 0), found):
             subsets.append(np.column_stack(np.broadcast_arrays(lead, u[v], member[u[v], x],
                                                                member[u[v], y])))
-    label = _forest(neg, np.arange(n))[0]
-    roots = np.unique(label[neg.any(axis=1)])
-    for r, s in zip(roots, roots[1:]):     # every pair across two components is positive
-        (a, b), (c, d) = (np.nonzero(np.triu(neg) & (label == t)[:, None]) for t in (r, s))
-        if not every:
-            a, b, c, d = a[:1], b[:1], c[:1], d[:1]
+    for r in range(comp.max(initial=0)):    # every pair across two components is positive
+        (a, b), (c, d) = (np.nonzero(np.triu(neg) & (comp == t)[:, None]) for t in (r, r + 1))
         quad = [np.repeat(a, len(c)), np.repeat(b, len(c)), np.tile(c, len(a)), np.tile(d, len(a))]
         subsets.append(np.sort(np.column_stack(quad), axis=1))
-    sets = np.concatenate(subsets)
-    sets[:, 1:] = np.sort(sets[:, 1:], axis=1)
+    every = np.concatenate(subsets + [sets])
+    every[:, 1:] = np.sort(every[:, 1:], axis=1)
     # one key per subset: its kind, then its vertices from the last
-    key = (np.minimum(sets[:, 0], 1) + 1) * (n + 1) ** 4 + (sets + 1) @ (n + 1) ** np.arange(4)
-    key, first = np.unique(key, return_index=True)
-    sets = sets[first]
-    a, b = sets[:, _PAIRS4[0]], sets[:, _PAIRS4[1]]
-    joins = np.where((a >= 0) & neg[a, b], pair_index(n, a, b), -1)
-    return sets, -np.sort(-joins, axis=1)[:, :3], key
-
-
-def _forest(adj: np.ndarray, label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-label propagation over (..., d, d) symmetric adjacencies from
-    (..., d) labels below d; returns the labels and each node's parent,
-    the neighbour it last took a label from (-1 for none), which held it a
-    step earlier: a forest joining each node to one that kept its own."""
-    blocked = np.where(adj, np.int32(0), np.int32(adj.shape[-1]))    # a non-neighbour offers d or more
-    label, parent = label.astype(np.int32), np.full(label.shape, -1)
-    while label.size:
-        offer = blocked + label[..., None, :]
-        at = offer.argmin(axis=-1)
-        best = np.take_along_axis(offer, at[..., None], axis=-1)[..., 0]
-        better = best < label
-        if not better.any():
-            break
-        parent, label = np.where(better, at, parent), np.minimum(label, best)
-    return label, parent
-
-
-def _kruskal(root: np.ndarray, joins: np.ndarray) -> np.ndarray:
-    """The rows of (m, 3) ``joins``, two or three pair indices (then -1),
-    whose pairs lie in two or more components of the union-find ``root``
-    (each pair's parent, updated in place), which each such row merges."""
-    parent, picked = root.tolist(), []
-    for t, (a, b, c) in enumerate(joins.tolist()):
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if c < 0:
-            c = a
-        while parent[c] != c:
-            parent[c] = c = parent[parent[c]]
-        if a != b or a != c:
-            parent[a] = parent[b] = parent[c] = min(a, b, c)
-            picked.append(t)
-    root[:] = parent
-    return np.array(picked, dtype=np.intp)
+    key = (np.minimum(every[:, 0], 1) + 1) * (n + 1) ** 4 + (every + 1) @ (n + 1) ** np.arange(4)
+    _, first, at = np.unique(key, return_index=True, return_inverse=True)
+    every = every[first]
+    a, b = every[:, _PAIRS4[0]], every[:, _PAIRS4[1]]
+    joins = -np.sort(-np.where((a >= 0) & neg[a, b], pair_index(n, a, b), -1), axis=1)[:, :3]
+    return every, np.where(joins >= 0, joins, joins[:, :1]), at[len(key) - len(sets):]
 
 
 def _assemble(diagonal: np.ndarray, magnitude: np.ndarray, epsilon: np.ndarray,

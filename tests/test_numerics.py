@@ -192,8 +192,20 @@ def test_minors_above_order_four_stay_lapack_determinants():
         assert kernel.principal_minors(mat, subsets).tobytes() == want.tobytes()
 
 
-def test_importing_the_package_leaves_scipy_unloaded():
-    code = "import sys, signed_dpp; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+def _scipy_loaded_after(code):
+    out = subprocess.run([sys.executable, "-c", f"import sys, signed_dpp as sd; {code}; "
+                          "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"],
+                         capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    assert _scipy_loaded_after("pass") == "False"
+
+
+def test_solving_pma_leaves_scipy_unloaded():
+    # the solve picks its joins with numpy alone: loading scipy would add
+    # its import time to the first solve
+    assert _scipy_loaded_after("sd.solve_pma(sd.exact_minors(sd.generate_admissible(8, 0.3, 1), 4))") \
+        == "False"

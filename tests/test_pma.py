@@ -505,6 +505,60 @@ def test_solve_pma_links_vertex_disjoint_negative_hub_pairs_by_a_four_set():
     assert conjugation_distance(sol.kernel, k) <= 1e-9 and sol.null_dimension == 5
 
 
+def _negative_hub_pairs(shape, n):
+    """The pairs (x, y) of {2..n} whose hub triangle {1, x, y} is to be
+    negative, for each named shape of their graph."""
+    v = list(range(2, n + 1))
+    half = len(v) // 2
+    matching = set(zip(v[::2], v[1::2]))
+    return {"empty": set(),
+            "matching": matching,
+            "star": {(2, x) for x in v[1:]},
+            "path": set(zip(v, v[1:])),
+            "clique": set(itertools.combinations(v, 2)),
+            "two cliques": set(itertools.combinations(v[:half], 2)) | set(itertools.combinations(v[half:], 2)),
+            "matching complement": set(itertools.combinations(v, 2)) - matching}[shape]
+
+
+@pytest.mark.parametrize("shape, n", [
+    ("empty", 6), ("matching", 7), ("matching", 11), ("star", 8), ("path", 9), ("path", 12),
+    ("clique", 6), ("clique", 10), ("two cliques", 8), ("two cliques", 11),
+    ("matching complement", 9), ("matching complement", 11)])
+def test_solve_pma_spans_each_shape_of_the_negative_hub_pairs(shape, n, monkeypatch):
+    # every K_1x is positive with eps_1x = +1, so (x, y) is a negative hub
+    # pair exactly when eps_xy = -1; the joins read beyond the hub
+    # triangles form a spanning tree over those pairs, and 4-sets are read
+    # only where triangles cannot join them
+    negative = _negative_hub_pairs(shape, n)
+    gen = np.random.default_rng(n)
+    upper = {p: gen.uniform(0.05, 0.1) * (1 if p[0] == 1 or gen.random() < 0.5 else -1)
+             for p in itertools.combinations(range(1, n + 1), 2)}
+    k = signed_matrix(gen.uniform(0.4, 0.6, n), upper, {p: -1 if p in negative else 1 for p in upper})
+    decided, decide = [], pma._decide
+
+    def counted(minors, skel, sets, *rest):
+        decided.append(len(sets))
+        return decide(minors, skel, sets, *rest)
+
+    monkeypatch.setattr(pma, "_decide", counted)
+    minors = moments.exact_minors(k, 4)
+    sol = pma.solve_pma(minors)
+    assert sum(decided) - math.comb(n - 1, 2) <= max(len(negative) - 1, 0)
+    assert sum(len(j) >= 3 for j in minors.queried) <= 3 * math.comb(n - 1, 2)
+    four_sets = read_four_sets(minors)
+    _same_solution(sol, solve_groups(*full_sign_system(minors), n * (n - 1) // 2))
+    assert pma.is_conjugate(sol.kernel, k)
+    # triangles join the pairs of an empty set, a star and a path, so an
+    # order-3 list is enough; the other shapes need 4-sets
+    if shape in ("empty", "star", "path"):
+        low = pma.solve_pma(moments.exact_minors(k, 3))
+        assert low.solution == sol.solution and four_sets == set()
+    else:
+        assert four_sets
+        with pytest.raises(MissingMinorError):
+            pma.solve_pma(moments.exact_minors(k, 3))
+
+
 def test_solve_pma_skips_every_decision_of_noisy_minors_without_raising():
     # every decision of these noisy minors is skipped, the triangles' too:
     # the coset is every sign pattern, and each warning names a subset read
@@ -982,11 +1036,11 @@ def test_solution_set_sidecar_json():
 # kernel's bytes, and of the subsets it read
 SOLVE_BYTES = {
     "admissible 32": ("fc2773d7958f166d4fb9ba7bbcb7652a995a056351685fe779386bcd68522ba4",
-                      "770aed4fd3022e508e0fd27cc43a1d2f0fa7f14ed62975e32fd2ed085f574750"),
+                      "894ed654baabdde85c340026de178a01b5307191f40567972bbca5e1ad4ce595"),
     "admissible 64": ("e3da1e8a2aaaab39710dbacf815d26938890d331c021d7692f0faf3d1df83aca",
-                      "592b2d2aa27b33c0cc70359942d06ad8c16994fa3c2b7a4fcae86eed858b2b1e"),
+                      "976c9e15c3b62a57cd19f8a76b66b6cbe6e20f276ed77642ea0d605ac04d69d9"),
     "admissible 128": ("c2b4ccbb075dc3e9abcfca93761df3c751845bf77363329f4b1e97262dbc313b",
-                       "a1d7039a4e5b48360dfa8591481829fba99f57c885898c70c4e7d04133df9f9c"),
+                       "1eef77badd7ab5b080cb2397c479074abde8fdcf0eb026240181ba0610826e58"),
     "antisymmetric 48": ("30c94087cc981c6460f30926e09f6e37b994447352785b361bb4e72df9ae131f",
                          "21608e6e71744ad290a8ccae12d837c3b6b2ed5998d8e8c69b1d0470d9b68d21"),
     "noisy 16": ("eef77a42861c97ea28899e03e7592c4460d2bf7a5e1d8a25e3d12686e7c3db52",
