@@ -67,9 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reconstruct a kernel from minors of orders 1..4")
     p.add_argument("--minors", required=True, help="minors JSON input path")
     p.add_argument("--out", required=True, help="kernel JSON output path")
-    p.add_argument("--tol", type=float, default=pma.SIGN_TOL,
-                   help="sign-decision tolerance; for estimated minors match "
-                        "their noise, e.g. 0.005 for 1e5 samples")
+    p.add_argument("--tol", type=float, default=0.0,
+                   help="noise floor for sign decisions (each has its own rounding bound); "
+                        "for estimated minors match their noise, e.g. 0.005 for 1e5 samples")
     p.add_argument("--solution-set", action="store_true",
                    help="also enumerate every solution into <out>.set.json")
 

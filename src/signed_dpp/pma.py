@@ -35,10 +35,10 @@ that use them.
    orders 3 and 4, and no 4-set where triangles suffice.  A 4-set matches
    its traveling sum against the at most 8 +-1 patterns of its positive
    cycles; this separation test is the only genericity rule.  A decision
-   within the tolerance is skipped with a warning, and its join falls to
-   the next candidates, read in one more round; a skipped hub triangle
-   leaves its pair's row to the other triangles, so that round reads
-   every triangle.
+   within its subset's rounding bound (``_bound``) or ``sign_tol`` is
+   skipped with a warning, and its join falls to the next candidates, read
+   in one more round; a skipped hub triangle leaves its pair's row to the
+   other triangles, so that round reads every triangle.
    ``gf2.SpanBasis._of_cycles`` solves the rows.
 
 On exact minors with no skipped decision the rows span every positive
@@ -77,11 +77,7 @@ from .kernel import (
 )
 from .moments import MinorList, exact_minors
 
-DENSITY_TOL = 1e-8
-SIGN_TOL = 1e-12
-# Sign-decision tolerances adapt to the scale of the quantity being
-# matched: effective tol = max(sign_tol, SIGN_RTOL * scale).
-SIGN_RTOL = 1e-6
+_ROUNDING = 193 * 2.0 ** -52  # C u, the rounding bound per unit of per(|K_S|) (``_bound``)
 SOLUTION_SET_CAP = 12
 _VERIFY_SLICE = 1 << 16    # subsets of one order that verify compares at a time
 _CONJUGATE_RTOL = 1e-9     # is_conjugate's bound, relative to sqrt|K_ii K_jj|
@@ -131,17 +127,8 @@ class Skeleton:
 
     @functools.cached_property
     def pair_terms(self) -> np.ndarray:
-        """(n, n) matrix of eps_ab |K_ab|^2, the 2-cycle factors.
-
-        The squares use Python's float power (the C library's pow) rather
-        than numpy's x*x: the two differ in the last bit for some inputs,
-        and reconstructions are kept bit-identical across releases.
-        """
-        iu, ju = np.triu_indices(self.n, 1)
-        squares = np.array([m ** 2 for m in self.magnitude[iu, ju].tolist()])
-        out = np.zeros((self.n, self.n))
-        out[iu, ju] = out[ju, iu] = self.epsilon[iu, ju] * squares
-        return out
+        """(n, n) matrix of eps_ab |K_ab|^2, the 2-cycle factors."""
+        return self.epsilon * self.magnitude ** 2
 
 
 @dataclass(frozen=True)
@@ -189,8 +176,8 @@ def recover_skeleton(minors: MinorList) -> Skeleton:
     read whole as its ``colex_table``.
 
     Each relating sign eps_ij is the sign of a_i a_j - a_ij, with no
-    noise margin and no warning; only the density tolerance
-    ``DENSITY_TOL`` is checked.
+    noise margin and no warning; a pair is zero (``NotDenseError``) only
+    when that gap is within C u (|a_i a_j| + |a_i a_j - a_ij|) (``_bound``).
     On estimated minors a pair whose K_ij^2 lies below the noise of its
     pair minor can get the wrong sign, and every later decision builds
     on it: at N = 16 from 1e4 sequential draws, 51 of 120 were wrong.
@@ -199,12 +186,13 @@ def recover_skeleton(minors: MinorList) -> Skeleton:
     diagonal = minors.get_many(colex_table(n, 1))
     i, j = colex_table(n, 2).T.astype(np.intp) - 1
     gap = diagonal[i] * diagonal[j] - minors.get_many(colex_table(n, 2))
-    flat = np.flatnonzero(np.abs(gap) <= DENSITY_TOL)
+    bound = _ROUNDING * (np.abs(diagonal[i] * diagonal[j]) + np.abs(gap))
+    flat = np.flatnonzero(np.abs(gap) <= bound)
     if flat.size:
         t = flat[np.argmin(pair_index(n, i[flat], j[flat]))]     # lexicographically first
         raise NotDenseError(
-            f"pair ({i[t] + 1},{j[t] + 1}): a_i a_j - a_ij = {gap[t]:.3e} is below the "
-            f"density tolerance {DENSITY_TOL:.0e}; entry is numerically zero")
+            f"pair ({i[t] + 1},{j[t] + 1}): a_i a_j - a_ij = {gap[t]:.3e} is below its "
+            f"rounding bound {bound[t]:.1e}; entry is numerically zero")
     magnitude = np.zeros((n, n))
     epsilon = np.zeros((n, n), dtype=int)
     epsilon[i, j] = epsilon[j, i] = np.where(gap > 0, 1, -1)
@@ -215,18 +203,12 @@ def recover_skeleton(minors: MinorList) -> Skeleton:
 # ---------------------------------------------------------------------------
 # stage 2: traveling sums from minors
 
-def _pi3(minors: MinorList, skel: Skeleton, tri: np.ndarray) -> np.ndarray:
-    """pi of each row of an (m, 3) array of sorted 0-based triangles."""
-    d, pt = skel.diagonal, skel.pair_terms
-    i, j, k = tri.T
-    fixed = d[i] * d[j] * d[k] - d[i] * pt[j, k] - d[j] * pt[i, k] - d[k] * pt[i, j]
-    return minors.get_many(tri + 1) - fixed
-
-
-def _pi4(minors: MinorList, skel: Skeleton, quad: np.ndarray, face_pi3: np.ndarray) -> np.ndarray:
-    """pi of each row of an (m, 4) array of sorted 0-based 4-sets, given
-    the (m, 4) traveling sums of their ``_FACES`` triangles."""
-    d, pair = skel.diagonal[quad].T, skel.pair_terms[quad[:, _PAIRS4[0]], quad[:, _PAIRS4[1]]].T
+def _fixed(d: np.ndarray, pt: np.ndarray, sets: np.ndarray, face_pi3=None) -> np.ndarray:
+    """det(K_S) less its full-length cycles: a_S - pi3, or pi4 + a_S from its faces' pi3."""
+    if sets.shape[1] == 3:
+        i, j, k = sets.T
+        return d[i] * d[j] * d[k] - d[i] * pt[j, k] - d[j] * pt[i, k] - d[k] * pt[i, j]
+    d, pair = d[sets].T, pt[sets[:, _PAIRS4[0]], sets[:, _PAIRS4[1]]].T
     fixed = d[0] * d[1] * d[2] * d[3]
     for k, (a, b) in enumerate(zip(*_PAIRS4)):
         c, e = (x for x in range(4) if x not in (a, b))
@@ -234,7 +216,26 @@ def _pi4(minors: MinorList, skel: Skeleton, quad: np.ndarray, face_pi3: np.ndarr
     fixed = fixed + (pair[0] * pair[5] + pair[1] * pair[4] + pair[2] * pair[3])
     for t, rest in enumerate(_FACE_REST):
         fixed = fixed + face_pi3[:, t] * d[rest]
-    return fixed - minors.get_many(quad + 1)
+    return fixed
+
+
+def _bound(skel: Skeleton, sets: np.ndarray, mags: np.ndarray) -> np.ndarray:
+    """C u per(|K_S|) for each row S of an (m, 3) or (m, 4) array of sorted
+    0-based subsets, given the (m, c) magnitude products m of their cycles:
+    ``_fixed`` at |d|, -|pair terms| and 2 m3 per face, plus 2 m per cycle,
+    for a 4-set times 1 + sum |a_a a_b| / m_ab^2 over its edges, the error
+    that sqrt|a_a a_b - a_ab| = m_ab carries.  u = 2^-52; C = 193 counts the
+    most roundings (Higham's gamma_k) a term meets: 3 in a pair's gap; 29 in a
+    triangle's pi (5 + 5 + 1 + 3 x 6 in minor, rest, difference, pair terms);
+    193 in a 4-set's residual (9 + 16 + 6 x 6 + 4 x 29 + 16 in pattern sums)."""
+    d, pt = np.abs(skel.diagonal), -np.abs(skel.pair_terms)
+    if sets.shape[1] == 3:
+        return _ROUNDING * (_fixed(d, pt, sets) + 2.0 * mags[:, 0])
+    a, b = sets[:, _PAIRS4[0]], sets[:, _PAIRS4[1]]     # the six pairs, each read once
+    six, ratio = skel.magnitude[a, b], d[a] * d[b] / -pt[a, b]
+    face = six[:, pair_index(4, *_FACES[:, _TRIANGLE[0][0]].T)].prod(axis=1)
+    spread = 1.0 + ratio[:, pair_index(4, *_FOUR_CYCLES[0].T)].sum(axis=1)
+    return _ROUNDING * (_fixed(d, pt, sets, 2.0 * face) + 2.0 * (spread * mags).sum(axis=1))
 
 
 def traveling_sums(minors: MinorList, skel: Skeleton, subsets: np.ndarray) -> np.ndarray:
@@ -252,9 +253,9 @@ def traveling_sums(minors: MinorList, skel: Skeleton, subsets: np.ndarray) -> np
     if subsets.ndim != 2 or subsets.shape[1] not in (3, 4):
         raise DimensionError(f"expected (m, 3) triangles or (m, 4) 4-sets, got shape {subsets.shape}")
     if subsets.shape[1] == 3:
-        return _pi3(minors, skel, subsets)
-    faces = _pi3(minors, skel, subsets[:, _FACES].reshape(-1, 3)).reshape(-1, 4)
-    return _pi4(minors, skel, subsets, faces)
+        return minors.get_many(subsets + 1) - _fixed(skel.diagonal, skel.pair_terms, subsets)
+    faces = traveling_sums(minors, skel, subsets[:, _FACES].reshape(-1, 3)).reshape(-1, 4)
+    return _fixed(skel.diagonal, skel.pair_terms, subsets, faces) - minors.get_many(subsets + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +290,12 @@ def match_four_cycles(skel: Skeleton, quad: np.ndarray, pi4: np.ndarray, tol: fl
     positive is no candidate.  The first minimal residual wins.  Returns
     the (m, 3) positive cycles (columns follow ``_CYCLE_ORDERS``), the
     (m, 3) positive cycles the best pattern makes negative, and per 4-set
-    the best and second-smallest residuals and the effective tolerance
-    ``max(tol, SIGN_RTOL * scale)``.  A 4-set is decided when the best
-    residual is within that tolerance and the second is not.
+    the best and second-smallest residuals and the larger of ``tol`` and the
+    4-set's ``_bound``.  A 4-set is decided when the best residual is
+    within that tolerance and the second is not.
     """
     sign, mags = _cycles(skel, quad, _FOUR_CYCLES)[:2]
+    tol = np.maximum(tol, _bound(skel, quad, mags))
     positive = sign == 1
     packed = np.where(positive, mags, 0.0)
     flips = np.where(_PATTERNS, -1.0, 1.0)  # (8, 3)
@@ -303,8 +305,7 @@ def match_four_cycles(skel: Skeleton, quad: np.ndarray, pi4: np.ndarray, tol: fl
     residual[(_PATTERNS & ~positive[:, None, :]).any(axis=2)] = np.inf
     pattern = residual.argmin(axis=1)
     return (positive, positive & _PATTERNS[pattern], residual[np.arange(len(pi4)), pattern],
-            np.partition(residual, 1, axis=1)[:, 1],
-            np.maximum(tol, SIGN_RTOL * 2.0 * mags.max(axis=1)))
+            np.partition(residual, 1, axis=1)[:, 1], tol)
 
 
 def _screen(skipped: np.ndarray, bad: np.ndarray, warning, error, stacklevel: int) -> None:
@@ -321,12 +322,11 @@ def _screen(skipped: np.ndarray, bad: np.ndarray, warning, error, stacklevel: in
 # ---------------------------------------------------------------------------
 # end to end: stages 3 and 4
 
-def solve_pma(minors: MinorList, sign_tol: float = SIGN_TOL) -> PMASolution:
+def solve_pma(minors: MinorList, sign_tol: float = 0.0) -> PMASolution:
     """Reconstruct a dense signed kernel from minors of orders up to 4,
     read through ``n`` and ``get_many`` alone (see the module docstring).
-    A decision within ``sign_tol`` (finite, nonnegative) is skipped with an
-    AmbiguousSignWarning, which only enlarges the coset; contradictions
-    raise."""
+    A decision within its rounding bound or ``sign_tol`` (finite, nonnegative, a
+    noise floor) is skipped with an AmbiguousSignWarning; contradictions raise."""
     _check_tol("sign_tol", sign_tol)
     skel = recover_skeleton(minors)
     eps = skel.epsilon
@@ -351,7 +351,7 @@ def _decide(minors: MinorList, skel: Skeleton, sets: np.ndarray, sign_tol: float
     if sets.shape[1] == 3:
         pi3 = traveling_sums(minors, skel, sets)
         sign, mag3, flip = (a[:, 0] for a in _cycles(skel, sets, _TRIANGLE)[:3])
-        tol = np.maximum(sign_tol, SIGN_RTOL * (2.0 * mag3))
+        tol = np.maximum(sign_tol, _bound(skel, sets, mag3[:, None]))
         positive, small = sign == 1, np.abs(pi3) <= tol
         _screen(positive & small, ~positive & ~small,
                 lambda t: (f"triangle {_subset(sets[t])}: traveling sum {pi3[t]:.3e} below tol "

@@ -164,7 +164,7 @@ def four_cycle_walks(quad, cycle):
     return np.take_along_axis(quad, np.array(FOUR_CYCLE_WALKS)[cycle], axis=1)
 
 
-def full_sign_system(minors, sign_tol=pma.SIGN_TOL):
+def full_sign_system(minors, sign_tol=0.0):
     """Every decided triangle row and every decided 4-cycle row of a
     minor list, read over every 4-set from the public stage functions
     and built by ``walk_rows``, as ``solve_groups`` arguments
@@ -175,7 +175,7 @@ def full_sign_system(minors, sign_tol=pma.SIGN_TOL):
     pi3, pi4 = pma.traveling_sums(minors, skel, tri), pma.traveling_sums(minors, skel, quad)
     i, j, k = tri.T
     mag, eps = skel.magnitude, skel.epsilon
-    tri_tol = np.maximum(sign_tol, pma.SIGN_RTOL * 2.0 * mag[i, j] * mag[j, k] * mag[i, k])
+    tri_tol = np.maximum(sign_tol, pma._bound(skel, tri, (mag[i, j] * mag[j, k] * mag[i, k])[:, None]))
     used = (eps[i, j] * eps[j, k] * eps[i, k] == 1) & (np.abs(pi3) > tri_tol)
     cycles, negative, best, second, tol = pma.match_four_cycles(skel, quad, pi4, sign_tol)
     assert np.all(best <= tol)
@@ -275,7 +275,7 @@ def _triangles_pin_signs(k):
     pi3, pi4 = pma.traveling_sums(minors, skel, tri), pma.traveling_sums(minors, skel, quad)
     eps = skel.epsilon
     positive = eps[tri[:, 0], tri[:, 1]] * eps[tri[:, 1], tri[:, 2]] * eps[tri[:, 0], tri[:, 2]] == 1
-    cycles, negative, _, _, _ = pma.match_four_cycles(skel, quad, pi4, pma.SIGN_TOL)
+    cycles, negative, _, _, _ = pma.match_four_cycles(skel, quad, pi4, 0.0)
     rows, cycle = np.nonzero(cycles)
     tri_rows, _ = walk_rows(skel, tri[positive], pi3[positive] < 0)
     quad_rows, _ = walk_rows(skel, four_cycle_walks(quad[rows], cycle), negative[rows, cycle])

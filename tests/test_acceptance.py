@@ -297,7 +297,7 @@ def test_criterion_10_worked_example():
 
     triangles = positive_triangles(skel)
     pi = pma.traveling_sums(minors, skel, quad)
-    positive = pma.match_four_cycles(skel, quad, pi, pma.SIGN_TOL)[0][0]
+    positive = pma.match_four_cycles(skel, quad, pi, 0.0)[0][0]
     # the cycles of a 4-set follow pma._CYCLE_ORDERS: 1-2-4-3, 1-2-3-4, 1-3-2-4
     want = 2 * k.entry(1, 3) * k.entry(3, 2) * k.entry(2, 4) * k.entry(4, 1)
     ok = (triangles == [(1, 3, 4), (2, 3, 4)] and positive.tolist() == [False, False, True]

@@ -171,7 +171,7 @@ def test_positive_four_cycles():
         minors = moments.exact_minors(k, 4)
         skel = pma.recover_skeleton(minors)
         return pma.match_four_cycles(skel, QUAD, pma.traveling_sums(minors, skel, QUAD),
-                                     pma.SIGN_TOL)[0][0].tolist()
+                                     0.0)[0][0].tolist()
 
     assert positive(uniform_kernel(4, 1)) == [True, True, True]
     # only the pairing through chords 1-3 and 2-4 (i-k-j-l) avoids the negative edge

@@ -605,7 +605,7 @@ def test_four_cycle_forest_matches_the_dense_elimination_on_the_all_negative_law
     skel = pma.recover_skeleton(minors)
     neg = skel.epsilon * skel.epsilon[0] * skel.epsilon[:, :1] < 0
     assert neg[1:, 1:].sum() == (n - 1) * (n - 2)
-    rows, rhs = pma._hub_basis(minors, skel, neg, pma.SIGN_TOL)
+    rows, rhs = pma._hub_basis(minors, skel, neg, 0.0)
     assert (rows[:, 3] >= 0).all() and len({tuple(r) for r in rows.tolist()}) == len(rows)
     p, q, v, r = rows.T
     supports = kernel.pair_index(n, np.column_stack([p, q, np.minimum(p, r), np.minimum(q, r)]),

@@ -165,8 +165,9 @@ def test_batched_traveling_sums_match_direct_sums():
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
         # the batched faces equal computing each face's pi3 alone, and
         # each 4-set's pi4 does not depend on the others given with it
-        faces = np.array([pma._pi3(minors, skel, q[pma._FACES]) for q in quad])
-        assert pma._pi4(minors, skel, quad, faces).tolist() == pi4.tolist()
+        faces = np.array([pma.traveling_sums(minors, skel, q[pma._FACES]) for q in quad])
+        fixed = pma._fixed(skel.diagonal, skel.pair_terms, quad, faces)
+        assert (fixed - minors.get_many(quad + 1)).tolist() == pi4.tolist()
         assert [pma.traveling_sums(minors, skel, q[None])[0] for q in quad] == pi4.tolist()
 
 
@@ -201,7 +202,7 @@ def four_cycle_decisions(k, minors=None):
     skel = pma.recover_skeleton(minors)
     tri, quad = lex_combinations(k.n, 3), lex_combinations(k.n, 4)
     pi3, pi4 = pma.traveling_sums(minors, skel, tri), pma.traveling_sums(minors, skel, quad)
-    return skel, tri, pi3, quad, pi4, pma.match_four_cycles(skel, quad, pi4, pma.SIGN_TOL)
+    return skel, tri, pi3, quad, pi4, pma.match_four_cycles(skel, quad, pi4, 0.0)
 
 
 def test_disambiguate_single_positive_cycle():
@@ -289,7 +290,7 @@ def test_disambiguate_rejects_unmatchable_sum():
     k = antisymmetric(4, 3)
     minors = moments.exact_minors(k, 4)
     skel, *_, quad, pi4, _ = four_cycle_decisions(k, minors)
-    _, _, best, _, tol = pma.match_four_cycles(skel, quad, np.array([0.5]), pma.SIGN_TOL)
+    _, _, best, _, tol = pma.match_four_cycles(skel, quad, np.array([0.5]), 0.0)
     assert best[0] > tol[0]
     # pi4 = fixed - a_S, so this moves the 4-set's traveling sum to 0.5
     spoiled = moments.MinorList(4, dict(minors.items()))
@@ -594,6 +595,52 @@ def test_solve_pma_inconsistent_minors():
     spoiled.put(victim, minors.get(victim) + 0.25)
     with pytest.raises(InconsistentMinorsError):
         pma.solve_pma(spoiled)
+
+
+def test_a_negative_triangle_off_by_a_hundred_rounding_bounds_raises():
+    # the bound is not a loosening: a negative hub triangle's traveling sum
+    # is 0, and one moved 100 times past its bound (below 1e-12) still raises
+    k = kernel.generate_admissible(8, 0.3, 7)
+    minors = moments.exact_minors(k, 4)
+    skel = pma.recover_skeleton(minors)
+    hub = lex_combinations(8, 3)[:21]       # the triangles {1, x, y}
+    sign, m3 = pma._cycles(skel, hub, pma._TRIANGLE)[:2]
+    t = int(np.argmax(sign[:, 0] == -1))
+    assert sign[t, 0] == -1
+    bump = 100 * pma._bound(skel, hub[t:t + 1], m3[t:t + 1])[0]
+    assert 0 < bump < 1e-12
+    victim = tuple(int(v) + 1 for v in hub[t])
+    spoiled = moments.MinorList(8, dict(minors.items()))
+    spoiled.put(victim, minors.get(victim) + bump)
+    with pytest.raises(InconsistentMinorsError, match=re.escape(f"triangle {victim} is negative")):
+        pma.solve_pma(spoiled)
+
+
+def _small_entries(law, small):
+    if law == "all-negative":      # 4-sets decide; pair (1, 2) enters two of a 4-set's cycles
+        mat = antisymmetric(6, 0, mags=(0.2, 0.3)).mat.copy()
+        pairs, eps = ((0, 1), (2, 4)), -1
+    else:
+        mat = kernel.generate_admissible(7, 0.3, 7).mat.copy()
+        pairs, eps = (((0, 2),), 1) if law == "one pair" else (((0, 1), (0, 2), (1, 2)), 1)
+    for i, j in pairs:
+        mat[i, j] = small * np.sign(mat[i, j])
+        mat[j, i] = eps * mat[i, j]
+    return kernel.SignedKernel(mat)
+
+
+@pytest.mark.parametrize("law, small", [("one pair", 5e-5), ("positive hub triangle", 5e-5),
+                                        ("all-negative", 1e-5)])
+def test_solve_pma_decides_small_entries_against_their_rounding_bounds(law, small):
+    # |K_ij| = 5e-5 has a_i a_j - a_ij = 2.5e-9, far beyond its rounding
+    # error; three of them make a positive triangle of 2 m3 = 2.5e-13, and
+    # on the all-negative law the 4-cycles through 1e-5 edges carry their
+    # magnitudes' larger relative error
+    k = _small_entries(law, small)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = pma.solve_pma(moments.exact_minors(k, 4))
+    assert sol.null_dimension == k.n and pma.is_conjugate(sol.kernel, k)
 
 
 def test_solve_pma_redundant_inconsistent_row():
@@ -1051,7 +1098,7 @@ SOLVE_BYTES = {
 @pytest.mark.parametrize("case", sorted(SOLVE_BYTES))
 def test_solve_pma_keeps_its_bytes(case):
     law, n = case.split()
-    n, tol = int(n), pma.SIGN_TOL
+    n, tol = int(n), 0.0
     if law == "admissible":
         minors = moments.exact_minors(kernel.generate_admissible(n, 0.3, 7), 3)
     elif law == "antisymmetric":
