@@ -36,9 +36,12 @@ that use them.
    its traveling sum against the at most 8 +-1 patterns of its positive
    cycles; this separation test is the only genericity rule.  A decision
    within its subset's rounding bound (``_bound``) or ``sign_tol`` is
-   skipped with a warning, and its join falls to the next candidates, read
-   in one more round; a skipped hub triangle leaves its pair's row to the
-   other triangles, so that round reads every triangle.
+   skipped with a warning, and one more round reads only through the
+   loose pairs, those outside the largest component of the decided joins:
+   their triangle and hub 4-set joins across components, and one 4-set
+   to a pair of each component in a neighbouring part of their graph.  A
+   skipped positive hub triangle leaves its pair's row to the N - 3
+   triangles through that pair, which the round reads too.
    ``gf2.SpanBasis._of_cycles`` solves the rows.
 
 On exact minors with no skipped decision the rows span every positive
@@ -222,20 +225,22 @@ def _fixed(d: np.ndarray, pt: np.ndarray, sets: np.ndarray, face_pi3=None) -> np
 def _bound(skel: Skeleton, sets: np.ndarray, mags: np.ndarray) -> np.ndarray:
     """C u per(|K_S|) for each row S of an (m, 3) or (m, 4) array of sorted
     0-based subsets, given the (m, c) magnitude products m of their cycles:
-    ``_fixed`` at |d|, -|pair terms| and 2 m3 per face, plus 2 m per cycle,
-    for a 4-set times 1 + sum |a_a a_b| / m_ab^2 over its edges, the error
-    that sqrt|a_a a_b - a_ab| = m_ab carries.  u = 2^-52; C = 193 counts the
-    most roundings (Higham's gamma_k) a term meets: 3 in a pair's gap; 29 in a
-    triangle's pi (5 + 5 + 1 + 3 x 6 in minor, rest, difference, pair terms);
-    193 in a 4-set's residual (9 + 16 + 6 x 6 + 4 x 29 + 16 in pattern sums)."""
+    ``_fixed`` at |d|, -|pair terms| and 2 m3 per face, plus 2 m per cycle.
+    u = 2^-52; C = 193 counts the most roundings (Higham's gamma_k) a term
+    meets: 3 in a pair's gap; 29 in a triangle's pi (5 + 5 + 1 + 3 x 6 in
+    minor, rest, difference, pair terms); 193 in a 4-set's residual (9 + 16 +
+    6 x 6 + 4 x 29 + 16 in pattern sums).  A 4-set adds the error its 2 m
+    carry from m_ab = sqrt|a_a a_b - a_ab|: the gap's 3 roundings of |a_a a_b|,
+    halved by the root, give 1.5 u |a_a a_b| / m_ab^2 per edge."""
     d, pt = np.abs(skel.diagonal), -np.abs(skel.pair_terms)
     if sets.shape[1] == 3:
         return _ROUNDING * (_fixed(d, pt, sets) + 2.0 * mags[:, 0])
     a, b = sets[:, _PAIRS4[0]], sets[:, _PAIRS4[1]]     # the six pairs, each read once
     six, ratio = skel.magnitude[a, b], d[a] * d[b] / -pt[a, b]
     face = six[:, pair_index(4, *_FACES[:, _TRIANGLE[0][0]].T)].prod(axis=1)
-    spread = 1.0 + ratio[:, pair_index(4, *_FOUR_CYCLES[0].T)].sum(axis=1)
-    return _ROUNDING * (_fixed(d, pt, sets, 2.0 * face) + 2.0 * (spread * mags).sum(axis=1))
+    spread = ratio[:, pair_index(4, *_FOUR_CYCLES[0].T)].sum(axis=1)
+    return (_ROUNDING * (_fixed(d, pt, sets, 2.0 * face) + 2.0 * mags.sum(axis=1))
+            + 1.5 * 2.0 ** -52 * 2.0 * (spread * mags).sum(axis=1))
 
 
 def traveling_sums(minors: MinorList, skel: Skeleton, subsets: np.ndarray) -> np.ndarray:
@@ -382,10 +387,14 @@ def _hub_basis(minors: MinorList, skel: Skeleton, neg: np.ndarray,
     """Stages 3 and 4: the rows of the hub triangles and of the joins of the
     negative hub pairs ``neg``.  Round one reads every hub triangle and the
     joins of ``_spanning_joins``, planned with every positive hub triangle
-    decided.  If a decision was skipped, round two reads every unread
-    candidate that joins two components of the decided joins, and, when a
-    positive hub triangle was skipped, every unread triangle, as the hub
-    basis then misses that pair's row."""
+    decided.  If a decision was skipped, round two reads the unread joins
+    through each loose pair (a negative hub pair outside the largest
+    component of the decided joins) that cross components: the triangles
+    and 4-sets with the hub at either end of the pair, and one 4-set to a
+    pair of each component of each neighbouring component of ``neg``.  It
+    also reads the N - 3 triangles through each lost pair (a positive hub
+    pair whose triangle was skipped), the only ones that can add its row.
+    Every listing takes 2^22 cells at a time."""
     n = skel.n
     hub = np.insert(colex_table(max(n - 1, 0), 2).astype(np.intp), 0, 0, axis=1)
     sets, comp = _spanning_joins(neg)
@@ -397,22 +406,46 @@ def _hub_basis(minors: MinorList, skel: Skeleton, neg: np.ndarray,
     x, y = hub[~decided[:len(hub)], 1:].T
     lost[x, y] = lost[y, x] = ~neg[x, y]
     done = np.concatenate([decided[len(hub):], four])
-    if not done.all() or lost.any():
-        # a triangle, or a 4-set without the hub, joins through its positive pairs
-        a, b = sets[:, _PAIRS4[0]], sets[:, _PAIRS4[1]]
-        done &= (sets[:, 0] == 0) | ~((a > 0) & lost[a, b]).any(axis=1)
-        every, joins, at = _candidates(neg, comp, sets)
-        root, link = np.arange(n * (n - 1) // 2), joins[at[done]]
-        while not ((top := root[link]) == (low := top.min(axis=1))[:, None]).all():
-            np.minimum.at(root, link, low[:, None])     # each pair's least label, then jump
-            root = root[root]
-        picked = np.setdiff1d(np.flatnonzero((root[joins] != root[joins[:, :1]]).any(axis=1)), at)
-        old, tri = sets[:ntri, 1:] @ n ** np.arange(3), every[picked[every[picked, 0] < 0], 1:]
-        if lost.any():
-            tri = colex_table(n, 3).astype(np.intp) - 1
-            tri = tri[(tri[:, 0] > 0) & ~np.isin(tri @ n ** np.arange(3), old)]
-        out += [_decide(minors, skel, tri, sign_tol, 3)[1:],
-                _decide(minors, skel, every[picked[every[picked, 0] >= 0]], sign_tol, 3)[1:]]
+    if done.all() and not lost.any():
+        return tuple(map(np.concatenate, zip(*out)))
+    # a triangle, or a 4-set without the hub, joins through its positive pairs
+    a, b = sets[:, _PAIRS4[0]], sets[:, _PAIRS4[1]]
+    done &= (sets[:, 0] == 0) | ~((a > 0) & lost[a, b]).any(axis=1)
+    link = -np.sort(-np.where((a >= 0) & neg[a, b], a * n + b, -1), axis=1)[done, :3]
+    link = np.where(link >= 0, link, link[:, :1])       # each set's negative pairs a * n + b
+    root = np.arange(n * n)
+    while not ((top := root[link]) == (low := top.min(axis=1))[:, None]).all():
+        np.minimum.at(root, link, low[:, None])     # each pair's least label, then jump
+        root = root[root]
+    label = np.where(np.triu(neg), root.reshape(n, n), -1)
+    label = np.maximum(label, label.T)
+    loose = neg & (label != np.bincount(label[neg], minlength=1).argmax())
+    ha, hb = np.nonzero(np.triu(neg))
+    first = np.unique(label[ha, hb] * n + comp[ha], return_index=True)[1]
+    ha, hb = ha[first], hb[first]                   # a pair of each component in each part
+    ends, others = np.nonzero(loose)                # each loose pair from both ends
+    p, q = np.nonzero(np.triu(lost))
+    step, vertex = max((1 << 22) // max(n, len(ha)), 1), np.arange(n)
+    picks = [sets]
+    for t in range(0, max(len(ends), len(p)), step):
+        c, x, i, j = ends[t:t + step], others[t:t + step], p[t:t + step], q[t:t + step]
+        own = label[c, x][:, None]
+        s, y = np.nonzero(neg[c] & ((label[c] != own) | neg[x] & (label[x] != own)))
+        tri = ~neg[x[s], y]
+        sc, h = np.nonzero((np.abs(comp[ha] - comp[c][:, None]) == 1) & (label[ha, hb] != own)
+                           & (c < x)[:, None])
+        sl, u = np.nonzero((vertex > 0) & (vertex != i[:, None]) & (vertex != j[:, None]))
+        picks += [np.column_stack([0 * s[tri] - 1, c[s[tri]], x[s[tri]], y[tri]]),
+                  np.column_stack([0 * s, c[s], x[s], y]),
+                  np.column_stack([c[sc], x[sc], ha[h], hb[h]]),
+                  np.column_stack([0 * sl - 1, u, i[sl], j[sl]])]
+    every = np.sort(np.concatenate(picks), axis=1)
+    # one key per subset: its kind, then its vertices from the last
+    key = (np.minimum(every[:, 0], 1) + 1) * (n + 1) ** 4 + (every + 1) @ (n + 1) ** np.arange(4)
+    _, first = np.unique(key, return_index=True)
+    every = every[first[first >= len(sets)]]        # the unread ones, in colex order by kind
+    out += [_decide(minors, skel, every[every[:, 0] < 0, 1:], sign_tol, 3)[1:],
+            _decide(minors, skel, every[every[:, 0] >= 0], sign_tol, 3)[1:]]
     return tuple(map(np.concatenate, zip(*out)))
 
 
@@ -462,40 +495,6 @@ def _spanning_joins(neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         fresh = np.zeros_like(neg)
         fresh[c, x] = fresh[x, c] = True
         comp[c] = comp[x] = comp[seed[0]]
-
-
-def _candidates(neg: np.ndarray, comp: np.ndarray, sets: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Every join of negative hub pairs, each kind in colex order: triangles
-    {u, x, y} with (x, y) positive, 4-sets {0, u, x, y}, and 4-sets
-    {a, b, c, d} that chain consecutive components ``comp`` of the graph
-    of ``neg``.  Returns the (m, 4) sorted subsets (triangles led by -1),
-    the ``pair_index`` of their negative pairs (then the first again), and
-    the row of each of the joins ``sets`` among them."""
-    n = len(neg)
-    width = int(neg.sum(axis=1).max(initial=0))
-    member = np.argsort(~neg, axis=1, kind="stable")[:, :width]    # each u's negative pairs first
-    valid = np.take_along_axis(neg, member, axis=1)
-    subsets = [np.zeros((0, 4), dtype=np.intp)]
-    for u in np.array_split(np.arange(n), -(-n * width * width // (1 << 22)) or 1):
-        pair = valid[u, :, None] & valid[u, None, :]
-        tri = pair & ~neg.ravel()[member[u, :, None] * n + member[u, None, :]]
-        found = (np.nonzero(np.triu(tri, 1)), np.nonzero(np.triu(pair, 1)))
-        for lead, (v, x, y) in zip((-1, 0), found):
-            subsets.append(np.column_stack(np.broadcast_arrays(lead, u[v], member[u[v], x],
-                                                               member[u[v], y])))
-    for r in range(comp.max(initial=0)):    # every pair across two components is positive
-        (a, b), (c, d) = (np.nonzero(np.triu(neg) & (comp == t)[:, None]) for t in (r, r + 1))
-        quad = [np.repeat(a, len(c)), np.repeat(b, len(c)), np.tile(c, len(a)), np.tile(d, len(a))]
-        subsets.append(np.sort(np.column_stack(quad), axis=1))
-    every = np.concatenate(subsets + [sets])
-    every[:, 1:] = np.sort(every[:, 1:], axis=1)
-    # one key per subset: its kind, then its vertices from the last
-    key = (np.minimum(every[:, 0], 1) + 1) * (n + 1) ** 4 + (every + 1) @ (n + 1) ** np.arange(4)
-    _, first, at = np.unique(key, return_index=True, return_inverse=True)
-    every = every[first]
-    a, b = every[:, _PAIRS4[0]], every[:, _PAIRS4[1]]
-    joins = -np.sort(-np.where((a >= 0) & neg[a, b], pair_index(n, a, b), -1), axis=1)[:, :3]
-    return every, np.where(joins >= 0, joins, joins[:, :1]), at[len(key) - len(sets):]
 
 
 def _assemble(diagonal: np.ndarray, magnitude: np.ndarray, epsilon: np.ndarray,

@@ -114,6 +114,22 @@ def antisymmetric(n, seed, mags=(0.05, 0.1)):
     return kernel.SignedKernel(mat)
 
 
+def two_clusters(n, seed):
+    """Dense kernel whose negative hub pairs form two cliques: the relating
+    sign is -1 between items i, j >= 2 of equal parity and +1 otherwise
+    (1-based), so relative to the hub 1 the pairs of even items and the
+    pairs of odd items are negative.  Diagonal U[0.3, 0.7], magnitudes
+    0.27/(N - 1) U[0.2, 1] as in ``generate_admissible``, and uniform entry
+    signs, from ``np.random.default_rng(seed)``."""
+    gen = np.random.default_rng(seed)
+    mat = np.diag(gen.uniform(0.3, 0.7, n))
+    iu, ju = np.triu_indices(n, 1)
+    mat[iu, ju] = (0.27 / (n - 1) * gen.uniform(0.2, 1, len(iu))
+                   * np.where(gen.random(len(iu)) < 0.5, -1.0, 1.0))
+    mat[ju, iu] = np.where((iu >= 1) & (iu % 2 == ju % 2), -1.0, 1.0) * mat[iu, ju]
+    return kernel.SignedKernel(mat)
+
+
 def partly_spanned(inner):
     """An N = 5 kernel whose 4-set (1, 2, 3, 4) has upper entries
     ``inner`` and every relating sign -1, so its triangles are negative

@@ -25,6 +25,7 @@ from helpers import (
     signed_matrix,
     solve_groups,
     strong_admissible,
+    two_clusters,
     walk_cycle,
     walk_rows,
 )
@@ -620,6 +621,9 @@ def _small_entries(law, small):
     if law == "all-negative":      # 4-sets decide; pair (1, 2) enters two of a 4-set's cycles
         mat = antisymmetric(6, 0, mags=(0.2, 0.3)).mat.copy()
         pairs, eps = ((0, 1), (2, 4)), -1
+    elif law == "two small edges":  # opposite in (1, 2, 3, 4): two of its cycles hold both
+        mat = antisymmetric(6, 9, mags=(0.2, 0.3)).mat.copy()
+        pairs, eps = ((0, 1), (2, 3)), -1
     else:
         mat = kernel.generate_admissible(7, 0.3, 7).mat.copy()
         pairs, eps = (((0, 2),), 1) if law == "one pair" else (((0, 1), (0, 2), (1, 2)), 1)
@@ -630,17 +634,63 @@ def _small_entries(law, small):
 
 
 @pytest.mark.parametrize("law, small", [("one pair", 5e-5), ("positive hub triangle", 5e-5),
-                                        ("all-negative", 1e-5)])
+                                        ("all-negative", 1e-5), ("two small edges", 1e-6)])
 def test_solve_pma_decides_small_entries_against_their_rounding_bounds(law, small):
     # |K_ij| = 5e-5 has a_i a_j - a_ij = 2.5e-9, far beyond its rounding
     # error; three of them make a positive triangle of 2 m3 = 2.5e-13, and
     # on the all-negative law the 4-cycles through 1e-5 edges carry their
-    # magnitudes' larger relative error
+    # magnitudes' larger relative error.  Two 1e-6 edges put 1.5 u |a_a a_b|
+    # / m_ab^2 each, 1.7e-4 in all, on the cycles through both; weighed by
+    # the 193 roundings of the rest of the bound, that error skipped a 4-set
     k = _small_entries(law, small)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sol = pma.solve_pma(moments.exact_minors(k, 4))
     assert sol.null_dimension == k.n and pma.is_conjugate(sol.kernel, k)
+
+
+def test_solve_pma_reads_only_the_triangles_through_a_skipped_hub_triangle(monkeypatch):
+    # sign_tol 1e-8 skips six positive hub triangles {1, x, y} of the
+    # generator's law at N = 48: the N - 3 triangles {u, x, y} through each
+    # give the pair's row back, and no table of all C(N, 3) triangles is
+    # built.  5,547 minors are read, against 19,733 when every triangle was
+    table = pma.colex_table
+
+    def no_triangle_table(n, t):
+        assert t != 3, "the C(N, 3) triangles were listed"
+        return table(n, t)
+
+    monkeypatch.setattr(pma, "colex_table", no_triangle_table)
+    k = kernel.generate_admissible(48, 0.3, 7)
+    minors = moments.KernelMinors(k)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = pma.solve_pma(minors, sign_tol=1e-8)
+    lost = [ast.literal_eval(m.group(1)) for w in caught
+            if (m := re.match(r"triangle (\(1, [0-9]+, [0-9]+\)):", str(w.message)))]
+    assert len(lost) == 6
+    for _, x, y in lost:
+        assert {tuple(sorted((u, x, y))) for u in range(2, 49) if u not in (x, y)} <= minors.queried
+    assert len(minors.queried) == 5547
+    assert sol.null_dimension == 48 and pma.is_conjugate(sol.kernel, k)
+
+
+def test_solve_pma_joins_two_clusters_through_one_four_set_per_component():
+    # the negative hub pairs form two cliques, which only 4-sets {a, b, c, d}
+    # of a pair from each join.  sign_tol 1e-11 skips seven hub 4-sets, and
+    # round two joins each loose pair to one pair of each component in the
+    # other clique: 12 such 4-sets in all (one from round one) and 2,435
+    # minors, against 888 and 5,126 when every 4-set of two pairs across was
+    # listed
+    k = two_clusters(40, 3)
+    minors = moments.KernelMinors(k)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = pma.solve_pma(minors, sign_tol=1e-11)
+    assert len(caught) == 7
+    assert sum(len(j) == 4 and j[0] > 1 for j in minors.queried) == 12
+    assert len(minors.queried) == 2435
+    assert sol.null_dimension == 40 and pma.is_conjugate(sol.kernel, k)
 
 
 def test_solve_pma_redundant_inconsistent_row():
