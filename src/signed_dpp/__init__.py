@@ -12,7 +12,7 @@ The PMA stages are public as the batched array functions that
 ``match_four_cycles``.  GF(2) systems, on rows held as index arrays,
 have one state and one eliminate-and-substitute step, held by a
 ``SpanBasis`` that keeps every variable as an affine form over free
-parameters; ``solve_pma`` fills it through its parity forests.
+parameters; ``solve_pma`` fills it through a parity union-find.
 """
 
 from .errors import (

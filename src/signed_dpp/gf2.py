@@ -3,17 +3,14 @@
 Sign systems (products of +-1 unknowns equal to prescribed +-1 values)
 are solved here as XOR systems, with bit 1 for the sign -1.  A
 ``SpanBasis`` holds the solutions as one affine form per variable over
-free parameters.  Its one entry, ``SpanBasis._of_cycles``, solves
-triangle and 4-cycle rows on a parity forest per top vertex, one
-dependency level at a time, on rows of 64-bit words per variable; it
-then transposes the forms once into one int per parameter and imposes
-the rows off the forest on those ints, and ``solution`` reduces them to
-the reduced row echelon form.
+free parameters.  Its one entry, ``SpanBasis._of_cycles``, solves cycle
+rows over the pairs on the hub gauge, by a parity union-find (the
+balance test of a signed graph); ``solution`` reduces the vertex
+switches and one flip per component to the reduced row echelon form.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,54 +64,62 @@ class GF2Solution:
         return diff == 0
 
 
-def parities(supports: np.ndarray, assignment: np.ndarray) -> np.ndarray:
-    """XOR of ``assignment`` over the last axis of an (..., w) array of
-    distinct variable indices.  A 0/1 vector gives (...) parities; an
-    (n_vars, d) matrix gives the (..., d) parities against each of its d
-    columns, and an (n_vars, d) matrix of packed words the (..., d) words
-    of the parities against each of their bits."""
-    supports = np.asarray(supports)
-    out = np.zeros(supports.shape[:-1] + assignment.shape[1:], dtype=assignment.dtype)
-    for t in range(supports.shape[-1]):
-        out ^= np.take(assignment, supports[..., t], axis=0)
+def _masks(owner: np.ndarray, bits: np.ndarray, count: int) -> list[int]:
+    """``count`` ints, int t with the ``bits`` whose ``owner`` (sorted) is t
+    set: rows of bytes, about 2^22 bytes at a time."""
+    width = int(bits.max(initial=0)) // 8 + 1
+    step = max((1 << 22) // width, 1)
+    cuts, out = np.searchsorted(owner, np.arange(0, count + step, step)), []
+    for lo, first, last in zip(range(0, count, step), cuts, cuts[1:]):
+        b, data = bits[first:last], np.zeros(min(step, count - lo) * width, dtype=np.uint8)
+        np.add.at(data, (owner[first:last] - lo) * width + (b >> 3), (1 << (b & 7)).astype(np.uint8))
+        out += [int.from_bytes(row.tobytes(), "little") for row in data.reshape(-1, width)]
     return out
 
 
-_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
+def _switches(n: int) -> list[int]:
+    """The switches of vertices 0..n - 2 as ints over the pairs: s has (s, s + 1)..(s, n - 1)
+    and each (u, s), u < s, at base_u + s - 1, the bits base_u, u < s, shifted by s - 1."""
+    base = [u * (2 * n - u - 3) // 2 for u in range(n - 1)]
+    column = np.packbits(np.bincount(base, minlength=base[-1] + 1) > 0, bitorder="little")
+    column, out = int.from_bytes(column.tobytes(), "little"), [0] * (n - 1)
+    for s in range(n - 2, -1, -1):
+        column ^= 1 << base[s]
+        out[s] = (column << s - 1 if s else 0) | ((1 << n - 1 - s) - 1) << base[s] + s
+    return out
 
 
-@functools.lru_cache(maxsize=64)
-def _pair_table(n: int) -> np.ndarray:
-    """Read-only (n + 1, n + 1) table of the variable of the pair {a, b},
-    in either order, and of n_vars, a form kept zero, for b = -1."""
-    table = np.full((n + 1, n + 1), n * (n - 1) // 2)
-    table[:n, :n] = pair_index(n, *np.sort(np.indices((n, n)), axis=0))
-    table.flags.writeable = False
-    return table
+def _over(up: np.ndarray, odd: np.ndarray, ends: np.ndarray, rhs: np.ndarray):
+    """The (4, m) nodes of m rows and their right-hand sides over the roots
+    ``up``: each root that occurs an odd number of times in a row, once, and
+    zeros for the rest, and the right-hand side XOR the parities ``odd``."""
+    tops = up[ends]
+    e01, e02, e03, e12, e13, e23 = tops[[0, 0, 0, 1, 1, 2]] == tops[[1, 2, 3, 2, 3, 3]]
+    tops *= [~(e01 ^ e02 ^ e03), ~(e01 | e12 ^ e13), ~(e02 | e12 | e23), ~(e03 | e13 | e23)]
+    return tops, rhs ^ np.logical_xor.reduce(odd[ends], axis=0)
 
 
-_HALVES = [(j, np.bitwise_or.reduce(_BITS[np.arange(64) & j == 0])) for j in (32, 16, 8, 4, 2, 1)]
-
-
-def _columns(words: np.ndarray) -> np.ndarray:
-    """The bit columns of packed (m, words) rows, as (64 * words,
-    ceil(m / 64)) packed rows: each 64 x 64 block of bits is transposed
-    by swapping its off-diagonal halves, then quarters, down to bits."""
-    width, rows = words.shape[1], -(-len(words) // 64)
-    blocks = np.zeros((width, 64 * rows), dtype=np.uint64)
-    blocks[:, :len(words)] = words.T
-    for j, mask in _HALVES:
-        low, high = blocks.reshape(-1, 2, j).transpose(1, 0, 2)
-        swap = ((low >> j) ^ high) & mask
-        low ^= swap << j
-        high ^= swap
-    return blocks.reshape(width, rows, 64).transpose(0, 2, 1).reshape(64 * width, rows)
-
-
-def _ints(words: np.ndarray) -> list[int]:
-    """Each row of (m, words) little-endian words as one int."""
-    rows = np.ascontiguousarray(words).view(f"V{8 * words.shape[1]}").ravel().tolist()
-    return [int.from_bytes(row, "little") for row in rows]
+def _hook(up: np.ndarray, odd: np.ndarray, a: np.ndarray, b: np.ndarray, bits: np.ndarray) -> bool:
+    """Join a parity union-find by the edges x_a ^ x_b = bits: each round
+    hangs every root with an edge to a smaller root off the least one, then
+    points every node at its root by pointer jumping, carrying its parity
+    ``odd``.  An edge within a root is a check; returns whether one fails."""
+    failed = False
+    while True:
+        ra, rb, w = up[a], up[b], bits ^ odd[a] ^ odd[b]
+        failed |= (w > (apart := ra != rb)).any()
+        if not apart.any():
+            return failed
+        a, b, bits, ra, rb, w = a[apart], b[apart], bits[apart], ra[apart], rb[apart], w[apart]
+        high, key, best = np.maximum(ra, rb), 2 * np.minimum(ra, rb) + w, np.full(len(up), 2 * len(up))
+        np.minimum.at(best, high, key)
+        up[high], odd[high] = (got := best[high]) >> 1, got & 1
+        while (up != (jump := up[up])).any():
+            odd ^= odd[up]
+            up[:] = jump
+        if (taken := got == key).all():
+            return failed
+        a, b, bits = a[~taken], b[~taken], bits[~taken]
 
 
 class SpanBasis:
@@ -125,13 +130,13 @@ class SpanBasis:
     identity, and a parameter that imposed rows eliminate keeps a zero
     int.
 
-    ``_impose`` takes rows over the parameters (a row's parities against
-    the forms, see ``_rows``), eliminates them, checks those that reduce
-    to a bare constant and substitutes each pivot into the forms.
+    ``_impose`` takes rows over the parameters, packed as uint64 words,
+    eliminates them, checks those that reduce to a bare constant and
+    substitutes each pivot into the forms.
     ``solution`` reads the reduced row echelon form off the parameters'
     ints.  A row space has one reduced row echelon form, so the result
-    does not depend on how rows were grouped or on which ones the forest
-    took.
+    does not depend on how rows were grouped or on which parameters
+    span the solutions.
     """
 
     def __init__(self, n_vars: int):
@@ -145,16 +150,13 @@ class SpanBasis:
         ``kernel.pair_index`` order: the triangle x_pv ^ x_qv ^ x_pq = rhs
         for r = -1, else the 4-cycle x_pv ^ x_qv ^ x_pr ^ x_qr = rhs.
 
-        Each row ties its pairs (p, v) and (q, v) at its top vertex v
-        through its earlier pairs, in a parity forest per v: every q with
-        such a row hangs off the smallest such p, and a p with none off its
-        smallest q, unless that row already hangs q off p.  A pair that
-        hangs off nothing is a fresh parameter, and a hung pair's form is
-        its parent pair's XOR its earlier pairs' and the right-hand side,
-        evaluated one dependency level at a time on (pairs, words) uint64
-        words.  The other rows reduce to rows over the parameters, which
-        one ``_impose`` takes after the words are transposed once into the
-        parameters' ints."""
+        A vertex switch keeps every cycle's parity, so the solutions are
+        those with each hub pair (0, y) zero, the gauge, switched by
+        vertices 0..n - 2.  Under the gauge a row of one other pair fixes
+        it and a row of two is an edge of a parity union-find (``_hook``);
+        a row of three or four roots is read again (``_over``) until none
+        has one or two.  Each root is a flip parameter, and ``_impose``
+        takes the rows left and a failed check, as the bare constant 1."""
         cyc, bits = np.asarray(cycles), np.asarray(rhs)
         if cyc.ndim != 2 or cyc.shape[1] != 4 or bits.shape != (len(cyc),):
             raise DimensionError(f"expected (m, 4) cycle rows (p, q, v, r) with m right-hand "
@@ -169,52 +171,55 @@ class SpanBasis:
         n_vars, m = n * (n - 1) // 2, len(cyc)
         if not m:
             return cls(n_vars)
-        bits = bits.astype(np.uint64)
-        # the earlier pairs: (p, q) and none, or (p, r) and (q, r)
-        pair = _pair_table(n)
-        at_p, at_q = pair[p, v], pair[q, v]
-        earlier, second = pair[p, np.where(r < 0, q, r)], pair[q, r]
-        # the rows with the smallest p at each (q, v) and the smallest q at each (p, v)
-        below, above = np.full(n_vars, n * m), np.full(n_vars, n * m)
-        np.minimum.at(below, at_q, p * m + np.arange(m))
-        np.minimum.at(above, at_p, q * m + np.arange(m))
-        row = np.where(below < n * m, below % m, -1)   # the row a pair hangs off, or -1
-        up = np.flatnonzero((row < 0) & (above < n * m))
-        first = above[up] % m
-        keep = p[row[at_q[first]]] != p[first]
-        row[up[keep]] = first[keep]
-        roots = np.flatnonzero(row < 0)
-        expr = np.zeros((n_vars + 1, -(-len(roots) // 64) + 1), dtype=np.uint64)
-        expr[roots, np.arange(len(roots)) >> 6] = _BITS[np.arange(len(roots)) & 63]
-        # the forms, one dependency level at a time: a pair whose parent
-        # pair and earlier pairs have their forms takes theirs
-        hung = np.flatnonzero(row >= 0)
-        tree = row[hung]
-        parent = np.where(at_p[tree] == hung, at_q[tree], at_p[tree])
-        done = np.append(row < 0, True)
-        while len(hung):
-            ready = done[parent] & done[earlier[tree]] & done[second[tree]]
-            pairs, via = hung[ready], tree[ready]
-            expr[pairs] = (np.take(expr, parent[ready], axis=0) ^ np.take(expr, earlier[via], axis=0)
-                           ^ np.take(expr, second[via], axis=0))
-            expr[pairs, -1] ^= bits[via]
-            done[pairs] = True
-            hung, tree, parent = hung[~ready], tree[~ready], parent[~ready]
-        rest = np.ones(m, dtype=bool)
-        rest[row[row >= 0]] = False
-        work = _rows(expr, np.column_stack([at_p, at_q, earlier, second])[rest], bits[rest])
-        ints = _ints(_columns(expr[:n_vars]))
+        # each row's pairs (p, v), (q, v), (p, q) or (p, r), and none or (q, r):
+        # pair t is node t, but a hub pair, t < n - 1, or none is node 0
+        w = np.where(r < 0, q, r)
+        ends = pair_index(n, np.array([p, q, np.minimum(p, w), np.minimum(q, r)]),
+                          np.array([v, v, np.maximum(p, w), np.maximum(q, r)]))
+        ends[ends < n - 1] = 0
+        up, odd = np.arange(n_vars), np.zeros(n_vars, dtype=bool)
+        up[:n - 1] = 0
+        # a row of one pair fixes it; then the rows of one or two roots join,
+        # and those of more are read again
+        top, bits = ends.max(axis=0), bits == 1
+        one = ends.sum(axis=0) == top
+        fixed, rows = top[one], np.flatnonzero(~one)
+        up[fixed], odd[fixed] = 0, bits[one]
+        failed = (odd[fixed] != bits[one]).any()
+        nodes = np.take(ends, rows, axis=1)         # each pair not fixed is its own root
+        tops, rest = up[nodes], bits[rows] ^ np.logical_xor.reduce(odd[nodes], axis=0)
+        while len(edge := np.flatnonzero((count := np.count_nonzero(tops, axis=0)) < 3)):
+            pair = np.take(tops, edge, axis=1)      # a check of no roots joins 0 to 0
+            high = pair.max(axis=0)
+            failed |= _hook(up, odd, high, pair.sum(axis=0) - high, rest[edge])
+            if not (more := count > 2).any():
+                tops, rest = tops[:, more], rest[more]
+                break
+            rows = rows[more]
+            tops, rest = _over(up, odd, np.take(ends, rows, axis=1), bits[rows])
+        # one flip per root but node 0, those of the roots left in rows first
+        roots, used = np.flatnonzero(up[1:] == np.arange(1, n_vars)) + 1, np.zeros(n_vars, dtype=bool)
+        used[tops] = True
+        flips, slot = roots[np.argsort(~used[roots], kind="stable")], np.zeros(n_vars, dtype=np.intp)
+        slot[flips] = np.arange(len(flips))
+        work = np.zeros((len(rest) + failed, -(-used[roots].sum() // 64) + 1), dtype=np.uint64)
+        row, t = np.nonzero(tops.T)[0], slot[tops.T[tops.T > 0]]
+        np.bitwise_xor.at(work, (row, t >> 6), np.uint64(1) << (t & 63).astype(np.uint64))
+        work[:, -1] = np.append(rest, True)[:len(work)]     # a failed check is the bare 1
+        member = (nonzero := np.flatnonzero(up))[np.argsort(slot[up[nonzero]], kind="stable")]
         basis = cls(0)
-        basis.n_vars, basis.nullity = n_vars, len(roots)
-        basis._params, basis._const = ints[:len(roots)], ints[-64]
+        basis.n_vars, basis.nullity = n_vars, len(flips) + n - 1
+        basis._params = _masks(slot[up[member]], member, len(flips)) + _switches(n)
+        basis._const = int.from_bytes(np.packbits(odd, bitorder="little").tobytes(), "little")
         basis._impose(work)
         return basis
 
     def _impose(self, work: np.ndarray) -> None:
         """Impose nonzero packed rows over the parameters, their right-hand
-        sides as bit 0 of the last word: reduce them as ints, keeping the
-        pivot rows (each keyed by its lowest bit) free of each other's
-        pivots, and check that none reduces to the bare constant 1.  Pivot
+        sides as bit 0 of the last word: reduce them as ints by the pivot
+        rows so far (each keyed by its lowest bit), check that none reduces
+        to the bare constant 1, then clear each pivot row of the higher
+        pivots, the highest first, so none holds another's pivot.  Pivot
         j's row sets parameter j to the XOR of its other parameters and its
         constant, so j's int is XORed into theirs, and into the constants
         when the row's constant is 1, and cleared.  No pivot row holds
@@ -226,13 +231,12 @@ class SpanBasis:
             while hit := row & lows:
                 row ^= pivots[hit & -hit]
             if row & (constant - 1):
-                low = row & -row
-                for key, pivot in pivots.items():
-                    if pivot & low:
-                        pivots[key] = pivot ^ row
-                pivots[low], lows = row, lows | low
+                pivots[row & -row], lows = row, lows | row & -row
             elif row:
                 self._consistent = False
+        for low in sorted(pivots, reverse=True):
+            while hit := pivots[low] & lows ^ low:
+                pivots[low] ^= pivots[hit & -hit]
         params = self._params
         for low, row in pivots.items():
             j = low.bit_length() - 1
@@ -277,11 +281,3 @@ class SpanBasis:
         return GF2Solution(n_vars=self.n_vars, particular=x, null_basis=tuple(null[f] for f in free),
                            free_cols=tuple(free), rank=self.n_vars - len(free))
 
-
-def _rows(expr: np.ndarray, supports: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """The nonzero XOR rows of (m, w) variable indices and (m,) 0/1
-    right-hand sides over the parameters of the forms ``expr`` ((n_vars,
-    words + 1) uint64, the constant as bit 0 of the last word), packed."""
-    work = parities(supports, expr)
-    work[:, -1] ^= bits
-    return work[work.any(axis=1)]               # a zero row is a check that holds

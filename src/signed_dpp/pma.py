@@ -42,7 +42,8 @@ that use them.
    to a pair of each component in a neighbouring part of their graph.  A
    skipped positive hub triangle leaves its pair's row to the N - 3
    triangles through that pair, which the round reads too.
-   ``gf2.SpanBasis._of_cycles`` solves the rows.
+   ``gf2.SpanBasis._of_cycles`` solves the rows on the hub gauge, where a
+   join is a parity edge between two negative hub pairs (a union-find).
 
 On exact minors with no skipped decision the rows span every positive
 cycle, so the solution is that of every triangle and 4-cycle row (a row
@@ -147,7 +148,10 @@ class PMASolution:
 
     kernel: SignedKernel
     solution: gf2.GF2Solution
-    pairs: tuple[tuple[int, int], ...]
+
+    @functools.cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:     # built on first read
+        return _pairs(self.kernel.n)
 
     @property
     def free_switches(self) -> tuple[int, ...]:
@@ -343,8 +347,7 @@ def solve_pma(minors: MinorList, sign_tol: float = 0.0) -> PMASolution:
             "cycle sign constraints are mutually inconsistent; "
             "the minor list is not realizable in the signed class")
     x = np.array(gf2.bits_of(solution.particular, solution.n_vars), dtype=bool)
-    return PMASolution(kernel=_assemble(skel.diagonal, skel.magnitude, eps, x),
-                       solution=solution, pairs=_pairs(skel.n))
+    return PMASolution(kernel=_assemble(skel.diagonal, skel.magnitude, eps, x), solution=solution)
 
 
 def _decide(minors: MinorList, skel: Skeleton, sets: np.ndarray, sign_tol: float,
@@ -520,7 +523,7 @@ def describe_solution_set(sol: PMASolution) -> list[SignedKernel]:
     k.require_signed()
     eps = np.where(k.mat * k.mat.T > 0, 1, -1)
     return [_assemble(np.diag(k.mat), np.abs(k.mat), eps,
-                      np.array(gf2.bits_of(bits, len(sol.pairs)), dtype=bool))
+                      np.array(gf2.bits_of(bits, sol.solution.n_vars), dtype=bool))
             for bits in sol.solution.members()]
 
 

@@ -22,13 +22,36 @@ def solve_groups(groups, rhs, n_vars):
     of (m, w) arrays of distinct variable indices in 0..n_vars-1, with 0/1
     right-hand sides ``rhs`` (one (m,) array per group), by imposing every
     checked row at once on a fresh ``gf2.SpanBasis`` (the identity), with
-    no parity forest; None when some row contradicts the rest."""
+    no union-find; None when some row contradicts the rest."""
     if len(groups) != len(rhs):
         raise DimensionError(f"{len(groups)} groups but {len(rhs)} right-hand sides")
     eye, basis = identity_forms(n_vars), gf2.SpanBasis(n_vars)
     basis._impose(np.concatenate([eye[:0], *(
-        gf2._rows(eye, *checked_group(g, r, n_vars)) for g, r in zip(groups, rhs))]))
+        packed_rows(eye, *checked_group(g, r, n_vars)) for g, r in zip(groups, rhs))]))
     return basis.solution()
+
+
+def parities(supports, assignment):
+    """XOR of ``assignment`` over the last axis of an (..., w) array of
+    distinct variable indices.  A 0/1 vector gives (...) parities; an
+    (n_vars, d) matrix gives the (..., d) parities against each of its d
+    columns, and an (n_vars, d) matrix of packed words the (..., d) words
+    of the parities against each of their bits."""
+    supports = np.asarray(supports)
+    out = np.zeros(supports.shape[:-1] + assignment.shape[1:], dtype=assignment.dtype)
+    for t in range(supports.shape[-1]):
+        out ^= np.take(assignment, supports[..., t], axis=0)
+    return out
+
+
+def packed_rows(expr, supports, bits):
+    """The nonzero XOR rows of (m, w) variable indices and (m,) 0/1
+    right-hand sides over the parameters of the forms ``expr`` ((n_vars,
+    words + 1) uint64, the constant as bit 0 of the last word), packed as
+    ``gf2.SpanBasis._impose`` takes them."""
+    work = parities(supports, expr)
+    work[:, -1] ^= bits
+    return work[work.any(axis=1)]               # a zero row is a check that holds
 
 
 def identity_forms(n_vars):

@@ -1,17 +1,20 @@
+import hashlib
 import inspect
 import itertools
+import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (antisymmetric, identity_forms, lex_combinations, mask_groups, satisfies, solve_groups,
-                     walk_rows)
+from helpers import (antisymmetric, identity_forms, lex_combinations, mask_groups, packed_rows, parities,
+                     satisfies, solve_groups, walk_rows)
 from signed_dpp import gf2, kernel, pma
-from signed_dpp.errors import DimensionError
-from signed_dpp.moments import exact_minors
+from signed_dpp.errors import AmbiguousSignWarning, DimensionError, InconsistentMinorsError
+from signed_dpp.moments import KernelMinors, exact_minors
 
 
 def _solve(rows, m):
@@ -200,7 +203,7 @@ def test_parities_match_row_checks():
     supports = np.array([rng.choice(30, size=4, replace=False) for _ in range(50)])
     x = rng.integers(0, 2, 30).astype(bool)
     bits = sum(1 << t for t in range(30) if x[t])
-    for row, parity in zip(supports, gf2.parities(supports, x)):
+    for row, parity in zip(supports, parities(supports, x)):
         assert satisfies([(sum(1 << int(i) for i in row), int(parity))], bits)
 
 
@@ -308,11 +311,15 @@ def test_forms_wider_than_one_word_match_the_int_elimination(m, count):
         assert _solve(rows, m).nullity >= m - count
 
 
-def test_wide_forest_forms_match_the_dense_elimination():
-    # a twentieth of the triangles at n = 40 leave over 128 parameters,
-    # which the forest's forms hold in more than two words, and over 128
-    # null vectors; a repeated triangle with the other right-hand side
-    # contradicts its copy
+def test_wide_forest_forms_match_the_dense_elimination(monkeypatch):
+    # a twentieth of the triangles at n = 40 leave rows over more than 128
+    # flips once the rows of one or two roots have joined, which _impose
+    # takes in more than two words, and over 128 null vectors; a repeated
+    # triangle with the other right-hand side contradicts its copy
+    widths = []
+    impose = gf2.SpanBasis._impose
+    monkeypatch.setattr(gf2.SpanBasis, "_impose",
+                        lambda self, work: widths.append(work.shape[1] - 1) or impose(self, work))
     rng = np.random.default_rng(83)
     n = 40
     for flip in (False, True):
@@ -320,13 +327,13 @@ def test_wide_forest_forms_match_the_dense_elimination():
         tri = tri[rng.random(len(tri)) < 0.05]
         tri = np.concatenate([tri, tri[:int(flip)]])
         supports = kernel.pair_index(n, tri[:, [0, 1, 0]], tri[:, [1, 2, 2]])
-        rhs = gf2.parities(supports, rng.integers(0, 2, n * (n - 1) // 2).astype(bool))
+        rhs = parities(supports, rng.integers(0, 2, n * (n - 1) // 2).astype(bool))
         rhs[len(rhs) - int(flip):] ^= True
         basis = gf2.SpanBasis._of_cycles(n, _triangle_rows(tri), rhs)
         want = solve_groups([supports], [rhs], n * (n - 1) // 2)
         assert basis.solution() == want
         assert (want is None) == flip
-        assert len(basis._params) > 128 and basis.nullity > 128
+        assert widths[-1] > 2 and basis.nullity > 128
 
 
 def _reduction_xors(basis):
@@ -352,10 +359,10 @@ def _reduction_xors(basis):
 def test_a_solve_that_decides_nothing_runs_no_pivot_step():
     # with no rows each parameter's int is one variable's bit, which no
     # other holds, so each is a null vector as it is and the solve makes
-    # no XOR; the forest of generate_admissible(32, 0.3, 7) leaves 43
-    # parameters, which the rows off it cut to 32, and the solve of those
-    # takes 32 XORs to set the highest bits apart, 26 to clear them from
-    # the other null vectors and 13 to clear them from the constants
+    # no XOR; the positive triangles of generate_admissible(32, 0.3, 7)
+    # leave the 31 switches and one flip, the transpose, and the solve of
+    # those takes 2 XORs to set the highest bits apart, 29 to clear them
+    # from the other null vectors and 18 to clear them from the constants
     bases = [gf2.SpanBasis(n_vars) for n_vars in (0, 1, 63, 64, 65, 130)]
     bases += [gf2.SpanBasis._of_cycles(n, np.zeros((0, 4), dtype=int), []) for n in (1, 2, 12, 17)]
     for basis in bases:
@@ -374,7 +381,7 @@ def test_a_solve_that_decides_nothing_runs_no_pivot_step():
     basis = gf2.SpanBasis._of_cycles(n, _triangle_rows(tri[used]), rhs)
     sol, steps = _reduction_xors(basis)
     assert sol == solve_groups([supports], [rhs], n * (n - 1) // 2)
-    assert (len(basis._params), sol.nullity, steps) == (43, n, 32 + 26 + 13)
+    assert (len(basis._params), sol.nullity, steps) == (32, n, 2 + 29 + 18)
 
 
 def test_inconsistent_rows_leave_no_solution():
@@ -411,7 +418,7 @@ def test_rows_keep_every_nonzero_row_and_repeats_solve_as_one():
     for trial in range(20):
         pick = rng.integers(0, len(pool), 300)
         supports, bits = pool[pick], (pick + (rng.random(300) < 0.02 * (trial % 2))) % 2 == 1
-        rows = gf2._rows(eye, supports, bits)
+        rows = packed_rows(eye, supports, bits)
         assert len(rows) == 300 and rows[:, -1].tolist() == bits.tolist()
         keys = list(zip(pick.tolist(), bits.tolist()))
         first = [t for t, key in enumerate(keys) if key not in keys[:t]]
@@ -426,7 +433,7 @@ def test_solve_groups_reads_the_solution_of_the_kept_rows():
         n_vars = int(rng.integers(1, 80))
         planted = rng.integers(0, 2, n_vars).astype(bool)
         groups = _index_groups(rng, n_vars)
-        rhs = [gf2.parities(g, planted) for g in groups]
+        rhs = [parities(g, planted) for g in groups]
         sol = solve_groups(groups, rhs, n_vars)
         particular, basis, free, rank = _reference_solve(_as_masks(groups, rhs), n_vars)
         assert sol == gf2.GF2Solution(n_vars, particular, basis, free, rank)
@@ -484,7 +491,7 @@ def _planted_cycles(rng, n, density, corrupt, fours=0):
               kernel.pair_index(n, np.column_stack([p, q, np.minimum(p, r), np.minimum(q, r)]),
                                 np.column_stack([v, v, np.maximum(p, r), np.maximum(q, r)]))]
     planted = rng.integers(0, 2, n * (n - 1) // 2).astype(bool)
-    rhs = [gf2.parities(g, planted) for g in groups]
+    rhs = [parities(g, planted) for g in groups]
     bits = np.concatenate(rhs)
     if corrupt and len(bits):
         bits[rng.integers(len(bits))] ^= True
@@ -495,11 +502,11 @@ def _planted_cycles(rng, n, density, corrupt, fours=0):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 33, 48])
 def test_triangle_forest_matches_the_dense_elimination(n):
-    # sparse sets leave the vertex graphs disconnected; a flipped rhs makes
-    # the rows inconsistent unless the row is outside the span of the rest;
-    # at n = 33 and 48 the parameters of the sparse sets take two words.
-    # The same triangles plus random 4-cycles, which tie two pairs at their
-    # top vertex through two earlier pairs, go through the same forest.
+    # sparse sets leave many pairs in no row, each its own flip; a flipped
+    # rhs makes the rows inconsistent unless the row is outside the span of
+    # the rest; at n = 33 and 48 the sparse sets leave over 64 null vectors.
+    # The same triangles plus random 4-cycles, which hold two pairs or none
+    # at the hub, go through the same union-find.
     rng = np.random.default_rng(60 + n)
     n_vars = n * (n - 1) // 2
     inconsistent = 0
@@ -533,8 +540,8 @@ def test_triangle_forest_matches_the_dense_elimination_on_the_generator_law():
 
 
 def _forest_check(monkeypatch, n, triangles, rhs):
-    """The forest's solution, checked against the dense elimination, and
-    how many rows it handed to ``_impose``."""
+    """The solution of ``_of_cycles``, checked against the dense
+    elimination, and how many rows it handed to ``_impose``."""
     imposed = []
     impose = gf2.SpanBasis._impose
     monkeypatch.setattr(gf2.SpanBasis, "_impose",
@@ -542,22 +549,21 @@ def _forest_check(monkeypatch, n, triangles, rhs):
     triangles = np.array(triangles)
     supports = kernel.pair_index(n, triangles[:, [0, 1, 0]], triangles[:, [1, 2, 2]])
     got = gf2.SpanBasis._of_cycles(n, _triangle_rows(triangles), rhs).solution()
-    forest = sum(imposed)
+    count = sum(imposed)
     assert got == solve_groups([supports], [rhs], n * (n - 1) // 2)
-    return got, forest
+    return got, count
 
 
 def test_triangle_forest_hangs_a_node_off_a_larger_neighbour(monkeypatch):
-    # At k = 4, nodes 1 and 2 reach node 0 only through node 3, which hangs
-    # off 0: both hang off 3, so every row is a tree row.
+    # The hub triangle (0, 3, 4) fixes the pair (3, 4), and then (1, 3, 4)
+    # and (2, 3, 4) each join two pairs: every row is a tree edge.
     for rhs in itertools.product([False, True], repeat=3):
         got, imposed = _forest_check(monkeypatch, 5, [[0, 3, 4], [1, 3, 4], [2, 3, 4]], list(rhs))
         assert got.nullity == 10 - 3 and imposed == 0
-    # At k = 4, node 1's smallest larger neighbour 2 hangs off 1 through
-    # the row (1, 2, 4), so 1 stays a root.  The rows at k = 2 and 3 tie
-    # the pairs (1, 2), (1, 3) and (2, 3) to each other, so the one row
-    # left, (2, 3, 4), reduces to a bare constant: it is imposed exactly
-    # when it contradicts the rest.
+    # The hub triangles fix (1, 2), (1, 3) and (2, 3); then the rows at 4
+    # are three edges between (1, 4), (2, 4) and (3, 4), and the one that
+    # closes their cycle is a check: it is imposed, as the bare constant,
+    # exactly when it contradicts the rest.
     rows = [[1, 2, 4], [1, 3, 4], [2, 3, 4], [0, 1, 3], [0, 1, 2], [0, 2, 3]]
     outcomes = set()
     for rhs in itertools.product([False, True], repeat=len(rows)):
@@ -569,9 +575,9 @@ def test_triangle_forest_hangs_a_node_off_a_larger_neighbour(monkeypatch):
 
 @pytest.mark.parametrize("n", [4, 9, 24, 40])
 def test_triangle_forest_takes_a_path_at_every_vertex(monkeypatch, n):
-    # rows (j, j + 1, k): at k the nodes form the path 0 - 1 - ... - k - 1,
-    # so pair (j, k) waits for (j - 1, k) and (j - 1, j), and the number of
-    # dependency levels grows with n
+    # rows (j, j + 1, k): the hub triangles fix (1, k), and the row
+    # (j, j + 1, k) fixes (j + 1, k) only once (j, j + 1) and (j, k) are
+    # fixed, so the rows of three pairs are read again, up to n - 3 times
     rng = np.random.default_rng(n)
     triangles = [[j, j + 1, k] for k in range(2, n) for j in range(k - 1)]
     for trial in range(4):
@@ -613,3 +619,46 @@ def test_four_cycle_forest_matches_the_dense_elimination_on_the_all_negative_law
     want = solve_groups([supports], [rhs], n * (n - 1) // 2)
     assert want is not None and want.nullity == n
     assert gf2.SpanBasis._of_cycles(n, rows, rhs).solution() == want
+
+
+# sha256 of the GF2Solution fields of the rows of the test below, as in
+# test_pma.SOLVE_BYTES
+LOST_PAIR_SOLUTION = "7ee10f99422470410f596e3f64442b3b6c7643255beb9b591b1933eff05b015f"
+
+
+def test_lost_pair_rows_match_the_dense_elimination(monkeypatch):
+    # at sign_tol 1e-8 the generator's law at N = 48 skips six positive hub
+    # triangles.  Besides the pairs that hub triangle rows fix, a triangle
+    # through such a lost pair holds the lost pair alone (60 rows) or it and
+    # two negative hub pairs (63 rows), which are read again over the roots
+    # once the others have joined.  One of the latter with the other
+    # right-hand side contradicts the rest, and solve_pma raises.
+    n = 48
+    minors = KernelMinors(kernel.generate_admissible(n, 0.3, 7))
+    skel = pma.recover_skeleton(minors)
+    neg = skel.epsilon * skel.epsilon[0] * skel.epsilon[:, :1] < 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AmbiguousSignWarning)
+        rows, rhs = pma._hub_basis(minors, skel, neg, 1e-8)
+    p, q, v, r = rows.T
+    assert (r < 0).all()
+    fixed = np.zeros((n, n), dtype=bool)
+    fixed[q[p == 0], v[p == 0]] = True
+    free = (p > 0) * (~fixed[p, q] * 1 + ~fixed[p, v] + ~fixed[q, v])
+    assert np.bincount(free)[[1, 3]].tolist() == [60, 63]
+    supports = kernel.pair_index(n, np.column_stack([p, q, p]), np.column_stack([v, v, q]))
+    want = solve_groups([supports], [rhs], n * (n - 1) // 2)
+    got = gf2.SpanBasis._of_cycles(n, rows, rhs).solution()
+    assert got == want and got.nullity == n
+    digest = hashlib.sha256(repr((hex(got.particular), [hex(x) for x in got.null_basis],
+                                  got.free_cols, got.rank)).encode())
+    assert digest.hexdigest() == LOST_PAIR_SOLUTION
+    flip = rhs.copy()
+    flip[np.flatnonzero(free == 3)[0]] ^= True
+    assert solve_groups([supports], [flip], n * (n - 1) // 2) is None
+    assert gf2.SpanBasis._of_cycles(n, rows, flip).solution() is None
+    monkeypatch.setattr(pma, "_hub_basis", lambda *args: (rows, flip))
+    with pytest.raises(InconsistentMinorsError, match=re.escape(
+            "cycle sign constraints are mutually inconsistent; "
+            "the minor list is not realizable in the signed class")):
+        pma.solve_pma(minors, sign_tol=1e-8)

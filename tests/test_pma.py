@@ -18,6 +18,7 @@ from helpers import (
     full_sign_system,
     in_coset,
     lex_combinations,
+    parities,
     partly_spanned,
     positive_triangles,
     random_signed,
@@ -360,7 +361,7 @@ def test_sign_system_satisfied_by_ground_truth():
         switches = [np.array([v in p for p in pairs]) for v in range(1, 7)]
         for x in [truth] + [truth ^ switch for switch in switches]:
             for support, rhs in groups:
-                assert np.array_equal(gf2.parities(support, x), rhs)
+                assert np.array_equal(parities(support, x), rhs)
 
 
 # ---------------------------------------------------------------------------
