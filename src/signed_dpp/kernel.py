@@ -296,8 +296,32 @@ def principal_minors(mat: np.ndarray, subsets: np.ndarray) -> np.ndarray:
 
 # The 4-sets whose top item is at most this are bordered all at once, each
 # gathering its prefix's adjugate, and those of each later top item as one
-# slice (the two ways cost the same at about N = 16; timed at N = 12-64).
+# slice.  With the first block's ranks and border indices planned once, a
+# first block of 12 or 16 items costs the same within the noise (up to 7 %)
+# at N = 12-64, one of 20 items up to 12 % more at N = 24, and one of 24
+# items 1.8-2.7 times as much at N = 24 and 32, as its gathers go unchunked
+# (timings in CHANGES.md).
 _BORDER_FROM = 16
+
+
+@functools.lru_cache(maxsize=4)
+def _minors_plan(n: int) -> tuple[np.ndarray, ...]:
+    """The index work of ``colex_minors`` at size n, which no matrix
+    changes, read-only: the (3, C(n, 3)) 0-based 3-sets of ``colex_table``
+    in its dtype; the (3, 3, C(n, 3)) flat indices of their entries, in the
+    narrowest unsigned dtype that holds n^2 (uint16 up to n = 256); and for
+    the 4-sets of the first block, the ranks of their prefixes and the flat
+    indices of their border column, row and corner, (7, C(min(n, _BORDER_FROM), 4)).
+    Rows of the whole orders, not chunks: a call slices them."""
+    idx = np.ascontiguousarray(colex_table(n, 3).T) - 1
+    wide = idx.astype(np.min_scalar_type(max(n * n - 1, 0)))
+    gather = wide[:, None] * n + wide
+    quad = np.ascontiguousarray(colex_table(min(n, _BORDER_FROM), 4).T, dtype=np.intp) - 1
+    border = np.concatenate([quad[:3] * n + quad[3], quad[3] * n + quad[:3], quad[3:] * (n + 1)])
+    plan = idx, gather, colex_rank(quad[:3].T, n), border.astype(gather.dtype)
+    for table in plan:
+        table.flags.writeable = False
+    return plan
 
 
 def colex_minors(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -308,30 +332,25 @@ def colex_minors(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of the 3-set table (colex order nests), and border them with column
     and row c (``numerics.bordered_det``).  These are the operations that
     ``principal_minors`` takes per row, in the same order, so the values
-    agree with it bit for bit."""
+    agree with it bit for bit.  Every index comes from ``_minors_plan``."""
     n = mat.shape[0]
-    table = colex_table(n, 3)
-    first = min(n, _BORDER_FROM)
-    m3, m4 = np.empty(len(table)), np.empty(math.comb(n, 4))
-    tri = np.ascontiguousarray(table[:math.comb(n - 1, 3)].T, dtype=np.intp) - 1
-    adj = np.empty((3, 3, len(table)))
+    idx, gather, below, border = _minors_plan(n)
+    m3, m4 = np.empty(idx.shape[1]), np.empty(math.comb(n, 4))
+    adj = np.empty((3, 3, len(m3)))
     flat = mat.ravel()
-    for lo in range(0, len(table), numerics.DET_CHUNK):
+    for lo in range(0, len(m3), numerics.DET_CHUNK):
         hi = lo + numerics.DET_CHUNK
-        idx = np.ascontiguousarray(table[lo:hi].T, dtype=np.intp) - 1
-        e = flat[idx[:, None] * n + idx]
+        e = flat[gather[:, :, lo:hi]]
         adj[:, :, lo:hi] = numerics.adjugate(e)
         m3[lo:hi] = numerics.cofactor_det(e, adj[:, 0, lo:hi])
-    quad = np.ascontiguousarray(colex_table(first, 4).T, dtype=np.intp) - 1
-    below = colex_rank(quad[:3].T, n)
-    m4[:len(below)] = numerics.bordered_det(m3[below], adj[:, :, below], mat[quad[:3], quad[3]],
-                                            mat[quad[3], quad[:3]], mat[quad[3], quad[3]])
+    ends = flat[border]
+    m4[:len(below)] = numerics.bordered_det(m3[below], adj[:, :, below], ends[:3], ends[3:6], ends[6])
     cols = np.ascontiguousarray(mat.T)
-    for c in range(first, n):
+    for c in range(min(n, _BORDER_FROM), n):
         start = math.comb(c, 4)
         for lo in range(0, math.comb(c, 3), numerics.DET_CHUNK):
             hi = min(lo + numerics.DET_CHUNK, math.comb(c, 3))
-            prefix = tri[:, lo:hi]
+            prefix = idx[:, lo:hi]
             m4[start + lo:start + hi] = numerics.bordered_det(
                 m3[lo:hi], adj[:, :, lo:hi], cols[c].take(prefix), mat[c].take(prefix), mat[c, c])
     return m3, m4

@@ -175,6 +175,22 @@ def _subset(row: np.ndarray) -> tuple[int, ...]:
     return tuple(int(x) + 1 for x in row)
 
 
+@functools.lru_cache(maxsize=4)
+def _tables(n: int) -> tuple[np.ndarray, ...]:
+    """The index tables of a solve at size n, which no minor changes,
+    read-only: the (C(n - 1, 2), 3) hub triangles {0, x, y} in colex order,
+    in ``colex_table``'s dtype; the flat indices of the upper entries (i, j),
+    i < j, in ``np.triu_indices(n, 1)`` order, and of their transposes
+    (j, i); and the n x n masks of the entries off the diagonal and of
+    those on or above it."""
+    iu, ju = np.triu_indices(n, 1)
+    tables = (np.insert(colex_table(max(n - 1, 0), 2), 0, 0, axis=1), iu * n + ju, ju * n + iu,
+              ~np.eye(n, dtype=bool), ~np.tri(n, k=-1, dtype=bool))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 # ---------------------------------------------------------------------------
 # stage 1: skeleton
 
@@ -368,7 +384,9 @@ def _decide(minors: MinorList, skel: Skeleton, sets: np.ndarray, sign_tol: float
                            f"{pi3[t]:.3e}; the minor list is not realizable at tol {tol[t]:.1e}"),
                 stacklevel + 1)
         used = positive & ~small
-        return used, np.insert(sets[used], 3, -1, axis=1), (~(pi3 > 0) ^ flip)[used]
+        rows = np.full((np.count_nonzero(used), 4), -1, dtype=np.intp)
+        rows[:, :3] = sets[used]
+        return used, rows, (~(pi3 > 0) ^ flip)[used]
     flip = _cycles(skel, sets, _FOUR_CYCLES)[2]
     positive, negative, best, second, tol = match_four_cycles(
         skel, sets, traveling_sums(minors, skel, sets), sign_tol)
@@ -399,7 +417,7 @@ def _hub_basis(minors: MinorList, skel: Skeleton, neg: np.ndarray,
     pair whose triangle was skipped), the only ones that can add its row.
     Every listing takes 2^22 cells at a time."""
     n = skel.n
-    hub = np.insert(colex_table(max(n - 1, 0), 2).astype(np.intp), 0, 0, axis=1)
+    hub, *_, upper = _tables(n)
     sets, comp = _spanning_joins(neg)
     ntri = int((sets[:, 0] < 0).sum())
     decided, *rows = _decide(minors, skel, np.concatenate([hub, sets[:ntri, 1:]]), sign_tol, 3)
@@ -420,14 +438,14 @@ def _hub_basis(minors: MinorList, skel: Skeleton, neg: np.ndarray,
     while not ((top := root[link]) == (low := top.min(axis=1))[:, None]).all():
         np.minimum.at(root, link, low[:, None])     # each pair's least label, then jump
         root = root[root]
-    label = np.where(np.triu(neg), root.reshape(n, n), -1)
+    label = np.where(neg & upper, root.reshape(n, n), -1)
     label = np.maximum(label, label.T)
     loose = neg & (label != np.bincount(label[neg], minlength=1).argmax())
-    ha, hb = np.nonzero(np.triu(neg))
+    ha, hb = np.nonzero(neg & upper)
     first = np.unique(label[ha, hb] * n + comp[ha], return_index=True)[1]
     ha, hb = ha[first], hb[first]                   # a pair of each component in each part
     ends, others = np.nonzero(loose)                # each loose pair from both ends
-    p, q = np.nonzero(np.triu(lost))
+    p, q = np.nonzero(lost & upper)
     step, vertex = max((1 << 22) // max(n, len(ha)), 1), np.arange(n)
     picks = [sets]
     for t in range(0, max(len(ends), len(p)), step):
@@ -464,11 +482,12 @@ def _spanning_joins(neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     where triangles suffice.  Returns the (m, 4) sorted subsets, triangles
     (led by -1) first, and each vertex's component (-1 for none)."""
     n = len(neg)
-    positive = ~neg & ~np.eye(n, dtype=bool)
+    *_, off, upper = _tables(n)
+    positive = ~neg & off
     across = positive.astype(np.float32)        # one product finds a level's triangles
     partners = neg.astype(np.float32) @ across
     alone = partners + partners.T == 0          # the pairs that no triangle joins
-    upper, reached, fresh = ~np.tri(n, k=-1, dtype=bool), np.zeros_like(neg), np.zeros_like(neg)
+    reached, fresh = np.zeros_like(neg), np.zeros_like(neg)
     picks, seed, comp = [np.zeros((0, 4), dtype=np.intp)], None, np.full(n, -1)
     while True:
         hit = neg & ~reached & (fresh.astype(np.float32) @ across > 0)
@@ -505,10 +524,11 @@ def _assemble(diagonal: np.ndarray, magnitude: np.ndarray, epsilon: np.ndarray,
     """The kernel with this diagonal and these magnitudes whose upper
     entries are negative where ``negative`` (in ``_pairs`` order) is set,
     and whose lower entries are K_ji = eps_ij K_ij."""
-    iu, ju = np.triu_indices(len(diagonal), 1)
+    _, up, low, *_ = _tables(len(diagonal))
     mat = np.diag(diagonal)
-    mat[iu, ju] = np.where(negative, -1, 1) * magnitude[iu, ju]
-    mat[ju, iu] = epsilon[iu, ju] * mat[iu, ju]
+    flat = mat.ravel()          # a view: np.diag returns a new array
+    flat[up] = upper = np.where(negative, -1, 1) * magnitude.take(up)
+    flat[low] = epsilon.take(up) * upper
     return SignedKernel(mat)
 
 

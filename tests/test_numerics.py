@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import lex_combinations
-from signed_dpp import kernel, numerics
+from signed_dpp import kernel, moments, numerics, pma
 from signed_dpp.errors import DimensionError, SingularMatrixError
 
 
@@ -182,6 +182,29 @@ def test_whole_order_minors_equal_the_minors_row_by_row(n, monkeypatch):
         assert all(a.tobytes() == b.tobytes()
                    for a, b in zip(kernel.colex_minors(mat), whole.values()))
         monkeypatch.undo()
+
+
+def test_a_second_round_trip_reuses_the_index_tables_of_its_size(monkeypatch):
+    # what colex_minors and solve_pma index depends on N alone: after one exact
+    # round trip at N = 32, another ranks no subset in kernel, and its tables are read-only
+    def trip(seed):
+        k = kernel.generate_admissible(32, 0.3, seed)
+        minors = moments.exact_minors(k, 4)
+        assert pma.verify(pma.solve_pma(minors).kernel, minors).passed
+        return k, minors
+
+    trip(7)
+
+    def refuse(subsets, n):
+        raise AssertionError(f"ranked {len(subsets)} subsets of N = {n} again")
+
+    monkeypatch.setattr(kernel, "colex_rank", refuse)
+    k, minors = trip(8)
+    for subsets, values in minors.arrays():
+        assert values.tobytes() == kernel.principal_minors(k.mat, subsets).tobytes(), subsets.shape
+    for table in kernel._minors_plan(32) + pma._tables(32):
+        with pytest.raises(ValueError):
+            table.fill(0)
 
 
 def test_minors_above_order_four_stay_lapack_determinants():
