@@ -9,10 +9,10 @@ which can enlarge the solution set.
 
 The PMA stages are public as the batched array functions that
 ``solve_pma`` composes: ``recover_skeleton``, ``traveling_sums`` and
-``match_four_cycles``.  GF(2) systems, on rows held as index arrays,
-have one state and one eliminate-and-substitute step, held by a
-``SpanBasis`` that keeps every variable as an affine form over free
-parameters; ``solve_pma`` fills it through a parity union-find.
+``match_four_cycles``.  ``solve_pma`` solves the GF(2) sign system of
+its cycle rows with one internal function, ``gf2.solve_cycles``: a
+parity union-find on the hub gauge, then one eliminate-and-substitute
+step on the rows it leaves.  ``GF2Solution`` describes the solutions.
 """
 
 from .errors import (
@@ -52,7 +52,7 @@ from .kernel import (
     size_variance,
     write_kernel,
 )
-from .gf2 import GF2Solution, SpanBasis
+from .gf2 import GF2Solution
 from .moments import (
     KernelMinors,
     MinorList,

@@ -32,6 +32,7 @@ from .errors import CapabilityError, DimensionError, FormatError, MissingMinorEr
 from .kernel import (
     ENUMERATION_LIMIT,
     SignedKernel,
+    atomic_write,
     colex_minors,
     colex_rank,
     colex_table,
@@ -593,7 +594,6 @@ def _rows_by_order(entries: dict) -> dict[int, tuple[list, list]]:
 
 
 def write_minors(path: str, minors: MinorList) -> None:
-    from .kernel import atomic_write
     atomic_write(path, minors_to_json(minors) + "\n")
 
 

@@ -3,14 +3,13 @@ principal minors of orders 1..4 and describe every solution.
 
 The reconstruction runs as whole-array stages.  ``solve_pma`` composes
 the public stage functions ``recover_skeleton``, ``traveling_sums`` and
-``match_four_cycles`` with a ``gf2.SpanBasis``; there is no one-item
+``match_four_cycles`` with ``gf2.solve_cycles``; there is no one-item
 entry point.  Each sign decision is one XOR row over the upper-triangle
 entry signs.  Every cycle is described once, in one table per subset
 size (``_TRIANGLE``, ``_FOUR_CYCLES``): its edges and the arcs its row
 orientation walks against the upper triangle.  ``_cycles`` reads each
-cycle's relating-sign product, magnitude product, right-hand-side flip
-and edge endpoints off that table, once per subset for all the stages
-that use them.
+cycle's relating-sign product, magnitude product and right-hand-side
+flip off that table, once per subset for all the stages that use them.
 
 1. Skeleton.  Orders 1 and 2, each read whole, give the diagonal, the
    off-diagonal magnitudes and the relating signs, via
@@ -42,8 +41,8 @@ that use them.
    to a pair of each component in a neighbouring part of their graph.  A
    skipped positive hub triangle leaves its pair's row to the N - 3
    triangles through that pair, which the round reads too.
-   ``gf2.SpanBasis._of_cycles`` solves the rows on the hub gauge, where a
-   join is a parity edge between two negative hub pairs (a union-find).
+   ``gf2.solve_cycles`` solves the rows on the hub gauge, where a join
+   is a parity edge between two negative hub pairs (a union-find).
 
 On exact minors with no skipped decision the rows span every positive
 cycle, so the solution is that of every triangle and 4-cycle row (a row
@@ -57,6 +56,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -289,16 +289,15 @@ def traveling_sums(minors: MinorList, skel: Skeleton, subsets: np.ndarray) -> np
 def _cycles(skel: Skeleton, sets: np.ndarray, table) -> tuple[np.ndarray, ...]:
     """Per row of an (m, s) array of sorted 0-based subsets and per cycle
     of ``table`` (``_TRIANGLE`` or ``_FOUR_CYCLES``): the (m, c)
-    relating-sign products, the (m, c) magnitude products, the (m, c)
-    right-hand-side flips and the (m, c, w) endpoints a < b of the
-    cycles' edges.  A cycle whose oriented entry product has sign bit
-    ``negative`` gives the row (``pair_index`` of its edges, negative ^
-    flip).  No minor is read."""
+    relating-sign products, the (m, c) magnitude products and the (m, c)
+    right-hand-side flips.  A cycle whose oriented entry product has sign
+    bit ``negative`` gives the row (``pair_index`` of its edges, negative
+    ^ flip).  No minor is read."""
     edges, lower = table
     a, b = sets[:, edges[..., 0]], sets[:, edges[..., 1]]
     eps = skel.epsilon[a, b]
     product = functools.reduce(np.multiply, np.moveaxis(skel.magnitude[a, b], 2, 0))
-    return eps.prod(axis=2), product, np.logical_xor.reduce((eps == -1) & lower, axis=2), a, b
+    return eps.prod(axis=2), product, np.logical_xor.reduce((eps == -1) & lower, axis=2)
 
 
 # Bit c of pattern p makes cycle c of a 4-set negative.
@@ -357,7 +356,7 @@ def solve_pma(minors: MinorList, sign_tol: float = 0.0) -> PMASolution:
     eps = skel.epsilon
     # (x, y) is a negative hub pair when the hub triangle {0, x, y} is negative
     cycles, rhs = _hub_basis(minors, skel, eps * eps[0] * eps[:, :1] < 0, sign_tol)
-    solution = gf2.SpanBasis._of_cycles(skel.n, cycles, rhs).solution()
+    solution = gf2.solve_cycles(skel.n, cycles, rhs)
     if solution is None:    # a row that contradicts the rest leaves no solution
         raise InconsistentMinorsError(
             "cycle sign constraints are mutually inconsistent; "
@@ -369,12 +368,12 @@ def solve_pma(minors: MinorList, sign_tol: float = 0.0) -> PMASolution:
 def _decide(minors: MinorList, skel: Skeleton, sets: np.ndarray, sign_tol: float,
             stacklevel: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Which of an (m, 3) array of sorted 0-based triangles or (m, 4) of 4-sets
-    are decided, and the ``_of_cycles`` rows and right-hand sides they give."""
+    are decided, and the ``gf2.solve_cycles`` rows and right-hand sides they give."""
     if not len(sets):
         return np.zeros(0, dtype=bool), np.zeros((0, 4), dtype=np.intp), np.zeros(0, dtype=bool)
     if sets.shape[1] == 3:
         pi3 = traveling_sums(minors, skel, sets)
-        sign, mag3, flip = (a[:, 0] for a in _cycles(skel, sets, _TRIANGLE)[:3])
+        sign, mag3, flip = (a[:, 0] for a in _cycles(skel, sets, _TRIANGLE))
         tol = np.maximum(sign_tol, _bound(skel, sets, mag3[:, None]))
         positive, small = sign == 1, np.abs(pi3) <= tol
         _screen(positive & small, ~positive & ~small,
@@ -652,8 +651,6 @@ def _check_tol(name: str, tol: float) -> None:
 # solution-set sidecar JSON
 
 def solution_set_json(sol: PMASolution) -> str:
-    import json
-
     return json.dumps({
         "null_basis": [list(gf2.bits_of(vec, len(sol.pairs)))
                        for vec in sol.free_switches],

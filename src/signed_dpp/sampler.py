@@ -24,6 +24,7 @@ from .errors import CapabilityError, DimensionError, FormatError, SamplingError
 from .kernel import (
     PMF_CLAMP,
     SignedKernel,
+    atomic_write,
     enumerate_pmf,
     mask_to_subset,
     normalize_subset,
@@ -123,14 +124,13 @@ def _guide_table(cdf: np.ndarray, count: int) -> tuple:
     return cells, guide, np.append(cdf, np.inf), np.diff(guide) > 1
 
 
-def _inverse_cdf(cdf: np.ndarray, u: np.ndarray, table: tuple | None = None) -> np.ndarray:
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray, table: tuple) -> np.ndarray:
     """np.searchsorted(cdf, u, side="right") for a nondecreasing cdf and u
-    in [0, 1), by a guide table (Chen and Asau's indexed search), the
-    _guide_table of cdf for len(u) draws unless one is given: u lies in
-    cell floor(u * B), exact for B a power of two.  A cell of at most one
-    entry needs one comparison; the draws in cells of two or more are
-    searched."""
-    cells, guide, upper, wide_cell = _guide_table(cdf, len(u)) if table is None else table
+    in [0, 1), by a guide table (Chen and Asau's indexed search), a
+    _guide_table of cdf: u lies in cell floor(u * B), exact for B a power
+    of two.  A cell of at most one entry needs one comparison; the draws
+    in cells of two or more are searched."""
+    cells, guide, upper, wide_cell = table
     cell = (u * cells).astype(np.intp)
     first = guide[cell]
     out = first + (upper[first] <= u)
@@ -370,7 +370,6 @@ def _parse_lines(text: str, n_items: int) -> SampleBatch:
 
 
 def write_samples(path: str, batch: SampleBatch) -> None:
-    from .kernel import atomic_write
     atomic_write(path, format_samples(batch))
 
 

@@ -21,14 +21,15 @@ def solve_groups(groups, rhs, n_vars):
     """The dense oracle of the GF(2) solver: solve XOR rows given as groups
     of (m, w) arrays of distinct variable indices in 0..n_vars-1, with 0/1
     right-hand sides ``rhs`` (one (m,) array per group), by imposing every
-    checked row at once on a fresh ``gf2.SpanBasis`` (the identity), with
-    no union-find; None when some row contradicts the rest."""
+    checked row at once with ``gf2._impose`` on identity parameters, with
+    no union-find, and reducing them with ``gf2._reduced``; None when some
+    row contradicts the rest."""
     if len(groups) != len(rhs):
         raise DimensionError(f"{len(groups)} groups but {len(rhs)} right-hand sides")
-    eye, basis = identity_forms(n_vars), gf2.SpanBasis(n_vars)
-    basis._impose(np.concatenate([eye[:0], *(
+    eye, params = identity_forms(n_vars), [1 << v for v in range(n_vars)]
+    const = gf2._impose(params, 0, np.concatenate([eye[:0], *(
         packed_rows(eye, *checked_group(g, r, n_vars)) for g, r in zip(groups, rhs))]))
-    return basis.solution()
+    return None if const is None else gf2._reduced(params, const, n_vars)
 
 
 def parities(supports, assignment):
@@ -48,15 +49,15 @@ def packed_rows(expr, supports, bits):
     """The nonzero XOR rows of (m, w) variable indices and (m,) 0/1
     right-hand sides over the parameters of the forms ``expr`` ((n_vars,
     words + 1) uint64, the constant as bit 0 of the last word), packed as
-    ``gf2.SpanBasis._impose`` takes them."""
+    ``gf2._impose`` takes them."""
     work = parities(supports, expr)
     work[:, -1] ^= bits
     return work[work.any(axis=1)]               # a zero row is a check that holds
 
 
 def identity_forms(n_vars):
-    """The forms of a fresh ``gf2.SpanBasis`` as (n_vars, words + 1)
-    uint64 words: variable v is parameter v, with constant 0."""
+    """The identity forms as (n_vars, words + 1) uint64 words: variable v
+    is parameter v, with constant 0."""
     cols = np.arange(n_vars)
     eye = np.zeros((n_vars, -(-n_vars // 64) + 1), dtype=np.uint64)
     eye[cols, cols >> 6] = np.uint64(1) << (cols & 63).astype(np.uint64)

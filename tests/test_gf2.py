@@ -317,9 +317,9 @@ def test_wide_forest_forms_match_the_dense_elimination(monkeypatch):
     # takes in more than two words, and over 128 null vectors; a repeated
     # triangle with the other right-hand side contradicts its copy
     widths = []
-    impose = gf2.SpanBasis._impose
-    monkeypatch.setattr(gf2.SpanBasis, "_impose",
-                        lambda self, work: widths.append(work.shape[1] - 1) or impose(self, work))
+    impose = gf2._impose
+    monkeypatch.setattr(gf2, "_impose", lambda params, const, work:
+                        widths.append(work.shape[1] - 1) or impose(params, const, work))
     rng = np.random.default_rng(83)
     n = 40
     for flip in (False, True):
@@ -329,31 +329,44 @@ def test_wide_forest_forms_match_the_dense_elimination(monkeypatch):
         supports = kernel.pair_index(n, tri[:, [0, 1, 0]], tri[:, [1, 2, 2]])
         rhs = parities(supports, rng.integers(0, 2, n * (n - 1) // 2).astype(bool))
         rhs[len(rhs) - int(flip):] ^= True
-        basis = gf2.SpanBasis._of_cycles(n, _triangle_rows(tri), rhs)
         want = solve_groups([supports], [rhs], n * (n - 1) // 2)
-        assert basis.solution() == want
+        assert gf2.solve_cycles(n, _triangle_rows(tri), rhs) == want
         assert (want is None) == flip
-        assert widths[-1] > 2 and basis.nullity > 128
+        assert widths[-1] > 2 and _row_nullity(n, _triangle_rows(tri)) > 128
 
 
-def _reduction_xors(basis):
-    """``basis.solution()`` and how many XORs it made, counted by a line
-    tracer on its lines with an XOR."""
-    lines, first = inspect.getsourcelines(gf2.SpanBasis.solution)
+def _row_nullity(n, rows):
+    """The nullity the left sides of cycle rows leave, whatever their
+    right-hand sides: that of zero ones, which never contradict."""
+    return gf2.solve_cycles(n, rows, np.zeros(len(rows), dtype=bool)).nullity
+
+
+def _reduction_xors(solve):
+    """``solve()``, the number of parameters ``gf2._reduced`` took in it,
+    and how many XORs it made there, counted by a line tracer on its lines
+    with an XOR."""
+    lines, first = inspect.getsourcelines(gf2._reduced)
     xors = {first + t for t, line in enumerate(lines) if "^" in line.split("#")[0]}
-    steps = []
+    params, steps = [], []
 
     def local(frame, event, arg):
         if event == "line" and frame.f_lineno in xors:
             steps.append(1)
         return local
 
-    code, previous = gf2.SpanBasis.solution.__code__, sys.gettrace()
-    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    def call(frame, event, arg):
+        if frame.f_code is code:
+            params.append(len(frame.f_locals["params"]))
+            return local
+        return None
+
+    code, previous = gf2._reduced.__code__, sys.gettrace()
+    sys.settrace(call)
     try:
-        return basis.solution(), len(steps)
+        sol = solve()
     finally:
         sys.settrace(previous)
+    return sol, params, len(steps)
 
 
 def test_a_solve_that_decides_nothing_runs_no_pivot_step():
@@ -363,13 +376,15 @@ def test_a_solve_that_decides_nothing_runs_no_pivot_step():
     # leave the 31 switches and one flip, the transpose, and the solve of
     # those takes 2 XORs to set the highest bits apart, 29 to clear them
     # from the other null vectors and 18 to clear them from the constants
-    bases = [gf2.SpanBasis(n_vars) for n_vars in (0, 1, 63, 64, 65, 130)]
-    bases += [gf2.SpanBasis._of_cycles(n, np.zeros((0, 4), dtype=int), []) for n in (1, 2, 12, 17)]
-    for basis in bases:
-        sol, steps = _reduction_xors(basis)
+    solves = [(n_vars, lambda n_vars=n_vars: gf2._reduced([1 << v for v in range(n_vars)], 0, n_vars))
+              for n_vars in (0, 1, 63, 64, 65, 130)]
+    solves += [(n * (n - 1) // 2, lambda n=n: gf2.solve_cycles(n, np.zeros((0, 4), dtype=int), []))
+               for n in (1, 2, 12, 17)]
+    for n_vars, solve in solves:
+        sol, params, steps = _reduction_xors(solve)
         assert (sol.particular, sol.null_basis, sol.free_cols, sol.rank) == \
-            _reference_solve([], basis.n_vars)
-        assert steps == 0 and sol.nullity == basis.n_vars
+            _reference_solve([], n_vars)
+        assert params == [n_vars] and steps == 0 and sol.nullity == sol.n_vars == n_vars
     n = 32
     minors = exact_minors(kernel.generate_admissible(n, 0.3, 7), 3)
     skel = pma.recover_skeleton(minors)
@@ -378,10 +393,9 @@ def test_a_solve_that_decides_nothing_runs_no_pivot_step():
     i, j, k = tri.T
     used = skel.epsilon[i, j] * skel.epsilon[j, k] * skel.epsilon[i, k] == 1
     supports, rhs = walk_rows(skel, tri[used], ~(pi3[used] > 0))
-    basis = gf2.SpanBasis._of_cycles(n, _triangle_rows(tri[used]), rhs)
-    sol, steps = _reduction_xors(basis)
+    sol, params, steps = _reduction_xors(lambda: gf2.solve_cycles(n, _triangle_rows(tri[used]), rhs))
     assert sol == solve_groups([supports], [rhs], n * (n - 1) // 2)
-    assert (len(basis._params), sol.nullity, steps) == (32, n, 2 + 29 + 18)
+    assert (params, sol.nullity, steps) == ([32], n, 2 + 29 + 18)
 
 
 def test_inconsistent_rows_leave_no_solution():
@@ -468,14 +482,14 @@ def test_span_basis_in_any_split_matches_the_int_elimination():
 
 
 def _triangle_rows(triangles):
-    """(m, 3) triangles i < j < k as ``_of_cycles`` rows (i, j, k, -1)."""
+    """(m, 3) triangles i < j < k as ``solve_cycles`` rows (i, j, k, -1)."""
     triangles = np.asarray(triangles)
     return np.column_stack([triangles, np.full(len(triangles), -1)]).astype(int)
 
 
 def _planted_cycles(rng, n, density, corrupt, fours=0):
     """A random subset of the triangles of n vertices and ``fours`` random
-    4-cycles, as ``_of_cycles`` rows (p, q, v, r) in random order, with
+    4-cycles, as ``solve_cycles`` rows (p, q, v, r) in random order, with
     their supports as ``solve_groups`` groups (triangles, then 4-cycles)
     and right-hand sides planted from a random sign pattern; ``corrupt``
     flips one of them."""
@@ -514,10 +528,9 @@ def test_triangle_forest_matches_the_dense_elimination(n):
         density = (0.02, 0.1, 0.3, 1.0)[trial % 4]
         for fours in (0, int(rng.integers(0, n_vars + 1))):
             rows, bits, groups, rhs = _planted_cycles(rng, n, density, trial % 3 == 0, fours)
-            basis = gf2.SpanBasis._of_cycles(n, rows, bits)
             want = solve_groups(groups, rhs, n_vars)
-            assert basis.solution() == want
-            assert basis.nullity > 64 or density > 0.02 or n < 33 or fours
+            assert gf2.solve_cycles(n, rows, bits) == want
+            assert density > 0.02 or n < 33 or fours or _row_nullity(n, rows) > 64
             inconsistent += want is None
     assert inconsistent > 0 or n < 4
 
@@ -534,21 +547,21 @@ def test_triangle_forest_matches_the_dense_elimination_on_the_generator_law():
     supports, rhs = walk_rows(skel, tri[used], ~(pi3[used] > 0))
     want = solve_groups([supports], [rhs], n * (n - 1) // 2)
     assert want is not None and want.nullity == n
-    assert gf2.SpanBasis._of_cycles(n, _triangle_rows(tri[used]), rhs).solution() == want
+    assert gf2.solve_cycles(n, _triangle_rows(tri[used]), rhs) == want
     rhs[len(rhs) // 2] ^= True
-    assert gf2.SpanBasis._of_cycles(n, _triangle_rows(tri[used]), rhs).solution() is None
+    assert gf2.solve_cycles(n, _triangle_rows(tri[used]), rhs) is None
 
 
 def _forest_check(monkeypatch, n, triangles, rhs):
-    """The solution of ``_of_cycles``, checked against the dense
+    """The solution of ``solve_cycles``, checked against the dense
     elimination, and how many rows it handed to ``_impose``."""
     imposed = []
-    impose = gf2.SpanBasis._impose
-    monkeypatch.setattr(gf2.SpanBasis, "_impose",
-                        lambda self, work: imposed.append(len(work)) or impose(self, work))
+    impose = gf2._impose
+    monkeypatch.setattr(gf2, "_impose", lambda params, const, work:
+                        imposed.append(len(work)) or impose(params, const, work))
     triangles = np.array(triangles)
     supports = kernel.pair_index(n, triangles[:, [0, 1, 0]], triangles[:, [1, 2, 2]])
-    got = gf2.SpanBasis._of_cycles(n, _triangle_rows(triangles), rhs).solution()
+    got = gf2.solve_cycles(n, _triangle_rows(triangles), rhs)
     count = sum(imposed)
     assert got == solve_groups([supports], [rhs], n * (n - 1) // 2)
     return got, count
@@ -591,16 +604,15 @@ def test_triangle_forest_takes_repeated_rows_and_checks_its_input():
     rng = np.random.default_rng(71)
     rows, bits, groups, rhs = _planted_cycles(rng, 9, 0.5, False, 20)
     twice = np.concatenate([rows, rows[:5]])
-    assert gf2.SpanBasis._of_cycles(9, twice, np.concatenate([bits, bits[:5]])).solution() == \
-        solve_groups(groups, rhs, 36)
-    assert gf2.SpanBasis._of_cycles(9, twice, np.concatenate([bits, ~bits[:5]])).solution() is None
+    assert gf2.solve_cycles(9, twice, np.concatenate([bits, bits[:5]])) == solve_groups(groups, rhs, 36)
+    assert gf2.solve_cycles(9, twice, np.concatenate([bits, ~bits[:5]])) is None
     for bad in ([[0, 2, 1, -1]], [[0, 1, 4, -1]], [[0, 1, 3, 1]], [[-1, 1, 3, 2]], [[0, 1, 2, 3]],
                 [[0, 1, 3]], [[0, 1]]):
         with pytest.raises(DimensionError):
-            gf2.SpanBasis._of_cycles(4, bad, [0])
+            gf2.solve_cycles(4, bad, [0])
     for bad, rhs in (([[0, 1, 3, -1]], [2]), ([[0, 1, 3, -1]], [0, 1]), ([[0.0, 1, 3, -1]], [0])):
         with pytest.raises(DimensionError):
-            gf2.SpanBasis._of_cycles(4, bad, rhs)
+            gf2.solve_cycles(4, bad, rhs)
 
 
 def test_four_cycle_forest_matches_the_dense_elimination_on_the_all_negative_law():
@@ -618,7 +630,7 @@ def test_four_cycle_forest_matches_the_dense_elimination_on_the_all_negative_law
                                  np.column_stack([v, v, np.maximum(p, r), np.maximum(q, r)]))
     want = solve_groups([supports], [rhs], n * (n - 1) // 2)
     assert want is not None and want.nullity == n
-    assert gf2.SpanBasis._of_cycles(n, rows, rhs).solution() == want
+    assert gf2.solve_cycles(n, rows, rhs) == want
 
 
 # sha256 of the GF2Solution fields of the rows of the test below, as in
@@ -648,7 +660,7 @@ def test_lost_pair_rows_match_the_dense_elimination(monkeypatch):
     assert np.bincount(free)[[1, 3]].tolist() == [60, 63]
     supports = kernel.pair_index(n, np.column_stack([p, q, p]), np.column_stack([v, v, q]))
     want = solve_groups([supports], [rhs], n * (n - 1) // 2)
-    got = gf2.SpanBasis._of_cycles(n, rows, rhs).solution()
+    got = gf2.solve_cycles(n, rows, rhs)
     assert got == want and got.nullity == n
     digest = hashlib.sha256(repr((hex(got.particular), [hex(x) for x in got.null_basis],
                                   got.free_cols, got.rank)).encode())
@@ -656,7 +668,7 @@ def test_lost_pair_rows_match_the_dense_elimination(monkeypatch):
     flip = rhs.copy()
     flip[np.flatnonzero(free == 3)[0]] ^= True
     assert solve_groups([supports], [flip], n * (n - 1) // 2) is None
-    assert gf2.SpanBasis._of_cycles(n, rows, flip).solution() is None
+    assert gf2.solve_cycles(n, rows, flip) is None
     monkeypatch.setattr(pma, "_hub_basis", lambda *args: (rows, flip))
     with pytest.raises(InconsistentMinorsError, match=re.escape(
             "cycle sign constraints are mutually inconsistent; "

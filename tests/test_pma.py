@@ -255,8 +255,9 @@ def test_cycle_table_matches_the_walk_reference():
         for t, (i, j) in enumerate(itertools.combinations(range(4), 2)):
             em[i, j] = em[j, i] = -1 if (bits >> t) & 1 else 1
         skel = pma.Skeleton(4, np.full(4, 0.5), mags, em)
-        sign, product, flip, a, b = pma._cycles(skel, quad, pma._FOUR_CYCLES)
-        support = kernel.pair_index(4, a, b)
+        sign, product, flip = pma._cycles(skel, quad, pma._FOUR_CYCLES)
+        edges = quad[:, pma._FOUR_CYCLES[0]]
+        support = kernel.pair_index(4, edges[..., 0], edges[..., 1])
         for c, walk in enumerate(FOUR_CYCLE_WALKS):
             want_sign, want_support, want_flip = walk_cycle(skel, walk)
             assert (sign[0, c], sorted(support[0, c].tolist()), flip[0, c]) == \
@@ -267,8 +268,9 @@ def test_cycle_table_matches_the_walk_reference():
     k = random_signed(7, 5)
     skel = pma.recover_skeleton(moments.exact_minors(k, 2))
     tri = lex_combinations(7, 3)
-    sign, product, flip, a, b = pma._cycles(skel, tri, pma._TRIANGLE)
-    support = kernel.pair_index(7, a, b)
+    sign, product, flip = pma._cycles(skel, tri, pma._TRIANGLE)
+    edges = tri[:, pma._TRIANGLE[0]]
+    support = kernel.pair_index(7, edges[..., 0], edges[..., 1])
     m = skel.magnitude
     for t, (i, j, kk) in enumerate(tri.tolist()):
         want_sign, want_support, want_flip = walk_cycle(skel, (i, j, kk))

@@ -173,7 +173,7 @@ def test_inverse_cdf_equals_searchsorted_on_hard_draws():
         for size in (1, 2, 5, 64, 999, len(u)):   # table sizes 1 to 2048 cells
             for lo in range(0, len(u), size):
                 part = u[lo:lo + size]
-                got = sampler._inverse_cdf(cdf, part)
+                got = sampler._inverse_cdf(cdf, part, sampler._guide_table(cdf, len(part)))
                 assert np.array_equal(got, np.searchsorted(cdf, part, side="right")), (total, size)
 
 
